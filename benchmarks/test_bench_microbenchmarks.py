@@ -596,6 +596,21 @@ class TestFeedMicrobenchmarks:
         assert result.stats.messages_sent > 0
 
 
+def _record_row(benchmark, info: dict, **per_second) -> None:
+    """Attach ``info`` to the row, with wall time and rates when it was timed.
+
+    ``per_second`` maps a rate field to the count it divides by the mean wall
+    time.  Under ``--benchmark-disable`` the body runs once untimed and
+    ``benchmark.stats`` is None, so only the time-free fields are recorded.
+    """
+    if benchmark.stats is not None:
+        mean = benchmark.stats.stats.mean
+        info["wall_s"] = round(mean, 4)
+        for name, count in per_second.items():
+            info[name] = round(count / mean, 1)
+    benchmark.extra_info.update(info)
+
+
 def _scale_workload(name: str, nprocs: int):
     """Scaling-curve workload: iterations pinned so every size is tractable."""
     return create_workload(
@@ -678,17 +693,16 @@ class TestScaleMicrobenchmarks:
         result = benchmark.pedantic(simulate, rounds=rounds, iterations=1)
         assert result.events_processed > 0
         assert result.makespan > 0
-        mean = benchmark.stats.stats.mean
-        benchmark.extra_info.update(
+        _record_row(
+            benchmark,
             {
                 "workload": workload,
                 "nprocs": nprocs,
                 "engine": engine,
                 "iterations": _SCALE_ITERATIONS[nprocs],
                 "events": result.events_processed,
-                "wall_s": round(mean, 4),
-                "events_per_sec": round(result.events_processed / mean, 1),
-            }
+            },
+            events_per_sec=result.events_processed,
         )
 
     @pytest.mark.parametrize("engine", ["vectorised", "parallel"])
@@ -731,8 +745,8 @@ class TestScaleMicrobenchmarks:
             info = result.parallel_info
             assert info is not None and "fallback" not in info, info
             assert info["partitions"] == engine_jobs
-        mean = benchmark.stats.stats.mean
-        benchmark.extra_info.update(
+        _record_row(
+            benchmark,
             {
                 "workload": "bt",
                 "nprocs": nprocs,
@@ -740,9 +754,8 @@ class TestScaleMicrobenchmarks:
                 "engine_jobs": engine_jobs if engine == "parallel" else 1,
                 "iterations": _SCALE_ITERATIONS[nprocs],
                 "events": result.events_processed,
-                "wall_s": round(mean, 4),
-                "events_per_sec": round(result.events_processed / mean, 1),
-            }
+            },
+            events_per_sec=result.events_processed,
         )
 
 
@@ -814,21 +827,20 @@ class TestServeMicrobenchmarks:
         stats = holder["service"].stats()
         assert stats["observations"] == streams * len(_SERVE_SENDERS)
         assert stats["streams"] <= _SERVE_MAX_STREAMS * _SERVE_SHARDS
-        mean = benchmark.stats.stats.mean
-        benchmark.extra_info.update(
+        _record_row(
+            benchmark,
             {
                 "streams": streams,
                 "events": stats["observations"],
-                "wall_s": round(mean, 4),
-                "events_per_sec": round(stats["observations"] / mean, 1),
-                "streams_per_sec": round(streams / mean, 1),
                 "resident_streams": stats["streams"],
                 "resident_bytes": stats["resident_bytes"],
                 "resident_bytes_per_stream": stats["resident_bytes_per_stream"],
                 "evictions": stats["evictions"],
                 "max_streams_per_shard": _SERVE_MAX_STREAMS,
                 "num_shards": _SERVE_SHARDS,
-            }
+            },
+            events_per_sec=stats["observations"],
+            streams_per_sec=streams,
         )
 
     def test_bench_serve_ingest_warm(self, benchmark):
@@ -851,17 +863,16 @@ class TestServeMicrobenchmarks:
         events = rounds_per_run * streams * len(senders)
         stats = service.stats()
         assert stats["evictions"] == 0
-        mean = benchmark.stats.stats.mean
-        benchmark.extra_info.update(
+        _record_row(
+            benchmark,
             {
                 "streams": streams,
                 "events": events,
                 "burst": len(senders),
-                "wall_s": round(mean, 4),
-                "events_per_sec": round(events / mean, 1),
                 "resident_bytes": stats["resident_bytes"],
                 "resident_bytes_per_stream": stats["resident_bytes_per_stream"],
-            }
+            },
+            events_per_sec=events,
         )
 
     def test_bench_serve_ingest_wire(self, benchmark):
@@ -889,14 +900,10 @@ class TestServeMicrobenchmarks:
 
         benchmark.pedantic(ingest, setup=setup, rounds=3, iterations=1)
         assert holder["service"].stats()["observations"] == len(lines)
-        mean = benchmark.stats.stats.mean
-        benchmark.extra_info.update(
-            {
-                "streams": streams,
-                "events": len(lines),
-                "wall_s": round(mean, 4),
-                "events_per_sec": round(len(lines) / mean, 1),
-            }
+        _record_row(
+            benchmark,
+            {"streams": streams, "events": len(lines)},
+            events_per_sec=len(lines),
         )
 
     def test_bench_serve_offline_direct(self, benchmark):
@@ -926,15 +933,11 @@ class TestServeMicrobenchmarks:
         benchmark.pedantic(ingest, setup=setup, rounds=1, iterations=1)
         events = streams * len(_SERVE_SENDERS)
         assert holder["predictor"].observations == events
-        mean = benchmark.stats.stats.mean
-        benchmark.extra_info.update(
-            {
-                "streams": streams,
-                "events": events,
-                "wall_s": round(mean, 4),
-                "events_per_sec": round(events / mean, 1),
-                "streams_per_sec": round(streams / mean, 1),
-            }
+        _record_row(
+            benchmark,
+            {"streams": streams, "events": events},
+            events_per_sec=events,
+            streams_per_sec=streams,
         )
 
     def test_bench_serve_snapshot_roundtrip(self, benchmark, tmp_path):
@@ -952,12 +955,8 @@ class TestServeMicrobenchmarks:
         restored = benchmark.pedantic(roundtrip, rounds=3, iterations=1)
         assert restored.stats()["streams"] == 4_096
         snap_bytes = sum(p.stat().st_size for p in target.glob("shard-*.snap"))
-        mean = benchmark.stats.stats.mean
-        benchmark.extra_info.update(
-            {
-                "streams": 4_096,
-                "snapshot_bytes": snap_bytes,
-                "wall_s": round(mean, 4),
-                "mb_per_sec": round(snap_bytes / mean / 1e6, 1),
-            }
+        _record_row(
+            benchmark,
+            {"streams": 4_096, "snapshot_bytes": snap_bytes},
+            mb_per_sec=snap_bytes / 1e6,
         )

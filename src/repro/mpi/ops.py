@@ -56,13 +56,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, KIND_P2P
 from repro.mpi.request import Request
 
 __all__ = [
-    "LANE_COLUMNS_DTYPE",
     "Operation",
     "SendOp",
     "IsendOp",
@@ -351,20 +348,6 @@ COLLECTIVE_OP_CODES = {
     "IallgatherOp": OP_IALLGATHER,
 }
 
-#: Structured dtype of the numeric lane columns (:meth:`OpArrays.columns`):
-#: every integer lane as ``int64`` plus the compute-seconds lane as
-#: ``float64``.  The string ``kind`` lane stays a Python list — it is only
-#: ever read per message, right where a transport call is made.
-LANE_COLUMNS_DTYPE = np.dtype(
-    [
-        ("op", np.int64),
-        ("a", np.int64),
-        ("nbytes", np.int64),
-        ("tag", np.int64),
-        ("seconds", np.float64),
-    ]
-)
-
 
 class OpArrays:
     """Flat typed lanes describing one rank's precompiled schedule.
@@ -377,14 +360,10 @@ class OpArrays:
     plain Python lists rather than ``array('q')`` buffers: the engine reads
     a handful of lane slots per simulated op, and list indexing hands back
     the stored (shared, usually small) int objects directly where a typed
-    buffer would box a fresh int per read.  The *vectorised* engine drain
-    instead gathers lane slots across many ranks at once with numpy fancy
-    indexing; :meth:`columns` materialises (and caches) the numeric lanes as
-    one structured :data:`LANE_COLUMNS_DTYPE` array for that path, so a
-    schedule pays the conversion once per cache lifetime, not per run.
+    buffer would box a fresh int per read.
     """
 
-    __slots__ = ("op", "a", "nbytes", "tag", "seconds", "kind", "_columns")
+    __slots__ = ("op", "a", "nbytes", "tag", "seconds", "kind")
 
     def __init__(self) -> None:
         self.op: list[int] = []
@@ -393,32 +372,9 @@ class OpArrays:
         self.tag: list[int] = []
         self.seconds: list[float] = []
         self.kind: list[str | None] = []
-        self._columns: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.op)
-
-    def columns(self) -> np.ndarray:
-        """The numeric lanes as one cached structured numpy array.
-
-        Shape ``(len(self),)`` with dtype :data:`LANE_COLUMNS_DTYPE`; the
-        values are exact copies of the list lanes (int64 holds every lane
-        int, float64 *is* the Python float), so scalar reads through either
-        representation agree bit-for-bit.  Must only be called once the
-        lanes are fully built; the result is cached on the instance and
-        shared by every simulation using this schedule.
-        """
-        cols = self._columns
-        if cols is None:
-            cols = np.zeros(len(self.op), dtype=LANE_COLUMNS_DTYPE)
-            cols["op"] = self.op
-            cols["a"] = self.a
-            cols["nbytes"] = self.nbytes
-            cols["tag"] = self.tag
-            cols["seconds"] = self.seconds
-            cols.setflags(write=False)
-            self._columns = cols
-        return cols
 
 
 class CompiledProgram:

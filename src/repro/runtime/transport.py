@@ -7,12 +7,15 @@ resulting network traffic with :class:`repro.sim.network.NetworkModel`,
 matches messages to posted receives with MPI semantics, accounts eager-buffer
 memory, and drives the two-level tracer.
 
-Postings have two entry points per direction: the operation-object APIs
+Postings come in three shapes per direction.  The operation-object APIs
 (:meth:`Transport.post_send` / :meth:`Transport.post_recv`, used by the
 generator protocol) unpack into the scalar-argument ones
 (:meth:`Transport.post_send_values` / :meth:`Transport.post_recv_values`),
 which the engine's op-array fast lane calls directly so no per-op operation
-object ever exists on that path.
+object ever exists on that path.  The burst APIs
+(:meth:`Transport.post_send_burst` / :meth:`Transport.post_recv_burst`) post
+one timestamp cohort's worth of messages in a single pass, bit-identically to
+calling the values APIs once per message.
 
 Timing model
 ------------
@@ -30,9 +33,11 @@ Timing model
 
 Burst delivery
 --------------
-Payload arrivals are scheduled as typed delivery events; the engine drains
-same-timestamp event cohorts and hands every run of consecutive deliveries
-bound for one receiver to :meth:`Transport.deliver_burst` in a single call.
+Payload arrivals are scheduled as typed delivery events; the engine hands
+every consecutive run of same-timestamp deliveries to
+:meth:`Transport.deliver_cohort`, which gives each run bound for one receiver
+to :meth:`Transport.deliver_burst` in a single call (or, with no tracer and
+no delivery-observing policy, processes the whole run in one flat pass).
 Matching, statistics and tracing stay per-message (in exact event order), but
 the flow-control policy is notified once per burst through
 :meth:`repro.runtime.protocol.FlowControlPolicy.on_burst_delivered`, which
@@ -44,8 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.mpi.ops import IrecvOp, IsendOp, RecvOp, SendOp
 from repro.mpi.request import Request, Status, _request_ids
@@ -68,12 +71,6 @@ __all__ = ["Transport"]
 #: Minimum spacing enforced between two deliveries on the same channel so that
 #: FIFO order is never violated by jitter.
 _FIFO_EPSILON = 1.0e-12
-
-#: Burst size below which the deterministic send path skips the numpy
-#: batch-arrival expression: array construction costs more than it saves on
-#: small bursts, so they run a single hoisted loop with the arrival formula
-#: inlined instead.
-_BURST_GATHER_MIN = 64
 
 #: The matching-queue entries and receive statuses are named tuples; building
 #: them through ``tuple.__new__`` skips the generated ``__new__`` wrapper
@@ -227,15 +224,15 @@ class Transport:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, engine) -> None:
-        """Attach the simulation engine (must expose ``schedule_at(time, fn)``).
+        """Attach the simulation engine.
 
-        Engines that also expose ``schedule_delivery(time, message, posted)``
-        get typed, burst-coalescable delivery events; anything else falls back
-        to plain callbacks delivering one message at a time.
+        The engine must expose ``schedule_at(time, fn)`` for control traffic
+        and ``schedule_delivery(time, message, posted)`` /
+        ``schedule_delivery_batch(time, items)`` for typed payload arrivals.
         """
         self._engine = engine
-        self._schedule_delivery = getattr(engine, "schedule_delivery", None)
-        self._schedule_delivery_batch = getattr(engine, "schedule_delivery_batch", None)
+        self._schedule_delivery = engine.schedule_delivery
+        self._schedule_delivery_batch = engine.schedule_delivery_batch
 
     def _schedule(self, time: float, callback) -> None:
         if self._engine is None:
@@ -250,10 +247,7 @@ class Transport:
             # partition become exchange records instead of local events.
             self._outbox_data(time, message)
             return
-        if self._schedule_delivery is not None:
-            self._schedule_delivery(time, message, posted)
-        else:
-            self._schedule(time, lambda: self.deliver_burst([(message, posted)], time))
+        self._schedule_delivery(time, message, posted)
 
     def endpoint(self, rank: int) -> _Endpoint:
         """Return the endpoint of ``rank`` (mainly for tests and stats)."""
@@ -334,11 +328,7 @@ class Transport:
             if local is not None and dst not in local:
                 self._outbox_data(arrival, message)
             else:
-                schedule_delivery = self._schedule_delivery
-                if schedule_delivery is not None:
-                    schedule_delivery(arrival, message, None)
-                else:
-                    self._schedule_data(arrival, message, None)
+                self._schedule_delivery(arrival, message, None)
             request._complete(inject)
         else:
             state = _Rendezvous(message=message, send_request=request)
@@ -373,34 +363,41 @@ class Transport:
         """Execute many sends posted at one timestamp cohort (vectorised lane).
 
         Bit-identical to calling :meth:`post_send_values` once per message in
-        list order (the engine's scalar drain does exactly that), returning
-        the requests in the same order.  Two regimes:
+        list order (which is what the engine does with cohorting off),
+        returning the requests in the same order.
 
-        * When the network is :attr:`~repro.sim.network.NetworkModel.deterministic`
-          and no drop faults are attached, eager payload arrivals for the
-          whole burst come from one
-          :meth:`~repro.sim.network.NetworkModel.batch_arrival_times`
-          expression; per-message work (policy consultation, statistics,
-          FIFO clamping, event pushes) still runs in exact message order, so
-          every stateful side effect is sequenced as the scalar path would
-          sequence it.
-        * Otherwise — jitter, contention, degradation or drop faults make
-          arrival computation order-sensitive — the burst simply loops over
-          :meth:`post_send_values`.
+        When the network is :attr:`~repro.sim.network.NetworkModel.deterministic`
+        and no drop faults are attached, the burst is one pass with the
+        lookups hoisted and each eager arrival computed inline with the exact
+        float grouping of :meth:`NetworkModel.arrival_time` — ``inject +
+        (latency + nbytes / bandwidth)``, with jitter and penalty exact zeros
+        on the deterministic model.  Policy consultation, FIFO clamping and
+        event pushes still run in exact message order.  Send statistics and
+        network counters are plain integer sums, so they are accumulated
+        locally and applied once after the loop — exact and order-free.
+
+        Eager delivery pushes are *deferred*: while consecutive eager
+        messages share one arrival timestamp (the common case for a lockstep
+        exchange on the deterministic network), their records are emitted as
+        a single ``EVENT_DELIVER_BATCH``, whose sequence block is exactly the
+        one the individual pushes would have consumed.  Deferral is
+        order-safe because nothing else pushes events between two eager
+        messages (``request._complete`` has no callbacks at post time); a
+        rendezvous message *does* push a control callback, so the pending run
+        is flushed before it.
+
+        Otherwise — jitter, contention, degradation or drop faults make
+        arrival computation order-sensitive — the burst simply loops over
+        :meth:`post_send_values`.
         """
         n = len(ranks)
         network = self.network
-        local = self._partition_local
         if self._faults is not None or not network.deterministic:
             post = self.post_send_values
             return [
                 post(ranks[i], dsts[i], nbytes_list[i], tags[i], kinds[i], None, nows[i])
                 for i in range(n)
             ]
-        if n < _BURST_GATHER_MIN:
-            return self._post_send_burst_small(
-                ranks, dsts, nbytes_list, tags, kinds, nows
-            )
         nprocs = self.nprocs
         pool = self._request_pool
         eager_threshold = self._eager_threshold
@@ -411,213 +408,22 @@ class Transport:
         standard_threshold = policy.machine.eager_threshold if standard else 0
         allows_eager = policy.allows_eager
         send_overhead = self._send_overhead
-        items: list[tuple[Message, Request, bool]] = []
-        eager_nbytes: list[int] = []
-        eager_inject: list[float] = []
-        requests: list[Request] = []
-        # Send statistics are plain integer sums, so they are accumulated
-        # locally and applied once after the loop — exact and order-free.
-        sent_bytes = 0
-        coll_count = 0
-        eager_count = 0
-        forced_count = 0
-        bypass_count = 0
-        for i in range(n):
-            rank = ranks[i]
-            dst = dsts[i]
-            nbytes = nbytes_list[i]
-            if not (0 <= dst < nprocs):
-                raise ValueError(f"destination rank {dst} out of range [0, {nprocs})")
-            if dst == rank:
-                raise ValueError("self-sends are not supported by the simulated transport")
-            if nbytes < 0:
-                raise ValueError(f"message size must be non-negative, got {nbytes}")
-            kind = kinds[i]
-            now = nows[i]
-            # Inlined Request._reuse: one freelist pop per message.
-            if pool:
-                request = pool.pop()
-                request.req_id = next(_request_ids)
-                request.op_kind = "send"
-                request.rank = rank
-                request.completed = False
-                request.cancelled = False
-                request.completion_time = _NAN
-                request.status = None
-                request._callbacks = None
-            else:
-                request = Request("send", rank)
-            size_says_eager = nbytes <= eager_threshold
-            if standard:
-                policy_allows = nbytes <= standard_threshold
-            else:
-                policy_allows = allows_eager(rank, dst, nbytes, kind, now)
-            protocol = "eager" if policy_allows else "rendezvous"
-            message = Message(rank, dst, tags[i], nbytes, kind, protocol)
-            message.payload = None
-            sent_bytes += nbytes
-            if kind == "collective":
-                coll_count += 1
-            if policy_allows:
-                eager_count += 1
-                if not size_says_eager:
-                    bypass_count += 1
-            elif size_says_eager:
-                forced_count += 1
-            inject = now + send_overhead
-            message.inject_time = inject
-            if policy_allows:
-                eager_nbytes.append(nbytes)
-                eager_inject.append(inject)
-            items.append((message, request, policy_allows))
-            requests.append(request)
-        stats = self.stats
-        stats.messages_sent += n
-        stats.bytes_sent += sent_bytes
-        stats.collective_messages += coll_count
-        stats.p2p_messages += n - coll_count
-        stats.eager_messages += eager_count
-        stats.rendezvous_messages += n - eager_count
-        stats.forced_rendezvous += forced_count
-        stats.eager_bypass_large += bypass_count
-        arrivals = iter(
-            self.network.batch_arrival_times(
-                np.asarray(eager_nbytes, dtype=np.int64),
-                np.asarray(eager_inject, dtype=np.float64),
-            ).tolist()
-            if eager_nbytes
-            else ()
-        )
-        # Second pass in the same message order: every event push (delivery or
-        # RTS control callback) lands with the sequence-number order the
-        # scalar path would have produced, which is what keeps simultaneous
-        # future arrivals breaking ties identically.
-        #
-        # Eager delivery pushes are *deferred*: while consecutive eager
-        # messages share one arrival timestamp (the common case for a
-        # lockstep exchange on the deterministic network), their records are
-        # emitted as a single EVENT_DELIVER_BATCH, whose sequence block is
-        # exactly the one the individual pushes would have consumed.
-        # Deferral is order-safe because nothing else pushes events between
-        # two eager messages (``request._complete`` has no callbacks at post
-        # time); any rendezvous message *does* push a control callback, so
-        # the pending run is flushed before it.
-        schedule_delivery = self._schedule_delivery
-        schedule_batch = self._schedule_delivery_batch
-        channel_last = self._channel_last_arrival
-        pending: list[Message] = []
-        pending_arrival = 0.0
-        pending_same = True
-        for message, request, use_eager in items:
-            if use_eager:
-                arrival = next(arrivals)
-                key = (message.src, message.dst)
-                last = channel_last.get(key, 0.0)
-                if arrival <= last:
-                    arrival = last + _FIFO_EPSILON
-                channel_last[key] = arrival
-                message.arrival_time = arrival
-                if local is not None and message.dst not in local:
-                    # Partition mode: a cross-partition payload consumes no
-                    # local event (exactly like the scalar path), so it
-                    # neither joins nor flushes the pending delivery run.
-                    self._outbox_data(arrival, message)
-                elif schedule_batch is not None:
-                    if not pending:
-                        pending_arrival = arrival
-                        pending_same = True
-                    elif arrival != pending_arrival:
-                        pending_same = False
-                    pending.append(message)
-                elif schedule_delivery is not None:
-                    schedule_delivery(arrival, message, None)
-                else:
-                    self._schedule_data(arrival, message, None)
-                request._complete(message.inject_time)
-            else:
-                if pending:
-                    self._flush_pending_deliveries(pending, pending_arrival, pending_same)
-                    pending = []
-                state = _Rendezvous(message=message, send_request=request)
-                self.stats.record_control_message()
-                rts_arrival = self.network.arrival_time(
-                    message.src, message.dst, self._control_bytes, message.inject_time
-                )
-                if local is not None and message.dst not in local:
-                    handshake_id = (message.src, self._next_handshake)
-                    self._next_handshake += 1
-                    state.handshake_id = handshake_id
-                    self._pending_rendezvous[handshake_id] = state
-                    self._outbox_put(
-                        message.dst,
-                        rts_arrival,
-                        ("rts", message.src, message.dst, message.tag,
-                         message.nbytes, message.kind, message.inject_time,
-                         handshake_id),
-                    )
-                else:
-                    self._schedule(
-                        rts_arrival,
-                        lambda state=state, t=rts_arrival: self._handle_rts(state, t),
-                    )
-        if pending:
-            self._flush_pending_deliveries(pending, pending_arrival, pending_same)
-        return requests
-
-    def _flush_pending_deliveries(
-        self, pending: list[Message], arrival: float, same: bool
-    ) -> None:
-        """Emit deferred eager deliveries: one batch record when the run
-        shares a timestamp, individual records (original order) otherwise."""
-        if same and len(pending) > 1:
-            self._schedule_delivery_batch(
-                arrival, [(message, None) for message in pending]
-            )
-            return
-        schedule_delivery = self._schedule_delivery
-        for message in pending:
-            schedule_delivery(message.arrival_time, message, None)
-
-    def _post_send_burst_small(
-        self,
-        ranks: list[int],
-        dsts: list[int],
-        nbytes_list: list[int],
-        tags: list[int],
-        kinds: list[str],
-        nows: list[float],
-    ) -> list[Request]:
-        """Single-pass regime of :meth:`post_send_burst` for small bursts.
-
-        Below :data:`_BURST_GATHER_MIN` messages the numpy batch-arrival
-        expression costs more than it saves, so this path keeps the hoisted
-        lookups but computes each eager arrival inline with the exact float
-        grouping of :meth:`NetworkModel.arrival_time` — ``inject +
-        (latency + nbytes / bandwidth)``, with jitter and penalty exact zeros
-        on the deterministic model — so results stay bit-identical.  Network
-        counters are accumulated locally and applied once at the end (they
-        are plain integer sums, so the total is order-independent).
-        """
-        network = self.network
-        nprocs = self.nprocs
-        pool = self._request_pool
-        eager_threshold = self._eager_threshold
-        policy = self.policy
-        standard = type(policy) is StandardFlowControl
-        standard_threshold = policy.machine.eager_threshold if standard else 0
-        allows_eager = policy.allows_eager
-        record_send = self.stats.record_send
-        send_overhead = self._send_overhead
-        schedule_delivery = self._schedule_delivery
         channel_last = self._channel_last_arrival
         latency = network._latency
         bandwidth = network._bandwidth
         local = self._partition_local
         requests: list[Request] = []
         append = requests.append
+        sent_bytes = 0
+        coll_count = 0
         eager_count = 0
         eager_bytes = 0
-        for i in range(len(ranks)):
+        forced_count = 0
+        bypass_count = 0
+        pending: list[Message] = []
+        pending_arrival = 0.0
+        pending_same = True
+        for i in range(n):
             rank = ranks[i]
             dst = dsts[i]
             nbytes = nbytes_list[i]
@@ -638,19 +444,17 @@ class Transport:
             protocol = "eager" if policy_allows else "rendezvous"
             message = Message(rank, dst, tags[i], nbytes, kind, protocol)
             message.payload = None
-            record_send(
-                nbytes,
-                kind,
-                protocol,
-                size_says_eager and not policy_allows,
-                (not size_says_eager) and policy_allows,
-            )
+            sent_bytes += nbytes
+            if kind == "collective":
+                coll_count += 1
             inject = now + send_overhead
             message.inject_time = inject
             if policy_allows:
-                arrival = inject + (latency + nbytes / bandwidth)
                 eager_count += 1
                 eager_bytes += nbytes
+                if not size_says_eager:
+                    bypass_count += 1
+                arrival = inject + (latency + nbytes / bandwidth)
                 key = (rank, dst)
                 last = channel_last.get(key, 0.0)
                 if arrival <= last:
@@ -658,13 +462,24 @@ class Transport:
                 channel_last[key] = arrival
                 message.arrival_time = arrival
                 if local is not None and dst not in local:
+                    # Partition mode: a cross-partition payload consumes no
+                    # local event, so it neither joins nor flushes the
+                    # pending delivery run.
                     self._outbox_data(arrival, message)
-                elif schedule_delivery is not None:
-                    schedule_delivery(arrival, message, None)
                 else:
-                    self._schedule_data(arrival, message, None)
+                    if not pending:
+                        pending_arrival = arrival
+                        pending_same = True
+                    elif arrival != pending_arrival:
+                        pending_same = False
+                    pending.append(message)
                 request._complete(inject)
             else:
+                if size_says_eager:
+                    forced_count += 1
+                if pending:
+                    self._flush_pending_deliveries(pending, pending_arrival, pending_same)
+                    pending = []
                 state = _Rendezvous(message=message, send_request=request)
                 self.stats.record_control_message()
                 rts_arrival = network.arrival_time(
@@ -687,9 +502,34 @@ class Transport:
                         lambda state=state, t=rts_arrival: self._handle_rts(state, t),
                     )
             append(request)
+        if pending:
+            self._flush_pending_deliveries(pending, pending_arrival, pending_same)
         network.messages_timed += eager_count
         network.total_bytes += eager_bytes
+        stats = self.stats
+        stats.messages_sent += n
+        stats.bytes_sent += sent_bytes
+        stats.collective_messages += coll_count
+        stats.p2p_messages += n - coll_count
+        stats.eager_messages += eager_count
+        stats.rendezvous_messages += n - eager_count
+        stats.forced_rendezvous += forced_count
+        stats.eager_bypass_large += bypass_count
         return requests
+
+    def _flush_pending_deliveries(
+        self, pending: list[Message], arrival: float, same: bool
+    ) -> None:
+        """Emit deferred eager deliveries: one batch record when the run
+        shares a timestamp, individual records (original order) otherwise."""
+        if same and len(pending) > 1:
+            self._schedule_delivery_batch(
+                arrival, [(message, None) for message in pending]
+            )
+            return
+        schedule_delivery = self._schedule_delivery
+        for message in pending:
+            schedule_delivery(message.arrival_time, message, None)
 
     # ------------------------------------------------------------------
     # Receive path
@@ -951,10 +791,7 @@ class Transport:
                 if handshake_id is not None
                 else None
             )
-            if self._schedule_delivery is not None:
-                self._schedule_delivery(time, message, posted)
-            else:
-                self._schedule(time, lambda: self.deliver_burst([(message, posted)], time))
+            self._schedule_delivery(time, message, posted)
         elif kind == "rts":
             _, src, dst, tag, nbytes, mkind, inject_time, handshake_id = payload
             message = Message(src, dst, tag, nbytes, mkind, "rendezvous")
@@ -968,12 +805,6 @@ class Transport:
             self._schedule(time, lambda: self._handle_remote_cts(handshake_id, time))
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown exchange record kind: {kind!r}")
-
-    def _deliver_data(
-        self, message: Message, arrival: float, posted: Optional[PostedReceive]
-    ) -> None:
-        """Single-message delivery (compatibility shim over the burst path)."""
-        self.deliver_burst([(message, posted)], arrival)
 
     def deliver_burst(
         self, burst: list[tuple[Message, Optional[PostedReceive]]], arrival: float
@@ -1047,6 +878,9 @@ class Transport:
         """
         if self._tracer_arrival is not None or self._policy_observes_delivery:
             deliver_burst = self.deliver_burst
+            if len(items) == 1:
+                deliver_burst(items, arrival)
+                return
             start = 0
             dst = items[0][0].dst
             for j in range(1, len(items)):

@@ -38,16 +38,22 @@ per-event allocation entirely:
   per-op-type *handler table* (``type(op) -> bound handler``) instead of an
   ``isinstance`` chain; compiled programs skip operation objects entirely
   and decode each op from their lanes.
-* The run loop drains whole *timestamp cohorts* (streaming through an
-  inlined equivalent of :meth:`repro.sim.events.EventQueue.pop_batch`) and
-  coalesces consecutive deliveries bound for one receiver into a single
-  :meth:`repro.runtime.transport.Transport.deliver_burst` call, which feeds
-  the online predictive policies whole bursts
+* One run loop (:meth:`Simulator._run_loop`) pops records one at a time,
+  with the queue's pop/peek logic inlined.  Every consecutive same-timestamp
+  run of deliveries goes to the transport in a single
+  :meth:`repro.runtime.transport.Transport.deliver_cohort` call, which feeds
+  the online predictive policies one burst per receiver
   (:meth:`repro.runtime.protocol.FlowControlPolicy.on_burst_delivered`).
+* With *cohorting* on (``engine="vectorised"``, or ``"auto"`` from
+  ``_VECTOR_MIN_RANKS`` compiled ranks), a consecutive same-timestamp run of
+  compiled-rank steps is collected into a cohort and executed segment by
+  segment through the ``_vec_*`` handlers: one transport burst call and one
+  batch event record per segment.  With cohorting off (``engine="scalar"``)
+  the same loop hands each step straight to :meth:`Simulator._step_compiled`.
 
 Determinism is unchanged: every event still executes in exact global
-``(time, seq)`` order, so simulation outputs are bit-identical to the
-closure-per-event engine.
+``(time, seq)`` order, so simulation outputs are bit-identical with
+cohorting on or off, and to the closure-per-event engine.
 """
 
 from __future__ import annotations
@@ -59,8 +65,6 @@ from enum import Enum
 from heapq import heappop as _heappop, heappush as _heappush
 from time import monotonic as _monotonic
 from typing import Callable, Generator, Sequence
-
-import numpy as np
 
 from repro.mpi.collectives import decomposition_for
 from repro.mpi.communicator import Communicator, RankContext
@@ -117,21 +121,14 @@ __all__ = ["Simulator", "SimulationResult", "RankState", "RankStatus"]
 #: A program factory takes a rank context and returns the rank's generator.
 ProgramFactory = Callable[[RankContext], Generator[Operation, object, None]]
 
-#: ``engine="auto"`` switches to the vectorised drain at this many compiled
-#: ranks.  Below it, cohorts are too small for the numpy gather/dispatch
-#: overhead to amortise; at or above it the batch lane wins (see
-#: ``BENCH_scale.json``).
+#: ``engine="auto"`` turns cohorting on at this many compiled ranks.  Below
+#: it, cohorts are too small for the collect/dispatch overhead to amortise;
+#: at or above it the batch lane wins (see ``BENCH_scale.json``).
 _VECTOR_MIN_RANKS = 16
 
 #: Minimum cohort size worth routing through ``_exec_cohort``; smaller
 #: cohorts run the scalar ``_step_compiled`` path directly.
 _VECTOR_MIN_COHORT = 4
-
-#: Minimum segment size for the numpy fancy-indexed lane gathers.  Below it
-#: the batch handlers read the Python list lanes directly (array conversion
-#: overhead beats the gather on small segments); the batched event-record
-#: push is worthwhile at any segment size.
-_VECTOR_GATHER_MIN = 64
 
 
 class RankStatus(Enum):
@@ -189,9 +186,6 @@ class RankState:
     cp_tag: object = None
     cp_seconds: object = None
     cp_kind: object = None
-    #: Offset of this rank's lanes in the vectorised engine's concatenated
-    #: lane arena (0 and unused under the scalar drain).
-    cp_base: int = 0
 
 
 @dataclass
@@ -272,13 +266,13 @@ class Simulator:
         zero) is ignored entirely, so the run is bit-identical to passing
         ``None``.
     engine:
-        Which run-loop drain to use: ``"scalar"`` forces the record-by-record
-        loop, ``"vectorised"`` forces the cohort-batching loop (compiled
-        ranks only — generator ranks always step scalar), and ``"auto"`` (the
-        default) picks the vectorised loop when at least
-        ``_VECTOR_MIN_RANKS`` ranks are compiled.  The two drains produce
-        **bit-identical** simulations — traces, stats, event counts and fault
-        counters; the knob only trades constant factors.
+        Whether the run loop batches timestamp cohorts: ``"scalar"`` steps
+        every rank on its own, ``"vectorised"`` collects same-timestamp
+        cohorts of compiled ranks and executes them in batches (generator
+        ranks always step on their own), and ``"auto"`` (the default) batches
+        when at least ``_VECTOR_MIN_RANKS`` ranks are compiled.  Either way
+        the simulation is **bit-identical** — traces, stats, event counts and
+        fault counters; the knob only trades constant factors.
 
         ``"parallel"`` partitions the ranks across ``engine_jobs`` worker
         processes synchronised in conservative windows of width
@@ -386,16 +380,11 @@ class Simulator:
         self.time = 0.0
         self._done_count = 0
         self._started = False
-        # Concatenated per-rank lane columns for the vectorised drain (built
-        # in run() when that drain is selected); flat contiguous arrays so
-        # fancy-indexed gathers don't stride through a structured dtype.
-        self._arena_op = None
-        self._arena_a = None
-        self._arena_nbytes = None
-        self._arena_tag = None
-        self._arena_seconds = None
-        #: Number of cohorts executed through the vectorised lane (0 under
-        #: the scalar drain); exposed for tests and benchmarks.
+        # Whether the run loop collects compiled-rank step cohorts; decided
+        # in run() from ``engine`` and the number of compiled ranks.
+        self._cohorting = False
+        #: Number of cohorts executed through the vectorised lane (0 with
+        #: cohorting off); exposed for tests and benchmarks.
         self.vector_cohorts = 0
         self._op_table = {
             ComputeOp: self._op_compute,
@@ -509,6 +498,9 @@ class Simulator:
             if reason is None:
                 from repro.sim.partition import run_partitioned
 
+                # Eligibility means every rank is compiled; each partition
+                # worker drains its windows with cohorting on.
+                self._cohorting = True
                 return run_partitioned(self)
             # Ineligible configuration: run in-process (bit-identical by
             # construction) and record why the partitioned path disengaged,
@@ -520,15 +512,13 @@ class Simulator:
             self.schedule_step(0.0, state, None)
 
         compiled_count = sum(1 for s in self._ranks if s.compiled is not None)
-        use_vectorised = compiled_count > 0 and (
+        self._cohorting = compiled_count > 0 and (
             self.engine == "vectorised"
             or (
                 self.engine in ("auto", "parallel")
                 and compiled_count >= _VECTOR_MIN_RANKS
             )
         )
-        if use_vectorised:
-            self._build_lane_arena()
 
         # The run allocates ~15 short-lived objects per simulated message and
         # creates no reference cycles of its own; pausing the cyclic collector
@@ -536,10 +526,7 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if use_vectorised:
-                self._run_loop_vectorised()
-            else:
-                self._run_loop()
+            self._run_loop()
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -572,7 +559,7 @@ class Simulator:
         global event sequence, which no partition sees), a partition-safe
         flow-control policy (eager decisions must not read receiver-side
         state across the partition boundary), compiled rank programs (the
-        windowed drain is the vectorised loop) and a ``fork`` start method
+        windowed drain cohorts compiled lanes) and a ``fork`` start method
         (workers inherit the fully-built simulator by address).
         """
         if self.engine_jobs < 2:
@@ -596,169 +583,27 @@ class Simulator:
             return "fork start method unavailable on this platform"
         return None
 
-    def _run_loop(self) -> None:
-        """Drain the event queue in ``(time, seq)`` order until empty.
-
-        The loop streams through each timestamp cohort record by record,
-        coalescing every run of consecutive deliveries bound for one receiver
-        into a single :meth:`Transport.deliver_burst` call — equivalent to
-        draining :meth:`EventQueue.pop_batch` cohorts, but without
-        materialising a batch list for the (overwhelmingly common)
-        single-event cohort.
+    def _run_loop(self, until: float | None = None) -> None:
+        """Drain the event queue in ``(time, seq)`` order.
 
         The pop/peek logic of :meth:`EventQueue.pop` /
         :meth:`EventQueue.peek_record` is inlined here (mirroring those
         methods exactly, counters included): this loop runs once per simulated
         event and the method-call overhead alone is measurable.
-        """
-        queue = self._queue
-        heap = queue._heap
-        fast = queue._fast
-        heappop = _heappop
-        deliver_burst = self.transport.deliver_burst
-        max_events = self.max_events
-        wall_deadline = (
-            _monotonic() + self.max_wall_seconds
-            if self.max_wall_seconds is not None
-            else None
-        )
-        step = self._step
-        step_compiled = self._step_compiled
-        current = self.time
-        while True:
-            # -- inline EventQueue.pop ---------------------------------
-            if fast:
-                if heap and heap[0] < fast[0]:
-                    record = heappop(heap)
-                else:
-                    record = fast.popleft()
-            elif heap:
-                record = heappop(heap)
-            else:
-                return
-            if record[EV_CANCELLED]:
-                continue
-            record[EV_POPPED] = True
-            queue._live -= 1
-            queue._popped += 1
-            queue._now = time = record[EV_TIME]
-            # ----------------------------------------------------------
-            if time > current:
-                self.time = current = time
-            elif time < current - 1e-9:
-                raise SimulationError(
-                    f"time went backwards: event at {time} after {current}"
-                )
-            kind = record[EV_KIND]
-            if kind == EVENT_STEP:
-                state = record[EV_A]
-                if state.compiled is None:
-                    step(state, record[EV_B])
-                else:
-                    step_compiled(state)
-            elif kind == EVENT_DELIVER:
-                message = record[EV_A]
-                # -- inline EventQueue.peek_record ---------------------
-                while heap and heap[0][EV_CANCELLED]:
-                    heappop(heap)
-                while fast and fast[0][EV_CANCELLED]:
-                    fast.popleft()
-                if fast and not (heap and heap[0] < fast[0]):
-                    nxt = fast[0]
-                elif heap:
-                    nxt = heap[0]
-                else:
-                    nxt = None
-                # ------------------------------------------------------
-                if (
-                    nxt is not None
-                    and nxt[EV_TIME] == time
-                    and nxt[EV_KIND] == EVENT_DELIVER
-                    and nxt[EV_A].dst == message.dst
-                ):
-                    # Same-timestamp burst at one receiver: collect the whole
-                    # consecutive run before handing it to the transport.
-                    burst = [(message, record[EV_B])]
-                    dst = message.dst
-                    pop = queue.pop
-                    peek = queue.peek_record
-                    while (
-                        nxt is not None
-                        and nxt[EV_TIME] == time
-                        and nxt[EV_KIND] == EVENT_DELIVER
-                        and nxt[EV_A].dst == dst
-                    ):
-                        pop()
-                        burst.append((nxt[EV_A], nxt[EV_B]))
-                        nxt = peek()
-                    deliver_burst(burst, time)
-                else:
-                    deliver_burst(((message, record[EV_B]),), time)
-            else:
-                record[EV_A]()
-            if max_events is not None and queue._popped > max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self.max_events}; "
-                    "the workload is larger than expected or the simulation is livelocked"
-                )
-            if (
-                wall_deadline is not None
-                and not (queue._popped & 1023)
-                and _monotonic() > wall_deadline
-            ):
-                raise TimeLimitExceeded(
-                    f"exceeded max_wall_seconds={self.max_wall_seconds:g}; "
-                    "the simulation is livelocked or far larger than expected"
-                )
 
-    # ------------------------------------------------------------------
-    # Vectorised drain (cohort batching over compiled op lanes)
-    # ------------------------------------------------------------------
-    def _build_lane_arena(self, local_ranks=None) -> None:
-        """Concatenate every compiled rank's lane columns into flat arrays.
-
-        Each compiled rank's :meth:`OpArrays.columns` block lands at offset
-        ``state.cp_base``, so the global index of rank *r*'s next op is
-        ``r.cp_base + r.cp_cursor`` — one fancy-indexed gather pulls a whole
-        cohort's op codes (or peers, sizes, tags, seconds) at once.  The
-        fields are copied out to contiguous per-lane arrays: gathers on a
-        structured-array field view stride 40 bytes per element.
-
-        ``local_ranks`` restricts the arena to one partition's ranks (the
-        parallel engine's workers only ever step their own ranks, so the
-        other blocks' columns would be dead weight in every cache line).
-        """
-        chunks = []
-        offset = 0
-        for state in self._ranks:
-            if state.compiled is None:
-                continue
-            if local_ranks is not None and state.rank not in local_ranks:
-                continue
-            cols = state.compiled.lanes.columns()
-            state.cp_base = offset
-            offset += len(cols)
-            chunks.append(cols)
-        arena = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        self._arena_op = np.ascontiguousarray(arena["op"])
-        self._arena_a = np.ascontiguousarray(arena["a"])
-        self._arena_nbytes = np.ascontiguousarray(arena["nbytes"])
-        self._arena_tag = np.ascontiguousarray(arena["tag"])
-        self._arena_seconds = np.ascontiguousarray(arena["seconds"])
-
-    def _run_loop_vectorised(self, until: float | None = None) -> None:
-        """The cohort-batching twin of :meth:`_run_loop`.
-
-        Identical drain order and side effects, with one addition: a run of
-        *consecutive* same-timestamp step records for compiled ranks (and any
-        ``EVENT_STEP_BATCH`` records, which only this loop creates) is
-        collected into a cohort and handed to :meth:`_exec_cohort`, which
-        executes same-op segments with one vectorised transport call instead
-        of one call per rank.  Consecutiveness is what preserves global
-        ``(time, seq)`` order: collection stops at the first record of any
-        other kind, so nothing is ever reordered across a delivery, callback
-        or generator-rank step.  Cohorts below ``_VECTOR_MIN_COHORT`` fall
-        back to the scalar :meth:`_step_compiled` per rank.
+        A consecutive same-timestamp run of deliveries is collected and
+        handed to one :meth:`Transport.deliver_cohort` call.  With cohorting
+        on, a run of *consecutive* same-timestamp step records for compiled
+        ranks (and any ``EVENT_STEP_BATCH`` records, which only cohort
+        execution creates) is likewise collected into a cohort and handed to
+        :meth:`_exec_cohort`, which executes same-op segments with one
+        transport burst call instead of one call per rank.  Consecutiveness
+        is what preserves global ``(time, seq)`` order: collection stops at
+        the first record of any other kind, so nothing is ever reordered
+        across a delivery, callback or generator-rank step.  Cohorts below
+        ``_VECTOR_MIN_COHORT`` — and, with cohorting off, every compiled
+        step, without collecting at all — go to :meth:`_step_compiled` per
+        rank.
 
         ``until`` bounds one conservative window of the parallel engine: the
         loop returns as soon as the next live event lies at or beyond it
@@ -777,10 +622,15 @@ class Simulator:
             if self.max_wall_seconds is not None
             else None
         )
+        # A batch record advances ``_popped`` by its length, so the clock is
+        # read whenever the count has *passed* the next multiple of 1024.
+        next_wall_check = queue._popped + 1024
         step = self._step
         step_compiled = self._step_compiled
         exec_cohort = self._exec_cohort
+        cohorting = self._cohorting
         min_cohort = _VECTOR_MIN_COHORT
+        cohort = None
         current = self.time
         while True:
             if until is not None:
@@ -828,24 +678,23 @@ class Simulator:
                 raise SimulationError(
                     f"time went backwards: event at {time} after {current}"
                 )
-            cohort = None
             if kind == EVENT_STEP:
                 state = record[EV_A]
                 if state.compiled is None:
                     step(state, record[EV_B])
-                else:
+                elif cohorting:
                     cohort = [state]
-            elif kind == EVENT_STEP_BATCH:
-                cohort = list(record[EV_A])
+                else:
+                    step_compiled(state)
             elif kind == EVENT_DELIVER or kind == EVENT_DELIVER_BATCH:
                 # Collect the whole consecutive same-time run of deliveries —
                 # any destination, batch records inlined — then hand the run
-                # to one deliver_cohort call, which processes the exact
-                # per-message order the scalar drain would.  Deliveries never
-                # push records that could sort before the remaining delivery
-                # records (anything pushed at this timestamp gets a later
-                # sequence number), so collecting the run up front preserves
-                # the scalar execution order.
+                # to one deliver_cohort call, which processes the messages
+                # in exactly this order.  Deliveries never push records that
+                # could sort before the remaining delivery records (anything
+                # pushed at this timestamp gets a later sequence number), so
+                # collecting the run up front preserves the one-record-at-a-
+                # time execution order.
                 if kind == EVENT_DELIVER:
                     items = [(record[EV_A], record[EV_B])]
                 else:
@@ -882,6 +731,8 @@ class Simulator:
                         heappop(heap)
                     nxt[EV_POPPED] = True
                 deliver_cohort(items, time)
+            elif kind == EVENT_STEP_BATCH:
+                cohort = list(record[EV_A])
             else:
                 record[EV_A]()
             if cohort is not None:
@@ -928,21 +779,23 @@ class Simulator:
                 else:
                     for s in cohort:
                         step_compiled(s)
+                cohort = None
             if max_events is not None and queue._popped > max_events:
                 raise SimulationError(
                     f"exceeded max_events={self.max_events}; "
                     "the workload is larger than expected or the simulation is livelocked"
                 )
-            if (
-                wall_deadline is not None
-                and not (queue._popped & 1023)
-                and _monotonic() > wall_deadline
-            ):
-                raise TimeLimitExceeded(
-                    f"exceeded max_wall_seconds={self.max_wall_seconds:g}; "
-                    "the simulation is livelocked or far larger than expected"
-                )
+            if wall_deadline is not None and queue._popped >= next_wall_check:
+                next_wall_check += 1024
+                if _monotonic() > wall_deadline:
+                    raise TimeLimitExceeded(
+                        f"exceeded max_wall_seconds={self.max_wall_seconds:g}; "
+                        "the simulation is livelocked or far larger than expected"
+                    )
 
+    # ------------------------------------------------------------------
+    # Cohort execution (batching over compiled op lanes)
+    # ------------------------------------------------------------------
     def _exec_cohort(self, states: list[RankState]) -> None:
         """Execute one timestamp cohort of compiled-rank steps, batched.
 
@@ -952,8 +805,8 @@ class Simulator:
         one batch handler, everything else falls back to per-rank
         :meth:`_step_compiled`.  Segment-by-segment execution in cohort order
         makes every side effect — transport calls, RNG draws, event pushes —
-        happen in exactly the scalar loop's order, so outputs stay
-        bit-identical.
+        happen in exactly the order of stepping the ranks one by one, so
+        outputs stay bit-identical.
 
         Reading every state's cursor up front (before any segment executes)
         is safe: cohort members are READY, so no segment's transport activity
@@ -1041,86 +894,42 @@ class Simulator:
                 _heappush(queue._heap, record)
 
     def _vec_compute(self, seg: list[RankState]) -> None:
-        """Advance a segment of compute ops with one vector expression.
+        """Advance a segment of compute ops and push one batched step record.
 
-        Bit-identity with the scalar branch relies on IEEE basics: the
-        unflagged lanes multiply by exactly 1.0 (``x * 1.0 == x``), flagged
-        lanes multiply by the same per-rank noise draw the scalar path would
-        take (drawn here in segment order = rank stream order), and
-        float64 ``+``/``maximum`` are the same operations ``state.now +
-        seconds`` and the push clamp perform.  Small segments skip the numpy
-        gather and read the list lanes like the scalar path (with the loop
-        locals hoisted); both variants share the batched record push.
+        Per rank this is the scalar compute branch without a stall fault
+        (``_exec_cohort`` routes stalled runs to :meth:`_step_compiled`):
+        noise factors are drawn in segment order, which is rank stream order.
         """
-        n = len(seg)
         sim_time = self.time
-        if n < _VECTOR_GATHER_MIN:
-            times = []
-            append = times.append
-            for s in seg:
-                s.steps += 1
-                i = s.cp_cursor
-                s.cp_cursor = i + 1
-                seconds = s.cp_seconds[i]
-                if s.cp_a[i]:
-                    seconds *= s.compiled.next_noise()
-                s.now = t = s.now + seconds
-                append(t if t > sim_time else sim_time)
-            self._push_segment_steps(seg, times)
-            return
-        idx = np.fromiter(
-            (s.cp_base + s.cp_cursor for s in seg), dtype=np.int64, count=n
-        )
-        secs = self._arena_seconds[idx]
-        flags = self._arena_a[idx]
-        if flags.any():
-            factors = np.ones(n, dtype=np.float64)
-            flag_list = flags.tolist()
-            for j, s in enumerate(seg):
-                if flag_list[j]:
-                    factors[j] = s.compiled.next_noise()
-            secs = secs * factors
-        nows = np.fromiter((s.now for s in seg), dtype=np.float64, count=n)
-        new_nows = (nows + secs).tolist()
-        event_times = np.maximum(new_nows, sim_time).tolist()
-        for j, s in enumerate(seg):
+        times = []
+        append = times.append
+        for s in seg:
             s.steps += 1
-            s.cp_cursor += 1
-            s.now = new_nows[j]
-        self._push_segment_steps(seg, event_times)
+            i = s.cp_cursor
+            s.cp_cursor = i + 1
+            seconds = s.cp_seconds[i]
+            if s.cp_a[i]:
+                seconds *= s.compiled.next_noise()
+            s.now = t = s.now + seconds
+            append(t if t > sim_time else sim_time)
+        self._push_segment_steps(seg, times)
 
     def _vec_isend(self, seg: list[RankState]) -> None:
         """Post a segment of isends through one transport burst call."""
-        n = len(seg)
-        if n < _VECTOR_GATHER_MIN:
-            ranks = []
-            dsts = []
-            nbytes_list = []
-            tags = []
-            kinds = []
-            nows = []
-            for s in seg:
-                i = s.cp_cursor
-                ranks.append(s.rank)
-                dsts.append(s.cp_a[i])
-                nbytes_list.append(s.cp_nbytes[i])
-                tags.append(s.cp_tag[i])
-                kinds.append(s.cp_kind[i])
-                nows.append(s.now)
-        else:
-            idx = np.fromiter(
-                (s.cp_base + s.cp_cursor for s in seg), dtype=np.int64, count=n
-            )
-            dsts = self._arena_a[idx].tolist()
-            nbytes_list = self._arena_nbytes[idx].tolist()
-            tags = self._arena_tag[idx].tolist()
-            ranks = []
-            kinds = []
-            nows = []
-            for s in seg:
-                ranks.append(s.rank)
-                kinds.append(s.cp_kind[s.cp_cursor])
-                nows.append(s.now)
+        ranks = []
+        dsts = []
+        nbytes_list = []
+        tags = []
+        kinds = []
+        nows = []
+        for s in seg:
+            i = s.cp_cursor
+            ranks.append(s.rank)
+            dsts.append(s.cp_a[i])
+            nbytes_list.append(s.cp_nbytes[i])
+            tags.append(s.cp_tag[i])
+            kinds.append(s.cp_kind[i])
+            nows.append(s.now)
         requests = self.transport.post_send_burst(
             ranks, dsts, nbytes_list, tags, kinds, nows
         )
@@ -1138,33 +947,18 @@ class Simulator:
 
     def _vec_irecv(self, seg: list[RankState]) -> None:
         """Post a segment of irecvs through one transport burst call."""
-        n = len(seg)
-        if n < _VECTOR_GATHER_MIN:
-            ranks = []
-            sources = []
-            tags = []
-            kinds = []
-            nows = []
-            for s in seg:
-                i = s.cp_cursor
-                ranks.append(s.rank)
-                sources.append(s.cp_a[i])
-                tags.append(s.cp_tag[i])
-                kinds.append(s.cp_kind[i])
-                nows.append(s.now)
-        else:
-            idx = np.fromiter(
-                (s.cp_base + s.cp_cursor for s in seg), dtype=np.int64, count=n
-            )
-            sources = self._arena_a[idx].tolist()
-            tags = self._arena_tag[idx].tolist()
-            ranks = []
-            kinds = []
-            nows = []
-            for s in seg:
-                ranks.append(s.rank)
-                kinds.append(s.cp_kind[s.cp_cursor])
-                nows.append(s.now)
+        ranks = []
+        sources = []
+        tags = []
+        kinds = []
+        nows = []
+        for s in seg:
+            i = s.cp_cursor
+            ranks.append(s.rank)
+            sources.append(s.cp_a[i])
+            tags.append(s.cp_tag[i])
+            kinds.append(s.cp_kind[i])
+            nows.append(s.now)
         requests = self.transport.post_recv_burst(ranks, sources, tags, kinds, nows)
         sim_time = self.time
         times = []
@@ -1188,7 +982,7 @@ class Simulator:
         order, same ``None`` step value — and share one batched record push.
         Ranks with requests still in flight fall back to the exact scalar
         call, which pushes nothing now, so the records of the completed ranks
-        keep the same relative sequence order the scalar loop would produce.
+        keep the same relative sequence order per-rank stepping would produce.
         """
         # Every request released below was just verified complete, so it goes
         # back to the freelist directly — release_request's guard would only

@@ -27,13 +27,20 @@ event:
   ``len(a)`` individual :data:`EVENT_STEP` records with consecutive sequence
   numbers; the queue's counters account for all of them at push and pop, so
   ``len(queue)`` and :attr:`events_processed` are identical to pushing the
-  steps one by one.  Only the vectorised engine drain creates these.
+  steps one by one.  Only the engine's cohort execution creates these
+  (:meth:`repro.sim.engine.Simulator._push_segment_steps`, which builds the
+  record inline).
 * :data:`EVENT_DELIVER_BATCH` — ``a`` is a list of ``(message, posted)``
   pairs that all arrive at the record's timestamp, ``b`` unused.  The same
   sequence/counter contract as :data:`EVENT_STEP_BATCH`: one record stands
   for ``len(a)`` consecutive :data:`EVENT_DELIVER` records.  Only the
-  vectorised send path creates these (a deterministic eager burst whose
-  arrivals all coincide).
+  transport's burst send path creates these (a deterministic eager burst
+  whose arrivals all coincide), through :meth:`EventQueue.push_deliver_batch`.
+
+The engine's run loop inlines its own pop and peek (mirroring :meth:`pop` and
+:meth:`peek_record`); the methods here serve everything off the hot path —
+the parallel coordinator's barrier peeks, the transport's control traffic and
+the tests.
 
 Two structural fast paths keep the common cases cheap:
 
@@ -146,35 +153,23 @@ class EventQueue:
             heapq.heappush(self._heap, record)
         return record
 
-    def push_step_batch(self, time: float, states: list) -> list:
-        """Schedule one :data:`EVENT_STEP_BATCH` record for ``len(states)`` steps.
-
-        Equivalent to ``len(states)`` consecutive ``push_typed(time,
-        EVENT_STEP, state)`` calls: the sequence counter advances by the
-        batch size (so every later push still sorts after the whole batch)
-        and the live counter accounts for every state.  The record's ``seq``
-        is the first of the consumed block, which is exactly where the first
-        individual record would have sorted.
-        """
-        return self._push_batch(time, EVENT_STEP_BATCH, states)
-
     def push_deliver_batch(self, time: float, items: list) -> list:
         """Schedule one :data:`EVENT_DELIVER_BATCH` for ``len(items)`` arrivals.
 
         ``items`` holds ``(message, posted)`` pairs that all arrive at
-        ``time``; the sequence/counter contract is that of
-        :meth:`push_step_batch` — the record stands for ``len(items)``
-        consecutive :data:`EVENT_DELIVER` pushes.
+        ``time``.  Equivalent to ``len(items)`` consecutive ``push_typed(time,
+        EVENT_DELIVER, message, posted)`` calls: the sequence counter
+        advances by the batch size (so every later push still sorts after the
+        whole batch) and the live counter accounts for every item.  The
+        record's ``seq`` is the first of the consumed block, which is exactly
+        where the first individual record would have sorted.
         """
-        return self._push_batch(time, EVENT_DELIVER_BATCH, items)
-
-    def _push_batch(self, time: float, kind: int, payload: list) -> list:
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        n = len(payload)
+        n = len(items)
         seq = self._seq
         self._seq = seq + n
-        record = [time, seq, kind, payload, None, False, False]
+        record = [time, seq, EVENT_DELIVER_BATCH, items, None, False, False]
         self._live += n
         fast = self._fast
         if time == self._now and (not fast or fast[-1][EV_TIME] == time):
@@ -223,11 +218,7 @@ class EventQueue:
             return record
 
     def peek_record(self) -> list | None:
-        """Return the next non-cancelled event record without popping it.
-
-        Used by the engine's run loop to coalesce consecutive same-timestamp
-        deliveries to one receiver without materialising whole batches.
-        """
+        """Return the next non-cancelled event record without popping it."""
         heap, fast = self._heap, self._fast
         while heap and heap[0][EV_CANCELLED]:
             heapq.heappop(heap)
@@ -238,105 +229,6 @@ class EventQueue:
                 return heap[0]
             return fast[0]
         return heap[0] if heap else None
-
-    def pop_batch(self) -> list[list]:
-        """Pop the whole cohort of events sharing the earliest timestamp.
-
-        Returns the records in ``(time, seq)`` order (empty list when the
-        queue is drained).  Events scheduled *while the cohort executes* at
-        the same timestamp land in the fast lane and form the next batch, so
-        global ordering is preserved.
-
-        **Same-cohort cancellation caveat**: because the whole cohort is
-        popped *before* any of its records execute, a callback early in the
-        batch that cancels a later record of the same cohort is too late to
-        keep that record out of the returned list — it is already popped and
-        counted.  A driver using this API must therefore re-check
-        ``record[EV_CANCELLED]`` before executing each record and call
-        :meth:`discount_cancelled` for every record it skips.  Drivers that
-        would rather not carry that contract should drain with
-        :meth:`iter_cohort`, which pops lazily and handles same-cohort
-        cancellation by construction.
-
-        :meth:`repro.sim.engine.Simulator._run_loop` streams through an
-        inlined equivalent (record by record, without materialising the
-        batch list) — keep the two in sync.
-        """
-        first = self.pop()
-        if first is None:
-            return []
-        batch = [first]
-        time = first[EV_TIME]
-        heap, fast = self._heap, self._fast
-        while True:
-            while heap and heap[0][EV_CANCELLED]:
-                heapq.heappop(heap)
-            while fast and fast[0][EV_CANCELLED]:
-                fast.popleft()
-            if fast and fast[0][EV_TIME] == time and not (heap and heap[0] < fast[0]):
-                record = fast.popleft()
-            elif heap and heap[0][EV_TIME] == time:
-                record = heapq.heappop(heap)
-            else:
-                return batch
-            record[EV_POPPED] = True
-            if record[EV_KIND] in _BATCH_KINDS:
-                n = len(record[EV_A])
-                self._live -= n
-                self._popped += n
-            else:
-                self._live -= 1
-                self._popped += 1
-            batch.append(record)
-
-    def iter_cohort(self, until: float | None = None):
-        """Lazily yield the cohort of events sharing the earliest timestamp.
-
-        The cancellation-safe sibling of :meth:`pop_batch`: each record is
-        popped only when the iterator advances, so an event cancelled by an
-        *earlier record of the same cohort* is skipped like any other
-        cancelled event and never counted in :attr:`events_processed` — no
-        :meth:`discount_cancelled` bookkeeping required.  Records pushed at
-        the cohort's timestamp while it executes are yielded as part of the
-        same cohort (they land in the fast lane with larger sequence
-        numbers), matching one-pop-at-a-time drain order exactly.
-
-        ``until`` bounds the drain to a conservative window: a cohort whose
-        timestamp is ``>= until`` is left untouched on the queue (nothing is
-        popped, nothing is counted) and the iterator yields nothing.  The
-        bound is checked once, against the first live record — a cohort
-        strictly below the bound always completes, because all its members
-        share one timestamp.  An empty queue or a head run of cancelled
-        records (including a fully cancelled cohort) also terminates cleanly:
-        :meth:`peek_record` purges cancelled heads without counting them.
-        """
-        if until is not None:
-            head = self.peek_record()
-            if head is None or head[EV_TIME] >= until:
-                return
-        record = self.pop()
-        if record is None:
-            return
-        yield record
-        time = record[EV_TIME]
-        while True:
-            record = self.peek_record()
-            if record is None or record[EV_TIME] != time:
-                return
-            yield self.pop()
-
-    def discount_cancelled(self) -> None:
-        """Un-count one popped-but-cancelled event from ``events_processed``.
-
-        A callback early in a timestamp cohort may cancel a later event of
-        the *same* cohort after :meth:`pop_batch` already popped it; a driver
-        draining with :meth:`pop_batch` should skip such records and call
-        this so the processed-event count matches one-pop-at-a-time
-        semantics.  (The engine's run loop pops record by record — and
-        :meth:`iter_cohort` pops lazily — so cancellations are filtered
-        before counting and neither ever needs this.)
-        """
-        self._popped -= 1
 
     def peek_time(self) -> float | None:
         """Return the timestamp of the next pending event without popping it."""

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.util.rng import SeededRNG
 from repro.util.validation import check_non_negative, check_positive, check_probability
 
@@ -256,8 +254,10 @@ class NetworkModel:
 
         Requires no jitter (no RNG consumption), no drop/retransmit draws,
         no per-destination contention state, and no attached degradation
-        model.  Exactly this condition makes :meth:`batch_arrival_times`
-        valid, because per-message call *order* stops mattering.
+        model.  Exactly this condition lets the transport's burst send path
+        (:meth:`repro.runtime.transport.Transport.post_send_burst`) compute
+        ``inject + (latency + nbytes / bandwidth)`` inline, because
+        per-message call *order* stops mattering.
         """
         return (
             self._jitter_scale <= 0.0
@@ -265,24 +265,3 @@ class NetworkModel:
             and not self._contention
             and self._degrade_multiplier is None
         )
-
-    def batch_arrival_times(self, nbytes, inject_times):
-        """Vectorised :meth:`arrival_time` for a burst of messages, or ``None``.
-
-        ``nbytes`` and ``inject_times`` are equal-length numpy arrays (int64
-        and float64).  Only available when the model is :attr:`deterministic`
-        — the scalar path then computes ``inject + (latency + nbytes/bw)``
-        with no RNG draws and no cross-message state, so one vector
-        expression with the same float grouping is bit-identical, in any
-        order.  Returns ``None`` otherwise; the caller must fall back to
-        per-message :meth:`arrival_time` calls.
-        """
-        if not self.deterministic:
-            return None
-        # Same grouping as the scalar path: (latency + serialization) is one
-        # term, and jitter/penalty are exact zeros there (x + 0.0 == x).
-        transfer = self._latency + nbytes / self._bandwidth
-        arrivals = inject_times + transfer
-        self.messages_timed += len(arrivals)
-        self.total_bytes += int(np.sum(nbytes))
-        return arrivals

@@ -15,8 +15,8 @@ in *conservative windows*:
    positive link latency (:meth:`repro.sim.network.NetworkModel.min_latency`).
 3. Records are routed to their destination partitions, sorted by
    ``(time, origin_partition, seq)``, injected, and every worker drains its
-   queue up to (but excluding) the window end through the vectorised cohort
-   loop (:meth:`Simulator._run_loop_vectorised` with ``until=``).
+   queue up to (but excluding) the window end through the engine's run loop
+   with cohorting on (:meth:`Simulator._run_loop` with ``until=``).
 
 Safety is the classic conservative-lookahead argument: any event executed in
 the window happens at ``t < T + lookahead``, and any message it emits toward
@@ -26,7 +26,7 @@ the lookahead).  So nothing a worker does during a window can affect another
 worker *within* that window — the exchanged records always land at or beyond
 the barrier, and every partition sees exactly the event sequence the
 single-process engine would execute.  Outputs are therefore bit-identical to
-the scalar and vectorised drains (the per-rank accumulation of float
+the in-process engines (the per-rank accumulation of float
 statistics makes the reductions order-independent across partitions; see
 :mod:`repro.runtime.stats` and :mod:`repro.sim.faults`).
 
@@ -328,9 +328,8 @@ def _worker_main(sim, local_ranks, conn) -> None:
         for state in sim._ranks:
             if state.rank in local_set:
                 sim.schedule_step(0.0, state, None)
-        sim._build_lane_arena(local_set)
         queue = sim._queue
-        run_window = sim._run_loop_vectorised
+        run_window = sim._run_loop
         take_outbox = transport.take_outbox
         inject = transport.inject_remote
         # Same rationale as Simulator.run: the drain allocates short-lived,

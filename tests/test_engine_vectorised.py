@@ -1,7 +1,7 @@
-"""Equivalence of the vectorised cohort engine and the scalar run loop.
+"""Equivalence of the run loop with cohorting on (vectorised) and off (scalar).
 
-The contract of the engine knob: which drain processes the event queue is an
-implementation detail.  For every registry workload, under every flow-control
+The contract of the engine knob: whether the run loop batches timestamp
+cohorts is an implementation detail.  For every registry workload, under every flow-control
 policy, with and without fault injection, a ``engine="vectorised"`` run must
 be **bit-identical** to an ``engine="scalar"`` run — same makespan, same
 per-rank finish times, same processed-event count, same runtime statistics,
@@ -103,9 +103,9 @@ class TestVectorisedPathEngages:
     """The forced/auto knobs actually reach the batch dispatch."""
 
     def _count_batches(self, monkeypatch):
-        # _exec_cohort is the vectorised drain's dispatch entry (the scalar
-        # loop never calls it); the queue-level batch pushes are inlined in
-        # the engine, so count at this seam instead.
+        # _exec_cohort is the cohort dispatch entry (never reached with
+        # cohorting off); the queue-level batch pushes are inlined in the
+        # engine, so count at this seam instead.
         from repro.sim.engine import Simulator
 
         calls = {"step": 0}
@@ -165,6 +165,64 @@ class TestVectorisedPathEngages:
         assert calls["step"] == 0
 
 
+class TestWideCohorts:
+    """64-rank lockstep cells: segments and delivery runs as wide as the job.
+
+    Every other cell in this file tops out at 9 ranks; these pin the burst
+    send pass, the batch-record flush and the cohort delivery pass at the
+    widths the scaling benchmarks drive.
+    """
+
+    def _run(self, engine, configs, policy="standard", tracer=False):
+        from repro.predictive.registry import create_policy
+        from repro.workloads.runner import run_workload
+
+        machine, network = configs()
+        return run_workload(
+            create_workload("bt", 64, iterations=1, compute_noise=0.0),
+            seed=5,
+            machine=machine,
+            network=network,
+            policy=create_policy(policy),
+            tracer=tracer,
+            engine=engine,
+        )
+
+    def test_scalar_vectorised_parallel_agree(self):
+        # Zero latency leaves the parallel engine no lookahead, so it runs
+        # in-process; the positive-latency cell below partitions for real.
+        from repro.analysis.scaling import lockstep_scale_configs
+
+        scalar = self._run("scalar", lockstep_scale_configs)
+        vectorised = self._run("vectorised", lockstep_scale_configs)
+        parallel = self._run("parallel", lockstep_scale_configs)
+        assert "fallback" in parallel.parallel_info
+        assert fingerprint(vectorised) == fingerprint(scalar)
+        assert fingerprint(parallel) == fingerprint(scalar)
+
+    def test_partitioned_wide_cohorts_agree(self):
+        from repro.analysis.scaling import partitioned_scale_configs
+
+        scalar = self._run("scalar", partitioned_scale_configs)
+        vectorised = self._run("vectorised", partitioned_scale_configs)
+        parallel = self._run("parallel", partitioned_scale_configs)
+        assert parallel.parallel_info["partitions"] == 2
+        assert fingerprint(vectorised) == fingerprint(scalar)
+        assert fingerprint(parallel) == fingerprint(scalar)
+
+    def test_policy_and_tracer_hooks_see_wide_delivery_runs(self):
+        # With a tracer and a delivery-observing policy attached, one
+        # delivery run spans many destinations and is split per receiver.
+        from repro.analysis.scaling import lockstep_scale_configs
+
+        runs = [
+            self._run(engine, lockstep_scale_configs, "predictive-credits", True)
+            for engine in ("scalar", "vectorised", "parallel")
+        ]
+        assert fingerprint(runs[1]) == fingerprint(runs[0])
+        assert fingerprint(runs[2]) == fingerprint(runs[0])
+
+
 #: Deterministic positive-latency network: the parallel engine's eligibility
 #: gate (it derives its lookahead from the minimum link latency).  The
 #: default jittered/contended network must *fall back* instead.
@@ -184,6 +242,46 @@ def _baseline(name, nprocs, kwargs, faults):
             )
         )
     return _parallel_baselines[key]
+
+
+#: Noise-free cells that stay in step on the deterministic network, so that
+#: isend segments really are posted as bursts (under the default compute
+#: noise the ranks drift apart and cohorts collapse to single steps).
+IN_STEP_CELLS = [
+    ("bt", 16, {"iterations": 1, "compute_noise": 0.0}),
+    ("cg", 16, {"scale": 0.1, "compute_noise": 0.0}),
+    ("lu", 16, {"scale": 0.01, "compute_noise": 0.0}),
+    ("is", 8, {"scale": 0.2, "compute_noise": 0.0}),
+    ("is", 16, {"scale": 0.2, "compute_noise": 0.0}),
+    ("sweep3d", 16, {"scale": 0.1, "compute_noise": 0.0}),
+    ("ring-exchange", 8, {"scale": 0.2}),
+    ("collective-mix", 8, {"scale": 0.2}),
+    ("collective-storm", 8, {"scale": 0.2}),
+]
+
+
+class TestDeterministicNetworkEquivalence:
+    """Scalar vs vectorised where ``Transport.post_send_burst`` runs its own pass.
+
+    The default jittered network makes the burst path fall back to one
+    ``post_send_values`` call per message, and the parallel matrix below
+    compares two runs that both take the burst path.  These cells hold the
+    pass — inline arrivals, deferred delivery batches, the flush before a
+    rendezvous control message — to the per-message reference; IS at 16 ranks
+    mixes coinciding and differing arrivals with rendezvous sends in one
+    burst.
+    """
+
+    @pytest.mark.parametrize("name,nprocs,kwargs", IN_STEP_CELLS)
+    def test_bit_identical_outputs(self, name, nprocs, kwargs):
+        scalar, vectorised = (
+            run_cell(
+                name, nprocs, kwargs, "standard", None,
+                engine=engine, network=PARALLEL_NETWORK,
+            )
+            for engine in ("scalar", "vectorised")
+        )
+        assert fingerprint(vectorised) == fingerprint(scalar)
 
 
 class TestParallelEquivalence:

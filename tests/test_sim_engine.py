@@ -234,29 +234,6 @@ class TestBurstDelivery:
         assert dst == 2
         assert [(src, nbytes) for src, nbytes, _, _ in messages] == [(0, 64), (1, 64)]
 
-    def test_burst_results_match_per_message_results(self):
-        """The burst fast lane must not change any simulated output."""
-
-        def program(ctx):
-            comm = ctx.comm
-            for _ in range(3):
-                yield from comm.alltoall(512)
-                yield from comm.allreduce(64)
-
-        def run_once(force_fallback):
-            sim = Simulator(nprocs=4, seed=7, network=NetworkConfig(seed=7))
-            if force_fallback:
-                # Disable typed delivery events: every delivery goes through
-                # the legacy one-message closure path.
-                sim.transport._schedule_delivery = None
-            return sim.run([program])
-
-        burst = run_once(force_fallback=False)
-        fallback = run_once(force_fallback=True)
-        assert burst.makespan == fallback.makespan
-        assert burst.rank_finish_times == fallback.rank_finish_times
-        assert burst.stats.summary() == fallback.stats.summary()
-
 
 class TestErrors:
     def test_deadlock_detection(self):
@@ -448,13 +425,12 @@ class TestCollectivesThroughEngine:
 
 
 class TestDrainCancellation:
-    """Same-cohort cancellation through the inlined run-loop drains.
+    """Same-cohort cancellation through the run loop, cohorting off and on.
 
-    Both run loops pop record by record (scalar directly, vectorised via the
-    cohort collector), so a callback cancelling a *later* record at the same
-    timestamp keeps that record from ever executing or being counted — the
-    engine never needs ``discount_cancelled`` (the ``pop_batch`` caveat is a
-    queue-API contract, not an engine behaviour).
+    The loop pops record by record (a cohort is collected by peeking, and a
+    cancelled head is purged before it is looked at), so a callback
+    cancelling a *later* record at the same timestamp keeps that record from
+    ever executing or being counted.
     """
 
     @staticmethod
@@ -472,16 +448,17 @@ class TestDrainCancellation:
         sim._queue.push(5.0, canceller)
         holder["victim"] = sim._queue.push(5.0, lambda: fired.append("victim"))
 
-    def test_scalar_drain_skips_same_cohort_cancelled(self):
+    @pytest.mark.parametrize("engine", ["scalar", "vectorised"])
+    def test_cancelled_record_is_never_executed_or_counted(self, engine):
         fired = []
-        sim = make_sim(nprocs=1, tracer=False)
+        sim = make_sim(nprocs=1, tracer=False, engine=engine)
         self._plant(sim, fired)
         result = sim.run([self._empty_program])
         assert fired == ["canceller"]
         # One step per rank plus the canceller; the victim is never counted.
         assert result.events_processed == 2
 
-    def test_vectorised_drain_skips_same_cohort_cancelled(self):
+    def test_compiled_run_agrees_across_engines(self):
         from repro.workloads.registry import create_workload
 
         workload = create_workload("bt", 4, scale=0.02)

@@ -5,7 +5,6 @@ import pytest
 from repro.sim.events import (
     EV_A,
     EV_B,
-    EV_CANCELLED,
     EV_KIND,
     EV_SEQ,
     EV_TIME,
@@ -13,7 +12,6 @@ from repro.sim.events import (
     EVENT_DELIVER,
     EVENT_DELIVER_BATCH,
     EVENT_STEP,
-    EVENT_STEP_BATCH,
     EventQueue,
 )
 
@@ -148,178 +146,7 @@ class TestTypedRecords:
         assert len(set(seqs)) == 5
 
 
-class TestPopBatch:
-    def test_batch_groups_equal_timestamps(self):
-        queue = EventQueue()
-        for _ in range(3):
-            queue.push_typed(1.0, EVENT_CALLBACK, None)
-        queue.push_typed(2.0, EVENT_CALLBACK, None)
-        first = queue.pop_batch()
-        assert len(first) == 3
-        assert [r[EV_TIME] for r in first] == [1.0, 1.0, 1.0]
-        second = queue.pop_batch()
-        assert len(second) == 1
-        assert queue.pop_batch() == []
-
-    def test_batch_preserves_seq_order(self):
-        queue = EventQueue()
-        records = [queue.push_typed(1.0, EVENT_CALLBACK, i) for i in range(10)]
-        batch = queue.pop_batch()
-        assert batch == records
-
-    def test_batch_skips_cancelled(self):
-        queue = EventQueue()
-        keep_a = queue.push_typed(1.0, EVENT_CALLBACK, "a")
-        dead = queue.push_typed(1.0, EVENT_CALLBACK, "dead")
-        keep_b = queue.push_typed(1.0, EVENT_CALLBACK, "b")
-        queue.cancel(dead)
-        batch = queue.pop_batch()
-        assert batch == [keep_a, keep_b]
-        assert queue.events_processed == 2
-
-    def test_same_time_push_during_batch_forms_next_batch(self):
-        # Events scheduled at the cohort's own timestamp while it executes
-        # must run after it (their seq is larger) — they form the next batch.
-        queue = EventQueue()
-        queue.push_typed(1.0, EVENT_CALLBACK, None)
-        batch = queue.pop_batch()
-        assert len(batch) == 1
-        queue.push_typed(1.0, EVENT_CALLBACK, "late")
-        late = queue.pop_batch()
-        assert len(late) == 1
-        assert late[0][EV_A] == "late"
-
-    def test_discount_cancelled_adjusts_processed_count(self):
-        queue = EventQueue()
-        queue.push_typed(1.0, EVENT_CALLBACK, None)
-        queue.pop()
-        assert queue.events_processed == 1
-        queue.discount_cancelled()
-        assert queue.events_processed == 0
-
-    def test_same_cohort_cancellation_contract(self):
-        # The documented pop_batch caveat: the whole cohort is popped before
-        # any record executes, so a callback cancelling a *later* record of
-        # the same cohort is too late to keep it out of the returned list.
-        # The driver contract is to re-check EV_CANCELLED per record and
-        # discount the skipped ones.
-        queue = EventQueue()
-        fired = []
-        holder = {}
-        queue.push_typed(1.0, EVENT_CALLBACK, lambda: queue.cancel(holder["victim"]))
-        holder["victim"] = queue.push_typed(
-            1.0, EVENT_CALLBACK, lambda: fired.append("victim")
-        )
-        batch = queue.pop_batch()
-        assert len(batch) == 2  # victim is already popped and counted
-        assert queue.events_processed == 2
-        executed = 0
-        for record in batch:
-            if record[EV_CANCELLED]:
-                queue.discount_cancelled()
-                continue
-            record[EV_A]()
-            executed += 1
-        assert executed == 1
-        assert fired == []  # the canceller ran; the victim never did
-        assert queue.events_processed == 1  # matches one-pop-at-a-time drain
-
-
-class TestIterCohort:
-    def test_yields_cohort_in_order_then_stops(self):
-        queue = EventQueue()
-        records = [queue.push_typed(1.0, EVENT_CALLBACK, i) for i in range(4)]
-        later = queue.push_typed(2.0, EVENT_CALLBACK, "later")
-        assert list(queue.iter_cohort()) == records
-        assert list(queue.iter_cohort()) == [later]
-        assert list(queue.iter_cohort()) == []
-
-    def test_same_cohort_cancellation_is_safe_by_construction(self):
-        # iter_cohort pops lazily, so a record cancelled by an earlier record
-        # of the same cohort is skipped and never counted — no
-        # discount_cancelled bookkeeping needed.
-        queue = EventQueue()
-        fired = []
-        holder = {}
-        queue.push_typed(1.0, EVENT_CALLBACK, lambda: queue.cancel(holder["victim"]))
-        holder["victim"] = queue.push_typed(
-            1.0, EVENT_CALLBACK, lambda: fired.append("victim")
-        )
-        survivor = queue.push_typed(1.0, EVENT_CALLBACK, lambda: fired.append("ok"))
-        for record in queue.iter_cohort():
-            record[EV_A]()
-        assert fired == ["ok"]
-        assert survivor[EV_CANCELLED] is False
-        assert queue.events_processed == 2  # canceller + survivor, not the victim
-
-    def test_same_time_push_during_iteration_joins_cohort(self):
-        queue = EventQueue()
-        fired = []
-        queue.push_typed(
-            1.0, EVENT_CALLBACK, lambda: queue.push(1.0, lambda: fired.append("late"))
-        )
-        for record in queue.iter_cohort():
-            record[EV_A]()
-        assert fired == ["late"]
-
-    def test_empty_queue_yields_nothing(self):
-        queue = EventQueue()
-        assert list(queue.iter_cohort()) == []
-        assert list(queue.iter_cohort(until=1.0)) == []
-        assert queue.events_processed == 0
-
-    def test_fully_cancelled_cohort_terminates_cleanly(self):
-        # A head run of cancelled records — including an entirely cancelled
-        # cohort — must neither yield nor count, bounded or not.
-        queue = EventQueue()
-        doomed = [queue.push_typed(1.0, EVENT_CALLBACK, i) for i in range(3)]
-        survivor = queue.push_typed(2.0, EVENT_CALLBACK, "ok")
-        for record in doomed:
-            queue.cancel(record)
-        assert list(queue.iter_cohort(until=1.5)) == []
-        assert queue.events_processed == 0
-        assert list(queue.iter_cohort()) == [survivor]
-        assert queue.events_processed == 1
-
-    def test_until_bound_leaves_cohort_untouched(self):
-        queue = EventQueue()
-        records = [queue.push_typed(2.0, EVENT_CALLBACK, i) for i in range(3)]
-        assert list(queue.iter_cohort(until=2.0)) == []  # t >= until: excluded
-        assert len(queue) == 3  # nothing popped, nothing counted
-        assert queue.events_processed == 0
-        assert list(queue.iter_cohort(until=2.5)) == records  # t < until: full cohort
-        assert queue.events_processed == 3
-
-    def test_live_counter_consistent_after_bounded_and_cancelled_drains(self):
-        # Regression: the live counter must stay exact through the partial
-        # pops iter_cohort performs (bounded windows, cancelled purges).
-        queue = EventQueue()
-        first = [queue.push_typed(1.0, EVENT_CALLBACK, i) for i in range(2)]
-        queue.push_typed(2.0, EVENT_CALLBACK, "later")
-        queue.cancel(first[1])
-        assert len(queue) == 2
-        assert list(queue.iter_cohort(until=1.5)) == [first[0]]
-        assert len(queue) == 1
-        assert bool(queue)
-        assert list(queue.iter_cohort(until=1.5)) == []
-        assert len(queue) == 1
-        assert [r[EV_A] for r in queue.iter_cohort()] == ["later"]
-        assert len(queue) == 0
-        assert not queue
-
-
 class TestBatchRecords:
-    def test_step_batch_counts_as_len_states(self):
-        queue = EventQueue()
-        states = [object(), object(), object()]
-        record = queue.push_step_batch(1.0, states)
-        assert record[EV_KIND] == EVENT_STEP_BATCH
-        assert record[EV_A] is states
-        assert len(queue) == 3
-        assert queue.pop() is record
-        assert len(queue) == 0
-        assert queue.events_processed == 3
-
     def test_deliver_batch_counts_as_len_items(self):
         queue = EventQueue()
         items = [(object(), None), (object(), None)]
@@ -334,7 +161,7 @@ class TestBatchRecords:
         # Later pushes must sort after the whole batch, exactly as if its
         # events had been pushed one by one.
         queue = EventQueue()
-        batch = queue.push_step_batch(1.0, [object()] * 5)
+        batch = queue.push_deliver_batch(1.0, [(object(), None)] * 5)
         single = queue.push_typed(1.0, EVENT_CALLBACK, None)
         assert single[EV_SEQ] == batch[EV_SEQ] + 5
 
@@ -351,7 +178,7 @@ class TestBatchRecords:
     def test_batch_interleaves_with_singles_by_seq(self):
         queue = EventQueue()
         first = queue.push_typed(1.0, EVENT_CALLBACK, "a")
-        batch = queue.push_step_batch(1.0, [object(), object()])
+        batch = queue.push_deliver_batch(1.0, [(object(), None), (object(), None)])
         last = queue.push_typed(1.0, EVENT_CALLBACK, "b")
         assert [queue.pop() for _ in range(3)] == [first, batch, last]
         assert queue.events_processed == 4

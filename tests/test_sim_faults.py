@@ -219,10 +219,48 @@ class TestFaultSpec:
 
 
 class TestEngineGuards:
-    def test_max_wall_seconds_raises_time_limit(self):
-        spec = ScenarioSpec(workload="lu.8", seed=1, max_wall_seconds=1e-9)
+    @pytest.mark.parametrize("engine", ["scalar", "vectorised"])
+    def test_max_wall_seconds_raises_time_limit(self, engine):
+        spec = ScenarioSpec(
+            workload="lu.8", seed=1, max_wall_seconds=1e-9, engine=engine
+        )
         with pytest.raises(TimeLimitExceeded):
             Scenario(spec).run()
+
+    def test_wall_clock_is_read_every_1024_events(self, monkeypatch):
+        # A batch record advances the processed-event count by its length,
+        # so the guard must fire on *passing* a multiple of 1024, not only on
+        # landing on one — Sweep's per-cell timeout rides on it.
+        import repro.sim.engine as engine_module
+        from repro.analysis.scaling import lockstep_scale_configs
+        from repro.sim import Simulator
+        from repro.workloads.registry import create_workload
+
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0
+
+        monkeypatch.setattr(engine_module, "_monotonic", clock)
+        machine, network = lockstep_scale_configs()
+        workload = create_workload("bt", 64, iterations=1, compute_noise=0.0)
+        simulator = Simulator(
+            nprocs=64,
+            seed=5,
+            machine=machine,
+            network=network,
+            tracer=False,
+            engine="vectorised",
+            max_wall_seconds=3600.0,
+        )
+        result = simulator.run([workload.program_for])
+        assert simulator.vector_cohorts > 0
+        checks = len(reads) - 1  # the first read sets the deadline
+        due = result.events_processed // 1024
+        assert due >= 4
+        # One cohort of slack: the last multiple may fall inside the final one.
+        assert due - 1 <= checks <= due
 
     def test_time_limit_is_a_simulation_error(self):
         assert issubclass(TimeLimitExceeded, SimulationError)
