@@ -24,7 +24,6 @@ from repro.scenario import Scenario, ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkConfig
 from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
 
 PATTERN = [1, 2, 5, 7, 9, 1, 2, 5, 7, 9, 1, 2, 5, 7, 9, 1, 2, 5] * 200  # period 18
 
@@ -540,9 +539,7 @@ class TestFeedMicrobenchmarks:
         """The message-densest skeleton (LU) through the fast lane."""
 
         def simulate():
-            return run_workload(
-                create_workload("lu", nprocs=8, scale=0.02), seed=1, compiled=True
-            )
+            return Scenario({"workload": "lu.8:scale=0.02", "seed": 1}).run()
 
         result = benchmark.pedantic(simulate, rounds=3, iterations=1)
         assert result.stats.messages_sent > 0
@@ -622,14 +619,15 @@ def _scale_run(name: str, nprocs: int, engine: str):
     from repro.analysis.scaling import lockstep_scale_configs
 
     machine, network = lockstep_scale_configs()
-    return run_workload(
-        _scale_workload(name, nprocs),
+    workload = _scale_workload(name, nprocs)
+    return Simulator(
+        workload.nprocs,
         seed=2003,
         machine=machine,
         network=network,
         tracer=False,
         engine=engine,
-    )
+    ).run([workload.program_for])
 
 
 #: Iterations per job size: enough work to time reliably at 64 ranks without
@@ -641,15 +639,16 @@ def _partitioned_scale_run(name: str, nprocs: int, engine: str, engine_jobs: int
     from repro.analysis.scaling import partitioned_scale_configs
 
     machine, network = partitioned_scale_configs()
-    return run_workload(
-        _scale_workload(name, nprocs),
+    workload = _scale_workload(name, nprocs)
+    return Simulator(
+        workload.nprocs,
         seed=2003,
         machine=machine,
         network=network,
         tracer=False,
         engine=engine,
         engine_jobs=engine_jobs,
-    )
+    ).run([workload.program_for])
 
 
 class TestScaleMicrobenchmarks:

@@ -33,8 +33,13 @@ Quickstart
 >>> result.predict("sender").accuracy(1) > 0.9
 True
 
-(`run_workload` remains available as a compatibility shim over the same
-machinery; see :mod:`repro.workloads.runner`.)
+Callers that hold objects rather than names (a ``Workload`` instance, a
+policy inspected after the run, a custom tracer) build a
+:class:`~repro.sim.engine.Simulator` directly:
+
+>>> from repro import Simulator, create_workload
+>>> workload = create_workload("bt", 9, scale=0.2)
+>>> result = Simulator(workload.nprocs, seed=7).run([workload.program_for])
 """
 
 # numpy is the package's only hard dependency (typed event queue, vectorised
@@ -84,7 +89,6 @@ from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig, NetworkModel
 from repro.trace.tracer import TwoLevelTracer
 from repro.workloads.registry import create_workload, paper_configurations, workload_names
-from repro.workloads.runner import run_workload
 
 __version__ = "1.0.0"
 
@@ -99,7 +103,6 @@ __all__ = [
     "TwoLevelTracer",
     # workloads
     "create_workload",
-    "run_workload",
     "workload_names",
     "paper_configurations",
     # declarative scenario API

@@ -26,10 +26,8 @@ from repro.core.baselines import (
 )
 from repro.core.evaluation import evaluate_stream, evaluate_unordered
 from repro.core.predictor import PeriodicityPredictor
-from repro.sim.network import NetworkConfig
-from repro.trace.streams import sender_stream
-from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
+from repro.scenario.scenario import Scenario
+from repro.scenario.spec import ScenarioSpec, WorkloadSpec
 
 __all__ = [
     "window_size_sweep",
@@ -51,8 +49,8 @@ def window_size_sweep(
     """Accuracy of the periodicity predictor as a function of its window size."""
     context = context or ExperimentContext()
     run = context.run_named(workload, nprocs)
-    logical = sender_stream(run.logical_records())
-    physical = sender_stream(run.physical_records())
+    logical = run.stream("sender", "logical")
+    physical = run.stream("sender", "physical")
     rows = []
     for window in windows:
         factory = lambda w=window: PeriodicityPredictor(window_size=w, max_period=_DEFAULT_MAX_PERIOD)
@@ -83,15 +81,15 @@ def jitter_sensitivity(
     """
     rows = []
     for jitter in jitters:
-        instance = create_workload(workload, nprocs, scale=scale, compute_noise=0.0)
-        result = run_workload(
-            instance,
-            seed=seed,
-            network=NetworkConfig(jitter_sigma=float(jitter), contention=False, seed=seed),
-        )
-        rank = instance.representative_rank()
-        logical = sender_stream(result.trace_for(rank).logical)
-        physical = sender_stream(result.trace_for(rank).physical)
+        run = Scenario(
+            ScenarioSpec(
+                workload=WorkloadSpec(workload, nprocs, scale=scale, compute_noise=0.0),
+                seed=seed,
+                network={"seed": seed, "jitter_sigma": float(jitter), "contention": False},
+            )
+        ).run()
+        logical = run.stream("sender", "logical")
+        physical = run.stream("sender", "physical")
         n = min(len(logical), len(physical))
         reordered = float((logical[:n] != physical[:n]).mean()) if n else 0.0
         factory = lambda: PeriodicityPredictor(window_size=24, max_period=_DEFAULT_MAX_PERIOD)
@@ -116,8 +114,7 @@ def baseline_comparison(
     """The paper's predictor vs the related-work single-step heuristics."""
     context = context or ExperimentContext()
     run = context.run_named(workload, nprocs)
-    records = run.logical_records() if level == "logical" else run.physical_records()
-    stream = sender_stream(records)
+    stream = run.stream("sender", level)
     predictors = {
         "periodicity (paper)": lambda: PeriodicityPredictor(
             window_size=24, max_period=_DEFAULT_MAX_PERIOD
@@ -152,7 +149,7 @@ def unordered_accuracy_study(
     rows = []
     for workload, nprocs in configurations:
         run = context.run_named(workload, nprocs)
-        physical = sender_stream(run.physical_records())
+        physical = run.stream("sender", "physical")
         ordered = evaluate_stream(physical, factory, horizon)
         unordered = evaluate_unordered(physical, factory, horizon)
         rows.append(

@@ -4,8 +4,8 @@ The 19 cells of the paper's evaluation (one workload at one process count)
 are expressed as a canonical :class:`~repro.scenario.sweep.Sweep` of
 :class:`~repro.scenario.spec.ScenarioSpec` cells — the same declarative form
 any user sweep takes — and run through the scenario engine.  The context adds
-what the analysis layer needs on top: per-cell memoisation (Table 1 and every
-figure read the same runs) and the :class:`ExperimentRun` accessors.
+what the analysis layer needs on top: per-cell memoisation — Table 1 and every
+figure read the same cached :class:`~repro.scenario.scenario.ScenarioResult`.
 
 Every cell is an independent simulation, so :meth:`ExperimentContext.run_all`
 with ``jobs > 1`` shards the uncached cells over a process pool via
@@ -22,13 +22,10 @@ from dataclasses import dataclass, field
 from repro.scenario.scenario import Scenario, ScenarioResult
 from repro.scenario.spec import NetworkSpec, ScenarioSpec, WorkloadSpec
 from repro.scenario.sweep import Sweep
-from repro.sim.engine import SimulationResult
 from repro.sim.network import NetworkConfig
-from repro.workloads.base import Workload
 from repro.workloads.registry import PaperConfiguration, paper_configurations
 
 __all__ = [
-    "ExperimentRun",
     "ExperimentContext",
     "configuration_spec",
     "paper_sweep",
@@ -45,7 +42,7 @@ def configuration_spec(
     This is *the* recipe of the paper's evaluation: the registry workload at
     the cell's process count and scale, default machine, and the standard
     jittered network deriving its seed from the experiment seed (unless a
-    network configuration is passed, e.g. by the jitter ablations).
+    network configuration is passed).
     """
     return ScenarioSpec(
         workload=WorkloadSpec(
@@ -78,51 +75,6 @@ def paper_sweep(
     )
 
 
-@dataclass(frozen=True)
-class ExperimentRun:
-    """One simulated configuration: the workload instance and its result."""
-
-    configuration: PaperConfiguration
-    workload: Workload
-    result: SimulationResult
-
-    @property
-    def label(self) -> str:
-        """Figure label, e.g. ``bt.9``."""
-        return self.configuration.label
-
-    @property
-    def representative_rank(self) -> int:
-        """The receiving rank whose streams are analysed."""
-        return self.workload.representative_rank()
-
-    def logical_records(self, rank: int | None = None):
-        """Logical trace records of the representative (or given) rank."""
-        return self.result.trace_for(self.representative_rank if rank is None else rank).logical
-
-    def physical_records(self, rank: int | None = None):
-        """Physical trace records of the representative (or given) rank."""
-        return self.result.trace_for(self.representative_rank if rank is None else rank).physical
-
-
-def _run_configuration_cell(
-    configuration: PaperConfiguration,
-    seed: int,
-    network: NetworkConfig | None,
-) -> tuple[Workload, SimulationResult]:
-    """Simulate one configuration cell through the scenario engine.
-
-    Sequential and sharded runs share this exact recipe (it is the same
-    :func:`configuration_spec` the sweep cells are made of), which is what
-    makes sharded results bit-identical to sequential ones.  Returns the
-    workload instance that actually ran together with its result.
-    """
-    scenario_result = Scenario(
-        configuration_spec(configuration, seed=seed, network=network)
-    ).run()
-    return scenario_result.workload, scenario_result.result
-
-
 @dataclass
 class ExperimentContext:
     """Runs and caches the simulations behind Table 1 and Figures 1-4.
@@ -137,14 +89,13 @@ class ExperimentContext:
         uses the registry defaults (class-A-like volumes, LU reduced); small
         values such as ``0.05`` give quick smoke runs for tests.
     network:
-        Optional network configuration override (the jitter ablation passes
-        modified configurations).
+        Optional network configuration override applied to every cell.
     """
 
     seed: int = 2003
     scale: float | None = None
     network: NetworkConfig | None = None
-    _cache: dict[tuple[str, int], ExperimentRun] = field(default_factory=dict, repr=False)
+    _cache: dict[tuple[str, int], ScenarioResult] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     def configurations(self) -> list[PaperConfiguration]:
@@ -159,27 +110,15 @@ class ExperimentContext:
         """This context's 19 cells as a canonical :class:`Sweep`."""
         return paper_sweep(seed=self.seed, scale=self.scale, network=self.network)
 
-    def run(self, configuration: PaperConfiguration) -> ExperimentRun:
+    def run(self, configuration: PaperConfiguration) -> ScenarioResult:
         """Run (or fetch from cache) one configuration."""
         key = (configuration.workload, configuration.nprocs)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        workload, result = _run_configuration_cell(configuration, self.seed, self.network)
-        return self._admit(configuration, workload, result)
+        if cached is None:
+            cached = self._cache[key] = Scenario(self.spec_for(configuration)).run()
+        return cached
 
-    def _admit(
-        self,
-        configuration: PaperConfiguration,
-        workload: Workload,
-        result: SimulationResult,
-    ) -> ExperimentRun:
-        """Wrap a finished simulation into a cached :class:`ExperimentRun`."""
-        run = ExperimentRun(configuration=configuration, workload=workload, result=result)
-        self._cache[(configuration.workload, configuration.nprocs)] = run
-        return run
-
-    def run_named(self, workload: str, nprocs: int) -> ExperimentRun:
+    def run_named(self, workload: str, nprocs: int) -> ScenarioResult:
         """Run (or fetch) a configuration identified by name and size."""
         for configuration in self.configurations():
             if configuration.workload == workload and configuration.nprocs == nprocs:
@@ -188,7 +127,7 @@ class ExperimentContext:
         scale = self.scale if self.scale is not None else 1.0
         return self.run(PaperConfiguration(workload=workload, nprocs=nprocs, scale=scale))
 
-    def run_all(self, jobs: int | None = None) -> list[ExperimentRun]:
+    def run_all(self, jobs: int | None = None) -> list[ScenarioResult]:
         """Run every paper configuration (cached) and return them in order.
 
         Parameters
@@ -196,10 +135,10 @@ class ExperimentContext:
         jobs:
             ``None`` or ``1`` runs the cells sequentially in this process.
             ``jobs > 1`` shards the *uncached* cells over a process pool of
-            that many workers (via :meth:`Sweep.run_all`); results are merged
-            back into the cache in configuration order and are bit-identical
-            to a sequential run (each cell derives all its randomness from
-            the context seed).
+            that many workers (via :meth:`Sweep.run_all`); the
+            :class:`ScenarioResult` objects it returns are cached as they are
+            and are bit-identical to a sequential run (each cell derives all
+            its randomness from the context seed).
         """
         configurations = self.configurations()
         if jobs is not None and jobs > 1:
@@ -221,7 +160,7 @@ class ExperimentContext:
                             f"paper cell {configuration.label} failed: "
                             f"{cell.error_type}: {cell.error_message}"
                         )
-                    self._admit(configuration, cell.workload, cell.result)
+                    self._cache[(configuration.workload, configuration.nprocs)] = cell
         return [self.run(configuration) for configuration in configurations]
 
     def clear(self) -> None:

@@ -14,10 +14,10 @@ from repro.predictive.buffer_manager import PredictiveBufferPolicy
 from repro.predictive.credit_policy import PredictiveCreditPolicy
 from repro.predictive.rendezvous_bypass import PredictiveRendezvousPolicy
 from repro.runtime.protocol import AlwaysRendezvousFlowControl, StandardFlowControl
+from repro.sim.engine import Simulator
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
 from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
 
 __all__ = [
     "memory_reduction_experiment",
@@ -28,13 +28,15 @@ __all__ = [
 
 def _run(workload_name: str, nprocs: int, scale: float, seed: int, policy, machine=None, **kwargs):
     workload = create_workload(workload_name, nprocs, scale=scale, **kwargs)
-    result = run_workload(
-        workload,
+    # The callers read ``policy.memory_summary()`` and friends after the run,
+    # so they hold the policy object and build the simulator themselves.
+    result = Simulator(
+        nprocs=workload.nprocs,
         seed=seed,
         network=NetworkConfig(seed=seed),
         machine=machine,
         policy=policy,
-    )
+    ).run([workload.program_for])
     return workload, result
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.analysis.experiments import ExperimentContext, ExperimentRun
+from repro.analysis.experiments import ExperimentContext
 from repro.core.evaluation import evaluate_stream
 from repro.core.predictor import BasePredictor, PeriodicityPredictor
-from repro.trace.streams import sender_stream, size_stream
 from repro.util.text import ascii_bar_chart, wrap_title
 
 __all__ = ["ConfigAccuracy", "AccuracyFigure", "figure3", "figure4"]
@@ -93,11 +92,6 @@ class AccuracyFigure:
         return "\n".join(lines)
 
 
-def _streams_for(run: ExperimentRun, level: str):
-    records = run.logical_records() if level == "logical" else run.physical_records()
-    return sender_stream(records), size_stream(records)
-
-
 def _accuracy_figure(
     name: str,
     level: str,
@@ -115,7 +109,8 @@ def _accuracy_figure(
         else context.run_all()
     )
     for run in runs:
-        senders, sizes = _streams_for(run, level)
+        senders = run.stream("sender", level)
+        sizes = run.stream("size", level)
         sender_result = evaluate_stream(senders, factory, horizon=horizon)
         size_result = evaluate_stream(sizes, factory, horizon=horizon)
         figure.configs.append(

@@ -68,7 +68,7 @@ def figure1(
     context = context or ExperimentContext()
     run = context.run_named(workload, nprocs)
     observed_rank = run.representative_rank if rank is None else rank
-    records = run.logical_records(observed_rank)
+    records = run.records("logical", observed_rank)
     kinds = ["p2p"] if p2p_only else None
     senders = sender_stream(records, kinds=kinds)
     sizes = size_stream(records, kinds=kinds)
@@ -136,8 +136,8 @@ def figure2(
     run = context.run_named(workload, nprocs)
     observed_rank = run.representative_rank if rank is None else rank
     kinds = ["p2p"] if p2p_only else None
-    logical = sender_stream(run.logical_records(observed_rank), kinds=kinds)
-    physical = sender_stream(run.physical_records(observed_rank), kinds=kinds)
+    logical = sender_stream(run.records("logical", observed_rank), kinds=kinds)
+    physical = sender_stream(run.records("physical", observed_rank), kinds=kinds)
     n = min(len(logical), len(physical))
     mismatches = np.nonzero(logical[:n] != physical[:n])[0]
     return Figure2Result(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.experiments import ExperimentContext, ExperimentRun
+from repro.analysis.experiments import ExperimentContext
+from repro.scenario.scenario import ScenarioResult
 from repro.trace.streams import summarize_stream
 from repro.util.text import ascii_table
 
@@ -67,14 +68,13 @@ class Table1Row:
         return self.p2p_messages + self.collective_messages
 
 
-def _row_from_run(run: ExperimentRun, coverage: float) -> Table1Row:
-    records = run.logical_records()
-    summary = summarize_stream(records, coverage=coverage)
+def _row_from_run(run: ScenarioResult, coverage: float) -> Table1Row:
+    summary = summarize_stream(run.records("logical"), coverage=coverage)
     paper = PAPER_TABLE1.get(run.label)
     return Table1Row(
         label=run.label,
-        workload=run.configuration.workload,
-        nprocs=run.configuration.nprocs,
+        workload=run.spec.workload.name,
+        nprocs=run.spec.workload.nprocs,
         iterations=run.workload.iterations,
         observed_rank=run.representative_rank,
         p2p_messages=summary.p2p_messages,

@@ -1,6 +1,7 @@
 """Declarative scenario API: specs, the run facade, and the sweep engine.
 
-This package is the single front door of the reproduction.  A scenario is
+This package is the front door for callers that hold names (callers that
+hold objects build a :class:`repro.sim.engine.Simulator`).  A scenario is
 *described* as a frozen :class:`ScenarioSpec` tree — workload, machine,
 network, flow-control policy, predictor, tracing — constructible from Python
 objects, plain dicts, TOML files, or string shorthand; a :class:`Scenario`

@@ -6,17 +6,16 @@ outcome in a :class:`ScenarioResult` whose stream/summary/prediction
 accessors are lazy and cached — analysis code asks for what it needs and the
 result computes it once.
 
-The build recipe is deliberately identical, component for component, to what
-``run_workload`` has always done: workload via the registry, machine/network
-via their presets, network seed derived from the scenario seed unless pinned.
-That is what makes the paper's 19-cell sweep bit-identical whether it runs
-through the legacy helpers, a :class:`Scenario`, or a sharded
-:meth:`repro.scenario.sweep.Sweep.run_all`.
+The build recipe is one fixed sequence: workload via the registry,
+machine/network via their presets, network seed derived from the scenario
+seed unless pinned.  That is what makes the paper's 19-cell sweep
+bit-identical whether it runs through a bare ``Simulator``, a
+:class:`Scenario`, or a sharded :meth:`repro.scenario.sweep.Sweep.run_all`.
 
-For compat call sites that already hold concrete objects (a ``Workload``
-instance, a warmed ``NetworkModel``, a custom tracer), :class:`Scenario`
-accepts them as keyword injections that take precedence over building from
-the spec; the ``run_workload`` shim is a thin wrapper over exactly this.
+A scenario is built from *names* only.  Callers that already hold concrete
+objects (a ``Workload`` instance, a warmed ``NetworkModel``, a policy they
+inspect afterwards, a custom tracer) construct a
+:class:`~repro.sim.engine.Simulator` themselves.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.evaluation import AccuracyResult, evaluate_stream
-from repro.scenario.spec import NetworkSpec, ScenarioSpec
+from repro.scenario.spec import ScenarioSpec
 from repro.sim.engine import SimulationResult, Simulator
-from repro.sim.network import NetworkConfig, NetworkModel
 from repro.trace.streams import (
     StreamSummary,
     sender_stream,
@@ -40,42 +38,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Scenario", "ScenarioResult"]
 
-#: Distinguishes "argument not given" from an explicit ``None``.
-_UNSET = object()
-
-
 class Scenario:
-    """A runnable scenario: a spec plus optional concrete-object injections.
+    """A runnable scenario: every component is built from the spec.
 
     Parameters
     ----------
     spec:
         A :class:`ScenarioSpec` (or anything :meth:`ScenarioSpec.coerce`
         accepts: a dict, a workload shorthand string, a workload spec).
-    workload, machine, network, policy, tracer:
-        Optional pre-built components used *instead of* building from the
-        spec — the compat path for callers that already hold instances.
-        ``network`` accepts a :class:`NetworkConfig` (normalised through
-        :class:`NetworkSpec`, so an unpinned seed still derives from the
-        scenario seed) or a stateful :class:`NetworkModel` (used as-is).
     """
 
-    def __init__(
-        self,
-        spec,
-        *,
-        workload: Workload | None = None,
-        machine=None,
-        network=None,
-        policy=None,
-        tracer=_UNSET,
-    ) -> None:
+    def __init__(self, spec) -> None:
         self.spec = ScenarioSpec.coerce(spec)
-        self._workload = workload
-        self._machine = machine
-        self._network = network
-        self._policy = policy
-        self._tracer = tracer
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
@@ -86,36 +60,19 @@ class Scenario:
         return f"Scenario({self.spec.label!r}, seed={self.spec.seed})"
 
     # ------------------------------------------------------------------
-    def build_workload(self) -> Workload:
-        """The workload instance this scenario will run (injected or built)."""
-        if self._workload is not None:
-            return self._workload
-        return self.spec.workload.build()
-
     def run(self) -> "ScenarioResult":
         """Run the scenario and return its :class:`ScenarioResult`.
 
         Saves traces to ``spec.trace.path`` when one is set.
         """
         spec = self.spec
-        workload = self.build_workload()
-        machine = self._machine if self._machine is not None else spec.machine.build()
-        network = self._network
-        if network is None:
-            network = spec.network.build(spec.seed)
-        elif isinstance(network, NetworkConfig):
-            # Normalise through NetworkSpec: an explicitly passed config
-            # without a pinned seed derives from the scenario seed, exactly
-            # like the spec-built path.
-            network = NetworkSpec.from_config(network).build(spec.seed)
-        policy = self._policy if self._policy is not None else spec.policy.build()
-        tracer = self._tracer if self._tracer is not _UNSET else spec.trace.enabled
+        workload = spec.workload.build()
         simulator = Simulator(
             nprocs=workload.nprocs,
-            machine=machine,
-            network=network,
-            tracer=tracer,
-            policy=policy,
+            machine=spec.machine.build(),
+            network=spec.network.build(spec.seed),
+            tracer=spec.trace.enabled,
+            policy=spec.policy.build(),
             seed=spec.seed,
             max_events=spec.max_events,
             max_wall_seconds=spec.max_wall_seconds,

@@ -3,10 +3,10 @@
 A :class:`ScenarioSpec` is a frozen, picklable, JSON/TOML-able description of
 one simulation: which workload at which size, on which machine and network
 cost models, under which flow-control policy, evaluated with which predictor,
-traced or not.  It is the single front door of the reproduction — the CLI,
-the sweep engine, the paper's experiment context and the ``run_workload``
-compat shim all construct one of these and hand it to
-:class:`repro.scenario.Scenario`.
+traced or not.  It is the front door for callers that hold *names* — the
+CLI, the sweep engine and the paper's experiment context all construct one of
+these and hand it to :class:`repro.scenario.Scenario`.  (Callers that hold
+objects build a :class:`repro.sim.engine.Simulator` instead.)
 
 Every node accepts three equivalent forms:
 
@@ -167,11 +167,9 @@ class WorkloadSpec:
     # -- construction ------------------------------------------------------
     @classmethod
     def coerce(cls, value) -> "WorkloadSpec":
-        """Accept a spec, a dict, a shorthand string, or a Workload instance."""
+        """Accept a spec, a dict, or a shorthand string."""
         if isinstance(value, cls):
             return value
-        if isinstance(value, Workload):
-            return cls.from_workload(value)
         if isinstance(value, str):
             return cls.from_shorthand(value)
         if isinstance(value, Mapping):
@@ -210,27 +208,6 @@ class WorkloadSpec:
                 kwargs[field] = data.pop(field)
         params.update(data)  # remaining keys are workload-specific knobs
         return cls(params=params, **kwargs)
-
-    @classmethod
-    def from_workload(cls, workload: Workload) -> "WorkloadSpec":
-        """Describe an existing workload instance (best effort).
-
-        Captures the structural knobs the :class:`Workload` base class owns
-        (size, scale, the pinned iteration count, compute timing).  Workload
-        *subclass* constructor knobs are not recoverable from an instance
-        (``parameters()`` reports derived quantities, not constructor
-        arguments), so a spec built this way rebuilds subclass defaults; the
-        ``run_workload`` compat shim — the main caller — injects the original
-        instance and only uses the spec for metadata.
-        """
-        return cls(
-            name=workload.name,
-            nprocs=workload.nprocs,
-            scale=workload.scale,
-            iterations=workload.iterations,
-            compute_time=workload.compute_time,
-            compute_noise=workload.compute_noise,
-        )
 
     def to_dict(self) -> dict:
         """Canonical JSON-able form (inverse of :meth:`from_dict`)."""
@@ -645,7 +622,7 @@ class ScenarioSpec:
         """Accept a spec, a workload shorthand string, or a dict."""
         if isinstance(value, cls):
             return value
-        if isinstance(value, (str, WorkloadSpec, Workload)):
+        if isinstance(value, (str, WorkloadSpec)):
             return cls(workload=value)
         if isinstance(value, Mapping):
             return cls.from_dict(value)

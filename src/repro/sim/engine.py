@@ -296,8 +296,8 @@ class Simulator:
     A ``Simulator`` instance is **single-use**: :meth:`run` consumes the
     event queue, transport matching state and jitter RNG streams, so a second
     call raises :class:`SimulationError` instead of silently reusing stale
-    state.  Build a fresh instance (or use
-    :func:`repro.workloads.runner.run_workload`) per simulation.
+    state.  Build a fresh instance (or a fresh
+    :class:`repro.scenario.Scenario`) per simulation.
     """
 
     def __init__(
@@ -447,8 +447,8 @@ class Simulator:
             raise SimulationError(
                 "Simulator instances are single-use: run() was already called "
                 "and the event queue, transport and RNG state have been "
-                "consumed; create a fresh Simulator (or use "
-                "repro.workloads.runner.run_workload) for another simulation"
+                "consumed; create a fresh Simulator (or a fresh "
+                "repro.scenario.Scenario) for another simulation"
             )
         if len(programs) == 1:
             programs = list(programs) * self.nprocs

@@ -15,16 +15,15 @@ per record keeps both the file size and the save/load cost per message tiny:
 serialisation runs over whole columns, never over Python record objects.
 
 The version-1 format (one JSON object per record, with a ``level`` field) is
-still read transparently by :func:`load_traces`, and
-:func:`save_process_trace` / :func:`load_process_trace` keep speaking it for
-interoperability with old files and external tooling.
+read-only: :func:`load_traces` still accepts it transparently (old files and
+external tooling are outside input), but nothing here writes it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
     "save_traces_to",
     "load_traces",
     "load_traces_from",
-    "save_process_trace",
-    "load_process_trace",
 ]
 
 _FORMAT_VERSION = 2
@@ -51,59 +48,6 @@ _LEGACY_FORMAT_VERSION = 1
 
 #: Field order of the columnar payload (version 2).
 _COLUMN_FIELDS = ("sender", "nbytes", "tag", "kind_code", "time", "seq")
-
-
-# ----------------------------------------------------------------------
-# Version-1 (per-record) helpers — the backward-compatible record format
-# ----------------------------------------------------------------------
-def _record_to_json(record: TraceRecord, level: str) -> dict:
-    payload = record._asdict()
-    payload["level"] = level
-    return payload
-
-
-def _record_from_json(payload: dict) -> tuple[str, TraceRecord]:
-    level = payload.pop("level")
-    return level, TraceRecord(**payload)
-
-
-def save_process_trace(trace: ProcessTrace, stream: TextIO) -> int:
-    """Write one rank's logical+physical records as version-1 JSON lines.
-
-    This is the legacy one-object-per-record format; :func:`save_traces`
-    writes the columnar format instead.  Returns the number of records
-    written.
-    """
-    count = 0
-    for record in trace.logical:
-        stream.write(json.dumps(_record_to_json(record, "logical")) + "\n")
-        count += 1
-    for record in trace.physical:
-        stream.write(json.dumps(_record_to_json(record, "physical")) + "\n")
-        count += 1
-    return count
-
-
-def load_process_trace(rank: int, lines: Iterable[str]) -> ProcessTrace:
-    """Rebuild one rank's :class:`ProcessTrace` from version-1 JSON lines."""
-    trace = ProcessTrace(rank=rank)
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        level, record = _record_from_json(json.loads(line))
-        if record.receiver != rank:
-            continue
-        if level == "logical":
-            target = trace.logical
-        elif level == "physical":
-            target = trace.physical
-        else:
-            raise ValueError(f"unknown trace level {level!r}")
-        target.append(record.sender, record.nbytes, record.tag, record.kind,
-                      record.time, record.seq)
-    trace.sort()
-    return trace
 
 
 # ----------------------------------------------------------------------
@@ -210,17 +154,27 @@ def save_traces(
 
 
 def _load_v1_records(handle: TextIO, traces: list[ProcessTrace]) -> None:
-    """Append version-1 per-record lines into per-rank column stores."""
+    """Append version-1 per-record lines into per-rank column stores.
+
+    Line numbers in errors are 1-based and count the header as line 1.
+    """
     nprocs = len(traces)
-    for line in handle:
+    for lineno, line in enumerate(handle, start=2):
         line = line.strip()
         if not line:
             continue
-        level, record = _record_from_json(json.loads(line))
+        payload = json.loads(line)
+        level = payload.pop("level")
+        record = TraceRecord(**payload)
         if not (0 <= record.receiver < nprocs):
             raise ValueError(f"record receiver {record.receiver} out of range")
         target = traces[record.receiver]
-        columns = target.logical if level == "logical" else target.physical
+        if level == "logical":
+            columns = target.logical
+        elif level == "physical":
+            columns = target.physical
+        else:
+            raise ValueError(f"unknown trace level {level!r} on line {lineno}")
         columns.append(record.sender, record.nbytes, record.tag, record.kind,
                        record.time, record.seq)
 
@@ -228,7 +182,8 @@ def _load_v1_records(handle: TextIO, traces: list[ProcessTrace]) -> None:
 def _load_v2_ranks(handle: TextIO, traces: list[ProcessTrace]) -> None:
     """Load version-2 one-object-per-rank columnar lines."""
     nprocs = len(traces)
-    for line in handle:
+    seen: set[int] = set()
+    for lineno, line in enumerate(handle, start=2):
         line = line.strip()
         if not line:
             continue
@@ -236,6 +191,9 @@ def _load_v2_ranks(handle: TextIO, traces: list[ProcessTrace]) -> None:
         rank = int(payload["rank"])
         if not (0 <= rank < nprocs):
             raise ValueError(f"trace rank {rank} out of range")
+        if rank in seen:
+            raise ValueError(f"duplicate trace rank {rank} on line {lineno}")
+        seen.add(rank)
         traces[rank] = ProcessTrace(
             rank=rank,
             logical=_columns_from_payload(rank, payload["logical"]),

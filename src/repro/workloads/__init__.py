@@ -34,7 +34,6 @@ from repro.workloads.registry import (
     paper_configurations,
     workload_names,
 )
-from repro.workloads.runner import run_workload
 from repro.workloads.sweep3d import Sweep3DWorkload
 from repro.workloads.synthetic import (
     CollectiveStormWorkload,
@@ -59,5 +58,4 @@ __all__ = [
     "create_workload",
     "paper_configurations",
     "workload_names",
-    "run_workload",
 ]

@@ -15,8 +15,9 @@ A workload describes one rank program in two interchangeable forms:
   ``ctx.rng`` draws, result-dependent control flow) simply keep the
   generator protocol.
 
-:func:`repro.workloads.runner.run_workload` prefers the fast lane and falls
-back to the generator per rank automatically.
+:meth:`Workload.program_for` — the factory :class:`repro.scenario.Scenario`
+hands to the engine — prefers the fast lane and falls back to the generator
+per rank automatically.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class Workload:
 
         A :class:`CompiledProgram` when the schedule compiles, otherwise the
         plain program generator.  This is the factory
-        :func:`repro.workloads.runner.run_workload` hands to the engine.
+        :class:`repro.scenario.Scenario` hands to the engine.
         """
         return self.compile_program(ctx) or self.program(ctx)
 

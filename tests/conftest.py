@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.engine import Simulator
 from repro.sim.network import NetworkConfig
 from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
 
 
 @pytest.fixture(scope="session")
 def bt9_run():
     """A small (but multi-iteration) BT run on 9 processes, with its workload."""
     workload = create_workload("bt", nprocs=9, scale=0.1)
-    result = run_workload(workload, seed=42)
+    result = Simulator(workload.nprocs, seed=42).run([workload.program_for])
     return workload, result
 
 
@@ -26,7 +26,7 @@ def bt9_run():
 def bt4_run():
     """A small BT run on 4 processes."""
     workload = create_workload("bt", nprocs=4, scale=0.1)
-    result = run_workload(workload, seed=42)
+    result = Simulator(workload.nprocs, seed=42).run([workload.program_for])
     return workload, result
 
 
@@ -34,7 +34,7 @@ def bt4_run():
 def lu4_run():
     """A small LU run on 4 processes."""
     workload = create_workload("lu", nprocs=4, scale=0.02)
-    result = run_workload(workload, seed=42)
+    result = Simulator(workload.nprocs, seed=42).run([workload.program_for])
     return workload, result
 
 
@@ -42,7 +42,7 @@ def lu4_run():
 def is8_run():
     """A full-scale IS run on 8 processes (IS is tiny)."""
     workload = create_workload("is", nprocs=8, scale=1.0)
-    result = run_workload(workload, seed=42)
+    result = Simulator(workload.nprocs, seed=42).run([workload.program_for])
     return workload, result
 
 
@@ -50,7 +50,7 @@ def is8_run():
 def sweep3d6_run():
     """A small Sweep3D run on 6 processes."""
     workload = create_workload("sweep3d", nprocs=6, scale=0.25)
-    result = run_workload(workload, seed=42)
+    result = Simulator(workload.nprocs, seed=42).run([workload.program_for])
     return workload, result
 
 
@@ -58,7 +58,7 @@ def sweep3d6_run():
 def cg8_run():
     """A small CG run on 8 processes."""
     workload = create_workload("cg", nprocs=8, scale=0.1)
-    result = run_workload(workload, seed=42)
+    result = Simulator(workload.nprocs, seed=42).run([workload.program_for])
     return workload, result
 
 
@@ -66,5 +66,7 @@ def cg8_run():
 def noiseless_bt4_run():
     """BT on 4 processes over a perfectly deterministic network."""
     workload = create_workload("bt", nprocs=4, scale=0.1, compute_noise=0.0)
-    result = run_workload(workload, seed=42, network=NetworkConfig.noiseless(seed=42))
+    result = Simulator(
+        workload.nprocs, seed=42, network=NetworkConfig.noiseless(seed=42)
+    ).run([workload.program_for])
     return workload, result

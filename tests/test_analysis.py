@@ -53,7 +53,7 @@ class TestExperimentContext:
 
     def test_run_named_adhoc_configuration(self, tiny_context):
         run = tiny_context.run_named("ring-exchange", 4)
-        assert run.configuration.workload == "ring-exchange"
+        assert run.spec.workload.name == "ring-exchange"
 
     def test_clear(self):
         context = ExperimentContext(seed=1, scale=0.03)

@@ -15,7 +15,9 @@ interleavings.
 
 import pytest
 
-from repro.scenario import Scenario, ScenarioSpec, WorkloadSpec
+from repro.predictive.registry import create_policy
+from repro.sim.engine import Simulator
+from repro.sim.registry import create_faults, create_network
 from repro.workloads.base import Workload
 from repro.workloads.compile import compile_info, compile_rank_lanes
 from repro.workloads.registry import create_workload
@@ -29,7 +31,7 @@ except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     HAVE_HYPOTHESIS = False
 
 #: Deterministic positive-latency network so the parallel engine engages.
-NETWORK = "noiseless:latency=25e-6"
+NETWORK = create_network("noiseless", latency=25e-6)
 
 POLICIES = ["standard", "predictive-buffers", "predictive-credits", "predictive-rendezvous"]
 
@@ -56,17 +58,16 @@ def fingerprint(result):
 
 def run_mix(policy, faults, engine, compiled, workload=None):
     workload = workload or create_workload("collective-mix", nprocs=4, iterations=3)
-    spec = ScenarioSpec(
-        workload=WorkloadSpec.from_workload(workload),
+    simulator = Simulator(
+        nprocs=workload.nprocs,
         seed=31,
-        policy=policy,
-        faults=faults,
+        policy=create_policy(policy),
+        faults=create_faults(faults or "none"),
         network=NETWORK,
         engine=engine,
         engine_jobs=2,
-        compiled=compiled,
     )
-    return Scenario(spec, workload=workload).run().result
+    return simulator.run([workload.program_for if compiled else workload.program])
 
 
 #: Generator-protocol scalar baselines, computed once per (policy, faults).

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenario import Scenario, ScenarioSpec, Sweep, WorkloadSpec
+from repro.scenario import Scenario, ScenarioSpec, Sweep
+from repro.sim.engine import Simulator
 from repro.workloads.registry import create_workload, workload_names
 
 try:
@@ -69,19 +70,16 @@ def fingerprint(result):
 def run_cell(
     name, nprocs, kwargs, policy, faults, engine, seed=23, network=None, engine_jobs=2
 ):
-    workload = create_workload(name, nprocs=nprocs, **kwargs)
-    spec_kwargs = dict(
-        workload=WorkloadSpec.from_workload(workload),
+    spec = ScenarioSpec(
+        workload={"name": name, "nprocs": nprocs, **kwargs},
         seed=seed,
+        network=network,
         policy=policy,
         faults=faults,
         engine=engine,
         engine_jobs=engine_jobs,
     )
-    if network is not None:
-        spec_kwargs["network"] = network
-    spec = ScenarioSpec(**spec_kwargs)
-    return Scenario(spec, workload=workload).run().result
+    return Scenario(spec).run().result
 
 
 class TestRegistryEquivalence:
@@ -106,8 +104,6 @@ class TestVectorisedPathEngages:
         # _exec_cohort is the cohort dispatch entry (never reached with
         # cohorting off); the queue-level batch pushes are inlined in the
         # engine, so count at this seam instead.
-        from repro.sim.engine import Simulator
-
         calls = {"step": 0}
         original = Simulator._exec_cohort
 
@@ -120,47 +116,43 @@ class TestVectorisedPathEngages:
 
     def test_forced_vectorised_batches_cohorts(self, monkeypatch):
         from repro.analysis.scaling import lockstep_scale_configs
-        from repro.workloads.runner import run_workload
 
         calls = self._count_batches(monkeypatch)
         machine, network = lockstep_scale_configs()
-        result = run_workload(
-            create_workload("bt", 16, iterations=2, compute_noise=0.0),
+        workload = create_workload("bt", 16, iterations=2, compute_noise=0.0)
+        result = Simulator(
+            workload.nprocs,
             seed=5,
             machine=machine,
             network=network,
             tracer=False,
             engine="vectorised",
-        )
+        ).run([workload.program_for])
         assert result.events_processed > 0
         assert calls["step"] > 0, "vectorised engine never batched a step cohort"
 
     def test_auto_selects_vectorised_at_scale(self, monkeypatch):
         # 16 compiled ranks is the auto threshold (_VECTOR_MIN_RANKS).
         from repro.analysis.scaling import lockstep_scale_configs
-        from repro.workloads.runner import run_workload
 
         calls = self._count_batches(monkeypatch)
         machine, network = lockstep_scale_configs()
-        run_workload(
-            create_workload("bt", 16, iterations=2, compute_noise=0.0),
+        workload = create_workload("bt", 16, iterations=2, compute_noise=0.0)
+        Simulator(
+            workload.nprocs,
             seed=5,
             machine=machine,
             network=network,
             tracer=False,
             engine="auto",
-        )
+        ).run([workload.program_for])
         assert calls["step"] > 0
 
     def test_scalar_never_batches(self, monkeypatch):
-        from repro.workloads.runner import run_workload
-
         calls = self._count_batches(monkeypatch)
-        run_workload(
-            create_workload("bt", 9, scale=0.03),
-            seed=5,
-            tracer=False,
-            engine="scalar",
+        workload = create_workload("bt", 9, scale=0.03)
+        Simulator(workload.nprocs, seed=5, tracer=False, engine="scalar").run(
+            [workload.program_for]
         )
         assert calls["step"] == 0
 
@@ -175,18 +167,18 @@ class TestWideCohorts:
 
     def _run(self, engine, configs, policy="standard", tracer=False):
         from repro.predictive.registry import create_policy
-        from repro.workloads.runner import run_workload
 
         machine, network = configs()
-        return run_workload(
-            create_workload("bt", 64, iterations=1, compute_noise=0.0),
+        workload = create_workload("bt", 64, iterations=1, compute_noise=0.0)
+        return Simulator(
+            workload.nprocs,
             seed=5,
             machine=machine,
             network=network,
             policy=create_policy(policy),
             tracer=tracer,
             engine=engine,
-        )
+        ).run([workload.program_for])
 
     def test_scalar_vectorised_parallel_agree(self):
         # Zero latency leaves the parallel engine no lookahead, so it runs
@@ -369,8 +361,6 @@ class TestEngineJobsAuto:
         assert info["engine_jobs"] == 1
 
     def test_negative_engine_jobs_rejected(self):
-        from repro.sim.engine import Simulator
-
         with pytest.raises(ValueError, match="engine_jobs"):
             Simulator(nprocs=2, engine_jobs=-1)
         with pytest.raises(ValueError, match="engine_jobs"):
@@ -412,7 +402,6 @@ class TestParallelPartitionProperty:
     @settings(max_examples=6, deadline=None)
     @given(cuts=st.sets(st.integers(min_value=1, max_value=8), max_size=3))
     def test_random_partition_boundaries(self, cuts):
-        from repro.sim.engine import Simulator
         from repro.sim.network import NetworkConfig, NetworkModel
 
         nprocs = 9

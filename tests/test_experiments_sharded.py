@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.experiments import ExperimentContext
 from repro.analysis.figures_streams import figure1, figure2
 from repro.analysis.table1 import build_table1, render_table1
+from repro.scenario import ScenarioResult, Sweep
 
 SCALE = 0.02
 SEED = 17
@@ -44,8 +45,9 @@ class TestShardedEquivalence:
             assert seq_run.label == par_run.label
             rank = seq_run.representative_rank
             assert par_run.representative_rank == rank
-            assert seq_run.logical_records() == par_run.logical_records()
-            assert seq_run.physical_records() == par_run.physical_records()
+            assert type(seq_run) is type(par_run) is ScenarioResult
+            assert seq_run.records("logical") == par_run.records("logical")
+            assert seq_run.records("physical") == par_run.records("physical")
 
     def test_stats_and_makespans_identical(self, sequential_context, sharded_context):
         for seq_run, par_run in zip(
@@ -82,6 +84,23 @@ class TestShardedCaching:
         # The pre-warmed run object itself is returned (same identity): the
         # pool only simulated the missing cells.
         assert any(run is warm for run in runs)
+
+    def test_sharded_cache_holds_the_sweep_results_themselves(self, monkeypatch):
+        returned = []
+        run_all = Sweep.run_all
+
+        def recording(self, **kwargs):
+            results = run_all(self, **kwargs)
+            returned.extend(results)
+            return results
+
+        monkeypatch.setattr(Sweep, "run_all", recording)
+        context = ExperimentContext(seed=SEED, scale=SCALE)
+        runs = context.run_all(jobs=2)
+        assert len(returned) == 19
+        assert all(run is cell for run, cell in zip(runs, returned))
+        config = context.configurations()[0]
+        assert context.run(config) is context.run(config) is runs[0]
 
     def test_jobs_one_is_sequential(self, sequential_context):
         # jobs=1 takes the in-process path (no pool); cached cells make this

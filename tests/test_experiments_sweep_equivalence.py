@@ -1,10 +1,8 @@
-"""The paper's 19-cell sweep through the Scenario API is bit-identical to the
-pre-redesign ExperimentContext recipe.
+"""The paper's 19-cell sweep is bit-identical through both front doors.
 
-The legacy recipe is inlined here exactly as the pre-redesign
-``analysis.experiments._run_configuration_cell`` executed it: registry
-workload, ``NetworkConfig(seed=seed)``, default machine, standard policy,
-compiled fast lane.  Everything the analysis layer consumes — traces at both
+The objects door is inlined here as a bare ``Simulator``: registry workload,
+``NetworkConfig(seed=seed)``, default machine, standard policy, compiled
+fast lane.  Everything the analysis layer consumes — traces at both
 levels, runtime statistics, makespans, and the stream summaries feeding
 Table 1 — must coincide bit for bit with the canonical ``paper_sweep()``
 cells run through ``Sweep.run_all()`` and with ``ExperimentContext.run_all``.

@@ -13,9 +13,8 @@ import pytest
 
 from repro.core.evaluation import evaluate_stream, evaluate_unordered
 from repro.core.predictor import PeriodicityPredictor
+from repro.scenario import Scenario
 from repro.trace.streams import sender_stream, size_stream
-from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
 
 
 def paper_predictor():
@@ -77,29 +76,24 @@ class TestPhysicalVsLogical:
         assert unordered >= ordered - 1e-9
 
     def test_random_wildcard_stream_is_unpredictable(self):
-        workload = create_workload("random-sender", nprocs=6, messages_per_rank=40)
-        result = run_workload(workload, seed=9)
-        stream = sender_stream(result.trace_for(0).physical)
+        run = Scenario({"workload": "random-sender.6:messages_per_rank=40", "seed": 9}).run()
+        stream = run.stream("sender", "physical", rank=0)
         assert evaluate_stream(stream, paper_predictor, horizon=5).accuracy(1) < 0.5
 
 
 class TestScalingBehaviour:
     def test_longer_runs_improve_accuracy(self):
-        short = run_workload(create_workload("bt", nprocs=4, scale=0.05), seed=3)
-        long = run_workload(create_workload("bt", nprocs=4, scale=0.25), seed=3)
-        accuracy_short = accuracy(short.trace_for(3).logical)
-        accuracy_long = accuracy(long.trace_for(3).logical)
+        short = Scenario({"workload": "bt.4:scale=0.05", "seed": 3}).run()
+        long = Scenario({"workload": "bt.4:scale=0.25", "seed": 3}).run()
+        accuracy_short = accuracy(short.records("logical", 3))
+        accuracy_long = accuracy(long.records("logical", 3))
         assert accuracy_long > accuracy_short
 
     def test_message_counts_scale_linearly_with_iterations(self):
-        small = create_workload("bt", nprocs=4, iterations=5)
-        large = create_workload("bt", nprocs=4, iterations=10)
-        count_small = len(
-            [r for r in run_workload(small, seed=1).trace_for(3).logical if r.kind == "p2p"]
-        )
-        count_large = len(
-            [r for r in run_workload(large, seed=1).trace_for(3).logical if r.kind == "p2p"]
-        )
+        small = Scenario({"workload": "bt.4:iterations=5", "seed": 1}).run()
+        large = Scenario({"workload": "bt.4:iterations=10", "seed": 1}).run()
+        count_small = len([r for r in small.records("logical", 3) if r.kind == "p2p"])
+        count_large = len([r for r in large.records("logical", 3) if r.kind == "p2p"])
         assert count_large == 2 * count_small
 
 

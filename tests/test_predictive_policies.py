@@ -10,11 +10,12 @@ from repro.sim.engine import Simulator
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
 from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
 
 
 def run_with_policy(workload, policy, seed=5):
-    return run_workload(workload, seed=seed, network=NetworkConfig(seed=seed), policy=policy)
+    return Simulator(
+        workload.nprocs, seed=seed, network=NetworkConfig(seed=seed), policy=policy
+    ).run([workload.program_for])
 
 
 class TestPredictiveBufferPolicy:

@@ -8,7 +8,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import NetworkConfig
 from repro.trace.io import load_traces
 from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
 
 
 def _columns_tuple(columns):
@@ -23,20 +22,17 @@ def _columns_tuple(columns):
 
 
 class TestScenarioRun:
-    def test_bit_identical_to_run_workload(self):
+    def test_bit_identical_to_bare_simulator(self):
         scenario_result = Scenario(
             ScenarioSpec(workload="bt.9:scale=0.05", seed=7)
         ).run()
-        legacy = run_workload(
-            create_workload("bt", nprocs=9, scale=0.05),
-            seed=7,
-            network=NetworkConfig(seed=7),
-        )
-        assert scenario_result.makespan == legacy.makespan
-        assert scenario_result.stats.summary() == legacy.stats.summary()
+        workload = create_workload("bt", nprocs=9, scale=0.05)
+        bare = Simulator(nprocs=9, seed=7).run([workload.program_for])
+        assert scenario_result.makespan == bare.makespan
+        assert scenario_result.stats.summary() == bare.stats.summary()
         for rank in range(9):
             ours = scenario_result.trace(rank)
-            theirs = legacy.trace_for(rank)
+            theirs = bare.trace_for(rank)
             assert _columns_tuple(ours.logical) == _columns_tuple(theirs.logical)
             assert _columns_tuple(ours.physical) == _columns_tuple(theirs.physical)
 
@@ -133,58 +129,45 @@ class TestScenarioResultAccessors:
         assert metadata["workload"] == "ring-exchange"
 
 
+def _simulate(network=None, seed=5):
+    """bt.4 through the objects door: a bare Simulator."""
+    workload = create_workload("bt", nprocs=4, scale=0.05)
+    return Simulator(nprocs=4, network=network, seed=seed).run([workload.program_for])
+
+
+def _scenario(network=None, seed=5):
+    """The same cell through the names door: Scenario(spec)."""
+    spec = ScenarioSpec(workload="bt.4:scale=0.05", seed=seed, network=network)
+    return Scenario(spec).run().result
+
+
+def _arrival_times(result):
+    return result.trace_for(3).physical.time_array().tolist()
+
+
 class TestSeedPlumbing:
     """Regression: a NetworkConfig without a pinned seed derives from the run
-    seed identically on every path (the pre-redesign run_workload silently
-    kept the config's default RNG seed)."""
+    seed identically on both doors (a bare Simulator and Scenario(spec))."""
 
-    def test_run_workload_derives_unpinned_network_seed(self):
-        workload = lambda: create_workload("bt", nprocs=4, scale=0.05)
-        implicit = run_workload(workload(), seed=5)
-        explicit_unpinned = run_workload(
-            workload(), seed=5, network=NetworkConfig(jitter_sigma=0.2)
-        )
-        explicit_pinned = run_workload(
-            workload(), seed=5, network=NetworkConfig(jitter_sigma=0.2, seed=5)
-        )
+    @pytest.mark.parametrize("run", [_simulate, _scenario])
+    def test_unpinned_network_follows_run_seed(self, run):
+        implicit = run()
+        explicit_unpinned = run(NetworkConfig(jitter_sigma=0.2))
+        explicit_pinned = run(NetworkConfig(jitter_sigma=0.2, seed=5))
         # jitter_sigma=0.2 is the default, so all three recipes coincide.
         assert (
-            implicit.trace_for(3).physical.time_array().tolist()
-            == explicit_unpinned.trace_for(3).physical.time_array().tolist()
-            == explicit_pinned.trace_for(3).physical.time_array().tolist()
+            _arrival_times(implicit)
+            == _arrival_times(explicit_unpinned)
+            == _arrival_times(explicit_pinned)
         )
+        assert _arrival_times(implicit) != _arrival_times(run(seed=6))
 
-    def test_pinned_seed_is_respected(self):
-        workload = lambda: create_workload("bt", nprocs=4, scale=0.05)
-        derived = run_workload(workload(), seed=5, network=NetworkConfig())
-        pinned = run_workload(workload(), seed=5, network=NetworkConfig(seed=0))
-        assert (
-            derived.trace_for(3).physical.time_array().tolist()
-            != pinned.trace_for(3).physical.time_array().tolist()
-        )
+    @pytest.mark.parametrize("run", [_simulate, _scenario])
+    def test_pinned_seed_is_respected(self, run):
+        derived = run(NetworkConfig())
+        pinned = run(NetworkConfig(seed=0))
+        assert _arrival_times(derived) != _arrival_times(pinned)
 
-    def test_simulator_path_derives_identically(self):
-        def simulate(network):
-            workload = create_workload("bt", nprocs=4, scale=0.05)
-            simulator = Simulator(nprocs=4, network=network, seed=5)
-            return simulator.run([workload.program_for])
-
-        unpinned = simulate(NetworkConfig(jitter_sigma=0.2))
-        pinned = simulate(NetworkConfig(jitter_sigma=0.2, seed=5))
-        assert (
-            unpinned.trace_for(3).physical.time_array().tolist()
-            == pinned.trace_for(3).physical.time_array().tolist()
-        )
-
-    def test_scenario_path_derives_identically(self):
-        unpinned = Scenario(
-            ScenarioSpec(workload="bt.4:scale=0.05", seed=5)
-        ).run()
-        via_config = Scenario(
-            ScenarioSpec(workload="bt.4:scale=0.05", seed=5),
-            network=NetworkConfig(jitter_sigma=0.2),
-        ).run()
-        assert (
-            unpinned.trace().physical.time_array().tolist()
-            == via_config.trace().physical.time_array().tolist()
-        )
+    def test_both_doors_derive_identically(self):
+        for network in (None, NetworkConfig(jitter_sigma=0.3), NetworkConfig(seed=0)):
+            assert _arrival_times(_scenario(network)) == _arrival_times(_simulate(network))

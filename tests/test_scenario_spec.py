@@ -91,12 +91,14 @@ class TestWorkloadSpec:
         )
         assert dict(spec.params) == {"pattern_length": 6}
 
-    def test_from_workload_round_trip(self):
-        original = BTWorkload(nprocs=9, scale=0.1)
-        rebuilt = WorkloadSpec.from_workload(original).build()
-        assert type(rebuilt) is type(original)
-        assert rebuilt.nprocs == original.nprocs
-        assert rebuilt.iterations == original.iterations
+    def test_workload_instance_is_rejected(self):
+        # Specs are built from names; a caller holding a Workload object
+        # builds a Simulator instead.
+        instance = BTWorkload(nprocs=9, scale=0.1)
+        with pytest.raises(TypeError, match="cannot build a WorkloadSpec"):
+            WorkloadSpec.coerce(instance)
+        with pytest.raises(TypeError, match="cannot build a ScenarioSpec"):
+            ScenarioSpec.coerce(instance)
 
     def test_dict_round_trip(self):
         spec = WorkloadSpec(name="bt", nprocs=9, scale=0.2, params={"k": 1})

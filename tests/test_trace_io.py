@@ -4,22 +4,42 @@ import json
 
 import pytest
 
-from repro.trace.io import (
-    load_process_trace,
-    load_traces,
-    save_process_trace,
-    save_traces,
-)
+from repro.sim.engine import Simulator
+from repro.trace.io import load_traces, save_traces
 from repro.trace.streams import sender_stream
 from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
 
 
 @pytest.fixture(scope="module")
 def small_run():
     workload = create_workload("ring-exchange", nprocs=4, iterations=8)
-    result = run_workload(workload, seed=3)
+    result = Simulator(workload.nprocs, seed=3).run([workload.program_for])
     return workload, result
+
+
+def _v1_record(level, receiver=0, sender=1, time=1.0, seq=0):
+    """One line of a version-1 file, as the retired writer spelled it."""
+    return {
+        "receiver": receiver,
+        "sender": sender,
+        "nbytes": 10,
+        "tag": 0,
+        "kind": "p2p",
+        "time": time,
+        "seq": seq,
+        "level": level,
+    }
+
+
+def _write_v1(path, nprocs, records, metadata=None):
+    header = {
+        "format": "repro-trace",
+        "version": 1,
+        "nprocs": nprocs,
+        "metadata": metadata or {},
+    }
+    lines = [json.dumps(header), *(json.dumps(record) for record in records)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestSaveLoadRoundtrip:
@@ -85,23 +105,17 @@ class TestSaveLoadRoundtrip:
 class TestLegacyFormatCompatibility:
     """Version-1 (one JSON object per record) files stay loadable."""
 
-    def _write_v1(self, result, path):
-        header = {
-            "format": "repro-trace",
-            "version": 1,
-            "nprocs": result.nprocs,
-            "metadata": {"origin": "legacy"},
-        }
-        with path.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for rank in range(result.nprocs):
-                save_process_trace(result.trace_for(rank), handle)
-
     def test_v1_file_loads_identically(self, small_run, tmp_path):
         _, result = small_run
         v1 = tmp_path / "v1.jsonl"
         v2 = tmp_path / "v2.jsonl"
-        self._write_v1(result, v1)
+        records = [
+            {**record._asdict(), "level": level}
+            for rank in range(result.nprocs)
+            for level in ("logical", "physical")
+            for record in getattr(result.trace_for(rank), level)
+        ]
+        _write_v1(v1, result.nprocs, records, metadata={"origin": "legacy"})
         save_traces(result.tracer, v2)
         legacy_traces, legacy_meta = load_traces(v1)
         columnar_traces, _ = load_traces(v2)
@@ -109,6 +123,32 @@ class TestLegacyFormatCompatibility:
         for old, new in zip(legacy_traces, columnar_traces):
             assert list(old.logical) == list(new.logical)
             assert list(old.physical) == list(new.physical)
+
+    def test_v1_records_route_by_receiver_and_sort(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        _write_v1(
+            path,
+            2,
+            [
+                _v1_record("logical", receiver=0, sender=2, time=2.0, seq=1),
+                _v1_record("logical", receiver=0, sender=1, time=1.0, seq=0),
+                _v1_record("physical", receiver=1, sender=0),
+            ],
+        )
+        with path.open("a") as handle:
+            handle.write("\n")  # blank lines are skipped
+        traces, _ = load_traces(path)
+        assert [r.sender for r in traces[0].logical] == [1, 2]
+        assert traces[0].physical == []
+        assert traces[1].logical == []
+        assert [r.sender for r in traces[1].physical] == [0]
+
+    @pytest.mark.parametrize("level", ["weird", "Logical", "phys"])
+    def test_unknown_level_rejected(self, tmp_path, level):
+        path = tmp_path / "v1.jsonl"
+        _write_v1(path, 1, [_v1_record("logical"), _v1_record(level, seq=1)])
+        with pytest.raises(ValueError, match=f"unknown trace level {level!r} on line 3"):
+            load_traces(path)
 
 
 class TestFormatValidation:
@@ -131,80 +171,17 @@ class TestFormatValidation:
             load_traces(path)
 
     def test_out_of_range_receiver_rejected(self, tmp_path):
-        header = {"format": "repro-trace", "version": 1, "nprocs": 1, "metadata": {}}
-        record = {
-            "receiver": 5,
-            "sender": 0,
-            "nbytes": 1,
-            "tag": 0,
-            "kind": "p2p",
-            "time": 0.0,
-            "seq": 0,
-            "level": "logical",
-        }
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        _write_v1(path, 1, [_v1_record("logical", receiver=5)])
         with pytest.raises(ValueError, match="out of range"):
             load_traces(path)
 
-
-class TestLoadProcessTrace:
-    def test_filters_by_rank_and_sorts(self):
-        lines = [
-            json.dumps(
-                {
-                    "receiver": 0,
-                    "sender": 2,
-                    "nbytes": 10,
-                    "tag": 0,
-                    "kind": "p2p",
-                    "time": 2.0,
-                    "seq": 1,
-                    "level": "logical",
-                }
-            ),
-            json.dumps(
-                {
-                    "receiver": 0,
-                    "sender": 1,
-                    "nbytes": 10,
-                    "tag": 0,
-                    "kind": "p2p",
-                    "time": 1.0,
-                    "seq": 0,
-                    "level": "logical",
-                }
-            ),
-            json.dumps(
-                {
-                    "receiver": 1,
-                    "sender": 0,
-                    "nbytes": 10,
-                    "tag": 0,
-                    "kind": "p2p",
-                    "time": 1.0,
-                    "seq": 0,
-                    "level": "physical",
-                }
-            ),
-            "",
-        ]
-        trace = load_process_trace(0, lines)
-        assert [r.sender for r in trace.logical] == [1, 2]
-        assert trace.physical == []
-
-    def test_unknown_level_rejected(self):
-        line = json.dumps(
-            {
-                "receiver": 0,
-                "sender": 1,
-                "nbytes": 10,
-                "tag": 0,
-                "kind": "p2p",
-                "time": 1.0,
-                "seq": 0,
-                "level": "weird",
-            }
-        )
-        with pytest.raises(ValueError, match="unknown trace level"):
-            load_process_trace(0, [line])
+    def test_duplicate_v2_rank_rejected(self, small_run, tmp_path):
+        _, result = small_run
+        path = tmp_path / "dup.jsonl"
+        save_traces(result.tracer, path)
+        lines = path.read_text().splitlines()
+        # header, ranks 0-3, then rank 1 again on line 6
+        path.write_text("\n".join([*lines, lines[2]]) + "\n")
+        with pytest.raises(ValueError, match="duplicate trace rank 1 on line 6"):
+            load_traces(path)

@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenario import Scenario, ScenarioSpec, WorkloadSpec
+from repro.scenario import WorkloadSpec
+from repro.sim.engine import Simulator
+from repro.sim.registry import create_network
+from repro.trace.io import save_traces
 from repro.trace.import_dumpi import DumpiParseError, load_dumpi, parse_dumpi
 from repro.workloads.compile import compile_info, compile_rank_lanes
 from repro.workloads.registry import create_workload
@@ -21,23 +24,22 @@ from repro.workloads.replay import ReplayWorkload
 
 #: Deterministic network used everywhere (positive latency so the parallel
 #: engine engages rather than falling back).
-NETWORK = "noiseless:latency=25e-6"
+NETWORK = create_network("noiseless", latency=25e-6)
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SAMPLE_V2 = EXAMPLES / "sample_trace.jsonl"
 SAMPLE_DUMPI = EXAMPLES / "sample_trace.dumpi"
 
 
-def run_scenario(workload, *, engine="scalar", compiled=False, seed=7, engine_jobs=2):
-    spec = ScenarioSpec(
-        workload=WorkloadSpec.from_workload(workload),
+def simulate(workload, *, engine="scalar", compiled=False, seed=7, engine_jobs=2):
+    simulator = Simulator(
+        nprocs=workload.nprocs,
         seed=seed,
         network=NETWORK,
         engine=engine,
         engine_jobs=engine_jobs,
-        compiled=compiled,
     )
-    return Scenario(spec, workload=workload).run()
+    return simulator.run([workload.program_for if compiled else workload.program])
 
 
 def logical_streams(result):
@@ -81,38 +83,38 @@ class TestV2RoundTrip:
     )
     def test_replay_reproduces_logical_streams(self, tmp_path, name, params):
         source = create_workload(name, **params)
-        run = run_scenario(source)
-        recorded = logical_streams(run.result)
+        run = simulate(source)
+        recorded = logical_streams(run)
         path = tmp_path / "trace.jsonl"
-        assert run.save_traces(path) > 0
+        assert save_traces(run.tracer, path) > 0
 
         replay = create_workload("replay", nprocs=0, file=str(path))
         assert replay.nprocs == source.nprocs
-        replayed = logical_streams(run_scenario(replay).result)
+        replayed = logical_streams(simulate(replay))
         assert replayed == recorded
 
     def test_structure_only_replay_keeps_the_streams(self, tmp_path):
         source = create_workload("ring-exchange", nprocs=4, iterations=3)
-        run = run_scenario(source)
+        run = simulate(source)
         path = tmp_path / "trace.jsonl"
-        run.save_traces(path)
+        save_traces(run.tracer, path)
         replay = create_workload("replay", nprocs=0, file=str(path), time_scale=0)
-        result = run_scenario(replay).result
-        assert logical_streams(result) == logical_streams(run.result)
+        result = simulate(replay)
+        assert logical_streams(result) == logical_streams(run)
         # Collapsed timeline: no recorded pacing, so the replay is faster.
-        assert result.makespan <= run.result.makespan
+        assert result.makespan <= run.makespan
 
     def test_extra_ranks_replay_empty_programs(self, tmp_path):
         source = create_workload("ring-exchange", nprocs=3, iterations=2)
-        run = run_scenario(source)
+        run = simulate(source)
         path = tmp_path / "trace.jsonl"
-        run.save_traces(path)
+        save_traces(run.tracer, path)
         replay = create_workload("replay", nprocs=5, file=str(path))
-        result = run_scenario(replay).result
+        result = simulate(replay)
         assert result.nprocs == 5
         streams = logical_streams(result)
         assert streams[3] == [] and streams[4] == []
-        assert {r: s for r, s in streams.items() if r < 3} == logical_streams(run.result)
+        assert {r: s for r, s in streams.items() if r < 3} == logical_streams(run)
 
 
 # ----------------------------------------------------------------------
@@ -128,21 +130,21 @@ class TestReplayExecution:
 
     def test_compiled_matches_generator(self):
         replay = create_workload("replay", nprocs=0, file=str(SAMPLE_V2))
-        generator = run_scenario(replay, compiled=False).result
-        compiled = run_scenario(replay, compiled=True).result
+        generator = simulate(replay, compiled=False)
+        compiled = simulate(replay, compiled=True)
         assert fingerprint(compiled) == fingerprint(generator)
 
     @pytest.mark.parametrize("engine", ["vectorised", "parallel"])
     def test_engines_match_scalar(self, engine):
         replay = create_workload("replay", nprocs=0, file=str(SAMPLE_V2))
-        baseline = fingerprint(run_scenario(replay, engine="scalar", compiled=True).result)
-        result = run_scenario(replay, engine=engine, compiled=True).result
+        baseline = fingerprint(simulate(replay, engine="scalar", compiled=True))
+        result = simulate(replay, engine=engine, compiled=True)
         assert fingerprint(result) == baseline
 
     def test_two_runs_are_identical(self):
         replay = create_workload("replay", nprocs=0, file=str(SAMPLE_V2))
-        first = fingerprint(run_scenario(replay).result)
-        second = fingerprint(run_scenario(replay).result)
+        first = fingerprint(simulate(replay))
+        second = fingerprint(simulate(replay))
         assert first == second
 
     def test_shorthand_spec_round_trips(self):
@@ -198,7 +200,7 @@ class TestDumpiImporter:
     def test_sample_file_replays(self):
         replay = create_workload("replay", nprocs=0, file=str(SAMPLE_DUMPI))
         assert replay.nprocs == 3
-        result = run_scenario(replay).result
+        result = simulate(replay)
         streams = logical_streams(result)
         assert streams[0] == [(1, 7, 1024), (2, 7, 2048)] * 2
         assert streams[2] == [(1, 9, 256)] * 2

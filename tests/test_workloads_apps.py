@@ -9,9 +9,10 @@ have the same *shape* as the corresponding Table 1 rows.
 import pytest
 
 from repro.core.dpd import DynamicPeriodicityDetector
+from repro.scenario import Scenario
+from repro.sim.engine import Simulator
 from repro.trace.streams import sender_stream, size_stream, summarize_stream
 from repro.workloads.registry import create_workload
-from repro.workloads.runner import run_workload
 
 
 def p2p_records(result, rank):
@@ -124,10 +125,10 @@ class TestIS:
         assert summary.num_distinct_senders == 7
 
     def test_collective_count_scales_with_nprocs(self):
-        small = run_workload(create_workload("is", nprocs=4, scale=1.0), seed=1)
-        counts_small = summarize_stream(small.trace_for(0).logical).collective_messages
-        large = run_workload(create_workload("is", nprocs=8, scale=1.0), seed=1)
-        counts_large = summarize_stream(large.trace_for(0).logical).collective_messages
+        small = Scenario({"workload": "is.4:scale=1.0", "seed": 1}).run()
+        counts_small = small.summary(rank=0).collective_messages
+        large = Scenario({"workload": "is.8:scale=1.0", "seed": 1}).run()
+        counts_large = large.summary(rank=0).collective_messages
         assert counts_large > 1.5 * counts_small
 
 
@@ -161,7 +162,7 @@ class TestSynthetic:
     def test_periodic_pattern_stream_matches_definition(self):
         pattern = [(1, 100), (2, 200), (1, 100), (3, 300)]
         workload = create_workload("periodic-pattern", nprocs=4, pattern=pattern, iterations=10)
-        result = run_workload(workload, seed=1)
+        result = Simulator(workload.nprocs, seed=1).run([workload.program_for])
         senders = sender_stream(result.trace_for(0).logical).tolist()
         sizes = size_stream(result.trace_for(0).logical).tolist()
         assert senders == [s for s, _ in pattern] * 10
@@ -173,18 +174,18 @@ class TestSynthetic:
 
     def test_ring_exchange_alternates_sizes(self):
         workload = create_workload("ring-exchange", nprocs=4, iterations=6)
-        result = run_workload(workload, seed=1)
+        result = Simulator(workload.nprocs, seed=1).run([workload.program_for])
         sizes = size_stream(result.trace_for(0).logical).tolist()
         assert sizes == [workload.SMALL_BYTES, workload.LARGE_BYTES] * 3
 
     def test_random_sender_receives_expected_total(self):
         workload = create_workload("random-sender", nprocs=4, messages_per_rank=5)
-        result = run_workload(workload, seed=1)
+        result = Simulator(workload.nprocs, seed=1).run([workload.program_for])
         assert len(result.trace_for(0).logical) == 15
 
     def test_collective_storm_runs(self):
         workload = create_workload("collective-storm", nprocs=4, iterations=3)
-        result = run_workload(workload, seed=1)
+        result = Simulator(workload.nprocs, seed=1).run([workload.program_for])
         summary = summarize_stream(result.trace_for(0).logical)
         assert summary.p2p_messages == 0
         assert summary.collective_messages > 0

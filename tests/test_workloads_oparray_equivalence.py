@@ -21,10 +21,10 @@ from repro.predictive import (
     PredictiveRendezvousPolicy,
 )
 from repro.runtime.protocol import StandardFlowControl
+from repro.sim.engine import Simulator
 from repro.workloads.base import Workload
 from repro.workloads.compile import clear_schedule_cache
 from repro.workloads.registry import create_workload, workload_names
-from repro.workloads.runner import run_workload
 
 #: The committed sample trace (also the CLI quickstart's replay input).
 SAMPLE_TRACE = str(Path(__file__).resolve().parent.parent / "examples" / "sample_trace.jsonl")
@@ -68,10 +68,15 @@ def fingerprint(result):
     )
 
 
+def simulate(workload, seed, compiled, policy=None):
+    factory = workload.program_for if compiled else workload.program
+    return Simulator(workload.nprocs, seed=seed, policy=policy).run([factory])
+
+
 def run_cell(name, nprocs, kwargs, policy_name, compiled, seed=23):
     workload = create_workload(name, nprocs=nprocs, **kwargs)
     policy = POLICY_FACTORIES[policy_name]()
-    return run_workload(workload, seed=seed, policy=policy, compiled=compiled)
+    return simulate(workload, seed, compiled, policy)
 
 
 class TestRegistryEquivalence:
@@ -139,18 +144,18 @@ class TestMixedModeSimulation:
         assert workload.compile_program(ctx(0)) is not None
         assert workload.compile_program(ctx(1)) is None
 
-        generator_run = run_workload(MixedModeWorkload(nprocs=4), seed=31, compiled=False)
-        mixed_run = run_workload(MixedModeWorkload(nprocs=4), seed=31, compiled=True)
+        generator_run = simulate(MixedModeWorkload(nprocs=4), seed=31, compiled=False)
+        mixed_run = simulate(MixedModeWorkload(nprocs=4), seed=31, compiled=True)
         assert fingerprint(mixed_run) == fingerprint(generator_run)
 
     def test_opted_out_workload_runs_unchanged(self):
         """The reference dynamic workload takes the generator path untouched."""
-        generator_run = run_workload(
+        generator_run = simulate(
             create_workload("random-sender", nprocs=4, messages_per_rank=8),
             seed=13,
             compiled=False,
         )
-        auto_run = run_workload(
+        auto_run = simulate(
             create_workload("random-sender", nprocs=4, messages_per_rank=8),
             seed=13,
             compiled=True,
