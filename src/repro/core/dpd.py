@@ -33,6 +33,14 @@ growing, at most one delay per append becomes newly evaluable and its counter
 is initialised with one ``O(N)`` scan — amortised away after the first
 ``N + M`` samples.
 
+A batch of ``k`` samples is the same update applied ``k`` times at once:
+the ``k`` enter and ``k`` leave vectors are two ``(M, k)`` comparisons
+against sliding windows of the ring plus the chunk, and a running sum along
+the rows yields every intermediate ``d(m)`` — ``O(k * M)`` work, so a batch
+of one costs about one ``observe`` and nothing is proportional to ``N + M``.
+While the ring is still filling (a stream's first ``N + M`` samples) a
+batch simply loops over ``observe``.
+
 Complexity (``N`` = window_size, ``M`` = max_period, ``k`` = batch length):
 
 ==========================  ==================  =======================
@@ -41,7 +49,7 @@ operation                   naive (seed)        incremental (this file)
 ``observe``                 O(1) append         O(M) counter update
 ``distances`` / ``detect``  O(N * M) scan       O(M) copy + scan
 observe+detect per message  O(N * M)            O(M) amortised
-``batch_observe`` of k      k * O(N * M)        O((k + N + M) * M) total
+``batch_observe`` of k      k * O(N * M)        O(k * M) on a full ring
 ==========================  ==================  =======================
 
 The pre-refactor full rescan survives as :meth:`distances_naive` and is used
@@ -68,8 +76,8 @@ from repro.core.circular_buffer import CircularBuffer, _as_int64_1d
 
 __all__ = ["PeriodicityResult", "DynamicPeriodicityDetector"]
 
-#: Batch periods are computed on O(M * chunk) scratch matrices; bigger inputs
-#: are processed in chunks of this many samples to bound peak memory.
+#: A batch is applied on O(M * chunk) scratch matrices; bigger inputs are
+#: processed in chunks of this many samples to bound peak memory.
 _BATCH_CHUNK = 8192
 
 
@@ -195,22 +203,21 @@ class DynamicPeriodicityDetector:
             # Exactly one delay (m = u + 1) became evaluable: initialise its
             # counter with a full-window scan (O(N), once per delay ever).
             m = u + 1
-            h = buf.view()
-            length = h.shape[0]
+            end = buf._pos + cap
             self._counters[self.max_period - m] = np.count_nonzero(
-                h[length - n :] != h[length - n - m : length - m]
+                data[end - n : end] != data[end - n - m : end - m]
             )
             self._usable = m
 
     def batch_observe(self, values, return_periods: bool = False):
-        """Feed many samples at once (the amortised fast path).
+        """Feed many samples at once; bit-identical to an :meth:`observe` loop.
 
-        The final counter state is bit-identical to feeding the samples one
-        by one (``d(m)`` is a pure function of the retained history): the
-        ring is extended with vectorised slice writes and the counters are
-        rebuilt with one vectorised scan, so a batch of ``k`` samples costs
-        ``O((k + N + M) * M)`` total instead of ``k`` incremental updates'
-        Python overhead.
+        On a full ring (every call after a stream's first ``N + M`` samples)
+        the chunk goes through :meth:`_advance`, which applies all ``k``
+        enter/leave updates as one ``(M, k)`` matrix — ``O(k * M)`` work and
+        scratch, nothing proportional to ``N + M``.  While the ring is still
+        filling, samples are fed through :meth:`observe` one by one, which is
+        the definition the batch must equal anyway.
 
         Parameters
         ----------
@@ -228,19 +235,22 @@ class DynamicPeriodicityDetector:
         """
         arr = _as_int64_1d(values)
         k = int(arr.shape[0])
-        if k == 0:
-            return np.zeros(0, dtype=np.int64) if return_periods else None
-        periods: np.ndarray | None = None
-        if return_periods:
-            chunks = []
-            for start in range(0, k, _BATCH_CHUNK):
-                chunk = arr[start : start + _BATCH_CHUNK]
-                chunks.append(self._batch_periods(chunk))
-                self._history.extend(chunk)
-            periods = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        else:
-            self._history.extend(arr)
-        self._recompute_counters()
+        periods = np.zeros(k, dtype=np.int64) if return_periods else None
+        filling = min(k, self._history.capacity - len(self._history))
+        for j in range(filling):
+            self.observe(arr[j])
+            if return_periods:
+                periods[j] = self.current_period() or 0
+        for start in range(filling, k, _BATCH_CHUNK):
+            stop = min(start + _BATCH_CHUNK, k)
+            distances = self._advance(arr[start:stop])
+            if return_periods:
+                # Rows run from delay M down to 1, so the smallest accepted
+                # delay is the first hit of each column read bottom to top.
+                accepted = (distances <= self.mismatch_tolerance)[::-1]
+                first = accepted.argmax(axis=0)
+                found = accepted[first, np.arange(stop - start)]
+                periods[start:stop] = np.where(found, first + 1, 0)
         return periods
 
     def reset(self) -> None:
@@ -289,8 +299,8 @@ class DynamicPeriodicityDetector:
         """Smallest delay whose distance passes the tolerance, else None.
 
         ``ascending`` is a ``d(m)`` array indexed by ``m - 1``; the sole home
-        of the acceptance rule shared by :meth:`current_period`,
-        :meth:`detect` and (via its mask) :meth:`_batch_periods`.
+        of the acceptance rule shared by :meth:`current_period` and
+        :meth:`detect` (:meth:`batch_observe` applies it to a whole matrix).
         """
         if self.mismatch_tolerance == 0:
             index = int(ascending.argmin())
@@ -329,57 +339,27 @@ class DynamicPeriodicityDetector:
         return self._history.view_last(n)
 
     # ------------------------------------------------------------------
-    def _recompute_counters(self) -> None:
-        """Rebuild all counters from the retained history (one vectorised scan)."""
-        h = self._history.view()
-        length = h.shape[0]
-        usable = min(self.max_period, length - self.window_size)
-        if usable < 1:
-            self._usable = 0
-            return
-        windows = np.lib.stride_tricks.sliding_window_view(h, self.window_size)
-        base_index = length - self.window_size
-        # windows[base_index - m] is the window shifted by m; ascending row
-        # order therefore matches the anchored-reversed counter layout.
-        shifted = windows[base_index - usable : base_index]
-        self._counters[self.max_period - usable :] = np.count_nonzero(
-            shifted != h[base_index:][np.newaxis, :], axis=1
-        )
-        self._usable = usable
+    def _advance(self, chunk: np.ndarray) -> np.ndarray:
+        """Append ``chunk`` to a full ring; return ``d(m)`` after every sample.
 
-    def _batch_periods(self, chunk: np.ndarray) -> np.ndarray:
-        """Per-step periodicity decisions for appending ``chunk`` (pre-append state).
-
-        Uses prefix sums of the lagged-mismatch matrix: with ``A`` the
-        concatenation of the retained history and the chunk,
-        ``MM[m-1, a] = 1[A[a] != A[a-m]]`` and ``C`` its cumulative sum along
-        ``a``, the distance after appending ``chunk[j]`` is
-        ``d_j(m) = C[m-1, e_j] - C[m-1, e_j - N]`` where ``e_j`` indexes the
-        newest sample of step ``j``'s window.
+        With ``A`` the ring followed by the chunk, column ``j`` of
+        ``enter``/``leave`` below is exactly the indicator pair
+        :meth:`observe` applies for ``chunk[j]`` (row ``i`` is delay
+        ``M - i``, the anchored-reversed counter layout), so the running sum
+        of their difference on top of the counters is every intermediate
+        counter state and its last column is the new one.  The matrix is
+        ``(M, k)`` so that the sum runs along contiguous memory.
         """
         n = self.window_size
         max_p = self.max_period
-        tol = self.mismatch_tolerance
-        total0 = self._history.total_appended
-        length0 = len(self._history)
         k = int(chunk.shape[0])
         a = np.concatenate((self._history.view(), chunk))
-        size = int(a.shape[0])
-        # usable delays after step j (total samples = total0 + j + 1)
-        usable = np.minimum(total0 + np.arange(1, k + 1) - n, max_p)
-        if size <= n or usable[-1] < 1:
-            return np.zeros(k, dtype=np.int64)
-        lags = min(max_p, size - 1)
-        mismatch = np.zeros((lags, size), dtype=bool)
-        for m in range(1, lags + 1):
-            mismatch[m - 1, m:] = a[m:] != a[:-m]
-        cumulative = np.cumsum(mismatch, axis=1, dtype=np.int32)
-        newest = length0 + np.arange(k)  # local index of x[T_j - 1] = chunk[j]
-        older = np.clip(newest - n, 0, size - 1)
-        distance = cumulative[:, newest] - cumulative[:, older]  # (lags, k)
-        accepted = (distance <= tol) & (
-            np.arange(1, lags + 1)[:, np.newaxis] <= usable[np.newaxis, :]
-        )
-        first = np.argmax(accepted, axis=0)
-        found = accepted[first, np.arange(k)]
-        return np.where(found, first + 1, 0).astype(np.int64)
+        runs = np.lib.stride_tricks.sliding_window_view(a, k)  # runs[i] = a[i : i + k]
+        enter = a[n + max_p :] != runs[n : n + max_p]
+        leave = a[max_p : max_p + k] != runs[:max_p]
+        distances = np.subtract(enter, leave, dtype=np.int64)
+        distances[:, 0] += self._counters
+        np.cumsum(distances, axis=1, out=distances)
+        self._counters[:] = distances[:, -1]
+        self._history.extend(chunk)
+        return distances

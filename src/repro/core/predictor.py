@@ -11,9 +11,11 @@ heuristics in the related work.
 Runtime cost: one :meth:`PeriodicityPredictor.observe` consumes the DPD's
 incrementally maintained mismatch counters (O(max_period) vectorised work)
 instead of re-running the full equation-(1) scan, and
-:meth:`PeriodicityPredictor.observe_many` feeds a whole chunk through the
-DPD's batch path while reproducing the exact per-sample bookkeeping
-(``detections``, ``period_changes``, stickiness) of a sequential loop.
+:meth:`PeriodicityPredictor.observe_many` feeds a run of ``k`` values through
+the DPD's batch kernel — O(k * max_period), so a short run costs little more
+than ``k`` observes and a run of one *is* an observe — while reproducing the
+exact per-sample bookkeeping (``detections``, ``period_changes``, stickiness)
+of a sequential loop.
 
 All predictors in this package share the :class:`BasePredictor` interface so
 that the evaluation harness and the ablation benchmarks can swap them freely:
@@ -150,13 +152,18 @@ class PeriodicityPredictor(BasePredictor):
     def observe_many(self, values: Sequence[int]) -> None:
         """Vectorised bulk feed; bit-equivalent to looping :meth:`observe`.
 
-        The samples go through the DPD batch path, and the per-sample
-        detection decisions it returns are folded into ``detections``,
-        ``period_changes`` and the (sticky) current period exactly as a
-        sequential loop would have.
+        A run of ``k`` samples costs O(k * max_period) in the DPD batch
+        kernel (one :meth:`observe` each while the stream's history is still
+        filling); the per-sample detection decisions it returns are folded
+        into ``detections``, ``period_changes`` and the (sticky) current
+        period exactly as a sequential loop would have.  A run of one is an
+        :meth:`observe`.
         """
         arr = _as_int64_1d(values)
         if arr.shape[0] == 0:
+            return
+        if arr.shape[0] == 1:
+            self.observe(arr[0])
             return
         periods = self._dpd.batch_observe(arr, return_periods=True)
         detected = periods > 0

@@ -75,10 +75,10 @@ class OnlineMessagePredictor:
         """Record a whole burst of messages delivered to ``receiver``.
 
         Both streams go through the predictors' vectorised ``observe_many``
-        path (for the paper's periodicity predictor this is the amortised
-        O(max_period)-per-message batch engine), which is how trace replay
-        feeds history without paying the per-call overhead of
-        :meth:`observe`.
+        path (for the paper's periodicity predictor an O(max_period)-per-
+        message batch kernel at any burst length; a burst of one is an
+        :meth:`observe`), which is how trace replay and burst delivery feed
+        history without paying :meth:`observe`'s per-call overhead.
         """
         senders = list(senders) if not hasattr(senders, "__len__") else senders
         sizes = list(sizes) if not hasattr(sizes, "__len__") else sizes

@@ -11,7 +11,9 @@ Operations
 ``observe``
     ``receiver`` (int or string key), ``sender`` (int ≥ 0), ``nbytes``
     (int ≥ 0).  Feeds one message into the receiver's stream state.  No
-    response (fire-and-forget; send a ``flush`` for a barrier).
+    response (fire-and-forget; send a ``flush`` for a barrier).  Counts
+    (``sender``, ``nbytes``, ``horizon``) above ``2**63 - 1`` are rejected:
+    the predictors hold samples as int64.
 ``predict``
     ``receiver``, optional ``horizon`` (int ≥ 1).  Responds with the next
     expected ``(sender, nbytes)`` pairs.
@@ -100,6 +102,8 @@ def _coerce_count(value, field: str, line_number: int, minimum: int = 0) -> int:
         raise ServeProtocolError(line_number, f"{field} must be an integer, got {value!r}")
     if value < minimum:
         raise ServeProtocolError(line_number, f"{field} must be >= {minimum}, got {value}")
+    if value > 2**63 - 1:  # the predictors hold samples as int64
+        raise ServeProtocolError(line_number, f"{field} must be <= 2**63 - 1, got {value}")
     return int(value)
 
 

@@ -6,6 +6,9 @@ from-scratch scan (:meth:`DynamicPeriodicityDetector.distances_naive`) and to
 a sequential ``observe`` loop, after every single append.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +154,90 @@ class TestEdgeCaseRegressions:
         periods = batched.batch_observe(stream, return_periods=True)
         assert periods[-1] == 4
         assert sequential.current_period() == 4
+
+
+def noisy_periodic_stream(length: int, seed: int) -> np.ndarray:
+    """Period 6, then 12, then 6 again, with ~3% of the samples perturbed."""
+    rng = np.random.default_rng(seed)
+    third = length // 3
+    clean = np.concatenate(
+        (
+            np.resize(rng.integers(0, 9, size=6), third),
+            np.resize(rng.integers(0, 9, size=12), third),
+            np.resize(rng.integers(0, 9, size=6), length - 2 * third),
+        )
+    )
+    noise = rng.random(length) < 0.03
+    return np.where(noise, rng.integers(0, 9, size=length), clean).astype(np.int64)
+
+
+class TestManyWaySplitAtServedConfiguration:
+    """Runs of 1, 2, 8 and 64 (what ``repro serve`` coalesces) == the loop."""
+
+    @pytest.mark.parametrize("window, max_period", [(24, 256), (32, 16)])
+    @pytest.mark.parametrize("tolerance", [0, 2])
+    @pytest.mark.parametrize("sticky", [True, False])
+    def test_every_run_boundary_matches_the_sequential_loop(
+        self, window, max_period, tolerance, sticky
+    ):
+        stream = noisy_periodic_stream(1200, seed=window + tolerance)
+        sequential = PeriodicityPredictor(window, max_period, tolerance, sticky)
+        reference = []  # after sample j: (step period, detections, changes, current)
+        for value in stream:
+            sequential.observe(int(value))
+            reference.append(
+                (
+                    sequential._dpd.current_period() or 0,
+                    sequential.detections,
+                    sequential.period_changes,
+                    sequential.current_period,
+                )
+            )
+        assert reference[-1][1] > 0 and reference[-1][2] > 1, "stream must exercise detection"
+
+        capacity = window + max_period
+        # One run inside the ring-filling phase, one that straddles the moment
+        # the ring fills, then the served run lengths over a full ring.
+        lengths = itertools.chain([capacity - 7, 19], itertools.cycle([1, 2, 8, 64]))
+        batched = PeriodicityPredictor(window, max_period, tolerance, sticky)
+        detector = DynamicPeriodicityDetector(window, max_period, tolerance)
+        position = 0
+        while position < len(stream):
+            run = stream[position : position + next(lengths)]
+            batched.observe_many(run.tolist())
+            periods = detector.batch_observe(run, return_periods=True)
+            position += len(run)
+            np.testing.assert_array_equal(
+                periods, [step[0] for step in reference[position - len(run) : position]]
+            )
+            assert_counters_match(detector)
+            assert_counters_match(batched._dpd)
+            assert detector.current_period() == (reference[position - 1][0] or None)
+            assert (
+                batched.detections,
+                batched.period_changes,
+                batched.current_period,
+            ) == reference[position - 1][1:]
+        assert batched.predict(5) == sequential.predict(5)
+
+
+def test_small_batch_allocates_kilobytes_not_the_whole_history():
+    """An 8-sample batch on a full ring is O(k * M) scratch: 8 x 256 cells.
+
+    A clock-free cost guard: any path that touches (M x (N + M + k)) cells
+    per call takes about 0.5 MB at the served configuration.
+    """
+    stream = noisy_periodic_stream(1000, seed=5).tolist()
+    predictor = PeriodicityPredictor(24, 256)
+    predictor.observe_many(stream[:600])
+    predictor.observe_many(stream[600:608])  # warm every lazy import / cache
+    tracemalloc.start()
+    try:
+        predictor.observe_many(stream[608:616])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"8-sample observe_many peaked at {peak} bytes"
 
 
 class TestPredictorObserveMany:

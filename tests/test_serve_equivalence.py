@@ -111,6 +111,46 @@ def test_batched_ingestion_matches_offline(spec_string):
     assert serve_answers(service, streams) == offline_reference(spec_string, streams)
 
 
+#: The served configuration (window 24, max period 256: a 280-sample ring),
+#: plus a non-sticky, tolerant variant whose answers track the live counters.
+FULL_HISTORY_SPECS = [
+    "periodicity:window=24,max_period=256,horizon=5",
+    "periodicity:window=24,max_period=256,horizon=5,sticky=false,mismatch_tolerance=1",
+]
+
+
+def full_history_streams(observations=400):
+    """Three noisy periodic streams, each longer than the 280-sample ring."""
+    streams = {}
+    for index, period in enumerate((4, 9, 30)):
+        pairs = [((i % period) % 4, 64 * (1 + (i * 7) % period)) for i in range(observations)]
+        for i in range(17 + index, observations, 41):  # a perturbed message now and then
+            pairs[i] = (3 - pairs[i][0], pairs[i][1] + 8)
+        streams[f"stream-{index}"] = pairs
+    return streams
+
+
+@pytest.mark.parametrize("run_length", [1, 8])
+@pytest.mark.parametrize("spec_string", FULL_HISTORY_SPECS)
+def test_full_history_coalesced_runs_match_offline(spec_string, run_length):
+    """Past the ring-fill point, runs of 1 and of 8 through observe_batch == offline."""
+    streams = full_history_streams()
+    assert all(len(pairs) >= 288 for pairs in streams.values())
+    service = ServeService(spec_string, num_shards=2)
+    # Interleave the streams in same-key runs, as the server's coalescer
+    # hands them to a shard; answers are compared at several depths so a
+    # counter drift cannot hide behind a later resynchronisation.
+    for start, depth in ((0, 296), (296, 352), (352, 400)):
+        for offset in range(start, depth, run_length):
+            for key, pairs in sorted(streams.items()):
+                chunk = pairs[offset : offset + run_length]
+                service.shard_for(key).observe_batch(
+                    key, [s for s, _ in chunk], [b for _, b in chunk]
+                )
+        prefix = {key: pairs[:depth] for key, pairs in streams.items()}
+        assert serve_answers(service, prefix) == offline_reference(spec_string, prefix)
+
+
 def test_shard_count_is_invisible_to_predictions():
     streams = recorded_streams()
     answers = []

@@ -64,6 +64,19 @@ class TestParseEventLine:
             ('{"op": "observe", "receiver": 0, "sender": -1, "nbytes": 0}', "sender must be >= 0"),
             ('{"op": "observe", "receiver": 0, "sender": 0, "nbytes": 1.5}', "nbytes"),
             ('{"op": "predict", "receiver": 0, "horizon": 0}', "horizon must be >= 1"),
+            # 2**70 / 2**63: parse as Python ints but do not fit the int64 streams.
+            (
+                '{"receiver": 1, "sender": 2, "nbytes": 1180591620717411303424}',
+                "nbytes must be <= 2**63 - 1",
+            ),
+            (
+                '{"receiver": 1, "sender": 9223372036854775808, "nbytes": 0}',
+                "sender must be <= 2**63 - 1",
+            ),
+            (
+                '{"op": "predict", "receiver": 0, "horizon": 9223372036854775808}',
+                "horizon must be <= 2**63 - 1",
+            ),
             ('{"op": "snapshot", "dir": ""}', "dir must be a non-empty string"),
             ("", "empty event line"),
         ],
@@ -72,6 +85,10 @@ class TestParseEventLine:
         with pytest.raises(ServeProtocolError) as excinfo:
             parse_event_line(line, line_number=12)
         assert fragment in str(excinfo.value)
+
+    def test_largest_int64_count_is_accepted(self):
+        event = parse_event_line('{"receiver": 1, "sender": 0, "nbytes": 9223372036854775807}')
+        assert event.nbytes == 2**63 - 1
 
     def test_error_carries_dumpi_style_line_number(self):
         # Mirrors DumpiParseError: "line N: ..." message plus a .line_number.

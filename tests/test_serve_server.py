@@ -23,6 +23,14 @@ from repro.serve.service import ServeService
 
 SPEC = "periodicity:window=6,max_period=12,horizon=4"
 
+#: Line 2 carries 2**70: a Python int to ``json``, but it does not fit the
+#: int64 streams, so it must be rejected at the wire and never reach a shard.
+BEYOND_INT64_FEED = (
+    '{"receiver": "alpha", "sender": 1, "nbytes": 100}\n'
+    '{"receiver": "alpha", "sender": 2, "nbytes": 1180591620717411303424}\n'
+    '{"op": "predict", "receiver": "alpha"}\n'
+)
+
 PATTERNS = {
     "alpha": [(1, 100), (2, 200)],
     "beta": [(3, 300), (4, 400), (5, 500)],
@@ -161,6 +169,20 @@ class TestTCPServer:
         assert responses[2]["parse_errors"] == 2
         assert responses[2]["observations"] == 1
 
+    def test_count_beyond_int64_answers_error_and_shard_survives(self):
+        # One shard, so the predict is answered by the worker the bad line
+        # would have reached.
+        with ServerThread(make_service(num_shards=1)) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                sock.sendall(BEYOND_INT64_FEED.encode())
+                rejected = json.loads(reader.readline())
+                answered = json.loads(reader.readline())
+        assert rejected["line"] == 2
+        assert rejected["error"].startswith("line 2: nbytes must be <= 2**63 - 1")
+        assert answered["op"] == "predict"
+        assert answered["known"] is True
+
     def test_client_raises_on_error_response(self):
         with ServerThread(make_service()) as server:
             with ServeClient.connect(port=server.port) as client:
@@ -247,3 +269,13 @@ class TestStdinTransport:
         first, second = [json.loads(line) for line in out.getvalue().splitlines()]
         assert first == {"error": "line 1: invalid JSON: Expecting value", "line": 1}
         assert second == {"op": "flush", "ok": True}
+
+    def test_pipe_mode_rejects_count_beyond_int64_and_keeps_serving(self):
+        out = io.StringIO()
+        rejected = run_stdin(make_service(), io.StringIO(BEYOND_INT64_FEED), out)
+        assert rejected == 1
+        first, second = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert first["line"] == 2
+        assert first["error"].startswith("line 2: nbytes must be <= 2**63 - 1")
+        assert second["op"] == "predict"
+        assert second["known"] is True
