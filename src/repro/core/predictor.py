@@ -12,10 +12,11 @@ Runtime cost: one :meth:`PeriodicityPredictor.observe` consumes the DPD's
 incrementally maintained mismatch counters (O(max_period) vectorised work)
 instead of re-running the full equation-(1) scan, and
 :meth:`PeriodicityPredictor.observe_many` feeds a run of ``k`` values through
-the DPD's batch kernel — O(k * max_period), so a short run costs little more
-than ``k`` observes and a run of one *is* an observe — while reproducing the
-exact per-sample bookkeeping (``detections``, ``period_changes``, stickiness)
-of a sequential loop.
+the DPD's batch kernel — O(k * max_period), but with a fixed cost of several
+observes per call, so a run shorter than the measured crossover is fed
+through :meth:`~PeriodicityPredictor.observe` sample by sample — while
+reproducing the exact per-sample bookkeeping (``detections``,
+``period_changes``, stickiness) of a sequential loop.
 
 All predictors in this package share the :class:`BasePredictor` interface so
 that the evaluation harness and the ablation benchmarks can swap them freely:
@@ -37,6 +38,19 @@ from repro.core.circular_buffer import _as_int64_1d
 from repro.core.dpd import DynamicPeriodicityDetector
 
 __all__ = ["BasePredictor", "PeriodicityPredictor"]
+
+#: Runs shorter than this go through ``observe`` one sample at a time: the
+#: batch kernel costs 30-50 us a call whatever the run (scratch matrices,
+#: argmax, the bookkeeping below) against 4-5 us per ``observe``.  Measured
+#: on full-history predictors, ``observe_many`` through the kernel / through
+#: the loop at run length k, for (window, max_period) = (24,256) (6,12) (64,64):
+#:   k=2  4.6  4.0  5.4      k=10  1.25  0.92  1.05      k=16  0.93  0.61  0.68
+#:   k=4  2.6  2.2  2.3      k=12  1.08  0.80  0.89      k=32  0.66  0.30  0.34
+#:   k=8  1.5  1.1  1.5      k=13  1.03  0.82  0.80      k=64  0.45  0.16  0.25
+#: The curves cross 1.0 between 9 and 14.  At 12 the serve default (24,256)
+#: is within 10% either way, and the small shapes send only runs of 10 and
+#: 11 through the loop at a loss, of at most 10%.
+_KERNEL_MIN_RUN = 12
 
 
 class BasePredictor:
@@ -156,14 +170,14 @@ class PeriodicityPredictor(BasePredictor):
         kernel (one :meth:`observe` each while the stream's history is still
         filling); the per-sample detection decisions it returns are folded
         into ``detections``, ``period_changes`` and the (sticky) current
-        period exactly as a sequential loop would have.  A run of one is an
-        :meth:`observe`.
+        period exactly as a sequential loop would have.  A run shorter than
+        ``_KERNEL_MIN_RUN`` *is* that loop: the kernel's fixed cost per call
+        would exceed it.
         """
         arr = _as_int64_1d(values)
-        if arr.shape[0] == 0:
-            return
-        if arr.shape[0] == 1:
-            self.observe(arr[0])
+        if arr.shape[0] < _KERNEL_MIN_RUN:
+            for value in arr.tolist():
+                self.observe(value)
             return
         periods = self._dpd.batch_observe(arr, return_periods=True)
         detected = periods > 0

@@ -76,9 +76,10 @@ class OnlineMessagePredictor:
 
         Both streams go through the predictors' vectorised ``observe_many``
         path (for the paper's periodicity predictor an O(max_period)-per-
-        message batch kernel at any burst length; a burst of one is an
-        :meth:`observe`), which is how trace replay and burst delivery feed
-        history without paying :meth:`observe`'s per-call overhead.
+        message batch kernel; a burst too short to repay the kernel's fixed
+        cost is fed sample by sample), which is how trace replay and burst
+        delivery feed history without paying :meth:`observe`'s per-call
+        overhead.
         """
         senders = list(senders) if not hasattr(senders, "__len__") else senders
         sizes = list(sizes) if not hasattr(sizes, "__len__") else sizes

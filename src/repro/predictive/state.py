@@ -16,9 +16,14 @@ can be served — so this module provides the two generic primitives:
   exact object state, so subsequent predictions are bit-identical — the
   serve plane's snapshot round-trip invariant rides on this.
 
-The size estimate is deterministic for a given object graph (it never reads
-clocks or addresses beyond identity-based deduplication), which keeps the
-LRU tables' eviction decisions reproducible.
+The size estimate never reads clocks or addresses (beyond identity-based
+deduplication), but it is not quite a function of the object graph alone:
+``sys.getsizeof`` of an instance ``__dict__`` counts the spare slots of the
+class's shared key table, which CPython 3.11 shrinks by one for each of the
+first ~30 instances a process creates.  A default periodicity predictor pair
+therefore walks to 17,634 B as the first pair of a process, 104 B and then
+8 B less for each of the next 22, and 16,410 B for every pair from then on —
+the early pairs included, once they are walked again.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ def state_nbytes(obj) -> int:
 
     This is an *estimate* — interpreter-internal sharing (small-int cache,
     string interning) is deliberately ignored — but it is stable for a
-    fixed object graph, monotone in history growth, and cheap enough to
+    fixed object graph once a process has built a few dozen predictors (see
+    the module docstring), monotone in history growth, and cheap enough to
     refresh periodically on the serve ingest path.
     """
     seen: set[int] = set()

@@ -2,10 +2,10 @@
 
 Everywhere else in this repo the paper's predictor runs *embedded in the
 simulator loop*; this package productises it as a standalone service at
-mass-concurrency scale: an asyncio ingestion front end (newline-delimited
-JSON over TCP or stdin, batched per-shard queues with backpressure) hashing
-each stream key onto in-process shards, each shard owning a memory-bounded
-LRU table of per-stream predictor state driving the existing
+mass-concurrency scale: an ingestion front end (newline-delimited JSON over
+TCP or stdin through one chunked ingest core; TCP flow control is the
+backpressure) hashing each stream key onto in-process shards, each shard
+owning a memory-bounded LRU table of per-stream predictor state driving the
 :class:`repro.predictive.online.OnlineMessagePredictor` batch fast paths.
 Any predictor registered in :mod:`repro.predictive.registry` can be served
 via its spec string (``"periodicity:window=24,max_period=256"``).
@@ -22,14 +22,15 @@ Layers (bottom-up, see ``docs/serving.md``):
   snapshot codec (``docs/formats.md``);
 * :mod:`repro.serve.service` — the transport-independent synchronous core
   (shard routing, query handling, snapshot/restore of the whole service);
-* :mod:`repro.serve.server` — the asyncio TCP/stdin front end;
+* :mod:`repro.serve.server` — the ingest core (``LineIngest``) and its two
+  transports, asyncio TCP and the stdin pipe;
 * :mod:`repro.serve.client` — a small blocking client for examples, smoke
   tests and scripts.
 
 The load-bearing invariant: feeding a per-receiver ``(sender, nbytes)``
 stream through the serve ingestion path yields **bit-identical** predictions
-to driving ``OnlineMessagePredictor`` directly (the service batches
-ingestion through ``observe_batch``, which is bit-equivalent to the
+to driving ``OnlineMessagePredictor`` directly (the service coalesces
+same-stream runs into ``observe_batch``, which is bit-equivalent to the
 sequential loop by the predictors' own contract).
 """
 

@@ -11,7 +11,8 @@ Operations
 ``observe``
     ``receiver`` (int or string key), ``sender`` (int ≥ 0), ``nbytes``
     (int ≥ 0).  Feeds one message into the receiver's stream state.  No
-    response (fire-and-forget; send a ``flush`` for a barrier).  Counts
+    response (fire-and-forget; send a ``flush`` to hear that it was
+    applied).  Counts
     (``sender``, ``nbytes``, ``horizon``) above ``2**63 - 1`` are rejected:
     the predictors hold samples as int64.
 ``predict``
@@ -24,18 +25,21 @@ Operations
     Service-wide counters (streams, observations, evictions, resident
     bytes, per-shard breakdown).
 ``flush``
-    Barrier: responds once every event enqueued before it has been applied.
+    Acknowledgement.  Lines are applied in order as they are read and nothing
+    is queued, so its answer means every event before it has been applied.
 ``snapshot``
     ``dir`` (string).  Writes a full service snapshot (manifest + one file
     per shard) and responds with what was written.
 ``shutdown``
-    Stops a server after responding (service cores ignore it).
+    Answered, then nothing more is served on that connection and the server
+    stops (``ServeService.handle`` itself only acknowledges it).
 
 Malformed lines raise :class:`ServeProtocolError` carrying the 1-based line
 number — same shape as :class:`repro.trace.import_dumpi.DumpiParseError`, so
 ingestion rejects garbage with a pointed ``line N: ...`` message instead of
 polluting stream state.  Servers turn the error into an ``{"error": ...}``
-response and keep serving.
+response and keep serving; they answer a line longer than 65,536 bytes the
+same way without parsing it (:data:`repro.serve.server.MAX_LINE_BYTES`).
 """
 
 from __future__ import annotations

@@ -1,30 +1,23 @@
-"""The asyncio ingestion front end of ``repro serve``.
+"""The ingestion front end of ``repro serve``: one core, two transports.
 
-Wraps a :class:`repro.serve.service.ServeService` in an event loop:
+:class:`LineIngest` is a connection's whole data path, request bytes in and
+response bytes out: split what was read on ``\\n``, keep the partial last line
+for the next read, parse each complete line with its 1-based number, coalesce
+consecutive same-stream observes into one ``Shard.observe_batch`` and run
+every other op inline through :meth:`ServeService.handle`.  Nothing is
+queued, so a query sees every event any connection sent before it and
+``flush`` / ``stats`` / ``snapshot`` / ``shutdown`` need no barrier.  The
+outputs depend on the bytes fed, never on how they were coalesced or where
+the reads cut them.  A malformed line never kills a connection: it is
+answered ``{"error": "line N: ...", "line": N}`` and the next one is served.
 
-* **TCP transport** — newline-delimited JSON events per connection
-  (:class:`ServeServer`); responses go back in request order.
-* **stdin transport** — one-shot pipe mode (:func:`run_stdin`): events on
-  stdin, responses on stdout, exit at EOF.
-
-Ingestion is **batched with backpressure**: every shard owns a bounded
-``asyncio.Queue``; connection readers ``await put(...)`` (so a slow shard
-suspends exactly the connections feeding it — flow control for free), and a
-per-shard worker drains the queue in batches, coalescing consecutive
-same-stream observes into one ``observe_batch`` call.  Batching is
-invisible in the outputs: per-shard FIFO order is preserved and
-``observe_batch`` is bit-equivalent to the sequential loop, so the served
-predictions are bit-identical to an unbatched drive.
-
-Queries (``predict``/``expects``) ride the same per-shard queue as the
-observes, so a query sees every event the connection sent before it.
-Service-wide ops (``stats``/``flush``/``snapshot``/``shutdown``) barrier
-over *all* shard queues first.
-
-Malformed lines never kill a connection: the server answers with an
-``{"error": "line N: ...", "line": N}`` response (1-based per-connection
-line numbers, mirroring :class:`repro.trace.import_dumpi.DumpiParseError`)
-and keeps reading.
+Both transports are the same loop around it: read what is there, feed, write
+the answers at once.  Over TCP (:class:`ServeServer`) every shard lives on
+the event-loop thread, so the only concurrency is between connections: a
+handler yields to the loop after each chunk, and backpressure is TCP flow
+control — a client that does not read its answers stalls its own handler in
+``drain()``, which stops reading that client's requests and nobody else's.
+:func:`run_stdin` is the one-shot pipe mode.  ``docs/serving.md`` has more.
 """
 
 from __future__ import annotations
@@ -32,253 +25,176 @@ from __future__ import annotations
 import asyncio
 from typing import TextIO
 
-from repro.serve.protocol import (
-    ServeEvent,
-    ServeProtocolError,
-    encode_response,
-    parse_event_line,
-)
+from repro.serve.protocol import ServeProtocolError, encode_response, parse_event_line
 from repro.serve.service import ServeService
 from repro.serve.snapshot import SnapshotError
 
-__all__ = ["ServeServer", "run_stdin"]
+__all__ = ["LineIngest", "MAX_LINE_BYTES", "ServeServer", "run_stdin"]
 
-#: Default maximum events buffered per shard queue (backpressure threshold).
-DEFAULT_QUEUE_DEPTH = 4096
+#: Bytes asked of one read, and the longest request line served (newline
+#: excluded): the bound ``asyncio.StreamReader.readline`` put on TCP lines
+#: before this core existed (a longer one killed its connection; stdin had no
+#: bound), so no line that was served is rejected now.  As a read size it
+#: spreads the per-read costs (write, drain or flush, yield) over ~1000 lines.
+MAX_LINE_BYTES = 65536
 
-#: Default maximum events drained per worker wake-up.
-DEFAULT_BATCH_SIZE = 512
+
+class LineIngest:
+    """One connection's request bytes → response bytes; serves nothing after a ``shutdown``."""
+
+    def __init__(self, service: ServeService) -> None:
+        self.service = service
+        self.shutdown = False
+        self._line_number = 0  # of the last complete line
+        self._partial = bytearray()  # the unterminated tail of what was fed
+
+    def feed(self, data: bytes) -> bytes:
+        """Serve the lines ``data`` completes (no data: end of input); returns the responses."""
+        if self.shutdown:
+            return b""
+        *lines, tail = (data or b"\n").split(b"\n")
+        out: list[str] = []
+        if lines:
+            lines[0] = bytes(self._partial) + lines[0]
+            self._partial.clear()
+            self._serve(lines, out)
+        self._partial += tail
+        # Past the bound a line is rejected whatever follows: keep that fact
+        # (one byte too many), not the bytes.
+        del self._partial[MAX_LINE_BYTES + 1 :]
+        return "".join(out).encode("utf-8")
+
+    def _serve(self, lines: list[bytes], out: list[str]) -> None:
+        service = self.service
+        run_key: str | None = None
+        senders: list[int] = []
+        sizes: list[int] = []
+
+        def end_run() -> None:
+            nonlocal run_key
+            if run_key is not None:
+                service.shard_for(run_key).observe_batch(run_key, senders, sizes)
+                run_key = None
+                senders.clear()
+                sizes.clear()
+
+        for raw in lines:
+            self._line_number += 1
+            number = self._line_number
+            try:
+                if len(raw) > MAX_LINE_BYTES:
+                    raise ServeProtocolError(number, f"line longer than {MAX_LINE_BYTES} bytes")
+                line = raw.decode("utf-8", errors="replace")
+                if not line.strip():
+                    continue  # blank keep-alive lines are not events
+                event = parse_event_line(line, number)
+            except ServeProtocolError as error:
+                service.parse_errors += 1
+                out.append(encode_response({"error": str(error), "line": number}) + "\n")
+                continue
+            if event.op == "observe":
+                if event.receiver != run_key:
+                    end_run()
+                    run_key = event.receiver
+                senders.append(event.sender)
+                sizes.append(event.nbytes)
+                continue
+            end_run()
+            try:
+                response = service.handle(event)
+            except (SnapshotError, OSError) as error:
+                response = {"error": str(error), "op": event.op}
+            out.append(encode_response(response) + "\n")
+            if event.op == "shutdown":
+                self.shutdown = True
+                return
+        end_run()
 
 
 class ServeServer:
     """Asyncio TCP front end over a synchronous :class:`ServeService`.
 
-    Parameters
-    ----------
-    service:
-        The shard-owning core.
-    host, port:
-        Listen address; port 0 binds an ephemeral port (read the resolved
-        one from :attr:`port` after :meth:`start`).
-    queue_depth:
-        Per-shard queue bound — producers block once a shard is this far
-        behind (the backpressure knob).
-    batch_size:
-        Maximum events a shard worker drains per wake-up.
+    Port 0 binds an ephemeral one: read :attr:`port` after :meth:`start`.
     """
 
-    def __init__(
-        self,
-        service: ServeService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> None:
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    def __init__(self, service: ServeService, host: str = "127.0.0.1", port: int = 0) -> None:
         self.service = service
         self.host = host
         self.port = port
-        self.queue_depth = queue_depth
-        self.batch_size = batch_size
-        self._queues: list[asyncio.Queue] = []
-        self._workers: list[asyncio.Task] = []
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
 
-    # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and start one worker task per shard."""
-        self._queues = [
-            asyncio.Queue(maxsize=self.queue_depth) for _ in self.service.shards
-        ]
-        self._workers = [
-            asyncio.create_task(self._shard_worker(shard, queue))
-            for shard, queue in zip(self.service.shards, self._queues)
-        ]
+        """Bind the listener."""
         self._server = await asyncio.start_server(self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_until_shutdown(self) -> None:
-        """Serve until a ``shutdown`` event arrives, then drain and stop."""
+        """Serve until a ``shutdown`` event arrives, then stop."""
         await self._shutdown.wait()
         await self.stop()
 
     async def stop(self) -> None:
-        """Close the listener, drain the shard queues, stop the workers."""
+        """Close the listener (every event received has already been applied)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-            self._server = None
-        await self._barrier()
-        for worker in self._workers:
-            worker.cancel()
-        for worker in self._workers:
-            try:
-                await worker
-            except asyncio.CancelledError:
-                pass
-        self._workers = []
-
-    # ------------------------------------------------------------------
-    async def _shard_worker(self, shard, queue: asyncio.Queue) -> None:
-        """Drain one shard's queue: batch, coalesce, apply in FIFO order."""
-        run_key: str | None = None
-        senders: list[int] = []
-        sizes: list[int] = []
-
-        def flush() -> None:
-            nonlocal run_key
-            if run_key is not None:
-                shard.observe_batch(run_key, senders, sizes)
-                run_key = None
-                senders.clear()
-                sizes.clear()
-
-        while True:
-            batch = [await queue.get()]
-            while len(batch) < self.batch_size:
-                try:
-                    batch.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            for item in batch:
-                kind = item[0]
-                if kind == "observe":
-                    _, key, sender, nbytes = item
-                    if key != run_key:
-                        flush()
-                        run_key = key
-                    senders.append(sender)
-                    sizes.append(nbytes)
-                    continue
-                flush()
-                if kind == "query":
-                    _, event, future = item
-                    if not future.done():
-                        try:
-                            future.set_result(self.service.handle(event))
-                        except Exception as error:  # pragma: no cover - defensive
-                            future.set_exception(error)
-                elif kind == "barrier":
-                    item[1].set()
-            flush()
-
-    async def _barrier(self) -> None:
-        """Resolve once every event currently enqueued has been applied."""
-        if not self._queues:
-            return
-        events = []
-        for queue in self._queues:
-            done = asyncio.Event()
-            await queue.put(("barrier", done))
-            events.append(done)
-        for done in events:
-            await done.wait()
-
-    # ------------------------------------------------------------------
-    async def _execute_global(self, event: ServeEvent) -> dict:
-        """Barrier over all shards, then run a service-wide op."""
-        await self._barrier()
-        try:
-            response = self.service.handle(event)
-        except (SnapshotError, OSError) as error:
-            return {"error": str(error), "op": event.op}
-        if event.op == "shutdown":
-            self._shutdown.set()
-        return response
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        pending: asyncio.Queue = asyncio.Queue()
-        writer_task = asyncio.create_task(self._write_responses(pending, writer))
-        line_number = 0
+        ingest = LineIngest(self.service)
         try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
+            while not ingest.shutdown:
+                chunk = await reader.read(MAX_LINE_BYTES)
+                responses = ingest.feed(chunk)
+                if responses:
+                    writer.write(responses)
+                    await writer.drain()
+                if not chunk:
                     break
-                line_number += 1
-                line = raw.decode("utf-8", errors="replace")
-                if not line.strip():
-                    continue  # blank keep-alive lines are not events
-                try:
-                    event = parse_event_line(line, line_number)
-                except ServeProtocolError as error:
-                    self.service.parse_errors += 1
-                    await pending.put(_resolved({"error": str(error), "line": line_number}))
-                    continue
-                if event.op == "observe":
-                    queue = self._queues[self.service.shard_index_for(event.receiver)]
-                    await queue.put(("observe", event.receiver, event.sender, event.nbytes))
-                elif event.op in ("predict", "expects"):
-                    future: asyncio.Future = asyncio.get_running_loop().create_future()
-                    queue = self._queues[self.service.shard_index_for(event.receiver)]
-                    await queue.put(("query", event, future))
-                    await pending.put(future)
-                else:  # stats / flush / snapshot / shutdown
-                    await pending.put(asyncio.create_task(self._execute_global(event)))
-                    if event.op == "shutdown":
-                        break
+                # read() and drain() do not suspend while data is buffered and
+                # the peer keeps up: yield, or this connection starves the rest.
+                await asyncio.sleep(0)
+        except OSError:
+            pass  # peer gone: what it sent has been applied, nobody to answer
+        except asyncio.CancelledError:
+            # Loop going down: a graceful close would wait for the peer to read.
+            writer.transport.abort()
+            raise
         finally:
-            await pending.put(None)
+            if ingest.shutdown:
+                self._shutdown.set()
+            writer.close()
             try:
-                await writer_task
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):  # pragma: no cover - peer gone
-                    pass
-
-    @staticmethod
-    async def _write_responses(pending: asyncio.Queue, writer: asyncio.StreamWriter) -> None:
-        """Emit responses strictly in request order (one task per connection)."""
-        while True:
-            item = await pending.get()
-            if item is None:
-                return
-            response = await item
-            writer.write((encode_response(response) + "\n").encode("utf-8"))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):  # pragma: no cover - peer gone
-                return
+                await writer.wait_closed()
+            except OSError:  # pragma: no cover - peer gone
+                pass
 
 
-def _resolved(response: dict) -> asyncio.Future:
-    future: asyncio.Future = asyncio.get_running_loop().create_future()
-    future.set_result(response)
-    return future
-
-
-def run_stdin(
-    service: ServeService, in_stream: TextIO, out_stream: TextIO
-) -> int:
+def run_stdin(service: ServeService, in_stream: TextIO, out_stream: TextIO) -> int:
     """One-shot pipe transport: events on ``in_stream``, responses out.
 
-    Blank lines are skipped; malformed lines are answered with a
-    line-numbered ``{"error": ...}`` response and ingestion continues.
-    Returns the number of rejected lines (callers may turn it into an exit
-    status).
+    The TCP loop over whatever bytes the pipe holds (``read1`` never waits to
+    fill the chunk, so a closed-loop client gets each answer at once); a text
+    stream with no byte layer, such as ``io.StringIO``, is read and written
+    as text.  Returns the number of rejected lines (an exit status, maybe).
     """
-    rejected = 0
-    for line_number, line in enumerate(in_stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            response = service.handle_line(line, line_number)
-        except ServeProtocolError as error:
-            rejected += 1
-            response = {"error": str(error), "line": line_number}
-        except (SnapshotError, OSError) as error:
-            response = {"error": str(error)}
-        if response is not None:
-            out_stream.write(encode_response(response) + "\n")
-            out_stream.flush()
-    return rejected
+    ingest = LineIngest(service)
+    rejected_before = service.parse_errors
+    byte_in = getattr(in_stream, "buffer", None)
+    byte_out = getattr(out_stream, "buffer", None)
+    while not ingest.shutdown:
+        if byte_in is not None:
+            chunk = byte_in.read1(MAX_LINE_BYTES)
+        else:
+            chunk = in_stream.read(MAX_LINE_BYTES).encode("utf-8")
+        responses = ingest.feed(chunk)
+        if byte_out is not None:
+            byte_out.write(responses)
+        else:
+            out_stream.write(responses.decode("utf-8"))
+        out_stream.flush()
+        if not chunk:
+            break
+    return service.parse_errors - rejected_before

@@ -3,10 +3,10 @@
 :class:`ServeService` is the synchronous heart of ``repro serve``: it hashes
 stream keys onto N in-process shards, applies observe events, answers
 queries, and snapshots/restores the whole service (a manifest plus one
-snapshot file per shard).  The asyncio front end
-(:mod:`repro.serve.server`) adds batched queues and backpressure on top;
-tests, examples and the stdin mode drive the service directly — same code
-path, minus the event loop.
+snapshot file per shard).  The front end (:mod:`repro.serve.server`) turns
+request bytes into calls on it — :meth:`ServeService.handle` per parsed
+event, ``Shard.observe_batch`` per coalesced run — for both transports;
+tests and examples drive the service directly, same code path.
 
 Shard routing is **deterministic across processes**: keys route by
 ``zlib.crc32(key) % num_shards``, never by Python's randomised ``hash``, so
@@ -128,10 +128,8 @@ class ServeService:
     def handle(self, event: ServeEvent) -> dict | None:
         """Apply one parsed event; returns the response object (None for observes).
 
-        ``flush`` and ``shutdown`` are transport-level barriers — the
-        synchronous core applies events immediately, so both reduce to an
-        acknowledgement here (the asyncio server gives them queue-barrier
-        semantics before delegating).
+        Events are applied immediately, so ``flush`` is an acknowledgement;
+        so is ``shutdown`` here (stopping is the front end's business).
         """
         if event.op == "observe":
             self.shard_for(event.receiver).observe(event.receiver, event.sender, event.nbytes)

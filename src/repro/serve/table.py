@@ -4,8 +4,7 @@ A :class:`StreamTable` maps stream keys (canonicalised receiver ids) to
 :class:`StreamEntry` objects, each owning one
 :class:`repro.predictive.online.OnlineMessagePredictor` pinned to a single
 receiver slot — the per-stream state is exactly the paper's predictor pair
-(sender stream + size stream), a few KB of ring buffers and counters whose
-size depends only on the predictor configuration.
+(sender stream + size stream), a few KB of ring buffers and counters.
 
 Memory bounding
 ---------------
@@ -18,19 +17,30 @@ size refresh:
 When over a cap, the **least recently used** streams are evicted (the
 ``evictions`` counter records how many, forever).  Recency is updated by
 observes *and* stream-addressed queries — a stream that is still being
-asked about is not cold.  Eviction is deterministic: it depends only on the
-sequence of operations applied to the table, never on clocks or memory
-addresses (the resident-size estimate of
-:func:`repro.predictive.state.state_nbytes` is a pure function of the
-object graph).
+asked about is not cold.  Eviction never reads clocks or memory addresses:
+under ``max_streams`` it depends only on the sequence of operations applied
+to the table; under ``max_bytes`` it also depends on the resident-size
+estimates, which are *almost* a function of the predictor configuration —
+:func:`repro.predictive.state.state_nbytes` reads a few hundred bytes more
+for the first couple of dozen predictors a process builds (see its
+docstring), so the same operations can evict one stream earlier in a fresh
+process than in a long-lived one.
 
 Resident-bytes accounting
 -------------------------
 ``resident_bytes`` is the sum of the per-entry estimates.  An entry's
-estimate is refreshed on creation and then every ``refresh_interval``
+estimate is set on creation and refreshed every ``refresh_interval``
 observations (predictor state is dominated by pre-allocated rings, so its
 size moves rarely; the interval bounds the accounting overhead on the
 ingest hot path while keeping drift small).
+
+Every fresh stream of a table has the same object graph, so creation does
+not walk it (the walk costs 4x building the predictor pair): the table
+measures fresh entries until two consecutive ones agree and gives every
+later one that number.  Waiting for agreement is what keeps the
+first-instances surcharge above out of the memo — the surcharge strictly
+decreases until it is gone, so two equal readings are both the settled
+value, and every entry records exactly what a walk of it would return.
 """
 
 from __future__ import annotations
@@ -108,6 +118,10 @@ class StreamTable:
         self.streams_created = 0
         #: Summed resident-size estimate of all resident entries.
         self.resident_bytes = 0
+        # Size of the last fresh entry walked, and whether the one before it
+        # read the same (from then on creates reuse it instead of walking).
+        self._fresh_nbytes = 0
+        self._fresh_settled = False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -129,8 +143,9 @@ class StreamTable:
         """Look up (and touch) a stream; optionally create a cold-miss entry.
 
         A hit moves the stream to the hot end of the LRU order.  A miss with
-        ``create=True`` builds fresh predictor state, accounts its size, and
-        evicts cold streams if a cap is now exceeded.
+        ``create=True`` builds fresh predictor state, accounts its size (see
+        the module docstring: walked only until the table has seen two fresh
+        entries agree), and evicts cold streams if a cap is now exceeded.
         """
         entry = self._entries.get(key)
         if entry is not None:
@@ -141,7 +156,13 @@ class StreamTable:
         entry = StreamEntry(self._entry_factory())
         self._entries[key] = entry
         self.streams_created += 1
-        self.resident_bytes += entry.refresh_nbytes()
+        if self._fresh_settled:
+            entry.nbytes = self._fresh_nbytes
+        else:
+            entry.refresh_nbytes()
+            self._fresh_settled = entry.nbytes == self._fresh_nbytes
+            self._fresh_nbytes = entry.nbytes
+        self.resident_bytes += entry.nbytes
         self._evict_over_caps()
         return entry
 

@@ -6,6 +6,7 @@ from-scratch scan (:meth:`DynamicPeriodicityDetector.distances_naive`) and to
 a sequential ``observe`` loop, after every single append.
 """
 
+import copy
 import itertools
 import tracemalloc
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro.core.dpd as dpd_module
 from repro.core.dpd import DynamicPeriodicityDetector
-from repro.core.predictor import PeriodicityPredictor
+from repro.core.predictor import _KERNEL_MIN_RUN, PeriodicityPredictor
 
 values = st.integers(min_value=0, max_value=5)
 
@@ -238,6 +239,79 @@ def test_small_batch_allocates_kilobytes_not_the_whole_history():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, f"8-sample observe_many peaked at {peak} bytes"
+
+
+def full_state(predictor: PeriodicityPredictor):
+    """Everything ``observe_many`` may touch.
+
+    The ring is compared in chronological order: a run of at least its
+    capacity is stored rotated to slot 0, which no reader can see.
+    """
+    dpd = predictor._dpd
+    return (
+        dpd._counters.tobytes(),
+        dpd._usable,
+        dpd.history().tobytes(),
+        (dpd.retained, dpd.samples_seen),
+        predictor.detections,
+        predictor.period_changes,
+        predictor.current_period,
+    )
+
+
+class TestObserveManyCrossover:
+    """Below ``_KERNEL_MIN_RUN`` a run is the observe loop, from there the kernel."""
+
+    @pytest.mark.parametrize("window, max_period", [(24, 256), (6, 12)])
+    @pytest.mark.parametrize("tolerance", [0, 2])
+    @pytest.mark.parametrize("sticky", [True, False])
+    def test_every_run_length_around_the_constant_equals_the_loop(
+        self, window, max_period, tolerance, sticky
+    ):
+        capacity = window + max_period
+        length = 3 * (capacity + 2 * _KERNEL_MIN_RUN + 40)
+        stream = noisy_periodic_stream(length, seed=max_period + tolerance).tolist()
+        # Full-history starting points: steady state, and just before each of
+        # the stream's two period changes (so the run carries one).
+        for start in (capacity + 20, 2 * (length // 3) - 5, length - 2 * _KERNEL_MIN_RUN):
+            base = PeriodicityPredictor(window, max_period, tolerance, sticky)
+            for value in stream[:start]:
+                base.observe(value)
+            assert base._dpd.retained == capacity
+            for run in range(1, 2 * _KERNEL_MIN_RUN + 1):
+                looped, batched = copy.deepcopy(base), copy.deepcopy(base)
+                for value in stream[start : start + run]:
+                    looped.observe(value)
+                batched.observe_many(stream[start : start + run])
+                assert full_state(batched) == full_state(looped), (start, run)
+        assert base.detections > 0 and base.period_changes > 1, "stream must exercise detection"
+
+    def test_kernel_runs_only_at_or_above_the_constant(self, monkeypatch):
+        stream = noisy_periodic_stream(2000, seed=9).tolist()
+        predictor = PeriodicityPredictor(24, 256)
+        for value in stream[:400]:
+            predictor.observe(value)
+        chunks = []
+        advance = DynamicPeriodicityDetector._advance
+
+        def counting_advance(self, chunk):
+            chunks.append(len(chunk))
+            return advance(self, chunk)
+
+        monkeypatch.setattr(DynamicPeriodicityDetector, "_advance", counting_advance)
+        position = 400
+        for run in range(1, _KERNEL_MIN_RUN):
+            predictor.observe_many(stream[position : position + run])
+            position += run
+        assert chunks == []
+        for run in (_KERNEL_MIN_RUN, _KERNEL_MIN_RUN + 1, 2 * _KERNEL_MIN_RUN):
+            predictor.observe_many(stream[position : position + run])
+            position += run
+        assert chunks == [_KERNEL_MIN_RUN, _KERNEL_MIN_RUN + 1, 2 * _KERNEL_MIN_RUN]
+        del chunks[:]
+        monkeypatch.setattr(dpd_module, "_BATCH_CHUNK", 16)
+        predictor.observe_many(stream[position : position + 40])
+        assert chunks == [16, 16, 8]
 
 
 class TestPredictorObserveMany:

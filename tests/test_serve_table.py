@@ -7,8 +7,15 @@ plateaus once a cap is reached, no matter how many distinct streams pass
 through.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.predictive.online import OnlineMessagePredictor
 from repro.predictive.state import state_nbytes
 from repro.serve.table import StreamEntry, StreamTable
@@ -140,6 +147,57 @@ class TestResidentBytes:
         table.note_observations(entry, 4)
         assert entry.nbytes == state_nbytes(entry.predictor)
         assert table.resident_bytes == entry.nbytes
+
+
+    def test_accounting_survives_mixed_traffic(self):
+        # Creates (walked and memoised), refresh walks and evictions under
+        # both caps: the total is always the sum of what the entries record.
+        probe = make_table()
+        feed(probe, "probe")
+        table = make_table(
+            max_streams=7, max_bytes=probe.resident_bytes * 6, refresh_interval=4
+        )
+        for step in range(400):
+            feed(table, f"s{(step * 7) % 23}", count=1 + step % 6)
+            if step % 11 == 0:
+                table.get(f"s{step % 23}")  # a touch, resident or not
+            if step % 37 == 0:
+                table.pop_coldest()
+            assert table.resident_bytes == sum(e.nbytes for _, e in table.items())
+        assert table.evictions > 50 and table.streams_created > 50
+
+
+FRESH_SIZES_SCRIPT = """
+import json
+from repro.predictive.online import OnlineMessagePredictor
+from repro.predictive.state import state_nbytes
+from repro.serve.table import StreamTable
+
+table = StreamTable(lambda: OnlineMessagePredictor(nprocs=1, horizon=3))
+recorded = [table.get(f"s{i}", create=True).nbytes for i in range(1, 301)]
+walked = state_nbytes(table.get("s300").predictor)
+print(json.dumps({"recorded": recorded, "walked": walked, "total": table.resident_bytes}))
+"""
+
+
+def test_fresh_stream_size_is_what_a_walk_returns_in_a_fresh_process():
+    """The per-table memo never keeps the estimator's first-instances surcharge.
+
+    ``state_nbytes`` reads larger for the first couple of dozen predictors a
+    process builds, so this needs a process that has built none.
+    """
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_SIZES_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    report = json.loads(result.stdout)
+    recorded = report["recorded"]
+    assert recorded[299] == report["walked"]
+    assert set(recorded[29:]) == {report["walked"]}  # streams 30..300
+    assert report["total"] == sum(recorded)
 
 
 class TestRestoredEntries:
