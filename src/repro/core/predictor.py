@@ -23,9 +23,12 @@ that the evaluation harness and the ablation benchmarks can swap them freely:
 
 * :meth:`BasePredictor.observe` — feed the next observed stream value;
 * :meth:`BasePredictor.predict` — return predictions for the next ``horizon``
-  values (``None`` entries mean "no prediction");
+  values (``None`` entries mean "no prediction"): the per-message path the
+  runtime policies and ``repro serve`` query, plain Python ``int`` results
+  (for :class:`PeriodicityPredictor` a slice of the ring, no arrays built);
 * :meth:`BasePredictor.predict_array` — the same predictions as a
-  ``(values, mask)`` NumPy pair for vectorised scoring.
+  ``(values, mask)`` NumPy pair: the vectorised path ``evaluate_stream``
+  scores whole horizons with.
 """
 
 from __future__ import annotations
@@ -171,15 +174,17 @@ class PeriodicityPredictor(BasePredictor):
         filling); the per-sample detection decisions it returns are folded
         into ``detections``, ``period_changes`` and the (sticky) current
         period exactly as a sequential loop would have.  A run shorter than
-        ``_KERNEL_MIN_RUN`` *is* that loop: the kernel's fixed cost per call
-        would exceed it.
+        ``_KERNEL_MIN_RUN`` *is* that loop — over the list or tuple as it
+        came, no array round trip: the kernel's fixed cost per call would
+        exceed it.
         """
-        arr = _as_int64_1d(values)
-        if arr.shape[0] < _KERNEL_MIN_RUN:
-            for value in arr.tolist():
+        if not isinstance(values, (list, tuple)):
+            values = _as_int64_1d(values)
+        if len(values) < _KERNEL_MIN_RUN:
+            for value in values:  # observe() int()s each one, list or array
                 self.observe(value)
             return
-        periods = self._dpd.batch_observe(arr, return_periods=True)
+        periods = self._dpd.batch_observe(values, return_periods=True)
         detected = periods > 0
         count = int(np.count_nonzero(detected))
         if count == 0:
@@ -226,10 +231,21 @@ class PeriodicityPredictor(BasePredictor):
         return values, np.ones(horizon, dtype=bool)
 
     def predict(self, horizon: int = 1) -> list[Optional[int]]:
-        values, mask = self.predict_array(horizon)
-        if not mask[0]:
+        """Scalar period replay: the per-message path, plain ``int`` results.
+
+        Same answers as :meth:`predict_array` without building an array per
+        query: the last period comes off the ring as one list, and the next
+        ``horizon`` values are a slice of it (repeated first, past a period).
+        """
+        if horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        period = self._last_period
+        if period is None or self._dpd.retained < period:
             return [None] * horizon
-        return [int(v) for v in values]
+        replay = self._dpd.history_view(period).tolist()
+        if horizon > period:
+            replay *= -(-horizon // period)
+        return replay[:horizon]
 
     def periodicity(self):
         """Expose the raw DPD decision (period, distances, samples)."""

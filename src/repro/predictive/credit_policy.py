@@ -125,14 +125,14 @@ class PredictiveCreditPolicy(FlowControlPolicy):
 
     def _grant_from_predictions(self, dst: int) -> None:
         """Grant credits to the senders currently predicted at ``dst``."""
-        for predicted in self.predictor.predict(dst, self.horizon):
-            if predicted.sender is None:
+        for sender, nbytes in self.predictor.predict(dst, self.horizon):
+            if sender is None:
                 continue
-            grant = predicted.nbytes if predicted.nbytes is not None else self.machine.eager_threshold
-            account = self.credits.account(dst, predicted.sender)
+            grant = nbytes if nbytes is not None else self.machine.eager_threshold
+            account = self.credits.account(dst, sender)
             headroom = self.credit_cap_bytes - account.available_bytes
             if headroom > 0:
-                self.credits.grant(dst, predicted.sender, min(int(grant), headroom))
+                self.credits.grant(dst, sender, min(int(grant), headroom))
 
     # ------------------------------------------------------------------
     def exposure_summary(self) -> dict:

@@ -10,17 +10,15 @@ senders and their message size may be useful", Section 5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.core.predictor import BasePredictor, PeriodicityPredictor
 
 __all__ = ["PredictedMessage", "OnlineMessagePredictor"]
 
 
-@dataclass(frozen=True)
-class PredictedMessage:
-    """One predicted future message at a receiver."""
+class PredictedMessage(NamedTuple):
+    """One predicted future message at a receiver (unpacks as a pair)."""
 
     sender: int | None
     nbytes: int | None
@@ -94,39 +92,38 @@ class OnlineMessagePredictor:
         self.observations += len(senders)
 
     def predict(self, receiver: int, horizon: int | None = None) -> list[PredictedMessage]:
-        """Predict the next messages expected at ``receiver``."""
+        """Predict the next messages expected at ``receiver``.
+
+        The per-message answer path (a policy hook after every delivery, a
+        ``repro serve`` query): the two predictors' ``predict`` lists of
+        plain ints, paired — nothing is converted or copied per element.
+        """
         h = self.horizon if horizon is None else int(horizon)
         senders = self._sender_predictors[receiver].predict(h)
         sizes = self._size_predictors[receiver].predict(h)
-        return [
-            PredictedMessage(
-                sender=None if s is None else int(s),
-                nbytes=None if b is None else int(b),
-            )
-            for s, b in zip(senders, sizes)
-        ]
+        return list(map(PredictedMessage, senders, sizes))
 
     def predicted_senders(self, receiver: int, horizon: int | None = None) -> set[int]:
         """The set of senders expected among the next messages at ``receiver``."""
         return {
-            p.sender for p in self.predict(receiver, horizon) if p.sender is not None
+            sender for sender, _ in self.predict(receiver, horizon) if sender is not None
         }
 
     def predicted_bytes_from(self, receiver: int, sender: int, horizon: int | None = None) -> int:
         """Total predicted bytes arriving at ``receiver`` from ``sender``."""
         total = 0
-        for p in self.predict(receiver, horizon):
-            if p.sender == sender and p.nbytes is not None:
-                total += p.nbytes
+        for predicted_sender, size in self.predict(receiver, horizon):
+            if predicted_sender == sender and size is not None:
+                total += size
         return total
 
     def expects_message(
         self, receiver: int, sender: int, nbytes: int | None = None, horizon: int | None = None
     ) -> bool:
         """Whether ``receiver`` predicts a message from ``sender`` (of ``nbytes``)."""
-        for p in self.predict(receiver, horizon):
-            if p.sender != sender:
+        for predicted_sender, size in self.predict(receiver, horizon):
+            if predicted_sender != sender:
                 continue
-            if nbytes is None or p.nbytes is None or p.nbytes == nbytes:
+            if nbytes is None or size is None or size == nbytes:
                 return True
         return False

@@ -16,8 +16,8 @@ Operations
     (``sender``, ``nbytes``, ``horizon``) above ``2**63 - 1`` are rejected:
     the predictors hold samples as int64.
 ``predict``
-    ``receiver``, optional ``horizon`` (int ≥ 1).  Responds with the next
-    expected ``(sender, nbytes)`` pairs.
+    ``receiver``, optional ``horizon`` (int from 1 to :data:`MAX_HORIZON`).
+    Responds with the next expected ``(sender, nbytes)`` pairs.
 ``expects``
     ``receiver``, ``sender``, optional ``nbytes``.  Responds with whether
     the receiver predicts a message from that sender.
@@ -40,14 +40,21 @@ ingestion rejects garbage with a pointed ``line N: ...`` message instead of
 polluting stream state.  Servers turn the error into an ``{"error": ...}``
 response and keep serving; they answer a line longer than 65,536 bytes the
 same way without parsing it (:data:`repro.serve.server.MAX_LINE_BYTES`).
+
+Responses are encoded by :func:`encode_response` with sorted keys and no
+whitespace.  The ``predict`` answer — the one response on the per-message
+path — is formatted directly; it is byte-equal to what the generic encoder
+gives, which every other response goes through.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 __all__ = [
+    "MAX_HORIZON",
     "OPS",
     "ServeEvent",
     "ServeProtocolError",
@@ -76,6 +83,10 @@ class ServeEvent(NamedTuple):
     dir: str | None = None
 
 
+#: Largest ``horizon`` a ``predict`` may ask for: its answer, about 40 bytes a
+#: prediction, stays under ``MAX_LINE_BYTES`` and costs no more than a long line.
+MAX_HORIZON = 1024
+
 #: op name -> (required keys, optional keys)
 OPS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "observe": (("receiver", "sender", "nbytes"), ()),
@@ -97,6 +108,12 @@ def _coerce_key(value, line_number: int) -> str:
     if isinstance(value, str):
         if not value:
             raise ServeProtocolError(line_number, "receiver key must not be empty")
+        try:  # routing and snapshots hold keys as UTF-8; "\ud800" is valid JSON
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ServeProtocolError(
+                line_number, f"receiver key must be encodable as UTF-8, got {value!r}"
+            ) from None
         return value
     raise ServeProtocolError(line_number, f"receiver must be an int or string, got {value!r}")
 
@@ -129,7 +146,7 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
             line_number, f"event must be a JSON object, got {type(payload).__name__}"
         )
     op = payload.pop("op", "observe")
-    if op not in OPS:
+    if not isinstance(op, str) or op not in OPS:  # `in` would hash a list or object
         raise ServeProtocolError(
             line_number, f"unknown op {op!r}; known ops: {', '.join(sorted(OPS))}"
         )
@@ -153,7 +170,12 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
     if "nbytes" in payload:
         fields["nbytes"] = _coerce_count(payload["nbytes"], "nbytes", line_number)
     if "horizon" in payload:
-        fields["horizon"] = _coerce_count(payload["horizon"], "horizon", line_number, minimum=1)
+        horizon = _coerce_count(payload["horizon"], "horizon", line_number, minimum=1)
+        if horizon > MAX_HORIZON:
+            raise ServeProtocolError(
+                line_number, f"horizon must be <= {MAX_HORIZON}, got {horizon}"
+            )
+        fields["horizon"] = horizon
     if "dir" in payload:
         directory = payload["dir"]
         if not isinstance(directory, str) or not directory:
@@ -164,15 +186,38 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
     return ServeEvent(**fields)
 
 
+#: The one wire encoder (``json.dumps`` would build a new one on every call).
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_PREDICT_KEYS = {"known", "op", "predictions", "receiver"}
+
+
 def encode_event(**fields) -> str:
     """Encode an event as one wire line (keys with ``None`` values dropped)."""
-    return json.dumps(
-        {key: value for key, value in fields.items() if value is not None},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return _encode({key: value for key, value in fields.items() if value is not None})
 
 
 def encode_response(response: dict) -> str:
-    """Encode a response object as one wire line (deterministic key order)."""
-    return json.dumps(response, sort_keys=True, separators=(",", ":"))
+    """Encode a response object as one wire line (deterministic key order).
+
+    The four-key ``predict`` answer ``ServeService.handle`` builds (string
+    receiver, int-or-``None`` fields) is formatted directly, to the bytes the
+    generic encoder would give; any other dict goes to that encoder.
+    """
+    if response.keys() != _PREDICT_KEYS or response["op"] != "predict":
+        return _encode(response)
+    predictions = ",".join(
+        [
+            '{"nbytes":%s,"sender":%s}'
+            % (
+                "null" if p["nbytes"] is None else p["nbytes"],
+                "null" if p["sender"] is None else p["sender"],
+            )
+            for p in response["predictions"]
+        ]
+    )
+    return '{"known":%s,"op":"predict","predictions":[%s],"receiver":%s}' % (
+        "true" if response["known"] else "false",
+        predictions,
+        encode_basestring_ascii(response["receiver"]),
+    )

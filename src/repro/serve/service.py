@@ -141,7 +141,7 @@ class ServeService:
                 "receiver": event.receiver,
                 "known": predictions is not None,
                 "predictions": [
-                    {"sender": p.sender, "nbytes": p.nbytes} for p in predictions or ()
+                    {"sender": sender, "nbytes": nbytes} for sender, nbytes in predictions or ()
                 ],
             }
         if event.op == "expects":

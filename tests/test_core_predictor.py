@@ -1,8 +1,10 @@
 """Tests for the periodicity-based predictor (repro.core.predictor)."""
 
+import numpy as np
 import pytest
 
 from repro.core.predictor import PeriodicityPredictor
+from repro.predictive.registry import create_predictor, predictor_names
 
 
 def feed(predictor, values):
@@ -104,3 +106,73 @@ class TestBookkeeping:
 
     def test_name(self):
         assert PeriodicityPredictor().name == "periodicity"
+
+
+PERIOD = 5
+
+
+def seeded_streams(length):
+    """Periodic, perturbed (a tenth of the samples replaced) and aperiodic."""
+    rng = np.random.default_rng(2024)
+    pattern = rng.integers(0, 9, PERIOD)
+    periodic = np.tile(pattern, length // PERIOD + 1)[:length]
+    perturbed = np.where(rng.random(length) < 0.1, rng.integers(100, 200, length), periodic)
+    # One value past int32 on the way: the ring is int64, the answers plain ints.
+    aperiodic = rng.integers(0, 2**40, length)
+    return {"periodic": periodic, "perturbed": perturbed, "aperiodic": aperiodic}
+
+
+def assert_predict_equals_predict_array(predictor):
+    for horizon in range(1, 3 * PERIOD + 2):
+        predictions = predictor.predict(horizon)
+        values, mask = predictor.predict_array(horizon)
+        assert predictions == [
+            value if kept else None for value, kept in zip(values.tolist(), mask.tolist())
+        ]
+        assert all(p is None or type(p) is int for p in predictions)
+    for horizon in (0, -3):
+        with pytest.raises(ValueError):
+            predictor.predict(horizon)
+        with pytest.raises(ValueError):
+            predictor.predict_array(horizon)
+
+
+def walk_prefixes(predictor, stream):
+    """Empty, filling and full ring, then a reset and a second filling."""
+    assert_predict_equals_predict_array(predictor)
+    for value in stream.tolist():
+        predictor.observe(value)
+        assert_predict_equals_predict_array(predictor)
+    predictor.reset()
+    assert_predict_equals_predict_array(predictor)
+    for value in stream[: 4 * PERIOD].tolist():
+        predictor.observe(value)
+    assert_predict_equals_predict_array(predictor)
+
+
+class TestPredictEqualsPredictArray:
+    """``predict`` is the scalar per-message path, ``predict_array`` the
+    vectorised one; they are written separately and must answer alike."""
+
+    @pytest.mark.parametrize("stream", ["periodic", "perturbed", "aperiodic"])
+    @pytest.mark.parametrize("sticky", [True, False])
+    @pytest.mark.parametrize("tolerance", [0, 2])
+    @pytest.mark.parametrize("window, max_period", [(24, 256), (6, 12), (64, 64)])
+    def test_periodicity_predictor(self, window, max_period, tolerance, sticky, stream):
+        predictor = PeriodicityPredictor(
+            window_size=window, max_period=max_period, mismatch_tolerance=tolerance, sticky=sticky
+        )
+        # The ring holds window + max_period samples: run past it.
+        walk_prefixes(predictor, seeded_streams(window + max_period + 4 * PERIOD)[stream])
+
+    def test_a_period_longer_than_the_horizon_and_shorter(self):
+        predictor = feed(PeriodicityPredictor(window_size=16, max_period=64), list(range(40)) * 4)
+        assert predictor.current_period == 40
+        assert predictor.predict(40) == list(range(40))
+        assert predictor.predict(41) == list(range(40)) + [0]
+        assert predictor.predict(95) == (list(range(40)) * 3)[:95]
+
+    @pytest.mark.parametrize("name", predictor_names())
+    @pytest.mark.parametrize("stream", ["periodic", "perturbed", "aperiodic"])
+    def test_every_registered_predictor(self, name, stream):
+        walk_prefixes(create_predictor(name), seeded_streams(120)[stream])

@@ -72,6 +72,27 @@ class TestOnlineMessagePredictor:
         partial = PredictedMessage(sender=1, nbytes=None)
         assert complete.complete and not partial.complete
 
+    def test_predicted_message_is_a_named_pair(self):
+        message = PredictedMessage(sender=1, nbytes=10)
+        assert (message.sender, message.nbytes) == (1, 10)
+        sender, nbytes = message
+        assert (sender, nbytes) == (1, 10)
+        assert message == PredictedMessage(1, 10) == PredictedMessage(nbytes=10, sender=1)
+        assert message != PredictedMessage(sender=1, nbytes=None)
+        assert not PredictedMessage(sender=None, nbytes=10).complete
+        assert len({message, PredictedMessage(1, 10), PredictedMessage(2, 10)}) == 2
+        with pytest.raises(AttributeError):
+            message.sender = 2
+
+    def test_predictions_are_plain_ints(self):
+        predictor = OnlineMessagePredictor(nprocs=1)
+        feed_pattern(predictor, 0, [(1, 10), (2, 2**40)], 20)
+        predictions = predictor.predict(0, horizon=5)
+        assert predictions == [PredictedMessage(1, 10), PredictedMessage(2, 2**40)] * 2 + [
+            PredictedMessage(1, 10)
+        ]
+        assert all(type(field) is int for message in predictions for field in message)
+
     def test_observe_batch_matches_sequential(self):
         pattern = [(1, 100), (2, 200), (3, 300)]
         sequential = OnlineMessagePredictor(nprocs=2)

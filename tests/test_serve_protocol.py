@@ -9,8 +9,12 @@ strict key validation, and malformed lines rejected with a pointed
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.serve import ServeService
 from repro.serve.protocol import (
+    MAX_HORIZON,
     OPS,
     ServeEvent,
     ServeProtocolError,
@@ -18,6 +22,11 @@ from repro.serve.protocol import (
     encode_response,
     parse_event_line,
 )
+
+
+def generic(response: dict) -> str:
+    """What ``encode_response`` must equal: the stock encoder, wire settings."""
+    return json.dumps(response, sort_keys=True, separators=(",", ":"))
 
 
 class TestParseEventLine:
@@ -57,6 +66,8 @@ class TestParseEventLine:
             ("not json at all", "invalid JSON"),
             ("[1, 2, 3]", "must be a JSON object"),
             ('{"op": "bogus"}', "unknown op 'bogus'"),
+            ('{"op": []}', "unknown op []"),
+            ('{"op": {"a": 1}}', "unknown op {'a': 1}"),
             ('{"op": "observe", "receiver": 0}', "requires"),
             ('{"op": "stats", "receiver": 0}', "does not take receiver"),
             ('{"op": "observe", "receiver": true, "sender": 0, "nbytes": 0}', "receiver"),
@@ -77,6 +88,13 @@ class TestParseEventLine:
                 '{"op": "predict", "receiver": 0, "horizon": 9223372036854775808}',
                 "horizon must be <= 2**63 - 1",
             ),
+            ('{"op": "predict", "receiver": 0, "horizon": 1025}', "horizon must be <= 1024, got 1025"),
+            (
+                '{"op": "predict", "receiver": "a", "horizon": 400000000}',
+                "horizon must be <= 1024, got 400000000",
+            ),
+            # Valid JSON, but routing and snapshots hold keys as UTF-8.
+            ('{"op": "predict", "receiver": "\\ud800"}', "receiver key must be encodable as UTF-8"),
             ('{"op": "snapshot", "dir": ""}', "dir must be a non-empty string"),
             ("", "empty event line"),
         ],
@@ -89,6 +107,11 @@ class TestParseEventLine:
     def test_largest_int64_count_is_accepted(self):
         event = parse_event_line('{"receiver": 1, "sender": 0, "nbytes": 9223372036854775807}')
         assert event.nbytes == 2**63 - 1
+
+    def test_largest_horizon_is_accepted(self):
+        assert MAX_HORIZON == 1024
+        event = parse_event_line('{"op": "predict", "receiver": 0, "horizon": 1024}')
+        assert event.horizon == MAX_HORIZON
 
     def test_error_carries_dumpi_style_line_number(self):
         # Mirrors DumpiParseError: "line N: ..." message plus a .line_number.
@@ -115,3 +138,113 @@ class TestEncoding:
         b = encode_response({"a": 2, "b": 1})
         assert a == b == '{"a":2,"b":1}'
         assert "\n" not in a
+
+    def test_predict_answer_is_formatted_to_the_generic_bytes(self):
+        answer = {
+            "op": "predict",
+            "receiver": 'cam "1"\\ \x01 é \ud800',
+            "known": True,
+            "predictions": [
+                {"sender": 3, "nbytes": None},
+                {"sender": None, "nbytes": 2**63 - 1},
+                {"sender": 0, "nbytes": 0},
+            ],
+        }
+        assert encode_response(answer) == generic(answer)
+        unknown = {"op": "predict", "receiver": "r", "known": False, "predictions": []}
+        assert encode_response(unknown) == generic(unknown) == (
+            '{"known":false,"op":"predict","predictions":[],"receiver":"r"}'
+        )
+
+    @pytest.mark.parametrize(
+        "look_alike",
+        [
+            {"error": "no such directory", "op": "predict"},
+            {"op": "predict", "receiver": "r", "known": True, "predictions": [], "line": 3},
+            {"receiver": "r", "known": True, "predictions": [], "sender": 1},
+            {"op": "expects", "receiver": "r", "known": True, "predictions": []},
+        ],
+    )
+    def test_predict_look_alikes_take_the_generic_encoder(self, look_alike):
+        assert encode_response(look_alike) == generic(look_alike)
+
+
+_field = st.one_of(st.none(), st.integers(min_value=0, max_value=2**63 - 1))
+_predict_answers = st.builds(
+    lambda receiver, predictions, known: {
+        "op": "predict",
+        "receiver": receiver,
+        "known": known,
+        "predictions": [{"sender": s, "nbytes": b} for s, b in predictions],
+    },
+    # Any code point, surrogates included: quotes, backslashes, control
+    # characters and non-ASCII are all escaped by the encoder.
+    st.text(st.characters(), min_size=1),
+    st.lists(st.tuples(_field, _field), max_size=MAX_HORIZON),
+    st.booleans(),
+)
+
+_json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=2**64),
+    st.sampled_from([0, 1, 5, MAX_HORIZON, MAX_HORIZON + 1, 2**63 - 1]),
+    st.floats(allow_nan=False),
+    st.text(st.characters(), max_size=8),
+    st.lists(st.integers(), max_size=2),
+)
+# Lines of the protocol's own vocabulary with arbitrary values, some of which
+# parse; well-formed lines on a few keys, so that answers come from streams
+# with history; and (below) arbitrary text, most of which is not JSON.
+_event_lines = st.dictionaries(
+    st.sampled_from(["op", "receiver", "sender", "nbytes", "horizon", "dir", "extra"]),
+    st.one_of(_json_values, st.sampled_from(sorted(OPS))),
+    max_size=5,
+).map(json.dumps)
+_counts = st.sampled_from([0, 1, 2, 512, 2**63 - 1])
+_keys = st.sampled_from(["a", "b", 0, "é"])
+_good_lines = st.one_of(
+    st.builds(lambda r, s, b: encode_event(receiver=r, sender=s, nbytes=b), _keys, _counts, _counts),
+    st.builds(
+        lambda r, h: encode_event(op="predict", receiver=r, horizon=h),
+        _keys,
+        st.sampled_from([None, 1, 5, 300, MAX_HORIZON]),
+    ),
+    st.builds(
+        lambda r, s, b: encode_event(op="expects", receiver=r, sender=s, nbytes=b),
+        _keys,
+        _counts,
+        st.one_of(st.none(), _counts),
+    ),
+    st.sampled_from(['{"op":"stats"}', '{"op":"flush"}']),
+)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(answer=_predict_answers)
+    def test_direct_predict_answer_equals_the_generic_encoder(self, answer):
+        assert encode_response(answer) == generic(answer)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.one_of(st.text(), _event_lines, _good_lines), max_size=40))
+    def test_every_parsed_line_is_survivable(self, lines):
+        """Structured error or an encodable answer — never an exception.
+
+        ``snapshot`` and ``shutdown`` are the front end's business (file
+        system, stopping) and are left out.
+        """
+        service = ServeService(num_shards=2, max_streams=4)
+        for number, line in enumerate(lines, start=1):
+            try:
+                event = parse_event_line(line, number)
+            except ServeProtocolError as error:
+                assert str(error).startswith(f"line {number}: ")
+                continue
+            if event.op in ("snapshot", "shutdown"):
+                continue
+            response = service.handle(event)
+            if event.op == "observe":
+                assert response is None
+            else:
+                assert json.loads(encode_response(response))["op"] == event.op

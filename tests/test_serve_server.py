@@ -35,6 +35,30 @@ BEYOND_INT64_FEED = (
     '{"op": "predict", "receiver": "alpha"}\n'
 )
 
+#: Line 3 asks for 2**62 predictions of a stream with a detected period.  An
+#: unbounded horizon is an allocation of that size (at 2**62 one that fails at
+#: once, which is what makes this safe to run on a tree without the bound);
+#: past MAX_HORIZON it is an ordinary protocol error and line 4 is served.
+HUGE_HORIZON_FEED = (
+    '{"receiver": "alpha", "sender": 1, "nbytes": 100}\n' * 30
+    + '{"op": "predict", "receiver": "alpha", "horizon": 1024}\n'
+    + '{"op": "predict", "receiver": "alpha", "horizon": 4611686018427387904}\n'
+    + '{"op": "predict", "receiver": "alpha"}\n'
+)
+
+
+def assert_huge_horizon_answers(responses, parse_errors):
+    largest, rejected, answered = responses
+    assert largest["predictions"] == [{"sender": 1, "nbytes": 100}] * 1024
+    assert rejected == {
+        "error": "line 32: horizon must be <= 1024, got 4611686018427387904",
+        "line": 32,
+    }
+    assert answered["op"] == "predict" and answered["known"] is True
+    assert answered["predictions"] == [{"sender": 1, "nbytes": 100}] * 4
+    assert parse_errors == 1
+
+
 PATTERNS = {
     "alpha": [(1, 100), (2, 200)],
     "beta": [(3, 300), (4, 400), (5, 500)],
@@ -176,6 +200,15 @@ class TestTCPServer:
         assert rejected["error"].startswith("line 2: nbytes must be <= 2**63 - 1")
         assert answered["op"] == "predict"
         assert answered["known"] is True
+
+    def test_horizon_beyond_the_bound_answers_error_and_connection_survives(self):
+        service = make_service(num_shards=1)
+        with ServerThread(service) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                sock.sendall(HUGE_HORIZON_FEED.encode())
+                responses = [json.loads(reader.readline()) for _ in range(3)]
+        assert_huge_horizon_answers(responses, service.parse_errors)
 
     def test_client_raises_on_error_response(self):
         with ServerThread(make_service()) as server:
@@ -530,6 +563,13 @@ class TestStdinTransport:
         assert first["error"].startswith("line 2: nbytes must be <= 2**63 - 1")
         assert second["op"] == "predict"
         assert second["known"] is True
+
+    def test_pipe_mode_rejects_horizon_beyond_the_bound_and_keeps_serving(self):
+        out = io.StringIO()
+        rejected = run_stdin(make_service(), io.StringIO(HUGE_HORIZON_FEED), out)
+        assert_huge_horizon_answers(
+            [json.loads(line) for line in out.getvalue().splitlines()], rejected
+        )
 
     def test_pipe_mode_failing_snapshot_answers_like_tcp(self, tmp_path):
         blocker = tmp_path / "a-file"
