@@ -116,17 +116,17 @@ class Communicator:
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------
-    def send(self, dest: int, nbytes: int, tag: int = 0, payload: object | None = None) -> SendOp:
+    def send(self, dest: int, nbytes: int, tag: int = 0) -> SendOp:
         """Blocking standard-mode send of ``nbytes`` to ``dest``."""
         check_rank("dest", dest, self.size)
         check_non_negative("nbytes", nbytes)
-        return SendOp(dest, int(nbytes), _check_tag(tag), KIND_P2P, payload)
+        return SendOp(dest, int(nbytes), _check_tag(tag), KIND_P2P)
 
-    def isend(self, dest: int, nbytes: int, tag: int = 0, payload: object | None = None) -> IsendOp:
+    def isend(self, dest: int, nbytes: int, tag: int = 0) -> IsendOp:
         """Non-blocking send; yielding it returns a :class:`Request`."""
         check_rank("dest", dest, self.size)
         check_non_negative("nbytes", nbytes)
-        return IsendOp(dest, int(nbytes), _check_tag(tag), KIND_P2P, payload)
+        return IsendOp(dest, int(nbytes), _check_tag(tag), KIND_P2P)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvOp:
         """Blocking receive; yielding it returns a :class:`Status`."""

@@ -118,7 +118,6 @@ class SendOp(Operation):
     nbytes: int
     tag: int = 0
     kind: str = KIND_P2P
-    payload: object | None = None
 
 
 @dataclass(slots=True)
@@ -129,7 +128,6 @@ class IsendOp(Operation):
     nbytes: int
     tag: int = 0
     kind: str = KIND_P2P
-    payload: object | None = None
 
 
 @dataclass(slots=True)

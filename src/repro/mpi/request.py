@@ -72,7 +72,6 @@ class Request:
         "completion_time",
         "status",
         "_callbacks",
-        "cancelled",
     )
 
     def __init__(self, op_kind: str, rank: int) -> None:
@@ -82,7 +81,6 @@ class Request:
         self.op_kind = op_kind
         self.rank = rank
         self.completed = False
-        self.cancelled = False
         self.completion_time = float("nan")
         self.status: Status | None = None
         # Lazily allocated: most requests complete before anyone waits on them.
@@ -101,7 +99,6 @@ class Request:
         self.op_kind = op_kind
         self.rank = rank
         self.completed = False
-        self.cancelled = False
         self.completion_time = float("nan")
         self.status = None
         self._callbacks = None
@@ -152,7 +149,6 @@ class CollectiveRequest:
 
     op_kind = "coll"
     status = None
-    cancelled = False
 
     def __init__(self, requests: list[Request]) -> None:
         self.requests = list(requests)

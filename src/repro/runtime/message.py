@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mpi.constants import KIND_P2P
 
 __all__ = ["Message"]
-
-_message_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -34,8 +31,6 @@ class Message:
         sent (rendezvous).
     arrival_time:
         Time the payload arrived at the destination (filled by the transport).
-    payload:
-        Optional application payload; the simulator never inspects it.
     duplicate:
         True for a fault-injected duplicate copy (a spurious retransmission
         whose original also arrived): the transport traces it and shows it to
@@ -50,9 +45,7 @@ class Message:
     protocol: str = "eager"
     inject_time: float = 0.0
     arrival_time: float = float("nan")
-    payload: object | None = None
     duplicate: bool = False
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
 
     def envelope(self) -> tuple[int, int, int]:
         """The matching envelope ``(src, dst, tag)``."""

@@ -279,7 +279,7 @@ class Transport:
     def post_send(self, rank: int, op: SendOp | IsendOp, now: float) -> Request:
         """Execute a send operation object posted by ``rank`` at ``now``."""
         return self.post_send_values(
-            rank, op.dest, int(op.nbytes), op.tag, op.kind, op.payload, now
+            rank, op.dest, int(op.nbytes), op.tag, op.kind, now
         )
 
     def post_send_values(
@@ -289,7 +289,6 @@ class Transport:
         nbytes: int,
         tag: int,
         kind: str,
-        payload: object | None,
         now: float,
     ) -> Request:
         """Execute a send given as plain field values (op-array fast lane).
@@ -316,7 +315,6 @@ class Transport:
         protocol = "eager" if use_eager else "rendezvous"
         # Positional construction: this runs once per message.
         message = Message(rank, dst, tag, nbytes, kind, protocol)
-        message.payload = payload
         self.stats.record_send(nbytes, kind, protocol, forced_rendezvous, eager_bypass)
 
         inject = now + self._send_overhead
@@ -395,7 +393,7 @@ class Transport:
         if self._faults is not None or not network.deterministic:
             post = self.post_send_values
             return [
-                post(ranks[i], dsts[i], nbytes_list[i], tags[i], kinds[i], None, nows[i])
+                post(ranks[i], dsts[i], nbytes_list[i], tags[i], kinds[i], nows[i])
                 for i in range(n)
             ]
         nprocs = self.nprocs
@@ -443,7 +441,6 @@ class Transport:
                 policy_allows = allows_eager(rank, dst, nbytes, kind, now)
             protocol = "eager" if policy_allows else "rendezvous"
             message = Message(rank, dst, tags[i], nbytes, kind, protocol)
-            message.payload = None
             sent_bytes += nbytes
             if kind == "collective":
                 coll_count += 1
@@ -598,7 +595,6 @@ class Transport:
                 request.op_kind = "recv"
                 request.rank = rank
                 request.completed = False
-                request.cancelled = False
                 request.completion_time = _NAN
                 request.status = None
                 request._callbacks = None

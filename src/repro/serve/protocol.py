@@ -28,8 +28,9 @@ Operations
     Acknowledgement.  Lines are applied in order as they are read and nothing
     is queued, so its answer means every event before it has been applied.
 ``snapshot``
-    ``dir`` (string).  Writes a full service snapshot (manifest + one file
-    per shard) and responds with what was written.
+    ``dir`` (non-empty string, no NUL, encodable as UTF-8).  Writes a full
+    service snapshot (manifest + one file per shard) and responds with what
+    was written.
 ``shutdown``
     Answered, then nothing more is served on that connection and the server
     stops (``ServeService.handle`` itself only acknowledges it).
@@ -182,6 +183,14 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
             raise ServeProtocolError(
                 line_number, f"dir must be a non-empty string, got {directory!r}"
             )
+        if "\0" in directory:  # Path.mkdir raises ValueError, not OSError
+            raise ServeProtocolError(line_number, "dir must not contain NUL")
+        try:
+            directory.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ServeProtocolError(
+                line_number, f"dir must be encodable as UTF-8, got {directory!r}"
+            ) from None
         fields["dir"] = directory
     return ServeEvent(**fields)
 

@@ -3,8 +3,8 @@
 This package provides the machinery that stands in for the paper's real
 IBM RS/6000 + MPICH testbed:
 
-* :mod:`repro.sim.events` — a deterministic typed event queue (batch-draining
-  heap with a zero-delay fast lane) and virtual clock.
+* :mod:`repro.sim.events` — a deterministic typed event queue (one binary
+  heap of five-field records, batch records for same-timestamp runs).
 * :mod:`repro.sim.network` — a latency/bandwidth/jitter network model (the
   source of the "random effects" that perturb the physical message stream).
 * :mod:`repro.sim.machine` — per-node cost parameters (send/receive overheads,

@@ -21,8 +21,8 @@ corresponding request; non-blocking operations resume the rank immediately
 (after the CPU overhead of posting) and hand back a request handle that can
 be waited on later.  If the event queue drains while some ranks are still
 blocked, the simulation is deadlocked and :class:`repro.sim.errors.DeadlockError`
-is raised, listing the stuck ranks — the same failure a real MPI job would
-hang on.
+is raised, listing the stuck ranks and the call each is blocked in — the same
+failure a real MPI job would hang on.
 
 Batched event architecture
 --------------------------
@@ -38,9 +38,9 @@ per-event allocation entirely:
   per-op-type *handler table* (``type(op) -> bound handler``) instead of an
   ``isinstance`` chain; compiled programs skip operation objects entirely
   and decode each op from their lanes.
-* One run loop (:meth:`Simulator._run_loop`) pops records one at a time,
-  with the queue's pop/peek logic inlined.  Every consecutive same-timestamp
-  run of deliveries goes to the transport in a single
+* One run loop (:meth:`Simulator._run_loop`) pops records one at a time off
+  the queue's single heap, with the pop/peek logic inlined.  Every
+  consecutive same-timestamp run of deliveries goes to the transport in a single
   :meth:`repro.runtime.transport.Transport.deliver_cohort` call, which feeds
   the online predictive policies one burst per receiver
   (:meth:`repro.runtime.protocol.FlowControlPolicy.on_burst_delivered`).
@@ -95,14 +95,13 @@ from repro.sim.errors import (
     ProgramError,
     SimulationError,
     TimeLimitExceeded,
+    deadlock_detail,
 )
 from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.events import (
     EV_A,
     EV_B,
-    EV_CANCELLED,
     EV_KIND,
-    EV_POPPED,
     EV_TIME,
     EVENT_CALLBACK,
     EVENT_DELIVER,
@@ -162,7 +161,8 @@ class RankState:
     generator: Generator[Operation, object, None] | None
     now: float = 0.0
     status: RankStatus = RankStatus.READY
-    steps: int = 0
+    #: The blocking call a BLOCKED rank sits in ("send", "recv", "wait",
+    #: "waitall"); a :class:`DeadlockError` reports it per stuck rank.
     blocked_on: str = ""
     #: Cached ``generator.send`` bound method (set by :meth:`Simulator.run`).
     #: While a first-class collective is being expanded, this points at the
@@ -532,9 +532,11 @@ class Simulator:
                 gc.enable()
 
         if self._done_count != self.nprocs:
-            blocked = [s.rank for s in self._ranks if s.status is RankStatus.BLOCKED]
-            detail = f"pending queues: {self.transport.pending_counts()}"
-            raise DeadlockError(blocked, detail)
+            stuck = [s for s in self._ranks if s.status is RankStatus.BLOCKED]
+            detail = deadlock_detail(
+                {s.rank: s.blocked_on for s in stuck}, self.transport.pending_counts()
+            )
+            raise DeadlockError([s.rank for s in stuck], detail)
 
         if self.tracer is not None:
             self.tracer.finalize()
@@ -606,14 +608,13 @@ class Simulator:
         rank.
 
         ``until`` bounds one conservative window of the parallel engine: the
-        loop returns as soon as the next live event lies at or beyond it
+        loop returns as soon as the next event lies at or beyond it
         (leaving that event queued), so a partition drains exactly the
         events with ``time < until``.  ``None`` (every in-process run)
         drains to an empty queue.
         """
         queue = self._queue
         heap = queue._heap
-        fast = queue._fast
         heappop = _heappop
         deliver_cohort = self.transport.deliver_cohort
         max_events = self.max_events
@@ -633,44 +634,18 @@ class Simulator:
         cohort = None
         current = self.time
         while True:
-            if until is not None:
-                # Window bound (parallel engine): peek the next live record
-                # (cancelled heads purged exactly as EventQueue.peek_record
-                # does) and stop before popping anything at/after ``until``.
-                while heap and heap[0][EV_CANCELLED]:
-                    heappop(heap)
-                while fast and fast[0][EV_CANCELLED]:
-                    fast.popleft()
-                if fast and not (heap and heap[0] < fast[0]):
-                    if fast[0][EV_TIME] >= until:
-                        return
-                elif heap:
-                    if heap[0][EV_TIME] >= until:
-                        return
-                else:
-                    return
-            # -- inline EventQueue.pop (batch-aware) --------------------
-            if fast:
-                if heap and heap[0] < fast[0]:
-                    record = heappop(heap)
-                else:
-                    record = fast.popleft()
-            elif heap:
-                record = heappop(heap)
-            else:
+            # Window bound (parallel engine): stop before popping anything
+            # at/after ``until``.
+            if not heap or (until is not None and heap[0][EV_TIME] >= until):
                 return
-            if record[EV_CANCELLED]:
-                continue
-            record[EV_POPPED] = True
+            # -- inline EventQueue.pop (batch-aware) --------------------
+            record = heappop(heap)
             kind = record[EV_KIND]
             if kind >= EVENT_STEP_BATCH:  # the two batch kinds
-                n = len(record[EV_A])
-                queue._live -= n
-                queue._popped += n
+                queue._popped += len(record[EV_A])
             else:
-                queue._live -= 1
                 queue._popped += 1
-            queue._now = time = record[EV_TIME]
+            time = record[EV_TIME]
             # ----------------------------------------------------------
             if time > current:
                 self.time = current = time
@@ -699,37 +674,20 @@ class Simulator:
                     items = [(record[EV_A], record[EV_B])]
                 else:
                     items = record[EV_A]
-                while True:
-                    while heap and heap[0][EV_CANCELLED]:
-                        heappop(heap)
-                    while fast and fast[0][EV_CANCELLED]:
-                        fast.popleft()
-                    use_fast = fast and not (heap and heap[0] < fast[0])
-                    if use_fast:
-                        nxt = fast[0]
-                    elif heap:
-                        nxt = heap[0]
-                    else:
-                        break
+                while heap:
+                    nxt = heap[0]
                     if nxt[EV_TIME] != time:
                         break
                     nk = nxt[EV_KIND]
                     if nk == EVENT_DELIVER:
                         items.append((nxt[EV_A], nxt[EV_B]))
-                        queue._live -= 1
                         queue._popped += 1
                     elif nk == EVENT_DELIVER_BATCH:
                         items.extend(nxt[EV_A])
-                        k = len(nxt[EV_A])
-                        queue._live -= k
-                        queue._popped += k
+                        queue._popped += len(nxt[EV_A])
                     else:
                         break
-                    if use_fast:
-                        fast.popleft()
-                    else:
-                        heappop(heap)
-                    nxt[EV_POPPED] = True
+                    heappop(heap)
                 deliver_cohort(items, time)
             elif kind == EVENT_STEP_BATCH:
                 cohort = list(record[EV_A])
@@ -739,19 +697,9 @@ class Simulator:
                 # Extend the cohort with the consecutive run of same-time
                 # compiled step (or batch) records behind the one just
                 # popped.  The pop below mirrors EventQueue.pop for the
-                # record peeked at, cancelled heads purged first.
-                while True:
-                    while heap and heap[0][EV_CANCELLED]:
-                        heappop(heap)
-                    while fast and fast[0][EV_CANCELLED]:
-                        fast.popleft()
-                    use_fast = fast and not (heap and heap[0] < fast[0])
-                    if use_fast:
-                        nxt = fast[0]
-                    elif heap:
-                        nxt = heap[0]
-                    else:
-                        break
+                # record peeked at.
+                while heap:
+                    nxt = heap[0]
                     if nxt[EV_TIME] != time:
                         break
                     nk = nxt[EV_KIND]
@@ -760,20 +708,13 @@ class Simulator:
                         if s.compiled is None:
                             break
                         cohort.append(s)
-                        queue._live -= 1
                         queue._popped += 1
                     elif nk == EVENT_STEP_BATCH:
                         cohort.extend(nxt[EV_A])
-                        k = len(nxt[EV_A])
-                        queue._live -= k
-                        queue._popped += k
+                        queue._popped += len(nxt[EV_A])
                     else:
                         break
-                    if use_fast:
-                        fast.popleft()
-                    else:
-                        heappop(heap)
-                    nxt[EV_POPPED] = True
+                    heappop(heap)
                 if len(cohort) >= min_cohort:
                     exec_cohort(cohort)
                 else:
@@ -825,7 +766,6 @@ class Simulator:
                 # Past the last op: the generator path's StopIteration.
                 # (Retiring a rank pushes nothing, so it never splits a
                 # segment.)
-                s.steps += 1
                 s.status = _DONE
                 self._done_count += 1
                 continue
@@ -871,27 +811,16 @@ class Simulator:
             if times[j] != t0:
                 batch = False
                 break
-        fast = queue._fast
+        heap = queue._heap
         if batch:
             seq = queue._seq
             queue._seq = seq + n
-            record = [t0, seq, EVENT_STEP_BATCH, seg, None, False, False]
-            queue._live += n
-            if t0 == queue._now and (not fast or fast[-1][EV_TIME] == t0):
-                fast.append(record)
-            else:
-                _heappush(queue._heap, record)
+            _heappush(heap, [t0, seq, EVENT_STEP_BATCH, seg, None])
             return
         for j, s in enumerate(seg):
-            t = times[j]
             seq = queue._seq
             queue._seq = seq + 1
-            record = [t, seq, EVENT_STEP, s, None, False, False]
-            queue._live += 1
-            if t == queue._now and (not fast or fast[-1][EV_TIME] == t):
-                fast.append(record)
-            else:
-                _heappush(queue._heap, record)
+            _heappush(heap, [times[j], seq, EVENT_STEP, s, None])
 
     def _vec_compute(self, seg: list[RankState]) -> None:
         """Advance a segment of compute ops and push one batched step record.
@@ -904,7 +833,6 @@ class Simulator:
         times = []
         append = times.append
         for s in seg:
-            s.steps += 1
             i = s.cp_cursor
             s.cp_cursor = i + 1
             seconds = s.cp_seconds[i]
@@ -938,7 +866,6 @@ class Simulator:
         times = []
         append = times.append
         for j, s in enumerate(seg):
-            s.steps += 1
             s.cp_cursor += 1
             s.cp_pending.append(requests[j])
             s.now = t = s.now + send_overhead
@@ -964,7 +891,6 @@ class Simulator:
         times = []
         append = times.append
         for j, s in enumerate(seg):
-            s.steps += 1
             s.cp_cursor += 1
             s.cp_pending.append(requests[j])
             t = s.now
@@ -992,7 +918,6 @@ class Simulator:
         batch: list[RankState] = []
         times: list[float] = []
         for s in seg:
-            s.steps += 1
             s.cp_cursor += 1
             requests = s.cp_pending
             s.cp_pending = []
@@ -1038,7 +963,6 @@ class Simulator:
         """
         if state.status is _DONE:
             raise SimulationError(f"rank {state.rank} stepped after completion")
-        state.steps += 1
         resume = state.resume_fn
         while True:
             try:
@@ -1081,7 +1005,6 @@ class Simulator:
         """
         if state.status is _DONE:
             raise SimulationError(f"rank {state.rank} stepped after completion")
-        state.steps += 1
         i = state.cp_cursor
         if i >= state.cp_len:
             # Past the last op: the generator path's StopIteration.
@@ -1113,7 +1036,6 @@ class Simulator:
                 state.cp_nbytes[i],
                 state.cp_tag[i],
                 state.cp_kind[i],
-                None,
                 state.now,
             )
             state.cp_pending.append(request)
@@ -1149,7 +1071,6 @@ class Simulator:
                 state.cp_nbytes[i],
                 state.cp_tag[i],
                 state.cp_kind[i],
-                None,
                 state.now,
             )
             self._block_on(state, [request], _result_none, "send", recycle=True)
@@ -1161,13 +1082,7 @@ class Simulator:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        record = [time, seq, EVENT_STEP, state, None, False, False]
-        queue._live += 1
-        fast = queue._fast
-        if time == queue._now and (not fast or fast[-1][EV_TIME] == time):
-            fast.append(record)
-        else:
-            _heappush(queue._heap, record)
+        _heappush(queue._heap, [time, seq, EVENT_STEP, state, None])
 
     def _resolve_handler(self, state: RankState, operation) -> Callable:
         """Slow path: find (and cache) the handler for an Operation subclass."""
@@ -1201,13 +1116,7 @@ class Simulator:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        record = [time, seq, EVENT_STEP, state, None, False, False]
-        queue._live += 1
-        fast = queue._fast
-        if time == queue._now and (not fast or fast[-1][EV_TIME] == time):
-            fast.append(record)
-        else:
-            _heappush(queue._heap, record)
+        _heappush(queue._heap, [time, seq, EVENT_STEP, state, None])
 
     def _op_send(self, state: RankState, op: SendOp) -> None:
         request = self.transport.post_send(state.rank, op, state.now)
@@ -1221,13 +1130,7 @@ class Simulator:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        record = [time, seq, EVENT_STEP, state, request, False, False]
-        queue._live += 1
-        fast = queue._fast
-        if time == queue._now and (not fast or fast[-1][EV_TIME] == time):
-            fast.append(record)
-        else:
-            _heappush(queue._heap, record)
+        _heappush(queue._heap, [time, seq, EVENT_STEP, state, request])
 
     def _op_recv(self, state: RankState, op: RecvOp) -> None:
         request = self.transport.post_recv(state.rank, op, state.now)
@@ -1241,13 +1144,7 @@ class Simulator:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        record = [time, seq, EVENT_STEP, state, request, False, False]
-        queue._live += 1
-        fast = queue._fast
-        if time == queue._now and (not fast or fast[-1][EV_TIME] == time):
-            fast.append(record)
-        else:
-            _heappush(queue._heap, record)
+        _heappush(queue._heap, [time, seq, EVENT_STEP, state, request])
 
     def _op_collective(self, state: RankState, op: CollectiveOp) -> bool:
         """Expand a first-class collective into its decomposition generator.
@@ -1345,10 +1242,4 @@ class Simulator:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        record = [time, seq, EVENT_STEP, state, value, False, False]
-        queue._live += 1
-        fast = queue._fast
-        if time == queue._now and (not fast or fast[-1][EV_TIME] == time):
-            fast.append(record)
-        else:
-            _heappush(queue._heap, record)
+        _heappush(queue._heap, [time, seq, EVENT_STEP, state, value])

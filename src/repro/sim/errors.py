@@ -8,6 +8,7 @@ __all__ = [
     "ConfigurationError",
     "ProgramError",
     "TimeLimitExceeded",
+    "deadlock_detail",
 ]
 
 
@@ -39,6 +40,12 @@ class DeadlockError(SimulationError):
         if detail:
             message = f"{message} ({detail})"
         super().__init__(message)
+
+
+def deadlock_detail(blocked_on: dict[int, str], pending_counts: dict) -> str:
+    """Detail of a :class:`DeadlockError`: each stuck rank's call, then the queues."""
+    stuck = ", ".join(f"rank {rank}: {why}" for rank, why in sorted(blocked_on.items()))
+    return f"{stuck}; pending queues: {pending_counts}"
 
 
 class ConfigurationError(SimulationError, ValueError):

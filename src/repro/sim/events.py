@@ -8,7 +8,7 @@ The queue is the innermost loop of every simulation, so events are stored as
 flat *typed records* — plain lists indexed by the ``EV_*`` constants — rather
 than objects with per-event closures:
 
-``[time, seq, kind, a, b, cancelled, popped]``
+``[time, seq, kind, a, b]``
 
 The ``kind`` field tells the engine how to interpret the two payload slots
 ``a`` / ``b`` without allocating a closure (or even a payload tuple) per
@@ -42,22 +42,16 @@ The engine's run loop inlines its own pop and peek (mirroring :meth:`pop` and
 the parallel coordinator's barrier peeks, the transport's control traffic and
 the tests.
 
-Two structural fast paths keep the common cases cheap:
-
-* a maintained *live counter* makes ``len(queue)`` / ``bool(queue)`` O(1)
-  (they used to scan the whole heap for non-cancelled events);
-* a *zero-delay fast lane*: events scheduled at exactly the timestamp
-  currently being drained (immediate self-resumes such as waits on already
-  completed requests) go to a FIFO deque instead of the O(log n) heap.
-  Because the sequence counter is monotonic, appending to the lane preserves
-  global ``(time, seq)`` order; :meth:`pop` simply takes the smaller of the
-  two heads.
+The queue is one binary heap and two counters: ``len(queue)`` is events
+pushed (:attr:`EventQueue._seq`) minus events popped.  The sequence counter
+is monotone, so a push at the timestamp being drained sorts after every
+pending record at that time and before everything later, and the batch
+records keep wide same-timestamp runs to a handful of heap entries.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Callable
 
 __all__ = [
@@ -71,8 +65,6 @@ __all__ = [
     "EV_KIND",
     "EV_A",
     "EV_B",
-    "EV_CANCELLED",
-    "EV_POPPED",
     "EventQueue",
 ]
 
@@ -91,11 +83,11 @@ EVENT_DELIVER_BATCH = 4
 _BATCH_KINDS = (EVENT_STEP_BATCH, EVENT_DELIVER_BATCH)
 
 #: Indices into an event record.
-EV_TIME, EV_SEQ, EV_KIND, EV_A, EV_B, EV_CANCELLED, EV_POPPED = range(7)
+EV_TIME, EV_SEQ, EV_KIND, EV_A, EV_B = range(5)
 
 
 class EventQueue:
-    """A binary-heap event queue with typed records, batching and cancellation.
+    """A binary-heap event queue with typed records and batching.
 
     Records compare as lists, so the heap orders them by ``(time, seq)`` with
     native C comparisons (``kind`` is an int tiebreaker that is never reached
@@ -104,33 +96,26 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[list] = []
-        self._fast: deque[list] = deque()
+        #: Events pushed / popped so far, batch records counted per member.
         self._seq = 0
-        self._live = 0
         self._popped = 0
-        #: Timestamp of the most recently popped event (the drain point); new
-        #: events at exactly this time take the fast lane.
-        self._now = float("-inf")
 
     def __len__(self) -> int:
-        return self._live
+        return self._seq - self._popped
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return self._seq > self._popped
 
     @property
     def events_processed(self) -> int:
-        """Number of (non-cancelled) events popped so far."""
+        """Number of events popped so far (batch members counted one each)."""
         return self._popped
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def push(self, time: float, callback: Callable[[], None]) -> list:
-        """Schedule ``callback`` at absolute simulated ``time``.
-
-        Returns the event record; pass it to :meth:`cancel` to revoke it.
-        """
+        """Schedule ``callback`` at absolute simulated ``time``."""
         return self.push_typed(time, EVENT_CALLBACK, callback)
 
     def push_typed(self, time: float, kind: int, a, b=None) -> list:
@@ -139,18 +124,8 @@ class EventQueue:
             raise ValueError(f"event time must be non-negative, got {time}")
         seq = self._seq
         self._seq = seq + 1
-        record = [time, seq, kind, a, b, False, False]
-        self._live += 1
-        fast = self._fast
-        # Zero-delay fast lane: the record fires at the timestamp currently
-        # being drained, so it sorts after every pending event at that time
-        # (its seq is larger) and before everything later — append beats the
-        # heap.  The tail check keeps the lane (time, seq)-sorted even under
-        # out-of-order direct pushes.
-        if time == self._now and (not fast or fast[-1][EV_TIME] == time):
-            fast.append(record)
-        else:
-            heapq.heappush(self._heap, record)
+        record = [time, seq, kind, a, b]
+        heapq.heappush(self._heap, record)
         return record
 
     def push_deliver_batch(self, time: float, items: list) -> list:
@@ -159,84 +134,37 @@ class EventQueue:
         ``items`` holds ``(message, posted)`` pairs that all arrive at
         ``time``.  Equivalent to ``len(items)`` consecutive ``push_typed(time,
         EVENT_DELIVER, message, posted)`` calls: the sequence counter
-        advances by the batch size (so every later push still sorts after the
-        whole batch) and the live counter accounts for every item.  The
+        advances by the batch size, so every later push still sorts after the
+        whole batch and ``len(queue)`` accounts for every item.  The
         record's ``seq`` is the first of the consumed block, which is exactly
         where the first individual record would have sorted.
         """
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        n = len(items)
         seq = self._seq
-        self._seq = seq + n
-        record = [time, seq, EVENT_DELIVER_BATCH, items, None, False, False]
-        self._live += n
-        fast = self._fast
-        if time == self._now and (not fast or fast[-1][EV_TIME] == time):
-            fast.append(record)
-        else:
-            heapq.heappush(self._heap, record)
+        self._seq = seq + len(items)
+        record = [time, seq, EVENT_DELIVER_BATCH, items, None]
+        heapq.heappush(self._heap, record)
         return record
-
-    def cancel(self, record: list) -> None:
-        """Mark a pending event so it will be skipped when reached."""
-        if not record[EV_CANCELLED]:
-            record[EV_CANCELLED] = True
-            if not record[EV_POPPED]:
-                if record[EV_KIND] in _BATCH_KINDS:
-                    self._live -= len(record[EV_A])
-                else:
-                    self._live -= 1
 
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
     def pop(self) -> list | None:
-        """Pop and return the next non-cancelled event record, or ``None``."""
-        heap, fast = self._heap, self._fast
-        while True:
-            if fast:
-                if heap and heap[0] < fast[0]:
-                    record = heapq.heappop(heap)
-                else:
-                    record = fast.popleft()
-            elif heap:
-                record = heapq.heappop(heap)
-            else:
-                return None
-            if record[EV_CANCELLED]:
-                continue
-            record[EV_POPPED] = True
-            if record[EV_KIND] in _BATCH_KINDS:
-                n = len(record[EV_A])
-                self._live -= n
-                self._popped += n
-            else:
-                self._live -= 1
-                self._popped += 1
-            self._now = record[EV_TIME]
-            return record
+        """Pop and return the next event record, or ``None`` when empty."""
+        if not self._heap:
+            return None
+        record = heapq.heappop(self._heap)
+        if record[EV_KIND] in _BATCH_KINDS:
+            self._popped += len(record[EV_A])
+        else:
+            self._popped += 1
+        return record
 
     def peek_record(self) -> list | None:
-        """Return the next non-cancelled event record without popping it."""
-        heap, fast = self._heap, self._fast
-        while heap and heap[0][EV_CANCELLED]:
-            heapq.heappop(heap)
-        while fast and fast[0][EV_CANCELLED]:
-            fast.popleft()
-        if fast:
-            if heap and heap[0] < fast[0]:
-                return heap[0]
-            return fast[0]
-        return heap[0] if heap else None
+        """Return the next event record without popping it."""
+        return self._heap[0] if self._heap else None
 
     def peek_time(self) -> float | None:
         """Return the timestamp of the next pending event without popping it."""
-        record = self.peek_record()
-        return record[EV_TIME] if record is not None else None
-
-    def clear(self) -> None:
-        """Drop all pending events."""
-        self._heap.clear()
-        self._fast.clear()
-        self._live = 0
+        return self._heap[0][EV_TIME] if self._heap else None

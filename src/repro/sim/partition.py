@@ -46,6 +46,7 @@ from repro.sim.errors import (
     ProgramError,
     SimulationError,
     TimeLimitExceeded,
+    deadlock_detail,
 )
 from repro.sim.faults import merge_fault_partials
 
@@ -257,7 +258,7 @@ def _merge_results(sim, blocks, payloads, windows: int, lookahead: float):
     nprocs = sim.nprocs
     finish = [0.0] * nprocs
     done = 0
-    blocked: list[int] = []
+    blocked: dict[int, str] = {}
     events = 0
     pending_detail: dict = {}
     stats = sim.transport.stats
@@ -271,7 +272,7 @@ def _merge_results(sim, blocks, payloads, windows: int, lookahead: float):
         for rank, now in payload["finish"].items():
             finish[rank] = now
         done += len(payload["done"])
-        blocked.extend(payload["blocked"])
+        blocked.update(payload["blocked"])
         events += payload["events"]
         sim.vector_cohorts += payload["vector_cohorts"]
         stats.merge_from(payload["stats"])
@@ -284,7 +285,7 @@ def _merge_results(sim, blocks, payloads, windows: int, lookahead: float):
             buffer_stats[rank] = snapshot
         pending_detail.update(payload["pending_counts"])
     if done != nprocs:
-        raise DeadlockError(sorted(blocked), f"pending queues: {pending_detail}")
+        raise DeadlockError(sorted(blocked), deadlock_detail(blocked, pending_detail))
     tracer = sim.tracer
     if tracer is not None:
         tracer.adopt_traces(traces, trace_pending)
@@ -381,7 +382,9 @@ def _worker_payload(sim, local_set) -> dict:
     return {
         "finish": {s.rank: s.now for s in states},
         "done": [s.rank for s in states if s.status is RankStatus.DONE],
-        "blocked": [s.rank for s in states if s.status is RankStatus.BLOCKED],
+        "blocked": {
+            s.rank: s.blocked_on for s in states if s.status is RankStatus.BLOCKED
+        },
         "events": sim._queue.events_processed,
         "vector_cohorts": sim.vector_cohorts,
         "stats": transport.stats,

@@ -33,8 +33,7 @@ not depend on operation results or random draws:
   dynamic: the op-array encoding supports "wait for everything posted so
   far" (``OP_WAITALL``) and "wait for a contiguous slice in posting order"
   (``OP_WAIT`` — what nonblocking-collective composites and partial waitalls
-  lower to), but not arbitrary subsets;
-* send payloads mark it dynamic (payload objects cannot live in a lane).
+  lower to), but not arbitrary subsets.
 
 Collectives — blocking and nonblocking, first-class
 :class:`repro.mpi.ops.CollectiveOp` yields included — are *macro-expanded*
@@ -276,8 +275,6 @@ def _replay(workload, rank: int) -> tuple[OpArrays | None, str | None]:
             elif noise_used:
                 raise NotCompilable("noise factor consumed outside a compute op")
             elif cls is IsendOp or cls is SendOp:
-                if operation.payload is not None:
-                    raise NotCompilable("send payloads are dynamic")
                 op_lane(OP_ISEND if cls is IsendOp else OP_SEND)
                 a_lane(operation.dest)
                 nbytes_lane(int(operation.nbytes))

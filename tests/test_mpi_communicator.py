@@ -81,9 +81,6 @@ class TestPointToPoint:
         with pytest.raises(ValueError):
             comm.compute(-1.0)
 
-    def test_send_payload_carried(self, comm):
-        assert comm.send(0, 8, payload={"x": 1}).payload == {"x": 1}
-
 
 class TestCollectiveGenerators:
     def test_collective_tags_are_reserved_and_strided(self, comm):

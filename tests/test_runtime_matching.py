@@ -105,6 +105,3 @@ class TestUnexpectedQueue:
 class TestMessage:
     def test_envelope(self):
         assert message(src=1, dst=2, tag=3).envelope() == (1, 2, 3)
-
-    def test_unique_ids(self):
-        assert message().msg_id != message().msg_id

@@ -7,6 +7,7 @@ strict key validation, and malformed lines rejected with a pointed
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,13 @@ class TestParseEventLine:
             # Valid JSON, but routing and snapshots hold keys as UTF-8.
             ('{"op": "predict", "receiver": "\\ud800"}', "receiver key must be encodable as UTF-8"),
             ('{"op": "snapshot", "dir": ""}', "dir must be a non-empty string"),
+            ('{"op": "snapshot", "dir": 7}', "dir must be a non-empty string"),
+            # Path.mkdir raises ValueError (not OSError) on a NUL and
+            # UnicodeEncodeError on a lone surrogate: reject both up front.
+            ('{"op": "snapshot", "dir": "a\\u0000b"}', "line 12: dir must not contain NUL"),
+            ('{"op": "snapshot", "dir": "\\u0000"}', "dir must not contain NUL"),
+            ('{"op": "snapshot", "dir": "snap\\ud800"}', "dir must be encodable as UTF-8"),
+            ('{"op": "snapshot", "dir": "\\udc80/x"}', "dir must be encodable as UTF-8"),
             ("", "empty event line"),
         ],
     )
@@ -232,7 +240,8 @@ class TestProperties:
         """Structured error or an encodable answer — never an exception.
 
         ``snapshot`` and ``shutdown`` are the front end's business (file
-        system, stopping) and are left out.
+        system, stopping) and are left out; ``snapshot``'s parser half is
+        the next property.
         """
         service = ServeService(num_shards=2, max_streams=4)
         for number, line in enumerate(lines, start=1):
@@ -248,3 +257,27 @@ class TestProperties:
                 assert response is None
             else:
                 assert json.loads(encode_response(response))["op"] == event.op
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        directory=st.one_of(
+            st.text(st.characters()),
+            st.text(st.sampled_from(["\0", "\ud800", "\udc80", "/", "a", "é"]), max_size=6),
+            st.sampled_from(["", "x" * 70_000, "\0" * 70_000]),
+            _json_values,
+        )
+    )
+    def test_a_parsed_snapshot_dir_can_only_fail_with_oserror(self, directory):
+        """``Path(dir).mkdir`` raises ``ValueError`` on a NUL and
+        ``UnicodeEncodeError`` on a lone surrogate, neither of which
+        ``LineIngest`` catches; a ``dir`` that parses is one the file system
+        can only refuse with the ``OSError`` it does catch."""
+        line = json.dumps({"op": "snapshot", "dir": directory})
+        try:
+            event = parse_event_line(line, 3)
+        except ServeProtocolError as error:
+            assert str(error).startswith("line 3: ")
+            return
+        assert event.op == "snapshot"
+        assert isinstance(event.dir, str) and event.dir
+        assert b"\0" not in os.fsencode(event.dir)

@@ -59,6 +59,26 @@ def assert_huge_horizon_answers(responses, parse_errors):
     assert parse_errors == 1
 
 
+#: A NUL in a path raises ``ValueError`` (not ``OSError``) out of
+#: ``Path.mkdir`` and a lone surrogate ``UnicodeEncodeError``: neither reaches
+#: the file system, both are protocol errors, and line 4 is served.
+HOSTILE_SNAPSHOT_FEED = (
+    '{"receiver": "alpha", "sender": 1, "nbytes": 100}\n'
+    '{"op": "snapshot", "dir": "a\\u0000b"}\n'
+    '{"op": "snapshot", "dir": "a\\ud800b"}\n'
+    '{"op": "predict", "receiver": "alpha"}\n'
+)
+
+
+def assert_hostile_snapshot_answers(responses, parse_errors):
+    nul, surrogate, answered = responses
+    assert nul == {"error": "line 2: dir must not contain NUL", "line": 2}
+    assert surrogate["line"] == 3
+    assert surrogate["error"].startswith("line 3: dir must be encodable as UTF-8")
+    assert answered["op"] == "predict" and answered["known"] is True
+    assert parse_errors == 2
+
+
 PATTERNS = {
     "alpha": [(1, 100), (2, 200)],
     "beta": [(3, 300), (4, 400), (5, 500)],
@@ -209,6 +229,15 @@ class TestTCPServer:
                 sock.sendall(HUGE_HORIZON_FEED.encode())
                 responses = [json.loads(reader.readline()) for _ in range(3)]
         assert_huge_horizon_answers(responses, service.parse_errors)
+
+    def test_snapshot_dir_with_nul_or_surrogate_answers_error_and_connection_survives(self):
+        service = make_service(num_shards=1)
+        with ServerThread(service) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                sock.sendall(HOSTILE_SNAPSHOT_FEED.encode())
+                responses = [json.loads(reader.readline()) for _ in range(3)]
+        assert_hostile_snapshot_answers(responses, service.parse_errors)
 
     def test_client_raises_on_error_response(self):
         with ServerThread(make_service()) as server:
@@ -568,6 +597,13 @@ class TestStdinTransport:
         out = io.StringIO()
         rejected = run_stdin(make_service(), io.StringIO(HUGE_HORIZON_FEED), out)
         assert_huge_horizon_answers(
+            [json.loads(line) for line in out.getvalue().splitlines()], rejected
+        )
+
+    def test_pipe_mode_rejects_snapshot_dir_with_nul_or_surrogate_and_keeps_serving(self):
+        out = io.StringIO()
+        rejected = run_stdin(make_service(), io.StringIO(HOSTILE_SNAPSHOT_FEED), out)
+        assert_hostile_snapshot_answers(
             [json.loads(line) for line in out.getvalue().splitlines()], rejected
         )
 

@@ -245,6 +245,43 @@ class TestErrors:
             make_sim().run([program])
         assert set(excinfo.value.blocked_ranks) == {0, 1}
 
+    def test_deadlock_names_the_call_each_rank_is_stuck_in(self):
+        def program(ctx):
+            yield ctx.comm.recv(source=1 - ctx.rank, tag=0)
+
+        with pytest.raises(
+            DeadlockError, match=r"\(rank 0: recv, rank 1: recv; pending queues: "
+        ):
+            make_sim().run([program])
+
+    @pytest.mark.parametrize("engine", ["scalar", "vectorised", "parallel"])
+    def test_compiled_deadlock_names_each_call_on_every_engine(self, engine):
+        """The parallel engine merges the calls across its partitions."""
+        from repro.workloads.base import Workload
+
+        class CrossedReceives(Workload):
+            name = "crossed-receives-test"
+
+            def default_iterations(self):
+                return 1
+
+            def program(self, ctx):
+                if ctx.rank % 2 == 0:
+                    yield ctx.comm.recv(source=ctx.rank + 1, tag=0)
+                else:
+                    request = yield ctx.comm.irecv(source=ctx.rank - 1, tag=0)
+                    yield ctx.comm.waitall([request])
+
+        sim = make_sim(nprocs=4, tracer=False, engine=engine)
+        with pytest.raises(DeadlockError) as excinfo:
+            sim.run([CrossedReceives(nprocs=4).program_for])
+        assert excinfo.value.blocked_ranks == [0, 1, 2, 3]
+        assert (
+            "(rank 0: recv, rank 1: waitall, rank 2: recv, rank 3: waitall; pending queues: "
+            in str(excinfo.value)
+        )
+        assert engine != "parallel" or sim.parallel_info is None  # it did partition
+
     def test_partial_deadlock_lists_blocked_rank(self):
         def program(ctx):
             if ctx.rank == 0:
@@ -286,7 +323,7 @@ class TestErrors:
             make_sim(nprocs=1, max_events=50).run([program])
 
     def test_max_events_guard_zero_delay_livelock(self):
-        """Zero-cost self-resumes ride the fast lane but still hit the guard."""
+        """Zero-cost self-resumes never advance time but still hit the guard."""
 
         def program(ctx):
             while True:
@@ -422,59 +459,3 @@ class TestCollectivesThroughEngine:
 
         result = make_sim(nprocs=3).run([program])
         assert result.stats.rendezvous_messages == 6
-
-
-class TestDrainCancellation:
-    """Same-cohort cancellation through the run loop, cohorting off and on.
-
-    The loop pops record by record (a cohort is collected by peeking, and a
-    cancelled head is purged before it is looked at), so a callback
-    cancelling a *later* record at the same timestamp keeps that record from
-    ever executing or being counted.
-    """
-
-    @staticmethod
-    def _empty_program(ctx):
-        if False:
-            yield None
-
-    def _plant(self, sim, fired):
-        holder = {}
-
-        def canceller():
-            fired.append("canceller")
-            sim._queue.cancel(holder["victim"])
-
-        sim._queue.push(5.0, canceller)
-        holder["victim"] = sim._queue.push(5.0, lambda: fired.append("victim"))
-
-    @pytest.mark.parametrize("engine", ["scalar", "vectorised"])
-    def test_cancelled_record_is_never_executed_or_counted(self, engine):
-        fired = []
-        sim = make_sim(nprocs=1, tracer=False, engine=engine)
-        self._plant(sim, fired)
-        result = sim.run([self._empty_program])
-        assert fired == ["canceller"]
-        # One step per rank plus the canceller; the victim is never counted.
-        assert result.events_processed == 2
-
-    def test_compiled_run_agrees_across_engines(self):
-        from repro.workloads.registry import create_workload
-
-        workload = create_workload("bt", 4, scale=0.02)
-        results = []
-        for engine in ("scalar", "vectorised"):
-            fired = []
-            sim = Simulator(
-                nprocs=4,
-                seed=1,
-                network=NetworkConfig.noiseless(seed=1),
-                tracer=False,
-                engine=engine,
-            )
-            self._plant(sim, fired)
-            results.append(sim.run([workload.program_for]))
-            assert fired == ["canceller"]
-        scalar, vectorised = results
-        assert vectorised.events_processed == scalar.events_processed
-        assert vectorised.makespan == scalar.makespan

@@ -1,6 +1,7 @@
-"""Tests for repro.sim.events (typed records, batching, fast lane)."""
+"""Tests for repro.sim.events (typed records, batching, ``(time, seq)`` order)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.events import (
     EV_A,
@@ -51,39 +52,22 @@ class TestEventQueue:
         queue.push(0.0, lambda: None)
         assert queue
         assert len(queue) == 1
-        record = queue.push(1.0, lambda: None)
+        queue.push(1.0, lambda: None)
         assert len(queue) == 2
-        queue.cancel(record)
+        queue.pop()
         assert len(queue) == 1
         queue.pop()
         assert len(queue) == 0
         assert not queue
 
-    def test_cancel_is_idempotent(self):
-        queue = EventQueue()
-        record = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        queue.cancel(record)
-        queue.cancel(record)  # double-cancel must not corrupt the counter
-        assert len(queue) == 1
-
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        record = queue.push(1.0, lambda: None)
-        queue.cancel(record)
-        assert queue.pop() is None
-        assert len(queue) == 0
 
     def test_events_processed_counts_only_real_pops(self):
         queue = EventQueue()
         queue.push(1.0, lambda: None)
-        cancelled = queue.push(2.0, lambda: None)
-        queue.cancel(cancelled)
         queue.pop()
-        queue.pop()
+        assert queue.pop() is None  # an empty pop is not an event
         assert queue.events_processed == 1
 
     def test_negative_time_rejected(self):
@@ -96,28 +80,6 @@ class TestEventQueue:
         queue.push(5.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert queue.peek_time() == 2.0
-
-    def test_peek_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        queue.cancel(first)
-        assert queue.peek_time() == 2.0
-
-    def test_peek_skips_cancelled_run(self):
-        queue = EventQueue()
-        records = [queue.push(float(i), lambda: None) for i in range(4)]
-        for record in records[:3]:
-            queue.cancel(record)
-        assert queue.peek_time() == 3.0
-        assert queue.pop() is records[3]
-
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.clear()
-        assert queue.pop() is None
-        assert len(queue) == 0
 
 
 class TestTypedRecords:
@@ -137,6 +99,18 @@ class TestTypedRecords:
         record = queue.push_typed(1.0, EVENT_DELIVER, message, posted)
         assert record[EV_A] is message
         assert record[EV_B] is posted
+
+    def test_record_is_exactly_five_fields(self):
+        queue = EventQueue()
+        state = object()
+        queue.push_typed(0.0, EVENT_CALLBACK, None)
+        assert queue.push_typed(2.5, EVENT_STEP, state, "value") == [
+            2.5, 1, EVENT_STEP, state, "value"
+        ]
+        items = [(object(), None)]
+        assert queue.push_deliver_batch(3.0, items) == [
+            3.0, 2, EVENT_DELIVER_BATCH, items, None
+        ]
 
     def test_sequence_numbers_monotonic(self):
         queue = EventQueue()
@@ -165,16 +139,6 @@ class TestBatchRecords:
         single = queue.push_typed(1.0, EVENT_CALLBACK, None)
         assert single[EV_SEQ] == batch[EV_SEQ] + 5
 
-    def test_cancel_batch_discounts_all_members(self):
-        queue = EventQueue()
-        record = queue.push_deliver_batch(1.0, [(object(), None)] * 4)
-        assert len(queue) == 4
-        queue.cancel(record)
-        assert len(queue) == 0
-        queue.cancel(record)  # idempotent
-        assert len(queue) == 0
-        assert queue.pop() is None
-
     def test_batch_interleaves_with_singles_by_seq(self):
         queue = EventQueue()
         first = queue.push_typed(1.0, EVENT_CALLBACK, "a")
@@ -184,43 +148,77 @@ class TestBatchRecords:
         assert queue.events_processed == 4
 
 
-class TestZeroDelayFastLane:
-    def test_same_time_pushes_take_fast_lane(self):
-        queue = EventQueue()
-        queue.push_typed(1.0, EVENT_CALLBACK, None)
-        queue.pop()  # drain point is now t=1.0
-        record = queue.push_typed(1.0, EVENT_CALLBACK, None)
-        assert not queue._heap  # bypassed the heap
-        assert queue._fast[0] is record
-        assert queue.pop() is record
+class TestPushAtDrainTime:
+    """A push at the timestamp being drained is plain ``(time, seq)`` order."""
 
-    def test_fast_lane_orders_against_heap_by_seq(self):
+    def test_push_at_drain_time_pops_before_later_events(self):
         queue = EventQueue()
         queue.push_typed(1.0, EVENT_CALLBACK, "warm")
         queue.pop()
-        # Heap gets a later-time event first, then a zero-delay event: the
-        # zero-delay event (earlier time) must still pop first.
+        # A later-time event is pushed first, then one at the drain time: the
+        # earlier time must still pop first.
         later = queue.push_typed(2.0, EVENT_CALLBACK, "later")
-        fastlane = queue.push_typed(1.0, EVENT_CALLBACK, "now")
-        assert queue.pop() is fastlane
+        now = queue.push_typed(1.0, EVENT_CALLBACK, "now")
+        assert queue.pop() is now
         assert queue.pop() is later
 
-    def test_fast_lane_respects_pending_heap_seq_at_same_time(self):
+    def test_push_at_drain_time_sorts_after_pending_same_time(self):
         queue = EventQueue()
         queue.push_typed(1.0, EVENT_CALLBACK, None)
-        first_heap = queue.push_typed(1.0, EVENT_CALLBACK, "heap-first")
-        queue.pop()  # drain point t=1.0; "heap-first" still pending in heap
-        lane = queue.push_typed(1.0, EVENT_CALLBACK, "lane-second")
-        # Both pending at t=1.0: the heap record has the smaller seq.
-        assert queue.pop() is first_heap
-        assert queue.pop() is lane
+        pending = queue.push_typed(1.0, EVENT_CALLBACK, "pending-first")
+        queue.pop()  # draining t=1.0; "pending-first" is still queued
+        pushed = queue.push_typed(1.0, EVENT_CALLBACK, "pushed-second")
+        # Both pending at t=1.0: the earlier push has the smaller seq.
+        assert queue.pop() is pending
+        assert queue.pop() is pushed
 
-    def test_cancelled_fast_lane_event_skipped(self):
+
+#: One queue operation: a single push ``(dt, 0)``, a batch push of ``n`` items
+#: ``(dt, n)``, or a pop (``None``).  ``dt`` is the distance from the last
+#: popped time, so pushes never land earlier than the drain point.
+_DELTAS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5])
+_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(_DELTAS, st.just(0)),
+        st.tuples(_DELTAS, st.integers(min_value=1, max_value=5)),
+    ),
+    max_size=60,
+)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_QUEUE_OPS)
+    def test_any_interleaving_pops_in_time_seq_order(self, ops):
         queue = EventQueue()
-        queue.push_typed(1.0, EVENT_CALLBACK, None)
-        queue.pop()
-        record = queue.push_typed(1.0, EVENT_CALLBACK, None)
-        survivor = queue.push_typed(1.0, EVENT_CALLBACK, "ok")
-        queue.cancel(record)
-        assert queue.pop() is survivor
-        assert queue.peek_time() is None
+        now = 0.0
+        pushed = popped = 0
+        last_key = (-1.0, -1)
+        for op in ops + [None] * len(ops):  # then drain what is left
+            if op is None:
+                head = queue.peek_record()
+                record = queue.pop()
+                assert record is head
+                if record is None:
+                    assert pushed == popped
+                    continue
+                key = (record[EV_TIME], record[EV_SEQ])
+                assert key > last_key
+                last_key = key
+                now = record[EV_TIME]
+                popped += (
+                    len(record[EV_A]) if record[EV_KIND] == EVENT_DELIVER_BATCH else 1
+                )
+            else:
+                dt, batch = op
+                if batch:
+                    queue.push_deliver_batch(now + dt, [(object(), None)] * batch)
+                    pushed += batch
+                else:
+                    queue.push_typed(now + dt, EVENT_STEP, object())
+                    pushed += 1
+            assert len(queue) == pushed - popped
+            assert bool(queue) == (pushed > popped)
+            assert queue.events_processed == popped
+        assert popped == pushed

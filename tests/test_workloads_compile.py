@@ -208,17 +208,6 @@ class TestFallbacks:
         assert lanes.op == [OP_IRECV, OP_WAITALL]
         assert lanes.a[1] == 1
 
-    def test_payload_falls_back(self):
-        class Payloaded(_StaticPingWorkload):
-            def program(self, ctx):
-                if ctx.rank == 0:
-                    yield SendOp(1, 64, 0, payload={"data": 1})
-                else:
-                    yield RecvOp(source=0, tag=0)
-
-        assert compile_rank_lanes(Payloaded(nprocs=2), 0) is None
-        assert compile_rank_lanes(Payloaded(nprocs=2), 1) is not None
-
     def test_result_inspection_falls_back(self):
         class ReadsStatus(_StaticPingWorkload):
             def program(self, ctx):
