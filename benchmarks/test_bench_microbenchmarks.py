@@ -545,7 +545,7 @@ class TestFeedMicrobenchmarks:
         assert result.stats.messages_sent > 0
 
     def test_bench_feed_collective_mix_oparray(self, benchmark):
-        """Collective kernels macro-expanded onto the op-array fast lane.
+        """Collective kernels flattened onto the op-array fast lane.
 
         The collective coverage workload (one of every algorithm per
         iteration) stresses the compiler's collective lowering: every

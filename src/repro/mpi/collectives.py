@@ -15,10 +15,14 @@ classic ones:
   to ``(rank + s) % P`` and receives from ``(rank - s) % P``.
 
 Every function is a generator meant to be driven with ``yield from`` inside a
-rank program.  All point-to-point traffic generated here is tagged from the
-reserved collective tag space and marked ``kind="collective"`` so the tracer
-can separate it from application point-to-point messages (Table 1 of the
-paper reports the two classes separately).
+rank program — the only way a collective reaches the engine or the compiler,
+which see nothing but the point-to-point operations it yields.  The two
+nonblocking ones (:func:`ialltoall`, :func:`iallgather`) *return* a
+:class:`CollectiveRequest` through the same ``yield from``.  All
+point-to-point traffic generated here is tagged from the reserved collective
+tag space and marked ``kind="collective"`` so the tracer can separate it from
+application point-to-point messages (Table 1 of the paper reports the two
+classes separately).
 
 To stay deadlock-free regardless of message size (rendezvous sends block
 until the peer posts its receive), pairwise exchanges always post the receive
@@ -33,25 +37,7 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from repro.mpi.constants import KIND_COLLECTIVE
-from repro.mpi.ops import (
-    AllgatherOp,
-    AllreduceOp,
-    AlltoallOp,
-    AlltoallvOp,
-    BarrierOp,
-    BcastOp,
-    GatherOp,
-    IallgatherOp,
-    IalltoallOp,
-    IrecvOp,
-    IsendOp,
-    Operation,
-    RecvOp,
-    ReduceOp,
-    ScatterOp,
-    SendOp,
-    WaitallOp,
-)
+from repro.mpi.ops import IrecvOp, IsendOp, Operation, RecvOp, SendOp, WaitallOp
 from repro.mpi.request import CollectiveRequest
 
 __all__ = [
@@ -68,7 +54,6 @@ __all__ = [
     "barrier",
     "ialltoall",
     "iallgather",
-    "decomposition_for",
 ]
 
 CollectiveGen = Generator[Operation, object, None]
@@ -246,41 +231,6 @@ def iallgather(rank: int, size: int, nbytes: int, tag: int) -> CollectiveGen:
     """
     result = yield from ialltoall(rank, size, nbytes, tag)
     return result
-
-
-def decomposition_for(operation: Operation, rank: int, size: int) -> CollectiveGen:
-    """The point-to-point decomposition generator for a first-class collective.
-
-    The engine's generator path and the compiler's replay both expand
-    :class:`repro.mpi.ops.CollectiveOp` operations through this single
-    dispatch, which is what makes the two paths bit-identical by
-    construction.  Blocking collectives return ``None``; nonblocking ones
-    return a :class:`CollectiveRequest` via ``StopIteration.value``.
-    """
-    cls = operation.__class__
-    if cls is BcastOp:
-        return broadcast(rank, size, operation.nbytes, operation.root, operation.tag)
-    if cls is ReduceOp:
-        return reduce(rank, size, operation.nbytes, operation.root, operation.tag)
-    if cls is AllreduceOp:
-        return allreduce(rank, size, operation.nbytes, operation.tag)
-    if cls is AllgatherOp:
-        return allgather(rank, size, operation.nbytes, operation.tag)
-    if cls is GatherOp:
-        return gather(rank, size, operation.nbytes, operation.root, operation.tag)
-    if cls is ScatterOp:
-        return scatter(rank, size, operation.nbytes, operation.root, operation.tag)
-    if cls is AlltoallOp:
-        return alltoall(rank, size, operation.nbytes, operation.tag)
-    if cls is AlltoallvOp:
-        return alltoallv(rank, size, list(operation.send_bytes), operation.tag)
-    if cls is BarrierOp:
-        return barrier(rank, size, operation.tag)
-    if cls is IalltoallOp:
-        return ialltoall(rank, size, operation.nbytes, operation.tag)
-    if cls is IallgatherOp:
-        return iallgather(rank, size, operation.nbytes, operation.tag)
-    raise TypeError(f"not a collective operation: {operation!r}")
 
 
 def barrier(rank: int, size: int, tag: int) -> CollectiveGen:

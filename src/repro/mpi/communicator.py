@@ -10,7 +10,12 @@ through its :class:`Communicator`:
   :meth:`allgather`, :meth:`alltoall`, :meth:`alltoallv`, :meth:`gather`,
   :meth:`scatter`, :meth:`barrier`) are generators that the program drives
   with ``yield from``; they decompose into point-to-point traffic exactly
-  like a real MPI library;
+  like a real MPI library.  The nonblocking :meth:`ialltoall` and
+  :meth:`iallgather` are driven the same way and *return* a composite
+  request: ``req = yield from comm.ialltoall(n)``, later
+  ``yield comm.wait(req)``.  ``yield from`` is the only spelling — a bare
+  ``yield comm.bcast(n)`` hands the engine a generator object, which it
+  rejects with a :class:`repro.sim.errors.ProgramError`;
 * :meth:`compute` models local computation time.
 
 Example
@@ -56,27 +61,16 @@ from repro.mpi.constants import (
     MAX_USER_TAG,
 )
 from repro.mpi.ops import (
-    AllgatherOp,
-    AllreduceOp,
-    AlltoallOp,
-    AlltoallvOp,
-    BarrierOp,
-    BcastOp,
     ComputeOp,
-    GatherOp,
-    IallgatherOp,
-    IalltoallOp,
     IrecvOp,
     IsendOp,
     Operation,
     RecvOp,
-    ReduceOp,
-    ScatterOp,
     SendOp,
     WaitallOp,
     WaitOp,
 )
-from repro.mpi.request import Request
+from repro.mpi.request import CollectiveRequest, Request
 from repro.util.rng import SeededRNG
 from repro.util.validation import check_non_negative, check_rank
 
@@ -234,77 +228,16 @@ class Communicator:
             check_non_negative("send_bytes[]", value)
         yield from _coll.alltoallv(self.rank, self.size, list(send_bytes), self._next_collective_tag())
 
-    # ------------------------------------------------------------------
-    # First-class collectives (yield the returned op directly)
-    # ------------------------------------------------------------------
-    # Each factory validates its arguments and allocates the collective tag
-    # from the same per-communicator sequence as the generator methods above,
-    # so a program written as ``yield comm.alltoall_op(n)`` produces exactly
-    # the tag/message sequence of ``yield from comm.alltoall(n)``.  The
-    # engine (and the compiler's replay) expands the op through
-    # :func:`repro.mpi.collectives.decomposition_for`.
-
-    def barrier_op(self) -> BarrierOp:
-        """Dissemination barrier as a first-class op."""
-        return BarrierOp(self._next_collective_tag())
-
-    def bcast_op(self, nbytes: int, root: int = 0) -> BcastOp:
-        """Binomial-tree broadcast as a first-class op."""
-        check_rank("root", root, self.size)
+    def ialltoall(self, nbytes: int) -> Generator[Operation, object, CollectiveRequest]:
+        """Nonblocking alltoall: ``req = yield from comm.ialltoall(n)`` posts
+        it and returns the composite request to ``wait`` / ``waitall`` on."""
         check_non_negative("nbytes", nbytes)
-        return BcastOp(int(nbytes), root, self._next_collective_tag())
+        return (yield from _coll.ialltoall(self.rank, self.size, int(nbytes), self._next_collective_tag()))
 
-    def reduce_op(self, nbytes: int, root: int = 0) -> ReduceOp:
-        """Binomial-tree reduction as a first-class op."""
-        check_rank("root", root, self.size)
+    def iallgather(self, nbytes: int) -> Generator[Operation, object, CollectiveRequest]:
+        """Nonblocking allgather: ``req = yield from comm.iallgather(n)``."""
         check_non_negative("nbytes", nbytes)
-        return ReduceOp(int(nbytes), root, self._next_collective_tag())
-
-    def allreduce_op(self, nbytes: int) -> AllreduceOp:
-        """Reduce-plus-broadcast as a first-class op."""
-        check_non_negative("nbytes", nbytes)
-        return AllreduceOp(int(nbytes), self._next_collective_tag())
-
-    def allgather_op(self, nbytes: int) -> AllgatherOp:
-        """Ring allgather as a first-class op."""
-        check_non_negative("nbytes", nbytes)
-        return AllgatherOp(int(nbytes), self._next_collective_tag())
-
-    def gather_op(self, nbytes: int, root: int = 0) -> GatherOp:
-        """Flat gather as a first-class op."""
-        check_rank("root", root, self.size)
-        check_non_negative("nbytes", nbytes)
-        return GatherOp(int(nbytes), root, self._next_collective_tag())
-
-    def scatter_op(self, nbytes: int, root: int = 0) -> ScatterOp:
-        """Flat scatter as a first-class op."""
-        check_rank("root", root, self.size)
-        check_non_negative("nbytes", nbytes)
-        return ScatterOp(int(nbytes), root, self._next_collective_tag())
-
-    def alltoall_op(self, nbytes: int) -> AlltoallOp:
-        """Pairwise alltoall as a first-class op."""
-        check_non_negative("nbytes", nbytes)
-        return AlltoallOp(int(nbytes), self._next_collective_tag())
-
-    def alltoallv_op(self, send_bytes: Sequence[int]) -> AlltoallvOp:
-        """Pairwise alltoallv as a first-class op."""
-        values = tuple(int(value) for value in send_bytes)
-        for value in values:
-            check_non_negative("send_bytes[]", value)
-        return AlltoallvOp(values, self._next_collective_tag())
-
-    def ialltoall(self, nbytes: int) -> IalltoallOp:
-        """Nonblocking alltoall; yielding it returns a
-        :class:`repro.mpi.request.CollectiveRequest`."""
-        check_non_negative("nbytes", nbytes)
-        return IalltoallOp(int(nbytes), self._next_collective_tag())
-
-    def iallgather(self, nbytes: int) -> IallgatherOp:
-        """Nonblocking allgather; yielding it returns a
-        :class:`repro.mpi.request.CollectiveRequest`."""
-        check_non_negative("nbytes", nbytes)
-        return IallgatherOp(int(nbytes), self._next_collective_tag())
+        return (yield from _coll.iallgather(self.rank, self.size, int(nbytes), self._next_collective_tag()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Communicator(rank={self.rank}, size={self.size})"

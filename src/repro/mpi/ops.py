@@ -19,6 +19,13 @@ operation            value sent back into the generator
 :class:`ComputeOp`   ``None`` (local virtual time advances)
 ===================  =======================================================
 
+These seven classes are the whole protocol: a collective is not an
+operation.  :mod:`repro.mpi.collectives` builds each one out of the ops above
+and a program runs it with ``yield from``, which Python flattens, so the
+engine and the compiler only ever see point-to-point ops, waits and computes.
+Yielding anything else (a forgotten ``from`` yields a generator object) is a
+:class:`repro.sim.errors.ProgramError`.
+
 Applications normally do not construct these directly; they use the methods
 of :class:`repro.mpi.communicator.Communicator`, which validate arguments and
 fill in the message ``kind``.
@@ -68,18 +75,6 @@ __all__ = [
     "WaitOp",
     "WaitallOp",
     "ComputeOp",
-    "CollectiveOp",
-    "BcastOp",
-    "ReduceOp",
-    "AllreduceOp",
-    "AllgatherOp",
-    "GatherOp",
-    "ScatterOp",
-    "AlltoallOp",
-    "AlltoallvOp",
-    "BarrierOp",
-    "IalltoallOp",
-    "IallgatherOp",
     "OP_COMPUTE",
     "OP_SEND",
     "OP_ISEND",
@@ -87,18 +82,6 @@ __all__ = [
     "OP_IRECV",
     "OP_WAITALL",
     "OP_WAIT",
-    "OP_BCAST",
-    "OP_REDUCE",
-    "OP_ALLREDUCE",
-    "OP_ALLGATHER",
-    "OP_GATHER",
-    "OP_SCATTER",
-    "OP_ALLTOALL",
-    "OP_ALLTOALLV",
-    "OP_BARRIER",
-    "OP_IALLTOALL",
-    "OP_IALLGATHER",
-    "COLLECTIVE_OP_CODES",
     "OpArrays",
     "CompiledProgram",
 ]
@@ -170,122 +153,6 @@ class ComputeOp(Operation):
 
 
 # ----------------------------------------------------------------------
-# First-class collective operations
-# ----------------------------------------------------------------------
-class CollectiveOp(Operation):
-    """Base class for first-class collective operations.
-
-    A rank program yields one of these *instead of* driving the collective
-    generator with ``yield from``: the engine (and the compiler's replay)
-    expands it through :func:`repro.mpi.collectives.decomposition_for` into
-    the identical point-to-point message sequence, so the two spellings are
-    bit-identical by construction.  The ``tag`` is allocated eagerly by the
-    :class:`repro.mpi.communicator.Communicator` factory methods from the
-    same per-communicator sequence the generator methods use.
-
-    Blocking collectives resume the program with ``None``; the nonblocking
-    variants (:class:`IalltoallOp`, :class:`IallgatherOp`) resume with a
-    :class:`repro.mpi.request.CollectiveRequest` to pass to ``wait`` /
-    ``waitall`` later.
-    """
-
-    __slots__ = ()
-
-
-@dataclass(slots=True)
-class BcastOp(CollectiveOp):
-    """Binomial-tree broadcast of ``nbytes`` from ``root`` (``MPI_Bcast``)."""
-
-    nbytes: int
-    root: int
-    tag: int
-
-
-@dataclass(slots=True)
-class ReduceOp(CollectiveOp):
-    """Reversed binomial-tree reduction to ``root`` (``MPI_Reduce``)."""
-
-    nbytes: int
-    root: int
-    tag: int
-
-
-@dataclass(slots=True)
-class AllreduceOp(CollectiveOp):
-    """Reduce-to-rank-0 plus broadcast (``MPI_Allreduce``)."""
-
-    nbytes: int
-    tag: int
-
-
-@dataclass(slots=True)
-class AllgatherOp(CollectiveOp):
-    """Ring allgather of ``nbytes`` per rank (``MPI_Allgather``)."""
-
-    nbytes: int
-    tag: int
-
-
-@dataclass(slots=True)
-class GatherOp(CollectiveOp):
-    """Flat fan-in gather of ``nbytes`` at ``root`` (``MPI_Gather``)."""
-
-    nbytes: int
-    root: int
-    tag: int
-
-
-@dataclass(slots=True)
-class ScatterOp(CollectiveOp):
-    """Flat fan-out scatter of ``nbytes`` from ``root`` (``MPI_Scatter``)."""
-
-    nbytes: int
-    root: int
-    tag: int
-
-
-@dataclass(slots=True)
-class AlltoallOp(CollectiveOp):
-    """Pairwise alltoall with a uniform per-pair payload (``MPI_Alltoall``)."""
-
-    nbytes: int
-    tag: int
-
-
-@dataclass(slots=True)
-class AlltoallvOp(CollectiveOp):
-    """Pairwise alltoallv; ``send_bytes[d]`` goes to rank ``d`` (``MPI_Alltoallv``)."""
-
-    send_bytes: tuple
-    tag: int
-
-
-@dataclass(slots=True)
-class BarrierOp(CollectiveOp):
-    """Dissemination barrier (``MPI_Barrier``)."""
-
-    tag: int
-
-
-@dataclass(slots=True)
-class IalltoallOp(CollectiveOp):
-    """Nonblocking alltoall (``MPI_Ialltoall``); resumes with a
-    :class:`repro.mpi.request.CollectiveRequest`."""
-
-    nbytes: int
-    tag: int
-
-
-@dataclass(slots=True)
-class IallgatherOp(CollectiveOp):
-    """Nonblocking allgather (``MPI_Iallgather``); resumes with a
-    :class:`repro.mpi.request.CollectiveRequest`."""
-
-    nbytes: int
-    tag: int
-
-
-# ----------------------------------------------------------------------
 # Op-array encoding (the compiled fast lane)
 # ----------------------------------------------------------------------
 
@@ -309,43 +176,6 @@ OP_WAITALL = 5
 #: for partial waitalls whose request set is contiguous in posting order;
 #: non-contiguous subsets stay on the generator path.
 OP_WAIT = 6
-
-# -- collective lowering codes (compiler IR, never present in runtime lanes) --
-#: Collective operations have dedicated op codes so tools (and the DUMPI
-#: importer) can name them, but the compiler *macro-expands* every collective
-#: at compile time: its point-to-point decomposition is inlined into the flat
-#: lanes as ordinary ``OP_SEND``/``OP_ISEND``/``OP_RECV``/``OP_IRECV``/
-#: ``OP_WAITALL``/``OP_WAIT`` entries, identical to what the generator path
-#: executes.  The engine therefore never sees these codes at runtime — which
-#: is precisely what keeps the scalar, vectorised and parallel drains
-#: bit-identical without collective-specific engine branches.
-OP_BCAST = 16
-OP_REDUCE = 17
-OP_ALLREDUCE = 18
-OP_ALLGATHER = 19
-OP_GATHER = 20
-OP_SCATTER = 21
-OP_ALLTOALL = 22
-OP_ALLTOALLV = 23
-OP_BARRIER = 24
-OP_IALLTOALL = 25
-OP_IALLGATHER = 26
-
-#: Operation class -> lowering code, e.g. for importers and debug dumps.
-COLLECTIVE_OP_CODES = {
-    "BcastOp": OP_BCAST,
-    "ReduceOp": OP_REDUCE,
-    "AllreduceOp": OP_ALLREDUCE,
-    "AllgatherOp": OP_ALLGATHER,
-    "GatherOp": OP_GATHER,
-    "ScatterOp": OP_SCATTER,
-    "AlltoallOp": OP_ALLTOALL,
-    "AlltoallvOp": OP_ALLTOALLV,
-    "BarrierOp": OP_BARRIER,
-    "IalltoallOp": OP_IALLTOALL,
-    "IallgatherOp": OP_IALLGATHER,
-}
-
 
 class OpArrays:
     """Flat typed lanes describing one rank's precompiled schedule.

@@ -7,12 +7,11 @@ resulting network traffic with :class:`repro.sim.network.NetworkModel`,
 matches messages to posted receives with MPI semantics, accounts eager-buffer
 memory, and drives the two-level tracer.
 
-Postings come in three shapes per direction.  The operation-object APIs
-(:meth:`Transport.post_send` / :meth:`Transport.post_recv`, used by the
-generator protocol) unpack into the scalar-argument ones
-(:meth:`Transport.post_send_values` / :meth:`Transport.post_recv_values`),
-which the engine's op-array fast lane calls directly so no per-op operation
-object ever exists on that path.  The burst APIs
+Postings come in two shapes per direction.  The scalar-argument APIs
+(:meth:`Transport.post_send_values` / :meth:`Transport.post_recv_values`)
+post one message; the engine calls them with an operation object's fields
+(generator protocol) or with lane values (op-array fast lane, where no per-op
+operation object ever exists).  The burst APIs
 (:meth:`Transport.post_send_burst` / :meth:`Transport.post_recv_burst`) post
 one timestamp cohort's worth of messages in a single pass, bit-identically to
 calling the values APIs once per message.
@@ -50,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.mpi.ops import IrecvOp, IsendOp, RecvOp, SendOp
 from repro.mpi.request import Request, Status, _request_ids
 from repro.runtime.buffers import BufferPoolStats, EagerBufferPool
 from repro.runtime.matching import (
@@ -258,9 +256,8 @@ class Transport:
 
         Callers must guarantee no live reference to ``request`` remains (the
         engine only releases the requests of blocking operations, whose
-        handles never reach rank programs).  The next ``post_send`` /
-        ``post_recv`` may hand the same object out again — reinitialised,
-        with a fresh ``req_id``.
+        handles never reach rank programs).  The next posting may hand the
+        same object out again — reinitialised, with a fresh ``req_id``.
         """
         if not request.completed:
             raise RuntimeError(
@@ -276,12 +273,6 @@ class Transport:
     # ------------------------------------------------------------------
     # Send path
     # ------------------------------------------------------------------
-    def post_send(self, rank: int, op: SendOp | IsendOp, now: float) -> Request:
-        """Execute a send operation object posted by ``rank`` at ``now``."""
-        return self.post_send_values(
-            rank, op.dest, int(op.nbytes), op.tag, op.kind, now
-        )
-
     def post_send_values(
         self,
         rank: int,
@@ -291,11 +282,10 @@ class Transport:
         kind: str,
         now: float,
     ) -> Request:
-        """Execute a send given as plain field values (op-array fast lane).
+        """Execute a send posted by ``rank`` at ``now``, given as field values.
 
-        This is the real send path; :meth:`post_send` merely unpacks an
-        operation object into it.  Taking scalars keeps the compiled engine
-        lane free of per-op object construction.
+        Taking scalars keeps the compiled engine lane free of per-op object
+        construction.
         """
         if not (0 <= dst < self.nprocs):
             raise ValueError(f"destination rank {dst} out of range [0, {self.nprocs})")
@@ -531,14 +521,10 @@ class Transport:
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def post_recv(self, rank: int, op: RecvOp | IrecvOp, now: float) -> Request:
-        """Execute a receive operation object posted by ``rank`` at ``now``."""
-        return self.post_recv_values(rank, op.source, op.tag, op.kind, now)
-
     def post_recv_values(
         self, rank: int, source: int, tag: int, kind: str, now: float
     ) -> Request:
-        """Execute a receive given as plain field values (op-array fast lane)."""
+        """Execute a receive posted by ``rank`` at ``now``, given as field values."""
         pool = self._request_pool
         request = pool.pop()._reuse("recv", rank) if pool else Request("recv", rank)
         if self._tracer_recv_posted is not None:
@@ -692,7 +678,12 @@ class Transport:
         message.arrival_time = data_arrival
         send_done = data_inject + self.network.serialization_time(message.nbytes)
         state.send_request._complete(send_done)
-        self._schedule_data(data_arrival, message, state.posted)
+        if state.handshake_id is not None:
+            # Cross-partition handshake: the receiver lives in another worker
+            # and holds the matched receive parked under the handshake id.
+            self._outbox_data(data_arrival, message, state.handshake_id)
+        else:
+            self._schedule_data(data_arrival, message, state.posted)
 
     # ------------------------------------------------------------------
     # Partition mode (parallel engine)
@@ -755,17 +746,6 @@ class Transport:
             ),
         )
 
-    def _handle_remote_cts(self, handshake_id, arrival: float) -> None:
-        """A barrier-injected CTS reached the sending partition: push data."""
-        state = self._pending_rendezvous.pop(handshake_id)
-        message = state.message
-        data_inject = arrival + self._handshake_cpu
-        data_arrival = self._data_arrival(message, data_inject)
-        message.arrival_time = data_arrival
-        send_done = data_inject + self.network.serialization_time(message.nbytes)
-        state.send_request._complete(send_done)
-        self._outbox_data(data_arrival, message, handshake_id)
-
     def inject_remote(self, time: float, payload: tuple) -> None:
         """Replay one exchange record shipped in from another partition.
 
@@ -797,8 +777,8 @@ class Transport:
             )
             self._schedule(time, lambda: self._handle_rts(state, time))
         elif kind == "cts":
-            handshake_id = payload[1]
-            self._schedule(time, lambda: self._handle_remote_cts(handshake_id, time))
+            state = self._pending_rendezvous.pop(payload[1])
+            self._schedule(time, lambda: self._handle_cts(state, time))
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown exchange record kind: {kind!r}")
 

@@ -142,6 +142,8 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
         raise ServeProtocolError(line_number, f"invalid JSON: {error.msg}") from None
+    except RecursionError:  # "[" * 5000: the decoder recurses once per level
+        raise ServeProtocolError(line_number, "invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ServeProtocolError(
             line_number, f"event must be a JSON object, got {type(payload).__name__}"

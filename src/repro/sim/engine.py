@@ -66,7 +66,6 @@ from heapq import heappop as _heappop, heappush as _heappush
 from time import monotonic as _monotonic
 from typing import Callable, Generator, Sequence
 
-from repro.mpi.collectives import decomposition_for
 from repro.mpi.communicator import Communicator, RankContext
 from repro.mpi.ops import (
     OP_COMPUTE,
@@ -76,7 +75,6 @@ from repro.mpi.ops import (
     OP_SEND,
     OP_WAIT,
     OP_WAITALL,
-    CollectiveOp,
     CompiledProgram,
     ComputeOp,
     IrecvOp,
@@ -152,25 +150,20 @@ class RankState:
     """Book-keeping for one simulated rank.
 
     A rank runs in one of two modes, fixed at :meth:`Simulator.run` time:
-    the generator protocol (``generator``/``resume_fn`` set, ``compiled``
-    None) or the op-array fast lane (``compiled`` set and the ``cp_*``
-    fields holding the schedule lanes plus the execution cursor).
+    the generator protocol (``resume_fn`` set, ``compiled`` None) or the
+    op-array fast lane (``compiled`` set and the ``cp_*`` fields holding the
+    schedule lanes plus the execution cursor).
     """
 
     rank: int
-    generator: Generator[Operation, object, None] | None
     now: float = 0.0
     status: RankStatus = RankStatus.READY
     #: The blocking call a BLOCKED rank sits in ("send", "recv", "wait",
     #: "waitall"); a :class:`DeadlockError` reports it per stuck rank.
     blocked_on: str = ""
-    #: Cached ``generator.send`` bound method (set by :meth:`Simulator.run`).
-    #: While a first-class collective is being expanded, this points at the
-    #: decomposition generator's ``send`` instead (see ``gen_stack``).
+    #: The program generator's bound ``send`` (set by :meth:`Simulator.run`;
+    #: it is also what keeps the generator alive), or None in compiled mode.
     resume_fn: Callable | None = None
-    #: Suspended outer ``resume_fn`` frames during collective expansion
-    #: (:meth:`Simulator._op_collective`); lazily allocated, usually depth 1.
-    gen_stack: list | None = None
     #: The rank's :class:`CompiledProgram`, or None in generator mode.
     compiled: CompiledProgram | None = None
     #: Next op index in the compiled lanes.
@@ -394,10 +387,6 @@ class Simulator:
             IrecvOp: self._op_irecv,
             WaitOp: self._op_wait,
             WaitallOp: self._op_waitall,
-            # Subclasses resolve (and cache) through _resolve_handler's MRO
-            # walk.  This is the only handler that returns True: it expands
-            # the collective in place and _step keeps driving the same event.
-            CollectiveOp: self._op_collective,
         }
 
     # ------------------------------------------------------------------
@@ -472,8 +461,7 @@ class Simulator:
             if isinstance(program, CompiledProgram):
                 # Op-array fast lane: unpack the schedule lanes onto the
                 # state so the per-op decode is one attribute load per lane.
-                state = RankState(rank=rank, generator=None)
-                state.compiled = program
+                state = RankState(rank=rank, compiled=program)
                 lanes = program.lanes
                 state.cp_len = len(lanes.op)
                 state.cp_op = lanes.op
@@ -484,8 +472,7 @@ class Simulator:
                 state.cp_kind = lanes.kind
                 state.cp_pending = []
             elif hasattr(program, "send"):
-                state = RankState(rank=rank, generator=program)
-                state.resume_fn = program.send
+                state = RankState(rank=rank, resume_fn=program.send)
             else:
                 raise ProgramError(
                     f"program factory for rank {rank} returned neither a "
@@ -952,42 +939,27 @@ class Simulator:
         across non-blocking resumptions, and :meth:`_resume` restores READY
         when a blocking operation completes.
 
-        The loop exists for first-class collectives: yielding a
-        :class:`CollectiveOp` re-targets ``resume_fn`` at the collective's
-        decomposition generator (:meth:`_op_collective`) and the *same* step
-        event keeps driving it, exactly as ``yield from`` would — the macro
-        itself consumes no events, so the two spellings are bit-identical.
-        Likewise, a finished decomposition resumes the suspended outer frame
-        with its return value within the same event (mirroring how
-        ``yield from`` propagates ``StopIteration.value``).
+        Collectives arrive flattened by ``yield from``, so the op is one of
+        the seven classes in ``_op_table`` or the program is in error.
         """
         if state.status is _DONE:
             raise SimulationError(f"rank {state.rank} stepped after completion")
-        resume = state.resume_fn
-        while True:
-            try:
-                operation = resume(value)
-            except StopIteration as stop:
-                gen_stack = state.gen_stack
-                if gen_stack:
-                    resume = state.resume_fn = gen_stack.pop()
-                    value = stop.value
-                    continue
-                state.status = _DONE
-                self._done_count += 1
-                return
-            except Exception:
-                state.status = _FAILED
-                raise
-            handler = self._op_table.get(operation.__class__)
-            if handler is None:
-                handler = self._resolve_handler(state, operation)
-            if handler(state, operation):
-                # Collective macro expanded: drive the decomposition now.
-                resume = state.resume_fn
-                value = None
-                continue
+        try:
+            operation = state.resume_fn(value)
+        except StopIteration:
+            state.status = _DONE
+            self._done_count += 1
             return
+        except Exception:
+            state.status = _FAILED
+            raise
+        handler = self._op_table.get(operation.__class__)
+        if handler is None:
+            what = "an unsupported operation"
+            if hasattr(operation, "send"):
+                what = "a generator (write 'yield from' to run a collective or sendrecv)"
+            raise ProgramError(f"rank {state.rank} yielded {what}: {operation!r}")
+        handler(state, operation)
 
     def _step_compiled(self, state: RankState) -> None:
         """Execute the next op of a compiled (op-array) rank program.
@@ -1084,17 +1056,6 @@ class Simulator:
         queue._seq = seq + 1
         _heappush(queue._heap, [time, seq, EVENT_STEP, state, None])
 
-    def _resolve_handler(self, state: RankState, operation) -> Callable:
-        """Slow path: find (and cache) the handler for an Operation subclass."""
-        for base in type(operation).__mro__:
-            handler = self._op_table.get(base)
-            if handler is not None:
-                self._op_table[type(operation)] = handler
-                return handler
-        raise ProgramError(
-            f"rank {state.rank} yielded an unsupported operation: {operation!r}"
-        )
-
     # ------------------------------------------------------------------
     # Per-operation handlers (dispatched via the handler table)
     # ------------------------------------------------------------------
@@ -1119,11 +1080,15 @@ class Simulator:
         _heappush(queue._heap, [time, seq, EVENT_STEP, state, None])
 
     def _op_send(self, state: RankState, op: SendOp) -> None:
-        request = self.transport.post_send(state.rank, op, state.now)
+        request = self.transport.post_send_values(
+            state.rank, op.dest, int(op.nbytes), op.tag, op.kind, state.now
+        )
         self._block_on(state, [request], _result_none, "send", recycle=True)
 
     def _op_isend(self, state: RankState, op: IsendOp) -> None:
-        request = self.transport.post_send(state.rank, op, state.now)
+        request = self.transport.post_send_values(
+            state.rank, op.dest, int(op.nbytes), op.tag, op.kind, state.now
+        )
         state.now = time = state.now + self.machine.send_overhead
         if time < self.time:
             time = self.time
@@ -1133,11 +1098,15 @@ class Simulator:
         _heappush(queue._heap, [time, seq, EVENT_STEP, state, request])
 
     def _op_recv(self, state: RankState, op: RecvOp) -> None:
-        request = self.transport.post_recv(state.rank, op, state.now)
+        request = self.transport.post_recv_values(
+            state.rank, op.source, op.tag, op.kind, state.now
+        )
         self._block_on(state, [request], _result_first_status, "recv", recycle=True)
 
     def _op_irecv(self, state: RankState, op: IrecvOp) -> None:
-        request = self.transport.post_recv(state.rank, op, state.now)
+        request = self.transport.post_recv_values(
+            state.rank, op.source, op.tag, op.kind, state.now
+        )
         time = state.now
         if time < self.time:
             time = self.time
@@ -1145,20 +1114,6 @@ class Simulator:
         seq = queue._seq
         queue._seq = seq + 1
         _heappush(queue._heap, [time, seq, EVENT_STEP, state, request])
-
-    def _op_collective(self, state: RankState, op: CollectiveOp) -> bool:
-        """Expand a first-class collective into its decomposition generator.
-
-        Pushes the current frame and re-targets ``resume_fn`` at the
-        decomposition; returning True tells :meth:`_step` to keep driving
-        the same event, so the macro consumes no events of its own.
-        """
-        gen_stack = state.gen_stack
-        if gen_stack is None:
-            gen_stack = state.gen_stack = []
-        gen_stack.append(state.resume_fn)
-        state.resume_fn = decomposition_for(op, state.rank, self.nprocs).send
-        return True
 
     def _op_wait(self, state: RankState, op: WaitOp) -> None:
         request = op.request

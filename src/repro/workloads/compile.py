@@ -35,13 +35,12 @@ not depend on operation results or random draws:
   (``OP_WAIT`` — what nonblocking-collective composites and partial waitalls
   lower to), but not arbitrary subsets.
 
-Collectives — blocking and nonblocking, first-class
-:class:`repro.mpi.ops.CollectiveOp` yields included — are *macro-expanded*
-at compile time: the replay drives the same decomposition generator the
-engine's generator path uses (:func:`repro.mpi.collectives.decomposition_for`)
-and inlines its point-to-point operations into the flat lanes, so the
-compiled and generator paths execute the identical message sequence by
-construction and the engine drains need no collective-specific branches.
+Collectives need no support here: a program runs one with ``yield from``,
+Python flattens the nested generator, and the replay records the same
+point-to-point operations the engine's generator path would execute.  A
+nonblocking collective hands the program a
+:class:`repro.mpi.request.CollectiveRequest` built over the replay's fake
+request tokens; a wait on it is a wait on those tokens.
 
 A dynamic program is not an error: :func:`compile_program` returns ``None``
 and the caller runs the generator protocol instead.  Workloads can also opt
@@ -76,7 +75,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.mpi.collectives import decomposition_for
 from repro.mpi.communicator import Communicator, RankContext
 from repro.mpi.ops import (
     OP_COMPUTE,
@@ -86,7 +84,6 @@ from repro.mpi.ops import (
     OP_SEND,
     OP_WAIT,
     OP_WAITALL,
-    CollectiveOp,
     CompiledProgram,
     ComputeOp,
     IrecvOp,
@@ -220,7 +217,6 @@ def _replay(workload, rank: int) -> tuple[OpArrays | None, str | None]:
     generator = workload.program(ctx)
     if not hasattr(generator, "send"):
         return None, "program factory did not return a generator"
-    size = workload.nprocs
     lanes = OpArrays()
     # The replay costs one generator traversal per cold compile; bound lane
     # appends keep that traversal close to the raw resumption cost.
@@ -231,33 +227,17 @@ def _replay(workload, rank: int) -> tuple[OpArrays | None, str | None]:
     seconds_lane = lanes.seconds.append
     kind_lane = lanes.kind.append
     resume = generator.send
-    # Pending entries are (token, transport_count): a plain nonblocking op
-    # contributes (fake request, 1); a nonblocking collective collapses its
-    # decomposition into one (CollectiveRequest, k) entry so waits can be
-    # matched against whichever handle the program actually holds.
-    pending: list[tuple[object, int]] = []
-    # Suspended outer frames during collective macro-expansion: (resume,
-    # pending length at macro entry).
-    gen_stack: list[tuple] = []
+    # Fake request tokens of the outstanding nonblocking ops, in posting
+    # order: the compile-time image of the engine's ``cp_pending``.
+    pending: list[_FakeRequest] = []
     value = None
     draws_seen = 0
     try:
         while True:
             try:
                 operation = resume(value)
-            except StopIteration as stop:
-                if not gen_stack:
-                    break
-                # A collective decomposition finished: resume the program
-                # with its return value, exactly like ``yield from`` would.
-                resume, mark = gen_stack.pop()
-                result = stop.value
-                if isinstance(result, CollectiveRequest):
-                    count = sum(entry[1] for entry in pending[mark:])
-                    del pending[mark:]
-                    pending.append((result, count))
-                value = result
-                continue
+            except StopIteration:
+                break
             noise_used = rng.noise_draws - draws_seen
             draws_seen = rng.noise_draws
             cls = operation.__class__
@@ -283,7 +263,7 @@ def _replay(workload, rank: int) -> tuple[OpArrays | None, str | None]:
                 kind_lane(operation.kind)
                 if cls is IsendOp:
                     value = _FakeRequest()
-                    pending.append((value, 1))
+                    pending.append(value)
             elif cls is IrecvOp or cls is RecvOp:
                 op_lane(OP_IRECV if cls is IrecvOp else OP_RECV)
                 a_lane(operation.source)
@@ -293,24 +273,26 @@ def _replay(workload, rank: int) -> tuple[OpArrays | None, str | None]:
                 kind_lane(operation.kind)
                 if cls is IrecvOp:
                     value = _FakeRequest()
-                    pending.append((value, 1))
+                    pending.append(value)
                 else:
                     value = _OPAQUE
             elif cls is WaitallOp or cls is WaitOp:
-                if cls is WaitOp:
-                    requests = [operation.request]
-                else:
-                    requests = list(operation.requests)
-                positions = {
-                    id(token): index for index, (token, _count) in enumerate(pending)
-                }
+                # A nonblocking-collective composite stands for the tokens
+                # of its decomposition.
+                waited = [operation.request] if cls is WaitOp else operation.requests
+                requests = []
+                for request in waited:
+                    if isinstance(request, CollectiveRequest):
+                        requests.extend(request.requests)
+                    else:
+                        requests.append(request)
+                positions = {id(token): index for index, token in enumerate(pending)}
                 if len(requests) == len(pending) and {
                     id(request) for request in requests
                 } == set(positions):
-                    # The full pending set: the classic OP_WAITALL encoding
-                    # (``a`` counts underlying transport requests).
+                    # The full pending set: the classic OP_WAITALL encoding.
                     op_lane(OP_WAITALL)
-                    a_lane(sum(entry[1] for entry in pending))
+                    a_lane(len(pending))
                     nbytes_lane(0)
                     tag_lane(0)
                     seconds_lane(0.0)
@@ -330,22 +312,14 @@ def _replay(workload, rank: int) -> tuple[OpArrays | None, str | None]:
                             "wait on a non-contiguous subset of pending requests"
                         )
                     start = covered[0] if covered else 0
-                    stop_index = covered[-1] + 1 if covered else 0
-                    offset = sum(entry[1] for entry in pending[:start])
-                    count = sum(entry[1] for entry in pending[start:stop_index])
                     op_lane(OP_WAIT)
-                    a_lane(offset)
-                    nbytes_lane(count)
+                    a_lane(start)
+                    nbytes_lane(len(covered))
                     tag_lane(0)
                     seconds_lane(0.0)
                     kind_lane(None)
-                    del pending[start:stop_index]
+                    del pending[start : start + len(covered)]
                 value = _OPAQUE
-            elif isinstance(operation, CollectiveOp):
-                # Macro-expand: inline the decomposition's point-to-point ops
-                # into the flat lanes, driving it with the same stand-ins.
-                gen_stack.append((resume, len(pending)))
-                resume = decomposition_for(operation, rank, size).send
             else:
                 raise NotCompilable(f"unsupported operation type {cls.__name__}")
     except NotCompilable as exc:

@@ -210,25 +210,20 @@ class CollectiveStormWorkload(Workload):
         comm = ctx.comm
         for _iteration in range(self.iterations):
             yield self.compute(ctx, 1.0)
-            # First-class collective ops: the engine (or the compiler's
-            # macro-expansion) runs the identical decomposition — and draws
-            # the identical tags — that ``yield from comm.alltoall(...)`` /
-            # ``comm.allreduce(...)`` would.
-            yield comm.alltoall_op(self.block_bytes)
-            yield comm.allreduce_op(64)
+            yield from comm.alltoall(self.block_bytes)
+            yield from comm.allreduce(64)
 
 
 class CollectiveMixWorkload(Workload):
     """One of every collective flavour, interleaved with point-to-point traffic.
 
-    Each iteration runs the full first-class collective surface — broadcast,
-    reduce, allreduce, gather, scatter, allgather, alltoallv, barrier — plus
-    both nonblocking collectives (``ialltoall``, ``iallgather``).  The
-    nonblocking alltoall is posted *after* a pair of outstanding
-    point-to-point requests and waited on first, so its wait covers a
-    contiguous slice at a nonzero offset of the pending list: the pattern
-    that exercises the compiler's ``OP_WAIT`` lowering (a plain trailing
-    composite would lower to offset 0).
+    Each iteration runs every blocking collective — broadcast, reduce,
+    allreduce, gather, scatter, allgather, alltoallv, barrier — plus both
+    nonblocking ones (``ialltoall``, ``iallgather``).  The nonblocking
+    alltoall is posted *after* a pair of outstanding point-to-point requests
+    and waited on first, so its wait covers a contiguous slice at a nonzero
+    offset of the pending list: the pattern that exercises the compiler's
+    ``OP_WAIT`` lowering (a plain trailing composite would lower to offset 0).
     """
 
     name = "collective-mix"
@@ -258,21 +253,21 @@ class CollectiveMixWorkload(Workload):
         for _iteration in range(self.iterations):
             yield self.compute(ctx, 1.0)
             # Rooted + unrooted blocking collectives.
-            yield comm.bcast_op(nbytes, root=0)
-            yield comm.reduce_op(nbytes, root=0)
-            yield comm.allreduce_op(64)
-            yield comm.gather_op(nbytes // 2, root=0)
-            yield comm.scatter_op(nbytes // 2, root=0)
-            yield comm.allgather_op(nbytes // 4)
-            yield comm.alltoallv_op(varied)
+            yield from comm.bcast(nbytes, root=0)
+            yield from comm.reduce(nbytes, root=0)
+            yield from comm.allreduce(64)
+            yield from comm.gather(nbytes // 2, root=0)
+            yield from comm.scatter(nbytes // 2, root=0)
+            yield from comm.allgather(nbytes // 4)
+            yield from comm.alltoallv(varied)
             # Outstanding p2p requests, *then* a nonblocking collective: the
             # collective's wait covers pending[2:], a nonzero-offset slice.
             recv_req = yield comm.irecv(left, tag=_TAG_MIX)
             send_req = yield comm.isend(right, 128, tag=_TAG_MIX)
-            coll = yield comm.ialltoall(nbytes)
+            coll = yield from comm.ialltoall(nbytes)
             yield comm.wait(coll)
             yield comm.waitall([recv_req, send_req])
             # Trailing nonblocking collective waited on alone (offset 0).
-            gath = yield comm.iallgather(nbytes // 4)
+            gath = yield from comm.iallgather(nbytes // 4)
             yield comm.wait(gath)
-            yield comm.barrier_op()
+            yield from comm.barrier()

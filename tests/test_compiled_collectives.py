@@ -1,10 +1,10 @@
 """Equivalence matrix for compiled collective operations.
 
-The tentpole contract of the first-class collective ops: a program spelled
-with ``CollectiveOp`` yields must simulate **bit-identically** whether it
-runs under the generator protocol (gen-stack expansion in the engine) or
-the op-array fast lane (macro-expansion in the compiler), on every engine
-drain, under every flow-control policy, with and without fault injection.
+A program that runs collectives (``yield from comm.X(...)``, nonblocking
+composites included) must simulate **bit-identically** whether it runs under
+the generator protocol or the op-array fast lane (the compiler's replay of
+the same flattened generator), on every engine drain, under every
+flow-control policy, with and without fault injection.
 
 ``tests/test_workloads_compile.py`` pins the lane *encoding*; this module
 pins the *outputs*: the full {generator, compiled} x {scalar, vectorised,
@@ -134,32 +134,32 @@ class _InterleavedWorkload(Workload):
         pending = []
         for kind, nbytes in self.steps:
             if kind == "bcast":
-                yield comm.bcast_op(nbytes, root=0)
+                yield from comm.bcast(nbytes, root=0)
             elif kind == "reduce":
-                yield comm.reduce_op(nbytes, root=0)
+                yield from comm.reduce(nbytes, root=0)
             elif kind == "allreduce":
-                yield comm.allreduce_op(nbytes)
+                yield from comm.allreduce(nbytes)
             elif kind == "gather":
-                yield comm.gather_op(nbytes, root=0)
+                yield from comm.gather(nbytes, root=0)
             elif kind == "scatter":
-                yield comm.scatter_op(nbytes, root=0)
+                yield from comm.scatter(nbytes, root=0)
             elif kind == "allgather":
-                yield comm.allgather_op(nbytes)
+                yield from comm.allgather(nbytes)
             elif kind == "alltoall":
-                yield comm.alltoall_op(nbytes)
+                yield from comm.alltoall(nbytes)
             elif kind == "alltoallv":
-                yield comm.alltoallv_op(varied)
+                yield from comm.alltoallv(varied)
             elif kind == "barrier":
-                yield comm.barrier_op()
+                yield from comm.barrier()
             elif kind == "compute":
                 yield self.compute(ctx, 0.5)
             elif kind == "p2p":
                 pending.append((yield comm.irecv(left, tag=11)))
                 pending.append((yield comm.isend(right, nbytes, tag=11)))
             elif kind == "ialltoall":
-                pending.append((yield comm.ialltoall(nbytes)))
+                pending.append((yield from comm.ialltoall(nbytes)))
             elif kind == "iallgather":
-                pending.append((yield comm.iallgather(nbytes)))
+                pending.append((yield from comm.iallgather(nbytes)))
             elif kind == "flush" and pending:
                 yield comm.waitall(pending)
                 pending = []

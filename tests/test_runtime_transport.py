@@ -282,7 +282,7 @@ class TestRequestFreelist:
         assert len(sim.transport._request_pool) > 0
 
     def test_reused_requests_get_fresh_ids(self):
-        from repro.mpi.ops import RecvOp
+        from repro.mpi.constants import KIND_P2P
         from repro.mpi.request import Request
         from repro.runtime.transport import Transport
         from repro.sim.machine import MachineConfig
@@ -297,7 +297,7 @@ class TestRequestFreelist:
         done._complete(1.0)
         old_id = done.req_id
         transport.release_request(done)
-        request = transport.post_recv(1, RecvOp(source=0, tag=0), now=0.0)
+        request = transport.post_recv_values(1, 0, 0, KIND_P2P, 0.0)
         assert request is done  # the pooled object was handed out again
         assert request.op_kind == "recv"
         assert request.rank == 1

@@ -105,6 +105,12 @@ class TestParseEventLine:
             ('{"op": "snapshot", "dir": "snap\\ud800"}', "dir must be encodable as UTF-8"),
             ('{"op": "snapshot", "dir": "\\udc80/x"}', "dir must be encodable as UTF-8"),
             ("", "empty event line"),
+            # The decoder recurses once per level: 5 KB of brackets exhausts
+            # the interpreter's stack well inside the 64 KB line bound.
+            pytest.param("[" * 5000, "line 12: invalid JSON: nested too deeply", id="deep-array"),
+            pytest.param(
+                '{"a":' * 3000, "line 12: invalid JSON: nested too deeply", id="deep-object"
+            ),
         ],
     )
     def test_malformed_lines_are_rejected(self, line, fragment):
@@ -228,6 +234,12 @@ _good_lines = st.one_of(
 )
 
 
+_deep_lines = st.one_of(
+    st.integers(1_000, 60_000).map("[".__mul__),
+    st.integers(1_000, 12_000).map('{"a":'.__mul__),
+)
+
+
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(answer=_predict_answers)
@@ -235,7 +247,11 @@ class TestProperties:
         assert encode_response(answer) == generic(answer)
 
     @settings(max_examples=200, deadline=None)
-    @given(lines=st.lists(st.one_of(st.text(), _event_lines, _good_lines), max_size=40))
+    @given(
+        lines=st.lists(
+            st.one_of(st.text(), _event_lines, _good_lines, _deep_lines), max_size=40
+        )
+    )
     def test_every_parsed_line_is_survivable(self, lines):
         """Structured error or an encodable answer — never an exception.
 

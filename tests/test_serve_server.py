@@ -79,6 +79,25 @@ def assert_hostile_snapshot_answers(responses, parse_errors):
     assert parse_errors == 2
 
 
+#: ``json.loads`` recurses once per nesting level, so 5 KB of brackets (the
+#: line bound is 64 KB) ends in ``RecursionError``, not ``JSONDecodeError``:
+#: both shapes are protocol errors and line 4 is served.
+DEEP_NESTING_FEED = (
+    '{"receiver": "alpha", "sender": 1, "nbytes": 100}\n'
+    + "[" * 5000 + "\n"
+    + '{"a":' * 3000 + "\n"
+    + '{"op": "predict", "receiver": "alpha"}\n'
+)
+
+
+def assert_deep_nesting_answers(responses, parse_errors):
+    array, obj, answered = responses
+    assert array == {"error": "line 2: invalid JSON: nested too deeply", "line": 2}
+    assert obj == {"error": "line 3: invalid JSON: nested too deeply", "line": 3}
+    assert answered["op"] == "predict" and answered["known"] is True
+    assert parse_errors == 2
+
+
 PATTERNS = {
     "alpha": [(1, 100), (2, 200)],
     "beta": [(3, 300), (4, 400), (5, 500)],
@@ -238,6 +257,15 @@ class TestTCPServer:
                 sock.sendall(HOSTILE_SNAPSHOT_FEED.encode())
                 responses = [json.loads(reader.readline()) for _ in range(3)]
         assert_hostile_snapshot_answers(responses, service.parse_errors)
+
+    def test_deeply_nested_line_answers_error_and_connection_survives(self):
+        service = make_service(num_shards=1)
+        with ServerThread(service) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                sock.sendall(DEEP_NESTING_FEED.encode())
+                responses = [json.loads(reader.readline()) for _ in range(3)]
+        assert_deep_nesting_answers(responses, service.parse_errors)
 
     def test_client_raises_on_error_response(self):
         with ServerThread(make_service()) as server:
@@ -604,6 +632,13 @@ class TestStdinTransport:
         out = io.StringIO()
         rejected = run_stdin(make_service(), io.StringIO(HOSTILE_SNAPSHOT_FEED), out)
         assert_hostile_snapshot_answers(
+            [json.loads(line) for line in out.getvalue().splitlines()], rejected
+        )
+
+    def test_pipe_mode_rejects_a_deeply_nested_line_and_keeps_serving(self):
+        out = io.StringIO()
+        rejected = run_stdin(make_service(), io.StringIO(DEEP_NESTING_FEED), out)
+        assert_deep_nesting_answers(
             [json.loads(line) for line in out.getvalue().splitlines()], rejected
         )
 

@@ -300,6 +300,27 @@ class TestErrors:
         with pytest.raises(ProgramError):
             make_sim(nprocs=1).run([program])
 
+    def test_bare_none_yield_names_the_rank(self):
+        def program(ctx):
+            yield ctx.comm.compute(1e-6)
+            if ctx.rank == 1:
+                yield None
+
+        with pytest.raises(ProgramError, match=r"rank 1 yielded an unsupported operation: None"):
+            make_sim().run([program])
+
+    def test_collective_without_yield_from_says_so(self):
+        """``yield comm.bcast(n)`` hands the engine a generator object."""
+
+        def program(ctx):
+            if ctx.rank == 1:
+                yield ctx.comm.bcast(40)
+            else:
+                yield from ctx.comm.bcast(40)
+
+        with pytest.raises(ProgramError, match=r"rank 1 yielded a generator .*'yield from'"):
+            make_sim().run([program])
+
     def test_non_generator_factory_rejected(self):
         def program(ctx):
             return 42

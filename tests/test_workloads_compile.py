@@ -25,6 +25,7 @@ from repro.mpi.ops import (
     WaitallOp,
     WaitOp,
 )
+from repro.sim.engine import Simulator
 from repro.util.rng import SeededRNG
 from repro.workloads.base import Workload
 from repro.workloads.compile import (
@@ -34,7 +35,6 @@ from repro.workloads.compile import (
     compile_rank_lanes,
 )
 from repro.workloads.registry import create_workload
-from repro.workloads.synthetic import CollectiveStormWorkload
 
 
 def make_ctx(workload, rank=0, seed=5):
@@ -282,37 +282,54 @@ class TestFallbacks:
         assert lanes.a == [ANY_SOURCE, ANY_SOURCE]
 
 
-class _LegacyStorm(CollectiveStormWorkload):
-    """collective-storm spelled with ``yield from`` decomposition generators."""
+class _CompositeWaits(_StaticPingWorkload):
+    """Ring p2p requests around nonblocking collectives, waited per ``shape``."""
+
+    def __init__(self, nprocs, shape, **kwargs):
+        self.shape = shape
+        super().__init__(nprocs, **kwargs)
+
+    def parameters(self):
+        return {"shape": self.shape}
 
     def program(self, ctx):
         comm = ctx.comm
-        for _iteration in range(self.iterations):
-            yield self.compute(ctx, 1.0)
-            yield from comm.alltoall(self.block_bytes)
-            yield from comm.allreduce(64)
+        right = (ctx.rank + 1) % self.nprocs
+        left = (ctx.rank - 1) % self.nprocs
+        if self.shape == "mixed":
+            # One waitall over a composite and two plain handles.
+            coll = yield from comm.ialltoall(256)
+            recv_req = yield comm.irecv(left, tag=3)
+            send_req = yield comm.isend(right, 64, tag=3)
+            yield comm.waitall([coll, recv_req, send_req])
+        elif self.shape == "twice":
+            coll = yield from comm.ialltoall(256)
+            yield comm.wait(coll)
+            yield comm.wait(coll)
+        elif self.shape == "gap":
+            # coll_b sits between coll_a and send_req in posting order.
+            coll_a = yield from comm.ialltoall(256)
+            recv_req = yield comm.irecv(left, tag=3)
+            coll_b = yield from comm.iallgather(128)
+            send_req = yield comm.isend(right, 64, tag=3)
+            yield comm.waitall([coll_a, send_req])
+            yield comm.waitall([recv_req, coll_b])
+
+
+def wait_ops(lanes):
+    """The ``(op, a, nbytes)`` triples of the lanes' wait ops, in program order."""
+    return [
+        (lanes.op[i], lanes.a[i], lanes.nbytes[i])
+        for i in range(len(lanes))
+        if lanes.op[i] in (OP_WAIT, OP_WAITALL)
+    ]
 
 
 class TestCollectiveLowering:
-    """First-class collectives macro-expand into the same flat lanes."""
-
-    def test_first_class_ops_produce_identical_lanes_to_yield_from(self):
-        nprocs = 5
-        first_class = create_workload("collective-storm", nprocs=nprocs, iterations=3)
-        legacy = _LegacyStorm(nprocs=nprocs, iterations=3)
-        for rank in range(nprocs):
-            a = compile_rank_lanes(first_class, rank)
-            b = compile_rank_lanes(legacy, rank)
-            assert a is not None and b is not None
-            assert a.op == b.op, rank
-            assert a.a == b.a, rank
-            assert a.nbytes == b.nbytes, rank
-            assert a.tag == b.tag, rank
-            assert a.seconds == b.seconds, rank
-            assert a.kind == b.kind, rank
+    """Collectives reach the lanes as the p2p ops ``yield from`` flattens."""
 
     def test_runtime_lanes_never_contain_collective_codes(self):
-        """Macro-expansion is total: only scalar transport codes reach lanes."""
+        """Lanes hold only the seven codes, whatever collectives ran."""
         valid = {OP_COMPUTE, OP_SEND, OP_ISEND, OP_RECV, OP_IRECV, OP_WAIT, OP_WAITALL}
         for nprocs in (2, 4, 5):
             workload = create_workload("collective-mix", nprocs=nprocs, iterations=2)
@@ -334,6 +351,44 @@ class TestCollectiveLowering:
         ]
         # 6 = the ialltoall composite's 2 * (nprocs - 1) transport requests.
         assert (2, 6) in offsets
+
+    def test_collective_mix_wait_ops_are_pinned(self):
+        """Every wait op of rank 0 (4 ranks, 1 iteration) as ``(op, a, nbytes)``:
+        blocking collectives drain their own requests with ``OP_WAITALL``,
+        the ialltoall composite is ``OP_WAIT(2, 6)`` behind the two p2p
+        handles, the trailing iallgather composite a full ``OP_WAITALL`` of 6."""
+        lanes = compile_rank_lanes(create_workload("collective-mix", nprocs=4, iterations=1), 0)
+        assert lanes is not None and len(lanes) == 58
+        assert wait_ops(lanes) == [
+            (OP_WAITALL, 3, 0), (OP_WAITALL, 3, 0),
+            (OP_WAITALL, 2, 0), (OP_WAITALL, 2, 0), (OP_WAITALL, 2, 0),
+            (OP_WAITALL, 2, 0), (OP_WAITALL, 2, 0), (OP_WAITALL, 2, 0),
+            (OP_WAIT, 2, 6), (OP_WAITALL, 2, 0), (OP_WAITALL, 6, 0),
+            (OP_WAITALL, 2, 0), (OP_WAITALL, 2, 0),
+        ]
+
+    def test_waitall_mixing_composite_and_plain_handles_is_one_waitall(self):
+        nprocs = 4
+        workload = _CompositeWaits(nprocs, "mixed")
+        for rank in range(nprocs):
+            lanes = compile_rank_lanes(workload, rank)
+            assert lanes is not None, rank
+            assert wait_ops(lanes) == [(OP_WAITALL, 2 * (nprocs - 1) + 2, 0)]
+
+    def test_waiting_on_a_composite_twice_falls_back_and_still_runs(self):
+        workload = _CompositeWaits(3, "twice")
+        info = compile_info(workload, 0)
+        assert info["compiled"] is False
+        assert "already-waited request" in info["fallback"]
+        # program_for hands the engine the generator, where a second wait on
+        # a completed composite returns at once.
+        result = Simulator(nprocs=3, seed=1).run([workload.program_for])
+        assert result.stats.summary()["collective_messages"] == 3 * 2
+
+    def test_composite_wait_skipping_a_posted_composite_falls_back(self):
+        info = compile_info(_CompositeWaits(3, "gap"), 0)
+        assert info["compiled"] is False
+        assert "non-contiguous" in info["fallback"]
 
     def test_compile_info_reports_engagement_and_fallbacks(self):
         compiled = compile_info(create_workload("collective-mix", nprocs=4), 0)
