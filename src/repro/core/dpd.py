@@ -38,8 +38,8 @@ the ``k`` enter and ``k`` leave vectors are two ``(M, k)`` comparisons
 against sliding windows of the ring plus the chunk, and a running sum along
 the rows yields every intermediate ``d(m)`` — ``O(k * M)`` work, so a batch
 of one costs about one ``observe`` and nothing is proportional to ``N + M``.
-While the ring is still filling (a stream's first ``N + M`` samples) a
-batch simply loops over ``observe``.
+While the ring is still filling a batch loops over ``observe`` — after the
+stream's first ``N`` samples, which evaluate no delay and are only appended.
 
 Complexity (``N`` = window_size, ``M`` = max_period, ``k`` = batch length):
 
@@ -209,6 +209,16 @@ class DynamicPeriodicityDetector:
             )
             self._usable = m
 
+    def fill_window(self, values) -> int:
+        """Append the leading ``values`` inside the first window; returns how many.
+        No delay is evaluable before sample ``window_size + 1``: nothing else to do."""
+        room = self.window_size - self._history.total_appended
+        if room <= 0:
+            return 0
+        head = values[:room]
+        self._history.extend(head)
+        return len(head)
+
     def batch_observe(self, values, return_periods: bool = False):
         """Feed many samples at once; bit-identical to an :meth:`observe` loop.
 
@@ -216,8 +226,8 @@ class DynamicPeriodicityDetector:
         the chunk goes through :meth:`_advance`, which applies all ``k``
         enter/leave updates as one ``(M, k)`` matrix — ``O(k * M)`` work and
         scratch, nothing proportional to ``N + M``.  While the ring is still
-        filling, samples are fed through :meth:`observe` one by one, which is
-        the definition the batch must equal anyway.
+        filling, samples past the first window are fed through :meth:`observe`
+        one by one, which is the definition the batch must equal anyway.
 
         Parameters
         ----------
@@ -237,7 +247,7 @@ class DynamicPeriodicityDetector:
         k = int(arr.shape[0])
         periods = np.zeros(k, dtype=np.int64) if return_periods else None
         filling = min(k, self._history.capacity - len(self._history))
-        for j in range(filling):
+        for j in range(self.fill_window(arr), filling):
             self.observe(arr[j])
             if return_periods:
                 periods[j] = self.current_period() or 0

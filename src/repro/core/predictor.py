@@ -14,9 +14,10 @@ instead of re-running the full equation-(1) scan, and
 :meth:`PeriodicityPredictor.observe_many` feeds a run of ``k`` values through
 the DPD's batch kernel — O(k * max_period), but with a fixed cost of several
 observes per call, so a run shorter than the measured crossover is fed
-through :meth:`~PeriodicityPredictor.observe` sample by sample — while
-reproducing the exact per-sample bookkeeping (``detections``,
-``period_changes``, stickiness) of a sequential loop.
+through :meth:`~PeriodicityPredictor.observe` sample by sample and those in
+a stream's first window are only appended — while reproducing the exact
+per-sample bookkeeping (``detections``, ``period_changes``, stickiness) of
+a sequential loop.
 
 All predictors in this package share the :class:`BasePredictor` interface so
 that the evaluation harness and the ablation benchmarks can swap them freely:
@@ -44,9 +45,9 @@ __all__ = ["BasePredictor", "PeriodicityPredictor"]
 
 #: Runs shorter than this go through ``observe`` one sample at a time: the
 #: batch kernel costs 30-50 us a call whatever the run (scratch matrices,
-#: argmax, the bookkeeping below) against 4-5 us per ``observe``.  Measured
-#: on full-history predictors, ``observe_many`` through the kernel / through
-#: the loop at run length k, for (window, max_period) = (24,256) (6,12) (64,64):
+#: argmax, the bookkeeping below) against 4-5 us per ``observe``.  Measured on
+#: full-history predictors only (a first window is appended before this choice),
+#: kernel / loop at run length k, (window, max_period) = (24,256) (6,12) (64,64):
 #:   k=2  4.6  4.0  5.4      k=10  1.25  0.92  1.05      k=16  0.93  0.61  0.68
 #:   k=4  2.6  2.2  2.3      k=12  1.08  0.80  0.89      k=32  0.66  0.30  0.34
 #:   k=8  1.5  1.1  1.5      k=13  1.03  0.82  0.80      k=64  0.45  0.16  0.25
@@ -169,8 +170,9 @@ class PeriodicityPredictor(BasePredictor):
     def observe_many(self, values: Sequence[int]) -> None:
         """Vectorised bulk feed; bit-equivalent to looping :meth:`observe`.
 
-        A run of ``k`` samples costs O(k * max_period) in the DPD batch
-        kernel (one :meth:`observe` each while the stream's history is still
+        Samples inside the stream's first window are appended to the ring and
+        nothing else.  A run of ``k`` past it costs O(k * max_period) in the
+        DPD batch kernel (one :meth:`observe` each while the history is still
         filling); the per-sample detection decisions it returns are folded
         into ``detections``, ``period_changes`` and the (sticky) current
         period exactly as a sequential loop would have.  A run shorter than
@@ -180,6 +182,7 @@ class PeriodicityPredictor(BasePredictor):
         """
         if not isinstance(values, (list, tuple)):
             values = _as_int64_1d(values)
+        values = values[self._dpd.fill_window(values) :]  # the first window: no period to fold
         if len(values) < _KERNEL_MIN_RUN:
             for value in values:  # observe() int()s each one, list or array
                 self.observe(value)

@@ -157,5 +157,5 @@ def create_predictor(kind: str = "periodicity", **params):
 
 
 def predictor_factory(kind: str = "periodicity", **params) -> Callable[[], object]:
-    """A zero-argument factory of fresh predictors (for ``evaluate_stream``)."""
-    return lambda: PREDICTORS.create(kind, **params)
+    """A zero-argument factory of fresh predictors; ``kind`` is resolved here, once."""
+    return PREDICTORS.builder(kind, **params)

@@ -35,6 +35,8 @@ Operations
     Answered, then nothing more is served on that connection and the server
     stops (``ServeService.handle`` itself only acknowledges it).
 
+A line costs one C scan (``json``'s scanner, called directly; ``json.loads``
+only words the error of a line it refused) and one pass of checks.
 Malformed lines raise :class:`ServeProtocolError` carrying the 1-based line
 number — same shape as :class:`repro.trace.import_dumpi.DumpiParseError`, so
 ingestion rejects garbage with a pointed ``line N: ...`` message instead of
@@ -88,16 +90,22 @@ class ServeEvent(NamedTuple):
 #: prediction, stays under ``MAX_LINE_BYTES`` and costs no more than a long line.
 MAX_HORIZON = 1024
 
-#: op name -> (required keys, optional keys)
-OPS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "observe": (("receiver", "sender", "nbytes"), ()),
-    "predict": (("receiver",), ("horizon",)),
-    "expects": (("receiver", "sender"), ("nbytes",)),
-    "stats": ((), ()),
-    "flush": ((), ()),
-    "snapshot": (("dir",), ()),
-    "shutdown": ((), ()),
+#: op name -> (required keys, optional keys, the required and all allowed as sets)
+OPS: dict[str, tuple[tuple[str, ...], tuple[str, ...], frozenset, frozenset]] = {
+    op: (required, optional, frozenset(required), frozenset(required + optional))
+    for op, (required, optional) in {
+        "observe": (("receiver", "sender", "nbytes"), ()),
+        "predict": (("receiver",), ("horizon",)),
+        "expects": (("receiver", "sender"), ("nbytes",)),
+        "stats": ((), ()),
+        "flush": ((), ()),
+        "snapshot": (("dir",), ()),
+        "shutdown": ((), ()),
+    }.items()
 }
+
+#: The C scanner ``json.loads`` ends in, without the three frames around it.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _coerce_key(value, line_number: int) -> str:
@@ -139,46 +147,58 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
     if not text:
         raise ServeProtocolError(line_number, "empty event line")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ServeProtocolError(line_number, f"invalid JSON: {error.msg}") from None
-    except RecursionError:  # "[" * 5000: the decoder recurses once per level
-        raise ServeProtocolError(line_number, "invalid JSON: nested too deeply") from None
-    if not isinstance(payload, dict):
+        payload, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(text):  # refused, or text after the value: json.loads words both
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as error:
+            message = error.msg
+        except RecursionError:  # "[" * 5000: the decoder recurses once per level
+            message = "nested too deeply"
+        except ValueError:  # 5000 digits: the interpreter's integer-string limit
+            message = "integer too long"
+        raise ServeProtocolError(line_number, f"invalid JSON: {message}")
+    if type(payload) is not dict:
         raise ServeProtocolError(
             line_number, f"event must be a JSON object, got {type(payload).__name__}"
         )
     op = payload.pop("op", "observe")
-    if not isinstance(op, str) or op not in OPS:  # `in` would hash a list or object
+    if type(op) is not str or op not in OPS:  # `in` would hash a list or object
         raise ServeProtocolError(
             line_number, f"unknown op {op!r}; known ops: {', '.join(sorted(OPS))}"
         )
-    required, optional = OPS[op]
-    missing = [key for key in required if key not in payload]
-    if missing:
-        raise ServeProtocolError(line_number, f"op {op!r} requires {', '.join(missing)}")
-    unknown = [key for key in payload if key not in required and key not in optional]
-    if unknown:
-        allowed = ", ".join((*required, *optional)) or "(no keys)"
+    required, optional, required_set, allowed = OPS[op]
+    if not required_set <= payload.keys() <= allowed:
+        missing = [key for key in required if key not in payload]
+        if missing:
+            raise ServeProtocolError(line_number, f"op {op!r} requires {', '.join(missing)}")
         raise ServeProtocolError(
             line_number,
-            f"op {op!r} does not take {', '.join(sorted(unknown))} (allowed: {allowed})",
+            f"op {op!r} does not take {', '.join(sorted(payload.keys() - allowed))}"
+            f" (allowed: {', '.join((*required, *optional)) or '(no keys)'})",
         )
 
-    fields: dict = {"op": op}
+    receiver = sender = nbytes = horizon = directory = None
     if "receiver" in payload:
-        fields["receiver"] = _coerce_key(payload["receiver"], line_number)
+        receiver = payload["receiver"]
+        if not (type(receiver) is str and receiver and receiver.isascii()):
+            receiver = _coerce_key(receiver, line_number)
     if "sender" in payload:
-        fields["sender"] = _coerce_count(payload["sender"], "sender", line_number)
+        sender = payload["sender"]
+        if not (type(sender) is int and 0 <= sender <= 2**63 - 1):
+            sender = _coerce_count(sender, "sender", line_number)
     if "nbytes" in payload:
-        fields["nbytes"] = _coerce_count(payload["nbytes"], "nbytes", line_number)
+        nbytes = payload["nbytes"]
+        if not (type(nbytes) is int and 0 <= nbytes <= 2**63 - 1):
+            nbytes = _coerce_count(nbytes, "nbytes", line_number)
     if "horizon" in payload:
         horizon = _coerce_count(payload["horizon"], "horizon", line_number, minimum=1)
         if horizon > MAX_HORIZON:
             raise ServeProtocolError(
                 line_number, f"horizon must be <= {MAX_HORIZON}, got {horizon}"
             )
-        fields["horizon"] = horizon
     if "dir" in payload:
         directory = payload["dir"]
         if not isinstance(directory, str) or not directory:
@@ -193,8 +213,7 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
             raise ServeProtocolError(
                 line_number, f"dir must be encodable as UTF-8, got {directory!r}"
             ) from None
-        fields["dir"] = directory
-    return ServeEvent(**fields)
+    return ServeEvent(op, receiver, sender, nbytes, horizon, directory)
 
 
 #: The one wire encoder (``json.dumps`` would build a new one on every call).

@@ -85,7 +85,7 @@ class LineIngest:
                 if len(raw) > MAX_LINE_BYTES:
                     raise ServeProtocolError(number, f"line longer than {MAX_LINE_BYTES} bytes")
                 line = raw.decode("utf-8", errors="replace")
-                if not line.strip():
+                if not line or line.isspace():
                     continue  # blank keep-alive lines are not events
                 event = parse_event_line(line, number)
             except ServeProtocolError as error:

@@ -64,6 +64,7 @@ class ServeService:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.spec = PredictorSpec.coerce(predictor)
+        self.spec.factory()()  # a spec that cannot build fails here, not at the first observe
         self.shards = [
             Shard(
                 index,

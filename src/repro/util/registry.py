@@ -117,16 +117,21 @@ class ComponentRegistry:
 
     # ------------------------------------------------------------------
     def create(self, name: str, **params):
-        """Instantiate component ``name`` with ``params`` over its defaults.
+        """Instantiate component ``name`` with ``params`` over its defaults."""
+        return self.builder(name, **params)()
 
-        Parameter names are passed through :attr:`ComponentEntry.aliases`
-        first, so spec shorthands can use the documented friendly names.
-        """
+    def builder(self, name: str, **params) -> Callable[[], object]:
+        """A zero-argument factory of component ``name``, resolved once, here:
+        an unknown name raises now, and ``params`` go over the entry's defaults
+        through :attr:`ComponentEntry.aliases` (the specs' friendly names)."""
         entry = self.entry(name)
         resolved = dict(entry.defaults)
-        for key, value in params.items():
-            resolved[entry.aliases.get(key, key)] = value
-        try:
-            return entry.factory(**resolved)
-        except TypeError as error:
-            raise TypeError(f"{self.kind} {entry.name!r}: {error}") from None
+        resolved.update((entry.aliases.get(key, key), value) for key, value in params.items())
+
+        def build():
+            try:
+                return entry.factory(**resolved)
+            except TypeError as error:
+                raise TypeError(f"{self.kind} {entry.name!r}: {error}") from None
+
+        return build

@@ -259,6 +259,101 @@ def full_state(predictor: PeriodicityPredictor):
     )
 
 
+def young_state(predictor: PeriodicityPredictor):
+    """Field by field, the physical ring included (no run here reaches its capacity)."""
+    dpd = predictor._dpd
+    ring = dpd._history
+    np.testing.assert_array_equal(dpd.distances(), dpd.distances_naive())
+    return {
+        "data": ring._data.tolist(),
+        "pos": ring._pos,
+        "count": ring._count,
+        "total_appended": ring.total_appended,
+        "counters": dpd._counters.tolist(),
+        "usable": dpd._usable,
+        "detections": predictor.detections,
+        "period_changes": predictor.period_changes,
+        "current_period": predictor.current_period,
+        "predict": predictor.predict(5),
+        "distances": dpd.distances().tolist(),
+    }
+
+
+class TestFirstWindowIsAnAppend:
+    """A run that ends inside a stream's first window is one ``extend`` of the
+    ring; the sample after it (delay 1 becomes evaluable) goes through ``observe``."""
+
+    SHAPES = [(24, 256), (6, 12), (64, 64)]
+    FORMS = {"list": list, "tuple": tuple, "array": lambda run: np.array(run, dtype=np.int64)}
+
+    @staticmethod
+    def twins(window, max_period, sticky):
+        return (
+            PeriodicityPredictor(window, max_period, sticky=sticky),
+            PeriodicityPredictor(window, max_period, sticky=sticky),
+        )
+
+    @staticmethod
+    def feed_both(batched, looped, run, form):
+        batched.observe_many(form(run))
+        for value in run:
+            looped.observe(value)
+        assert young_state(batched) == young_state(looped)
+
+    @pytest.mark.parametrize("window, max_period", SHAPES)
+    @pytest.mark.parametrize("sticky", [True, False])
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_runs_ending_around_the_window_equal_the_loop(self, window, max_period, sticky, form):
+        stream = [3, 1, 2] * (window + 8)  # periodic: detection starts right after the window
+        for first in (0, 1, window // 2):
+            for end in (window - 1, window, window + 1, window + 3):
+                batched, looped = self.twins(window, max_period, sticky)
+                self.feed_both(batched, looped, stream[:first], self.FORMS[form])
+                self.feed_both(batched, looped, stream[first:end], self.FORMS[form])
+                assert batched._dpd._usable == max(0, end - window)
+                self.feed_both(batched, looped, [], self.FORMS[form])
+                self.feed_both(batched, looped, stream[end : end + 8], self.FORMS[form])
+                # A kernel-length run, shorter than every capacity (the ring is not rotated).
+                self.feed_both(batched, looped, stream[end + 8 : end + 21], self.FORMS[form])
+                assert batched.detections > 0
+
+    @pytest.mark.parametrize("window, max_period", SHAPES)
+    @pytest.mark.parametrize("sticky", [True, False])
+    def test_a_run_after_reset_is_young_again(self, window, max_period, sticky):
+        stream = [3, 1, 2] * (window + 8)
+        batched, looped = self.twins(window, max_period, sticky)
+        self.feed_both(batched, looped, stream[: window + 9], list)
+        assert batched.current_period == 3
+        batched.reset()
+        looped.reset()
+        self.feed_both(batched, looped, stream[1:9], list)
+        assert batched.current_period is None and batched.samples_seen == 8
+        self.feed_both(batched, looped, stream[9 : window + 6], list)
+
+    def test_only_samples_inside_the_window_skip_observe(self, monkeypatch):
+        observed = []
+        observe = DynamicPeriodicityDetector.observe
+
+        def counting_observe(self, value):
+            observed.append(int(value))
+            observe(self, value)
+
+        monkeypatch.setattr(DynamicPeriodicityDetector, "observe", counting_observe)
+        predictor = PeriodicityPredictor(24, 256)
+        predictor.observe_many(list(range(8)))
+        predictor.observe_many(list(range(8, 16)))
+        predictor.observe_many(list(range(16, 24)))  # ends exactly at the window
+        assert observed == [] and predictor.samples_seen == 24
+        predictor.observe_many([24])  # makes delay 1 evaluable
+        assert observed == [24] and predictor._dpd._usable == 1
+        fresh = PeriodicityPredictor(24, 256)
+        fresh.observe_many(list(range(40)))  # a kernel-length run: the prefix is appended too
+        assert observed == [24, *range(24, 40)]
+        detector = DynamicPeriodicityDetector(24, 256)
+        periods = detector.batch_observe(list(range(30)), return_periods=True)
+        assert observed[-6:] == list(range(24, 30)) and periods.tolist() == [0] * 30
+
+
 class TestObserveManyCrossover:
     """Below ``_KERNEL_MIN_RUN`` a run is the observe loop, from there the kernel."""
 

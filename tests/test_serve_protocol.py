@@ -8,6 +8,7 @@ strict key validation, and malformed lines rejected with a pointed
 
 import json
 import os
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from repro.serve.protocol import (
     encode_response,
     parse_event_line,
 )
+from repro.serve.protocol import _coerce_count, _coerce_key
 
 
 def generic(response: dict) -> str:
@@ -111,12 +113,84 @@ class TestParseEventLine:
             pytest.param(
                 '{"a":' * 3000, "line 12: invalid JSON: nested too deeply", id="deep-object"
             ),
+            # 5 KB of digits is past the interpreter's integer-string limit:
+            # the scanner raises a plain ValueError, not a JSONDecodeError.
+            pytest.param(
+                '{"receiver":1,"nbytes":1,"sender":' + "9" * 5000 + "}",
+                "line 12: invalid JSON: integer too long",
+                id="long-integer",
+            ),
         ],
     )
     def test_malformed_lines_are_rejected(self, line, fragment):
         with pytest.raises(ServeProtocolError) as excinfo:
             parse_event_line(line, line_number=12)
         assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"op":"flush"} x', "invalid JSON: Extra data"),
+            ('{"receiver": 1} {"a": 2}', "invalid JSON: Extra data"),
+            ('\ufeff{"op":"flush"}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ("flush", "invalid JSON: Expecting value"),
+            ('{"receiver": "abc', "invalid JSON: Unterminated string starting at"),
+            ('{"receiver": 1', "invalid JSON: Expecting ',' delimiter"),
+            ('{"receiver": 1,}', "invalid JSON: Expecting property name enclosed in double quotes"),
+            ("12", "event must be a JSON object, got int"),
+            ("NaN", "event must be a JSON object, got float"),
+            (
+                '{"receiver": null, "sender": 0, "nbytes": 0}',
+                "receiver must be an int or string, got None",
+            ),
+            ('{"receiver": 0, "sender": true, "nbytes": 0}', "sender must be an integer, got True"),
+            ('{"receiver": 0, "sender": 1.0, "nbytes": 0}', "sender must be an integer, got 1.0"),
+            ('{"receiver": 0, "sender": 0, "nbytes": -1}', "nbytes must be >= 0, got -1"),
+            (
+                '{"receiver": 0, "sender": 0, "nbytes": 9223372036854775808}',
+                "nbytes must be <= 2**63 - 1, got 9223372036854775808",
+            ),
+            # An optional key spelled out as null is not an absent key.
+            (
+                '{"op": "predict", "receiver": 0, "horizon": null}',
+                "horizon must be an integer, got None",
+            ),
+            (
+                '{"op": "expects", "receiver": 0, "sender": 1, "nbytes": null}',
+                "nbytes must be an integer, got None",
+            ),
+            (
+                '{"op": "predict", "receiver": "\\ud800"}',
+                "receiver key must be encodable as UTF-8, got '\\ud800'",
+            ),
+            # A missing and an unknown key on one line: the missing one is reported.
+            ('{"op": "expects", "receiver": 0, "extra": 1}', "op 'expects' requires sender"),
+            (
+                '{"op": "stats", "zeta": 1, "alpha": 2}',
+                "op 'stats' does not take alpha, zeta (allowed: (no keys))",
+            ),
+            (
+                '{"op": "predict", "receiver": 0, "sender": 1}',
+                "op 'predict' does not take sender (allowed: receiver, horizon)",
+            ),
+            (
+                '{"op": ["x"]}',
+                "unknown op ['x']; known ops: expects, flush, observe, predict, shutdown, "
+                "snapshot, stats",
+            ),
+        ],
+    )
+    def test_error_texts_are_pinned(self, line, message):
+        """Whole messages, captured before the parser called the scanner itself."""
+        with pytest.raises(ServeProtocolError) as excinfo:
+            parse_event_line(line, line_number=12)
+        assert str(excinfo.value) == f"line 12: {message}"
+
+    def test_non_ascii_key_is_accepted_and_routed_by_its_utf8_bytes(self):
+        event = parse_event_line('{"op": "predict", "receiver": "caméra-\u00e9"}')
+        assert event == ServeEvent(op="predict", receiver="caméra-é")
+        service = ServeService(num_shards=4)
+        assert service.shard_index_for(event.receiver) == zlib.crc32("caméra-é".encode()) % 4
 
     def test_largest_int64_count_is_accepted(self):
         event = parse_event_line('{"receiver": 1, "sender": 0, "nbytes": 9223372036854775807}')
@@ -237,7 +311,95 @@ _good_lines = st.one_of(
 _deep_lines = st.one_of(
     st.integers(1_000, 60_000).map("[".__mul__),
     st.integers(1_000, 12_000).map('{"a":'.__mul__),
+    # Digits past the interpreter's integer-string limit (4300), inside the line bound.
+    st.integers(4301, 60_000).map(lambda n: '{"receiver":1,"nbytes":1,"sender":' + "9" * n + "}"),
 )
+
+_scalar_lines = st.dictionaries(
+    st.sampled_from(["op", "receiver", "sender", "nbytes", "horizon", "dir", "extra"]),
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-2, max_value=2**64),
+        st.sampled_from([0, 1, 5, MAX_HORIZON, MAX_HORIZON + 1, 2**63 - 1, 2**63]),
+        st.floats(),
+        st.text(st.characters(), max_size=8),
+        st.sampled_from(sorted(OPS)),
+    ),
+).map(json.dumps)
+
+
+def parent_parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
+    """The parser as it was before it called the C scanner itself, verbatim
+    (``OPS`` then held only the two key tuples): the reference of
+    ``test_new_parser_equals_the_parent_parser``."""
+    text = line.strip()
+    if not text:
+        raise ServeProtocolError(line_number, "empty event line")
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ServeProtocolError(line_number, f"invalid JSON: {error.msg}") from None
+    except RecursionError:  # "[" * 5000: the decoder recurses once per level
+        raise ServeProtocolError(line_number, "invalid JSON: nested too deeply") from None
+    if not isinstance(payload, dict):
+        raise ServeProtocolError(
+            line_number, f"event must be a JSON object, got {type(payload).__name__}"
+        )
+    op = payload.pop("op", "observe")
+    if not isinstance(op, str) or op not in OPS:  # `in` would hash a list or object
+        raise ServeProtocolError(
+            line_number, f"unknown op {op!r}; known ops: {', '.join(sorted(OPS))}"
+        )
+    required, optional = OPS[op][:2]
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ServeProtocolError(line_number, f"op {op!r} requires {', '.join(missing)}")
+    unknown = [key for key in payload if key not in required and key not in optional]
+    if unknown:
+        allowed = ", ".join((*required, *optional)) or "(no keys)"
+        raise ServeProtocolError(
+            line_number,
+            f"op {op!r} does not take {', '.join(sorted(unknown))} (allowed: {allowed})",
+        )
+
+    fields: dict = {"op": op}
+    if "receiver" in payload:
+        fields["receiver"] = _coerce_key(payload["receiver"], line_number)
+    if "sender" in payload:
+        fields["sender"] = _coerce_count(payload["sender"], "sender", line_number)
+    if "nbytes" in payload:
+        fields["nbytes"] = _coerce_count(payload["nbytes"], "nbytes", line_number)
+    if "horizon" in payload:
+        horizon = _coerce_count(payload["horizon"], "horizon", line_number, minimum=1)
+        if horizon > MAX_HORIZON:
+            raise ServeProtocolError(
+                line_number, f"horizon must be <= {MAX_HORIZON}, got {horizon}"
+            )
+        fields["horizon"] = horizon
+    if "dir" in payload:
+        directory = payload["dir"]
+        if not isinstance(directory, str) or not directory:
+            raise ServeProtocolError(
+                line_number, f"dir must be a non-empty string, got {directory!r}"
+            )
+        if "\0" in directory:  # Path.mkdir raises ValueError, not OSError
+            raise ServeProtocolError(line_number, "dir must not contain NUL")
+        try:
+            directory.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ServeProtocolError(
+                line_number, f"dir must be encodable as UTF-8, got {directory!r}"
+            ) from None
+        fields["dir"] = directory
+    return ServeEvent(**fields)
+
+
+def outcome(parser, line):
+    try:
+        return parser(line, 7)
+    except ServeProtocolError as error:
+        return str(error)
 
 
 class TestProperties:
@@ -273,6 +435,12 @@ class TestProperties:
                 assert response is None
             else:
                 assert json.loads(encode_response(response))["op"] == event.op
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=st.one_of(_scalar_lines, _event_lines, _good_lines, st.text()))
+    def test_new_parser_equals_the_parent_parser(self, line):
+        """Equal events or equal messages, whatever the line says."""
+        assert outcome(parse_event_line, line) == outcome(parent_parse_event_line, line)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -20,8 +20,10 @@ import time
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.predictive.state import freeze_state
 from repro.serve.client import ServeClient, ServeResponseError
-from repro.serve.protocol import ServeProtocolError, encode_response
+from repro.serve.protocol import ServeProtocolError, encode_event, encode_response
 from repro.serve.server import MAX_LINE_BYTES, LineIngest, ServeServer, run_stdin
 from repro.serve.service import ServeService
 
@@ -88,6 +90,25 @@ DEEP_NESTING_FEED = (
     + '{"a":' * 3000 + "\n"
     + '{"op": "predict", "receiver": "alpha"}\n'
 )
+
+
+#: 5 KB of digits, well inside the line bound: the interpreter refuses to turn
+#: more than 4300 into an int with a plain ``ValueError`` — a protocol error
+#: like any other, and lines 3 and 4 are served.
+LONG_INTEGER_FEED = (
+    '{"receiver": "alpha", "sender": 1, "nbytes": 100}\n'
+    + '{"receiver":1,"nbytes":1,"sender":' + "9" * 5000 + "}\n"
+    + '{"receiver": "alpha", "sender": 2, "nbytes": 200}\n'
+    + '{"op": "predict", "receiver": "alpha"}\n'
+)
+
+
+def assert_long_integer_answers(responses, service):
+    rejected, answered = responses
+    assert rejected == {"error": "line 2: invalid JSON: integer too long", "line": 2}
+    assert answered["op"] == "predict" and answered["known"] is True
+    assert service.parse_errors == 1
+    assert service.stats()["observations"] == 2 and service.stats()["streams"] == 1
 
 
 def assert_deep_nesting_answers(responses, parse_errors):
@@ -266,6 +287,15 @@ class TestTCPServer:
                 sock.sendall(DEEP_NESTING_FEED.encode())
                 responses = [json.loads(reader.readline()) for _ in range(3)]
         assert_deep_nesting_answers(responses, service.parse_errors)
+
+    def test_long_integer_line_answers_error_and_connection_survives(self):
+        service = make_service(num_shards=1)
+        with ServerThread(service) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                sock.sendall(LONG_INTEGER_FEED.encode())
+                responses = [json.loads(reader.readline()) for _ in range(2)]
+        assert_long_integer_answers(responses, service)
 
     def test_client_raises_on_error_response(self):
         with ServerThread(make_service()) as server:
@@ -642,6 +672,13 @@ class TestStdinTransport:
             [json.loads(line) for line in out.getvalue().splitlines()], rejected
         )
 
+    def test_pipe_mode_rejects_a_long_integer_line_and_keeps_serving(self):
+        out = io.StringIO()
+        service = make_service()
+        assert run_stdin(service, io.StringIO(LONG_INTEGER_FEED), out) == 1
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert_long_integer_answers(responses, service)
+
     def test_pipe_mode_failing_snapshot_answers_like_tcp(self, tmp_path):
         blocker = tmp_path / "a-file"
         blocker.write_text("not a directory")
@@ -652,3 +689,57 @@ class TestStdinTransport:
         first, second = [json.loads(line) for line in out.getvalue().splitlines()]
         assert set(first) == {"error", "op"} and first["op"] == "snapshot"
         assert second == {"op": "flush", "ok": True}
+
+
+class TestYoungStreams:
+    """Visits that end inside a stream's first window (8 observes + a query,
+    three times over, window 24) are appends on the coalesced path: same
+    answers, same stream state as one ``observe`` per message."""
+
+    def test_cold_visits_through_the_ingest_equal_one_call_per_message(self):
+        rng = random.Random(20)
+        keys = [f"k{index}" for index in range(200)]
+        coalesced, direct = ServeService(num_shards=2), ServeService(num_shards=2)
+        ingest = LineIngest(coalesced)
+        for visit in range(3):
+            for key in keys:
+                messages = [(rng.randrange(4), 64 << rng.randrange(3)) for _ in range(8)]
+                lines = [encode_event(receiver=key, sender=s, nbytes=b) for s, b in messages]
+                lines.append(encode_event(op="predict", receiver=key))
+                for sender, nbytes in messages:
+                    direct.observe(key, sender, nbytes)
+                answer = direct.handle_line(lines[-1])
+                assert ingest.feed(("\n".join(lines) + "\n").encode()) == (
+                    encode_response(answer) + "\n"
+                ).encode()
+                assert answer["known"] is True
+                assert answer["predictions"] == [{"sender": None, "nbytes": None}] * 5
+        for key in keys:
+            ours = coalesced.shard_for(key).table.get(key)
+            theirs = direct.shard_for(key).table.get(key)
+            assert ours.observations == theirs.observations == 24
+            assert freeze_state(ours.predictor) == freeze_state(theirs.predictor)
+
+
+class TestUnbuildableSpecFailsAtConstruction:
+    """A predictor spec that cannot build is refused before a line is read,
+    not by the first observe."""
+
+    @pytest.mark.parametrize(
+        "spec, error, fragment",
+        [
+            ("nope", KeyError, "unknown predictor 'nope'"),
+            ("periodicity:windw=3", TypeError, "predictor 'periodicity': "),
+            ("periodicity:window=0", ValueError, "window_size must be positive"),
+        ],
+    )
+    def test_service_and_cli_refuse_it(self, spec, error, fragment, monkeypatch, capsys):
+        with pytest.raises(error, match=fragment):
+            ServeService(spec)
+        unread = io.StringIO('{"op": "flush"}\n')
+        monkeypatch.setattr("sys.stdin", unread)
+        assert cli_main(["serve", "--stdin", "--predictor", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and unread.tell() == 0
+        assert captured.err.startswith("cannot build the serve service: ")
+        assert fragment in captured.err and captured.err.count("\n") == 1
