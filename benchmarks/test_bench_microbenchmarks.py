@@ -12,7 +12,6 @@ import io
 import itertools
 import json
 import os
-import time as _time
 
 import numpy as np
 import pytest
@@ -376,26 +375,12 @@ class TestTraceMicrobenchmarks:
 
     def test_bench_trace_pipeline(self, benchmark):
         """Columnar record->finalize->streams->io pipeline vs the pre-PR
-        record-list tracer (reference kept in this module): the columnar data
-        plane must be at least 2x faster end to end, with identical output."""
+        record-list tracer (reference kept in this module): identical output
+        asserted here; ``BENCH_trace.json`` records both timings (the
+        reference's is the next benchmark), the ratio is not asserted."""
         legacy_out = _recordlist_pipeline()
         columnar_out = _columnar_pipeline()
         assert columnar_out == legacy_out
-
-        # Interleaved best-of-N: a load spike on a shared runner hits both
-        # pipelines, so the min-to-min ratio stays stable (measured ~4.6x,
-        # asserted >= 2x).
-        columnar_times, legacy_times = [], []
-        for _ in range(4):
-            columnar_times.append(_timed(_columnar_pipeline))
-            legacy_times.append(_timed(_recordlist_pipeline))
-        columnar_best = min(columnar_times)
-        legacy_best = min(legacy_times)
-        assert legacy_best >= 2.0 * columnar_best, (
-            f"columnar trace pipeline only {legacy_best / columnar_best:.2f}x "
-            f"faster than the record-list reference (need >= 2x): "
-            f"columnar {columnar_best * 1e3:.2f}ms, legacy {legacy_best * 1e3:.2f}ms"
-        )
 
         analysis, loaded = benchmark(_columnar_pipeline)
         assert loaded == sum(len(m) for m in _TRACE_FEEDS)
@@ -429,12 +414,6 @@ class TestTraceMicrobenchmarks:
 
         runs = benchmark.pedantic(run, rounds=1, iterations=1)
         assert len(runs) == 19
-
-
-def _timed(fn) -> float:
-    start = _time.perf_counter()
-    fn()
-    return _time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -482,30 +461,12 @@ class TestFeedMicrobenchmarks:
         """End-to-end bt9 through the compiled op-array fast lane.
 
         Asserts first that the fast lane is bit-identical to the generator
-        path and beats it end to end (interleaved best-of-N so load spikes
-        hit both paths), then benchmarks the compiled path."""
+        path, then benchmarks the compiled path; ``BENCH_feed.json`` records this
+        timing and the generator baseline's below, the ratio is not asserted
+        (a wall-clock ratio does not belong in the correctness gate)."""
         generator_result = _feed_run(compiled=False)
         compiled_result = _feed_run(compiled=True)
         assert _feed_fingerprint(compiled_result) == _feed_fingerprint(generator_result)
-
-        # Interleaved best-of-N so a load spike on a shared runner hits both
-        # paths.  The real margin is modest (~1.2-1.5x warm, see
-        # BENCH_feed.json), so the floor asserted here is deliberately loose
-        # and — because even best-of-5 wall clock is not trustworthy on
-        # shared CI runners — only enforced outside CI; the artefact records
-        # the actual ratio either way, and CI asserts its presence.
-        compiled_times, generator_times = [], []
-        for _ in range(5):
-            compiled_times.append(_timed(lambda: _feed_run(compiled=True)))
-            generator_times.append(_timed(lambda: _feed_run(compiled=False)))
-        compiled_best = min(compiled_times)
-        generator_best = min(generator_times)
-        if not os.environ.get("CI"):
-            assert generator_best >= 1.05 * compiled_best, (
-                f"op-array feed only {generator_best / compiled_best:.2f}x faster than "
-                f"the generator path (need >= 1.05x): compiled {compiled_best * 1e3:.2f}ms, "
-                f"generator {generator_best * 1e3:.2f}ms"
-            )
 
         def simulate():
             return _feed_run(compiled=True)

@@ -59,7 +59,6 @@ from repro.core.evaluation import evaluate_stream
 from repro.predictive.registry import POLICIES, PREDICTORS
 from repro.scenario import (
     CachedCell,
-    CellFailure,
     PredictorSpec,
     Scenario,
     ScenarioResult,
@@ -72,6 +71,7 @@ from repro.scenario import (
 )
 from repro.serve.protocol import OPS as SERVE_OPS
 from repro.serve.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
+from repro.sim.engine import ENGINES
 from repro.sim.registry import FAULT_PRESETS, MACHINE_PRESETS, NETWORK_PRESETS
 from repro.trace.io import load_traces
 from repro.trace.streams import sender_stream, size_stream
@@ -79,6 +79,14 @@ from repro.util.text import ascii_table
 from repro.workloads.registry import paper_configurations, workload_names
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_engine_arguments(command, engine_help: str, jobs_help: str) -> None:
+    """The ``--engine`` / ``--engine-jobs`` pair of ``run`` and ``sweep``."""
+    command.add_argument("--engine", choices=ENGINES, default=None, help=engine_help)
+    command.add_argument(
+        "--engine-jobs", type=int, default=None, metavar="N", help=jobs_help
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,19 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="flow-control policy shorthand, e.g. 'credit:horizon=5' "
         "(default: standard; see 'repro list')",
     )
-    run_cmd.add_argument(
-        "--engine",
-        choices=["auto", "scalar", "vectorised", "parallel"],
-        default=None,
-        help="simulation engine (results are engine-independent — this only "
+    _add_engine_arguments(
+        run_cmd,
+        "simulation engine (results are engine-independent — this only "
         "changes how they are computed)",
-    )
-    run_cmd.add_argument(
-        "--engine-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --engine parallel (default: 2; 0 "
+        "worker processes for --engine parallel (default: 2; 0 "
         "auto-tunes to the machine's CPU count)",
     )
     run_cmd.add_argument("--save-traces", type=str, default=None, metavar="FILE")
@@ -177,21 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort on the first cell failure (pending cells are cancelled "
         "and the worker pool shut down cleanly) instead of recording it",
     )
-    sweep_cmd.add_argument(
-        "--engine",
-        choices=["auto", "scalar", "vectorised", "parallel"],
-        default=None,
-        help="override the simulation engine for every cell (results are "
+    _add_engine_arguments(
+        sweep_cmd,
+        "override the simulation engine for every cell (results are "
         "engine-independent — this only changes how they are computed); "
         "'parallel' partitions each cell's ranks over --engine-jobs worker "
         "processes, falling back in-process where ineligible",
-    )
-    sweep_cmd.add_argument(
-        "--engine-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per cell for --engine parallel (default: 2; "
+        "worker processes per cell for --engine parallel (default: 2; "
         "0 auto-tunes to the machine's CPU count); the cell pool is capped "
         "so --jobs x --engine-jobs stays within the machine's CPUs",
     )
@@ -337,6 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(args, *names: str) -> dict:
+    """The options among ``names`` that were given (are not ``None``)."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_run(args) -> int:
     try:
         workload_spec = WorkloadSpec.from_shorthand(args.workload)
@@ -350,26 +347,18 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    overrides = {}
-    if args.nprocs is not None:
-        overrides["nprocs"] = args.nprocs
-    if args.scale is not None:
-        overrides["scale"] = args.scale
-    if overrides:
-        workload_spec = dataclasses.replace(workload_spec, **overrides)
-    engine_kwargs = {}
-    if args.engine is not None:
-        engine_kwargs["engine"] = args.engine
-    if args.engine_jobs is not None:
-        engine_kwargs["engine_jobs"] = args.engine_jobs
-    spec = ScenarioSpec(
-        workload=workload_spec,
-        seed=args.seed,
-        network={"overrides": {"jitter_sigma": args.jitter}} if args.jitter is not None else None,
-        policy=args.policy,
-        **engine_kwargs,
-    )
-    scenario_result = Scenario(spec).run()
+    try:
+        spec = ScenarioSpec(
+            workload=dataclasses.replace(workload_spec, **_given(args, "nprocs", "scale")),
+            seed=args.seed,
+            network={"overrides": {"jitter_sigma": args.jitter}} if args.jitter is not None else None,
+            policy=args.policy,
+            **_given(args, "engine", "engine_jobs"),
+        )
+        scenario_result = Scenario(spec).run()
+    except (OSError, KeyError, TypeError, ValueError) as error:
+        print(f"cannot run scenario: {error}", file=sys.stderr)
+        return 2
     workload = scenario_result.workload
     summary = scenario_result.stats.summary()
     print(ascii_table(["metric", "value"], sorted(summary.items()), title=f"{workload!r}"))
@@ -386,21 +375,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sweep_row(index: int, outcome) -> list:
-    """One ascii-table row for any sweep cell outcome."""
-    if isinstance(outcome, CellFailure):
-        return [
-            index, outcome.label, outcome.spec.policy.kind, "FAILED", "-", "-",
-            f"{outcome.error_type}: {outcome.error_message}"[:48],
-        ]
-    record = outcome.record if isinstance(outcome, CachedCell) else cell_record(outcome)
+def _sweep_row(record: dict, cached: bool) -> list:
+    """One ascii-table row for the record of any sweep cell outcome."""
+    policy = record["spec"]["policy"]["kind"]
+    if "error_type" in record:
+        error = f"{record['error_type']}: {record['error_message']}"[:48]
+        return [record["cell"], record["label"], policy, "FAILED", "-", "-", error]
     stream = record["stream"]
-    status = "cached" if isinstance(outcome, CachedCell) else "ok"
     return [
-        index,
+        record["cell"],
         record["label"],
-        record["spec"]["policy"]["kind"],
-        status,
+        policy,
+        "cached" if cached else "ok",
         record["stats"]["messages_sent"],
         f"{record['makespan'] * 1e3:.3f}",
         stream["total_messages"] if stream is not None else "-",
@@ -420,6 +406,9 @@ def _cmd_sweep(args) -> int:
     if args.resume and not args.out:
         print("--resume needs --out (the checkpoint directory)", file=sys.stderr)
         return 2
+    if args.save_traces and not args.out:
+        print("--save-traces needs --out (the directory to save into)", file=sys.stderr)
+        return 2
     print(
         f"sweep {sweep.name or Path(args.spec).stem!r}: {len(specs)} cells"
         + (f", {args.jobs} jobs" if args.jobs and args.jobs > 1 else ""),
@@ -436,19 +425,19 @@ def _cmd_sweep(args) -> int:
             engine=args.engine,
             engine_jobs=args.engine_jobs,
         )
+    except ValueError as error:  # a retry budget or timeout run_all refuses
+        print(f"cannot run sweep: {error}", file=sys.stderr)
+        return 2
     except SweepAborted as aborted:
         print(str(aborted), file=sys.stderr)
         return 3
-    cells = []
-    failures = []
-    for index, outcome in enumerate(results):
-        if isinstance(outcome, CellFailure):
-            failures.append({"cell": index, **outcome.record()})
-        elif isinstance(outcome, CachedCell):
-            cells.append({"cell": index, **outcome.record})
-        else:
-            cells.append({"cell": index, **cell_record(outcome)})
-    rows = [_sweep_row(index, outcome) for index, outcome in enumerate(results)]
+    records = [{"cell": index, **cell_record(o)} for index, o in enumerate(results)]
+    cells = [record for record in records if "error_type" not in record]
+    failures = [record for record in records if "error_type" in record]
+    rows = [
+        _sweep_row(record, isinstance(outcome, CachedCell))
+        for record, outcome in zip(records, results)
+    ]
     print(
         ascii_table(
             ["cell", "label", "policy", "status", "messages", "makespan (ms)", "rank msgs / error"],
@@ -533,51 +522,50 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    predictor_spec = PredictorSpec(
-        kind="periodicity",
-        horizon=args.horizon,
-        params={"window_size": args.window, "max_period": args.max_period},
-    )
+    if not args.traces and not (args.workload and args.nprocs):
+        print("predict requires either --traces FILE or --workload/--nprocs", file=sys.stderr)
+        return 2
+    try:
+        predictor_spec = PredictorSpec(
+            kind="periodicity",
+            horizon=args.horizon,
+            params={"window_size": args.window, "max_period": args.max_period},
+        )
+        if args.traces:
+            traces, metadata = load_traces(args.traces)
+        else:
+            spec = ScenarioSpec(
+                workload=WorkloadSpec(name=args.workload, nprocs=args.nprocs, scale=args.scale),
+                seed=args.seed,
+                predictor=predictor_spec,
+            )
+            scenario_result = Scenario(spec).run()
+    except (OSError, KeyError, TypeError, ValueError) as error:
+        print(f"cannot run scenario: {error}", file=sys.stderr)
+        return 2
     if args.traces:
-        traces, metadata = load_traces(args.traces)
         rank = args.rank if args.rank is not None else 0
         if not (0 <= rank < len(traces)):
             print(f"rank {rank} out of range for trace file with {len(traces)} ranks", file=sys.stderr)
             return 2
         records = traces[rank].logical if args.level == "logical" else traces[rank].physical
         label = f"{metadata.get('workload', 'trace')} (rank {rank}, {args.level})"
-        streams = (("sender", sender_stream(records)), ("size", size_stream(records)))
         factory = predictor_spec.factory()
-        rows = [
-            [name] + [
-                f"{100 * a:.1f}%"
-                for a in evaluate_stream(stream, factory, horizon=args.horizon).accuracies()
-            ]
-            for name, stream in streams
-        ]
-    elif args.workload and args.nprocs:
-        spec = ScenarioSpec(
-            workload=WorkloadSpec(name=args.workload, nprocs=args.nprocs, scale=args.scale),
-            seed=args.seed,
-            predictor=predictor_spec,
-        )
-        scenario_result = Scenario(spec).run()
+        accuracy = {
+            name: evaluate_stream(stream(records), factory, horizon=args.horizon)
+            for name, stream in (("sender", sender_stream), ("size", size_stream))
+        }
+    else:
         rank = args.rank if args.rank is not None else scenario_result.representative_rank
         label = f"{args.workload}.{args.nprocs} (rank {rank}, {args.level})"
-        rows = [
-            [name]
-            + [
-                f"{100 * a:.1f}%"
-                for a in scenario_result.predict(
-                    kind=name, level=args.level, rank=rank
-                ).accuracies()
-            ]
+        accuracy = {
+            name: scenario_result.predict(kind=name, level=args.level, rank=rank)
             for name in ("sender", "size")
-        ]
-    else:
-        print("predict requires either --traces FILE or --workload/--nprocs", file=sys.stderr)
-        return 2
-
+        }
+    rows = [
+        [name] + [f"{100 * a:.1f}%" for a in result.accuracies()]
+        for name, result in accuracy.items()
+    ]
     headers = ["stream"] + [f"+{k}" for k in range(1, args.horizon + 1)]
     print(ascii_table(headers, rows, title=f"prediction accuracy — {label}"))
     return 0

@@ -8,6 +8,14 @@ CLI, the sweep engine and the paper's experiment context all construct one of
 these and hand it to :class:`repro.scenario.Scenario`.  (Callers that hold
 objects build a :class:`repro.sim.engine.Simulator` instead.)
 
+This module is the one owner of the schema.  The six component nodes are
+frozen dataclasses over one private base (:class:`_Node`) that is told which
+field is the registry name, which holds the parameters and which config
+dataclass the parameters are fields of; coercion, the canonical dict, seed
+pinning and grid-path checking are written there once, and
+:class:`ScenarioSpec` loops over its node fields — the sweep engine and the
+CLI keep no second description of the tree.
+
 Every node accepts three equivalent forms:
 
 * **Python**: ``ScenarioSpec(workload=WorkloadSpec("bt", 9, scale=0.2))``
@@ -22,23 +30,25 @@ Component names are resolved through the registries in
 specs can be constructed before custom components are registered and stay
 cheap to create, compare and pickle.
 
-Seed plumbing: :class:`NetworkSpec` (like :class:`~repro.sim.network.NetworkConfig`)
-leaves its seed ``None`` by default, meaning "derive from the scenario
-seed" — an override-only network configuration follows the experiment seed
-exactly like the default one, on every path.
+Seed plumbing: :class:`NetworkSpec` and :class:`FaultSpec` (like their
+config classes) leave ``seed`` ``None`` by default, meaning "derive from the
+scenario seed" — an override-only configuration follows the experiment seed
+exactly like the default one, on every path; a pinned seed wins.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import hashlib
 import json
 import tomllib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, get_type_hints
 
 from repro.scenario.shorthand import split_shorthand
+from repro.sim.engine import ENGINES
 from repro.sim.faults import FaultConfig
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
@@ -58,10 +68,9 @@ __all__ = [
     "ScenarioSpec",
 ]
 
-#: Paper-label abbreviations (``sw.32`` on the figures means sweep3d at 32),
-#: shared with ``PaperConfiguration.label``.
-_LABEL_SHORT = LABEL_ABBREVIATIONS
-_LABEL_EXPAND = {short: full for full, short in _LABEL_SHORT.items()}
+#: Paper-label abbreviations (``sw.32`` on the figures means sweep3d at 32)
+#: back to registry names.
+_LABEL_EXPAND = {short: full for full, short in LABEL_ABBREVIATIONS.items()}
 
 
 # ----------------------------------------------------------------------
@@ -76,8 +85,7 @@ def _freeze_items(value) -> tuple[tuple[str, object], ...]:
     else:
         items = list(value)
     frozen = []
-    for item in items:
-        key, val = item
+    for key, val in items:
         if not isinstance(key, str):
             raise TypeError(f"parameter names must be strings, got {key!r}")
         frozen.append((key, val))
@@ -88,24 +96,7 @@ def _freeze_items(value) -> tuple[tuple[str, object], ...]:
     return tuple(frozen)
 
 
-def _items_dict(pairs: tuple[tuple[str, object], ...]) -> dict:
-    """The tuple-of-pairs payload back as a plain dict."""
-    return dict(pairs)
-
-
-def _config_overrides(config, exclude: tuple[str, ...] = ()) -> dict:
-    """Fields of a frozen config dataclass that differ from its defaults."""
-    overrides = {}
-    for field in dataclasses.fields(config):
-        if field.name in exclude:
-            continue
-        value = getattr(config, field.name)
-        if value != field.default:
-            overrides[field.name] = value
-    return overrides
-
-
-def _reject_unknown_keys(kind: str, data: Mapping, known: tuple[str, ...]) -> None:
+def _reject_unknown_keys(kind: str, data: Mapping, known) -> None:
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(
@@ -113,17 +104,152 @@ def _reject_unknown_keys(kind: str, data: Mapping, known: tuple[str, ...]) -> No
         )
 
 
+def _suggest(key: str, candidates) -> str:
+    matches = difflib.get_close_matches(key, sorted(candidates), n=3)
+    if matches:
+        return f"; did you mean {' or '.join(repr(m) for m in matches)}?"
+    return f"; valid keys: {sorted(candidates)}"
+
+
 # ----------------------------------------------------------------------
-# Workload
+# Component nodes
 # ----------------------------------------------------------------------
+class _Node:
+    """What the six component specs are: a registry name, a few scalar
+    fields, and an open parameter table.
+
+    A subclass is a frozen dataclass that says which of its fields is which:
+    ``_NAME`` holds the registry name (``name`` / ``preset`` / ``kind``),
+    ``_PARAMS`` holds the parameters (``params`` / ``overrides``, a canonical
+    tuple of pairs — pass a dict, it is frozen on construction), and every
+    other field is a scalar.  ``_CONFIG``, where set, is the config dataclass
+    the parameters are fields of: an instance of it coerces like any other
+    form, and grid paths below the node are checked against its field names.
+    Coercion, the canonical dict, seed pinning and grid-path checking are
+    written here, once, from those three attributes.
+    """
+
+    _NAME = "kind"
+    _PARAMS = "params"
+    _CONFIG = None
+
+    def __post_init__(self) -> None:
+        params = dict(_freeze_items(getattr(self, self._PARAMS)))
+        if "seed" in params and hasattr(self, "seed"):  # the field owns the seed
+            pinned = params.pop("seed")
+            if self.seed is not None and self.seed != pinned:
+                raise ValueError(
+                    f"{type(self).__name__[:-4].lower()} spec pins seed twice: "
+                    f"{self.seed} and {pinned}"
+                )
+            object.__setattr__(self, "seed", pinned)
+        object.__setattr__(self, self._PARAMS, _freeze_items(params))
+
+    def _arguments(self, run_seed: int | None = None) -> dict:
+        """Keywords for the registry constructor: the parameters plus every
+        scalar that is set.  A pinned ``seed`` wins; an unpinned one follows
+        ``run_seed`` (the scenario seed)."""
+        kwargs = dict(getattr(self, self._PARAMS))
+        for field in dataclasses.fields(self):
+            if field.name not in (self._NAME, self._PARAMS):
+                value = getattr(self, field.name)
+                if value is None and field.name == "seed":
+                    value = run_seed
+                if value is not None:
+                    kwargs[field.name] = value
+        return kwargs
+
+    # -- construction ------------------------------------------------------
+    @classmethod
+    def coerce(cls, value):
+        """Accept an instance, ``None`` (every default, where the name has
+        one), a shorthand string, a dict, or a ``_CONFIG`` instance."""
+        if isinstance(value, cls):
+            return value
+        name_default = cls.__dataclass_fields__[cls._NAME].default
+        if value is None and name_default is not dataclasses.MISSING:
+            return cls()
+        if isinstance(value, str):
+            return cls.from_shorthand(value)
+        if isinstance(value, Mapping):
+            return cls.from_dict(value)
+        if cls._CONFIG is not None and isinstance(value, cls._CONFIG):
+            return cls.from_config(value)
+        raise TypeError(f"cannot build a {cls.__name__} from {value!r}")
+
+    @classmethod
+    def from_shorthand(cls, text: str):
+        """Parse ``"name:key=value,..."``; a key that is a field sets it."""
+        head, params = split_shorthand(text)
+        return cls.from_dict({cls._NAME: head, **params})
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        """Build from a dict.  Parameters sit nested under the parameter
+        field, flat beside the other keys, or both (a flat key wins)."""
+        data = dict(data)
+        params = dict(data.pop(cls._PARAMS, {}))
+        kwargs = {
+            field.name: data.pop(field.name)
+            for field in dataclasses.fields(cls)
+            if field.name in data
+        }
+        params.update(data)
+        return cls(**kwargs, **{cls._PARAMS: params})
+
+    @classmethod
+    def from_config(cls, config):
+        """Spec-ify an existing configuration: non-default fields become
+        parameters, a pinned seed lands in its field and an unpinned one
+        stays derivable."""
+        return cls.from_dict({
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(config)
+            if getattr(config, field.name) != field.default
+        })
+
+    def to_dict(self) -> dict:
+        """Canonical JSON-able form (inverse of :meth:`from_dict`)."""
+        data = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        data[self._PARAMS] = dict(data[self._PARAMS])
+        return data
+
+    @classmethod
+    def _check_grid_keys(cls, path: str, head: str, keys: list[str]) -> None:
+        """Check the keys of grid path ``path`` below this node, which is the
+        scenario field ``head``: at most one key, or the parameter field and
+        one key; with a ``_CONFIG``, the key must be one of its fields."""
+        leaf = "field" if cls._CONFIG is not None else "key"
+        if len(keys) > 2 or (len(keys) == 2 and keys[0] != cls._PARAMS):
+            raise ValueError(
+                f"grid path {path!r} is too deep for {head!r}; sweep "
+                f"'{head}.<{leaf}>' or '{head}.{cls._PARAMS}.<{leaf}>'"
+            )
+        if cls._CONFIG is None or not keys:
+            return  # open parameters: any key is a constructor keyword
+        fields = [field.name for field in dataclasses.fields(cls._CONFIG)]
+        if len(keys) == 2:
+            if keys[1] not in fields:
+                raise ValueError(
+                    f"grid path {path!r}: {keys[1]!r} is not a "
+                    f"{cls._CONFIG.__name__} field" + _suggest(keys[1], fields)
+                )
+            return
+        known = fields + [field.name for field in dataclasses.fields(cls)]
+        if keys[0] not in known:
+            raise ValueError(
+                f"grid path {path!r}: {keys[0]!r} is neither a {head} spec "
+                f"key nor a {cls._CONFIG.__name__} field" + _suggest(keys[0], known)
+            )
+
+
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Node):
     """Which workload skeleton to run, at which size and scale.
 
     ``None`` fields are *unset*: the workload class default applies (exactly
     as if the keyword were not passed to its constructor).  ``params`` holds
-    extra workload-specific constructor keywords as a canonical tuple of
-    pairs (use a dict when constructing; it is frozen automatically).
+    extra workload-specific constructor keywords.
     """
 
     name: str
@@ -134,11 +260,10 @@ class WorkloadSpec:
     compute_noise: float | None = None
     params: tuple = ()
 
-    _FIELDS = ("name", "nprocs", "scale", "iterations", "compute_time",
-               "compute_noise", "params")
+    _NAME = "name"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _freeze_items(self.params))
+        super().__post_init__()
         if not self.name:
             raise ValueError("workload spec needs a workload name")
         # nprocs == 0 is the "resolved by the workload" sentinel: trace
@@ -152,29 +277,12 @@ class WorkloadSpec:
     @property
     def label(self) -> str:
         """Paper-style label, e.g. ``bt.9`` (``sw.32`` for sweep3d)."""
-        short = _LABEL_SHORT.get(self.name, self.name)
+        short = LABEL_ABBREVIATIONS.get(self.name, self.name)
         return short if self.nprocs == 0 else f"{short}.{self.nprocs}"
 
     def build(self) -> Workload:
         """Instantiate the workload through the registry."""
-        kwargs = _items_dict(self.params)
-        for field in ("scale", "iterations", "compute_time", "compute_noise"):
-            value = getattr(self, field)
-            if value is not None:
-                kwargs[field] = value
-        return create_workload(self.name, nprocs=self.nprocs, **kwargs)
-
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def coerce(cls, value) -> "WorkloadSpec":
-        """Accept a spec, a dict, or a shorthand string."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls.from_shorthand(value)
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
-        raise TypeError(f"cannot build a WorkloadSpec from {value!r}")
+        return create_workload(self.name, **self._arguments())
 
     @classmethod
     def from_shorthand(cls, text: str) -> "WorkloadSpec":
@@ -194,77 +302,30 @@ class WorkloadSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> "WorkloadSpec":
         """Build from a dict; non-field keys land in ``params``."""
-        data = dict(data)
         if "name" not in data:
-            raise ValueError(f"workload spec {data!r} is missing 'name'")
+            raise ValueError(f"workload spec {dict(data)!r} is missing 'name'")
         # A missing nprocs means the sentinel 0 (see __post_init__): legal
         # for replay specs, and a clear "nprocs must be positive" error at
         # build time for every other workload.
-        data.setdefault("nprocs", 0)
-        params = dict(data.pop("params", {}))
-        kwargs = {}
-        for field in cls._FIELDS:
-            if field in data:
-                kwargs[field] = data.pop(field)
-        params.update(data)  # remaining keys are workload-specific knobs
-        return cls(params=params, **kwargs)
-
-    def to_dict(self) -> dict:
-        """Canonical JSON-able form (inverse of :meth:`from_dict`)."""
-        return {
-            "name": self.name,
-            "nprocs": self.nprocs,
-            "scale": self.scale,
-            "iterations": self.iterations,
-            "compute_time": self.compute_time,
-            "compute_noise": self.compute_noise,
-            "params": _items_dict(self.params),
-        }
+        return super().from_dict({"nprocs": 0, **data})
 
 
-# ----------------------------------------------------------------------
-# Machine / network cost models
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class MachineSpec:
-    """A machine preset name plus field overrides."""
+class MachineSpec(_Node):
+    """A machine preset name plus :class:`MachineConfig` field overrides."""
 
     preset: str = "default"
     overrides: tuple = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "overrides", _freeze_items(self.overrides))
+    _NAME, _PARAMS, _CONFIG = "preset", "overrides", MachineConfig
 
     def build(self) -> MachineConfig:
         """Resolve the preset through :mod:`repro.sim.registry`."""
-        return create_machine(self.preset, **_items_dict(self.overrides))
-
-    @classmethod
-    def coerce(cls, value) -> "MachineSpec":
-        """Accept a spec, None, a shorthand string, a dict, or a MachineConfig."""
-        if isinstance(value, cls):
-            return value
-        if value is None:
-            return cls()
-        if isinstance(value, MachineConfig):
-            return cls(overrides=_config_overrides(value))
-        if isinstance(value, str):
-            preset, params = split_shorthand(value)
-            return cls(preset=preset, overrides=params)
-        if isinstance(value, Mapping):
-            data = dict(value)
-            preset = data.pop("preset", "default")
-            overrides = dict(data.pop("overrides", {}))
-            overrides.update(data)  # flat form: remaining keys are overrides
-            return cls(preset=preset, overrides=overrides)
-        raise TypeError(f"cannot build a MachineSpec from {value!r}")
-
-    def to_dict(self) -> dict:
-        return {"preset": self.preset, "overrides": _items_dict(self.overrides)}
+        return create_machine(self.preset, **self._arguments())
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(_Node):
     """A network preset name, an optional pinned seed, and field overrides.
 
     ``seed=None`` (the default) derives the jitter seed from the scenario
@@ -277,68 +338,16 @@ class NetworkSpec:
     seed: int | None = None
     overrides: tuple = ()
 
-    def __post_init__(self) -> None:
-        overrides = dict(_freeze_items(self.overrides))
-        if "seed" in overrides:  # normalise: the field owns the seed
-            pinned = overrides.pop("seed")
-            if self.seed is not None and self.seed != pinned:
-                raise ValueError(
-                    f"network spec pins seed twice: {self.seed} and {pinned}"
-                )
-            object.__setattr__(self, "seed", pinned)
-        object.__setattr__(self, "overrides", _freeze_items(overrides))
+    _NAME, _PARAMS, _CONFIG = "preset", "overrides", NetworkConfig
 
     def build(self, run_seed: int) -> NetworkConfig:
-        """Resolve to a :class:`NetworkConfig` with the seed settled.
-
-        The pinned ``seed`` wins; otherwise ``run_seed`` (the scenario seed)
-        is used, matching ``NetworkConfig(seed=run_seed)`` bit for bit.
-        """
-        seed = self.seed if self.seed is not None else run_seed
-        return create_network(
-            self.preset, seed=seed, **_items_dict(self.overrides)
-        )
-
-    @classmethod
-    def coerce(cls, value) -> "NetworkSpec":
-        """Accept a spec, None, a shorthand string, a dict, or a NetworkConfig."""
-        if isinstance(value, cls):
-            return value
-        if value is None:
-            return cls()
-        if isinstance(value, NetworkConfig):
-            return cls.from_config(value)
-        if isinstance(value, str):
-            preset, params = split_shorthand(value)
-            return cls(preset=preset, overrides=params)
-        if isinstance(value, Mapping):
-            data = dict(value)
-            preset = data.pop("preset", "default")
-            seed = data.pop("seed", None)
-            overrides = dict(data.pop("overrides", {}))
-            overrides.update(data)
-            return cls(preset=preset, seed=seed, overrides=overrides)
-        raise TypeError(f"cannot build a NetworkSpec from {value!r}")
-
-    @classmethod
-    def from_config(cls, config: NetworkConfig) -> "NetworkSpec":
-        """Spec-ify an existing configuration (non-default fields become
-        overrides; an unpinned seed stays derivable)."""
-        return cls(
-            seed=config.seed,
-            overrides=_config_overrides(config, exclude=("seed",)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "seed": self.seed,
-            "overrides": _items_dict(self.overrides),
-        }
+        """Resolve to a :class:`NetworkConfig` with the seed settled,
+        matching ``NetworkConfig(seed=run_seed)`` bit for bit when unpinned."""
+        return create_network(self.preset, **self._arguments(run_seed))
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Node):
     """A fault-injection preset name, an optional pinned seed, and overrides.
 
     The default preset ``"none"`` resolves to a null :class:`FaultConfig`
@@ -353,100 +362,27 @@ class FaultSpec:
     seed: int | None = None
     overrides: tuple = ()
 
-    def __post_init__(self) -> None:
-        overrides = dict(_freeze_items(self.overrides))
-        if "seed" in overrides:  # normalise: the field owns the seed
-            pinned = overrides.pop("seed")
-            if self.seed is not None and self.seed != pinned:
-                raise ValueError(
-                    f"fault spec pins seed twice: {self.seed} and {pinned}"
-                )
-            object.__setattr__(self, "seed", pinned)
-        object.__setattr__(self, "overrides", _freeze_items(overrides))
+    _NAME, _PARAMS, _CONFIG = "preset", "overrides", FaultConfig
 
     def build(self, run_seed: int) -> FaultConfig:
         """Resolve to a :class:`FaultConfig` with the seed settled."""
-        seed = self.seed if self.seed is not None else run_seed
-        return create_faults(self.preset, seed=seed, **_items_dict(self.overrides))
-
-    @classmethod
-    def coerce(cls, value) -> "FaultSpec":
-        """Accept a spec, None, a shorthand string, a dict, or a FaultConfig."""
-        if isinstance(value, cls):
-            return value
-        if value is None:
-            return cls()
-        if isinstance(value, FaultConfig):
-            return cls.from_config(value)
-        if isinstance(value, str):
-            preset, params = split_shorthand(value)
-            return cls(preset=preset, overrides=params)
-        if isinstance(value, Mapping):
-            data = dict(value)
-            preset = data.pop("preset", "none")
-            seed = data.pop("seed", None)
-            overrides = dict(data.pop("overrides", {}))
-            overrides.update(data)
-            return cls(preset=preset, seed=seed, overrides=overrides)
-        raise TypeError(f"cannot build a FaultSpec from {value!r}")
-
-    @classmethod
-    def from_config(cls, config: FaultConfig) -> "FaultSpec":
-        """Spec-ify an existing configuration (non-default fields become
-        overrides; an unpinned seed stays derivable)."""
-        return cls(
-            seed=config.seed,
-            overrides=_config_overrides(config, exclude=("seed",)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "seed": self.seed,
-            "overrides": _items_dict(self.overrides),
-        }
+        return create_faults(self.preset, **self._arguments(run_seed))
 
 
-# ----------------------------------------------------------------------
-# Policy / predictor / trace
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(_Node):
     """A registered flow-control policy by name, with constructor params."""
 
     kind: str = "standard"
     params: tuple = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _freeze_items(self.params))
-
     def build(self):
         """Instantiate through :mod:`repro.predictive.registry`."""
-        return create_policy(self.kind, **_items_dict(self.params))
-
-    @classmethod
-    def coerce(cls, value) -> "PolicySpec":
-        if isinstance(value, cls):
-            return value
-        if value is None:
-            return cls()
-        if isinstance(value, str):
-            kind, params = split_shorthand(value)
-            return cls(kind=kind, params=params)
-        if isinstance(value, Mapping):
-            data = dict(value)
-            kind = data.pop("kind", "standard")
-            params = dict(data.pop("params", {}))
-            params.update(data)
-            return cls(kind=kind, params=params)
-        raise TypeError(f"cannot build a PolicySpec from {value!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": _items_dict(self.params)}
+        return create_policy(self.kind, **self._arguments())
 
 
 @dataclass(frozen=True)
-class PredictorSpec:
+class PredictorSpec(_Node):
     """The predictor evaluated over a scenario's streams, plus the horizon."""
 
     kind: str = "periodicity"
@@ -454,40 +390,15 @@ class PredictorSpec:
     params: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _freeze_items(self.params))
+        super().__post_init__()
         if int(self.horizon) <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         object.__setattr__(self, "horizon", int(self.horizon))
 
     def factory(self) -> Callable[[], object]:
-        """A zero-argument factory of fresh predictor instances."""
-        return predictor_factory(self.kind, **_items_dict(self.params))
-
-    @classmethod
-    def coerce(cls, value) -> "PredictorSpec":
-        if isinstance(value, cls):
-            return value
-        if value is None:
-            return cls()
-        if isinstance(value, str):
-            kind, params = split_shorthand(value)
-            horizon = params.pop("horizon", 5)
-            return cls(kind=kind, horizon=horizon, params=params)
-        if isinstance(value, Mapping):
-            data = dict(value)
-            kind = data.pop("kind", "periodicity")
-            horizon = data.pop("horizon", 5)
-            params = dict(data.pop("params", {}))
-            params.update(data)
-            return cls(kind=kind, horizon=horizon, params=params)
-        raise TypeError(f"cannot build a PredictorSpec from {value!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "horizon": self.horizon,
-            "params": _items_dict(self.params),
-        }
+        """A zero-argument factory of fresh predictor instances (``horizon``
+        belongs to the evaluation, not to the predictor's constructor)."""
+        return predictor_factory(self.kind, **dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -518,6 +429,14 @@ class TraceSpec:
 
     def to_dict(self) -> dict:
         return {"enabled": self.enabled, "path": self.path}
+
+    @classmethod
+    def _check_grid_keys(cls, path: str, head: str, keys: list[str]) -> None:
+        if len(keys) > 1 or (keys and keys[0] not in ("enabled", "path")):
+            raise ValueError(
+                f"grid path {path!r}: trace keys are 'enabled' and 'path'"
+                + ("" if len(keys) == 1 else " (one level deep)")
+            )
 
 
 # ----------------------------------------------------------------------
@@ -559,29 +478,18 @@ class ScenarioSpec:
     #: Excluded from identity for the same reason as ``engine``.
     engine_jobs: int = 2
 
-    _FIELDS = ("workload", "seed", "machine", "network", "faults", "policy",
-               "predictor", "trace", "name", "max_events", "max_wall_seconds",
-               "compiled", "engine", "engine_jobs")
-
     def __post_init__(self) -> None:
         coerce = object.__setattr__
-        coerce(self, "workload", WorkloadSpec.coerce(self.workload))
-        coerce(self, "machine", MachineSpec.coerce(self.machine))
-        coerce(self, "network", NetworkSpec.coerce(self.network))
-        coerce(self, "faults", FaultSpec.coerce(self.faults))
-        coerce(self, "policy", PolicySpec.coerce(self.policy))
-        coerce(self, "predictor", PredictorSpec.coerce(self.predictor))
-        coerce(self, "trace", TraceSpec.coerce(self.trace))
+        for field, node in _NODES.items():
+            coerce(self, field, node.coerce(getattr(self, field)))
         coerce(self, "seed", int(self.seed))
         if self.max_wall_seconds is not None and self.max_wall_seconds <= 0:
             raise ValueError(
                 f"max_wall_seconds must be positive, got {self.max_wall_seconds}"
             )
-        if self.engine not in ("auto", "scalar", "vectorised", "parallel"):
-            raise ValueError(
-                "engine must be 'auto', 'scalar', 'vectorised' or 'parallel', "
-                f"got {self.engine!r}"
-            )
+        if self.engine not in ENGINES:
+            message = "engine must be {!r}, {!r}, {!r} or {!r}, got {!r}"
+            raise ValueError(message.format(*ENGINES, self.engine))
         coerce(self, "engine_jobs", int(self.engine_jobs))
         if self.engine_jobs < 0:
             raise ValueError(
@@ -632,7 +540,9 @@ class ScenarioSpec:
     def from_dict(cls, data: Mapping) -> "ScenarioSpec":
         """Build from a plain dict (the TOML table form)."""
         data = dict(data)
-        _reject_unknown_keys("scenario", data, cls._FIELDS)
+        _reject_unknown_keys(
+            "scenario", data, [field.name for field in dataclasses.fields(cls)]
+        )
         if "workload" not in data:
             raise ValueError("scenario spec is missing 'workload'")
         return cls(**data)
@@ -643,25 +553,43 @@ class ScenarioSpec:
         with Path(path).open("rb") as handle:
             return cls.from_dict(tomllib.load(handle))
 
+    @classmethod
+    def check_grid_path(cls, path: str) -> None:
+        """Check one dotted sweep-grid path against the spec tree.
+
+        Raises :class:`ValueError` naming the bad path and the nearest valid
+        keys: the head must be a field of this class, a scalar field cannot
+        be descended into, and each node checks the keys below itself.
+        """
+        keys = [key for key in path.split(".") if key]
+        if not keys:
+            raise ValueError("empty grid path")
+        head = keys[0]
+        fields = [field.name for field in dataclasses.fields(cls)]
+        if head not in fields:
+            raise ValueError(
+                f"grid path {path!r}: {head!r} is not a scenario spec field"
+                + _suggest(head, fields)
+            )
+        if head in _NODES:
+            _NODES[head]._check_grid_keys(path, head, keys[1:])
+        elif len(keys) > 1:
+            raise ValueError(
+                f"grid path {path!r} descends into scalar field {head!r}; "
+                f"use {head!r} itself"
+            )
+
     def to_dict(self) -> dict:
-        """Canonical nested JSON-able form (inverse of :meth:`from_dict`)."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "workload": self.workload.to_dict(),
-            "machine": self.machine.to_dict(),
-            "network": self.network.to_dict(),
-            "faults": self.faults.to_dict(),
-            "policy": self.policy.to_dict(),
-            "predictor": self.predictor.to_dict(),
-            "trace": self.trace.to_dict(),
-            "max_events": self.max_events,
-            "max_wall_seconds": self.max_wall_seconds,
-            "compiled": self.compiled,
-            # "engine"/"engine_jobs" are intentionally absent: they cannot
-            # change results, so they must not change content_hash() or
-            # on-disk summaries.
+        """Canonical nested JSON-able form (inverse of :meth:`from_dict`):
+        every field but the execution details ``engine`` / ``engine_jobs``."""
+        data = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+            if field.name not in ("engine", "engine_jobs")
         }
+        for field in _NODES:
+            data[field] = data[field].to_dict()
+        return data
 
     def content_hash(self) -> str:
         """Stable identity of this spec's canonical dict form.
@@ -674,3 +602,13 @@ class ScenarioSpec:
         """
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+#: The fields of :class:`ScenarioSpec` that hold a node, by the node class
+#: their annotation names — what ``__post_init__`` coerces, ``to_dict``
+#: descends into and ``check_grid_path`` hands the rest of a path to.
+_NODES = {
+    name: hint
+    for name, hint in get_type_hints(ScenarioSpec).items()
+    if isinstance(hint, type) and hasattr(hint, "coerce")
+}

@@ -10,9 +10,11 @@ A :class:`Sweep` describes a family of scenarios three ways, freely combined:
 * ``cells`` — an explicit list of cells, each either a full spec or a patch
   dict deep-merged over ``base`` (so a cell states only what differs).
 
-Grid paths are validated against the spec schema at construction time, so a
-typo (``"network.overrides.jitter_sgima"``) fails immediately with the
-nearest valid paths instead of silently materialising a table nobody reads.
+Grid paths are checked at construction time by the spec tree itself
+(:meth:`ScenarioSpec.check_grid_path` — this module holds no description of
+the schema), so a typo (``"network.overrides.jitter_sgima"``) fails
+immediately with the nearest valid keys instead of silently materialising a
+table nobody reads.
 
 :meth:`Sweep.expand` materialises the cell list in deterministic order (grid
 cells first, in row-major product order; explicit cells after).  Every cell
@@ -25,10 +27,13 @@ paper-sweep runner has had since the sharded experiment context.
 Fault tolerance: each cell runs isolated.  A cell that raises produces a
 structured :class:`CellFailure` in the result list (the other cells still
 run and return); transient failures — a worker process dying, a cell blowing
-its wall-clock budget — are retried with exponential backoff; with an output
+its wall-clock budget — are retried with exponential backoff, by one rule
+(:meth:`_CellRunner.attempt`) that the in-process loop, the shared pool and
+the single-worker quarantine pools all read outcomes through; with an output
 directory, finished cells are checkpointed on disk (``cells/<hash>.json``,
 keyed by :meth:`ScenarioSpec.content_hash`) so ``resume=True`` re-runs only
-the cells that have not completed.  See :doc:`docs/scenarios` for the full
+the cells without a well-formed checkpoint.  :func:`cell_record` gives the
+record of any outcome.  See :doc:`docs/scenarios` for the full
 failure-handling contract.
 
 TOML form (``repro sweep my_sweep.toml``)::
@@ -53,8 +58,6 @@ A TOML file without ``base``/``grid``/``cells`` keys is read as a single
 from __future__ import annotations
 
 import copy
-import dataclasses
-import difflib
 import itertools
 import json
 import os
@@ -70,9 +73,6 @@ from typing import Mapping, Sequence
 from repro.scenario.scenario import Scenario, ScenarioResult
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.errors import TimeLimitExceeded
-from repro.sim.faults import FaultConfig
-from repro.sim.machine import MachineConfig
-from repro.sim.network import NetworkConfig
 
 __all__ = [
     "CachedCell",
@@ -83,11 +83,6 @@ __all__ = [
     "load_sweep",
     "sweep_accuracy_table",
 ]
-
-
-def _run_spec(spec: ScenarioSpec) -> ScenarioResult:
-    """Run one cell (module-level so the process pool can pickle it)."""
-    return Scenario(spec).run()
 
 
 def _run_cell(spec: ScenarioSpec, timeout: float | None) -> ScenarioResult:
@@ -185,25 +180,31 @@ class SweepAborted(RuntimeError):
         )
 
 
-def cell_record(scenario_result: ScenarioResult) -> dict:
-    """Deterministic JSON-able record of one finished sweep cell.
+def cell_record(outcome: ScenarioResult | CachedCell | CellFailure) -> dict:
+    """Deterministic JSON-able record of one sweep cell, whatever its outcome.
 
-    This is both the per-cell payload of ``repro sweep``'s ``summary.json``
-    and the checkpoint format of the resumable manifest.  Traceless runs
-    (``trace.enabled = false``) get ``stream: null``; fault-injected runs
-    carry the injector's counters.
+    For a finished cell this is both the per-cell payload of ``repro
+    sweep``'s ``summary.json`` and the checkpoint format of the resumable
+    manifest (a :class:`CachedCell` answers with the record it was restored
+    from).  Traceless runs (``trace.enabled = false``) get ``stream: null``;
+    fault-injected runs carry the injector's counters.  A
+    :class:`CellFailure` answers with its failure record, the one with an
+    ``error_type`` key.
     """
-    stats = scenario_result.stats.summary()
+    if isinstance(outcome, CachedCell):
+        return outcome.record
+    if isinstance(outcome, CellFailure):
+        return outcome.record()
     record = {
-        "label": scenario_result.label,
-        "spec": scenario_result.spec.to_dict(),
-        "spec_hash": scenario_result.spec.content_hash(),
-        "makespan": scenario_result.makespan,
-        "stats": stats,
-        "representative_rank": scenario_result.representative_rank,
+        "label": outcome.label,
+        "spec": outcome.spec.to_dict(),
+        "spec_hash": outcome.spec.content_hash(),
+        "makespan": outcome.makespan,
+        "stats": outcome.stats.summary(),
+        "representative_rank": outcome.representative_rank,
     }
-    if scenario_result.result.tracer is not None:
-        stream = scenario_result.summary()
+    if outcome.result.tracer is not None:
+        stream = outcome.summary()
         record["stream"] = {
             "total_messages": stream.total_messages,
             "p2p_messages": stream.p2p_messages,
@@ -213,8 +214,8 @@ def cell_record(scenario_result: ScenarioResult) -> dict:
         }
     else:
         record["stream"] = None
-    if scenario_result.result.fault_stats is not None:
-        record["fault_stats"] = scenario_result.result.fault_stats
+    if outcome.result.fault_stats is not None:
+        record["fault_stats"] = outcome.result.fault_stats
     return record
 
 
@@ -230,20 +231,35 @@ class _Manifest:
     regardless of what changed between invocations.
     """
 
+    #: What every stored record carries; a file without them is not one.
+    _RECORD_KEYS = frozenset(
+        ("label", "spec", "spec_hash", "makespan", "stats", "stream",
+         "representative_rank")
+    )
+
     def __init__(self, out: str | Path) -> None:
         self.dir = Path(out) / "cells"
         self.dir.mkdir(parents=True, exist_ok=True)
 
     def load(self, spec_hash: str) -> dict | None:
+        """The stored record of ``spec_hash``, or ``None`` when the file is
+        missing, unreadable, or not this cell's record (the cell re-runs and
+        :meth:`store` overwrites it)."""
         path = self.dir / f"{spec_hash}.json"
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
-        return payload if isinstance(payload, dict) else None
+        if (
+            isinstance(payload, dict)
+            and payload.get("spec_hash") == spec_hash
+            and self._RECORD_KEYS <= payload.keys()
+        ):
+            return payload
+        return None
 
-    def store(self, spec_hash: str, record: dict) -> None:
-        path = self.dir / f"{spec_hash}.json"
+    def store(self, record: dict) -> None:
+        path = self.dir / f"{record['spec_hash']}.json"
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(
             json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -251,108 +267,9 @@ class _Manifest:
         os.replace(tmp, path)  # atomic: a killed sweep never leaves torn cells
 
 
-# ----------------------------------------------------------------------
-# Grid-path validation
-# ----------------------------------------------------------------------
-#: Scalar ScenarioSpec fields: a grid path may target them but not descend.
-_SCALAR_FIELDS = (
-    "seed", "name", "max_events", "max_wall_seconds", "compiled", "engine",
-    "engine_jobs",
-)
-
-#: Config-backed nodes: structural spec keys plus the backing dataclass whose
-#: field names are valid both flat (``network.latency``) and under
-#: ``overrides.`` (``network.overrides.latency``).
-_CONFIG_NODES = {
-    "machine": (MachineConfig, ("preset", "overrides")),
-    "network": (NetworkConfig, ("preset", "seed", "overrides")),
-    "faults": (FaultConfig, ("preset", "seed", "overrides")),
-}
-
-#: Open-parameter nodes: unknown second keys are component constructor
-#: parameters by design (they land in ``params``), so any flat key passes.
-_PARAM_NODES = ("workload", "policy", "predictor")
-
-
-def _suggest(key: str, candidates) -> str:
-    matches = difflib.get_close_matches(key, sorted(candidates), n=3)
-    if matches:
-        return f"; did you mean {' or '.join(repr(m) for m in matches)}?"
-    return f"; valid keys: {sorted(candidates)}"
-
-
-def _validate_grid_path(path: str) -> None:
-    """Check one dotted grid path against the ScenarioSpec schema.
-
-    Raises ValueError naming the bad path and the nearest valid keys.  This
-    runs at :class:`Sweep` construction, before any cell is expanded — a
-    typo'd path used to silently create a nested table that nothing reads.
-    """
-    keys = [key for key in path.split(".") if key]
-    if not keys:
-        raise ValueError("empty grid path")
-    head = keys[0]
-    if head not in ScenarioSpec._FIELDS:
-        raise ValueError(
-            f"grid path {path!r}: {head!r} is not a scenario spec field"
-            + _suggest(head, ScenarioSpec._FIELDS)
-        )
-    if head in _SCALAR_FIELDS:
-        if len(keys) > 1:
-            raise ValueError(
-                f"grid path {path!r} descends into scalar field {head!r}; "
-                f"use {head!r} itself"
-            )
-        return
-    if head == "trace":
-        if len(keys) == 1:
-            return
-        if len(keys) == 2 and keys[1] in ("enabled", "path"):
-            return
-        raise ValueError(
-            f"grid path {path!r}: trace keys are 'enabled' and 'path'"
-            + ("" if len(keys) == 2 else " (one level deep)")
-        )
-    if head in _CONFIG_NODES:
-        config_cls, structural = _CONFIG_NODES[head]
-        fields = tuple(f.name for f in dataclasses.fields(config_cls))
-        if len(keys) == 1:
-            return  # whole-node replacement (shorthand strings / tables)
-        if len(keys) == 2:
-            if keys[1] in structural or keys[1] in fields:
-                return
-            raise ValueError(
-                f"grid path {path!r}: {keys[1]!r} is neither a {head} spec "
-                f"key nor a {config_cls.__name__} field"
-                + _suggest(keys[1], set(structural) | set(fields))
-            )
-        if len(keys) == 3 and keys[1] == "overrides":
-            if keys[2] in fields:
-                return
-            raise ValueError(
-                f"grid path {path!r}: {keys[2]!r} is not a "
-                f"{config_cls.__name__} field" + _suggest(keys[2], fields)
-            )
-        raise ValueError(
-            f"grid path {path!r} is too deep for {head!r}; sweep "
-            f"'{head}.<field>' or '{head}.overrides.<field>'"
-        )
-    # Open-parameter nodes (workload / policy / predictor).
-    if len(keys) <= 2:
-        return  # flat keys become constructor params by design
-    if len(keys) == 3 and keys[1] == "params":
-        return
-    raise ValueError(
-        f"grid path {path!r} is too deep for {head!r}; sweep "
-        f"'{head}.<key>' or '{head}.params.<key>'"
-    )
-
-
 def _set_path(data: dict, path: str, value) -> None:
     """Set ``value`` at a dotted ``path`` inside nested dicts (creating)."""
     keys = [key for key in path.split(".") if key]
-    if not keys:
-        raise ValueError("empty grid path")
     node = data
     for key in keys[:-1]:
         child = node.get(key)
@@ -421,7 +338,7 @@ class Sweep:
         if self.grid and self.base is None:
             raise ValueError("a grid sweep needs a base spec to patch")
         for path, values in self.grid.items():
-            _validate_grid_path(path)
+            ScenarioSpec.check_grid_path(path)
             if not values:
                 raise ValueError(f"grid path {path!r} has no values")
 
@@ -517,7 +434,7 @@ class Sweep:
         exceeding ``timeout`` seconds of wall clock
         (:class:`~repro.sim.errors.TimeLimitExceeded`) — are retried up to
         ``max_retries`` times with exponential backoff
-        (``retry_backoff * 2**attempt`` seconds); deterministic exceptions
+        (``retry_backoff * 2**(attempts - 1)`` seconds); deterministic exceptions
         are not retried, the rerun would fail identically.  After a worker
         death the pool is unusable and cannot name the culprit, so the
         remaining cells re-run in *quarantine*: one single-worker pool each,
@@ -544,6 +461,8 @@ class Sweep:
             raise ValueError("run_all(resume=True) needs an output directory (out=)")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         specs = self.expand()
         if engine is not None:
             specs = [spec.with_overrides(engine=engine) for spec in specs]
@@ -596,178 +515,132 @@ class Sweep:
         return results  # type: ignore[return-value]
 
 
+@dataclass
 class _CellRunner:
-    """Shared state of one :meth:`Sweep.run_all` invocation."""
+    """Shared state of one :meth:`Sweep.run_all` invocation.
 
-    def __init__(
-        self, *, specs, results, manifest, max_retries, retry_backoff, timeout,
-        fail_fast,
-    ) -> None:
-        self.specs = specs
-        self.results = results
-        self.manifest = manifest
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.timeout = timeout
-        self.fail_fast = fail_fast
+    Every route a cell can run by — in-process, a shared pool, a
+    single-worker quarantine pool — reads its outcome through
+    :meth:`attempt`, so the retry rule is written once.
+    """
 
-    # -- outcome bookkeeping -------------------------------------------
-    def _record_success(self, index: int, result: ScenarioResult) -> None:
-        self.results[index] = result
-        if self.manifest is not None:
-            self.manifest.store(result.spec.content_hash(), cell_record(result))
+    specs: list[ScenarioSpec]
+    results: list
+    manifest: _Manifest | None
+    max_retries: int
+    retry_backoff: float
+    timeout: float | None
+    fail_fast: bool
 
-    def _record_failure(self, index: int, failure: CellFailure) -> None:
+    def __post_init__(self) -> None:
+        self.attempts = [0] * len(self.specs)
+
+    def attempt(self, index: int, outcome) -> bool:
+        """Charge cell ``index`` one attempt and read it by calling
+        ``outcome()``; true when the cell is settled (its result or its
+        failure is recorded), false when it is to run again.
+
+        Only a blown wall-clock budget and a dead worker are transient, and
+        only while the cell has retry budget left; any other exception is
+        deterministic, a rerun would fail the same way.
+        """
+        self.attempts[index] += 1
+        try:
+            result = outcome()
+        except (TimeLimitExceeded, BrokenProcessPool) as exc:
+            if self.attempts[index] <= self.max_retries:
+                return False
+            error = exc
+        except Exception as exc:
+            error = exc
+        else:
+            self.results[index] = result
+            if self.manifest is not None:
+                self.manifest.store(cell_record(result))
+            return True
+        failure = CellFailure(
+            spec=self.specs[index],
+            error_type=type(error).__name__,
+            error_message=str(error),
+            attempts=self.attempts[index],
+        )
+        if isinstance(error, BrokenProcessPool):
+            failure.error_type = "WorkerCrash"
+            failure.error_message = (
+                "worker process died while running this cell (killed or crashed hard)"
+            )
         if self.fail_fast:
             raise SweepAborted(failure)
         self.results[index] = failure
+        return True
 
-    def _backoff(self, attempt: int) -> None:
+    def _backoff(self, retried: list[int]) -> None:
+        attempt = max(self.attempts[index] for index in retried)
         time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
 
-    def _failure(self, index: int, exc: BaseException, attempts: int) -> CellFailure:
-        return CellFailure(
-            spec=self.specs[index],
-            error_type=type(exc).__name__,
-            error_message=str(exc),
-            attempts=attempts,
-        )
-
-    # -- sequential ----------------------------------------------------
     def run_sequential(self, pending: list[int]) -> None:
         for index in pending:
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    self._record_success(
-                        index, _run_cell(self.specs[index], self.timeout)
-                    )
-                    break
-                except TimeLimitExceeded as exc:
-                    if attempts > self.max_retries:
-                        self._record_failure(index, self._failure(index, exc, attempts))
-                        break
-                    self._backoff(attempts)
-                except Exception as exc:  # deterministic: a retry fails the same way
-                    self._record_failure(index, self._failure(index, exc, attempts))
-                    break
+            while not self.attempt(
+                index, lambda: _run_cell(self.specs[index], self.timeout)
+            ):
+                self._backoff([index])
 
-    # -- pooled --------------------------------------------------------
     def run_pooled(self, pending: list[int], jobs: int) -> None:
-        unfinished = list(pending)
-        attempts = {index: 0 for index in pending}
-        round_number = 0
-        while unfinished:
-            round_number += 1
-            if round_number > 1:
-                self._backoff(round_number - 1)
-            unfinished = self._pool_round(unfinished, jobs, attempts)
+        """Rounds of one shared pool until a worker dies, then of quarantine.
 
-    def _pool_round(
-        self, pending: list[int], jobs: int, attempts: dict[int, int]
-    ) -> list[int]:
-        """One pool pass over ``pending``; returns indices needing another.
+        A broken pool cannot name the cell that killed its worker, so the
+        cells it left unfinished re-run one single-worker pool each, where a
+        death indicts exactly one cell.
+        """
+        quarantine = False
+        while pending:
+            if quarantine:
+                pending = [index for index in pending if not self._run_solo(index)]
+            else:
+                pending, quarantine = self._pool_round(pending, jobs)
+                if quarantine:
+                    continue  # the death charged nobody: nothing to wait out
+            if pending:
+                self._backoff(pending)
 
-        Healthy path: every future resolves, transient failures collect for
-        the next round.  If the pool breaks (a worker died), completed
-        futures are still harvested, and the survivors re-run in quarantine
-        — one single-worker pool per cell — so the next crash indicts
-        exactly one cell instead of poisoning the batch.
+    def _run_solo(self, index: int) -> bool:
+        with ProcessPoolExecutor(max_workers=1) as solo:
+            future = solo.submit(_run_cell, self.specs[index], self.timeout)
+            return self.attempt(index, future.result)
+
+    def _pool_round(self, pending: list[int], jobs: int) -> tuple[list[int], bool]:
+        """One shared-pool pass over ``pending`` (submitted longest-expected
+        first); returns the cells to run again and whether a worker died.
+
+        A death charges nobody: the cells that had finished are kept, and
+        every other one goes to quarantine with its budget untouched.
         """
         by_cost = sorted(
             pending, key=lambda index: self.specs[index].cost_hint(), reverse=True
         )
         retry: list[int] = []
-        broken = False
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
         try:
-            futures = {}
-            for index in by_cost:
-                attempts[index] += 1
-                futures[index] = pool.submit(
-                    _run_cell, self.specs[index], self.timeout
-                )
-            for index in pending:
-                future = futures[index]
-                try:
-                    self._record_success(index, future.result())
-                except BrokenProcessPool:
-                    broken = True
-                    break
-                except TimeLimitExceeded as exc:
-                    if attempts[index] > self.max_retries:
-                        self._record_failure(
-                            index, self._failure(index, exc, attempts[index])
-                        )
-                    else:
-                        retry.append(index)
-                except Exception as exc:
-                    self._record_failure(
-                        index, self._failure(index, exc, attempts[index])
-                    )
-            if broken:
-                retry.extend(self._harvest_broken(futures, pending, attempts))
+            futures = {
+                index: pool.submit(_run_cell, self.specs[index], self.timeout)
+                for index in by_cost
+            }
+            for position, index in enumerate(pending):
+                if isinstance(futures[index].exception(), BrokenProcessPool):
+                    for survivor in pending[position:]:
+                        future = futures[survivor]
+                        if future.done() and future.exception() is None:
+                            self.attempt(survivor, future.result)
+                        else:
+                            retry.append(survivor)
+                    return retry, True
+                if not self.attempt(index, futures[index].result):
+                    retry.append(index)
+            return retry, False
         finally:
             # Covers the fail-fast SweepAborted path too: futures that never
             # started are cancelled, running workers drain, nothing leaks.
             pool.shutdown(wait=True, cancel_futures=True)
-        if broken and retry:
-            return self._quarantine(retry, attempts)
-        return retry
-
-    def _harvest_broken(
-        self, futures: dict, pending: list[int], attempts: dict[int, int]
-    ) -> list[int]:
-        """Salvage finished futures from a broken pool; the rest re-run.
-
-        A cell whose future never ran (cancelled or broken-pool poisoned)
-        was not genuinely attempted, so its attempt charge is refunded —
-        only the crash culprit should burn retry budget, and quarantine is
-        what identifies it.
-        """
-        unfinished: list[int] = []
-        for index in pending:
-            if self.results[index] is not None:
-                continue
-            future = futures[index]
-            try:
-                self._record_success(index, future.result(timeout=0))
-            except Exception:
-                attempts[index] -= 1
-                unfinished.append(index)
-        return unfinished
-
-    def _quarantine(self, pending: list[int], attempts: dict[int, int]) -> list[int]:
-        """Re-run cells one per single-worker pool after a worker death."""
-        retry: list[int] = []
-        for index in pending:
-            attempts[index] += 1
-            try:
-                with ProcessPoolExecutor(max_workers=1) as solo:
-                    self._record_success(
-                        index,
-                        solo.submit(_run_cell, self.specs[index], self.timeout)
-                        .result(),
-                    )
-            except (BrokenProcessPool, TimeLimitExceeded) as exc:
-                if attempts[index] > self.max_retries:
-                    failure = self._failure(index, exc, attempts[index])
-                    if isinstance(exc, BrokenProcessPool):
-                        failure.error_type = "WorkerCrash"
-                        failure.error_message = (
-                            "worker process died while running this cell "
-                            "(killed or crashed hard)"
-                        )
-                    self._record_failure(index, failure)
-                else:
-                    retry.append(index)
-            except Exception as exc:
-                self._record_failure(index, self._failure(index, exc, attempts[index]))
-        if retry:
-            self._backoff(max(attempts[index] for index in retry))
-            return self._quarantine(retry, attempts)
-        return []
 
 
 def load_sweep(path: str | Path) -> Sweep:

@@ -117,6 +117,8 @@ __all__ = ["Simulator", "SimulationResult", "RankState", "RankStatus"]
 
 #: A program factory takes a rank context and returns the rank's generator.
 ProgramFactory = Callable[[RankContext], Generator[Operation, object, None]]
+#: The drains ``Simulator(engine=...)`` accepts (specs and the CLI import this).
+ENGINES = ("auto", "scalar", "vectorised", "parallel")
 
 #: ``engine="auto"`` turns cohorting on at this many compiled ranks.  Below
 #: it, cohorts are too small for the collect/dispatch overhead to amortise;
@@ -310,11 +312,9 @@ class Simulator:
     ) -> None:
         if nprocs <= 0:
             raise ValueError(f"nprocs must be positive, got {nprocs}")
-        if engine not in ("auto", "scalar", "vectorised", "parallel"):
-            raise ValueError(
-                "engine must be 'auto', 'scalar', 'vectorised' or 'parallel', "
-                f"got {engine!r}"
-            )
+        if engine not in ENGINES:
+            message = "engine must be {!r}, {!r}, {!r} or {!r}, got {!r}"
+            raise ValueError(message.format(*ENGINES, engine))
         if engine_jobs == 0:
             # Auto-tune: one partition per available core.
             engine_jobs = os.cpu_count() or 1

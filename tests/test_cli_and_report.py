@@ -204,6 +204,77 @@ class TestCLICommands:
         assert serve["routing"] == "crc32(key) % shards"
 
 
+class TestCLIBuildErrorsAreOneLine:
+    """What building or loading a scenario raises is a usage error: one
+    ``cannot run scenario:`` line on stderr, exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            pytest.param(
+                ["run", "bt", "--nprocs", "4", "--policy", "nope"],
+                "unknown policy 'nope'",
+                id="unknown-policy",
+            ),
+            pytest.param(
+                ["run", "bt", "--scale", "0.02"],
+                "nprocs must be positive, got 0",
+                id="no-nprocs",
+            ),
+            pytest.param(
+                ["run", "bt.4:scale=0.02,bogus=1"],
+                "unexpected keyword argument 'bogus'",
+                id="unknown-workload-keyword",
+            ),
+            pytest.param(
+                ["run", "bt.4", "--policy", "credit:bogus=1"],
+                "unexpected keyword argument 'bogus'",
+                id="unknown-policy-keyword",
+            ),
+            pytest.param(
+                ["run", "bt.4", "--engine-jobs", "-1"],
+                "engine_jobs must be positive",
+                id="negative-engine-jobs",
+            ),
+            pytest.param(
+                ["run", "bt.4", "--jitter", "-1"],
+                "jitter_sigma must be non-negative",
+                id="negative-jitter",
+            ),
+            pytest.param(
+                ["run", "bt.4:scale=x"], "not supported between", id="scale-not-a-number"
+            ),
+            pytest.param(
+                ["predict", "--traces", "/nonexistent"],
+                "No such file or directory",
+                id="predict-missing-trace-file",
+            ),
+        ],
+    )
+    def test_exit_two_with_one_line(self, argv, fragment, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot run scenario: ")
+        assert fragment in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_simulation_error_still_propagates(self, monkeypatch):
+        # SimulationError is a RuntimeError: a deadlock or a blown event
+        # budget in the run itself is not a usage error and keeps its
+        # traceback.
+        from repro.scenario import Scenario
+        from repro.sim.errors import SimulationError
+
+        def blown(self):
+            raise SimulationError("event budget exhausted")
+
+        monkeypatch.setattr(Scenario, "run", blown)
+        with pytest.raises(SimulationError):
+            main(["run", "bt.4"])
+
+
 class TestCLIPredictTracesRoundTrip:
     """CLI `predict --traces` on a file from `run --save-traces` (the v2
     columnar round trip through the CLI path) must reproduce the on-the-fly
@@ -285,6 +356,26 @@ class TestCLISweep:
         assert (seq_dir / "summary.json").read_bytes() == (
             par_dir / "summary.json"
         ).read_bytes()
+
+
+    @pytest.fixture
+    def one_cell(self, tmp_path):
+        spec = tmp_path / "one.toml"
+        spec.write_text('workload = "bt.4:scale=0.02"\nseed = 3\n', encoding="utf-8")
+        return str(spec)
+
+    def test_save_traces_without_out_is_a_usage_error(self, one_cell, capsys):
+        assert main(["sweep", one_cell, "--save-traces"]) == 2
+        captured = capsys.readouterr()
+        assert "--save-traces needs --out" in captured.err
+        assert captured.out == ""  # refused before any cell ran
+
+    @pytest.mark.parametrize("timeout", ["0", "-1.5"])
+    def test_non_positive_timeout_is_a_usage_error(self, one_cell, timeout, capsys):
+        assert main(["sweep", one_cell, "--timeout", timeout]) == 2
+        captured = capsys.readouterr()
+        assert "timeout must be positive" in captured.err
+        assert "FAILED" not in captured.out and captured.out == ""
 
 
 class TestBuildReportSharded:

@@ -1,13 +1,18 @@
 """Tests for the declarative spec tree (repro.scenario.spec + shorthand)."""
 
+import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.predictive.credit_policy import PredictiveCreditPolicy
 from repro.runtime.protocol import AlwaysRendezvousFlowControl, StandardFlowControl
 from repro.scenario.shorthand import coerce_scalar, parse_params, split_shorthand
 from repro.scenario.spec import (
+    FaultSpec,
     MachineSpec,
     NetworkSpec,
     PolicySpec,
@@ -16,9 +21,12 @@ from repro.scenario.spec import (
     TraceSpec,
     WorkloadSpec,
 )
+from repro.sim.faults import FaultConfig
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
 from repro.workloads.bt import BTWorkload
+
+EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 
 
 class TestShorthand:
@@ -262,3 +270,186 @@ class TestScenarioSpec:
         assert hash(spec) == hash(ScenarioSpec.from_dict(spec.to_dict()))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
+
+
+class TestFormatsHoldStill:
+    """Identities and layouts that are on disk (sweep checkpoints are named
+    by ``content_hash()``, snapshot manifests embed ``PredictorSpec.to_dict()``):
+    every value here was captured before the node classes shared a base."""
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            pytest.param(
+                lambda: ScenarioSpec(workload="bt.9:scale=0.2"),
+                "fba339a23938b196",
+                id="string-forms",
+            ),
+            pytest.param(
+                lambda: ScenarioSpec(
+                    workload="sw.32",
+                    policy="credit:horizon=5",
+                    network="noiseless:latency=1e-6,seed=7",
+                    faults="drop:rate=0.01,seed=7",
+                    predictor="periodicity:window=12,horizon=3",
+                    seed=11,
+                    name="x",
+                ),
+                "7a377ee0d420927f",
+                id="every-node-shorthand",
+            ),
+            pytest.param(
+                lambda: ScenarioSpec(
+                    workload={"name": "replay", "file": "examples/sample_trace.jsonl"},
+                    trace=False,
+                    machine={"eager_threshold": 1024},
+                ),
+                "da086cb0284188ed",
+                id="dict-and-replay-forms",
+            ),
+            pytest.param(
+                lambda: ScenarioSpec(
+                    workload="cg:nprocs=4,scale=0.05",
+                    network=NetworkConfig(jitter_sigma=0.3, seed=5),
+                    faults=FaultConfig(drop_rate=0.1),
+                    machine=MachineConfig(eager_threshold=2048),
+                ),
+                "e6e8ddd97a9c8f6b",
+                id="config-instances",
+            ),
+        ],
+    )
+    def test_golden_content_hashes(self, build, expected):
+        assert build().content_hash() == expected
+
+    def test_golden_hashes_of_the_shipped_sweep(self):
+        from repro.scenario import load_sweep
+
+        cells = load_sweep(EXAMPLES_DIR / "sweep_paper_subset.toml").expand()
+        assert [spec.content_hash() for spec in cells] == [
+            "340af2ea7390f546",
+            "e0ab8f1b15b7074d",
+            "530a411431fced7e",
+            "a17fb184a073870d",
+        ]
+
+    @pytest.mark.parametrize(
+        "node, keys",
+        [
+            (MachineSpec(), ["preset", "overrides"]),
+            (NetworkSpec(), ["preset", "seed", "overrides"]),
+            (FaultSpec(), ["preset", "seed", "overrides"]),
+            (PolicySpec(), ["kind", "params"]),
+            (PredictorSpec(), ["kind", "horizon", "params"]),
+            (
+                WorkloadSpec("bt", 4),
+                ["name", "nprocs", "scale", "iterations", "compute_time",
+                 "compute_noise", "params"],
+            ),
+            (TraceSpec(), ["enabled", "path"]),
+        ],
+        ids=lambda value: type(value).__name__ if not isinstance(value, list) else "",
+    )
+    def test_to_dict_key_order(self, node, keys):
+        assert list(node.to_dict()) == keys
+
+
+#: Per component class: the name field, the parameter field, and one
+#: registry name / parameter / value that class accepts.
+_COMPONENTS = [
+    (MachineSpec, "preset", "overrides", "default", "eager_threshold", 1024),
+    (NetworkSpec, "preset", "overrides", "noiseless", "latency", 1e-6),
+    (FaultSpec, "preset", "overrides", "drop", "drop_rate", 0.01),
+    (PolicySpec, "kind", "params", "credit", "horizon", 3),
+    (PredictorSpec, "kind", "params", "periodicity", "window", 16),
+]
+
+
+class TestEveryInputFormOfOneMeaning:
+    @pytest.mark.parametrize(
+        "cls, name_field, params_field, name, key, value",
+        _COMPONENTS,
+        ids=[row[0].__name__ for row in _COMPONENTS],
+    )
+    def test_forms_compare_equal(self, cls, name_field, params_field, name, key, value):
+        assert cls.coerce(None) == cls() == cls.coerce(cls())
+        bare = cls(**{name_field: name})
+        assert cls.coerce(bare) is bare
+        assert cls.coerce(name) == bare
+        assert cls.coerce({name_field: name}) == bare
+        full = cls(**{name_field: name, params_field: {key: value}})
+        for form in (
+            f"{name}:{key}={value}",
+            {name_field: name, key: value},  # flat
+            {name_field: name, params_field: {key: value}},  # nested
+            {name_field: name, params_field: {key: "loses"}, key: value},  # flat wins
+            full.to_dict(),
+        ):
+            assert cls.coerce(form) == full, form
+        assert dict(getattr(full, params_field)) == {key: value}
+
+    @pytest.mark.parametrize(
+        "cls, config, flat",
+        [
+            (MachineSpec, MachineConfig(eager_threshold=2048), {"eager_threshold": 2048}),
+            (
+                NetworkSpec,
+                NetworkConfig(jitter_sigma=0.3, seed=5),
+                {"jitter_sigma": 0.3, "seed": 5},
+            ),
+            (NetworkSpec, NetworkConfig(jitter_sigma=0.3), {"jitter_sigma": 0.3}),
+            (FaultSpec, FaultConfig(drop_rate=0.1, seed=9), {"drop_rate": 0.1, "seed": 9}),
+        ],
+    )
+    def test_config_instance_form(self, cls, config, flat):
+        spec = cls.coerce(config)
+        assert spec == cls.coerce(flat)
+        assert "seed" not in dict(spec.overrides)  # the field owns the seed
+        if cls is MachineSpec:
+            assert spec.build() == config
+            return
+        assert spec == cls.from_config(config) and spec.seed == config.seed
+        # A pinned seed survives the round trip; an unpinned one follows the run.
+        assert spec.build(77).seed == (77 if config.seed is None else config.seed)
+        assert dataclasses.replace(spec.build(77), seed=config.seed) == config
+
+    def test_fault_seed_pinned_twice_rejected(self):
+        with pytest.raises(ValueError, match="fault spec pins seed twice: 1 and 2"):
+            FaultSpec(seed=1, overrides={"seed": 2})
+        with pytest.raises(ValueError, match="network spec pins seed twice: 1 and 2"):
+            NetworkSpec(seed=1, overrides={"seed": 2})
+        assert FaultSpec(seed=2, overrides={"seed": 2}) == FaultSpec(seed=2)
+
+
+_names = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False), _names,
+)
+_tables = st.dictionaries(_names.filter(lambda key: key != "seed"), _values, max_size=4)
+_seeds = st.one_of(st.none(), st.integers(0, 2**31))
+_nodes = st.one_of(
+    st.builds(MachineSpec, preset=_names, overrides=_tables),
+    st.builds(NetworkSpec, preset=_names, seed=_seeds, overrides=_tables),
+    st.builds(FaultSpec, preset=_names, seed=_seeds, overrides=_tables),
+    st.builds(PolicySpec, kind=_names, params=_tables),
+    st.builds(PredictorSpec, kind=_names, horizon=st.integers(1, 64), params=_tables),
+    st.builds(
+        WorkloadSpec,
+        name=_names,
+        nprocs=st.integers(0, 4096),
+        scale=st.one_of(st.none(), st.floats(0.01, 4.0)),
+        iterations=st.one_of(st.none(), st.integers(1, 100)),
+        params=_tables,
+    ),
+)
+
+
+class TestNodeRoundTrips:
+    @given(_nodes)
+    @settings(max_examples=150, deadline=None)
+    def test_dict_and_pickle_round_trip(self, node):
+        cls = type(node)
+        assert cls.coerce(node.to_dict()) == node
+        clone = pickle.loads(pickle.dumps(node))
+        assert clone == node and hash(clone) == hash(node)

@@ -113,9 +113,67 @@ class TestExpansion:
                 "workload.scale": [0.05],
                 "policy.params.horizon": [5],
                 "seed": [1, 2],
+                "machine.eager_threshold": [1024],
+                "faults.overrides.drop_rate": [0.0],
+                "predictor.horizon": [3],
+                "workload": ["bt.4:scale=0.05"],
+                "trace.path": [None],
             },
         )
         assert len(sweep.expand()) == 8
+
+    @pytest.mark.parametrize(
+        "path, refusal",
+        [
+            (
+                "netwrok.latency",
+                "grid path 'netwrok.latency': 'netwrok' is not a scenario spec "
+                "field; did you mean 'network'?",
+            ),
+            (
+                "seed.sub",
+                "grid path 'seed.sub' descends into scalar field 'seed'; use "
+                "'seed' itself",
+            ),
+            (
+                "network.jitter_sgima",
+                "grid path 'network.jitter_sgima': 'jitter_sgima' is neither a "
+                "network spec key nor a NetworkConfig field; did you mean "
+                "'jitter_sigma'?",
+            ),
+            (
+                "network.overrides.jitter_sgima",
+                "grid path 'network.overrides.jitter_sgima': 'jitter_sgima' is "
+                "not a NetworkConfig field; did you mean 'jitter_sigma'?",
+            ),
+            (
+                "network.overrides.latency.extra",
+                "grid path 'network.overrides.latency.extra' is too deep for "
+                "'network'; sweep 'network.<field>' or 'network.overrides.<field>'",
+            ),
+            (
+                "policy.params.a.b",
+                "grid path 'policy.params.a.b' is too deep for 'policy'; sweep "
+                "'policy.<key>' or 'policy.params.<key>'",
+            ),
+            (
+                "trace.enabled.x",
+                "grid path 'trace.enabled.x': trace keys are 'enabled' and "
+                "'path' (one level deep)",
+            ),
+            (
+                "trace.colour",
+                "grid path 'trace.colour': trace keys are 'enabled' and 'path'",
+            ),
+            ("", "empty grid path"),
+        ],
+    )
+    def test_grid_path_refusals_in_full(self, path, refusal):
+        # The whole text, not a fragment: the spec tree checks grid paths
+        # now and must say exactly what the sweep module used to.
+        with pytest.raises(ValueError) as raised:
+            Sweep(base={"workload": "bt.4"}, grid={path: [1]})
+        assert str(raised.value) == refusal
 
 
 class TestTomlLoading:

@@ -178,11 +178,90 @@ class TestResume:
         with pytest.raises(ValueError, match="resume"):
             _mixed_sweep().run_all(resume=True)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda record, other: {}, id="empty-object"),
+            pytest.param(lambda record, other: [], id="not-an-object"),
+            pytest.param(lambda record, other: other, id="another-cells-record"),
+            pytest.param(
+                lambda record, other: {k: v for k, v in record.items() if k != "stats"},
+                id="stats-removed",
+            ),
+        ],
+    )
+    def test_malformed_checkpoint_is_rerun_and_repaired(
+        self, tmp_path, monkeypatch, damage
+    ):
+        import json
+
+        sweep = _mixed_sweep()
+        first = sweep.run_all(out=tmp_path)
+        victim, other = (
+            tmp_path / "cells" / f"{first[i].spec.content_hash()}.json" for i in (0, 2)
+        )
+        intact = victim.read_bytes()
+        damaged = damage(json.loads(intact), json.loads(other.read_bytes()))
+        victim.write_text(json.dumps(damaged), encoding="utf-8")
+
+        ran = []
+        real_run_cell = sweep_module._run_cell
+
+        def counting_run_cell(spec, timeout):
+            ran.append(spec.label)
+            return real_run_cell(spec, timeout)
+
+        monkeypatch.setattr(sweep_module, "_run_cell", counting_run_cell)
+        resumed = sweep.run_all(out=tmp_path, resume=True)
+        assert ran == ["bt.4", "nosuch.4"]  # the damaged cell and the failed one
+        assert isinstance(resumed[0], ScenarioResult)
+        assert cell_record(resumed[0]) == cell_record(first[0])
+        assert isinstance(resumed[2], CachedCell)
+        assert victim.read_bytes() == intact  # the file is repaired
+
 
 class TestRetryPolicy:
     def test_negative_max_retries_rejected(self):
         with pytest.raises(ValueError, match="max_retries"):
             _mixed_sweep().run_all(max_retries=-1)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            _mixed_sweep().run_all(timeout=timeout)
+
+    @pytest.mark.parametrize("route", ["sequential", "pool", "quarantine"])
+    def test_attempts_counted_the_same_on_every_route(self, route):
+        # One ladder: a cell that is always over its wall-clock budget burns
+        # max_retries + 1 attempts and a deterministic failure exactly one,
+        # whether the cell ran in-process, in the shared pool, or (the first
+        # cell killed its worker) in a single-worker quarantine pool.
+        first = (
+            {"workload": {"name": "test-suicide", "nprocs": 2}}
+            if route == "quarantine"
+            else {"workload": "bt.4:scale=0.02"}
+        )
+        sweep = Sweep(
+            base={"workload": "bt.4", "seed": 7},
+            cells=[
+                first,
+                {"workload": "lu.8", "max_wall_seconds": 1e-9},
+                {"workload": {"name": "nosuch", "nprocs": 4}},
+            ],
+        )
+        outcomes = sweep.run_all(
+            jobs=None if route == "sequential" else 2,
+            max_retries=2,
+            retry_backoff=0.001,
+        )
+        assert [(o.error_type, o.attempts) for o in outcomes[1:]] == [
+            ("TimeLimitExceeded", 3),
+            ("KeyError", 1),
+        ]
+        if route == "quarantine":
+            assert (outcomes[0].error_type, outcomes[0].attempts) == ("WorkerCrash", 3)
+        else:
+            assert isinstance(outcomes[0], ScenarioResult)
 
     def test_deterministic_failure_not_retried_in_pool(self):
         sweep = Sweep(
