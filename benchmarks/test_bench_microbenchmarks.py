@@ -132,9 +132,9 @@ class TestPredictorMicrobenchmarks:
 class TestSimulatorMicrobenchmarks:
     """Engine/transport throughput benchmarks (``-k sim`` selects these).
 
-    ``python -m repro bench --keyword sim`` runs exactly this suite and
-    writes the ``BENCH_sim.json`` perf-trajectory artefact, the simulator
-    counterpart of the predictor's ``BENCH_dpd.json``.
+    The frozen ``BENCH_sim.json`` holds this suite's recorded history, the
+    simulator counterpart of the predictor's ``BENCH_dpd.json``; to time it
+    today pass pytest-benchmark's own ``--benchmark-json=FILE``.
     """
 
     def test_bench_sim_event_queue_throughput(self, benchmark):
@@ -369,8 +369,7 @@ def _columnar_pipeline():
 class TestTraceMicrobenchmarks:
     """Trace data-plane benchmarks (``-k trace`` selects these).
 
-    ``python -m repro bench --keyword trace`` runs exactly this suite and
-    writes the ``BENCH_trace.json`` perf-trajectory artefact.
+    The frozen ``BENCH_trace.json`` holds this suite's recorded history.
     """
 
     def test_bench_trace_pipeline(self, benchmark):
@@ -448,9 +447,8 @@ def _feed_fingerprint(result):
 class TestFeedMicrobenchmarks:
     """Workload-feed benchmarks (``-k feed`` selects these).
 
-    ``python -m repro bench --keyword feed`` runs exactly this suite and
-    writes the ``BENCH_feed.json`` perf-trajectory artefact: the op-array
-    fast lane end to end against its own generator-path baseline, plus the
+    The frozen ``BENCH_feed.json`` holds this suite's recorded history: the
+    op-array fast lane end to end against its own generator-path baseline, plus the
     cold-compile cost.  The compiled numbers are warm-cache (the schedule
     cache persists across rounds, as it does across repeated runs of one
     configuration in a real process); ``test_bench_feed_compile_cold``
@@ -615,19 +613,19 @@ def _partitioned_scale_run(name: str, nprocs: int, engine: str, engine_jobs: int
 class TestScaleMicrobenchmarks:
     """Engine scaling curves (``-k scale`` selects these).
 
-    ``python -m repro bench --keyword scale`` runs this suite and writes the
-    ``BENCH_scale.json`` perf-trajectory artefact: bt/lu/sweep3d under the
+    The frozen ``BENCH_scale.json`` holds this suite's recorded history
+    (``--benchmark-json=FILE`` times it today): bt/lu/sweep3d under the
     scalar event loop versus the vectorised cohort engine at 64 to 4096
     ranks, under :func:`repro.analysis.scaling.lockstep_scale_configs` (an
     ideal network keeps rank clocks in lockstep so timestamp cohorts stay as
     wide as the job — the regime the vectorised dispatch is built for).
 
     Each benchmark records the processed event count and the events/second
-    rate in ``extra_info``; the bench condenser carries both into the
-    artefact, so the scalar-vs-vectorised throughput ratio per (workload,
-    nprocs) cell can be read straight out of ``BENCH_scale.json``.  CI only
-    regenerates the small-rank rows (``-k "scale and not 1024 and not
-    4096"``); the full curves are produced locally.
+    rate in ``extra_info``, so the scalar-vs-vectorised throughput ratio per
+    (workload, nprocs) cell can be read straight out of ``BENCH_scale.json``.
+    CI runs only the small-rank rows, untimed (``-k "scale and not 4096 and
+    not 16384 and not (curve and 1024)"``); the full curves were produced
+    locally.
 
     The two engines produce bit-identical results by construction — that
     invariant is enforced by ``tests/test_engine_vectorised.py``, not here.
@@ -682,9 +680,8 @@ class TestScaleMicrobenchmarks:
         host's core count.
 
         The 16384-rank rows hold ~5 GB resident and run for minutes, so
-        they only run when ``REPRO_SCALE_XL`` is set (the environment
-        propagates through ``repro bench``'s pytest subprocess); plain
-        tier-1 runs and CI runners skip them.
+        they only run when ``REPRO_SCALE_XL`` is set; plain tier-1 runs and
+        CI runners skip them.
         """
         from repro.workloads.compile import compile_rank_lanes
 
@@ -756,9 +753,9 @@ def _serve_cold_pass(service, streams):
 class TestServeMicrobenchmarks:
     """Online prediction service ingest (``-k bench_serve`` selects these).
 
-    ``python -m repro bench --keyword bench_serve`` runs this suite and writes the
-    ``BENCH_serve.json`` perf-trajectory artefact.  The cold rows pour 10k /
-    100k / 1M **distinct** streams through a service whose per-shard LRU cap
+    The frozen ``BENCH_serve.json`` holds this suite's recorded history.  The
+    cold rows pour 10k / 100k / 1M **distinct** streams through a service
+    whose per-shard LRU cap
     holds 16384 streams resident service-wide: the 10k row fits, the larger
     rows overflow, and their identical ``resident_bytes`` in ``extra_info``
     is the memory plateau the stream table promises.  The warm row measures
@@ -767,8 +764,8 @@ class TestServeMicrobenchmarks:
     directly — the no-serve-layer reference recorded as the artefact's
     ``baseline`` section.
 
-    CI regenerates only the fast rows (``-k "bench_serve and not 1000000"``);
-    the million-stream row (~2 minutes) is produced locally.  Serve-vs-offline
+    CI runs only the fast rows, untimed (``-k "bench_serve and not 1000000"``);
+    the million-stream row (~2 minutes) was produced locally.  Serve-vs-offline
     bit-identity is enforced by ``tests/test_serve_equivalence.py``, not here.
     """
 
@@ -787,6 +784,12 @@ class TestServeMicrobenchmarks:
         stats = holder["service"].stats()
         assert stats["observations"] == streams * len(_SERVE_SENDERS)
         assert stats["streams"] <= _SERVE_MAX_STREAMS * _SERVE_SHARDS
+        if streams > _SERVE_MAX_STREAMS * _SERVE_SHARDS:
+            # Past the cap the LRU must be engaged: residency sits at
+            # shards * max_streams and the evictions counter moves.
+            assert stats["streams"] == _SERVE_MAX_STREAMS * _SERVE_SHARDS
+            assert stats["evictions"] > 0
+            assert stats["resident_bytes_per_stream"] > 0
         _record_row(
             benchmark,
             {

@@ -18,17 +18,6 @@ Commands
 ``report``
     Regenerate the full measured-vs-paper report (Table 1, Figures 1-4,
     extensions, ablations) — the content of EXPERIMENTS.md.
-``bench``
-    Run the hot-path microbenchmarks non-interactively and write a
-    perf-trajectory artefact: ``BENCH_dpd.json`` for the predictor suite
-    (default), ``BENCH_sim.json`` for the simulation engine
-    (``--keyword sim``), ``BENCH_trace.json`` for the columnar trace
-    data plane and sharded runner (``--keyword trace``),
-    ``BENCH_feed.json`` for the op-array workload feed vs the generator
-    protocol (``--keyword feed``), ``BENCH_scale.json`` for the
-    scalar-vs-vectorised engine scaling curves (``--keyword scale``), or
-    ``BENCH_serve.json`` for the online prediction service
-    (``--keyword bench_serve``).
 ``serve``
     Run the online prediction service: an asyncio TCP (or one-shot stdin)
     front end hashing streams onto in-process shards, each a memory-bounded
@@ -229,29 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulate the 19 configuration cells over N worker processes "
         "(bit-identical to sequential; default: in-process)",
-    )
-
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="run the microbenchmarks and write a BENCH_*.json perf artefact",
-    )
-    bench_cmd.add_argument(
-        "--output",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="artefact path; derived from the keyword when omitted "
-        "(BENCH_dpd.json for the predictor suite, BENCH_sim.json for "
-        "--keyword sim, BENCH_trace.json for --keyword trace, "
-        "BENCH_feed.json for --keyword feed, BENCH_scale.json for "
-        "--keyword scale, BENCH_serve.json for --keyword bench_serve)",
-    )
-    bench_cmd.add_argument("--bench-dir", type=str, default=None)
-    bench_cmd.add_argument(
-        "--keyword",
-        type=str,
-        default=None,
-        help="pytest -k selector; e.g. 'sim' runs the simulation-engine suite",
     )
 
     serve_cmd = sub.add_parser(
@@ -594,28 +560,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.analysis.bench import (
-        DEFAULT_KEYWORD,
-        default_output_for,
-        render_summary,
-        run_microbenchmarks,
-    )
-
-    keyword = args.keyword if args.keyword is not None else DEFAULT_KEYWORD
-    output = args.output if args.output is not None else default_output_for(keyword)
-    try:
-        summary = run_microbenchmarks(
-            bench_dir=args.bench_dir, output=output, keyword=keyword
-        )
-    except (FileNotFoundError, RuntimeError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(render_summary(summary))
-    print(f"\nwrote {output}", file=sys.stderr)
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -784,7 +728,6 @@ _COMMANDS = {
     "predict": _cmd_predict,
     "table1": _cmd_table1,
     "report": _cmd_report,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "list": _cmd_list,
 }

@@ -7,10 +7,10 @@ The :class:`EagerBufferPool` models that memory: pre-allocated buffer bytes,
 bytes occupied by unexpected eager messages, heap overflow when an unexpected
 message has nowhere to go, and the peak across the run.
 
-The predictive buffer manager (:mod:`repro.predictive.buffer_manager`) drives
-the same pool with ``preallocate_all_peers=False`` and allocates buffers only
-for predicted senders; comparing ``preallocated_bytes`` between the two modes
-is the Section 2.1 memory-reduction experiment.
+The predictive buffer manager (:mod:`repro.predictive.buffer_manager`) keeps
+its own account of the buffers it decides to hold and does not touch this
+pool; the Section 2.1 memory-reduction experiment compares its peak against
+the ``(P - 1) * buffer_bytes`` this pool pre-allocates.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class BufferPoolStats:
     heap_bytes: int
     peak_total_bytes: int
     overflow_events: int
-    demand_allocations: int
 
     @property
     def total_bytes(self) -> int:
@@ -54,10 +53,9 @@ class EagerBufferPool:
         Size of one per-peer eager buffer.
     preallocate_all:
         If True, allocate a buffer for every other rank at construction (the
-        standard MPI behaviour).  If False, buffers are allocated on demand
-        via :meth:`allocate_for` (predictive mode) or lazily when an
-        unexpected message arrives from a bufferless peer (which is counted
-        as an overflow + heap allocation).
+        standard MPI behaviour).  If False, only the peers handed to
+        :meth:`preallocate` get one, and an unexpected message from a
+        bufferless peer is counted as an overflow + heap allocation.
     """
 
     def __init__(
@@ -78,7 +76,6 @@ class EagerBufferPool:
         self._heap_bytes = 0
         self._peak_total = 0
         self.overflow_events = 0
-        self.demand_allocations = 0
         if preallocate_all:
             self.preallocate(p for p in range(nprocs) if p != rank)
 
@@ -91,30 +88,6 @@ class EagerBufferPool:
                 continue
             self._buffered_peers.add(peer)
         self._update_peak()
-
-    def allocate_for(self, peer: int) -> bool:
-        """Allocate a buffer for ``peer`` on demand.
-
-        Returns True if a new buffer was allocated, False if one existed.
-        """
-        check_rank("peer", peer, self.nprocs)
-        if peer == self.rank or peer in self._buffered_peers:
-            return False
-        self._buffered_peers.add(peer)
-        self.demand_allocations += 1
-        self._update_peak()
-        return True
-
-    def release_peer(self, peer: int) -> bool:
-        """Free the buffer of ``peer`` (only possible when it is empty)."""
-        if peer in self._buffered_peers and self._occupied.get(peer, 0) == 0:
-            self._buffered_peers.discard(peer)
-            return True
-        return False
-
-    def has_buffer_for(self, peer: int) -> bool:
-        """Whether a buffer is currently allocated for ``peer``."""
-        return peer in self._buffered_peers
 
     def free_bytes_for(self, peer: int) -> int:
         """Remaining space in the buffer of ``peer`` (0 if no buffer)."""
@@ -187,5 +160,4 @@ class EagerBufferPool:
             heap_bytes=self._heap_bytes,
             peak_total_bytes=self._peak_total,
             overflow_events=self.overflow_events,
-            demand_allocations=self.demand_allocations,
         )

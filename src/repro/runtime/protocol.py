@@ -7,9 +7,9 @@ The transport asks its policy two questions:
   small" (classic MPICH behaviour, Section 2.2/2.3 of the paper); the
   predictive policies in :mod:`repro.predictive` answer based on credits
   granted from predictions.
-* :meth:`FlowControlPolicy.on_recv_posted` / :meth:`on_message_delivered` —
-  notifications the predictive policies use to learn the message stream and
-  refresh grants.
+* :meth:`FlowControlPolicy.on_message_delivered` / :meth:`on_burst_delivered`
+  — notifications the predictive policies use to learn the message stream
+  and refresh grants.
 
 Policies never touch timing; they only steer protocol selection and buffer
 allocation, so the same transport code exercises both the baseline and the
@@ -59,9 +59,6 @@ class FlowControlPolicy:
         return None
 
     # -- notifications -------------------------------------------------------
-    def on_recv_posted(self, rank: int, source: int, tag: int, kind: str, now: float) -> None:
-        """A receive was posted by ``rank`` (source may be ANY_SOURCE)."""
-
     def on_message_delivered(
         self, dst: int, src: int, nbytes: int, tag: int, kind: str, now: float
     ) -> None:

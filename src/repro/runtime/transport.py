@@ -174,9 +174,6 @@ class Transport:
             policy_type.on_message_delivered is not FlowControlPolicy.on_message_delivered
             or policy_type.on_burst_delivered is not FlowControlPolicy.on_burst_delivered
         )
-        self._policy_observes_recv = (
-            policy_type.on_recv_posted is not FlowControlPolicy.on_recv_posted
-        )
         # Bound tracer hooks (None when tracing is off): called per message.
         self._tracer_recv_posted = tracer.on_recv_posted if tracer else None
         self._tracer_recv_matched = tracer.on_recv_matched if tracer else None
@@ -529,8 +526,6 @@ class Transport:
         request = pool.pop()._reuse("recv", rank) if pool else Request("recv", rank)
         if self._tracer_recv_posted is not None:
             self._tracer_recv_posted(rank, request.req_id, now)
-        if self._policy_observes_recv:
-            self.policy.on_recv_posted(rank, source, tag, kind, now)
 
         posted = _tuple_new(PostedReceive, (request, source, tag, kind, now))
         endpoint = self._endpoints[rank]
@@ -562,8 +557,6 @@ class Transport:
         """
         pool = self._request_pool
         tracer_recv_posted = self._tracer_recv_posted
-        policy_observes_recv = self._policy_observes_recv
-        on_recv_posted = self.policy.on_recv_posted
         endpoints = self._endpoints
         handshake_cpu = self._handshake_cpu
         requests: list[Request] = []
@@ -588,8 +581,6 @@ class Transport:
                 request = Request("recv", rank)
             if tracer_recv_posted is not None:
                 tracer_recv_posted(rank, request.req_id, now)
-            if policy_observes_recv:
-                on_recv_posted(rank, source, tag, kind, now)
             posted = _tuple_new(PostedReceive, (request, source, tag, kind, now))
             endpoint = endpoints[rank]
             entry = endpoint.unexpected.match(posted)

@@ -274,7 +274,7 @@ class Simulator:
         ``network.min_latency()`` (see :mod:`repro.sim.partition`).  Outputs
         are bit-identical to the in-process drains.  Configurations the
         conservative protocol cannot partition safely — zero minimum
-        latency, jittered/contended/dropping network models, flow-control
+        latency, jittered/contended network models, flow-control
         policies whose eager decisions read receiver state, generator
         ranks — transparently fall back to the in-process ``"auto"``
         selection, recording the reason in
@@ -543,9 +543,9 @@ class Simulator:
         """Why ``engine="parallel"`` cannot partition this run (None = it can).
 
         The conservative protocol requires a positive lookahead (the minimum
-        network latency), a partition-safe network (no jitter, contention or
-        probabilistic drops — their shared RNG/state draws are ordered by the
-        global event sequence, which no partition sees), a partition-safe
+        network latency), a partition-safe network (no jitter or contention —
+        their shared RNG/state draws are ordered by the global event
+        sequence, which no partition sees), a partition-safe
         flow-control policy (eager decisions must not read receiver-side
         state across the partition boundary), compiled rank programs (the
         windowed drain cohorts compiled lanes) and a ``fork`` start method

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.util.rng import SeededRNG
-from repro.util.validation import check_non_negative, check_positive, check_probability
+from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["NetworkConfig", "NetworkModel"]
 
@@ -48,12 +48,6 @@ class NetworkConfig:
     contention:
         If True, messages destined to the same rank are serialised through a
         per-destination FIFO channel (models NIC/port contention).
-    drop_probability:
-        Probability that a message experiences one retransmission-style extra
-        delay of ``retransmit_penalty`` seconds.  Used by fault-injection
-        tests; 0 by default.
-    retransmit_penalty:
-        Extra delay applied when ``drop_probability`` triggers.
     seed:
         Seed of the jitter random stream.  ``None`` (the default) means "not
         pinned": the simulator and the scenario layer derive it from the run
@@ -66,16 +60,12 @@ class NetworkConfig:
     bandwidth: float = 300.0e6
     jitter_sigma: float = 0.2
     contention: bool = True
-    drop_probability: float = 0.0
-    retransmit_penalty: float = 500.0e-6
     seed: int | None = None
 
     def __post_init__(self) -> None:
         check_non_negative("latency", self.latency)
         check_positive("bandwidth", self.bandwidth)
         check_non_negative("jitter_sigma", self.jitter_sigma)
-        check_probability("drop_probability", self.drop_probability)
-        check_non_negative("retransmit_penalty", self.retransmit_penalty)
 
     def with_overrides(self, **kwargs) -> "NetworkConfig":
         """Return a copy with the given fields replaced."""
@@ -83,14 +73,14 @@ class NetworkConfig:
 
     @classmethod
     def noiseless(cls, **kwargs) -> "NetworkConfig":
-        """A deterministic network: no jitter, no contention, no drops.
+        """A deterministic network: no jitter, no contention.
 
         With this configuration the physical message stream observed at a
         receiver is a pure function of the application's communication
         structure, which is useful for unit tests and for isolating the
         effect of noise in the Figure 4 ablations.
         """
-        base = dict(jitter_sigma=0.0, contention=False, drop_probability=0.0)
+        base = dict(jitter_sigma=0.0, contention=False)
         base.update(kwargs)
         return cls(**base)
 
@@ -121,8 +111,6 @@ class NetworkModel:
         self._bandwidth = cfg.bandwidth
         self._jitter_scale = cfg.jitter_sigma * cfg.latency
         self._contention = cfg.contention
-        self._drop_probability = cfg.drop_probability
-        self._retransmit_penalty = cfg.retransmit_penalty
         # Fault-injection hook (set via attach_faults): a callable mapping a
         # simulated time to the transfer-delay multiplier in force then.
         self._degrade_multiplier = None
@@ -160,24 +148,19 @@ class NetworkModel:
         """Compute the arrival time of a message injected at ``inject_time``.
 
         The computation accounts for base latency, serialization at the
-        configured bandwidth, random jitter, optional retransmission penalty
-        and optional per-destination link contention.  Calling this method
-        consumes random numbers, so call order matters for reproducibility;
-        the transport calls it exactly once per data or control message.
+        configured bandwidth, random jitter and optional per-destination link
+        contention.  Calling this method consumes random numbers, so call
+        order matters for reproducibility; the transport calls it exactly
+        once per data or control message.
         """
         if inject_time < 0 or nbytes < 0:
             check_non_negative("inject_time", inject_time)
             check_non_negative("nbytes", nbytes)
         serialization = nbytes / self._bandwidth
-        drop_probability = self._drop_probability
 
         jitter_scale = self._jitter_scale
         if jitter_scale <= 0.0:
             jitter = 0.0
-        elif drop_probability > 0.0:
-            # Retransmission draws interleave with jitter draws on the same
-            # stream, so block prefetching would reorder them; draw per call.
-            jitter = self._rng.jitter(jitter_scale)
         else:
             idx = self._jitter_idx
             buf = self._jitter_buf
@@ -189,16 +172,12 @@ class NetworkModel:
             self._jitter_idx = idx + 1
             jitter = buf[idx]
 
-        penalty = 0.0
-        if drop_probability > 0.0 and self._rng.bernoulli(drop_probability):
-            penalty = self._retransmit_penalty
-
         # Grouping matters: keep (latency + serialization) as one term so the
         # floating-point result is bit-identical to base_transfer_time().
         transfer = self._latency + serialization
         if self._degrade_multiplier is not None:
             transfer = transfer * self._degrade_multiplier(inject_time)
-        arrival = inject_time + transfer + jitter + penalty
+        arrival = inject_time + transfer + jitter
 
         if self._contention:
             # Serialise through the destination's inbound channel: the message
@@ -219,8 +198,8 @@ class NetworkModel:
         """Smallest delay any message can experience (the conservative lookahead).
 
         Every arrival computed by :meth:`arrival_time` is at least
-        ``inject_time + latency`` (jitter, penalties, contention and
-        degradation only ever *add* delay; ``degrade_factor`` is validated
+        ``inject_time + latency`` (jitter, contention and degradation only
+        ever *add* delay; ``degrade_factor`` is validated
         positive and ``>= 1`` in practice).  The parallel engine uses this as
         its lookahead: with a positive minimum latency, a partition may
         advance ``min_latency`` seconds of virtual time without hearing from
@@ -236,32 +215,26 @@ class NetworkModel:
         The parallel engine gives each partition its own network model, so
         any *cross-message* state or shared RNG consumption would diverge
         from the global call order of a single-process run.  Safe means: no
-        jitter draws (``jitter_sigma <= 0``), no drop/retransmit draws
-        (``drop_probability == 0``), and no per-destination contention
-        queues.  An attached link-degradation model is fine — its timeline is
-        a pure function of (seed, time), so every partition regenerates an
-        identical prefix.
+        jitter draws (``jitter_sigma <= 0``) and no per-destination
+        contention queues.  An attached link-degradation model is fine — its
+        timeline is a pure function of (seed, time), so every partition
+        regenerates an identical prefix.
         """
-        return (
-            self._jitter_scale <= 0.0
-            and self._drop_probability == 0.0
-            and not self._contention
-        )
+        return self._jitter_scale <= 0.0 and not self._contention
 
     @property
     def deterministic(self) -> bool:
         """True when :meth:`arrival_time` is a pure function of its arguments.
 
-        Requires no jitter (no RNG consumption), no drop/retransmit draws,
-        no per-destination contention state, and no attached degradation
-        model.  Exactly this condition lets the transport's burst send path
+        Requires no jitter (no RNG consumption), no per-destination
+        contention state, and no attached degradation model.  Exactly this
+        condition lets the transport's burst send path
         (:meth:`repro.runtime.transport.Transport.post_send_burst`) compute
         ``inject + (latency + nbytes / bandwidth)`` inline, because
         per-message call *order* stops mattering.
         """
         return (
             self._jitter_scale <= 0.0
-            and self._drop_probability == 0.0
             and not self._contention
             and self._degrade_multiplier is None
         )

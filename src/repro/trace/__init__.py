@@ -15,8 +15,7 @@ the API boundary.  Analysis code extracts per-process sender and
 message-size streams as whole NumPy columns via :mod:`repro.trace.streams`.
 
 Traces persist as the version-2 columnar JSON-lines format (one object per
-rank; the legacy version-1 per-record format is still read transparently) —
-see ``docs/formats.md`` for the on-disk specification.  Besides the
+rank) — see ``docs/formats.md`` for the on-disk specification.  Besides the
 path-based :func:`save_traces`/:func:`load_traces`, the handle-based
 :func:`save_traces_to`/:func:`load_traces_from` are exported for callers
 that stream traces through sockets, pipes or in-memory buffers.

@@ -14,9 +14,9 @@ time, seq) serialised as parallel lists.  One object per rank instead of one
 per record keeps both the file size and the save/load cost per message tiny:
 serialisation runs over whole columns, never over Python record objects.
 
-The version-1 format (one JSON object per record, with a ``level`` field) is
-read-only: :func:`load_traces` still accepts it transparently (old files and
-external tooling are outside input), but nothing here writes it.
+A file is outside input: :func:`load_traces` checks the shape of what it
+parsed and answers every malformed line with one ``ValueError`` naming the
+1-based line.  Version 2 is the only version read or written.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.trace.columns import (
     META_TAG_SHIFT,
     TraceColumns,
 )
-from repro.trace.records import TraceRecord
 from repro.trace.tracer import ProcessTrace, TwoLevelTracer
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 2
-_LEGACY_FORMAT_VERSION = 1
 
 #: Field order of the columnar payload (version 2).
 _COLUMN_FIELDS = ("sender", "nbytes", "tag", "kind_code", "time", "seq")
@@ -153,41 +151,31 @@ def save_traces(
         return save_traces_to(tracer, handle, metadata=metadata)
 
 
-def _load_v1_records(handle: TextIO, traces: list[ProcessTrace]) -> None:
-    """Append version-1 per-record lines into per-rank column stores.
-
-    Line numbers in errors are 1-based and count the header as line 1.
-    """
-    nprocs = len(traces)
-    for lineno, line in enumerate(handle, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        payload = json.loads(line)
-        level = payload.pop("level")
-        record = TraceRecord(**payload)
-        if not (0 <= record.receiver < nprocs):
-            raise ValueError(f"record receiver {record.receiver} out of range")
-        target = traces[record.receiver]
-        if level == "logical":
-            columns = target.logical
-        elif level == "physical":
-            columns = target.physical
-        else:
-            raise ValueError(f"unknown trace level {level!r} on line {lineno}")
-        columns.append(record.sender, record.nbytes, record.tag, record.kind,
-                       record.time, record.seq)
+def _object_at(line: str, lineno: int, what: str) -> dict:
+    """Parse one line; anything but a JSON object is an error naming the line."""
+    value = json.loads(line)
+    if not isinstance(value, dict):
+        raise ValueError(
+            f"line {lineno}: {what} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
 
 
 def _load_v2_ranks(handle: TextIO, traces: list[ProcessTrace]) -> None:
-    """Load version-2 one-object-per-rank columnar lines."""
+    """Load the one-object-per-rank columnar lines.
+
+    Line numbers in errors are 1-based and count the header as line 1.
+    """
     nprocs = len(traces)
     seen: set[int] = set()
     for lineno, line in enumerate(handle, start=2):
         line = line.strip()
         if not line:
             continue
-        payload = json.loads(line)
+        payload = _object_at(line, lineno, "a rank line")
+        missing = [key for key in ("rank", "logical", "physical") if key not in payload]
+        if missing:
+            raise ValueError(f"line {lineno}: rank line is missing {missing}")
         rank = int(payload["rank"])
         if not (0 <= rank < nprocs):
             raise ValueError(f"trace rank {rank} out of range")
@@ -202,32 +190,33 @@ def _load_v2_ranks(handle: TextIO, traces: list[ProcessTrace]) -> None:
 
 
 def load_traces_from(handle: TextIO) -> tuple[list[ProcessTrace], dict]:
-    """Load traces from an open text handle (either format version)."""
+    """Load traces from an open text handle."""
     header_line = handle.readline()
     if not header_line:
         raise ValueError("trace stream is empty")
-    header = json.loads(header_line)
+    header = _object_at(header_line, 1, "the trace header")
     if header.get("format") != "repro-trace":
         raise ValueError("not a repro trace file")
     version = header.get("version")
-    if version not in (_FORMAT_VERSION, _LEGACY_FORMAT_VERSION):
+    if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported trace format version {version!r} "
-            f"(expected {_LEGACY_FORMAT_VERSION} or {_FORMAT_VERSION})"
+            f"(this build reads version {_FORMAT_VERSION})"
         )
-    nprocs = int(header["nprocs"])
+    nprocs = header.get("nprocs")
+    if type(nprocs) is not int or nprocs < 1:
+        raise ValueError(
+            f"line 1: the trace header needs an integer nprocs >= 1, got {nprocs!r}"
+        )
     traces = [ProcessTrace(rank=rank) for rank in range(nprocs)]
-    if version == _FORMAT_VERSION:
-        _load_v2_ranks(handle, traces)
-    else:
-        _load_v1_records(handle, traces)
+    _load_v2_ranks(handle, traces)
     for trace in traces:
         trace.sort()
     return traces, header.get("metadata", {})
 
 
 def load_traces(path: str | Path) -> tuple[list[ProcessTrace], dict]:
-    """Load traces saved by :func:`save_traces` (or the legacy v1 format).
+    """Load traces saved by :func:`save_traces`.
 
     Returns
     -------

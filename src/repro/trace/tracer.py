@@ -108,17 +108,15 @@ class TwoLevelTracer:
     ----------
     nprocs:
         Number of ranks in the simulated job.
-    record_collectives:
-        If False, messages generated by collective algorithms are excluded
-        from both streams.  The paper includes them (IS is almost entirely
-        collective traffic), so the default is True.
+
+    Messages generated by collective algorithms are recorded on both levels,
+    as in the paper (IS is almost entirely collective traffic).
     """
 
-    def __init__(self, nprocs: int, record_collectives: bool = True) -> None:
+    def __init__(self, nprocs: int) -> None:
         if nprocs <= 0:
             raise ValueError(f"nprocs must be positive, got {nprocs}")
         self.nprocs = nprocs
-        self.record_collectives = record_collectives
         self._traces = [ProcessTrace(rank=r) for r in range(nprocs)]
         #: Per-rank map of req_id -> logical_seq for receives posted but not
         #: yet matched (a bare int: no per-message tuple allocation).
@@ -194,12 +192,7 @@ class TwoLevelTracer:
             # late); fall back to appending at the end of the logical stream.
             seq = self._logical_seq[rank]
             self._logical_seq[rank] = seq + 1
-        if kind == KIND_COLLECTIVE:
-            if not self.record_collectives:
-                return
-            code = 1
-        else:
-            code = 0
+        code = 1 if kind == KIND_COLLECTIVE else 0
         if (sender | tag) >> _META_GUARD_SHIFT:
             pack_meta(sender, tag, code)  # raises the detailed ValueError
         meta_append, nbytes_append, time_append, seq_append = self._logical_append[rank]
@@ -217,12 +210,7 @@ class TwoLevelTracer:
                 "tracer is finalized: no arrivals can be recorded after "
                 "finalize() has converted and sorted the streams"
             )
-        if kind == KIND_COLLECTIVE:
-            if not self.record_collectives:
-                return
-            code = 1
-        else:
-            code = 0
+        code = 1 if kind == KIND_COLLECTIVE else 0
         if (sender | tag) >> _META_GUARD_SHIFT:
             pack_meta(sender, tag, code)  # raises the detailed ValueError
         meta_append, nbytes_append, time_append = self._physical_append[rank]

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.bench import carry_baseline
 from repro.analysis.experiments import ExperimentContext
 from repro.analysis.figures_accuracy import figure3
 from repro.analysis.report import (
@@ -398,40 +397,41 @@ class TestBuildReportSharded:
 
 
 class TestBenchBaseline:
-    def test_default_output_per_keyword(self):
-        from repro.analysis.bench import default_output_for
-
-        assert default_output_for("dpd or predictor") == "BENCH_dpd.json"
-        assert default_output_for("sim") == "BENCH_sim.json"
-        assert default_output_for("trace") == "BENCH_trace.json"
-        assert default_output_for("bench_serve and not 1000000") == "BENCH_serve.json"
+    #: The rows README's perf table cites, by the frozen artefact holding them.
+    CITED = {
+        "BENCH_dpd.json": ["test_bench_dpd_observe_detect"],
+        "BENCH_sim.json": ["test_bench_bt9_simulation"],
+        "BENCH_trace.json": ["test_bench_trace_pipeline"],
+        "BENCH_feed.json": ["test_bench_feed_bt9_oparray"],
+        "BENCH_scale.json": [
+            "test_bench_scale_curve[bt-256-vectorised]",
+            "test_bench_scale_parallel[16384-parallel]",
+        ],
+        "BENCH_serve.json": ["test_bench_serve_ingest_cold[1000000]"],
+    }
 
     def test_repo_artefacts_record_their_baselines(self):
-        # Regeneration must never lose the before/after comparison: the
-        # checked-in artefacts each carry a recorded baseline section that
-        # carry_baseline() propagates forward.
+        # The six artefacts are frozen history: nothing regenerates them, so
+        # each must keep parsing, keep the rows README cites and (all but the
+        # scale curves, which never had one) its recorded baseline section.
         import json
         import pathlib
 
         root = pathlib.Path(__file__).resolve().parents[1]
-        for name in ("BENCH_dpd.json", "BENCH_sim.json", "BENCH_trace.json", "BENCH_serve.json"):
-            artefact = root / name
-            if not artefact.is_file():  # pragma: no cover - fresh checkout
-                continue
-            data = json.loads(artefact.read_text(encoding="utf-8"))
-            assert "baseline" in data, f"{name} lost its baseline section"
-            assert data["baseline"]["benchmarks"], name
+        for name, rows in self.CITED.items():
+            data = json.loads((root / name).read_text(encoding="utf-8"))
+            for row in rows:
+                assert data["benchmarks"][row]["mean_s"] > 0, (name, row)
+            if name != "BENCH_scale.json":
+                assert "baseline" in data, f"{name} lost its baseline section"
+                assert data["baseline"]["benchmarks"], name
 
-    def test_carry_baseline_copies_from_previous(self):
-        summary = {"benchmarks": {"b": {"mean_s": 1.0}}}
-        previous = {"baseline": {"label": "pre-refactor", "mean_s": 2.0}}
-        assert carry_baseline(summary, previous)["baseline"]["label"] == "pre-refactor"
-
-    def test_carry_baseline_keeps_existing(self):
-        summary = {"baseline": {"label": "ours"}}
-        carry_baseline(summary, {"baseline": {"label": "theirs"}})
-        assert summary["baseline"]["label"] == "ours"
-
-    def test_carry_baseline_no_previous_baseline(self):
-        summary = {"benchmarks": {}}
-        assert "baseline" not in carry_baseline(summary, {})
+    def test_bench_command_is_gone(self, capsys):
+        # `python -m repro bench` was the second harness; bench/run.py is the
+        # one measured path now.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bench'" in err
+        assert "{run,sweep,predict,table1,report,serve,list}" in err

@@ -9,8 +9,9 @@ class TestConstruction:
     def test_preallocate_all(self):
         pool = EagerBufferPool(rank=0, nprocs=8, buffer_bytes=1024, preallocate_all=True)
         assert pool.preallocated_bytes == 7 * 1024
-        assert all(pool.has_buffer_for(p) for p in range(1, 8))
-        assert not pool.has_buffer_for(0)
+        assert pool.stats().peers_with_buffer == 7
+        assert all(pool.free_bytes_for(p) == 1024 for p in range(1, 8))
+        assert pool.free_bytes_for(0) == 0
 
     def test_no_preallocation(self):
         pool = EagerBufferPool(rank=0, nprocs=8, buffer_bytes=1024, preallocate_all=False)
@@ -26,29 +27,6 @@ class TestConstruction:
 
 
 class TestAllocation:
-    def test_allocate_on_demand(self):
-        pool = EagerBufferPool(rank=0, nprocs=4, buffer_bytes=100, preallocate_all=False)
-        assert pool.allocate_for(2) is True
-        assert pool.allocate_for(2) is False  # already there
-        assert pool.demand_allocations == 1
-        assert pool.preallocated_bytes == 100
-
-    def test_allocate_for_self_is_noop(self):
-        pool = EagerBufferPool(rank=0, nprocs=4, preallocate_all=False)
-        assert pool.allocate_for(0) is False
-
-    def test_release_peer(self):
-        pool = EagerBufferPool(rank=0, nprocs=4, buffer_bytes=100, preallocate_all=False)
-        pool.allocate_for(1)
-        assert pool.release_peer(1) is True
-        assert pool.preallocated_bytes == 0
-
-    def test_release_peer_with_data_refused(self):
-        pool = EagerBufferPool(rank=0, nprocs=4, buffer_bytes=100, preallocate_all=False)
-        pool.allocate_for(1)
-        pool.store_unexpected(1, 50)
-        assert pool.release_peer(1) is False
-
     def test_preallocate_validates_peers(self):
         pool = EagerBufferPool(rank=0, nprocs=4, preallocate_all=False)
         with pytest.raises(ValueError):

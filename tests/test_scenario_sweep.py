@@ -175,6 +175,16 @@ class TestExpansion:
             Sweep(base={"workload": "bt.4"}, grid={path: [1]})
         assert str(raised.value) == refusal
 
+    def test_network_drop_knob_is_not_a_grid_axis(self):
+        # Drops are swept through the fault plane ('faults.overrides.drop_rate').
+        with pytest.raises(ValueError) as raised:
+            Sweep(base={"workload": "bt.4"}, grid={"network.overrides.drop_probability": [0.1]})
+        assert str(raised.value) == (
+            "grid path 'network.overrides.drop_probability': 'drop_probability' "
+            "is not a NetworkConfig field; valid keys: ['bandwidth', 'contention', "
+            "'jitter_sigma', 'latency', 'seed']"
+        )
+
 
 class TestTomlLoading:
     def test_sweep_toml(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.sim.engine import Simulator
 from repro.trace.io import load_traces, save_traces
 from repro.trace.streams import sender_stream
@@ -17,29 +18,32 @@ def small_run():
     return workload, result
 
 
-def _v1_record(level, receiver=0, sender=1, time=1.0, seq=0):
-    """One line of a version-1 file, as the retired writer spelled it."""
-    return {
-        "receiver": receiver,
-        "sender": sender,
-        "nbytes": 10,
-        "tag": 0,
-        "kind": "p2p",
-        "time": time,
-        "seq": seq,
-        "level": level,
-    }
+_HEADER = {"format": "repro-trace", "version": 2, "nprocs": 1, "metadata": {}}
+_EMPTY = {field: [] for field in ("sender", "nbytes", "tag", "kind_code", "time", "seq")}
+_RANK0 = {"rank": 0, "logical": _EMPTY, "physical": _EMPTY}
 
 
-def _write_v1(path, nprocs, records, metadata=None):
-    header = {
-        "format": "repro-trace",
-        "version": 1,
-        "nprocs": nprocs,
-        "metadata": metadata or {},
-    }
-    lines = [json.dumps(header), *(json.dumps(record) for record in records)]
-    path.write_text("\n".join(lines) + "\n")
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+#: Files whose lines parse as JSON but not as a trace: (lines, the 1-based
+#: line at fault, what the message must name).
+MALFORMED = [
+    pytest.param([[1, 2]], 1, "header must be a JSON object", id="header-is-a-list"),
+    pytest.param([_without(_HEADER, "nprocs")], 1, "nprocs", id="nprocs-absent"),
+    pytest.param([{**_HEADER, "nprocs": "4"}], 1, "nprocs", id="nprocs-not-an-integer"),
+    pytest.param([{**_HEADER, "nprocs": 0}], 1, "nprocs >= 1", id="nprocs-below-one"),
+    pytest.param([_HEADER, [0]], 2, "rank line must be a JSON object", id="rank-line-is-a-list"),
+    pytest.param([_HEADER, {}], 2, "'rank'", id="rank-absent"),
+    pytest.param([_HEADER, _without(_RANK0, "logical")], 2, "'logical'", id="logical-absent"),
+    pytest.param([_HEADER, _RANK0, _without(_RANK0, "physical")], 3, "'physical'", id="physical-absent"),
+]
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return str(path)
 
 
 class TestSaveLoadRoundtrip:
@@ -102,55 +106,6 @@ class TestSaveLoadRoundtrip:
             assert list(original.physical) == list(traces[rank].physical)
 
 
-class TestLegacyFormatCompatibility:
-    """Version-1 (one JSON object per record) files stay loadable."""
-
-    def test_v1_file_loads_identically(self, small_run, tmp_path):
-        _, result = small_run
-        v1 = tmp_path / "v1.jsonl"
-        v2 = tmp_path / "v2.jsonl"
-        records = [
-            {**record._asdict(), "level": level}
-            for rank in range(result.nprocs)
-            for level in ("logical", "physical")
-            for record in getattr(result.trace_for(rank), level)
-        ]
-        _write_v1(v1, result.nprocs, records, metadata={"origin": "legacy"})
-        save_traces(result.tracer, v2)
-        legacy_traces, legacy_meta = load_traces(v1)
-        columnar_traces, _ = load_traces(v2)
-        assert legacy_meta == {"origin": "legacy"}
-        for old, new in zip(legacy_traces, columnar_traces):
-            assert list(old.logical) == list(new.logical)
-            assert list(old.physical) == list(new.physical)
-
-    def test_v1_records_route_by_receiver_and_sort(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
-        _write_v1(
-            path,
-            2,
-            [
-                _v1_record("logical", receiver=0, sender=2, time=2.0, seq=1),
-                _v1_record("logical", receiver=0, sender=1, time=1.0, seq=0),
-                _v1_record("physical", receiver=1, sender=0),
-            ],
-        )
-        with path.open("a") as handle:
-            handle.write("\n")  # blank lines are skipped
-        traces, _ = load_traces(path)
-        assert [r.sender for r in traces[0].logical] == [1, 2]
-        assert traces[0].physical == []
-        assert traces[1].logical == []
-        assert [r.sender for r in traces[1].physical] == [0]
-
-    @pytest.mark.parametrize("level", ["weird", "Logical", "phys"])
-    def test_unknown_level_rejected(self, tmp_path, level):
-        path = tmp_path / "v1.jsonl"
-        _write_v1(path, 1, [_v1_record("logical"), _v1_record(level, seq=1)])
-        with pytest.raises(ValueError, match=f"unknown trace level {level!r} on line 3"):
-            load_traces(path)
-
-
 class TestFormatValidation:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -170,11 +125,37 @@ class TestFormatValidation:
         with pytest.raises(ValueError, match="version"):
             load_traces(path)
 
-    def test_out_of_range_receiver_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        _write_v1(path, 1, [_v1_record("logical", receiver=5)])
-        with pytest.raises(ValueError, match="out of range"):
+    def test_version_1_refused(self, tmp_path):
+        # The per-record format's writer went at PR 13; its reader followed.
+        path = _write_lines(tmp_path / "v1.jsonl", [{**_HEADER, "version": 1}])
+        with pytest.raises(ValueError) as excinfo:
             load_traces(path)
+        assert str(excinfo.value) == (
+            "unsupported trace format version 1 (this build reads version 2)"
+        )
+
+    @pytest.mark.parametrize("lines, lineno, names", MALFORMED)
+    def test_malformed_shape_names_the_line(self, tmp_path, lines, lineno, names):
+        path = _write_lines(tmp_path / "bad.jsonl", lines)
+        with pytest.raises(ValueError, match=f"^line {lineno}: ") as excinfo:
+            load_traces(path)
+        assert names in str(excinfo.value)
+
+    @pytest.mark.parametrize("lines, lineno, names", MALFORMED)
+    @pytest.mark.parametrize("route", ["predict", "replay"])
+    def test_malformed_file_is_one_line_on_the_cli(
+        self, tmp_path, capsys, route, lines, lineno, names
+    ):
+        path = _write_lines(tmp_path / "bad.jsonl", lines)
+        argv = ["predict", "--traces", path] if route == "predict" else ["run", f"replay:file={path}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"cannot run scenario: line {lineno}: ")
+        if route == "predict":  # replay sniffs a file not starting "{" as DUMPI text
+            assert names in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_duplicate_v2_rank_rejected(self, small_run, tmp_path):
         _, result = small_run

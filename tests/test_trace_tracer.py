@@ -30,13 +30,15 @@ class TestTracerHooks:
         tracer.on_recv_matched(0, req_id=99, sender=3, nbytes=64, tag=1, kind="p2p", time=1.0)
         assert [r.sender for r in tracer.trace_for(0).logical] == [3]
 
-    def test_collectives_can_be_excluded(self):
-        tracer = TwoLevelTracer(nprocs=1, record_collectives=False)
+    def test_collective_records_carry_kind_code_1_on_both_levels(self):
+        tracer = TwoLevelTracer(nprocs=1)
         tracer.on_recv_posted(0, req_id=1, time=0.0)
         tracer.on_recv_matched(0, req_id=1, sender=1, nbytes=8, tag=0, kind="collective", time=0.1)
         tracer.on_message_arrival(0, sender=1, nbytes=8, tag=0, kind="collective", time=0.1)
+        tracer.on_message_arrival(0, sender=2, nbytes=8, tag=0, kind="p2p", time=0.2)
         trace = tracer.trace_for(0)
-        assert trace.logical == [] and trace.physical == []
+        assert trace.logical.kind_code_array().tolist() == [1]
+        assert trace.physical.kind_code_array().tolist() == [1, 0]
 
     def test_unmatched_receives_counted(self):
         tracer = TwoLevelTracer(nprocs=2)
