@@ -1,10 +1,7 @@
 """The paper's contribution: periodicity-based prediction of MPI messages.
 
-* :mod:`repro.core.circular_buffer` — the fixed-size history buffer the
-  paper's implementation note calls for ("implementation ... done with
-  circular lists, which reduces the overhead of the predictor").
 * :mod:`repro.core.dpd` — the Dynamic Periodicity Detector, equation (1) of
-  the paper.
+  the paper, every candidate delay held in one bit lane.
 * :mod:`repro.core.predictor` — the multi-step message predictor built on the
   DPD: detect the period of the stream, then replay the last period to
   predict the next several values (+1 … +5 in the paper).
@@ -22,7 +19,6 @@ from repro.core.baselines import (
     MostFrequentPredictor,
     StridePredictor,
 )
-from repro.core.circular_buffer import CircularBuffer
 from repro.core.dpd import DynamicPeriodicityDetector, PeriodicityResult
 from repro.core.evaluation import (
     AccuracyResult,
@@ -33,7 +29,6 @@ from repro.core.evaluation import (
 from repro.core.predictor import BasePredictor, PeriodicityPredictor
 
 __all__ = [
-    "CircularBuffer",
     "DynamicPeriodicityDetector",
     "PeriodicityResult",
     "BasePredictor",

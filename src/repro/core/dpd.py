@@ -1,4 +1,4 @@
-"""The Dynamic Periodicity Detector (equation 1 of the paper), incremental.
+"""The Dynamic Periodicity Detector (equation 1 of the paper), in bit lanes.
 
 For a window of the last ``N`` stream samples and a candidate delay
 ``m`` (``0 < m <= M``), the detector computes
@@ -15,10 +15,8 @@ Incremental update
 ------------------
 The paper stresses that "prediction has to be done at runtime" inside the MPI
 library, so the per-message cost of the detector is the budget that matters.
-Recomputing every ``d(m)`` from scratch on each sample costs ``O(N * M)``.
-This implementation instead keeps one mismatch counter per candidate delay
-and exploits that appending sample ``x[T]`` slides the window by one, which
-changes each ``d(m)`` by exactly two indicator terms:
+Appending sample ``x[T]`` slides the window by one, which changes each
+``d(m)`` by exactly two indicator terms:
 
 .. math::
 
@@ -26,40 +24,54 @@ changes each ``d(m)`` by exactly two indicator terms:
              + \\mathbf{1}[x[T] \\ne x[T-m]]          \\quad\\text{(pair entering)}
              - \\mathbf{1}[x[T-N] \\ne x[T-N-m]]      \\quad\\text{(pair leaving)}
 
-Both indicator vectors (over all ``m`` at once) are single NumPy comparisons
-against zero-copy views of the ring buffer, so one ``observe`` costs ``O(M)``
-vectorised work regardless of the window size.  While the history is still
-growing, at most one delay per append becomes newly evaluable and its counter
-is initialised with one ``O(N)`` scan — amortised away after the first
-``N + M`` samples.
+Equation (1) compares the window with itself at all ``M`` delays at once,
+which is the word-parallel comparison of bit-parallel string matching
+(Baeza-Yates & Gonnet, CACM 1992).  The detector holds every indicator
+vector as one ``M``-bit Python int, *lane* ``j`` standing for delay
+``M - j``:
 
-A batch of ``k`` samples is the same update applied ``k`` times at once:
-the ``k`` enter and ``k`` leave vectors are two ``(M, k)`` comparisons
-against sliding windows of the ring plus the chunk, and a running sum along
-the rows yields every intermediate ``d(m)`` — ``O(k * M)`` work, so a batch
-of one costs about one ``observe`` and nothing is proportional to ``N + M``.
-While the ring is still filling a batch loops over ``observe`` — after the
-stream's first ``N`` samples, which evaluate no delay and are only appended.
+* **Occurrence masks.**  Each distinct value in the retained history maps to
+  an int with bit ``p`` set when the value occurred at the ``p``-th retained
+  sample.  The lane mask of sample ``x[t]`` — lane set when
+  ``x[t] != x[t-m]`` or ``x[t-m]`` predates the stream — is then
+  ``~(mask[x[t]] >> (t - M)) & full``: three int operations, whatever ``M``.
+  The leaving pair's lane mask is the same expression at ``t = T - N``.
+* **Bit-sliced counters.**  ``ceil(log2(max(N, tol + 1) + 1))`` bit-planes
+  hold the exact ``d(m)`` of every delay at once (plane ``b`` carries bit
+  ``b`` of every counter).  Only the lanes that changed are rippled through
+  the planes: ``up = enter & ~leave`` as a carry, ``down = leave & ~enter``
+  as a borrow, stopping at the first plane where both run out.
+* **Queries.**  The smallest accepted delay is the highest set lane of
+  "``d(m) <= tol``", masked to the delays the history can evaluate: the
+  complement of the OR of the planes for tolerance 0, the borrow of
+  ``d(m) - (tol + 1)`` otherwise — then one ``int.bit_length``.
 
-Complexity (``N`` = window_size, ``M`` = max_period, ``k`` = batch length):
+The history is an ``array('q')`` trimmed to its last ``N + M`` samples when
+it reaches ``3 (N + M) / 2``; the masks are shifted down by the same amount
+and a value that no longer occurs loses its entry, so the state holds one
+mask per distinct value among at most ``3 (N + M) / 2`` samples (a stream
+whose values never repeat stays under 64 KiB at ``(24, 256)``).  No delay is evaluable
+before sample ``N + 1``, so the stream's first ``N`` samples are only
+appended (by :meth:`~DynamicPeriodicityDetector.observe` and
+:meth:`~DynamicPeriodicityDetector.fill_window` alike) and counted in one
+pass when the sample after them arrives.
 
-==========================  ==================  =======================
-operation                   naive (seed)        incremental (this file)
-==========================  ==================  =======================
-``observe``                 O(1) append         O(M) counter update
-``distances`` / ``detect``  O(N * M) scan       O(M) copy + scan
-observe+detect per message  O(N * M)            O(M) amortised
-``batch_observe`` of k      k * O(N * M)        O(k * M) on a full ring
-==========================  ==================  =======================
+Complexity (``N`` = window_size, ``M`` = max_period, ``k`` = batch length,
+``w`` = bits per machine word; a big-int operation on ``M`` lanes is
+``O(M / w)``):
 
-The pre-refactor full rescan survives as :meth:`distances_naive` and is used
-by the equivalence tests to cross-validate the counters bit-for-bit.
+==========================  ==================  ==========================
+operation                   naive (seed)        bit lanes (this file)
+==========================  ==================  ==========================
+``observe``                 O(1) append         O(log N) lane ops, O(M/w) each
+``current_period``          O(N * M) scan       O(log N) lane ops
+``distances`` / ``detect``  O(N * M) scan       O(M log N) plane read
+``batch_observe`` of k      k * O(N * M)        k * ``observe``
+==========================  ==================  ==========================
 
-The detector keeps ``N + M`` samples of history in a
-:class:`repro.core.circular_buffer.CircularBuffer` (the shifted comparison
-needs ``M`` samples before the window); the mirrored ring makes every slice
-above a zero-copy view, following the hpc-parallel guide's advice to
-vectorise the hot loop rather than iterating in Python.
+The full rescan survives as :meth:`~DynamicPeriodicityDetector.distances_naive`
+and is used by the equivalence tests to cross-validate the planes after
+every append.
 
 A tolerance knob allows "almost periodic" windows (useful for the noisy
 physical-level streams): a delay is accepted when at most
@@ -68,17 +80,47 @@ physical-level streams): a delay is accepted when at most
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.circular_buffer import CircularBuffer, _as_int64_1d
-
 __all__ = ["PeriodicityResult", "DynamicPeriodicityDetector"]
 
-#: A batch is applied on O(M * chunk) scratch matrices; bigger inputs are
-#: processed in chunks of this many samples to bound peak memory.
-_BATCH_CHUNK = 8192
+
+def _as_int64_1d(values) -> np.ndarray:
+    """Coerce ``values`` (array, sequence, or iterable) to a 1-D int64 array."""
+    if isinstance(values, np.ndarray):
+        return np.ascontiguousarray(values.reshape(-1), dtype=np.int64)
+    if isinstance(values, (list, tuple, range)):
+        return np.asarray(values, dtype=np.int64).reshape(-1)
+    return np.fromiter(values, dtype=np.int64)
+
+
+def _lanes(mask: int, shift: int, full: int) -> int:
+    """Lane mask of a sample whose value occurs at the bits of ``mask``.
+
+    ``shift`` is the sample's bit minus ``M``: lane ``j`` is set unless the
+    value also occurred at bit ``shift + j``, i.e. ``M - j`` samples before
+    (bits below zero predate the stream, so they never match).
+    """
+    return ~(mask >> shift if shift >= 0 else mask << -shift) & full
+
+
+def _ripple(planes: list[int], up: int, down: int) -> None:
+    """Add 1 to the counters of the ``up`` lanes and take 1 from the ``down`` lanes."""
+    b = 0
+    while up:  # carry
+        plane = planes[b]
+        planes[b] = plane ^ up
+        up &= plane
+        b += 1
+    b = 0
+    while down:  # borrow
+        plane = planes[b]
+        planes[b] = plane ^ down
+        down &= ~plane
+        b += 1
 
 
 @dataclass(frozen=True)
@@ -108,7 +150,7 @@ class PeriodicityResult:
 
 
 class DynamicPeriodicityDetector:
-    """Online DPD over an integer-valued stream with O(M) per-sample cost.
+    """Online DPD over an integer-valued stream, every delay in one bit lane.
 
     Parameters
     ----------
@@ -146,130 +188,132 @@ class DynamicPeriodicityDetector:
         self.window_size = int(window_size)
         self.max_period = int(max_period)
         self.mismatch_tolerance = int(mismatch_tolerance)
-        self._history = CircularBuffer(self.window_size + self.max_period)
-        # Anchored-reversed counter layout: _counters[max_period - m] == d(m)
-        # for m = 1 .. _usable (other entries are stale and never read).  With
-        # delays descending along the array, the enter/leave indicator vectors
-        # are ascending chronological ring views — no [::-1] reversal needed
-        # on the per-sample path.
-        self._counters = np.zeros(self.max_period, dtype=np.int64)
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget all history."""
+        self._seen = 0
+        # The retained samples; _history[p] is bit p of an occurrence mask.
+        self._history = array("q")
+        self._masks: dict[int, int] = {}
+        self._full = (1 << self.max_period) - 1
+        # Lanes of the delays the history can evaluate (m <= samples_seen - N).
         self._usable = 0
+        self._planes = [0] * max(self.window_size, self.mismatch_tolerance + 1).bit_length()
 
     # ------------------------------------------------------------------
     @property
     def samples_seen(self) -> int:
         """Total number of samples observed so far."""
-        return self._history.total_appended
+        return self._seen
 
     @property
     def retained(self) -> int:
-        """Number of history samples currently held (at most N + M)."""
-        return len(self._history)
+        """Number of history samples a query may read (at most N + M)."""
+        return min(len(self._history), self.window_size + self.max_period)
 
     def observe(self, value: int) -> None:
-        """Feed one stream sample; updates every ``d(m)`` in O(M).
-
-        This is the per-message runtime path, so it reaches straight into the
-        mirrored ring's fields (same package, see
-        :class:`~repro.core.circular_buffer.CircularBuffer` for the layout)
-        to keep the whole update at three ufunc calls.
-        """
+        """Feed one stream sample; updates every ``d(m)`` in a few lane ops."""
         v = int(value)
-        buf = self._history
         n = self.window_size
-        u = self._usable
-        data = buf._data
-        cap = buf.capacity
-        if u:
-            # Enter/leave pairs are read from the pre-append state: the append
-            # below may overwrite the oldest sample, which is exactly
-            # x[T-N-M] — the partner of the leaving pair at the largest delay.
-            end = buf._pos + cap
-            counters = self._counters[self.max_period - u :]
-            # entering pair for delay m: (x[T], x[T-m])
-            counters += v != data[end - u : end]
-            # leaving pair for delay m: (x[T-N], x[T-N-m])
-            out = end - n
-            counters -= data[out] != data[out - u : out]
-        pos = buf._pos
-        # One strided store hits both mirror slots (pos and pos + cap).
-        data[pos::cap] = v
-        pos += 1
-        buf._pos = 0 if pos == cap else pos
-        if buf._count < cap:
-            buf._count += 1
-        buf.total_appended += 1
-        if u < self.max_period and buf.total_appended - n > u:
-            # Exactly one delay (m = u + 1) became evaluable: initialise its
-            # counter with a full-window scan (O(N), once per delay ever).
-            m = u + 1
-            end = buf._pos + cap
-            self._counters[self.max_period - m] = np.count_nonzero(
-                data[end - n : end] != data[end - n - m : end - m]
-            )
-            self._usable = m
+        seen = self._seen
+        history = self._history
+        if seen <= n:
+            if seen < n:  # inside the first window: nothing is evaluable yet
+                history.append(v)
+                self._seen = seen + 1
+                return
+            self._fold()
+        big_m = self.max_period
+        full = self._full
+        masks = self._masks
+        t = len(history)  # this sample's bit in the occurrence masks
+        mask = masks.get(v, 0)
+        enter = _lanes(mask, t - big_m, full)
+        leave = _lanes(masks[history[t - n]], t - n - big_m, full)
+        history.append(v)
+        masks[v] = mask | (1 << t)
+        _ripple(self._planes, enter & ~leave, leave & ~enter)
+        self._seen = seen = seen + 1
+        if seen - n <= big_m:
+            self._usable = full ^ (full >> (seen - n))
+        if t + 1 >= (n + big_m) * 3 // 2:
+            self._trim(n + big_m)
+
+    def _fold(self) -> None:
+        """Count the first window: the lane masks of its ``N`` samples, none leaving."""
+        big_m = self.max_period
+        full = self._full
+        masks = self._masks
+        planes = self._planes
+        for t, v in enumerate(self._history):
+            mask = masks.get(v, 0)
+            _ripple(planes, _lanes(mask, t - big_m, full), 0)
+            masks[v] = mask | (1 << t)
+
+    def _trim(self, keep: int) -> None:
+        """Drop all but the last ``keep`` samples and rebase the masks on them."""
+        drop = len(self._history) - keep
+        del self._history[:drop]
+        # A fresh dict: one sized to the values left, not to the ones dropped.
+        self._masks = {v: kept for v, mask in self._masks.items() if (kept := mask >> drop)}
 
     def fill_window(self, values) -> int:
         """Append the leading ``values`` inside the first window; returns how many.
         No delay is evaluable before sample ``window_size + 1``: nothing else to do."""
-        room = self.window_size - self._history.total_appended
+        room = self.window_size - self._seen
         if room <= 0:
             return 0
         head = values[:room]
         self._history.extend(head)
+        self._seen += len(head)
         return len(head)
 
     def batch_observe(self, values, return_periods: bool = False):
-        """Feed many samples at once; bit-identical to an :meth:`observe` loop.
-
-        On a full ring (every call after a stream's first ``N + M`` samples)
-        the chunk goes through :meth:`_advance`, which applies all ``k``
-        enter/leave updates as one ``(M, k)`` matrix — ``O(k * M)`` work and
-        scratch, nothing proportional to ``N + M``.  While the ring is still
-        filling, samples past the first window are fed through :meth:`observe`
-        one by one, which is the definition the batch must equal anyway.
+        """Feed many samples at once; the same state as an :meth:`observe` loop.
 
         Parameters
         ----------
         values:
             Array/sequence/iterable of integer samples.
         return_periods:
-            When True, also compute the periodicity decision *after every
-            appended sample* (what a sequential ``observe``/``detect`` loop
-            would have seen) and return them as an int64 array where entry
-            ``j`` is the detected period after ``values[j]`` (0 = none).
+            When True, also return the periodicity decision *after every
+            appended sample* as an int64 array where entry ``j`` is the
+            detected period after ``values[j]`` (0 = none).
 
         Returns
         -------
         ``None``, or the per-step period array when ``return_periods``.
         """
-        arr = _as_int64_1d(values)
-        k = int(arr.shape[0])
-        periods = np.zeros(k, dtype=np.int64) if return_periods else None
-        filling = min(k, self._history.capacity - len(self._history))
-        for j in range(self.fill_window(arr), filling):
-            self.observe(arr[j])
+        values = _as_int64_1d(values).tolist()
+        periods = np.zeros(len(values), dtype=np.int64) if return_periods else None
+        for j in range(self.fill_window(values), len(values)):
+            self.observe(values[j])
             if return_periods:
                 periods[j] = self.current_period() or 0
-        for start in range(filling, k, _BATCH_CHUNK):
-            stop = min(start + _BATCH_CHUNK, k)
-            distances = self._advance(arr[start:stop])
-            if return_periods:
-                # Rows run from delay M down to 1, so the smallest accepted
-                # delay is the first hit of each column read bottom to top.
-                accepted = (distances <= self.mismatch_tolerance)[::-1]
-                first = accepted.argmax(axis=0)
-                found = accepted[first, np.arange(stop - start)]
-                periods[start:stop] = np.where(found, first + 1, 0)
         return periods
 
-    def reset(self) -> None:
-        """Forget all history."""
-        self._history.clear()
-        self._counters[:] = 0
-        self._usable = 0
-
     # ------------------------------------------------------------------
+    def _accepted(self) -> int:
+        """Lanes of the evaluable delays whose ``d(m) <= mismatch_tolerance``."""
+        if self.mismatch_tolerance == 0:
+            mismatched = 0
+            for plane in self._planes:
+                mismatched |= plane
+            return self._usable & ~mismatched
+        # The borrow out of d(m) - (tol + 1), plane by plane: set where d(m) <= tol.
+        limit = self.mismatch_tolerance + 1
+        below = 0
+        for b, plane in enumerate(self._planes):
+            below = (~plane | below) if limit >> b & 1 else (~plane & below)
+        return self._usable & below
+
+    def current_period(self) -> int | None:
+        """Smallest accepted delay right now, without materialising a result."""
+        accepted = self._accepted()
+        # The highest accepted lane is the smallest accepted delay.
+        return self.max_period + 1 - accepted.bit_length() if accepted else None
+
     def distances(self) -> np.ndarray:
         """Return ``d(m)`` for every evaluable delay ``m = 1 .. max_period``.
 
@@ -279,20 +323,27 @@ class DynamicPeriodicityDetector:
         samples).  The returned array has one entry per delay starting at
         ``m=1``; it is empty while ``L <= window_size``.
 
-        This is an O(M) copy of the incrementally maintained counters; see
+        This reads the counters off the bit-planes; see
         :meth:`distances_naive` for the from-scratch reference scan.
         """
-        u = self._usable
-        return self._counters[self.max_period - u :][::-1].copy() if u else np.empty(0, dtype=np.int64)
+        big_m = self.max_period
+        usable = min(big_m, self._seen - self.window_size)
+        if usable <= 0:
+            return np.empty(0, dtype=np.int64)
+        counts = np.zeros(big_m, dtype=np.int64)
+        for b, plane in enumerate(self._planes):
+            lanes = np.frombuffer(plane.to_bytes((big_m + 7) // 8, "little"), dtype=np.uint8)
+            counts += np.unpackbits(lanes, count=big_m, bitorder="little").astype(np.int64) << b
+        return counts[big_m - usable :][::-1].copy()
 
     def distances_naive(self) -> np.ndarray:
-        """Recompute every ``d(m)`` from scratch (pre-refactor O(N*M) scan).
+        """Recompute every ``d(m)`` from scratch (the seed's O(N*M) scan).
 
         Kept as the independent reference implementation: the equivalence
         tests assert it stays bit-identical to :meth:`distances` after every
         append.
         """
-        history = self._history.to_array()
+        history = self.history()
         length = history.shape[0]
         usable_delays = min(self.max_period, length - self.window_size)
         if usable_delays < 1:
@@ -305,71 +356,18 @@ class DynamicPeriodicityDetector:
         shifted = windows[base_index - usable_delays : base_index][::-1]
         return np.count_nonzero(shifted != window[np.newaxis, :], axis=1).astype(np.int64)
 
-    def _accepted_period(self, ascending: np.ndarray) -> int | None:
-        """Smallest delay whose distance passes the tolerance, else None.
-
-        ``ascending`` is a ``d(m)`` array indexed by ``m - 1``; the sole home
-        of the acceptance rule shared by :meth:`current_period` and
-        :meth:`detect` (:meth:`batch_observe` applies it to a whole matrix).
-        """
-        if self.mismatch_tolerance == 0:
-            index = int(ascending.argmin())
-            return index + 1 if ascending[index] == 0 else None
-        accepted = ascending <= self.mismatch_tolerance
-        index = int(accepted.argmax())
-        return index + 1 if accepted[index] else None
-
-    def current_period(self) -> int | None:
-        """Smallest accepted delay right now, without materialising a result."""
-        u = self._usable
-        if not u:
-            return None
-        return self._accepted_period(self._counters[self.max_period - u :][::-1])
-
     def detect(self) -> PeriodicityResult:
         """Return the current periodicity decision (smallest accepted delay)."""
-        # One ascending copy serves both the snapshot and the period scan.
-        distances = self.distances()
-        period = self._accepted_period(distances) if distances.size else None
         return PeriodicityResult(
-            period=period, distances=distances, samples_seen=self.samples_seen
+            period=self.current_period(),
+            distances=self.distances(),
+            samples_seen=self.samples_seen,
         )
 
     def history(self) -> np.ndarray:
         """Chronological copy of the retained history (for prediction replay)."""
-        return self._history.to_array()
+        return np.array(self.recent(self.retained), dtype=np.int64)
 
-    def history_view(self, n: int | None = None) -> np.ndarray:
-        """Zero-copy view of the last ``n`` retained samples (all when None).
-
-        Valid only until the next ``observe``/``batch_observe``/``reset``.
-        """
-        if n is None:
-            return self._history.view()
-        return self._history.view_last(n)
-
-    # ------------------------------------------------------------------
-    def _advance(self, chunk: np.ndarray) -> np.ndarray:
-        """Append ``chunk`` to a full ring; return ``d(m)`` after every sample.
-
-        With ``A`` the ring followed by the chunk, column ``j`` of
-        ``enter``/``leave`` below is exactly the indicator pair
-        :meth:`observe` applies for ``chunk[j]`` (row ``i`` is delay
-        ``M - i``, the anchored-reversed counter layout), so the running sum
-        of their difference on top of the counters is every intermediate
-        counter state and its last column is the new one.  The matrix is
-        ``(M, k)`` so that the sum runs along contiguous memory.
-        """
-        n = self.window_size
-        max_p = self.max_period
-        k = int(chunk.shape[0])
-        a = np.concatenate((self._history.view(), chunk))
-        runs = np.lib.stride_tricks.sliding_window_view(a, k)  # runs[i] = a[i : i + k]
-        enter = a[n + max_p :] != runs[n : n + max_p]
-        leave = a[max_p : max_p + k] != runs[:max_p]
-        distances = np.subtract(enter, leave, dtype=np.int64)
-        distances[:, 0] += self._counters
-        np.cumsum(distances, axis=1, out=distances)
-        self._counters[:] = distances[:, -1]
-        self._history.extend(chunk)
-        return distances
+    def recent(self, n: int) -> array:
+        """The last ``n`` retained samples (``n >= 1``), oldest first, as a copy."""
+        return self._history[-n:]

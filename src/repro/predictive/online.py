@@ -72,12 +72,11 @@ class OnlineMessagePredictor:
     def observe_batch(self, receiver: int, senders, sizes) -> None:
         """Record a whole burst of messages delivered to ``receiver``.
 
-        Both streams go through the predictors' vectorised ``observe_many``
-        path (for the paper's periodicity predictor an O(max_period)-per-
-        message batch kernel; a burst too short to repay the kernel's fixed
-        cost is fed sample by sample), which is how trace replay and burst
-        delivery feed history without paying :meth:`observe`'s per-call
-        overhead.
+        Both streams go through the predictors' ``observe_many`` (for the
+        paper's periodicity predictor the ``observe`` loop, with a stream's
+        first window appended in one call), which is how trace replay and
+        burst delivery feed history without paying :meth:`observe`'s
+        per-message overhead.
         """
         senders = list(senders) if not hasattr(senders, "__len__") else senders
         sizes = list(sizes) if not hasattr(sizes, "__len__") else sizes

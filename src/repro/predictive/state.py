@@ -20,10 +20,13 @@ The size estimate never reads clocks or addresses (beyond identity-based
 deduplication), but it is not quite a function of the object graph alone:
 ``sys.getsizeof`` of an instance ``__dict__`` counts the spare slots of the
 class's shared key table, which CPython 3.11 shrinks by one for each of the
-first ~30 instances a process creates.  A default periodicity predictor pair
-therefore walks to 17,634 B as the first pair of a process, 104 B and then
-8 B less for each of the next 22, and 16,410 B for every pair from then on —
-the early pairs included, once they are walked again.
+first ~30 instances a process creates.  A fresh default periodicity
+predictor pair therefore walks to 3,801 B as the first pair of a process,
+72 B, then 40 B, then 8 B less for each of the next 23, and 2,977 B for
+every pair from then on — the early pairs included, once they are walked
+again.  At full history a pair on a period-6 stream walks to about 10 KB
+(the trimmed history arrays dominate); one whose values never repeat is the
+worst case, about 58 KB a predictor at the trim point.
 """
 
 from __future__ import annotations

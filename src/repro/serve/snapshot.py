@@ -10,7 +10,7 @@ On-disk layout (documented in ``docs/formats.md``; all integers little
 endian)::
 
     magic      12 bytes  b"REPROSRVSNAP"
-    version    uint32    format version (currently 1)
+    version    uint32    format version (currently 2)
     header_len uint32
     header     JSON (UTF-8): shard identity, predictor spec, caps, counters
     N records, one per stream, coldest (least recently used) first:
@@ -27,8 +27,10 @@ snapshot never leaves a half-written file under the published name.
 
 Every structural violation raises :class:`SnapshotError` naming the file,
 the shard (once the header is readable) and the byte offset of the damage;
-a version newer than :data:`SNAPSHOT_VERSION` is rejected up front with the
-versions spelled out (never half-parsed).
+any version other than :data:`SNAPSHOT_VERSION` is rejected up front with the
+versions spelled out, before anything is unpickled.  Version 1 files hold the
+predictor state of the detector's earlier NumPy-array layout, which this
+build's classes cannot use.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-serve-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _MAGIC = b"REPROSRVSNAP"
 _TRAILER = b"REPROSRVEND\n"
@@ -147,7 +149,7 @@ def load_snapshot(path) -> tuple[dict, list[tuple[str, object]]]:
     """Read a shard snapshot; returns ``(header, [(key, state), ...])``.
 
     The stream list preserves the written order (coldest first).  Raises
-    :class:`SnapshotError` on any structural damage — wrong magic, future
+    :class:`SnapshotError` on any structural damage — wrong magic, another
     version, truncation, or a CRC mismatch — naming the shard and offset.
     """
     target = Path(path)
@@ -162,15 +164,13 @@ def load_snapshot(path) -> tuple[dict, list[tuple[str, object]]]:
                 target, f"bad magic {magic!r} (not a {SNAPSHOT_FORMAT} file)", offset=0
             )
         (version,) = _U32.unpack(_read_exact(handle, 4, target, "version", None))
-        if version > SNAPSHOT_VERSION:
+        if version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 target,
-                f"format version {version} is newer than the supported "
-                f"version {SNAPSHOT_VERSION} — refusing to guess",
+                f"format version {version} refused: this build reads only the "
+                f"supported version {SNAPSHOT_VERSION}",
                 offset=len(_MAGIC),
             )
-        if version < 1:
-            raise SnapshotError(target, f"invalid format version {version}", offset=len(_MAGIC))
         (header_len,) = _U32.unpack(_read_exact(handle, 4, target, "header length", None))
         header_offset = handle.tell()
         header_bytes = _read_exact(handle, header_len, target, "header", None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dpd import DynamicPeriodicityDetector
+from repro.core.predictor import PeriodicityPredictor
 
 
 def feed(detector, values):
@@ -144,3 +145,106 @@ class TestStateManagement:
         result = detector.detect()
         assert result.periodic is True
         assert result.samples_seen == 20
+
+
+def same_state(left: DynamicPeriodicityDetector, right: DynamicPeriodicityDetector) -> None:
+    assert left.history().tolist() == right.history().tolist()
+    assert (left.samples_seen, left.retained) == (right.samples_seen, right.retained)
+    np.testing.assert_array_equal(left.distances(), right.distances())
+    assert left.current_period() == right.current_period()
+
+
+class TestRetainedHistory:
+    """The history is the last ``N + M`` samples, whatever the trims did."""
+
+    def test_empty(self):
+        detector = DynamicPeriodicityDetector(window_size=4, max_period=3)
+        assert detector.retained == 0 and detector.samples_seen == 0
+        assert detector.history().tolist() == []
+        assert detector.current_period() is None
+
+    def test_first_window_is_kept_before_any_delay_is_evaluable(self):
+        detector = feed(DynamicPeriodicityDetector(window_size=4, max_period=3), [1, 2, 3])
+        assert detector.history().tolist() == [1, 2, 3]
+        assert detector.retained == 3
+        assert detector.distances().size == 0
+
+    def test_keeps_the_most_recent_window_plus_max_period(self):
+        detector = feed(DynamicPeriodicityDetector(window_size=3, max_period=2), range(20))
+        assert detector.history().tolist() == [15, 16, 17, 18, 19]
+        assert detector.retained == 5
+        assert detector.samples_seen == 20
+
+    def test_matches_list_reference_across_trims(self):
+        detector = DynamicPeriodicityDetector(window_size=3, max_period=4)
+        reference: list[int] = []
+        for i in range(80):
+            value = (i * 37) % 11
+            detector.observe(value)
+            reference.append(value)
+            assert detector.history().tolist() == reference[-7:]
+            for n in range(1, detector.retained + 1):
+                assert detector.recent(n).tolist() == reference[-n:]
+
+    def test_keeps_large_and_negative_values(self):
+        values = [2**40, -(2**40), 2**62, -1]
+        detector = feed(DynamicPeriodicityDetector(window_size=2, max_period=2), values)
+        assert detector.history().dtype == np.int64
+        assert detector.history().tolist() == values
+
+    def test_recent_and_history_are_independent_copies(self):
+        detector = feed(DynamicPeriodicityDetector(window_size=2, max_period=2), [1, 2, 3, 4])
+        tail = detector.recent(2)
+        tail[0] = 99
+        snapshot = detector.history()
+        snapshot[0] = 99
+        assert detector.history().tolist() == [1, 2, 3, 4]
+
+    def test_reset_then_refill_equals_a_fresh_detector(self):
+        detector = feed(DynamicPeriodicityDetector(window_size=3, max_period=4), range(50))
+        detector.reset()
+        feed(detector, [7, 8] * 10)
+        fresh = feed(DynamicPeriodicityDetector(window_size=3, max_period=4), [7, 8] * 10)
+        same_state(detector, fresh)
+        assert detector.current_period() == 2
+
+
+class TestBatchInputs:
+    STREAM = [(i * 37) % 5 for i in range(40)]
+
+    @pytest.mark.parametrize("factory", [list, tuple, np.array, iter])
+    def test_batch_observe_input_types(self, factory):
+        looped = feed(DynamicPeriodicityDetector(window_size=4, max_period=6), self.STREAM)
+        batched = DynamicPeriodicityDetector(window_size=4, max_period=6)
+        batched.batch_observe(factory(self.STREAM))
+        same_state(batched, looped)
+
+    @pytest.mark.parametrize("factory", [list, tuple, np.array, iter])
+    def test_predictor_observe_many_input_types(self, factory):
+        looped = PeriodicityPredictor(window_size=4, max_period=6)
+        for value in self.STREAM:
+            looped.observe(value)
+        batched = PeriodicityPredictor(window_size=4, max_period=6)
+        batched.observe_many(factory(self.STREAM))
+        same_state(batched._dpd, looped._dpd)
+        assert (batched.detections, batched.period_changes) == (looped.detections, looped.period_changes)
+        assert batched.predict(3) == looped.predict(3)
+
+    def test_batch_longer_than_history_keeps_tail(self):
+        detector = DynamicPeriodicityDetector(window_size=3, max_period=4)
+        detector.batch_observe(np.arange(100))
+        assert detector.history().tolist() == list(range(93, 100))
+        assert detector.samples_seen == 100
+        assert detector.retained == 7
+
+    def test_batch_matches_observe_across_trims(self):
+        rng = np.random.default_rng(5)
+        for window, max_period in ((1, 1), (1, 2), (2, 3), (5, 3)):
+            for sizes in ([3, 4, 2], [8, 1], [1] * 9, [0, 5, 0, 7], [20, 30]):
+                batched = DynamicPeriodicityDetector(window, max_period)
+                looped = DynamicPeriodicityDetector(window, max_period)
+                for size in sizes:
+                    chunk = rng.integers(0, 4, size=size)
+                    batched.batch_observe(chunk)
+                    feed(looped, chunk)
+                    same_state(batched, looped)

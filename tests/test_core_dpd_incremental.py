@@ -1,12 +1,15 @@
 """Equivalence tests for the incremental DPD engine (repro.core.dpd).
 
-The incremental mismatch counters, the batch path, and the predictor's
-vectorised ``observe_many`` must all be *bit-identical* to the naive
-from-scratch scan (:meth:`DynamicPeriodicityDetector.distances_naive`) and to
-a sequential ``observe`` loop, after every single append.
+The bit-sliced mismatch counters, the batch path, and the predictor's
+``observe_many`` must all be *bit-identical* to the naive from-scratch scan
+(:meth:`DynamicPeriodicityDetector.distances_naive`) and to a sequential
+``observe`` loop, after every single append — and to the answers the
+``(M, k)`` matrix kernel gave before the counters became bit lanes (the
+golden digests below were recorded from it).
 """
 
 import copy
+import hashlib
 import itertools
 import tracemalloc
 
@@ -15,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.dpd as dpd_module
 from repro.core.dpd import DynamicPeriodicityDetector
-from repro.core.predictor import _KERNEL_MIN_RUN, PeriodicityPredictor
+from repro.core.predictor import PeriodicityPredictor
+from repro.predictive.state import freeze_state, state_nbytes
 
 values = st.integers(min_value=0, max_value=5)
 
@@ -132,17 +135,18 @@ class TestEdgeCaseRegressions:
         assert detector.batch_observe([]) is None
         assert detector.samples_seen == 0
 
-    def test_batch_observe_chunked_matches_single_shot(self, monkeypatch):
+    def test_batch_observe_chunked_matches_single_shot(self):
         rng = np.random.default_rng(44)
         stream = rng.integers(0, 2, size=200)
-        monkeypatch.setattr(dpd_module, "_BATCH_CHUNK", 16)
         chunked = DynamicPeriodicityDetector(window_size=5, max_period=9)
-        chunked_periods = chunked.batch_observe(stream, return_periods=True)
-        monkeypatch.undo()
+        chunked_periods = np.concatenate(
+            [chunked.batch_observe(stream[i : i + 16], return_periods=True) for i in range(0, 200, 16)]
+        )
         single = DynamicPeriodicityDetector(window_size=5, max_period=9)
         single_periods = single.batch_observe(stream, return_periods=True)
         np.testing.assert_array_equal(chunked_periods, single_periods)
         np.testing.assert_array_equal(chunked.distances(), single.distances())
+        np.testing.assert_array_equal(chunked.history(), single.history())
 
     def test_tolerance_accepted_by_batch_and_incremental(self):
         stream = [1, 2, 3, 4] * 10
@@ -223,18 +227,19 @@ class TestManyWaySplitAtServedConfiguration:
 
 
 def test_small_batch_allocates_kilobytes_not_the_whole_history():
-    """An 8-sample batch on a full ring is O(k * M) scratch: 8 x 256 cells.
+    """An 8-sample batch on a full history is a few lane ops per sample.
 
     A clock-free cost guard: any path that touches (M x (N + M + k)) cells
-    per call takes about 0.5 MB at the served configuration.
+    per call takes about 0.5 MB at the served configuration.  The measured
+    batch includes a trim of the history and its masks (at sample 700).
     """
     stream = noisy_periodic_stream(1000, seed=5).tolist()
     predictor = PeriodicityPredictor(24, 256)
-    predictor.observe_many(stream[:600])
-    predictor.observe_many(stream[600:608])  # warm every lazy import / cache
+    predictor.observe_many(stream[:688])
+    predictor.observe_many(stream[688:696])  # warm every lazy import / cache
     tracemalloc.start()
     try:
-        predictor.observe_many(stream[608:616])
+        predictor.observe_many(stream[696:704])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,46 +247,30 @@ def test_small_batch_allocates_kilobytes_not_the_whole_history():
 
 
 def full_state(predictor: PeriodicityPredictor):
-    """Everything ``observe_many`` may touch.
-
-    The ring is compared in chronological order: a run of at least its
-    capacity is stored rotated to slot 0, which no reader can see.
-    """
+    """Everything ``observe_many`` may touch, read through the public API."""
     dpd = predictor._dpd
     return (
-        dpd._counters.tobytes(),
-        dpd._usable,
-        dpd.history().tobytes(),
+        freeze_state(predictor),
+        dpd.distances().tolist(),
+        dpd.history().tolist(),
         (dpd.retained, dpd.samples_seen),
         predictor.detections,
         predictor.period_changes,
         predictor.current_period,
+        predictor.predict(5),
     )
 
 
 def young_state(predictor: PeriodicityPredictor):
-    """Field by field, the physical ring included (no run here reaches its capacity)."""
+    """:func:`full_state`, with the planes checked against the naive scan."""
     dpd = predictor._dpd
-    ring = dpd._history
     np.testing.assert_array_equal(dpd.distances(), dpd.distances_naive())
-    return {
-        "data": ring._data.tolist(),
-        "pos": ring._pos,
-        "count": ring._count,
-        "total_appended": ring.total_appended,
-        "counters": dpd._counters.tolist(),
-        "usable": dpd._usable,
-        "detections": predictor.detections,
-        "period_changes": predictor.period_changes,
-        "current_period": predictor.current_period,
-        "predict": predictor.predict(5),
-        "distances": dpd.distances().tolist(),
-    }
+    return full_state(predictor)
 
 
 class TestFirstWindowIsAnAppend:
     """A run that ends inside a stream's first window is one ``extend`` of the
-    ring; the sample after it (delay 1 becomes evaluable) goes through ``observe``."""
+    history; the sample after it (delay 1 becomes evaluable) goes through ``observe``."""
 
     SHAPES = [(24, 256), (6, 12), (64, 64)]
     FORMS = {"list": list, "tuple": tuple, "array": lambda run: np.array(run, dtype=np.int64)}
@@ -310,10 +299,10 @@ class TestFirstWindowIsAnAppend:
                 batched, looped = self.twins(window, max_period, sticky)
                 self.feed_both(batched, looped, stream[:first], self.FORMS[form])
                 self.feed_both(batched, looped, stream[first:end], self.FORMS[form])
-                assert batched._dpd._usable == max(0, end - window)
+                assert batched._dpd.distances().size == max(0, end - window)
                 self.feed_both(batched, looped, [], self.FORMS[form])
                 self.feed_both(batched, looped, stream[end : end + 8], self.FORMS[form])
-                # A kernel-length run, shorter than every capacity (the ring is not rotated).
+                # A longer run, still inside the history's first N + M samples.
                 self.feed_both(batched, looped, stream[end + 8 : end + 21], self.FORMS[form])
                 assert batched.detections > 0
 
@@ -345,35 +334,35 @@ class TestFirstWindowIsAnAppend:
         predictor.observe_many(list(range(16, 24)))  # ends exactly at the window
         assert observed == [] and predictor.samples_seen == 24
         predictor.observe_many([24])  # makes delay 1 evaluable
-        assert observed == [24] and predictor._dpd._usable == 1
+        assert observed == [24] and predictor._dpd.distances().size == 1
         fresh = PeriodicityPredictor(24, 256)
-        fresh.observe_many(list(range(40)))  # a kernel-length run: the prefix is appended too
+        fresh.observe_many(list(range(40)))  # a longer run: the prefix is appended too
         assert observed == [24, *range(24, 40)]
         detector = DynamicPeriodicityDetector(24, 256)
         periods = detector.batch_observe(list(range(30)), return_periods=True)
         assert observed[-6:] == list(range(24, 30)) and periods.tolist() == [0] * 30
 
 
-class TestObserveManyCrossover:
-    """Below ``_KERNEL_MIN_RUN`` a run is the observe loop, from there the kernel."""
+class TestObserveManyEqualsTheLoop:
+    """Every run length is the observe loop: one path, no crossover."""
 
     @pytest.mark.parametrize("window, max_period", [(24, 256), (6, 12)])
     @pytest.mark.parametrize("tolerance", [0, 2])
     @pytest.mark.parametrize("sticky", [True, False])
-    def test_every_run_length_around_the_constant_equals_the_loop(
+    def test_every_run_length_from_full_history_equals_the_loop(
         self, window, max_period, tolerance, sticky
     ):
         capacity = window + max_period
-        length = 3 * (capacity + 2 * _KERNEL_MIN_RUN + 40)
+        length = 3 * (capacity + 120)
         stream = noisy_periodic_stream(length, seed=max_period + tolerance).tolist()
         # Full-history starting points: steady state, and just before each of
         # the stream's two period changes (so the run carries one).
-        for start in (capacity + 20, 2 * (length // 3) - 5, length - 2 * _KERNEL_MIN_RUN):
+        for start in (capacity + 20, 2 * (length // 3) - 5, length - 45):
             base = PeriodicityPredictor(window, max_period, tolerance, sticky)
             for value in stream[:start]:
                 base.observe(value)
             assert base._dpd.retained == capacity
-            for run in range(1, 2 * _KERNEL_MIN_RUN + 1):
+            for run in range(1, 41):
                 looped, batched = copy.deepcopy(base), copy.deepcopy(base)
                 for value in stream[start : start + run]:
                     looped.observe(value)
@@ -381,32 +370,82 @@ class TestObserveManyCrossover:
                 assert full_state(batched) == full_state(looped), (start, run)
         assert base.detections > 0 and base.period_changes > 1, "stream must exercise detection"
 
-    def test_kernel_runs_only_at_or_above_the_constant(self, monkeypatch):
-        stream = noisy_periodic_stream(2000, seed=9).tolist()
-        predictor = PeriodicityPredictor(24, 256)
-        for value in stream[:400]:
+
+#: sha256 of ``repr((current_period, detections, period_changes, predict(5)))``
+#: after every run of ``noisy_periodic_stream(5000, seed=25)``, recorded from
+#: the ``(M, k)`` matrix kernel the bit lanes replaced.  Run length 1 is the
+#: per-step digest.
+GOLDEN = {
+    (24, 256, 0, True): {
+        1: "fc8d76ad653af5e896de99077225c8b4b371ba7385d5de07b3252795ee4e47b4",
+        2: "948cd6a3dbec1ed1e8720636d35575969426c006b3f7de30c8325472b37ac388",
+        8: "3f4cebbd98b6ac3b4290bda085899f2c8c249f2df487046560dbd515834d4206",
+        64: "d7bb3f6cec656b99cefa1481482b36d42ffda8303fa4f7abd9adc3893001e8ae",
+    },
+    (32, 16, 2, False): {
+        1: "2da3ff99504df354fac19ee186cfe327157cd8f47ee8d4bb2c27636f8236e6ef",
+        2: "b57bda764c1bc2122da5afd3de2c1db198d2c5752d686be9b83d82a7bb3ec346",
+        8: "099b0c8d0058fd2aca71a280a81dca6461b279da3aadcadfbd1d4ea612c1579f",
+        64: "20b1cb929c98b91066907d26e0e78850bf04cdc054d8e51ea4cd56e3c63ddef2",
+    },
+}
+
+
+class TestGoldenDigests:
+    @staticmethod
+    def digest(config, run, feed):
+        predictor = PeriodicityPredictor(*config)
+        stream = noisy_periodic_stream(5000, seed=25).tolist()
+        digest = hashlib.sha256()
+        for start in range(0, len(stream), run):
+            feed(predictor, stream[start : start + run])
+            step = (
+                predictor.current_period,
+                predictor.detections,
+                predictor.period_changes,
+                predictor.predict(5),
+            )
+            digest.update(repr(step).encode() + b"\n")
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN))
+    def test_observe_reproduces_the_kernel_per_step(self, config):
+        observe = lambda predictor, run: predictor.observe(run[0])
+        assert self.digest(config, 1, observe) == GOLDEN[config][1]
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN))
+    @pytest.mark.parametrize("run", [1, 2, 8, 64])
+    def test_observe_many_reproduces_the_kernel(self, config, run):
+        observe_many = lambda predictor, values: predictor.observe_many(values)
+        assert self.digest(config, run, observe_many) == GOLDEN[config][run]
+
+
+class TestStateStaysBounded:
+    """History and masks are trimmed: the state cycles, it does not grow."""
+
+    @staticmethod
+    def largest_over_a_trim_cycle(predictor, stream):
+        sizes = []
+        for value in stream:
             predictor.observe(value)
-        chunks = []
-        advance = DynamicPeriodicityDetector._advance
+            sizes.append(state_nbytes(predictor))
+        return max(sizes)
 
-        def counting_advance(self, chunk):
-            chunks.append(len(chunk))
-            return advance(self, chunk)
+    def test_all_distinct_stream_is_bounded(self):
+        predictor = PeriodicityPredictor(24, 256)
+        for value in range(5000):
+            predictor.observe(value)
+        early = self.largest_over_a_trim_cycle(predictor, range(5000, 5280))
+        for value in range(5280, 50000):
+            predictor.observe(value)
+        late = self.largest_over_a_trim_cycle(predictor, range(50000, 50280))
+        assert early == late <= 64 * 1024
 
-        monkeypatch.setattr(DynamicPeriodicityDetector, "_advance", counting_advance)
-        position = 400
-        for run in range(1, _KERNEL_MIN_RUN):
-            predictor.observe_many(stream[position : position + run])
-            position += run
-        assert chunks == []
-        for run in (_KERNEL_MIN_RUN, _KERNEL_MIN_RUN + 1, 2 * _KERNEL_MIN_RUN):
-            predictor.observe_many(stream[position : position + run])
-            position += run
-        assert chunks == [_KERNEL_MIN_RUN, _KERNEL_MIN_RUN + 1, 2 * _KERNEL_MIN_RUN]
-        del chunks[:]
-        monkeypatch.setattr(dpd_module, "_BATCH_CHUNK", 16)
-        predictor.observe_many(stream[position : position + 40])
-        assert chunks == [16, 16, 8]
+    def test_periodic_stream_is_smaller_than_the_ring_was(self):
+        predictor = PeriodicityPredictor(24, 256)
+        stream = [3, 1, 4, 1, 5, 9] * 900
+        predictor.observe_many(stream[:5000])
+        assert self.largest_over_a_trim_cycle(predictor, stream[5000:5280]) <= 9026
 
 
 class TestPredictorObserveMany:

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.circular_buffer import CircularBuffer
 from repro.core.dpd import DynamicPeriodicityDetector
 from repro.core.evaluation import evaluate_stream
 from repro.core.predictor import PeriodicityPredictor
@@ -12,33 +11,56 @@ from repro.core.predictor import PeriodicityPredictor
 values = st.integers(min_value=0, max_value=1_000_000)
 
 
-class TestCircularBufferProperties:
-    @given(capacity=st.integers(1, 32), data=st.lists(values, max_size=200))
-    def test_matches_list_tail(self, capacity, data):
-        """The ring always equals the last `capacity` appended values."""
-        buffer = CircularBuffer(capacity)
+class TestHistoryProperties:
+    @given(
+        window=st.integers(1, 16),
+        max_period=st.integers(1, 16),
+        data=st.lists(values, max_size=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_list_tail(self, window, max_period, data):
+        """The history always equals the last ``N + M`` observed values."""
+        detector = DynamicPeriodicityDetector(window, max_period)
         for value in data:
-            buffer.append(value)
-        assert buffer.to_array().tolist() == data[-capacity:]
-        assert len(buffer) == min(len(data), capacity)
-        assert buffer.total_appended == len(data)
+            detector.observe(value)
+        capacity = window + max_period
+        assert detector.history().tolist() == data[-capacity:]
+        assert detector.retained == min(len(data), capacity)
+        assert detector.samples_seen == len(data)
 
-    @given(capacity=st.integers(1, 16), data=st.lists(values, min_size=1, max_size=100))
-    def test_indexing_matches_reference(self, capacity, data):
-        buffer = CircularBuffer(capacity)
+    @given(
+        window=st.integers(1, 8),
+        max_period=st.integers(1, 8),
+        data=st.lists(values, min_size=1, max_size=100),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_recent_matches_reference(self, window, max_period, data):
+        detector = DynamicPeriodicityDetector(window, max_period)
+        detector.batch_observe(data)
+        for n in range(1, detector.retained + 1):
+            assert detector.recent(n).tolist() == data[-n:]
+
+    @given(
+        window=st.integers(1, 8),
+        max_period=st.integers(1, 16),
+        data=st.lists(st.integers(0, 3), max_size=150),
+        split=st.integers(0, 150),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_observe_many_equals_the_loop(self, window, max_period, data, split):
+        looped = PeriodicityPredictor(window, max_period)
         for value in data:
-            buffer.append(value)
-        reference = data[-capacity:]
-        for i in range(len(reference)):
-            assert buffer[i] == reference[i]
-            assert buffer[-(i + 1)] == reference[-(i + 1)]
-
-    @given(capacity=st.integers(1, 16), n=st.integers(0, 40), data=st.lists(values, max_size=60))
-    def test_last_n(self, capacity, n, data):
-        buffer = CircularBuffer(capacity)
-        buffer.extend(data)
-        expected = data[-capacity:][-n:] if n else []
-        assert buffer.last(n).tolist() == expected
+            looped.observe(value)
+        batched = PeriodicityPredictor(window, max_period)
+        batched.observe_many(data[:split])
+        batched.observe_many(data[split:])
+        assert batched._dpd.history().tolist() == looped._dpd.history().tolist()
+        assert (batched.detections, batched.period_changes, batched.current_period) == (
+            looped.detections,
+            looped.period_changes,
+            looped.current_period,
+        )
+        assert batched.predict(4) == looped.predict(4)
 
 
 class TestDPDProperties:

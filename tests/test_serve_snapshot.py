@@ -7,11 +7,13 @@ corruption, truncation, a future format version — raises a
 the damage; and writes are atomic (tmp + rename, manifest last).
 """
 
+import io
 import json
 import struct
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.serve.service import MANIFEST_NAME, ServeService
 from repro.serve.shard import Shard
 from repro.serve.snapshot import (
@@ -146,6 +148,20 @@ class TestStructuralErrors:
         assert f"supported version {SNAPSHOT_VERSION}" in message
         assert excinfo.value.offset == 12
 
+    def test_version_1_refused_before_anything_is_unpickled(self, tmp_path, monkeypatch):
+        target, data = self.snapshot_bytes(tmp_path)
+        struct.pack_into("<I", data, 12, 1)  # the layout before the bit-lane detector
+        target.write_bytes(data)
+        monkeypatch.setattr(
+            "repro.serve.snapshot.thaw_state", lambda blob: pytest.fail("unpickled a v1 record")
+        )
+        with pytest.raises(SnapshotError) as excinfo:
+            load_snapshot(target)
+        assert str(excinfo.value) == (
+            f"snapshot {target}: format version 1 refused: this build reads only "
+            f"the supported version {SNAPSHOT_VERSION} at offset 12"
+        )
+
     def test_bad_magic_rejected(self, tmp_path):
         target = tmp_path / "s.snap"
         target.write_bytes(b"NOTASNAPSHOT" + b"\x00" * 64)
@@ -208,6 +224,21 @@ class TestServiceRoundTrip:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="newer than the supported version"):
             ServeService.restore(tmp_path)
+
+    def test_cli_refuses_a_version_1_directory_in_one_line(self, tmp_path, monkeypatch, capsys):
+        self.build_service().snapshot(tmp_path)
+        for shard_file in iter_snapshot_files(tmp_path):
+            data = bytearray(shard_file.read_bytes())
+            struct.pack_into("<I", data, 12, 1)
+            shard_file.write_bytes(data)
+        unread = io.StringIO('{"op": "flush"}\n')
+        monkeypatch.setattr("sys.stdin", unread)
+        assert cli_main(["serve", "--stdin", "--restore", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and unread.tell() == 0
+        assert captured.err.startswith("cannot build the serve service: snapshot ")
+        assert "format version 1 refused" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_shard_count_mismatch_rejected(self, tmp_path):
         service = self.build_service()
