@@ -19,7 +19,9 @@ These baselines re-create that family plus two classic reference points:
 
 They all implement :class:`repro.core.predictor.BasePredictor`, so the
 evaluation harness can compare them directly with the paper's predictor for
-the ablation benchmarks.
+the ablation benchmarks, and ``repro serve`` can serve, size and snapshot
+them.  Their ``nbytes`` formulas count every value as a heap int (28 B):
+values the interpreter shares (-5 … 256) make them read high.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from typing import Optional
 
-from repro.core.predictor import BasePredictor
+import numpy as np
+
+from repro.core.predictor import BasePredictor, PeriodicityPredictor, PredictorState
 
 __all__ = [
     "LastValuePredictor",
@@ -35,6 +39,7 @@ __all__ = [
     "CyclePredictor",
     "MarkovPredictor",
     "StridePredictor",
+    "STREAM_PREDICTORS",
 ]
 
 
@@ -42,6 +47,8 @@ class LastValuePredictor(BasePredictor):
     """Predict that every future value equals the most recent observation."""
 
     name = "last-value"
+    #: Resident size estimate (bytes): the object and its last value.
+    nbytes = 120
 
     def __init__(self) -> None:
         self._last: Optional[int] = None
@@ -54,8 +61,14 @@ class LastValuePredictor(BasePredictor):
             raise ValueError(f"horizon must be positive, got {horizon}")
         return [self._last] * horizon
 
-    def reset(self) -> None:
-        self._last = None
+    def get_state(self) -> PredictorState:
+        return PredictorState(self.name, (), (self._last,))
+
+    @classmethod
+    def from_state(cls, state: PredictorState) -> "LastValuePredictor":
+        predictor = cls(*state.config)
+        (predictor._last,) = state.data
+        return predictor
 
 
 class MostFrequentPredictor(BasePredictor):
@@ -96,9 +109,22 @@ class MostFrequentPredictor(BasePredictor):
                 break
         return [choice] * horizon
 
-    def reset(self) -> None:
-        self._window.clear()
-        self._counts.clear()
+    def get_state(self) -> PredictorState:
+        window = np.array(self._window, dtype=np.int64)
+        return PredictorState(self.name, (self.window_size,), (window,))
+
+    @classmethod
+    def from_state(cls, state: PredictorState) -> "MostFrequentPredictor":
+        predictor = cls(*state.config)
+        (window,) = state.data
+        if len(window) > predictor.window_size:
+            raise ValueError(f"{len(window)} samples in a window of {predictor.window_size}")
+        predictor.observe_many(window.tolist())
+        return predictor
+
+    @property
+    def nbytes(self) -> int:
+        return 952 + 36 * len(self._window) + 80 * len(self._counts)
 
 
 class CyclePredictor(BasePredictor):
@@ -135,9 +161,23 @@ class CyclePredictor(BasePredictor):
             predictions.append(current)
         return predictions
 
-    def reset(self) -> None:
-        self._successor.clear()
-        self._last = None
+    def get_state(self) -> PredictorState:
+        # (value, successor) pairs in the order the values were first followed.
+        pairs = np.ravel(list(self._successor.items())).astype(np.int64)
+        return PredictorState(self.name, (), (self._last, pairs))
+
+    @classmethod
+    def from_state(cls, state: PredictorState) -> "CyclePredictor":
+        predictor = cls(*state.config)
+        predictor._last, pairs = state.data
+        if len(pairs) % 2:
+            raise ValueError(f"successor pairs of odd length {len(pairs)}")
+        predictor._successor = dict(pairs.reshape(-1, 2).tolist())
+        return predictor
+
+    @property
+    def nbytes(self) -> int:
+        return 380 + 75 * len(self._successor)
 
 
 class MarkovPredictor(BasePredictor):
@@ -188,15 +228,34 @@ class MarkovPredictor(BasePredictor):
                 context = context[1:] + [nxt]
         return predictions
 
-    def reset(self) -> None:
-        self._context.clear()
-        self._table.clear()
+    def get_state(self) -> PredictorState:
+        # One row per transition seen: the context, the value that followed, its count.
+        rows = [(*c, v, n) for c, counts in self._table.items() for v, n in counts.items()]
+        context = np.array(self._context, dtype=np.int64)
+        return PredictorState(self.name, (self.order,), (context, np.ravel(rows).astype(np.int64)))
+
+    @classmethod
+    def from_state(cls, state: PredictorState) -> "MarkovPredictor":
+        predictor = cls(*state.config)
+        context, table = state.data
+        if len(context) > predictor.order or len(table) % (predictor.order + 2):
+            raise ValueError(f"context or transition rows do not fit order {predictor.order}")
+        predictor._context.extend(context.tolist())
+        for *row, value, count in table.reshape(-1, predictor.order + 2).tolist():
+            predictor._table[tuple(row)][value] = count
+        return predictor
+
+    @property
+    def nbytes(self) -> int:
+        return 936 + 420 * len(self._table)
 
 
 class StridePredictor(BasePredictor):
     """Predict a constant arithmetic stride between consecutive values."""
 
     name = "stride"
+    #: Resident size estimate (bytes): the object, its last value and its stride.
+    nbytes = 144
 
     def __init__(self) -> None:
         self._last: Optional[int] = None
@@ -216,6 +275,26 @@ class StridePredictor(BasePredictor):
         stride = self._stride or 0
         return [self._last + stride * k for k in range(1, horizon + 1)]
 
-    def reset(self) -> None:
-        self._last = None
-        self._stride = None
+    def get_state(self) -> PredictorState:
+        return PredictorState(self.name, (), (self._last, self._stride))
+
+    @classmethod
+    def from_state(cls, state: PredictorState) -> "StridePredictor":
+        predictor = cls(*state.config)
+        predictor._last, predictor._stride = state.data
+        return predictor
+
+
+#: The stream predictors a state may name, by registry name: a closed set, so
+#: rebuilding from a state never imports or calls anything by a name it carries.
+STREAM_PREDICTORS: dict[str, type[BasePredictor]] = {
+    cls.name: cls
+    for cls in (
+        PeriodicityPredictor,
+        LastValuePredictor,
+        MostFrequentPredictor,
+        CyclePredictor,
+        MarkovPredictor,
+        StridePredictor,
+    )
+}

@@ -56,6 +56,11 @@ appended (by :meth:`~DynamicPeriodicityDetector.observe` and
 :meth:`~DynamicPeriodicityDetector.fill_window` alike) and counted in one
 pass when the sample after them arrives.
 
+Everything else is a function of ``samples_seen`` and the stored samples:
+the masks are one pass over them and the planes the lane masks of the last
+``N``, the fold that counts the first window — which is how
+:meth:`~DynamicPeriodicityDetector.from_history` rebuilds a detector.
+
 Complexity (``N`` = window_size, ``M`` = max_period, ``k`` = batch length,
 ``w`` = bits per machine word; a big-int operation on ``M`` lanes is
 ``O(M / w)``):
@@ -82,6 +87,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -179,8 +185,9 @@ class DynamicPeriodicityDetector:
             raise ValueError(f"window_size must be positive, got {window_size}")
         if max_period is None:
             max_period = window_size
-        if max_period < 1:
-            raise ValueError(f"max_period must be at least 1, got {max_period}")
+        # A lane mask is one bit per delay: bound it before building one.
+        if not 1 <= max_period <= 1 << 16:
+            raise ValueError(f"max_period must be in [1, 65536], got {max_period}")
         if mismatch_tolerance < 0:
             raise ValueError(
                 f"mismatch_tolerance must be non-negative, got {mismatch_tolerance}"
@@ -188,10 +195,6 @@ class DynamicPeriodicityDetector:
         self.window_size = int(window_size)
         self.max_period = int(max_period)
         self.mismatch_tolerance = int(mismatch_tolerance)
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget all history."""
         self._seen = 0
         # The retained samples; _history[p] is bit p of an occurrence mask.
         self._history = array("q")
@@ -200,6 +203,39 @@ class DynamicPeriodicityDetector:
         # Lanes of the delays the history can evaluate (m <= samples_seen - N).
         self._usable = 0
         self._planes = [0] * max(self.window_size, self.mismatch_tolerance + 1).bit_length()
+
+    @classmethod
+    def from_history(cls, window_size, max_period, mismatch_tolerance, samples_seen, history):
+        """The detector that has seen ``samples_seen`` samples and stores the
+        int64 array ``history`` (:meth:`stored_history`): equal to the one
+        that kept them, masks, planes and usable lanes included."""
+        detector = cls(window_size, max_period, mismatch_tolerance)
+        keep = detector.window_size + detector.max_period
+        trim_at = keep * 3 // 2  # observe cuts the history back to `keep` here
+        stored = min(samples_seen, keep + (samples_seen - trim_at) % (trim_at - keep))
+        if len(history) != stored:
+            raise ValueError(f"{samples_seen} samples seen store {stored}, got {len(history)}")
+        detector._history.frombytes(history.tobytes())
+        detector._seen = samples_seen
+        if samples_seen > detector.window_size:
+            detector._fold(history)
+            full = detector._full
+            detector._usable = full ^ (full >> (samples_seen - detector.window_size))
+        return detector
+
+    @property
+    def nbytes(self) -> int:
+        """Resident size estimate (bytes), within 15% of tracemalloc: 8 bytes a
+        sample, then ``M``-bit planes and a dict slot, key and mask per distinct
+        value; ``D`` masks' bit lengths sum to at most ``D * L - D * (D - 1) / 2``.
+        """
+        length = len(self._history)
+        if self._seen <= self.window_size:
+            return 560 + 8 * length
+        distinct = len(self._masks)
+        lanes = (len(self._planes) + 1) * (24 + 4 * (-(-self.max_period // 30)))
+        mask_bits = distinct * (2 * length - distinct + 1) // 2
+        return 560 + 8 * length + lanes + 105 * distinct + mask_bits * 2 // 15
 
     # ------------------------------------------------------------------
     @property
@@ -240,16 +276,29 @@ class DynamicPeriodicityDetector:
         if t + 1 >= (n + big_m) * 3 // 2:
             self._trim(n + big_m)
 
-    def _fold(self) -> None:
-        """Count the first window: the lane masks of its ``N`` samples, none leaving."""
+    def _fold(self, samples: np.ndarray | None = None) -> None:
+        """Build the history's masks, then count the window: its last ``N`` lane masks
+        (a mask's bits from a sample's own position on fall above lane ``M - 1``).
+
+        ``samples``, the history as an array, is given on a rebuild: few
+        distinct values then take one packed comparison, not a pass of int ORs.
+        """
+        history = self._history
+        masks = dict.fromkeys(history, 0)
+        if samples is not None and len(masks) <= 64:
+            # One comparison row per value, packed little-endian: bit p is sample p.
+            values = np.fromiter(masks, dtype=np.int64, count=len(masks))
+            rows = np.packbits(samples == values[:, None], axis=1, bitorder="little")
+            masks = dict(zip(masks, map(int.from_bytes, rows, repeat("little"))))
+        else:
+            for t, v in enumerate(history):
+                masks[v] |= 1 << t
+        self._masks = masks
         big_m = self.max_period
         full = self._full
-        masks = self._masks
         planes = self._planes
-        for t, v in enumerate(self._history):
-            mask = masks.get(v, 0)
-            _ripple(planes, _lanes(mask, t - big_m, full), 0)
-            masks[v] = mask | (1 << t)
+        for t in range(len(history) - self.window_size, len(history)):
+            _ripple(planes, _lanes(masks[history[t]], t - big_m, full), 0)
 
     def _trim(self, keep: int) -> None:
         """Drop all but the last ``keep`` samples and rebase the masks on them."""
@@ -367,6 +416,11 @@ class DynamicPeriodicityDetector:
     def history(self) -> np.ndarray:
         """Chronological copy of the retained history (for prediction replay)."""
         return np.array(self.recent(self.retained), dtype=np.int64)
+
+    def stored_history(self) -> np.ndarray:
+        """A copy of every stored sample, what :meth:`from_history` takes (queries
+        read the last ``retained``; the rest waits for the next trim)."""
+        return np.array(self._history, dtype=np.int64)
 
     def recent(self, n: int) -> array:
         """The last ``n`` retained samples (``n >= 1``), oldest first, as a copy."""

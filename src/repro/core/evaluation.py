@@ -140,46 +140,33 @@ def evaluate_stream(
     n = int(values.shape[0])
     predictor = predictor_factory()
 
-    hits = np.zeros(horizon, dtype=np.int64)
-    attempts = np.zeros(horizon, dtype=np.int64)
-    predicted = np.zeros(horizon, dtype=np.int64)
-
     # Warmup positions are never scored, so they can be fed through the
-    # predictor's vectorised batch path in one call.
+    # predictor's bulk path in one call.
     warm = min(warmup, n)
     if warm:
         predictor.observe_many(values[:warm])
 
-    # Collect every prediction into pre-sized matrices and score them with
-    # one vectorised comparison per horizon after the replay loop.
-    scored = n - warm
-    predicted_values = np.zeros((scored, horizon), dtype=np.int64)
-    predicted_mask = np.zeros((scored, horizon), dtype=bool)
+    # Position t's prediction k (0-based) is scored against the value at t + k,
+    # when the stream reaches that far.
+    samples = values.tolist()
+    hits = [0] * horizon
+    predicted = [0] * horizon
     for t in range(warm, n):
-        step_values, step_mask = predictor.predict_array(horizon)
-        if step_values.shape[0] != horizon:
-            raise ValueError(
-                f"predictor returned {step_values.shape[0]} predictions, expected {horizon}"
-            )
-        row = t - warm
-        predicted_values[row] = step_values
-        predicted_mask[row] = step_mask
-        predictor.observe(int(values[t]))
+        predictions = predictor.predict(horizon)
+        if len(predictions) != horizon:
+            raise ValueError(f"predictor returned {len(predictions)} predictions, expected {horizon}")
+        for k, (guess, target) in enumerate(zip(predictions, samples[t : t + horizon])):
+            if guess is not None:
+                predicted[k] += 1
+                hits[k] += guess == target
+        predictor.observe(samples[t])
 
-    for k in range(1, horizon + 1):
-        # Positions t in [warm, n-k] have a scorable target at t + k - 1.
-        count = n - k + 1 - warm
-        if count <= 0:
-            continue
-        attempts[k - 1] = count
-        targets = values[warm + k - 1 : warm + k - 1 + count]
-        column_mask = predicted_mask[:count, k - 1]
-        predicted[k - 1] = np.count_nonzero(column_mask)
-        hits[k - 1] = np.count_nonzero(
-            column_mask & (predicted_values[:count, k - 1] == targets)
-        )
-
-    return AccuracyResult(hits=hits, attempts=attempts, predicted=predicted, stream_length=n)
+    return AccuracyResult(
+        hits=np.array(hits, dtype=np.int64),
+        attempts=np.array([max(0, n - warm - k) for k in range(horizon)], dtype=np.int64),
+        predicted=np.array(predicted, dtype=np.int64),
+        stream_length=n,
+    )
 
 
 def evaluate_unordered(

@@ -22,27 +22,42 @@ that the evaluation harness and the ablation benchmarks can swap them freely:
 * :meth:`BasePredictor.observe` — feed the next observed stream value;
 * :meth:`BasePredictor.predict` — return predictions for the next ``horizon``
   values (``None`` entries mean "no prediction"): the per-message path the
-  runtime policies and ``repro serve`` query, plain Python ``int`` results
-  (for :class:`PeriodicityPredictor` a slice of the history, no arrays built);
-* :meth:`BasePredictor.predict_array` — the same predictions as a
-  ``(values, mask)`` NumPy pair: the vectorised path ``evaluate_stream``
-  scores whole horizons with.
+  runtime policies, ``repro serve`` and ``evaluate_stream`` query, plain
+  Python ``int`` results (for :class:`PeriodicityPredictor` a slice of the
+  history, no arrays built);
+* ``get_state()`` / ``from_state(state)`` — the predictor's whole state as a
+  :class:`PredictorState`, and the predictor rebuilt from one: it answers
+  and learns exactly as the original (what ``repro serve`` snapshots store;
+  ``ValueError`` for a state no such predictor has);
+* ``nbytes`` — a resident-size estimate from the lengths the predictor
+  keeps (what the serve stream table bounds).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.core.dpd import DynamicPeriodicityDetector, _as_int64_1d
 
-__all__ = ["BasePredictor", "PeriodicityPredictor"]
+__all__ = ["BasePredictor", "PeriodicityPredictor", "PredictorState"]
+
+
+class PredictorState(NamedTuple):
+    """A predictor's registry name, constructor arguments (ints) and what it
+    learned: ints, ``None``\\ s and int64 arrays (an online predictor's
+    stream predictors as nested states)."""
+
+    kind: str
+    config: tuple
+    data: tuple
+
 
 class BasePredictor:
     """Common interface of every stream predictor."""
 
-    #: Short name used in benchmark output.
+    #: Short name used in benchmark output; the registry name.
     name: str = "base"
 
     def observe(self, value: int) -> None:
@@ -59,28 +74,10 @@ class BasePredictor:
         """
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Forget all learned state."""
-        raise NotImplementedError
-
     def observe_many(self, values: Sequence[int]) -> None:
         """Feed a sequence of values in order."""
         for value in values:
             self.observe(value)
-
-    def predict_array(self, horizon: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions as a ``(values, mask)`` pair of length-``horizon`` arrays.
-
-        ``mask[k]`` is False where the predictor declines (the matching
-        ``values[k]`` entry is meaningless).  The default implementation wraps
-        :meth:`predict`; vectorised predictors override it.
-        """
-        predictions = self.predict(horizon)
-        mask = np.array([p is not None for p in predictions], dtype=bool)
-        values = np.array(
-            [0 if p is None else int(p) for p in predictions], dtype=np.int64
-        )
-        return values, mask
 
 
 class PeriodicityPredictor(BasePredictor):
@@ -162,27 +159,11 @@ class PeriodicityPredictor(BasePredictor):
         for value in values[self._dpd.fill_window(values) :]:
             observe(value)
 
-    def predict_array(self, horizon: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised period replay: ``(values, mask)`` arrays (see base class)."""
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        period = self._last_period
-        if period is None:
-            return (
-                np.zeros(horizon, dtype=np.int64),
-                np.zeros(horizon, dtype=bool),
-            )
-        # The value k steps ahead repeats the value at offset (k-1) mod period
-        # within the most recent period (an array view of its samples).
-        last_period = np.frombuffer(self._dpd.recent(period), dtype=np.int64)
-        values = last_period[np.arange(horizon) % period]
-        return values, np.ones(horizon, dtype=bool)
-
     def predict(self, horizon: int = 1) -> list[Optional[int]]:
-        """Scalar period replay: the per-message path, plain ``int`` results.
+        """Period replay: the value ``k`` steps ahead repeats the value at
+        offset ``(k - 1) mod period`` within the most recent period.
 
-        Same answers as :meth:`predict_array` without building an array per
-        query: the last period comes off the history as one list, and the next
+        The last period comes off the history as one list, and the next
         ``horizon`` values are a slice of it (repeated first, past a period).
         """
         if horizon <= 0:
@@ -199,8 +180,24 @@ class PeriodicityPredictor(BasePredictor):
         """Expose the raw DPD decision (period, distances, samples)."""
         return self._dpd.detect()
 
-    def reset(self) -> None:
-        self._dpd.reset()
-        self._last_period = None
-        self.detections = 0
-        self.period_changes = 0
+    def get_state(self) -> PredictorState:
+        """``(N, M, tolerance, sticky)``, then ``samples_seen``, ``detections``,
+        ``period_changes``, the sticky period and the stored history."""
+        dpd = self._dpd
+        config = (dpd.window_size, dpd.max_period, dpd.mismatch_tolerance, int(self.sticky))
+        counters = (dpd.samples_seen, self.detections, self.period_changes, self._last_period)
+        return PredictorState(self.name, config, (*counters, dpd.stored_history()))
+
+    @classmethod
+    def from_state(cls, state: PredictorState) -> "PeriodicityPredictor":
+        predictor = cls(*state.config)
+        seen, predictor.detections, predictor.period_changes, period, history = state.data
+        predictor._dpd = DynamicPeriodicityDetector.from_history(*state.config[:3], seen, history)
+        if period is not None and not 1 <= period <= min(predictor._dpd.max_period, len(history)):
+            raise ValueError(f"period {period} cannot be replayed from {len(history)} samples")
+        predictor._last_period = period
+        return predictor
+
+    @property
+    def nbytes(self) -> int:
+        return self._dpd.nbytes

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from repro.core.predictor import BasePredictor, PeriodicityPredictor
+from repro.core.baselines import STREAM_PREDICTORS
+from repro.core.predictor import BasePredictor, PeriodicityPredictor, PredictorState
 
 __all__ = ["PredictedMessage", "OnlineMessagePredictor"]
 
@@ -43,6 +44,8 @@ class OnlineMessagePredictor:
         :class:`PeriodicityPredictor` with a short comparison window and a
         generous maximum period.
     """
+
+    name = "online"
 
     def __init__(
         self,
@@ -126,3 +129,32 @@ class OnlineMessagePredictor:
             if nbytes is None or size is None or size == nbytes:
                 return True
         return False
+
+    # ------------------------------------------------------------------
+    def get_state(self) -> PredictorState:
+        """``(nprocs, horizon)``, the observation count, then the states of the
+        sender predictors and of the size predictors, receiver by receiver."""
+        streams = (p.get_state() for p in self._sender_predictors + self._size_predictors)
+        return PredictorState(self.name, (self.nprocs, self.horizon), (self.observations, *streams))
+
+    @classmethod
+    def from_state(cls, state: PredictorState) -> "OnlineMessagePredictor":
+        nprocs, horizon = state.config
+        observations, *streams = state.data
+        if len(streams) != 2 * nprocs:
+            raise ValueError(f"{len(streams)} stream predictor states for {nprocs} receivers")
+        # The constructor asks its factory for the sender predictors, then the
+        # size predictors: hand it the rebuilt ones in that order.
+        rebuilt = iter([STREAM_PREDICTORS[s.kind].from_state(s) for s in streams])
+        predictor = cls(nprocs, horizon, lambda: next(rebuilt))
+        predictor.observations = observations
+        return predictor
+
+    @property
+    def nbytes(self) -> int:
+        total = 288  # the object and its two lists (two loops: this runs on every observe)
+        for predictor in self._sender_predictors:
+            total += predictor.nbytes
+        for predictor in self._size_predictors:
+            total += predictor.nbytes
+        return total

@@ -1,110 +1,150 @@
-"""Predictor-state extraction and resident-size accounting.
+"""Predictor state: resident size, and a typed byte encoding for snapshots.
 
-The serving plane (:mod:`repro.serve`) keeps one predictor pair per live
-stream and must (a) bound the total resident memory of its stream tables and
-(b) move a stream's state between processes byte-exactly (snapshot/restore,
-shard drains).  Both needs are predictor-agnostic — any registry predictor
-can be served — so this module provides the two generic primitives:
+The serving plane keeps one predictor pair per live stream; it bounds their
+memory and moves them between processes (snapshot/restore).  Both read the
+:class:`~repro.core.predictor.PredictorState` every served predictor keeps:
+its registry name, its constructor arguments, then ints, ``None``\\ s and
+int64 arrays.
 
-* :func:`state_nbytes` — a deep resident-size estimate of an arbitrary
-  predictor object graph (NumPy buffers counted by ``nbytes``, containers
-  and ``__dict__``/``__slots__`` objects walked recursively, shared objects
-  counted once);
-* :func:`freeze_state` / :func:`thaw_state` — a byte-exact state codec
-  (pickle protocol 4) used by the snapshot format of
-  :mod:`repro.serve.snapshot`.  Restoring a frozen state reproduces the
-  exact object state, so subsequent predictions are bit-identical — the
-  serve plane's snapshot round-trip invariant rides on this.
+* :func:`state_nbytes` — the predictor's ``nbytes``: a formula over the
+  lengths it keeps, the same in any process and before and after a restore;
+* :func:`freeze_state` / :func:`thaw_state` — that state in the encoding
+  below, and back through ``from_state``.  A kind is looked up in a closed
+  set (:data:`KINDS`) and its fields checked against :data:`FIELDS`; nothing
+  in the bytes is imported or called, and any byte string thaws to a working
+  predictor or raises :class:`SnapshotError`.
 
-The size estimate never reads clocks or addresses (beyond identity-based
-deduplication), but it is not quite a function of the object graph alone:
-``sys.getsizeof`` of an instance ``__dict__`` counts the spare slots of the
-class's shared key table, which CPython 3.11 shrinks by one for each of the
-first ~30 instances a process creates.  A fresh default periodicity
-predictor pair therefore walks to 3,801 B as the first pair of a process,
-72 B, then 40 B, then 8 B less for each of the next 23, and 2,977 B for
-every pair from then on — the early pairs included, once they are walked
-again.  At full history a pair on a period-6 stream walks to about 10 KB
-(the trimmed history arrays dominate); one whose values never repeat is the
-worst case, about 58 KB a predictor at the trim point.
+Encoding (little endian)::
+
+    state := kind_len u8 | kind | n_config u8 | n_config × int64 | n_data u8 | field*
+    field := 0x00 (None) | 0x01 int64 | 0x02 count u32 + count × int64 | 0x03 state
 """
 
 from __future__ import annotations
 
-import pickle
-import sys
+import re
+import struct
 
 import numpy as np
 
-__all__ = ["state_nbytes", "freeze_state", "thaw_state", "PICKLE_PROTOCOL"]
+from repro.core.baselines import STREAM_PREDICTORS
+from repro.core.predictor import PredictorState
+from repro.predictive.online import OnlineMessagePredictor
 
-#: Pickle protocol used for frozen predictor state (fixed so snapshots
-#: written by newer interpreters stay loadable by the documented format).
-PICKLE_PROTOCOL = 4
+__all__ = ["KINDS", "SnapshotError", "state_nbytes", "freeze_state", "thaw_state"]
 
-#: Primitive types whose ``sys.getsizeof`` is the whole story.
-_ATOMS = (int, float, bool, bytes, str, complex, type(None))
+#: Every kind a frozen state may name.
+KINDS = {**STREAM_PREDICTORS, OnlineMessagePredictor.name: OnlineMessagePredictor}
+
+#: The data fields of each kind, one letter a field (n None, i int, a int64
+#: array, s nested state); a state nests at most once.
+FIELDS = {
+    "online": "is+",
+    "periodicity": "iii[ni]a",
+    "last-value": "[ni]",
+    "most-frequent": "a",
+    "cycle": "[ni]a",
+    "markov": "aa",
+    "stride": "[ni][ni]",
+}
+
+_U8, _U32, _I64 = struct.Struct("<B"), struct.Struct("<I"), struct.Struct("<q")
 
 
-def state_nbytes(obj) -> int:
-    """Deep resident-size estimate (bytes) of a predictor object graph.
+class SnapshotError(RuntimeError):
+    """A snapshot file, or a frozen predictor state, that cannot be read.
 
-    Walks containers, ``__dict__`` and ``__slots__`` attributes; NumPy
-    arrays contribute their buffer size (``nbytes``) plus the array-object
-    overhead (views share their base's buffer, which is counted once via
-    the identity memo).  Objects reachable twice are counted once.
-
-    This is an *estimate* — interpreter-internal sharing (small-int cache,
-    string interning) is deliberately ignored — but it is stable for a
-    fixed object graph once a process has built a few dozen predictors (see
-    the module docstring), monotone in history growth, and cheap enough to
-    refresh periodically on the serve ingest path.
+    ``path`` is the file (None for a frozen state), ``reason`` the message
+    without its location, ``shard`` and ``offset`` where the damage is, when
+    known.
     """
-    seen: set[int] = set()
-    return _deep_nbytes(obj, seen)
+
+    def __init__(self, path, message: str, *, shard: int | None = None, offset: int | None = None):
+        location = "frozen predictor state" if path is None else f"snapshot {path}"
+        if shard is not None:
+            location += f" (shard {shard})"
+        suffix = "" if offset is None else f" at offset {offset}"
+        super().__init__(f"{location}: {message}{suffix}")
+        self.path = None if path is None else str(path)
+        self.reason, self.shard, self.offset = message, shard, offset
 
 
-def _deep_nbytes(obj, seen: set[int]) -> int:
-    identity = id(obj)
-    if identity in seen:
-        return 0
-    seen.add(identity)
-    if isinstance(obj, np.ndarray):
-        total = int(sys.getsizeof(obj))
-        base = obj.base
-        if base is None:
-            # getsizeof already includes the owned buffer for ndarrays,
-            # but not always for non-contiguous ones; be explicit instead.
-            total = 128 + int(obj.nbytes)
+def state_nbytes(predictor) -> int:
+    """Resident size estimate (bytes) of a predictor: its ``nbytes`` formula."""
+    return predictor.nbytes
+
+
+def freeze_state(predictor) -> bytes:
+    """The predictor's state in the typed encoding above."""
+    out = bytearray()
+    _write(out, predictor.get_state())
+    return bytes(out)
+
+
+def _write(out: bytearray, state: PredictorState) -> None:
+    kind = state.kind.encode("ascii")
+    out += _U8.pack(len(kind)) + kind + _U8.pack(len(state.config))
+    out += struct.pack(f"<{len(state.config)}q", *state.config) + _U8.pack(len(state.data))
+    for value in state.data:
+        if value is None:
+            out.append(0)
+        elif isinstance(value, PredictorState):
+            out.append(3)
+            _write(out, value)
+        elif isinstance(value, np.ndarray):
+            out += b"\x02" + _U32.pack(len(value)) + value.astype("<i8").tobytes()
         else:
-            total = 128 + _deep_nbytes(base, seen)
-        return total
-    if isinstance(obj, _ATOMS):
-        return int(sys.getsizeof(obj))
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return int(sys.getsizeof(obj)) + sum(_deep_nbytes(item, seen) for item in obj)
-    if isinstance(obj, dict):
-        return int(sys.getsizeof(obj)) + sum(
-            _deep_nbytes(key, seen) + _deep_nbytes(value, seen) for key, value in obj.items()
-        )
-    total = int(sys.getsizeof(obj))
-    attributes = getattr(obj, "__dict__", None)
-    if attributes is not None:
-        total += _deep_nbytes(attributes, seen)
-    slots = getattr(type(obj), "__slots__", ())
-    if isinstance(slots, str):
-        slots = (slots,)
-    for name in slots:
-        if hasattr(obj, name):
-            total += _deep_nbytes(getattr(obj, name), seen)
-    return total
-
-
-def freeze_state(obj) -> bytes:
-    """Serialise a predictor state object graph byte-exactly."""
-    return pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
+            out += b"\x01" + _I64.pack(value)
 
 
 def thaw_state(blob: bytes):
-    """Inverse of :func:`freeze_state` (exact object state back)."""
-    return pickle.loads(blob)
+    """The predictor :func:`freeze_state` encoded; :class:`SnapshotError` otherwise."""
+    view = memoryview(blob)
+    state, end = _read(view, 0, nested=False)
+    if end != len(view):
+        raise SnapshotError(None, "bytes after the end of the state", offset=end)
+    try:
+        return KINDS[state.kind].from_state(state)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as error:
+        raise SnapshotError(None, f"not a {state.kind} state: {error}") from None
+
+
+def _take(view: memoryview, offset: int, size: int) -> memoryview:
+    if offset + size > len(view):
+        raise SnapshotError(None, f"truncated: {size} bytes past the end", offset=offset)
+    return view[offset : offset + size]
+
+
+def _read(view: memoryview, offset: int, nested: bool) -> tuple[PredictorState, int]:
+    start = offset
+    size = _take(view, offset, 1)[0]
+    kind = bytes(_take(view, offset + 1, size)).decode("ascii", "replace")
+    if kind not in FIELDS or (nested and kind not in STREAM_PREDICTORS):
+        raise SnapshotError(None, f"unknown predictor kind {kind!r}", offset=start)
+    offset += 1 + size
+    count = _take(view, offset, 1)[0]
+    config = struct.unpack(f"<{count}q", _take(view, offset + 1, 8 * count))
+    fields = _take(view, offset + 1 + 8 * count, 1)[0]
+    offset += 2 + 8 * count
+    data, tags = [], ""
+    for _ in range(fields):
+        tag = _take(view, offset, 1)[0]
+        offset += 1
+        if tag == 0:
+            data.append(None)
+        elif tag == 1:
+            data.append(_I64.unpack(_take(view, offset, 8))[0])
+            offset += 8
+        elif tag == 2:
+            length = 8 * _U32.unpack(_take(view, offset, 4))[0]
+            data.append(np.frombuffer(_take(view, offset + 4, length), "<i8").astype(np.int64))
+            offset += 4 + length
+        elif tag == 3 and not nested:
+            state, offset = _read(view, offset, nested=True)
+            data.append(state)
+        else:
+            raise SnapshotError(None, f"bad field tag {tag}", offset=offset - 1)
+        tags += "nias"[tag]
+    if not re.fullmatch(FIELDS[kind], tags):
+        raise SnapshotError(None, f"{kind} state with fields {tags!r}", offset=start)
+    return PredictorState(kind, config, tuple(data)), offset

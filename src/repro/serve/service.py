@@ -16,6 +16,7 @@ key to the same shard.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zlib
@@ -25,7 +26,6 @@ from repro.scenario.spec import PredictorSpec
 from repro.serve.protocol import ServeEvent, ServeProtocolError, parse_event_line
 from repro.serve.shard import Shard
 from repro.serve.snapshot import SNAPSHOT_VERSION, SnapshotError
-from repro.serve.table import DEFAULT_REFRESH_INTERVAL
 
 __all__ = ["ServeService", "MANIFEST_NAME"]
 
@@ -34,7 +34,7 @@ MANIFEST_NAME = "manifest.json"
 
 #: Manifest format name/version (the per-shard files carry their own).
 MANIFEST_FORMAT = "repro-serve-manifest"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 class ServeService:
@@ -59,21 +59,13 @@ class ServeService:
         num_shards: int = 1,
         max_streams: int | None = None,
         max_bytes: int | None = None,
-        refresh_interval: int = DEFAULT_REFRESH_INTERVAL,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.spec = PredictorSpec.coerce(predictor)
         self.spec.factory()()  # a spec that cannot build fails here, not at the first observe
         self.shards = [
-            Shard(
-                index,
-                num_shards,
-                self.spec,
-                max_streams=max_streams,
-                max_bytes=max_bytes,
-                refresh_interval=refresh_interval,
-            )
+            Shard(index, num_shards, self.spec, max_streams=max_streams, max_bytes=max_bytes)
             for index in range(num_shards)
         ]
         #: Malformed event lines rejected so far (the service survives them).
@@ -188,9 +180,11 @@ class ServeService:
     def snapshot(self, directory) -> dict:
         """Snapshot every shard into ``directory`` (atomic per file).
 
-        Writes ``shard-<index>.snap`` per shard plus a ``manifest.json``
-        naming them; the manifest is written last, so a readable manifest
-        implies every shard file it names was completely written.
+        Writes ``shard-<index>.snap`` per shard, then a ``manifest.json``
+        naming them with the sha256 of each.  A restore reads exactly the
+        files the manifest was written with: a snapshot interrupted between
+        two shard files leaves a directory that is refused, never one that
+        restores as a mix of two snapshots.
         """
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
@@ -198,9 +192,9 @@ class ServeService:
         streams = 0
         for shard in self.shards:
             name = f"shard-{shard.index:02d}.snap"
-            header = shard.snapshot(base / name)
-            shard_files.append(name)
-            streams += header["streams"]
+            streams += shard.snapshot(base / name)["streams"]
+            digest = hashlib.sha256((base / name).read_bytes()).hexdigest()
+            shard_files.append({"file": name, "sha256": digest})
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
@@ -224,42 +218,62 @@ class ServeService:
         the CRC32 routing are both pinned by the manifest.
         """
         base = Path(directory)
-        manifest_path = base / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except OSError as error:
-            raise SnapshotError(manifest_path, f"cannot open: {error}") from None
-        except json.JSONDecodeError as error:
-            raise SnapshotError(manifest_path, f"corrupt manifest: {error}") from None
-        if manifest.get("format") != MANIFEST_FORMAT:
-            raise SnapshotError(
-                manifest_path, f"not a {MANIFEST_FORMAT} manifest: {manifest.get('format')!r}"
-            )
-        if manifest.get("version", 0) > MANIFEST_VERSION:
-            raise SnapshotError(
-                manifest_path,
-                f"manifest version {manifest.get('version')} is newer than the "
-                f"supported version {MANIFEST_VERSION} — refusing to guess",
-            )
-        shard_names = manifest.get("shards", [])
-        if len(shard_names) != manifest.get("num_shards"):
-            raise SnapshotError(
-                manifest_path,
-                f"manifest names {len(shard_names)} shard files but declares "
-                f"num_shards={manifest.get('num_shards')}",
-            )
+        spec, shard_files = _read_manifest(base / MANIFEST_NAME)
         service = cls.__new__(cls)
-        service.spec = PredictorSpec.coerce(manifest.get("predictor"))
+        service.spec = spec
         service.shards = []
         service.parse_errors = 0
-        for index, name in enumerate(shard_names):
-            shard = Shard.restore(base / name)
-            if shard.index != index or shard.num_shards != len(shard_names):
+        for index, entry in enumerate(shard_files):
+            path = base / entry["file"]
+            shard = Shard.restore(path)  # refuses another format version by name first
+            if hashlib.sha256(path.read_bytes()).hexdigest() != entry["sha256"]:
                 raise SnapshotError(
-                    base / name,
+                    path, "sha256 differs from the one the manifest records: the "
+                    "file was replaced, or its snapshot was interrupted",
+                )
+            if shard.index != index or shard.num_shards != len(shard_files):
+                raise SnapshotError(
+                    path,
                     f"shard identity ({shard.index} of {shard.num_shards}) does "
-                    f"not match its manifest position ({index} of {len(shard_names)})",
+                    f"not match its manifest position ({index} of {len(shard_files)})",
                     shard=shard.index,
                 )
             service.shards.append(shard)
         return service
+
+
+def _read_manifest(path: Path) -> tuple[PredictorSpec, list[dict]]:
+    """The predictor spec and ``{"file", "sha256"}`` shard entries of a manifest, checked."""
+    try:
+        manifest = json.loads(path.read_bytes().decode("utf-8"))
+    except OSError as error:
+        raise SnapshotError(path, f"cannot open: {error}") from None
+    except ValueError as error:  # not UTF-8, not JSON
+        raise SnapshotError(path, f"corrupt manifest: {error}") from None
+    if not isinstance(manifest, dict):
+        raise SnapshotError(path, f"manifest is a JSON {type(manifest).__name__}, not an object")
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise SnapshotError(path, f"not a {MANIFEST_FORMAT} manifest: {manifest.get('format')!r}")
+    version = manifest.get("version")
+    if type(version) is not int or version != MANIFEST_VERSION:
+        newer = "newer than" if type(version) is int and version > MANIFEST_VERSION else "not"
+        raise SnapshotError(
+            path, f"manifest version {version!r} is {newer} the supported version "
+            f"{MANIFEST_VERSION} — refusing to guess",
+        )
+    files = manifest.get("shards")
+    if not isinstance(files, list) or not all(
+        isinstance(f, dict) and isinstance(f.get("sha256"), str)
+        and isinstance(f.get("file"), str) and Path(f["file"]).name == f["file"]
+        for f in files
+    ):
+        raise SnapshotError(path, "manifest shards must be a list of {file, sha256} objects")
+    if not files or len(files) != manifest.get("num_shards"):
+        raise SnapshotError(
+            path, f"manifest names {len(files)} shard files but declares "
+            f"num_shards={manifest.get('num_shards')!r}",
+        )
+    try:
+        return PredictorSpec.coerce(manifest.get("predictor")), files
+    except (KeyError, TypeError, ValueError) as error:
+        raise SnapshotError(path, f"manifest predictor: {error}") from None

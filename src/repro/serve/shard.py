@@ -19,12 +19,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.predictor import PredictorState
 from repro.predictive.online import OnlineMessagePredictor, PredictedMessage
 from repro.scenario.spec import PredictorSpec
 from repro.serve.snapshot import SnapshotError, load_snapshot, write_snapshot
-from repro.serve.table import DEFAULT_REFRESH_INTERVAL, StreamEntry, StreamTable
+from repro.serve.table import StreamEntry, StreamTable
 
 __all__ = ["Shard"]
+
+
+def _configuration(state: PredictorState) -> tuple:
+    """A state's kind and constructor arguments, nested states included."""
+    nested = tuple(_configuration(s) for s in state.data if isinstance(s, PredictorState))
+    return state.kind, state.config, nested
 
 
 class Shard:
@@ -38,7 +45,7 @@ class Shard:
         Anything :meth:`PredictorSpec.coerce` accepts — a spec string
         (``"periodicity:window=24"``), a mapping, or a ``PredictorSpec``.
         The spec's ``horizon`` is the default query horizon.
-    max_streams, max_bytes, refresh_interval:
+    max_streams, max_bytes:
         Stream-table memory bounds (see :class:`repro.serve.table.StreamTable`).
     """
 
@@ -50,7 +57,6 @@ class Shard:
         *,
         max_streams: int | None = None,
         max_bytes: int | None = None,
-        refresh_interval: int = DEFAULT_REFRESH_INTERVAL,
     ) -> None:
         if not 0 <= index < num_shards:
             raise ValueError(f"shard index {index} out of range for {num_shards} shards")
@@ -62,12 +68,7 @@ class Shard:
         self._entry_factory = lambda: OnlineMessagePredictor(
             nprocs=1, horizon=self.horizon, predictor_factory=stream_factory
         )
-        self.table = StreamTable(
-            self._entry_factory,
-            max_streams=max_streams,
-            max_bytes=max_bytes,
-            refresh_interval=refresh_interval,
-        )
+        self.table = StreamTable(self._entry_factory, max_streams=max_streams, max_bytes=max_bytes)
         #: Total observations ever applied to this shard (evictions included).
         self.observations = 0
 
@@ -127,7 +128,6 @@ class Shard:
             "predictor": self.spec.to_dict(),
             "max_streams": self.table.max_streams,
             "max_bytes": self.table.max_bytes,
-            "refresh_interval": self.table.refresh_interval,
             "observations": self.observations,
             "evictions": self.table.evictions,
             "streams_created": self.table.streams_created,
@@ -141,17 +141,15 @@ class Shard:
         eviction determinism survives the round trip.
         """
         return write_snapshot(
-            path,
-            self._header(),
-            (
-                (key, {"predictor": entry.predictor, "observations": entry.observations})
-                for key, entry in self.table.items()
-            ),
+            path, self._header(), ((key, entry.predictor) for key, entry in self.table.items())
         )
 
     @classmethod
     def restore(cls, path) -> "Shard":
-        """Rebuild a shard from a snapshot file (bit-identical predictions)."""
+        """Rebuild a shard from a snapshot file (bit-identical predictions).
+
+        Every stream must be configured as the header's predictor spec builds.
+        """
         header, streams = load_snapshot(path)
         try:
             shard = cls(
@@ -160,19 +158,23 @@ class Shard:
                 predictor=header["predictor"],
                 max_streams=header["max_streams"],
                 max_bytes=header["max_bytes"],
-                refresh_interval=header["refresh_interval"],
             )
+            shard.observations = int(header.get("observations", 0))
+            shard.table.evictions = int(header.get("evictions", 0))
+            shard.table.streams_created = int(header.get("streams_created", 0))
+            expected = _configuration(shard._entry_factory().get_state())
         except (KeyError, TypeError, ValueError) as error:
             raise SnapshotError(
                 path, f"header does not describe a shard: {error!r}",
                 shard=header.get("shard_index"),
             ) from None
-        for key, state in streams:
-            entry = StreamEntry(state["predictor"])
-            entry.observations = int(state["observations"])
-            entry.refresh_nbytes()
+        for key, predictor in streams:
+            if _configuration(predictor.get_state()) != expected:
+                raise SnapshotError(
+                    path, f"stream {key!r} is not configured as the header's predictor",
+                    shard=shard.index,
+                )
+            entry = StreamEntry(predictor)
+            entry.observations = predictor.observations
             shard.table.insert_restored(key, entry)
-        shard.observations = int(header.get("observations", 0))
-        shard.table.evictions = int(header.get("evictions", 0))
-        shard.table.streams_created = int(header.get("streams_created", 0))
         return shard

@@ -3,34 +3,16 @@
 A snapshot captures one shard's complete stream table — every resident
 stream's predictor state, in LRU order — so a shard can be drained, moved to
 another process/host, or restarted without losing stream state.  Restoring a
-snapshot reproduces bit-identical subsequent predictions (the state codec is
-byte-exact, see :mod:`repro.predictive.state`).
+snapshot reproduces bit-identical subsequent predictions.
 
-On-disk layout (documented in ``docs/formats.md``; all integers little
-endian)::
-
-    magic      12 bytes  b"REPROSRVSNAP"
-    version    uint32    format version (currently 2)
-    header_len uint32
-    header     JSON (UTF-8): shard identity, predictor spec, caps, counters
-    N records, one per stream, coldest (least recently used) first:
-        key_len  uint32
-        key      UTF-8 stream key
-        blob_len uint32
-        blob_crc uint32   zlib.crc32 of blob
-        blob     pickled predictor state (protocol 4)
-    trailer    12 bytes  b"REPROSRVEND\\n"
-
-Writes are **atomic**: the file is written to ``<path>.tmp`` in the same
-directory, fsynced, then ``os.replace``d over the target — a crashed
-snapshot never leaves a half-written file under the published name.
-
-Every structural violation raises :class:`SnapshotError` naming the file,
-the shard (once the header is readable) and the byte offset of the damage;
-any version other than :data:`SNAPSHOT_VERSION` is rejected up front with the
-versions spelled out, before anything is unpickled.  Version 1 files hold the
-predictor state of the detector's earlier NumPy-array layout, which this
-build's classes cannot use.
+The layout (``docs/formats.md``): magic, version, a JSON header, then one
+record per stream, coldest first — key, CRC32 and the stream's typed
+predictor state (:mod:`repro.predictive.state`) — and a trailer.  Writes are
+atomic (``<path>.tmp``, fsync, ``os.replace``).  Every structural violation
+raises :class:`SnapshotError` naming the file, the shard (once the header is
+readable) and the byte offset of the damage; a version other than
+:data:`SNAPSHOT_VERSION` is refused before any record is decoded (versions 1
+and 2 held pickled predictor objects).
 """
 
 from __future__ import annotations
@@ -42,7 +24,7 @@ import zlib
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.predictive.state import freeze_state, thaw_state
+from repro.predictive.state import SnapshotError, freeze_state, thaw_state
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -53,189 +35,128 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-serve-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _MAGIC = b"REPROSRVSNAP"
 _TRAILER = b"REPROSRVEND\n"
 _U32 = struct.Struct("<I")
 
 
-class SnapshotError(RuntimeError):
-    """A structurally invalid snapshot file.
-
-    Attributes
-    ----------
-    path:
-        The snapshot file.
-    shard:
-        Shard index from the header, when it was readable (else None).
-    offset:
-        Byte offset of the damage, when meaningful (else None).
-    """
-
-    def __init__(
-        self,
-        path,
-        message: str,
-        *,
-        shard: int | None = None,
-        offset: int | None = None,
-    ) -> None:
-        location = f"snapshot {path}"
-        if shard is not None:
-            location += f" (shard {shard})"
-        if offset is not None:
-            message += f" at offset {offset}"
-        super().__init__(f"{location}: {message}")
-        self.path = str(path)
-        self.shard = shard
-        self.offset = offset
-
-
 def write_snapshot(path, header: dict, streams: Iterable[tuple[str, object]]) -> dict:
     """Write one shard snapshot atomically; returns the final header.
 
     ``header`` must carry the shard identity fields (``shard_index``,
-    ``num_shards``, ``predictor`` ...); ``format``, ``version`` and
-    ``streams`` (the record count) are filled in here.  ``streams`` is an
-    iterable of ``(key, state)`` pairs written in iteration order — pass the
-    table's LRU order so a restore reproduces the eviction order too.
+    ``num_shards``, ``predictor`` ...); ``streams`` (the record count) is
+    filled in here.  ``streams`` is an iterable of ``(key, predictor)`` pairs
+    written in iteration order — pass the table's LRU order so a restore
+    reproduces the eviction order too.
     """
     target = Path(path)
-    records = []
-    for key, state in streams:
-        key_bytes = key.encode("utf-8")
-        blob = freeze_state(state)
-        records.append((key_bytes, blob))
-    final_header = dict(header)
-    final_header["format"] = SNAPSHOT_FORMAT
-    final_header["version"] = SNAPSHOT_VERSION
-    final_header["streams"] = len(records)
+    records = [(key.encode("utf-8"), freeze_state(predictor)) for key, predictor in streams]
+    final_header = {**header, "streams": len(records)}
     header_bytes = json.dumps(final_header, sort_keys=True).encode("utf-8")
-
+    parts = [_MAGIC, _U32.pack(SNAPSHOT_VERSION), _U32.pack(len(header_bytes)), header_bytes]
+    for key_bytes, blob in records:
+        parts += [_U32.pack(len(key_bytes)), key_bytes, _U32.pack(len(blob))]
+        parts += [_U32.pack(zlib.crc32(blob)), blob]
     tmp_path = target.with_name(target.name + ".tmp")
     with open(tmp_path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(_U32.pack(SNAPSHOT_VERSION))
-        handle.write(_U32.pack(len(header_bytes)))
-        handle.write(header_bytes)
-        for key_bytes, blob in records:
-            handle.write(_U32.pack(len(key_bytes)))
-            handle.write(key_bytes)
-            handle.write(_U32.pack(len(blob)))
-            handle.write(_U32.pack(zlib.crc32(blob)))
-            handle.write(blob)
-        handle.write(_TRAILER)
+        handle.write(b"".join(parts) + _TRAILER)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, target)
     return final_header
 
 
-def _read_exact(handle, n: int, path, what: str, shard: int | None) -> bytes:
-    offset = handle.tell()
-    data = handle.read(n)
-    if len(data) != n:
-        raise SnapshotError(
-            path,
-            f"truncated: expected {n} bytes of {what}, got {len(data)}",
-            shard=shard,
-            offset=offset,
-        )
-    return data
+class _Cursor:
+    """Bounds-checked reads over a snapshot file's bytes."""
+
+    def __init__(self, path: Path, data: bytes) -> None:
+        self.path, self.data, self.offset, self.shard = path, data, 0, None
+
+    def take(self, size: int, what: str) -> bytes:
+        start = self.offset
+        chunk = self.data[start : start + size]
+        if len(chunk) != size:
+            self.fail(f"truncated: expected {size} bytes of {what}, got {len(chunk)}", start)
+        self.offset = start + size
+        return chunk
+
+    def u32(self, what: str) -> int:
+        return _U32.unpack(self.take(4, what))[0]
+
+    def fail(self, message: str, offset: int | None):
+        raise SnapshotError(self.path, message, shard=self.shard, offset=offset)
 
 
 def load_snapshot(path) -> tuple[dict, list[tuple[str, object]]]:
-    """Read a shard snapshot; returns ``(header, [(key, state), ...])``.
+    """Read a shard snapshot; returns ``(header, [(key, predictor), ...])``.
 
     The stream list preserves the written order (coldest first).  Raises
     :class:`SnapshotError` on any structural damage — wrong magic, another
-    version, truncation, or a CRC mismatch — naming the shard and offset.
+    version, truncation, a CRC mismatch, a record that is not a predictor
+    state — naming the shard and offset.
     """
     target = Path(path)
     try:
-        handle = open(target, "rb")
+        data = target.read_bytes()
     except OSError as error:
         raise SnapshotError(target, f"cannot open: {error}") from None
-    with handle:
-        magic = _read_exact(handle, len(_MAGIC), target, "magic", None)
-        if magic != _MAGIC:
-            raise SnapshotError(
-                target, f"bad magic {magic!r} (not a {SNAPSHOT_FORMAT} file)", offset=0
+    cursor = _Cursor(target, data)
+    magic = cursor.take(len(_MAGIC), "magic")
+    if magic != _MAGIC:
+        cursor.fail(f"bad magic {magic!r} (not a {SNAPSHOT_FORMAT} file)", 0)
+    version = cursor.u32("version")
+    if version != SNAPSHOT_VERSION:
+        cursor.fail(
+            f"format version {version} refused: this build reads only the "
+            f"supported version {SNAPSHOT_VERSION}",
+            len(_MAGIC),
+        )
+    header_len = cursor.u32("header length")
+    header_offset = cursor.offset
+    try:
+        header = json.loads(cursor.take(header_len, "header").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        cursor.fail(f"corrupt header: {error}", header_offset)
+    if not isinstance(header, dict):
+        cursor.fail(f"header is a JSON {type(header).__name__}, not an object", header_offset)
+    shard = header.get("shard_index")
+    cursor.shard = shard if type(shard) is int else None
+    expected = header.get("streams")
+    if type(expected) is not int or expected < 0:
+        cursor.fail(f"header stream count {expected!r} invalid", header_offset)
+    streams: list[tuple[str, object]] = []
+    for index in range(expected):
+        record_offset = cursor.offset
+        key_bytes = cursor.take(cursor.u32(f"record {index} key length"), f"record {index} key")
+        blob_len = cursor.u32(f"record {index} blob length")
+        blob_crc = cursor.u32(f"record {index} blob crc")
+        blob_offset = cursor.offset
+        blob = cursor.take(blob_len, f"record {index} blob")
+        if zlib.crc32(blob) != blob_crc:
+            cursor.fail(
+                f"stream record {index} ({key_bytes!r}) CRC mismatch — snapshot is corrupted",
+                blob_offset,
             )
-        (version,) = _U32.unpack(_read_exact(handle, 4, target, "version", None))
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                target,
-                f"format version {version} refused: this build reads only the "
-                f"supported version {SNAPSHOT_VERSION}",
-                offset=len(_MAGIC),
-            )
-        (header_len,) = _U32.unpack(_read_exact(handle, 4, target, "header length", None))
-        header_offset = handle.tell()
-        header_bytes = _read_exact(handle, header_len, target, "header", None)
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise SnapshotError(
-                target, f"corrupt header: {error}", offset=header_offset
-            ) from None
-        shard = header.get("shard_index")
-        expected = header.get("streams")
-        if not isinstance(expected, int) or expected < 0:
-            raise SnapshotError(
-                target, f"header stream count {expected!r} invalid",
-                shard=shard, offset=header_offset,
+            key = key_bytes.decode("utf-8")
+        except UnicodeDecodeError:
+            cursor.fail(f"stream record {index} key is not valid UTF-8", record_offset)
+        try:
+            predictor = thaw_state(blob)
+        except SnapshotError as error:
+            cursor.fail(
+                f"stream record {index} ({key!r}): {error.reason}",
+                blob_offset + (error.offset or 0),
             )
-        streams: list[tuple[str, object]] = []
-        for index in range(expected):
-            record_offset = handle.tell()
-            (key_len,) = _U32.unpack(
-                _read_exact(handle, 4, target, f"record {index} key length", shard)
-            )
-            key_bytes = _read_exact(handle, key_len, target, f"record {index} key", shard)
-            (blob_len,) = _U32.unpack(
-                _read_exact(handle, 4, target, f"record {index} blob length", shard)
-            )
-            (blob_crc,) = _U32.unpack(
-                _read_exact(handle, 4, target, f"record {index} blob crc", shard)
-            )
-            blob_offset = handle.tell()
-            blob = _read_exact(handle, blob_len, target, f"record {index} blob", shard)
-            if zlib.crc32(blob) != blob_crc:
-                raise SnapshotError(
-                    target,
-                    f"stream record {index} ({key_bytes!r}) CRC mismatch — "
-                    "snapshot is corrupted",
-                    shard=shard,
-                    offset=blob_offset,
-                )
-            try:
-                key = key_bytes.decode("utf-8")
-            except UnicodeDecodeError:
-                raise SnapshotError(
-                    target,
-                    f"stream record {index} key is not valid UTF-8",
-                    shard=shard,
-                    offset=record_offset,
-                ) from None
-            streams.append((key, thaw_state(blob)))
-        trailer_offset = handle.tell()
-        trailer = _read_exact(handle, len(_TRAILER), target, "trailer", shard)
-        if trailer != _TRAILER:
-            raise SnapshotError(
-                target,
-                f"bad trailer {trailer!r} — snapshot was not finished",
-                shard=shard,
-                offset=trailer_offset,
-            )
-        if handle.read(1):
-            raise SnapshotError(
-                target,
-                "trailing bytes after the snapshot trailer",
-                shard=shard,
-                offset=trailer_offset + len(_TRAILER),
-            )
+        streams.append((key, predictor))
+    trailer_offset = cursor.offset
+    trailer = cursor.take(len(_TRAILER), "trailer")
+    if trailer != _TRAILER:
+        cursor.fail(f"bad trailer {trailer!r} — snapshot was not finished", trailer_offset)
+    if cursor.offset != len(data):
+        cursor.fail("trailing bytes after the snapshot trailer", cursor.offset)
     return header, streams
 
 

@@ -198,7 +198,7 @@ class TestCLICommands:
         serve = listing["serve"]
         assert serve["transports"] == ["tcp", "stdin"]
         assert "observe" in serve["ops"] and "snapshot" in serve["ops"]
-        assert serve["snapshot_format"] == {"name": "repro-serve-snapshot", "version": 2}
+        assert serve["snapshot_format"] == {"name": "repro-serve-snapshot", "version": 3}
         assert serve["default_predictor"] == "periodicity"
         assert serve["routing"] == "crc32(key) % shards"
 

@@ -1,5 +1,6 @@
 """Tests for the baseline predictors (repro.core.baselines)."""
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import (
@@ -9,6 +10,15 @@ from repro.core.baselines import (
     MostFrequentPredictor,
     StridePredictor,
 )
+from repro.core.predictor import PredictorState
+
+
+def state_fields(predictor):
+    """``get_state`` with arrays as lists, and the predictor rebuilt from it."""
+    state = predictor.get_state()
+    rebuilt = type(predictor).from_state(state)
+    fields = tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in state.data)
+    return (state.kind, state.config, fields), rebuilt
 
 
 class TestLastValue:
@@ -21,15 +31,17 @@ class TestLastValue:
         predictor.observe(7)
         assert predictor.predict(3) == [7, 7, 7]
 
-    def test_reset(self):
-        predictor = LastValuePredictor()
-        predictor.observe(5)
-        predictor.reset()
-        assert predictor.predict(1) == [None]
-
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             LastValuePredictor().predict(0)
+
+    def test_state_is_the_last_value(self):
+        assert state_fields(LastValuePredictor())[0] == ("last-value", (), (None,))
+        predictor = LastValuePredictor()
+        predictor.observe_many([5, 7])
+        fields, rebuilt = state_fields(predictor)
+        assert fields == ("last-value", (), (7,))
+        assert rebuilt.predict(3) == [7, 7, 7]
 
 
 class TestMostFrequent:
@@ -55,11 +67,16 @@ class TestMostFrequent:
         with pytest.raises(ValueError):
             MostFrequentPredictor(window_size=0)
 
-    def test_reset(self):
-        predictor = MostFrequentPredictor()
-        predictor.observe(1)
-        predictor.reset()
-        assert predictor.predict(1) == [None]
+    def test_state_is_the_window(self):
+        predictor = MostFrequentPredictor(window_size=3)
+        predictor.observe_many([1, 1, 1, 2, 2])
+        fields, rebuilt = state_fields(predictor)
+        assert fields == ("most-frequent", (3,), ([1, 2, 2],))
+        assert rebuilt.predict(2) == predictor.predict(2) == [2, 2]
+        with pytest.raises(ValueError, match="4 samples in a window of 3"):
+            MostFrequentPredictor.from_state(
+                PredictorState("most-frequent", (3,), (np.arange(4, dtype=np.int64),))
+            )
 
 
 class TestCycle:
@@ -78,11 +95,14 @@ class TestCycle:
         predictor.observe_many([1, 2])
         assert predictor.predict(3) == [None, None, None]
 
-    def test_reset(self):
+    def test_state_is_the_successor_pairs(self):
         predictor = CyclePredictor()
-        predictor.observe_many([1, 2, 1])
-        predictor.reset()
-        assert predictor.predict(1) == [None]
+        predictor.observe_many([1, 2, 3, 1])
+        fields, rebuilt = state_fields(predictor)
+        assert fields == ("cycle", (), (1, [1, 2, 2, 3, 3, 1]))
+        assert rebuilt.predict(4) == predictor.predict(4) == [2, 3, 1, 2]
+        with pytest.raises(ValueError, match="odd length"):
+            CyclePredictor.from_state(PredictorState("cycle", (), (1, np.ones(3, dtype=np.int64))))
 
 
 class TestMarkov:
@@ -117,11 +137,16 @@ class TestMarkov:
         with pytest.raises(ValueError):
             MarkovPredictor(order=0)
 
-    def test_reset(self):
+    def test_state_is_one_row_per_transition(self):
         predictor = MarkovPredictor(order=1)
-        predictor.observe_many([1, 2, 1])
-        predictor.reset()
-        assert predictor.predict(1) == [None]
+        predictor.observe_many([1, 2, 1, 2, 1, 3])
+        fields, rebuilt = state_fields(predictor)
+        assert fields == ("markov", (1,), ([3], [1, 2, 2, 1, 3, 1, 2, 1, 2]))
+        assert rebuilt.predict(3) == predictor.predict(3)
+        with pytest.raises(ValueError, match="do not fit order 1"):
+            MarkovPredictor.from_state(
+                PredictorState("markov", (1,), (np.zeros(1, np.int64), np.zeros(4, np.int64)))
+            )
 
 
 class TestStride:
@@ -143,11 +168,13 @@ class TestStride:
     def test_empty(self):
         assert StridePredictor().predict(1) == [None]
 
-    def test_reset(self):
+    def test_state_is_the_last_value_and_stride(self):
+        assert state_fields(StridePredictor())[0] == ("stride", (), (None, None))
         predictor = StridePredictor()
-        predictor.observe_many([1, 2])
-        predictor.reset()
-        assert predictor.predict(1) == [None]
+        predictor.observe_many([10, 20, 30])
+        fields, rebuilt = state_fields(predictor)
+        assert fields == ("stride", (), (30, 10))
+        assert rebuilt.predict(2) == [40, 50]
 
 
 class TestNames:

@@ -22,6 +22,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DynamicPeriodicityDetector(window_size=8, max_period=0)
 
+    def test_max_period_is_bounded_before_a_lane_mask_is_built(self):
+        assert DynamicPeriodicityDetector(window_size=8, max_period=1 << 16).max_period == 1 << 16
+        with pytest.raises(ValueError, match="max_period must be in"):
+            DynamicPeriodicityDetector(window_size=8, max_period=(1 << 16) + 1)
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             DynamicPeriodicityDetector(mismatch_tolerance=-1)
@@ -129,12 +134,6 @@ class TestStateManagement:
         detector = feed(DynamicPeriodicityDetector(window_size=4), range(9))
         assert detector.samples_seen == 9
 
-    def test_reset(self):
-        detector = feed(DynamicPeriodicityDetector(window_size=4), [1, 2] * 10)
-        detector.reset()
-        assert detector.samples_seen == 0
-        assert detector.detect().period is None
-
     def test_history_returns_chronological_copy(self):
         detector = feed(DynamicPeriodicityDetector(window_size=3, max_period=3), [1, 2, 3, 4])
         history = detector.history()
@@ -199,14 +198,6 @@ class TestRetainedHistory:
         snapshot = detector.history()
         snapshot[0] = 99
         assert detector.history().tolist() == [1, 2, 3, 4]
-
-    def test_reset_then_refill_equals_a_fresh_detector(self):
-        detector = feed(DynamicPeriodicityDetector(window_size=3, max_period=4), range(50))
-        detector.reset()
-        feed(detector, [7, 8] * 10)
-        fresh = feed(DynamicPeriodicityDetector(window_size=3, max_period=4), [7, 8] * 10)
-        same_state(detector, fresh)
-        assert detector.current_period() == 2
 
 
 class TestBatchInputs:

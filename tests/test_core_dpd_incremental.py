@@ -117,18 +117,6 @@ class TestEdgeCaseRegressions:
             assert_counters_match(detector)
         assert detector.detect().period == 10
 
-    def test_reset_clears_counters(self):
-        detector = DynamicPeriodicityDetector(window_size=4, max_period=8)
-        for value in [1, 2] * 10:
-            detector.observe(value)
-        detector.reset()
-        assert detector.distances().size == 0
-        assert detector.detect().period is None
-        for value in [3, 4, 5] * 10:
-            detector.observe(value)
-            assert_counters_match(detector)
-        assert detector.detect().period == 3
-
     def test_batch_observe_empty_input(self):
         detector = DynamicPeriodicityDetector(window_size=4)
         assert detector.batch_observe([], return_periods=True).size == 0
@@ -306,19 +294,6 @@ class TestFirstWindowIsAnAppend:
                 self.feed_both(batched, looped, stream[end + 8 : end + 21], self.FORMS[form])
                 assert batched.detections > 0
 
-    @pytest.mark.parametrize("window, max_period", SHAPES)
-    @pytest.mark.parametrize("sticky", [True, False])
-    def test_a_run_after_reset_is_young_again(self, window, max_period, sticky):
-        stream = [3, 1, 2] * (window + 8)
-        batched, looped = self.twins(window, max_period, sticky)
-        self.feed_both(batched, looped, stream[: window + 9], list)
-        assert batched.current_period == 3
-        batched.reset()
-        looped.reset()
-        self.feed_both(batched, looped, stream[1:9], list)
-        assert batched.current_period is None and batched.samples_seen == 8
-        self.feed_both(batched, looped, stream[9 : window + 6], list)
-
     def test_only_samples_inside_the_window_skip_observe(self, monkeypatch):
         observed = []
         observe = DynamicPeriodicityDetector.observe
@@ -474,20 +449,63 @@ class TestPredictorObserveMany:
         assert batched.current_period == sequential.current_period
         assert batched.predict(6) == sequential.predict(6)
 
-    def test_predict_array_matches_predict(self):
-        predictor = PeriodicityPredictor(window_size=6, max_period=6)
-        predictor.observe_many([4, 5, 6] * 8)
-        for horizon in (1, 3, 7):
-            array, mask = predictor.predict_array(horizon)
-            assert mask.all()
-            assert [int(v) for v in array] == predictor.predict(horizon)
 
-    def test_predict_array_declines_before_learning(self):
-        predictor = PeriodicityPredictor(window_size=6)
-        array, mask = predictor.predict_array(4)
-        assert not mask.any()
-        assert predictor.predict(4) == [None] * 4
+def assert_same_detector(rebuilt: DynamicPeriodicityDetector, live: DynamicPeriodicityDetector):
+    assert rebuilt._masks == live._masks
+    assert rebuilt._planes == live._planes
+    assert rebuilt._usable == live._usable
+    assert rebuilt.stored_history().tolist() == live.stored_history().tolist()
+    assert rebuilt.samples_seen == live.samples_seen
 
-    def test_predict_array_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            PeriodicityPredictor().predict_array(0)
+
+class TestRebuildFromHistory:
+    """``samples_seen`` and the stored history are the whole detector: the
+    rebuilt masks, planes and usable lanes equal the live ones, and stay equal."""
+
+    STREAMS = {
+        "periodic-30": [3, 1, 4, 1, 5, 9] * 5,
+        "periodic-400": [3, 1, 4, 1, 5, 9] * 67,
+        "noisy-400": noisy_periodic_stream(400, seed=3).tolist(),
+        "distinct-400": list(range(400)),
+        "distinct-5000": list(range(5000)),
+    }
+
+    @pytest.mark.parametrize("tolerance", [0, 2])
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_rebuilt_detector_equals_the_live_one(self, name, tolerance):
+        live = DynamicPeriodicityDetector(24, 256, tolerance)
+        for value in self.STREAMS[name]:
+            live.observe(value)
+        rebuilt = DynamicPeriodicityDetector.from_history(
+            24, 256, tolerance, live.samples_seen, live.stored_history()
+        )
+        assert_same_detector(rebuilt, live)
+        for value in (7, 7, 1):
+            live.observe(value)
+            rebuilt.observe(value)
+            assert_same_detector(rebuilt, live)
+            assert rebuilt.current_period() == live.current_period()
+
+    @given(
+        window=st.integers(1, 12),
+        max_period=st.integers(1, 24),
+        tolerance=st.integers(0, 2),
+        data=st.lists(st.integers(0, 80), max_size=140),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_prefix_rebuilds(self, window, max_period, tolerance, data):
+        live = DynamicPeriodicityDetector(window, max_period, tolerance)
+        for value in data:
+            live.observe(value)
+            rebuilt = DynamicPeriodicityDetector.from_history(
+                window, max_period, tolerance, live.samples_seen, live.stored_history()
+            )
+            assert_same_detector(rebuilt, live)
+            assert_counters_match(rebuilt)
+
+    def test_a_history_of_the_wrong_length_is_refused(self):
+        live = DynamicPeriodicityDetector(4, 4)
+        for value in range(9):
+            live.observe(value)
+        with pytest.raises(ValueError, match="store 9, got 8"):
+            DynamicPeriodicityDetector.from_history(4, 4, 0, 9, live.stored_history()[1:])

@@ -1,10 +1,14 @@
 """Tests for the accuracy evaluation harness (repro.core.evaluation)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import LastValuePredictor
 from repro.core.evaluation import evaluate_stream, evaluate_unordered
 from repro.core.predictor import BasePredictor, PeriodicityPredictor
+from repro.predictive.registry import create_predictor, predictor_names
 
 
 class PerfectOracle(BasePredictor):
@@ -149,6 +153,51 @@ class TestEvaluateStream:
         assert result.attempts.tolist() == attempts
         assert result.predicted.tolist() == predicted
         assert result.stream_length == n
+
+    @given(
+        name=st.sampled_from(predictor_names()),
+        stream=st.lists(st.integers(0, 6) | st.integers(2**40, 2**40 + 2), max_size=120),
+        horizon=st.integers(1, 6),
+        warmup=st.integers(0, 30),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_predictor_scores_as_the_matrix_loop_did(self, name, stream, horizon, warmup):
+        """The scoring that ``evaluate_stream`` replaced, kept here as the
+        reference: each step's predictions as a ``(values, mask)`` row of two
+        matrices, then one comparison per horizon."""
+        factory = lambda: create_predictor(name)
+        result = evaluate_stream(stream, factory, horizon=horizon, warmup=warmup)
+
+        values = np.asarray(stream, dtype=np.int64)
+        n = len(values)
+        predictor = factory()
+        warm = min(warmup, n)
+        if warm:
+            predictor.observe_many(values[:warm])
+        predicted_values = np.zeros((n - warm, horizon), dtype=np.int64)
+        predicted_mask = np.zeros((n - warm, horizon), dtype=bool)
+        for t in range(warm, n):
+            step = predictor.predict(horizon)
+            predicted_mask[t - warm] = [p is not None for p in step]
+            predicted_values[t - warm] = [0 if p is None else p for p in step]
+            predictor.observe(int(values[t]))
+        hits, attempts, predicted = (np.zeros(horizon, dtype=np.int64) for _ in range(3))
+        for k in range(1, horizon + 1):
+            count = n - k + 1 - warm
+            if count <= 0:
+                continue
+            attempts[k - 1] = count
+            targets = values[warm + k - 1 : warm + k - 1 + count]
+            column_mask = predicted_mask[:count, k - 1]
+            predicted[k - 1] = np.count_nonzero(column_mask)
+            hits[k - 1] = np.count_nonzero(
+                column_mask & (predicted_values[:count, k - 1] == targets)
+            )
+
+        assert result.hits.tolist() == hits.tolist()
+        assert result.attempts.tolist() == attempts.tolist()
+        assert result.predicted.tolist() == predicted.tolist()
+        assert result.hits.dtype == result.attempts.dtype == result.predicted.dtype == np.int64
 
 
 class TestEvaluateUnordered:

@@ -1,0 +1,243 @@
+"""Tests for predictor state (repro.predictive.state and every ``get_state``).
+
+The contract: a predictor rebuilt from its state answers and learns exactly
+as the original; the typed encoding round-trips byte for byte and turns any
+other byte string into a :class:`SnapshotError` or a working predictor; and
+the size formula is within 15% of what tracemalloc measures.
+"""
+
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.core.predictor import PredictorState
+from repro.predictive.online import OnlineMessagePredictor
+from repro.predictive.registry import create_predictor, predictor_names
+from repro.predictive.state import KINDS, SnapshotError, freeze_state, state_nbytes, thaw_state
+
+CONFIGS = {
+    "periodicity": st.tuples(
+        st.integers(1, 12), st.integers(1, 24), st.integers(0, 2), st.booleans()
+    ).map(lambda c: dict(zip(("window_size", "max_period", "mismatch_tolerance", "sticky"), c))),
+    "most-frequent": st.integers(1, 10).map(lambda w: {"window_size": w}),
+    "markov": st.integers(1, 3).map(lambda k: {"order": k}),
+    "last-value": st.just({}),
+    "cycle": st.just({}),
+    "stride": st.just({}),
+}
+
+stream_predictors = st.sampled_from(sorted(CONFIGS)).flatmap(
+    lambda kind: CONFIGS[kind].map(lambda params: create_predictor(kind, **params))
+)
+samples = st.lists(st.integers(0, 7) | st.integers(2**40, 2**40 + 3), max_size=120)
+
+
+def test_every_registered_predictor_has_a_state():
+    assert set(CONFIGS) == set(predictor_names()) == set(KINDS) - {"online"}
+
+
+class TestRoundTrip:
+    @given(stream_predictors, samples, st.lists(st.integers(0, 9), min_size=50, max_size=50))
+    @settings(max_examples=150, deadline=None)
+    def test_rebuilt_stream_predictor_answers_like_the_original(self, predictor, seen, then):
+        for value in seen:
+            predictor.observe(value)
+        rebuilt = type(predictor).from_state(predictor.get_state())
+        thawed = thaw_state(freeze_state(predictor))
+        assert freeze_state(rebuilt) == freeze_state(thawed) == freeze_state(predictor)
+        for value in then:
+            for copy in (predictor, rebuilt, thawed):
+                copy.observe(value)
+            assert rebuilt.predict(4) == thawed.predict(4) == predictor.predict(4)
+        assert freeze_state(rebuilt) == freeze_state(predictor)
+        assert state_nbytes(rebuilt) == state_nbytes(predictor)
+
+    @given(
+        st.sampled_from(sorted(CONFIGS)),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 3)), max_size=150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rebuilt_online_predictor_answers_like_the_original(self, kind, nprocs, horizon, events):
+        predictor = OnlineMessagePredictor(nprocs, horizon, lambda: create_predictor(kind))
+        for receiver, sender, size in events:
+            predictor.observe(receiver % nprocs, sender, 64 << size)
+        rebuilt = OnlineMessagePredictor.from_state(predictor.get_state())
+        assert freeze_state(rebuilt) == freeze_state(predictor)
+        for step in range(50):
+            receiver, sender = step % nprocs, step % 3
+            for copy in (predictor, rebuilt):
+                copy.observe(receiver, sender, 64 * sender)
+            assert rebuilt.predict(receiver) == predictor.predict(receiver)
+            assert rebuilt.expects_message(receiver, 1) == predictor.expects_message(receiver, 1)
+        assert freeze_state(rebuilt) == freeze_state(predictor)
+        assert rebuilt.observations == predictor.observations
+        assert state_nbytes(rebuilt) == state_nbytes(predictor)
+
+    def test_state_is_plain_values(self):
+        predictor = OnlineMessagePredictor(1)
+        for value in range(300):
+            predictor.observe(0, value % 5, 512)
+        state = predictor.get_state()
+        assert state.kind == "online" and state.config == (1, 5)
+        for stream in state.data[1:]:
+            assert isinstance(stream, PredictorState) and stream.kind == "periodicity"
+            assert all(type(v) is int for v in stream.config)
+            assert all(
+                v is None or type(v) is int or (isinstance(v, np.ndarray) and v.dtype == np.int64)
+                for v in stream.data
+            )
+
+
+def running(predictor) -> None:
+    """A thawed predictor must take observations and answer queries.
+
+    Queries name their horizon: a flipped bit may have changed the default
+    one, which is configuration (a served stream is checked against its
+    spec, see ``Shard.restore``)."""
+    if isinstance(predictor, OnlineMessagePredictor):
+        for step in range(30):
+            predictor.observe(0, step % 3, 64)
+        predictor.predict(0, 3)
+        predictor.expects_message(0, 1, horizon=3)
+    else:
+        for step in range(30):
+            predictor.observe(step % 3)
+        predictor.predict(3)
+    state_nbytes(predictor)
+
+
+class TestHostileBytes:
+    @given(st.binary(max_size=600))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, blob):
+        try:
+            predictor = thaw_state(blob)
+        except SnapshotError:
+            return
+        running(predictor)
+
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        blobs = []
+        for kind in sorted(CONFIGS):
+            predictor = OnlineMessagePredictor(1, 5, lambda: create_predictor(kind))
+            for step in range(60):
+                predictor.observe(0, step % 4, 64 * (step % 3))
+            blobs.append(freeze_state(predictor))
+        return blobs
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_every_bit_flip_is_refused_or_runs(self, frozen, data):
+        blob = bytearray(data.draw(st.sampled_from(frozen)))
+        position = data.draw(st.integers(0, 8 * len(blob) - 1))
+        blob[position // 8] ^= 1 << (position % 8)
+        try:
+            predictor = thaw_state(bytes(blob))
+        except SnapshotError:
+            return
+        running(predictor)
+
+    def test_truncations_and_trailing_bytes_are_refused(self, frozen):
+        blob = frozen[0]
+        for end in range(len(blob)):
+            with pytest.raises(SnapshotError, match="truncated"):
+                thaw_state(blob[:end])
+        with pytest.raises(SnapshotError, match="bytes after the end"):
+            thaw_state(blob + b"\0")
+
+    def test_a_kind_outside_the_closed_set_is_refused(self):
+        blob = freeze_state(create_predictor("stride"))
+        forged = blob.replace(b"stride", b"pickle")
+        with pytest.raises(SnapshotError, match="unknown predictor kind 'pickle'"):
+            thaw_state(forged)
+
+    def test_no_pickle_under_src(self):
+        sources = pathlib.Path(repro.__file__).parent.rglob("*.py")
+        code = re.compile(r"^\s*(import|from)\s+pickle\b|\bpickle\.\w+\(", re.M)
+        assert [path.name for path in sources if code.search(path.read_text())] == []
+
+
+SIZES_SCRIPT = """
+import gc, json, tracemalloc
+import numpy as np
+from repro.predictive.online import OnlineMessagePredictor
+from repro.predictive.registry import create_predictor, predictor_names
+from repro.predictive.state import state_nbytes
+
+
+def traced_nbytes(build, feed, copies=8):
+    for _ in range(50):  # CPython sizes a class's first instances generously
+        build()
+    gc.collect()
+    # Empty the dict and list free lists: a recycled object predates tracing.
+    drained = [{index: index} for index in range(1000)] + [[index] for index in range(1000)]
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    predictors = [build() for _ in range(copies)]
+    for predictor in predictors:
+        feed(predictor)
+    gc.collect()
+    measured = (tracemalloc.get_traced_memory()[0] - base) / copies
+    tracemalloc.stop()
+    return state_nbytes(predictors[0]), measured
+
+
+def pair(samples, sender, size):
+    def feed(predictor):
+        for i in range(samples):
+            predictor.observe(0, sender(i), size(i))
+    return traced_nbytes(lambda: OnlineMessagePredictor(1), feed)
+
+
+rng = np.random.default_rng(7)
+pattern = np.where(rng.random(400) < 0.03, rng.integers(0, 12, 400), np.arange(400) % 6)
+sizes = 64 * pattern + 512  # message sizes: every value a heap int
+report = {
+    "pair-fresh": pair(0, None, None),
+    "pair-8-periodic": pair(8, lambda i: i % 6, lambda i: 512 << (i % 3)),
+    "pair-30-periodic": pair(30, lambda i: i % 6, lambda i: 512 << (i % 3)),
+    "pair-400-periodic": pair(400, lambda i: i % 6, lambda i: 512 << (i % 3)),
+    "pair-400-never-repeating": pair(400, lambda i: i, lambda i: 64 * i + 512),
+}
+for name in predictor_names():
+    report[name + "-400"] = traced_nbytes(
+        lambda: create_predictor(name), lambda p: p.observe_many(sizes.tolist())
+    )
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def measured_sizes():
+    """(formula, tracemalloc) per case, from a fresh process: what CPython
+    allocates for an instance depends a little on what the process did before."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SIZES_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["pair-fresh", "pair-8-periodic", "pair-30-periodic", "pair-400-periodic",
+     "pair-400-never-repeating", *(name + "-400" for name in predictor_names())],
+)
+def test_size_formula_is_within_15_percent_of_tracemalloc(measured_sizes, case):
+    formula, measured = measured_sizes[case]
+    assert 0.85 * measured <= formula <= 1.15 * measured, (formula, measured)

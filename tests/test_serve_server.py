@@ -409,15 +409,6 @@ def chunked(feed: bytes, cuts):
 
 
 class TestChunkingIsInvisible:
-    @pytest.fixture(autouse=True)
-    def settled_size_estimates(self):
-        # state_nbytes reads larger for the first predictors a process builds
-        # (see its docstring); build those here so that the services compared
-        # below report the same resident_bytes whatever ran before.
-        warm = make_service()
-        for i in range(32):
-            warm.observe(f"warm-{i}", 1, 1)
-
     def test_feed_exercises_what_it_claims(self):
         expected, service = line_by_line(mixed_feed())
         responses = [json.loads(line) for line in expected.splitlines()]

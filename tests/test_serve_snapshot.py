@@ -7,11 +7,18 @@ corruption, truncation, a future format version — raises a
 the damage; and writes are atomic (tmp + rename, manifest last).
 """
 
+import hashlib
 import io
 import json
+import shutil
 import struct
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.serve.service import MANIFEST_NAME, ServeService
@@ -261,3 +268,223 @@ class TestServiceRoundTrip:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="does not match its manifest position"):
             ServeService.restore(tmp_path)
+
+
+class TestFormatRefusals:
+    def test_version_2_refused_before_any_record_is_decoded(self, tmp_path, monkeypatch):
+        target = tmp_path / "shard-00.snap"
+        build_shard().snapshot(target)
+        data = bytearray(target.read_bytes())
+        struct.pack_into("<I", data, 12, 2)  # the pickled-record layout
+        target.write_bytes(data)
+        monkeypatch.setattr(
+            "repro.serve.snapshot.thaw_state", lambda blob: pytest.fail("decoded a v2 record")
+        )
+        with pytest.raises(SnapshotError) as excinfo:
+            load_snapshot(target)
+        assert str(excinfo.value) == (
+            f"snapshot {target}: format version 2 refused: this build reads only "
+            f"the supported version {SNAPSHOT_VERSION} at offset 12"
+        )
+
+    def test_a_header_that_is_not_an_object_is_refused(self, tmp_path):
+        target = tmp_path / "shard-00.snap"
+        header = b"[1, 2]"
+        target.write_bytes(
+            b"REPROSRVSNAP" + struct.pack("<II", SNAPSHOT_VERSION, len(header)) + header
+            + b"REPROSRVEND\n"
+        )
+        with pytest.raises(SnapshotError, match="header is a JSON list, not an object"):
+            load_snapshot(target)
+
+    def test_a_stream_configured_unlike_the_header_is_refused(self, tmp_path):
+        target = tmp_path / "shard-00.snap"
+        other = Shard(0, 1, "periodicity:window=6,max_period=12,horizon=9")
+        other.observe("alpha", 1, 100)
+        write_snapshot(target, build_shard()._header(), [("alpha", other.table.get("alpha").predictor)])
+        with pytest.raises(SnapshotError, match="'alpha' is not configured as the header's predictor"):
+            Shard.restore(target)
+
+
+MALFORMED_MANIFESTS = {
+    "a JSON list": (b"[1, 2]", "manifest is a JSON list, not an object"),
+    "not UTF-8": (b'{"format": "\xff"}', "corrupt manifest"),
+    "a string version": (None, "manifest version 'x' is not the supported version"),
+    "an int for shards": (None, "manifest shards must be a list of {file, sha256} objects"),
+    "a path for a shard file": (None, "manifest shards must be a list of {file, sha256} objects"),
+    "version 1": (None, "manifest version 1 is not the supported version 2"),
+}
+
+
+class TestManifestRefusals:
+    def write(self, tmp_path, case):
+        ServeService(SPEC, num_shards=2).snapshot(tmp_path)
+        path = tmp_path / MANIFEST_NAME
+        raw, _ = MALFORMED_MANIFESTS[case]
+        if raw is None:
+            manifest = json.loads(path.read_text())
+            if case == "a string version":
+                manifest["version"] = "x"
+            elif case == "an int for shards":
+                manifest["shards"] = 5
+            elif case == "a path for a shard file":
+                manifest["shards"][0]["file"] = "../shard-00.snap"
+            else:
+                manifest["version"] = 1
+            raw = json.dumps(manifest).encode()
+        path.write_bytes(raw)
+        return path
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_refused_with_the_file_named(self, tmp_path, case):
+        path = self.write(tmp_path, case)
+        with pytest.raises(SnapshotError) as excinfo:
+            ServeService.restore(tmp_path)
+        assert str(excinfo.value).startswith(f"snapshot {path}: ")
+        assert MALFORMED_MANIFESTS[case][1] in str(excinfo.value)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_cli_answers_in_one_line(self, tmp_path, case, monkeypatch, capsys):
+        path = self.write(tmp_path, case)
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"op": "flush"}\n'))
+        assert cli_main(["serve", "--stdin", "--restore", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot build the serve service: snapshot {path}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def build_keyed_service():
+    service = ServeService(SPEC, num_shards=3)
+    for index in range(7):
+        for step in range(20):
+            service.observe(f"k{index}", (index + step) % 3, 64 * (step % 2))
+    return service
+
+
+class TestInterruptedSnapshot:
+    def test_a_crash_between_shard_files_is_refused_not_mixed(self, tmp_path, monkeypatch):
+        service = build_keyed_service()
+        service.snapshot(tmp_path)
+        for index in range(7):
+            service.observe(f"k{index}", 9, 9)  # the next snapshot differs in every shard
+        written = []
+
+        def crash_on_the_second_shard(path, header, streams):
+            if written:
+                raise OSError("disk went away")
+            written.append(path)
+            return write_snapshot(path, header, streams)
+
+        monkeypatch.setattr("repro.serve.shard.write_snapshot", crash_on_the_second_shard)
+        with pytest.raises(OSError):
+            service.snapshot(tmp_path)
+        with pytest.raises(SnapshotError) as excinfo:
+            ServeService.restore(tmp_path)
+        assert excinfo.value.path == str(written[0])
+        assert "sha256 differs from the one the manifest records" in str(excinfo.value)
+
+    def test_snapshots_are_byte_reproducible(self, tmp_path):
+        build_keyed_service().snapshot(tmp_path / "a")
+        build_keyed_service().snapshot(tmp_path / "b")
+        for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def record_spans(data: bytes) -> list[tuple[int, int, int]]:
+    """``(record offset, blob offset, blob length)`` of every stream record."""
+    (header_len,) = struct.unpack_from("<I", data, 16)
+    offset = 20 + header_len
+    spans = []
+    for _ in range(json.loads(data[20:offset])["streams"]):
+        start = offset
+        (key_len,) = struct.unpack_from("<I", data, offset)
+        (blob_len,) = struct.unpack_from("<I", data, offset + 4 + key_len)
+        offset += 12 + key_len
+        spans.append((start, offset, blob_len))
+        offset += blob_len
+    return spans
+
+
+@pytest.fixture(scope="module")
+def snapshot_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("template")
+    build_keyed_service().snapshot(directory)
+    return directory
+
+
+def restore_mutated(template: Path, mutate) -> ServeService | None:
+    """Restore a copy of ``template`` whose shard 0 went through ``mutate``
+    (manifest digest updated to match); None when it is refused."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(shutil.copytree(template, Path(tmp) / "snap"))
+        shard_file = directory / "shard-00.snap"
+        shard_file.write_bytes(mutate(shard_file.read_bytes()))
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        manifest["shards"][0]["sha256"] = hashlib.sha256(shard_file.read_bytes()).hexdigest()
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+        try:
+            load_snapshot(shard_file)
+        except SnapshotError:
+            pass
+        try:
+            return ServeService.restore(directory)
+        except SnapshotError:
+            return None
+
+
+def assert_answers(service: ServeService | None) -> None:
+    if service is None:
+        return
+    for shard in service.shards:
+        for key in list(shard.table.keys()):
+            assert service.predict(key) is not None
+            assert service.expects(key, 1) is not None
+    service.stats()
+
+
+class TestHostileSnapshots:
+    @given(st.binary(max_size=400))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes(self, snapshot_dir, blob):
+        assert_answers(restore_mutated(snapshot_dir, lambda data: blob))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_flips_behind_a_valid_crc(self, snapshot_dir, data):
+        spans = record_spans((snapshot_dir / "shard-00.snap").read_bytes())
+        _, blob_offset, blob_len = data.draw(st.sampled_from(spans))
+        bit = data.draw(st.integers(0, 8 * blob_len - 1))
+
+        def flip(raw: bytes) -> bytes:
+            raw = bytearray(raw)
+            raw[blob_offset + bit // 8] ^= 1 << (bit % 8)
+            blob = bytes(raw[blob_offset : blob_offset + blob_len])
+            struct.pack_into("<I", raw, blob_offset - 4, zlib.crc32(blob))
+            return bytes(raw)
+
+        assert_answers(restore_mutated(snapshot_dir, flip))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_flips_anywhere(self, snapshot_dir, data):
+        size = len((snapshot_dir / "shard-00.snap").read_bytes())
+        bit = data.draw(st.integers(0, 8 * size - 1))
+
+        def flip(raw: bytes) -> bytes:
+            raw = bytearray(raw)
+            raw[bit // 8] ^= 1 << (bit % 8)
+            return bytes(raw)
+
+        assert_answers(restore_mutated(snapshot_dir, flip))
+
+    def test_truncation_at_every_record_boundary(self, snapshot_dir):
+        data = (snapshot_dir / "shard-00.snap").read_bytes()
+        boundaries = [start for start, _, _ in record_spans(data)] + [len(data) - 12]
+        assert len(boundaries) > 2
+        for end in boundaries:
+            path = snapshot_dir.parent / "truncated.snap"
+            path.write_bytes(data[:end])
+            with pytest.raises(SnapshotError, match="truncated"):
+                load_snapshot(path)
+            assert restore_mutated(snapshot_dir, lambda raw: raw[:end]) is None

@@ -137,26 +137,24 @@ class TestResidentBytes:
         feed(table, "b")
         assert list(table.keys()) == ["b"]
 
-    def test_refresh_interval_refreshes_estimate(self):
-        table = make_table(refresh_interval=4)
+    def test_every_observation_resizes_the_entry(self):
+        table = make_table()
         entry = table.get("a", create=True)
-        entry.nbytes = 0  # pretend the estimate went stale
-        table.resident_bytes = 0
-        for _ in range(4):
-            entry.predictor.observe(0, 1, 64)
-        table.note_observations(entry, 4)
-        assert entry.nbytes == state_nbytes(entry.predictor)
-        assert table.resident_bytes == entry.nbytes
-
+        sizes, bookkeeping = set(), set()
+        for value in range(60):  # never repeats: the masks grow past the first window
+            entry.predictor.observe(0, value, 64 * value)
+            table.note_observations(entry, 1)
+            assert table.resident_bytes == entry.nbytes
+            sizes.add(entry.nbytes)
+            bookkeeping.add(entry.nbytes - state_nbytes(entry.predictor))
+        assert len(sizes) == 60 and len(bookkeeping) == 1
 
     def test_accounting_survives_mixed_traffic(self):
-        # Creates (walked and memoised), refresh walks and evictions under
-        # both caps: the total is always the sum of what the entries record.
+        # Creates, resizes and evictions under both caps: the total is
+        # always the sum of what the entries record.
         probe = make_table()
         feed(probe, "probe")
-        table = make_table(
-            max_streams=7, max_bytes=probe.resident_bytes * 6, refresh_interval=4
-        )
+        table = make_table(max_streams=7, max_bytes=probe.resident_bytes * 6)
         for step in range(400):
             feed(table, f"s{(step * 7) % 23}", count=1 + step % 6)
             if step % 11 == 0:
@@ -167,37 +165,46 @@ class TestResidentBytes:
         assert table.evictions > 50 and table.streams_created > 50
 
 
-FRESH_SIZES_SCRIPT = """
-import json
+EVICTION_SCRIPT = """
+import json, random
 from repro.predictive.online import OnlineMessagePredictor
-from repro.predictive.state import state_nbytes
 from repro.serve.table import StreamTable
 
-table = StreamTable(lambda: OnlineMessagePredictor(nprocs=1, horizon=3))
-recorded = [table.get(f"s{i}", create=True).nbytes for i in range(1, 301)]
-walked = state_nbytes(table.get("s300").predictor)
-print(json.dumps({"recorded": recorded, "walked": walked, "total": table.resident_bytes}))
+for _ in range(int(__import__("sys").argv[1])):
+    OnlineMessagePredictor(nprocs=1).observe(0, 1, 2)
+table = StreamTable(lambda: OnlineMessagePredictor(nprocs=1), max_bytes=40_000)
+rng = random.Random(11)
+evicted, resident = [], set()
+for step in range(600):
+    key = f"s{rng.randrange(40)}"
+    entry = table.get(key, create=True)
+    for _ in range(rng.randrange(1, 30)):
+        entry.predictor.observe(0, rng.randrange(6), 64 << rng.randrange(3))
+    table.note_observations(entry, 1)
+    now = set(table.keys())
+    evicted.append(sorted(resident - now))
+    resident = now
+print(json.dumps({"evicted": evicted, "order": list(table.keys()), "bytes": table.resident_bytes}))
 """
 
 
-def test_fresh_stream_size_is_what_a_walk_returns_in_a_fresh_process():
-    """The per-table memo never keeps the estimator's first-instances surcharge.
-
-    ``state_nbytes`` reads larger for the first couple of dozen predictors a
-    process builds, so this needs a process that has built none.
-    """
+def test_max_bytes_evicts_the_same_keys_in_any_process():
+    """Sizes are a function of predictor state: the same operations evict the
+    same keys in a fresh process and in one that has built 200 predictors."""
     env = dict(os.environ)
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", FRESH_SIZES_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    report = json.loads(result.stdout)
-    recorded = report["recorded"]
-    assert recorded[299] == report["walked"]
-    assert set(recorded[29:]) == {report["walked"]}  # streams 30..300
-    assert report["total"] == sum(recorded)
+    reports = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", EVICTION_SCRIPT, str(built)],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            ).stdout
+        )
+        for built in (0, 200)
+    ]
+    assert reports[0] == reports[1]
+    assert sum(map(len, reports[0]["evicted"])) > 50
 
 
 class TestRestoredEntries:
@@ -205,7 +212,6 @@ class TestRestoredEntries:
         table = make_table()
         feed(table, "a")
         restored = StreamEntry(OnlineMessagePredictor(nprocs=1, horizon=3))
-        restored.refresh_nbytes()
         table.insert_restored("z", restored)
         assert list(table.keys()) == ["a", "z"]
         assert table.resident_bytes == sum(e.nbytes for _, e in table.items())
@@ -214,7 +220,6 @@ class TestRestoredEntries:
         table = make_table()
         feed(table, "a", count=5)
         fresh = StreamEntry(OnlineMessagePredictor(nprocs=1, horizon=3))
-        fresh.refresh_nbytes()
         table.insert_restored("a", fresh)
         assert len(table) == 1
         assert table.get("a").observations == 0
@@ -224,7 +229,7 @@ class TestRestoredEntries:
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_streams": 0}, {"max_bytes": 0}, {"refresh_interval": 0}],
+        [{"max_streams": 0}, {"max_bytes": 0}],
     )
     def test_bad_bounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
