@@ -26,6 +26,10 @@ The package is organised bottom-up:
 * :mod:`repro.analysis` — regeneration of Table 1 and Figures 1-4, the
   extension experiments and the ablations.
 
+Every package's front door is lazy (:mod:`repro._lazy`): ``import repro``
+loads no subpackage and no numpy, and a name loads its module the first time
+it is read, so a process pays only for what it uses.
+
 Quickstart
 ----------
 >>> from repro import Scenario
@@ -42,89 +46,46 @@ policy inspected after the run, a custom tracer) build a
 >>> result = Simulator(workload.nprocs, seed=7).run([workload.program_for])
 """
 
-# numpy is the package's only hard dependency (typed event queue, vectorised
-# cohort engine, columnar traces).  Older releases lack APIs the kernels use;
-# fail at import with an actionable message instead of deep inside one.
-_NUMPY_MIN = (1, 22)
-try:
-    import numpy as _numpy
-except ImportError as _error:  # pragma: no cover - environment-dependent
-    raise ImportError(
-        "repro requires numpy >= "
-        + ".".join(str(part) for part in _NUMPY_MIN)
-        + " (install it with 'pip install numpy')"
-    ) from _error
-if tuple(int(part) for part in _numpy.__version__.split(".")[:2]) < _NUMPY_MIN:
-    raise ImportError(  # pragma: no cover - environment-dependent
-        f"repro requires numpy >= {'.'.join(str(p) for p in _NUMPY_MIN)}, "
-        f"found {_numpy.__version__}; upgrade with 'pip install -U numpy'"
-    )
-del _numpy
-
-from repro.core.baselines import (
-    CyclePredictor,
-    LastValuePredictor,
-    MarkovPredictor,
-    MostFrequentPredictor,
-    StridePredictor,
-)
-from repro.core.dpd import DynamicPeriodicityDetector
-from repro.core.evaluation import evaluate_stream, evaluate_unordered
-from repro.core.predictor import PeriodicityPredictor
-from repro.scenario import (
-    MachineSpec,
-    NetworkSpec,
-    PolicySpec,
-    PredictorSpec,
-    Scenario,
-    ScenarioResult,
-    ScenarioSpec,
-    Sweep,
-    TraceSpec,
-    WorkloadSpec,
-    load_sweep,
-)
-from repro.sim.engine import SimulationResult, Simulator
-from repro.sim.machine import MachineConfig
-from repro.sim.network import NetworkConfig, NetworkModel
-from repro.trace.tracer import TwoLevelTracer
-from repro.workloads.registry import create_workload, paper_configurations, workload_names
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # simulation substrate
-    "Simulator",
-    "SimulationResult",
-    "MachineConfig",
-    "NetworkConfig",
-    "NetworkModel",
-    "TwoLevelTracer",
-    # workloads
-    "create_workload",
-    "workload_names",
-    "paper_configurations",
-    # declarative scenario API
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "WorkloadSpec",
-    "MachineSpec",
-    "NetworkSpec",
-    "PolicySpec",
-    "PredictorSpec",
-    "TraceSpec",
-    "Sweep",
-    "load_sweep",
-    # predictor (the paper's contribution)
-    "DynamicPeriodicityDetector",
-    "PeriodicityPredictor",
-    "LastValuePredictor",
-    "MostFrequentPredictor",
-    "CyclePredictor",
-    "MarkovPredictor",
-    "StridePredictor",
-    "evaluate_stream",
-    "evaluate_unordered",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "__version__",
+        # simulation substrate
+        "sim.engine.Simulator",
+        "sim.engine.SimulationResult",
+        "sim.machine.MachineConfig",
+        "sim.network.NetworkConfig",
+        "sim.network.NetworkModel",
+        "trace.tracer.TwoLevelTracer",
+        # workloads
+        "workloads.registry.create_workload",
+        "workloads.registry.workload_names",
+        "workloads.registry.paper_configurations",
+        # declarative scenario API
+        "scenario.scenario.Scenario",
+        "scenario.scenario.ScenarioResult",
+        "scenario.spec.ScenarioSpec",
+        "scenario.spec.WorkloadSpec",
+        "scenario.spec.MachineSpec",
+        "scenario.spec.NetworkSpec",
+        "scenario.spec.PolicySpec",
+        "scenario.spec.PredictorSpec",
+        "scenario.spec.TraceSpec",
+        "scenario.sweep.Sweep",
+        "scenario.sweep.load_sweep",
+        # predictor (the paper's contribution)
+        "core.dpd.DynamicPeriodicityDetector",
+        "core.predictor.PeriodicityPredictor",
+        "core.baselines.LastValuePredictor",
+        "core.baselines.MostFrequentPredictor",
+        "core.baselines.CyclePredictor",
+        "core.baselines.MarkovPredictor",
+        "core.baselines.StridePredictor",
+        "core.evaluation.evaluate_stream",
+        "core.evaluation.evaluate_unordered",
+    ],
+)

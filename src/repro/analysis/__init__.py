@@ -23,50 +23,33 @@ so that regenerating the whole evaluation runs each application/process-count
 combination exactly once.
 """
 
-from repro.analysis.ablations import (
-    baseline_comparison,
-    jitter_sensitivity,
-    unordered_accuracy_study,
-    window_size_sweep,
-)
-from repro.analysis.experiments import ExperimentContext
-from repro.analysis.extensions import (
-    credit_flow_experiment,
-    memory_reduction_experiment,
-    rendezvous_bypass_experiment,
-)
-from repro.analysis.figures_accuracy import AccuracyFigure, figure3, figure4
-from repro.analysis.figures_streams import Figure1Result, Figure2Result, figure1, figure2
-from repro.analysis.report import ReproductionReport, build_report
-from repro.analysis.scaling import (
-    project_buffer_memory,
-    project_unexpected_exposure,
-    working_set_from_run,
-)
-from repro.analysis.table1 import Table1Row, build_table1, render_table1
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproductionReport",
-    "build_report",
-    "project_buffer_memory",
-    "project_unexpected_exposure",
-    "working_set_from_run",
-    "ExperimentContext",
-    "Table1Row",
-    "build_table1",
-    "render_table1",
-    "Figure1Result",
-    "Figure2Result",
-    "figure1",
-    "figure2",
-    "AccuracyFigure",
-    "figure3",
-    "figure4",
-    "memory_reduction_experiment",
-    "credit_flow_experiment",
-    "rendezvous_bypass_experiment",
-    "window_size_sweep",
-    "jitter_sensitivity",
-    "baseline_comparison",
-    "unordered_accuracy_study",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "report.ReproductionReport",
+        "report.build_report",
+        "scaling.project_buffer_memory",
+        "scaling.project_unexpected_exposure",
+        "scaling.working_set_from_run",
+        "experiments.ExperimentContext",
+        "table1.Table1Row",
+        "table1.build_table1",
+        "table1.render_table1",
+        "figures_streams.Figure1Result",
+        "figures_streams.Figure2Result",
+        "figures_streams.figure1",
+        "figures_streams.figure2",
+        "figures_accuracy.AccuracyFigure",
+        "figures_accuracy.figure3",
+        "figures_accuracy.figure4",
+        "extensions.memory_reduction_experiment",
+        "extensions.credit_flow_experiment",
+        "extensions.rendezvous_bypass_experiment",
+        "ablations.window_size_sweep",
+        "ablations.jitter_sensitivity",
+        "ablations.baseline_comparison",
+        "ablations.unordered_accuracy_study",
+    ],
+)

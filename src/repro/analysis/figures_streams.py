@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro._numpy import np
 from repro.analysis.experiments import ExperimentContext
 from repro.core.dpd import DynamicPeriodicityDetector
 from repro.trace.streams import sender_stream, size_stream

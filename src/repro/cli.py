@@ -31,6 +31,10 @@ Commands
 Every simulating command builds a :class:`repro.scenario.ScenarioSpec` and
 runs it through :class:`repro.scenario.Scenario` — the CLI is a thin veneer
 over the same declarative API library users call.
+
+Each command imports what it runs inside its handler, and building the
+parser imports no simulator, workload or analysis module: ``repro serve``
+starts with the serve path only (``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -41,31 +45,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.experiments import ExperimentContext
-from repro.analysis.report import build_report
-from repro.analysis.table1 import build_table1, render_table1
-from repro.core.evaluation import evaluate_stream
-from repro.predictive.registry import POLICIES, PREDICTORS
-from repro.scenario import (
-    CachedCell,
-    PredictorSpec,
-    Scenario,
-    ScenarioResult,
-    ScenarioSpec,
-    SweepAborted,
-    WorkloadSpec,
-    cell_record,
-    load_sweep,
-    sweep_accuracy_table,
-)
-from repro.serve.protocol import OPS as SERVE_OPS
-from repro.serve.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
-from repro.sim.engine import ENGINES
-from repro.sim.registry import FAULT_PRESETS, MACHINE_PRESETS, NETWORK_PRESETS
-from repro.trace.io import load_traces
-from repro.trace.streams import sender_stream, size_stream
-from repro.util.text import ascii_table
-from repro.workloads.registry import paper_configurations, workload_names
+from repro.sim.registry import ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -192,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     predict_cmd = sub.add_parser("predict", help="evaluate the predictor on a stream")
     predict_cmd.add_argument("--traces", type=str, default=None, help="trace file from 'run --save-traces'")
-    predict_cmd.add_argument("--workload", choices=workload_names(), default=None)
+    predict_cmd.add_argument(
+        "--workload", default=None, help="registry name (see 'repro list')"
+    )
     predict_cmd.add_argument("--nprocs", type=int, default=None)
     predict_cmd.add_argument("--scale", type=float, default=1.0)
     predict_cmd.add_argument("--seed", type=int, default=2003)
@@ -295,23 +277,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(what: str, error: Exception) -> int:
+    """A usage error: one ``what: message`` line on stderr, exit status 2.
+
+    A ``KeyError`` prints its message, not its ``repr``.
+    """
+    message = error.args[0] if isinstance(error, KeyError) and len(error.args) == 1 else error
+    print(f"{what}: {message}", file=sys.stderr)
+    return 2
+
+
 def _given(args, *names: str) -> dict:
     """The options among ``names`` that were given (are not ``None``)."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
+def _refuse_unknown_workload(name: str) -> bool:
+    """Print the usage error and return True when ``name`` is no registered workload."""
+    from repro.workloads.registry import workload_names
+
+    if name in workload_names():
+        return False
+    print(f"unknown workload {name!r}; available: {', '.join(workload_names())}", file=sys.stderr)
+    return True
+
+
 def _cmd_run(args) -> int:
+    from repro.scenario.scenario import Scenario
+    from repro.scenario.spec import ScenarioSpec, WorkloadSpec
+    from repro.util.text import ascii_table
+
     try:
         workload_spec = WorkloadSpec.from_shorthand(args.workload)
     except (ValueError, KeyError) as error:
-        print(f"cannot parse workload {args.workload!r}: {error}", file=sys.stderr)
-        return 2
-    if workload_spec.name not in workload_names():
-        print(
-            f"unknown workload {workload_spec.name!r}; "
-            f"available: {', '.join(workload_names())}",
-            file=sys.stderr,
-        )
+        return _refuse(f"cannot parse workload {args.workload!r}", error)
+    if _refuse_unknown_workload(workload_spec.name):
         return 2
     try:
         spec = ScenarioSpec(
@@ -323,8 +323,7 @@ def _cmd_run(args) -> int:
         )
         scenario_result = Scenario(spec).run()
     except (OSError, KeyError, TypeError, ValueError) as error:
-        print(f"cannot run scenario: {error}", file=sys.stderr)
-        return 2
+        return _refuse("cannot run scenario", error)
     workload = scenario_result.workload
     summary = scenario_result.stats.summary()
     print(ascii_table(["metric", "value"], sorted(summary.items()), title=f"{workload!r}"))
@@ -360,12 +359,21 @@ def _sweep_row(record: dict, cached: bool) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.scenario.scenario import ScenarioResult
+    from repro.scenario.sweep import (
+        CachedCell,
+        SweepAborted,
+        cell_record,
+        load_sweep,
+        sweep_accuracy_table,
+    )
+    from repro.util.text import ascii_table
+
     try:
         sweep = load_sweep(args.spec)
         specs = sweep.expand()
     except (OSError, ValueError, KeyError, TypeError) as error:
-        print(f"cannot load sweep spec {args.spec!r}: {error}", file=sys.stderr)
-        return 2
+        return _refuse(f"cannot load sweep spec {args.spec!r}", error)
     if not specs:
         print("sweep expands to zero cells", file=sys.stderr)
         return 2
@@ -488,8 +496,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from repro.core.evaluation import evaluate_stream
+    from repro.scenario.scenario import Scenario
+    from repro.scenario.spec import PredictorSpec, ScenarioSpec, WorkloadSpec
+    from repro.trace.io import load_traces
+    from repro.trace.streams import sender_stream, size_stream
+    from repro.util.text import ascii_table
+
     if not args.traces and not (args.workload and args.nprocs):
         print("predict requires either --traces FILE or --workload/--nprocs", file=sys.stderr)
+        return 2
+    if args.workload and _refuse_unknown_workload(args.workload):
         return 2
     try:
         predictor_spec = PredictorSpec(
@@ -507,8 +524,7 @@ def _cmd_predict(args) -> int:
             )
             scenario_result = Scenario(spec).run()
     except (OSError, KeyError, TypeError, ValueError) as error:
-        print(f"cannot run scenario: {error}", file=sys.stderr)
-        return 2
+        return _refuse("cannot run scenario", error)
     if args.traces:
         rank = args.rank if args.rank is not None else 0
         if not (0 <= rank < len(traces)):
@@ -538,12 +554,17 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from repro.analysis.experiments import ExperimentContext
+    from repro.analysis.table1 import build_table1, render_table1
+
     context = ExperimentContext(seed=args.seed, scale=args.scale)
     print(render_table1(build_table1(context)))
     return 0
 
 
 def _cmd_report(args) -> int:
+    from repro.analysis.report import build_report
+
     report = build_report(
         seed=args.seed,
         scale=args.scale,
@@ -561,8 +582,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-
     from repro.serve.server import ServeServer, run_stdin
     from repro.serve.service import ServeService
     from repro.serve.snapshot import SnapshotError
@@ -583,8 +602,7 @@ def _cmd_serve(args) -> int:
                 max_bytes=args.max_bytes,
             )
     except (SnapshotError, KeyError, TypeError, ValueError) as error:
-        print(f"cannot build the serve service: {error}", file=sys.stderr)
-        return 2
+        return _refuse("cannot build the serve service", error)
 
     def final_snapshot() -> None:
         if args.snapshot_dir:
@@ -601,6 +619,8 @@ def _cmd_serve(args) -> int:
             print(f"rejected {rejected} malformed event lines", file=sys.stderr)
         final_snapshot()
         return 1 if rejected else 0
+
+    import asyncio
 
     async def serve() -> None:
         server = ServeServer(service, host=args.host, port=args.port)
@@ -623,6 +643,12 @@ def _cmd_serve(args) -> int:
 
 def _registry_listing() -> dict:
     """Machine-readable view of every scenario-addressable component."""
+    from repro.predictive.registry import POLICIES, PREDICTORS
+    from repro.serve.protocol import OPS as SERVE_OPS
+    from repro.serve.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
+    from repro.sim.registry import FAULT_PRESETS, MACHINE_PRESETS, NETWORK_PRESETS
+    from repro.workloads.registry import paper_configurations, workload_names
+
     return {
         "engines": [
             {
@@ -683,6 +709,8 @@ def _registry_listing() -> dict:
 
 
 def _cmd_list(args) -> int:
+    from repro.util.text import ascii_table
+
     listing = _registry_listing()
     if getattr(args, "json", False):
         print(json.dumps(listing, indent=2, sort_keys=True))

@@ -12,34 +12,23 @@
   horizon, plus the order-insensitive (set-based) accuracy of Section 5.3.
 """
 
-from repro.core.baselines import (
-    CyclePredictor,
-    LastValuePredictor,
-    MarkovPredictor,
-    MostFrequentPredictor,
-    StridePredictor,
-)
-from repro.core.dpd import DynamicPeriodicityDetector, PeriodicityResult
-from repro.core.evaluation import (
-    AccuracyResult,
-    UnorderedAccuracyResult,
-    evaluate_stream,
-    evaluate_unordered,
-)
-from repro.core.predictor import BasePredictor, PeriodicityPredictor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DynamicPeriodicityDetector",
-    "PeriodicityResult",
-    "BasePredictor",
-    "PeriodicityPredictor",
-    "LastValuePredictor",
-    "MostFrequentPredictor",
-    "CyclePredictor",
-    "MarkovPredictor",
-    "StridePredictor",
-    "AccuracyResult",
-    "UnorderedAccuracyResult",
-    "evaluate_stream",
-    "evaluate_unordered",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "dpd.DynamicPeriodicityDetector",
+        "dpd.PeriodicityResult",
+        "predictor.BasePredictor",
+        "predictor.PeriodicityPredictor",
+        "baselines.LastValuePredictor",
+        "baselines.MostFrequentPredictor",
+        "baselines.CyclePredictor",
+        "baselines.MarkovPredictor",
+        "baselines.StridePredictor",
+        "evaluation.AccuracyResult",
+        "evaluation.UnorderedAccuracyResult",
+        "evaluation.evaluate_stream",
+        "evaluation.evaluate_unordered",
+    ],
+)

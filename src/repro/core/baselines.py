@@ -29,8 +29,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from typing import Optional
 
-import numpy as np
-
 from repro.core.predictor import BasePredictor, PeriodicityPredictor, PredictorState
 
 __all__ = [
@@ -110,6 +108,8 @@ class MostFrequentPredictor(BasePredictor):
         return [choice] * horizon
 
     def get_state(self) -> PredictorState:
+        from repro._numpy import np
+
         window = np.array(self._window, dtype=np.int64)
         return PredictorState(self.name, (self.window_size,), (window,))
 
@@ -162,6 +162,8 @@ class CyclePredictor(BasePredictor):
         return predictions
 
     def get_state(self) -> PredictorState:
+        from repro._numpy import np
+
         # (value, successor) pairs in the order the values were first followed.
         pairs = np.ravel(list(self._successor.items())).astype(np.int64)
         return PredictorState(self.name, (), (self._last, pairs))
@@ -229,6 +231,8 @@ class MarkovPredictor(BasePredictor):
         return predictions
 
     def get_state(self) -> PredictorState:
+        from repro._numpy import np
+
         # One row per transition seen: the context, the value that followed, its count.
         rows = [(*c, v, n) for c, counts in self._table.items() for v, n in counts.items()]
         context = np.array(self._context, dtype=np.int64)

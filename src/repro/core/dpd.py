@@ -88,14 +88,18 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["PeriodicityResult", "DynamicPeriodicityDetector"]
 
 
 def _as_int64_1d(values) -> np.ndarray:
     """Coerce ``values`` (array, sequence, or iterable) to a 1-D int64 array."""
+    from repro._numpy import np
+
     if isinstance(values, np.ndarray):
         return np.ascontiguousarray(values.reshape(-1), dtype=np.int64)
     if isinstance(values, (list, tuple, range)):
@@ -286,6 +290,8 @@ class DynamicPeriodicityDetector:
         history = self._history
         masks = dict.fromkeys(history, 0)
         if samples is not None and len(masks) <= 64:
+            from repro._numpy import np
+
             # One comparison row per value, packed little-endian: bit p is sample p.
             values = np.fromiter(masks, dtype=np.int64, count=len(masks))
             rows = np.packbits(samples == values[:, None], axis=1, bitorder="little")
@@ -334,6 +340,8 @@ class DynamicPeriodicityDetector:
         -------
         ``None``, or the per-step period array when ``return_periods``.
         """
+        from repro._numpy import np
+
         values = _as_int64_1d(values).tolist()
         periods = np.zeros(len(values), dtype=np.int64) if return_periods else None
         for j in range(self.fill_window(values), len(values)):
@@ -375,6 +383,8 @@ class DynamicPeriodicityDetector:
         This reads the counters off the bit-planes; see
         :meth:`distances_naive` for the from-scratch reference scan.
         """
+        from repro._numpy import np
+
         big_m = self.max_period
         usable = min(big_m, self._seen - self.window_size)
         if usable <= 0:
@@ -392,6 +402,8 @@ class DynamicPeriodicityDetector:
         tests assert it stays bit-identical to :meth:`distances` after every
         append.
         """
+        from repro._numpy import np
+
         history = self.history()
         length = history.shape[0]
         usable_delays = min(self.max_period, length - self.window_size)
@@ -415,11 +427,15 @@ class DynamicPeriodicityDetector:
 
     def history(self) -> np.ndarray:
         """Chronological copy of the retained history (for prediction replay)."""
+        from repro._numpy import np
+
         return np.array(self.recent(self.retained), dtype=np.int64)
 
     def stored_history(self) -> np.ndarray:
         """A copy of every stored sample, what :meth:`from_history` takes (queries
         read the last ``retained``; the rest waits for the next trim)."""
+        from repro._numpy import np
+
         return np.array(self._history, dtype=np.int64)
 
     def recent(self, n: int) -> array:

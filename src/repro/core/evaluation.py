@@ -28,8 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from repro._numpy import np
 from repro.core.predictor import BasePredictor
 
 __all__ = [

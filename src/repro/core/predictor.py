@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from repro.core.dpd import DynamicPeriodicityDetector, _as_int64_1d
 
 __all__ = ["BasePredictor", "PeriodicityPredictor", "PredictorState"]

@@ -15,44 +15,28 @@ The package mirrors the structure of a real MPI implementation:
   barrier).
 """
 
-from repro.mpi.communicator import Communicator, RankContext
-from repro.mpi.constants import (
-    ANY_SOURCE,
-    ANY_TAG,
-    COLLECTIVE_TAG_BASE,
-    KIND_COLLECTIVE,
-    KIND_P2P,
-    MAX_USER_TAG,
-)
-from repro.mpi.ops import (
-    ComputeOp,
-    IrecvOp,
-    IsendOp,
-    Operation,
-    RecvOp,
-    SendOp,
-    WaitallOp,
-    WaitOp,
-)
-from repro.mpi.request import Request, Status
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "MAX_USER_TAG",
-    "COLLECTIVE_TAG_BASE",
-    "KIND_P2P",
-    "KIND_COLLECTIVE",
-    "Operation",
-    "SendOp",
-    "IsendOp",
-    "RecvOp",
-    "IrecvOp",
-    "WaitOp",
-    "WaitallOp",
-    "ComputeOp",
-    "Request",
-    "Status",
-    "Communicator",
-    "RankContext",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "constants.ANY_SOURCE",
+        "constants.ANY_TAG",
+        "constants.MAX_USER_TAG",
+        "constants.COLLECTIVE_TAG_BASE",
+        "constants.KIND_P2P",
+        "constants.KIND_COLLECTIVE",
+        "ops.Operation",
+        "ops.SendOp",
+        "ops.IsendOp",
+        "ops.RecvOp",
+        "ops.IrecvOp",
+        "ops.WaitOp",
+        "ops.WaitallOp",
+        "ops.ComputeOp",
+        "request.Request",
+        "request.Status",
+        "communicator.Communicator",
+        "communicator.RankContext",
+    ],
+)

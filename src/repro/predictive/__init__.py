@@ -24,31 +24,22 @@ traffic for grants; the latency and memory effects of hits and misses are
 modelled (a miss falls back to the slow rendezvous path).
 """
 
-from repro.predictive.buffer_manager import PredictiveBufferPolicy
-from repro.predictive.credit_policy import PredictiveCreditPolicy
-from repro.predictive.online import OnlineMessagePredictor, PredictedMessage
-from repro.predictive.registry import (
-    create_policy,
-    create_predictor,
-    policy_names,
-    predictor_factory,
-    predictor_names,
-    register_policy,
-    register_predictor,
-)
-from repro.predictive.rendezvous_bypass import PredictiveRendezvousPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OnlineMessagePredictor",
-    "PredictedMessage",
-    "PredictiveBufferPolicy",
-    "PredictiveCreditPolicy",
-    "PredictiveRendezvousPolicy",
-    "create_policy",
-    "create_predictor",
-    "policy_names",
-    "predictor_factory",
-    "predictor_names",
-    "register_policy",
-    "register_predictor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "online.OnlineMessagePredictor",
+        "online.PredictedMessage",
+        "buffer_manager.PredictiveBufferPolicy",
+        "credit_policy.PredictiveCreditPolicy",
+        "rendezvous_bypass.PredictiveRendezvousPolicy",
+        "registry.create_policy",
+        "registry.create_predictor",
+        "registry.policy_names",
+        "registry.predictor_factory",
+        "registry.predictor_names",
+        "registry.register_policy",
+        "registry.register_predictor",
+    ],
+)

@@ -25,8 +25,6 @@ from __future__ import annotations
 import re
 import struct
 
-import numpy as np
-
 from repro.core.baselines import STREAM_PREDICTORS
 from repro.core.predictor import PredictorState
 from repro.predictive.online import OnlineMessagePredictor
@@ -82,6 +80,8 @@ def freeze_state(predictor) -> bytes:
 
 
 def _write(out: bytearray, state: PredictorState) -> None:
+    from repro._numpy import np
+
     kind = state.kind.encode("ascii")
     out += _U8.pack(len(kind)) + kind + _U8.pack(len(state.config))
     out += struct.pack(f"<{len(state.config)}q", *state.config) + _U8.pack(len(state.data))
@@ -116,6 +116,8 @@ def _take(view: memoryview, offset: int, size: int) -> memoryview:
 
 
 def _read(view: memoryview, offset: int, nested: bool) -> tuple[PredictorState, int]:
+    from repro._numpy import np
+
     start = offset
     size = _take(view, offset, 1)[0]
     kind = bytes(_take(view, offset + 1, size)).decode("ascii", "replace")

@@ -18,25 +18,22 @@ criticises and whose behaviour the prediction-driven optimisations of
   eager and rendezvous protocols, matching, tracing hooks and timing.
 """
 
-from repro.runtime.buffers import BufferPoolStats, EagerBufferPool
-from repro.runtime.credits import CreditAccount, CreditManager
-from repro.runtime.matching import PostedReceive, PostedReceiveQueue, UnexpectedQueue
-from repro.runtime.message import Message
-from repro.runtime.protocol import FlowControlPolicy, StandardFlowControl
-from repro.runtime.stats import RuntimeStats
-from repro.runtime.transport import Transport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Message",
-    "PostedReceive",
-    "PostedReceiveQueue",
-    "UnexpectedQueue",
-    "EagerBufferPool",
-    "BufferPoolStats",
-    "CreditManager",
-    "CreditAccount",
-    "FlowControlPolicy",
-    "StandardFlowControl",
-    "RuntimeStats",
-    "Transport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "message.Message",
+        "matching.PostedReceive",
+        "matching.PostedReceiveQueue",
+        "matching.UnexpectedQueue",
+        "buffers.EagerBufferPool",
+        "buffers.BufferPoolStats",
+        "credits.CreditManager",
+        "credits.CreditAccount",
+        "protocol.FlowControlPolicy",
+        "protocol.StandardFlowControl",
+        "stats.RuntimeStats",
+        "transport.Transport",
+    ],
+)

@@ -35,47 +35,30 @@ through the open registries in :mod:`repro.predictive.registry` and
 addressable from every spec, TOML file, and the ``repro sweep`` CLI.
 """
 
-from repro.scenario.scenario import Scenario, ScenarioResult
-from repro.scenario.shorthand import coerce_scalar, parse_params, split_shorthand
-from repro.scenario.spec import (
-    FaultSpec,
-    MachineSpec,
-    NetworkSpec,
-    PolicySpec,
-    PredictorSpec,
-    ScenarioSpec,
-    TraceSpec,
-    WorkloadSpec,
-)
-from repro.scenario.sweep import (
-    CachedCell,
-    CellFailure,
-    Sweep,
-    SweepAborted,
-    cell_record,
-    load_sweep,
-    sweep_accuracy_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "WorkloadSpec",
-    "MachineSpec",
-    "NetworkSpec",
-    "FaultSpec",
-    "PolicySpec",
-    "PredictorSpec",
-    "TraceSpec",
-    "Sweep",
-    "SweepAborted",
-    "CellFailure",
-    "CachedCell",
-    "cell_record",
-    "load_sweep",
-    "sweep_accuracy_table",
-    "coerce_scalar",
-    "parse_params",
-    "split_shorthand",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "scenario.Scenario",
+        "scenario.ScenarioResult",
+        "spec.ScenarioSpec",
+        "spec.WorkloadSpec",
+        "spec.MachineSpec",
+        "spec.NetworkSpec",
+        "spec.FaultSpec",
+        "spec.PolicySpec",
+        "spec.PredictorSpec",
+        "spec.TraceSpec",
+        "sweep.Sweep",
+        "sweep.SweepAborted",
+        "sweep.CellFailure",
+        "sweep.CachedCell",
+        "sweep.cell_record",
+        "sweep.load_sweep",
+        "sweep.sweep_accuracy_table",
+        "shorthand.coerce_scalar",
+        "shorthand.parse_params",
+        "shorthand.split_shorthand",
+    ],
+)

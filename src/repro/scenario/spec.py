@@ -25,10 +25,13 @@ Every node accepts three equivalent forms:
   policy="credit:horizon=5")``
 
 Component names are resolved through the registries in
-:mod:`repro.sim.registry` (machine/network presets) and
-:mod:`repro.predictive.registry` (policies, predictors) at *build* time, so
-specs can be constructed before custom components are registered and stay
-cheap to create, compare and pickle.
+:mod:`repro.sim.registry` (machine/network presets),
+:mod:`repro.predictive.registry` (policies, predictors) and
+:mod:`repro.workloads.registry` at *build* time, so specs can be constructed
+before custom components are registered and stay cheap to create, compare
+and pickle.  The policy, predictor and workload registries are also only
+*imported* at build time, so a process that builds a :class:`PredictorSpec`
+(``repro serve``) loads no workload and no engine.
 
 Seed plumbing: :class:`NetworkSpec` and :class:`FaultSpec` (like their
 config classes) leave ``seed`` ``None`` by default, meaning "derive from the
@@ -39,23 +42,20 @@ exactly like the default one, on every path; a pinned seed wins.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import hashlib
 import json
-import tomllib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, get_type_hints
+from typing import TYPE_CHECKING, Callable, Mapping, get_type_hints
 
 from repro.scenario.shorthand import split_shorthand
-from repro.sim.engine import ENGINES
 from repro.sim.faults import FaultConfig
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
-from repro.sim.registry import create_faults, create_machine, create_network
-from repro.predictive.registry import create_policy, predictor_factory
-from repro.workloads.base import Workload
-from repro.workloads.registry import LABEL_ABBREVIATIONS, create_workload
+from repro.sim.registry import ENGINES, create_faults, create_machine, create_network
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
 
 __all__ = [
     "WorkloadSpec",
@@ -67,11 +67,6 @@ __all__ = [
     "TraceSpec",
     "ScenarioSpec",
 ]
-
-#: Paper-label abbreviations (``sw.32`` on the figures means sweep3d at 32)
-#: back to registry names.
-_LABEL_EXPAND = {short: full for full, short in LABEL_ABBREVIATIONS.items()}
-
 
 # ----------------------------------------------------------------------
 # Frozen key/value payloads
@@ -105,6 +100,8 @@ def _reject_unknown_keys(kind: str, data: Mapping, known) -> None:
 
 
 def _suggest(key: str, candidates) -> str:
+    import difflib
+
     matches = difflib.get_close_matches(key, sorted(candidates), n=3)
     if matches:
         return f"; did you mean {' or '.join(repr(m) for m in matches)}?"
@@ -277,16 +274,23 @@ class WorkloadSpec(_Node):
     @property
     def label(self) -> str:
         """Paper-style label, e.g. ``bt.9`` (``sw.32`` for sweep3d)."""
+        from repro.workloads.registry import LABEL_ABBREVIATIONS
+
         short = LABEL_ABBREVIATIONS.get(self.name, self.name)
         return short if self.nprocs == 0 else f"{short}.{self.nprocs}"
 
     def build(self) -> Workload:
         """Instantiate the workload through the registry."""
+        from repro.workloads.registry import create_workload
+
         return create_workload(self.name, **self._arguments())
 
     @classmethod
     def from_shorthand(cls, text: str) -> "WorkloadSpec":
-        """Parse ``"bt.9:scale=0.2"`` / ``"bt:nprocs=9,scale=0.2"``."""
+        """Parse ``"bt.9:scale=0.2"`` / ``"bt:nprocs=9,scale=0.2"``; a paper
+        label's abbreviation (``sw.32``) names its workload (sweep3d)."""
+        from repro.workloads.registry import LABEL_ABBREVIATIONS
+
         head, params = split_shorthand(text)
         name, dot, count = head.rpartition(".")
         if dot and count.isdigit():
@@ -296,7 +300,8 @@ class WorkloadSpec(_Node):
                 )
             params["nprocs"] = int(count)
             head = name
-        head = _LABEL_EXPAND.get(head, head)
+        expand = {short: full for full, short in LABEL_ABBREVIATIONS.items()}
+        head = expand.get(head, head)
         return cls.from_dict({"name": head, **params})
 
     @classmethod
@@ -378,6 +383,8 @@ class PolicySpec(_Node):
 
     def build(self):
         """Instantiate through :mod:`repro.predictive.registry`."""
+        from repro.predictive.registry import create_policy
+
         return create_policy(self.kind, **self._arguments())
 
 
@@ -398,6 +405,8 @@ class PredictorSpec(_Node):
     def factory(self) -> Callable[[], object]:
         """A zero-argument factory of fresh predictor instances (``horizon``
         belongs to the evaluation, not to the predictor's constructor)."""
+        from repro.predictive.registry import predictor_factory
+
         return predictor_factory(self.kind, **dict(self.params))
 
 
@@ -550,6 +559,8 @@ class ScenarioSpec:
     @classmethod
     def from_toml(cls, path: str | Path) -> "ScenarioSpec":
         """Load a scenario spec from a TOML file."""
+        import tomllib
+
         with Path(path).open("rb") as handle:
             return cls.from_dict(tomllib.load(handle))
 

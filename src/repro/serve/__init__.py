@@ -34,39 +34,25 @@ same-stream runs into ``observe_batch``, which is bit-equivalent to the
 sequential loop by the predictors' own contract).
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.protocol import (
-    ServeEvent,
-    ServeProtocolError,
-    encode_event,
-    encode_response,
-    parse_event_line,
-)
-from repro.serve.service import ServeService
-from repro.serve.shard import Shard
-from repro.serve.snapshot import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    load_snapshot,
-    write_snapshot,
-)
-from repro.serve.table import StreamEntry, StreamTable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SNAPSHOT_FORMAT",
-    "SNAPSHOT_VERSION",
-    "ServeClient",
-    "ServeEvent",
-    "ServeProtocolError",
-    "ServeService",
-    "Shard",
-    "SnapshotError",
-    "StreamEntry",
-    "StreamTable",
-    "encode_event",
-    "encode_response",
-    "load_snapshot",
-    "parse_event_line",
-    "write_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "snapshot.SNAPSHOT_FORMAT",
+        "snapshot.SNAPSHOT_VERSION",
+        "client.ServeClient",
+        "protocol.ServeEvent",
+        "protocol.ServeProtocolError",
+        "service.ServeService",
+        "shard.Shard",
+        "snapshot.SnapshotError",
+        "table.StreamEntry",
+        "table.StreamTable",
+        "protocol.encode_event",
+        "protocol.encode_response",
+        "snapshot.load_snapshot",
+        "protocol.parse_event_line",
+        "snapshot.write_snapshot",
+    ],
+)

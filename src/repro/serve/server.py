@@ -17,17 +17,20 @@ the event-loop thread, so the only concurrency is between connections: a
 handler yields to the loop after each chunk, and backpressure is TCP flow
 control — a client that does not read its answers stalls its own handler in
 ``drain()``, which stops reading that client's requests and nobody else's.
-:func:`run_stdin` is the one-shot pipe mode.  ``docs/serving.md`` has more.
+:func:`run_stdin` is the one-shot pipe mode; it never imports ``asyncio``,
+which only :class:`ServeServer` needs.  ``docs/serving.md`` has more.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from repro.serve.protocol import ServeProtocolError, encode_response, parse_event_line
 from repro.serve.service import ServeService
 from repro.serve.snapshot import SnapshotError
+
+if TYPE_CHECKING:
+    import asyncio
 
 __all__ = ["LineIngest", "MAX_LINE_BYTES", "ServeServer", "run_stdin"]
 
@@ -118,6 +121,8 @@ class ServeServer:
     """
 
     def __init__(self, service: ServeService, host: str = "127.0.0.1", port: int = 0) -> None:
+        import asyncio
+
         self.service = service
         self.host = host
         self.port = port
@@ -126,6 +131,8 @@ class ServeServer:
 
     async def start(self) -> None:
         """Bind the listener."""
+        import asyncio
+
         self._server = await asyncio.start_server(self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -143,6 +150,8 @@ class ServeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        import asyncio
+
         ingest = LineIngest(self.service)
         try:
             while not ingest.shutdown:

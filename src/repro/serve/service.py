@@ -239,6 +239,14 @@ class ServeService:
                     shard=shard.index,
                 )
             service.shards.append(shard)
+        for shard in service.shards:  # keys sit outside the record CRCs
+            for key in shard.table.keys():
+                if service.shard_index_for(key) != shard.index:
+                    raise SnapshotError(
+                        base / shard_files[shard.index]["file"],
+                        f"stream {key!r} routes to shard {service.shard_index_for(key)}",
+                        shard=shard.index,
+                    )
         return service
 
 

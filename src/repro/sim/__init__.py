@@ -13,53 +13,35 @@ IBM RS/6000 + MPICH testbed:
   programs and dispatches their MPI operations to the runtime transport.
 """
 
-from repro.sim.engine import RankState, SimulationResult, Simulator
-from repro.sim.errors import (
-    ConfigurationError,
-    DeadlockError,
-    SimulationError,
-    TimeLimitExceeded,
-)
-from repro.sim.events import EVENT_CALLBACK, EVENT_DELIVER, EVENT_STEP, EventQueue
-from repro.sim.faults import FaultConfig, FaultInjector
-from repro.sim.machine import MachineConfig
-from repro.sim.network import NetworkConfig, NetworkModel
-from repro.sim.registry import (
-    create_faults,
-    create_machine,
-    create_network,
-    fault_preset_names,
-    machine_preset_names,
-    network_preset_names,
-    register_fault_preset,
-    register_machine_preset,
-    register_network_preset,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "create_faults",
-    "create_machine",
-    "create_network",
-    "fault_preset_names",
-    "machine_preset_names",
-    "network_preset_names",
-    "register_fault_preset",
-    "register_machine_preset",
-    "register_network_preset",
-    "FaultConfig",
-    "FaultInjector",
-    "EVENT_CALLBACK",
-    "EVENT_DELIVER",
-    "EVENT_STEP",
-    "EventQueue",
-    "NetworkConfig",
-    "NetworkModel",
-    "MachineConfig",
-    "Simulator",
-    "SimulationResult",
-    "RankState",
-    "SimulationError",
-    "TimeLimitExceeded",
-    "DeadlockError",
-    "ConfigurationError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "registry.create_faults",
+        "registry.create_machine",
+        "registry.create_network",
+        "registry.fault_preset_names",
+        "registry.machine_preset_names",
+        "registry.network_preset_names",
+        "registry.register_fault_preset",
+        "registry.register_machine_preset",
+        "registry.register_network_preset",
+        "faults.FaultConfig",
+        "faults.FaultInjector",
+        "events.EVENT_CALLBACK",
+        "events.EVENT_DELIVER",
+        "events.EVENT_STEP",
+        "events.EventQueue",
+        "network.NetworkConfig",
+        "network.NetworkModel",
+        "machine.MachineConfig",
+        "engine.Simulator",
+        "engine.SimulationResult",
+        "engine.RankState",
+        "errors.SimulationError",
+        "errors.TimeLimitExceeded",
+        "errors.DeadlockError",
+        "errors.ConfigurationError",
+    ],
+)

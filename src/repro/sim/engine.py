@@ -110,6 +110,7 @@ from repro.sim.events import (
 )
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig, NetworkModel
+from repro.sim.registry import ENGINES
 from repro.trace.tracer import TwoLevelTracer
 from repro.util.rng import SeededRNG
 
@@ -117,8 +118,6 @@ __all__ = ["Simulator", "SimulationResult", "RankState", "RankStatus"]
 
 #: A program factory takes a rank context and returns the rank's generator.
 ProgramFactory = Callable[[RankContext], Generator[Operation, object, None]]
-#: The drains ``Simulator(engine=...)`` accepts (specs and the CLI import this).
-ENGINES = ("auto", "scalar", "vectorised", "parallel")
 
 #: ``engine="auto"`` turns cohorting on at this many compiled ranks.  Below
 #: it, cohorts are too small for the collect/dispatch overhead to amortise;

@@ -21,32 +21,24 @@ path-based :func:`save_traces`/:func:`load_traces`, the handle-based
 that stream traces through sockets, pipes or in-memory buffers.
 """
 
-from repro.trace.columns import TraceColumns
-from repro.trace.io import load_traces, load_traces_from, save_traces, save_traces_to
-from repro.trace.records import TraceRecord
-from repro.trace.streams import (
-    StreamSummary,
-    collective_count,
-    p2p_count,
-    sender_stream,
-    size_stream,
-    summarize_stream,
-)
-from repro.trace.tracer import ProcessTrace, TwoLevelTracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TraceRecord",
-    "TraceColumns",
-    "TwoLevelTracer",
-    "save_traces",
-    "save_traces_to",
-    "load_traces",
-    "load_traces_from",
-    "ProcessTrace",
-    "sender_stream",
-    "size_stream",
-    "p2p_count",
-    "collective_count",
-    "summarize_stream",
-    "StreamSummary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "records.TraceRecord",
+        "columns.TraceColumns",
+        "tracer.TwoLevelTracer",
+        "io.save_traces",
+        "io.save_traces_to",
+        "io.load_traces",
+        "io.load_traces_from",
+        "tracer.ProcessTrace",
+        "streams.sender_stream",
+        "streams.size_stream",
+        "streams.p2p_count",
+        "streams.collective_count",
+        "streams.summarize_stream",
+        "streams.StreamSummary",
+    ],
+)

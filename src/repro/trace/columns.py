@@ -30,8 +30,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from repro._numpy import np
 from repro.mpi.constants import KIND_COLLECTIVE, KIND_P2P
 from repro.trace.records import TraceRecord
 

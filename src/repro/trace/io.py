@@ -25,8 +25,7 @@ import json
 from pathlib import Path
 from typing import TextIO
 
-import numpy as np
-
+from repro._numpy import np
 from repro.trace.columns import (
     META_FIELD_LIMIT,
     META_SENDER_SHIFT,

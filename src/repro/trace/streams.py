@@ -22,8 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from repro._numpy import np
 from repro.mpi.constants import KIND_COLLECTIVE, KIND_P2P
 from repro.trace.columns import KIND_CODES, TraceColumns
 from repro.trace.records import TraceRecord

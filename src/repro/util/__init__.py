@@ -6,27 +6,22 @@ paper's figures are reproduced as data plus text renderings, no matplotlib),
 and small validation helpers used at public API boundaries.
 """
 
-from repro.util.rng import SeededRNG, derive_seed, spawn_rng
-from repro.util.text import ascii_bar_chart, ascii_table, format_float, wrap_title
-from repro.util.validation import (
-    check_non_negative,
-    check_positive,
-    check_probability,
-    check_rank,
-    check_type,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SeededRNG",
-    "derive_seed",
-    "spawn_rng",
-    "ascii_table",
-    "ascii_bar_chart",
-    "format_float",
-    "wrap_title",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_rank",
-    "check_type",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "rng.SeededRNG",
+        "rng.derive_seed",
+        "rng.spawn_rng",
+        "text.ascii_table",
+        "text.ascii_bar_chart",
+        "text.format_float",
+        "text.wrap_title",
+        "validation.check_positive",
+        "validation.check_non_negative",
+        "validation.check_probability",
+        "validation.check_rank",
+        "validation.check_type",
+    ],
+)

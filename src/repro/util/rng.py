@@ -10,9 +10,10 @@ and every network link gets an independent but deterministic stream.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SeededRNG", "derive_seed", "spawn_rng"]
 
@@ -47,6 +48,8 @@ def derive_seed(base_seed: int, *keys: object) -> int:
 
 def spawn_rng(base_seed: int, *keys: object) -> np.random.Generator:
     """Return a NumPy generator seeded from ``derive_seed(base_seed, *keys)``."""
+    from repro._numpy import np
+
     return np.random.default_rng(derive_seed(base_seed, *keys))
 
 
@@ -109,7 +112,7 @@ class SeededRNG:
         underlying bit stream exactly like repeated scalar draws)."""
         if scale <= 0.0:
             return [0.0] * n
-        return np.abs(self._rng.normal(0.0, scale, size=n)).tolist()
+        return abs(self._rng.normal(0.0, scale, size=n)).tolist()
 
     def lognormal_factor(self, sigma: float) -> float:
         """Multiplicative noise factor with median 1.0."""

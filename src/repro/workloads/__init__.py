@@ -23,39 +23,25 @@ order), with computation modelled as virtual time.
   programs keep the generator protocol.
 """
 
-from repro.workloads.base import Workload, WorkloadDescription
-from repro.workloads.bt import BTWorkload
-from repro.workloads.cg import CGWorkload
-from repro.workloads.is_sort import ISWorkload
-from repro.workloads.lu import LUWorkload
-from repro.workloads.registry import (
-    WORKLOAD_CLASSES,
-    create_workload,
-    paper_configurations,
-    workload_names,
-)
-from repro.workloads.sweep3d import Sweep3DWorkload
-from repro.workloads.synthetic import (
-    CollectiveStormWorkload,
-    PeriodicPatternWorkload,
-    RandomSenderWorkload,
-    RingExchangeWorkload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Workload",
-    "WorkloadDescription",
-    "BTWorkload",
-    "CGWorkload",
-    "LUWorkload",
-    "ISWorkload",
-    "Sweep3DWorkload",
-    "PeriodicPatternWorkload",
-    "RingExchangeWorkload",
-    "RandomSenderWorkload",
-    "CollectiveStormWorkload",
-    "WORKLOAD_CLASSES",
-    "create_workload",
-    "paper_configurations",
-    "workload_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    [
+        "base.Workload",
+        "base.WorkloadDescription",
+        "bt.BTWorkload",
+        "cg.CGWorkload",
+        "lu.LUWorkload",
+        "is_sort.ISWorkload",
+        "sweep3d.Sweep3DWorkload",
+        "synthetic.PeriodicPatternWorkload",
+        "synthetic.RingExchangeWorkload",
+        "synthetic.RandomSenderWorkload",
+        "synthetic.CollectiveStormWorkload",
+        "registry.WORKLOAD_CLASSES",
+        "registry.create_workload",
+        "registry.paper_configurations",
+        "registry.workload_names",
+    ],
+)

@@ -205,7 +205,9 @@ class TestCLICommands:
 
 class TestCLIBuildErrorsAreOneLine:
     """What building or loading a scenario raises is a usage error: one
-    ``cannot run scenario:`` line on stderr, exit 2, no traceback."""
+    ``cannot run scenario:`` line on stderr, exit 2, no traceback (for
+    ``repro serve``, ``cannot build the serve service:``).  A ``KeyError``
+    prints its message, not its quoted ``repr``."""
 
     @pytest.mark.parametrize(
         "argv, fragment",
@@ -248,13 +250,23 @@ class TestCLIBuildErrorsAreOneLine:
                 "No such file or directory",
                 id="predict-missing-trace-file",
             ),
+            pytest.param(
+                ["run", "bt", "--nprocs", "4", "--policy", "nope"],
+                "cannot run scenario: unknown policy 'nope'; available: ",
+                id="unknown-policy-unquoted",
+            ),
+            pytest.param(
+                ["serve", "--stdin", "--predictor", "nosuch"],
+                "cannot build the serve service: unknown predictor 'nosuch'; available: ",
+                id="unknown-serve-predictor-unquoted",
+            ),
         ],
     )
     def test_exit_two_with_one_line(self, argv, fragment, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("cannot run scenario: ")
+        assert captured.err.startswith(("cannot run scenario: ", "cannot build the serve service: "))
         assert fragment in captured.err
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1

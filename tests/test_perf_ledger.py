@@ -1,11 +1,19 @@
 """The committed perf ledger re-derives the README's trajectory figures."""
 
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from harness import metrics  # noqa: E402  (which way each metric is better)
+
+LEDGERS = sorted((ROOT / "perf").glob("PR-*.json"))
 
 
 def ledger_rows(*paths: str) -> list[str]:
@@ -16,25 +24,30 @@ def ledger_rows(*paths: str) -> list[str]:
     return done.stdout.splitlines()
 
 
-def test_pr25_claim_row_matches_the_readme_trajectory_row():
-    rows = ledger_rows("perf/PR-25.json")
-    assert rows[0] == "== PR-25.json: claim ops_per_s on serve-warm-bursts"
-    (claim,) = [row for row in rows if row.startswith("serve-warm-bursts ops_per_s:")]
+@pytest.mark.parametrize("path", LEDGERS, ids=lambda path: path.name)
+def test_every_claim_row_matches_its_readme_trajectory_row(path):
+    claim = json.loads(path.read_text(encoding="utf-8"))["claim"]
+    workload, metric = claim["workload"], claim["metric"]
+    rows = ledger_rows(f"perf/{path.name}")
+    assert rows[0] == f"== {path.name}: claim {metric} on {workload}"
+    (row,) = [row for row in rows if row.startswith(f"{workload} {metric}:")]
     match = re.fullmatch(
-        r"serve-warm-bursts ops_per_s: parent (\S+) \[(\S+)–(\S+)\] n=(\d+); "
+        rf"{re.escape(workload)} {re.escape(metric)}: parent (\S+) \[(\S+)–(\S+)\] n=(\d+); "
         r"change (\S+) \[\S+–\S+\] n=\d+; wins (\d+)/(\d+)",
-        claim,
+        row,
     )
-    assert match, claim
+    assert match, row
     parent, parent_q1, parent_q3, pairs, change, wins, total = match.groups()
     assert int(pairs) == int(total) >= 10 and int(wins) >= 9 * int(total) / 10
     number = lambda text: float(text.replace(",", ""))
-    # The claim rule: medians further apart than the parent's interquartile distance.
-    assert number(change) - number(parent) > number(parent_q3) - number(parent_q1)
+    # The claim rule: medians further apart, the better way, than the parent's
+    # interquartile distance.
+    better = 1 if metrics.metric_by_name(metric).better == "higher" else -1
+    assert better * (number(change) - number(parent)) > number(parent_q3) - number(parent_q1)
     (readme_row,) = [
         line
         for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-        if line.startswith("|") and "`perf/PR-25.json`" in line
+        if line.startswith("|") and f"`perf/{path.name}`" in line
     ]
     ratio = f"{number(change) / number(parent):.2f}×"
     for figure in (parent, change, f"{wins}/{total}", ratio):
@@ -43,4 +56,4 @@ def test_pr25_claim_row_matches_the_readme_trajectory_row():
 
 def test_without_arguments_every_committed_ledger_prints():
     headers = [row.split(":")[0] for row in ledger_rows() if row.startswith("== ")]
-    assert headers == [f"== {path.name}" for path in sorted((ROOT / "perf").glob("PR-*.json"))]
+    assert headers == [f"== {path.name}" for path in LEDGERS]

@@ -478,6 +478,24 @@ class TestHostileSnapshots:
 
         assert_answers(restore_mutated(snapshot_dir, flip))
 
+    def test_a_key_that_routes_to_another_shard_is_refused(self, snapshot_dir):
+        # A record's key is not under its CRC: a damaged one must not restore
+        # a stream that no query would ever route to.
+        data = (snapshot_dir / "shard-00.snap").read_bytes()
+        key_offset = record_spans(data)[0][0] + 4
+        (key_len,) = struct.unpack_from("<I", data, key_offset - 4)
+        key = data[key_offset : key_offset + key_len]
+        moved = next(
+            bytes([letter]) + key[1:]
+            for letter in range(ord("a"), ord("z") + 1)
+            if zlib.crc32(bytes([letter]) + key[1:]) % 3 != 0
+        )
+
+        def rename(raw: bytes) -> bytes:
+            return raw[:key_offset] + moved + raw[key_offset + key_len :]
+
+        assert restore_mutated(snapshot_dir, rename) is None
+
     def test_truncation_at_every_record_boundary(self, snapshot_dir):
         data = (snapshot_dir / "shard-00.snap").read_bytes()
         boundaries = [start for start, _, _ in record_spans(data)] + [len(data) - 12]
