@@ -180,9 +180,14 @@ OP_WAIT = 6
 class OpArrays:
     """Flat typed lanes describing one rank's precompiled schedule.
 
-    One entry per operation, in program order.  Instances are immutable once
-    built and carry no per-run state, so a schedule can be shared between
-    runs (see the cache in :mod:`repro.workloads.compile`).
+    One entry per operation, in program order.  Instances carry no per-run
+    state, so a schedule can be shared between runs (see the cache in
+    :mod:`repro.workloads.compile`).  **A lane is never written after
+    compile**: the cache hands one list object to every rank of a
+    configuration whose ``op`` / ``nbytes`` / ``tag`` / ``seconds`` /
+    ``kind`` lane is identical, so a write through one rank's lanes would
+    change its neighbours' schedules too (``a``, the peer lane, is always
+    the rank's own).
 
     Like the typed event records of :mod:`repro.sim.events`, the lanes are
     plain Python lists rather than ``array('q')`` buffers: the engine reads

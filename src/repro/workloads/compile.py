@@ -69,11 +69,22 @@ process) then skips the replay entirely and the fast lane's full per-op
 savings materialise; a cold run still pays one generator traversal to
 compile.  The cache is LRU-bounded and very large schedules are not
 retained.
+
+The ranks of one SPMD configuration differ mostly in their peers: bt.256's
+256 ranks hold only 8 or 9 distinct lanes of each kind but ``a``.  The
+cache therefore stores each distinct ``op`` / ``nbytes`` / ``tag`` /
+``seconds`` / ``kind`` lane once per configuration and hands every rank
+that replays to an identical lane the held list; only ``a`` stays per
+rank.  Sharing is sound because a lane is never written after compile
+(:class:`~repro.mpi.ops.OpArrays`).  :func:`compile_rank_lanes` bypasses
+the cache and always returns private lanes.
 """
 
 from __future__ import annotations
 
+import marshal
 from collections import OrderedDict
+from operator import is_
 
 from repro.mpi.communicator import Communicator, RankContext
 from repro.mpi.ops import (
@@ -286,10 +297,16 @@ def _replay(workload, rank: int) -> tuple[OpArrays | None, str | None]:
                         requests.extend(request.requests)
                     else:
                         requests.append(request)
-                positions = {id(token): index for index, token in enumerate(pending)}
-                if len(requests) == len(pending) and {
-                    id(request) for request in requests
-                } == set(positions):
+                # The full pending set in posting order is the common case:
+                # one identity pass recognises it (``==`` would reach
+                # ``_Opaque.__eq__`` and change the fallback reason).
+                full = len(requests) == len(pending) and all(map(is_, requests, pending))
+                if not full:
+                    positions = {id(token): index for index, token in enumerate(pending)}
+                    full = len(requests) == len(pending) and {
+                        id(request) for request in requests
+                    } == set(positions)
+                if full:
                     # The full pending set: the classic OP_WAITALL encoding.
                     op_lane(OP_WAITALL)
                     a_lane(len(pending))
@@ -340,54 +357,120 @@ def _replay(workload, rank: int) -> tuple[OpArrays | None, str | None]:
 #: Most-recently-used workload schedules kept alive (one entry covers every
 #: compiled rank of one workload configuration).
 _CACHE_MAX_KEYS = 16
-#: Aggregate budget of cached lane entries across the whole cache (~2M ops,
-#: on the order of 100 MB of lane slots worst case).  Least-recently-used
-#: configurations are evicted once the budget is crossed, so one
-#: full-scale-lu-sized configuration (~10^5 ops per rank across 32 ranks)
-#: fits while a cache full of them cannot accumulate; a single rank schedule
-#: bigger than the whole budget is never cached at all.
-_CACHE_MAX_OPS = 1 << 21
+#: Aggregate budget of lane slots the cache holds: every cached rank's own
+#: ``a`` lane plus each distinct shared lane once (see :class:`_Schedules`).
+#: ~12.6M slots is 2M unshared six-lane ops, on the order of 100 MB worst
+#: case.  Least-recently-used configurations are evicted once the budget is
+#: crossed, so one full-scale-lu-sized configuration (~10^5 ops per rank
+#: across 32 ranks) fits while a cache full of them cannot accumulate; a
+#: single rank whose six lanes alone exceed the budget is never cached.
+_CACHE_MAX_OPS = 6 << 21
 
-_cache: OrderedDict[tuple, dict[int, tuple[OpArrays | None, str | None]]] = OrderedDict()
+#: The lanes ranks of one configuration share; ``a`` (the peer) is per rank.
+_SHARED_LANES = ("op", "nbytes", "tag", "seconds", "kind")
+#: The value types marshal encodes by exact type.  Anything else (a NumPy
+#: scalar, say) it writes as raw buffer bytes, where ``np.float64(0.0)`` and
+#: ``np.int64(0)`` look alike, so a lane holding one is never pooled.
+_EXACT_TYPES = frozenset({int, float, str, bool, type(None)})
+
+
+def _same_lane(held: list, lane: list) -> bool:
+    """Whether ``lane`` holds the same values with the same types as ``held``.
+
+    ``==`` alone would merge ``0``, ``0.0``, ``-0.0`` and ``False``.  Lanes
+    of one configuration mostly hold the very same objects; where they do
+    not, version-2 marshal bytes (no back-references, binary floats) decide:
+    a pooled lane holds only :data:`_EXACT_TYPES`, and equal bytes then mean
+    the same type and the same bits, signed zeros included, in every slot.
+    """
+    if len(held) != len(lane):
+        return False
+    if all(map(is_, held, lane)):
+        return True
+    if held != lane:
+        return False
+    try:
+        return marshal.dumps(held, 2) == marshal.dumps(lane, 2)
+    except ValueError:  # ``lane`` holds a value marshal cannot encode
+        return False
+
+
+class _Schedules:
+    """One configuration's cache entry: per-rank results and the lane pool.
+
+    ``pool`` maps ``hash(tuple(lane))`` to the distinct lanes of that hash
+    already held by some rank of this configuration, so a freshly replayed
+    rank swaps each of its ``_SHARED_LANES`` for an identical held list
+    instead of keeping its own copy; only the hash is kept, not a second
+    copy of the lane.  ``slots`` is what this entry adds to the cache
+    budget: every rank's ``a`` lane plus each distinct or private lane once.
+    """
+
+    __slots__ = ("ranks", "pool", "slots")
+
+    def __init__(self) -> None:
+        self.ranks: dict[int, tuple[OpArrays | None, str | None]] = {}
+        self.pool: dict[int, list[list]] = {}
+        self.slots = 0
+
+    def share(self, lanes: OpArrays) -> int:
+        """Point ``lanes``' shared lanes at held ones; the slots newly held."""
+        added = len(lanes.a)
+        pool = self.pool
+        for name in _SHARED_LANES:
+            lane = getattr(lanes, name)
+            try:
+                key = hash(tuple(lane))
+            except TypeError:  # an unhashable value is no exact type either
+                key = None
+            held = next((held for held in pool.get(key, ()) if _same_lane(held, lane)), None)
+            if held is not None:
+                setattr(lanes, name, held)
+                continue
+            added += len(lane)
+            if key is not None and set(map(type, lane)) <= _EXACT_TYPES:
+                pool.setdefault(key, []).append(lane)
+        return added
+
+
+_cache: OrderedDict[tuple, _Schedules] = OrderedDict()
+#: Running total of ``slots`` over every entry of ``_cache``.
+_cached_slots = 0
 
 
 def clear_schedule_cache() -> None:
     """Drop every cached schedule (tests and memory-sensitive callers)."""
+    global _cached_slots
     _cache.clear()
-
-
-def _cached_ops_total() -> int:
-    """Total lane entries currently held by the cache (cheap: <= 16 keys)."""
-    return sum(
-        len(entry[0])
-        for per_rank in _cache.values()
-        for entry in per_rank.values()
-        if entry[0] is not None
-    )
+    _cached_slots = 0
 
 
 def _replay_cached(workload, rank: int) -> tuple[OpArrays | None, str | None]:
     """:func:`_replay` behind the LRU schedule cache (reason cached too)."""
+    global _cached_slots
     key = workload.schedule_cache_key()
     if key is None:
         return _replay(workload, rank)
-    per_rank = _cache.get(key)
-    if per_rank is None:
-        per_rank = {}
-    else:
+    schedules = _cache.get(key)
+    if schedules is not None:
         _cache.move_to_end(key)
-    if rank in per_rank:
-        return per_rank[rank]
+        entry = schedules.ranks.get(rank)
+        if entry is not None:
+            return entry
     entry = _replay(workload, rank)
     lanes = entry[0]
-    if lanes is None or len(lanes) <= _CACHE_MAX_OPS:
-        per_rank[rank] = entry
-        _cache[key] = per_rank
-        _cache.move_to_end(key)
+    if lanes is None or len(lanes) * (1 + len(_SHARED_LANES)) <= _CACHE_MAX_OPS:
+        if schedules is None:
+            schedules = _cache[key] = _Schedules()
+        if lanes is not None:
+            added = schedules.share(lanes)
+            schedules.slots += added
+            _cached_slots += added
+        schedules.ranks[rank] = entry
         while len(_cache) > _CACHE_MAX_KEYS or (
-            len(_cache) > 1 and _cached_ops_total() > _CACHE_MAX_OPS
+            len(_cache) > 1 and _cached_slots > _CACHE_MAX_OPS
         ):
-            _cache.popitem(last=False)
+            _cached_slots -= _cache.popitem(last=False)[1].slots
     return entry
 
 

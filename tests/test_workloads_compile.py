@@ -6,6 +6,9 @@ compiler itself: lane structure, the dynamic-program fallbacks, the schedule
 cache, and the compile-time noise bookkeeping.
 """
 
+import math
+import tracemalloc
+
 import pytest
 
 from repro.mpi.communicator import Communicator, RankContext
@@ -19,14 +22,17 @@ from repro.mpi.ops import (
     OP_WAIT,
     OP_WAITALL,
     CompiledProgram,
+    ComputeOp,
     IrecvOp,
     RecvOp,
     SendOp,
     WaitallOp,
     WaitOp,
 )
+from repro.scenario import Scenario, ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.util.rng import SeededRNG
+from repro.workloads import compile as compile_module
 from repro.workloads.base import Workload
 from repro.workloads.compile import (
     clear_schedule_cache,
@@ -193,6 +199,26 @@ class TestFallbacks:
         info = compile_info(DoubleWait(nprocs=2), 0)
         assert info["compiled"] is False
         assert "twice" in info["fallback"]
+
+    def test_waiting_on_a_status_is_an_unknown_request(self):
+        """The full-waitall check compares handles by identity: ``==`` would
+        reach the status stand-in and report a result inspection instead."""
+
+        class WaitsOnStatus(_StaticPingWorkload):
+            def program(self, ctx):
+                if ctx.rank == 0:
+                    yield IrecvOp(source=1, tag=0)
+                    status = yield RecvOp(source=1, tag=1)
+                    yield WaitallOp([status])
+                else:
+                    yield SendOp(0, 64, 0)
+                    yield SendOp(0, 64, 1)
+
+        info = compile_info(WaitsOnStatus(nprocs=2), 0)
+        assert info == {
+            "compiled": False,
+            "fallback": "wait on an unknown or already-waited request",
+        }
 
     def test_wait_on_sole_pending_request_compiles(self):
         class SingleWait(_StaticPingWorkload):
@@ -440,6 +466,272 @@ class TestScheduleCache:
         # Cached verdict on a second call, and independent of rank 0's.
         assert compile_program(workload, make_ctx(workload, rank=1)) is None
         assert compile_program(workload, make_ctx(workload, rank=0)) is not None
+
+
+SHARED_LANES = ("op", "nbytes", "tag", "seconds", "kind")
+
+
+def cached_ranks(workload):
+    """Every rank's cached lanes of ``workload``, compiling them first."""
+    for rank in range(workload.nprocs):
+        compile_info(workload, rank)
+    schedules = compile_module._cache[workload.schedule_cache_key()]
+    return [schedules.ranks[rank][0] for rank in range(workload.nprocs)]
+
+
+def exact(lane):
+    """A lane's values with their types; ``repr`` keeps the sign of a zero."""
+    return tuple((type(value), repr(value)) for value in lane)
+
+
+def cached_lane_images():
+    """The exact image of every cached lane."""
+    return {
+        (key, rank, name): exact(getattr(lanes, name))
+        for key, schedules in compile_module._cache.items()
+        for rank, (lanes, _reason) in schedules.ranks.items()
+        if lanes is not None
+        for name in ("a", *SHARED_LANES)
+    }
+
+
+def recounted_slots():
+    """The cache's budget use recounted independently: ``a`` lanes plus each
+    distinct shared lane object once per configuration."""
+    total = 0
+    for schedules in compile_module._cache.values():
+        ranks = [lanes for lanes, _reason in schedules.ranks.values() if lanes is not None]
+        total += sum(len(lanes.a) for lanes in ranks)
+        lanes = [getattr(lanes, name) for lanes in ranks for name in SHARED_LANES]
+        total += sum(map(len, {id(lane): lane for lane in lanes}.values()))
+    return total
+
+
+class _ZerosWorkload(_StaticPingWorkload):
+    """One compute op per rank, its base time rank ``r``'s entry of ``zeros``:
+    values ``==`` (and ``hash``) cannot tell apart."""
+
+    name = "zeros-test"
+
+    def __init__(self, zeros, **kwargs):
+        self.zeros = zeros
+        super().__init__(len(zeros), **kwargs)
+
+    def parameters(self):
+        return {"zeros": self.zeros}
+
+    def program(self, ctx):
+        yield ComputeOp(self.zeros[ctx.rank])
+
+
+class _TaggedPing(_StaticPingWorkload):
+    """The static ping under a parameter that changes the cache key, not the ops."""
+
+    def __init__(self, nprocs, label, **kwargs):
+        self.label = label
+        super().__init__(nprocs, **kwargs)
+
+    def parameters(self):
+        return {"label": self.label}
+
+
+class TestLaneSharing:
+    """Ranks of one configuration share every lane but ``a``, exactly."""
+
+    def test_bt16_ranks_share_their_five_lanes_and_own_their_peers(self):
+        ranks = cached_ranks(create_workload("bt", nprocs=16, scale=0.05))
+        for name in SHARED_LANES:
+            lanes = [getattr(lanes, name) for lanes in ranks]
+            objects = {id(lane) for lane in lanes}
+            values = {exact(lane) for lane in lanes}
+            # Equal lanes are one object, and there are fewer than ranks.
+            assert len(objects) == len(values) < len(ranks), name
+        assert len({id(lanes.a) for lanes in ranks}) == len(ranks)
+        assert len({id(lanes) for lanes in ranks}) == len(ranks)
+
+    def test_shared_lanes_hold_the_replayed_values(self):
+        workload = create_workload("bt", nprocs=16, scale=0.05)
+        for rank, lanes in enumerate(cached_ranks(workload)):
+            private = compile_rank_lanes(workload, rank)
+            for name in ("a", *SHARED_LANES):
+                assert exact(getattr(lanes, name)) == exact(getattr(private, name)), (
+                    rank,
+                    name,
+                )
+
+    def test_uncached_lanes_stay_private(self):
+        workload = create_workload("bt", nprocs=4, scale=0.05)
+        first, second = compile_rank_lanes(workload, 0), compile_rank_lanes(workload, 0)
+        for name in ("a", *SHARED_LANES):
+            assert getattr(first, name) is not getattr(second, name)
+            assert type(getattr(first, name)) is list
+
+    def test_two_cache_keys_never_alias_a_lane(self):
+        first, second = _TaggedPing(2, "first"), _TaggedPing(2, "second")
+        assert first.schedule_cache_key() != second.schedule_cache_key()
+        held = [lanes for workload in (first, second) for lanes in cached_ranks(workload)]
+        assert held[0].op == held[2].op and held[0].tag == held[2].tag
+        first_ids = {id(getattr(lanes, n)) for lanes in held[:2] for n in ("a", *SHARED_LANES)}
+        second_ids = {id(getattr(lanes, n)) for lanes in held[2:] for n in ("a", *SHARED_LANES)}
+        assert not first_ids & second_ids
+
+    def test_clear_and_eviction_drop_the_pool(self, monkeypatch):
+        workload = create_workload("bt", nprocs=9, scale=0.05)
+        old = cached_ranks(workload)
+        clear_schedule_cache()
+        assert not compile_module._cache and compile_module._cached_slots == 0
+        new = cached_ranks(workload)
+        for before, after in zip(old, new):
+            for name in SHARED_LANES:
+                assert getattr(before, name) is not getattr(after, name)
+        # Eviction: a second configuration pushes the first (and its pool) out.
+        monkeypatch.setattr(compile_module, "_CACHE_MAX_KEYS", 1)
+        cached_ranks(create_workload("bt", nprocs=4, scale=0.05))
+        assert workload.schedule_cache_key() not in compile_module._cache
+        again = cached_ranks(workload)
+        for before, after in zip(new, again):
+            for name in SHARED_LANES:
+                assert getattr(before, name) is not getattr(after, name)
+        assert compile_module._cached_slots == recounted_slots()
+
+    def test_zeros_of_different_type_or_sign_never_merge(self):
+        np = pytest.importorskip("numpy")
+        zeros = (0, 0.0, -0.0, False, np.float64(0.0), np.float64(-0.0), np.int64(0))
+        ranks = cached_ranks(_ZerosWorkload(zeros))
+        seconds = [lanes.seconds for lanes in ranks]
+        assert len({id(lane) for lane in seconds}) == len(zeros)
+        assert [exact(lane) for lane in seconds] == [exact([zero]) for zero in zeros]
+        assert math.copysign(1.0, seconds[2][0]) == -1.0
+        # The lanes that do agree exactly are still shared.
+        assert len({id(lanes.op) for lanes in ranks}) == 1
+        assert len({id(lanes.kind) for lanes in ranks}) == 1
+        # Equal values that are distinct objects still merge.
+        equal = (float("3e-6"), float("3e-6"))
+        assert equal[0] is not equal[1]
+        again = cached_ranks(_ZerosWorkload(equal))
+        assert again[0].seconds is again[1].seconds
+
+    def test_values_the_pool_cannot_compare_exactly_stay_private(self):
+        """An unhashable value (a list tag) or one of a type the pool cannot
+        compare exactly (a user class equal to anything) keeps its lane
+        private, and the rank still compiles."""
+
+        class Anything:
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return 0
+
+        class Unpoolable(_StaticPingWorkload):
+            def program(self, ctx):
+                peer = (ctx.rank + 1) % 2
+                yield SendOp(peer, 64, tag=[0], kind=Anything())
+                yield RecvOp(source=peer)
+
+        ranks = cached_ranks(Unpoolable(nprocs=2))
+        assert ranks[0].tag == ranks[1].tag and ranks[0].tag is not ranks[1].tag
+        assert ranks[0].kind == ranks[1].kind and ranks[0].kind is not ranks[1].kind
+        assert ranks[0].op is ranks[1].op
+        assert compile_module._cached_slots == recounted_slots()
+
+    @pytest.mark.parametrize(
+        "engine,engine_jobs", [("scalar", 2), ("vectorised", 2), ("parallel", 2)]
+    )
+    def test_a_run_never_writes_a_cached_lane(self, engine, engine_jobs):
+        spec = ScenarioSpec(
+            workload={"name": "bt", "nprocs": 9, "scale": 0.05},
+            seed=3,
+            network="noiseless:latency=25e-6",
+            engine=engine,
+            engine_jobs=engine_jobs,
+        )
+        held = cached_ranks(spec.workload.build())
+        before = cached_lane_images()
+        result = Scenario(spec).run().result
+        if engine == "parallel":
+            assert "fallback" not in result.parallel_info
+        assert cached_lane_images() == before
+        # The run drove the cached lanes themselves, not a recompiled copy.
+        assert cached_ranks(spec.workload.build()) == held
+
+    def test_cache_holds_at_most_forty_percent_of_unshared_lanes(self):
+        """Deterministic: traced allocations, no clock or RSS."""
+        workload = create_workload("bt", nprocs=64, scale=0.05)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            private = [compile_rank_lanes(workload, rank) for rank in range(64)]
+            unshared = tracemalloc.get_traced_memory()[0] - base
+            del private
+            base = tracemalloc.get_traced_memory()[0]
+            cached_ranks(workload)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained <= 0.4 * unshared, (retained, unshared)
+
+    def test_budget_counts_a_lanes_and_each_distinct_lane_once(self):
+        workload = create_workload("bt", nprocs=16, scale=0.05)
+        ranks = cached_ranks(workload)
+        ops = sum(map(len, ranks))
+        # Every rank's `a` lane, then each distinct lane once: well under the
+        # six lanes a rank an unshared cache would hold.
+        assert ops < compile_module._cached_slots == recounted_slots() < 3 * ops
+        cached_ranks(create_workload("lu", nprocs=4, scale=0.05))
+        assert compile_module._cached_slots == recounted_slots()
+
+
+class TestCacheEviction:
+    """The LRU bounds: ops budget and key count (monkeypatched small)."""
+
+    def test_rank_bigger_than_the_budget_is_not_cached(self, monkeypatch):
+        workload = create_workload("bt", nprocs=4, scale=0.05)
+        ops = len(compile_rank_lanes(workload, 0))
+        monkeypatch.setattr(compile_module, "_CACHE_MAX_OPS", 6 * ops - 1)
+        first = compile_program(workload, make_ctx(workload)).lanes
+        second = compile_program(workload, make_ctx(workload)).lanes
+        assert first is not second
+        assert not compile_module._cache and compile_module._cached_slots == 0
+        assert compile_info(workload, 0) == {"compiled": True, "ops": ops}
+
+    def test_crossing_the_budget_evicts_the_oldest_key_first(self, monkeypatch):
+        workloads = [create_workload("bt", nprocs=4, iterations=i) for i in (3, 2, 1)]
+        keys = [w.schedule_cache_key() for w in workloads]
+        cached_ranks(workloads[0])
+        cached_ranks(workloads[1])
+        # Room for what the first two hold and a little more, not a third.
+        monkeypatch.setattr(compile_module, "_CACHE_MAX_OPS", compile_module._cached_slots + 1)
+        cached_ranks(workloads[2])
+        assert list(compile_module._cache) == keys[1:]
+        assert compile_module._cached_slots == recounted_slots() <= compile_module._CACHE_MAX_OPS
+
+    def test_the_key_limit_evicts_in_lru_order(self, monkeypatch):
+        monkeypatch.setattr(compile_module, "_CACHE_MAX_KEYS", 2)
+        a, b, c = (create_workload("cg", nprocs=4, iterations=i) for i in (1, 2, 3))
+        cached_ranks(a)
+        cached_ranks(b)
+        compile_info(a, 0)  # a hit makes `a` the most recently used
+        cached_ranks(c)
+        assert list(compile_module._cache) == [a.schedule_cache_key(), c.schedule_cache_key()]
+        assert compile_module._cached_slots == recounted_slots()
+
+    def test_compile_info_is_identical_before_and_after_eviction(self, monkeypatch):
+        workloads = [
+            create_workload("bt", nprocs=4, scale=0.05),
+            _CompositeWaits(3, "twice"),
+            _CompositeWaits(3, "gap"),
+            create_workload("random-sender", nprocs=4),
+        ]
+
+        def infos():
+            return [compile_info(w, rank) for w in workloads for rank in range(w.nprocs)]
+
+        before = infos()
+        monkeypatch.setattr(compile_module, "_CACHE_MAX_KEYS", 1)
+        cached_ranks(create_workload("lu", nprocs=4, scale=0.05))
+        assert len(compile_module._cache) == 1
+        assert infos() == before
 
 
 class TestCompiledProgramNoise:
