@@ -1,7 +1,7 @@
 """numpy, imported and version-checked in one place.
 
 numpy is the package's only hard dependency (columnar traces, offline
-scoring, snapshot arrays, the simulator's random draws).  Older releases lack
+scoring, the simulator's random draws).  Older releases lack
 APIs those kernels use, so this module fails with an actionable message
 instead of deep inside one.  Every module that needs numpy takes it from here
 (``from repro._numpy import np``): at module level where the whole module is

@@ -26,7 +26,9 @@ values the interpreter shares (-5 … 256) make them read high.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict, deque
+from itertools import chain
 from typing import Optional
 
 from repro.core.predictor import BasePredictor, PeriodicityPredictor, PredictorState
@@ -108,10 +110,7 @@ class MostFrequentPredictor(BasePredictor):
         return [choice] * horizon
 
     def get_state(self) -> PredictorState:
-        from repro._numpy import np
-
-        window = np.array(self._window, dtype=np.int64)
-        return PredictorState(self.name, (self.window_size,), (window,))
+        return PredictorState(self.name, (self.window_size,), (array("q", self._window),))
 
     @classmethod
     def from_state(cls, state: PredictorState) -> "MostFrequentPredictor":
@@ -119,7 +118,7 @@ class MostFrequentPredictor(BasePredictor):
         (window,) = state.data
         if len(window) > predictor.window_size:
             raise ValueError(f"{len(window)} samples in a window of {predictor.window_size}")
-        predictor.observe_many(window.tolist())
+        predictor.observe_many(window)
         return predictor
 
     @property
@@ -162,10 +161,8 @@ class CyclePredictor(BasePredictor):
         return predictions
 
     def get_state(self) -> PredictorState:
-        from repro._numpy import np
-
         # (value, successor) pairs in the order the values were first followed.
-        pairs = np.ravel(list(self._successor.items())).astype(np.int64)
+        pairs = array("q", chain.from_iterable(self._successor.items()))
         return PredictorState(self.name, (), (self._last, pairs))
 
     @classmethod
@@ -174,7 +171,7 @@ class CyclePredictor(BasePredictor):
         predictor._last, pairs = state.data
         if len(pairs) % 2:
             raise ValueError(f"successor pairs of odd length {len(pairs)}")
-        predictor._successor = dict(pairs.reshape(-1, 2).tolist())
+        predictor._successor = dict(zip(pairs[::2], pairs[1::2]))
         return predictor
 
     @property
@@ -231,12 +228,12 @@ class MarkovPredictor(BasePredictor):
         return predictions
 
     def get_state(self) -> PredictorState:
-        from repro._numpy import np
-
         # One row per transition seen: the context, the value that followed, its count.
-        rows = [(*c, v, n) for c, counts in self._table.items() for v, n in counts.items()]
-        context = np.array(self._context, dtype=np.int64)
-        return PredictorState(self.name, (self.order,), (context, np.ravel(rows).astype(np.int64)))
+        rows = array("q")
+        for context, counts in self._table.items():
+            for value, count in counts.items():
+                rows.extend((*context, value, count))
+        return PredictorState(self.name, (self.order,), (array("q", self._context), rows))
 
     @classmethod
     def from_state(cls, state: PredictorState) -> "MarkovPredictor":
@@ -244,8 +241,10 @@ class MarkovPredictor(BasePredictor):
         context, table = state.data
         if len(context) > predictor.order or len(table) % (predictor.order + 2):
             raise ValueError(f"context or transition rows do not fit order {predictor.order}")
-        predictor._context.extend(context.tolist())
-        for *row, value, count in table.reshape(-1, predictor.order + 2).tolist():
+        predictor._context.extend(context)
+        width = predictor.order + 2
+        for start in range(0, len(table), width):
+            *row, value, count = table[start : start + width]
             predictor._table[tuple(row)][value] = count
         return predictor
 

@@ -87,7 +87,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -211,7 +210,7 @@ class DynamicPeriodicityDetector:
     @classmethod
     def from_history(cls, window_size, max_period, mismatch_tolerance, samples_seen, history):
         """The detector that has seen ``samples_seen`` samples and stores the
-        int64 array ``history`` (:meth:`stored_history`): equal to the one
+        ``array('q')`` ``history`` (:meth:`stored_history`): equal to the one
         that kept them, masks, planes and usable lanes included."""
         detector = cls(window_size, max_period, mismatch_tolerance)
         keep = detector.window_size + detector.max_period
@@ -219,10 +218,10 @@ class DynamicPeriodicityDetector:
         stored = min(samples_seen, keep + (samples_seen - trim_at) % (trim_at - keep))
         if len(history) != stored:
             raise ValueError(f"{samples_seen} samples seen store {stored}, got {len(history)}")
-        detector._history.frombytes(history.tobytes())
+        detector._history.extend(history)
         detector._seen = samples_seen
         if samples_seen > detector.window_size:
-            detector._fold(history)
+            detector._fold(rebuild=True)
             full = detector._full
             detector._usable = full ^ (full >> (samples_seen - detector.window_size))
         return detector
@@ -280,22 +279,31 @@ class DynamicPeriodicityDetector:
         if t + 1 >= (n + big_m) * 3 // 2:
             self._trim(n + big_m)
 
-    def _fold(self, samples: np.ndarray | None = None) -> None:
+    def _fold(self, rebuild: bool = False) -> None:
         """Build the history's masks, then count the window: its last ``N`` lane masks
         (a mask's bits from a sample's own position on fall above lane ``M - 1``).
 
-        ``samples``, the history as an array, is given on a rebuild: few
-        distinct values then take one packed comparison, not a pass of int ORs.
+        On a rebuild, a history of few distinct values (at most 256, and one
+        per 8 samples) is spelled as one code byte a sample, last sample first:
+        a value's mask is that string with its own code as ``1`` and every
+        other as ``0``, read in base 2 (bit ``p`` is sample ``p``).  The code is
+        a byte of the int64 words when that byte alone tells the values apart
+        (one slice of the history's bytes), else the value's index.  More
+        distinct values take the pass of int ORs, which is then cheaper.
         """
         history = self._history
         masks = dict.fromkeys(history, 0)
-        if samples is not None and len(masks) <= 64:
-            from repro._numpy import np
-
-            # One comparison row per value, packed little-endian: bit p is sample p.
-            values = np.fromiter(masks, dtype=np.int64, count=len(masks))
-            rows = np.packbits(samples == values[:, None], axis=1, bitorder="little")
-            masks = dict(zip(masks, map(int.from_bytes, rows, repeat("little"))))
+        if rebuild and len(masks) <= min(256, len(history) // 8):
+            words = array("q", masks).tobytes()  # the distinct values, laid out as the history
+            byte = next((b for b in range(8) if len(set(words[b::8])) == len(masks)), None)
+            if byte is None:
+                index = dict(zip(masks, range(256)))
+                codes, symbols = bytes(map(index.__getitem__, reversed(history))), range(256)
+            else:
+                codes, symbols = history[::-1].tobytes()[byte::8], words[byte::8]
+            zeros = b"0" * 256
+            for v, code in zip(masks, symbols):
+                masks[v] = int(codes.translate(zeros[:code] + b"1" + zeros[code + 1 :]), 2)
         else:
             for t, v in enumerate(history):
                 masks[v] |= 1 << t
@@ -431,12 +439,10 @@ class DynamicPeriodicityDetector:
 
         return np.array(self.recent(self.retained), dtype=np.int64)
 
-    def stored_history(self) -> np.ndarray:
+    def stored_history(self) -> array:
         """A copy of every stored sample, what :meth:`from_history` takes (queries
         read the last ``retained``; the rest waits for the next trim)."""
-        from repro._numpy import np
-
-        return np.array(self._history, dtype=np.int64)
+        return array("q", self._history)
 
     def recent(self, n: int) -> array:
         """The last ``n`` retained samples (``n >= 1``), oldest first, as a copy."""

@@ -44,7 +44,7 @@ __all__ = ["BasePredictor", "PeriodicityPredictor", "PredictorState"]
 
 class PredictorState(NamedTuple):
     """A predictor's registry name, constructor arguments (ints) and what it
-    learned: ints, ``None``\\ s and int64 arrays (an online predictor's
+    learned: ints, ``None``\\ s and ``array('q')`` vectors (an online predictor's
     stream predictors as nested states)."""
 
     kind: str

@@ -4,7 +4,7 @@ The serving plane keeps one predictor pair per live stream; it bounds their
 memory and moves them between processes (snapshot/restore).  Both read the
 :class:`~repro.core.predictor.PredictorState` every served predictor keeps:
 its registry name, its constructor arguments, then ints, ``None``\\ s and
-int64 arrays.
+``array('q')`` vectors.
 
 * :func:`state_nbytes` — the predictor's ``nbytes``: a formula over the
   lengths it keeps, the same in any process and before and after a restore;
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
+from array import array
 
 from repro.core.baselines import STREAM_PREDICTORS
 from repro.core.predictor import PredictorState
@@ -34,8 +36,8 @@ __all__ = ["KINDS", "SnapshotError", "state_nbytes", "freeze_state", "thaw_state
 #: Every kind a frozen state may name.
 KINDS = {**STREAM_PREDICTORS, OnlineMessagePredictor.name: OnlineMessagePredictor}
 
-#: The data fields of each kind, one letter a field (n None, i int, a int64
-#: array, s nested state); a state nests at most once.
+#: The data fields of each kind, one letter a field (n None, i int, a
+#: ``array('q')``, s nested state); a state nests at most once.
 FIELDS = {
     "online": "is+",
     "periodicity": "iii[ni]a",
@@ -47,6 +49,8 @@ FIELDS = {
 }
 
 _U8, _U32, _I64 = struct.Struct("<B"), struct.Struct("<I"), struct.Struct("<q")
+#: The encoding is little endian; an ``array('q')`` holds native-order words.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class SnapshotError(RuntimeError):
@@ -80,21 +84,29 @@ def freeze_state(predictor) -> bytes:
 
 
 def _write(out: bytearray, state: PredictorState) -> None:
-    from repro._numpy import np
-
     kind = state.kind.encode("ascii")
     out += _U8.pack(len(kind)) + kind + _U8.pack(len(state.config))
     out += struct.pack(f"<{len(state.config)}q", *state.config) + _U8.pack(len(state.data))
-    for value in state.data:
+    for field, value in enumerate(state.data):
         if value is None:
             out.append(0)
         elif isinstance(value, PredictorState):
             out.append(3)
             _write(out, value)
-        elif isinstance(value, np.ndarray):
-            out += b"\x02" + _U32.pack(len(value)) + value.astype("<i8").tobytes()
-        else:
+        elif isinstance(value, int):
             out += b"\x01" + _I64.pack(value)
+        elif isinstance(value, array) and value.typecode == "q":
+            if _BIG_ENDIAN:
+                value = array("q", value)
+                value.byteswap()
+            out += b"\x02" + _U32.pack(len(value)) + value.tobytes()
+        else:  # refused, not cast: a cast would truncate floats and wrap uint64
+            found = type(value).__name__
+            if isinstance(value, array):
+                found = f"array({value.typecode!r})"
+            raise TypeError(
+                f"{state.kind} state field {field} is {found}, not an int or array('q')"
+            )
 
 
 def thaw_state(blob: bytes):
@@ -116,8 +128,6 @@ def _take(view: memoryview, offset: int, size: int) -> memoryview:
 
 
 def _read(view: memoryview, offset: int, nested: bool) -> tuple[PredictorState, int]:
-    from repro._numpy import np
-
     start = offset
     size = _take(view, offset, 1)[0]
     kind = bytes(_take(view, offset + 1, size)).decode("ascii", "replace")
@@ -139,7 +149,11 @@ def _read(view: memoryview, offset: int, nested: bool) -> tuple[PredictorState, 
             offset += 8
         elif tag == 2:
             length = 8 * _U32.unpack(_take(view, offset, 4))[0]
-            data.append(np.frombuffer(_take(view, offset + 4, length), "<i8").astype(np.int64))
+            vector = array("q")
+            vector.frombytes(_take(view, offset + 4, length))
+            if _BIG_ENDIAN:
+                vector.byteswap()
+            data.append(vector)
             offset += 4 + length
         elif tag == 3 and not nested:
             state, offset = _read(view, offset, nested=True)

@@ -1,6 +1,7 @@
 """Tests for the baseline predictors (repro.core.baselines)."""
 
-import numpy as np
+from array import array
+
 import pytest
 
 from repro.core.baselines import (
@@ -14,10 +15,11 @@ from repro.core.predictor import PredictorState
 
 
 def state_fields(predictor):
-    """``get_state`` with arrays as lists, and the predictor rebuilt from it."""
+    """``get_state`` with its ``array('q')`` vectors as lists, and the predictor rebuilt from it."""
     state = predictor.get_state()
     rebuilt = type(predictor).from_state(state)
-    fields = tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in state.data)
+    assert all(v.typecode == "q" for v in state.data if isinstance(v, array))
+    fields = tuple(v.tolist() if isinstance(v, array) else v for v in state.data)
     return (state.kind, state.config, fields), rebuilt
 
 
@@ -75,7 +77,7 @@ class TestMostFrequent:
         assert rebuilt.predict(2) == predictor.predict(2) == [2, 2]
         with pytest.raises(ValueError, match="4 samples in a window of 3"):
             MostFrequentPredictor.from_state(
-                PredictorState("most-frequent", (3,), (np.arange(4, dtype=np.int64),))
+                PredictorState("most-frequent", (3,), (array("q", range(4)),))
             )
 
 
@@ -102,7 +104,7 @@ class TestCycle:
         assert fields == ("cycle", (), (1, [1, 2, 2, 3, 3, 1]))
         assert rebuilt.predict(4) == predictor.predict(4) == [2, 3, 1, 2]
         with pytest.raises(ValueError, match="odd length"):
-            CyclePredictor.from_state(PredictorState("cycle", (), (1, np.ones(3, dtype=np.int64))))
+            CyclePredictor.from_state(PredictorState("cycle", (), (1, array("q", [1, 1, 1]))))
 
 
 class TestMarkov:
@@ -145,7 +147,7 @@ class TestMarkov:
         assert rebuilt.predict(3) == predictor.predict(3)
         with pytest.raises(ValueError, match="do not fit order 1"):
             MarkovPredictor.from_state(
-                PredictorState("markov", (1,), (np.zeros(1, np.int64), np.zeros(4, np.int64)))
+                PredictorState("markov", (1,), (array("q", [0]), array("q", [0] * 4)))
             )
 
 

@@ -468,6 +468,10 @@ class TestRebuildFromHistory:
         "noisy-400": noisy_periodic_stream(400, seed=3).tolist(),
         "distinct-400": list(range(400)),
         "distinct-5000": list(range(5000)),
+        # A byte of the words above the first tells the values apart.
+        "high-byte-400": [v << 40 for v in (1, 2, 3, 5, 2, 1)] * 67,
+        # No one byte does: each sample's value index is its code.
+        "sizes-400": [64, 512, 4096, 16384, 65536, 2**40 + 64, -1, -(2**63)] * 50,
     }
 
     @pytest.mark.parametrize("tolerance", [0, 2])
@@ -490,7 +494,10 @@ class TestRebuildFromHistory:
         window=st.integers(1, 12),
         max_period=st.integers(1, 24),
         tolerance=st.integers(0, 2),
-        data=st.lists(st.integers(0, 80), max_size=140),
+        data=st.lists(
+            st.integers(0, 80) | st.sampled_from([-1, 512, 2**40, 2**63 - 1, -(2**63)]),
+            max_size=140,
+        ),
     )
     @settings(max_examples=60, deadline=None)
     def test_any_prefix_rebuilds(self, window, max_period, tolerance, data):

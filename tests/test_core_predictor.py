@@ -1,5 +1,7 @@
 """Tests for the periodicity-based predictor (repro.core.predictor)."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ class TestBookkeeping:
         assert (state.kind, state.config) == ("periodicity", (4, 6, 0, 1))
         seen, detections, changes, period, history = state.data
         assert (seen, detections, changes, period) == (20, predictor.detections, 1, 2)
-        assert history.tolist() == [1, 2] * 5  # the stored history, 10 of 20 samples
+        assert history.typecode == "q" and history == array("q", [1, 2] * 5)  # 10 of 20 samples
         rebuilt = PeriodicityPredictor.from_state(state)
         assert rebuilt.predict(5) == predictor.predict(5) and rebuilt.samples_seen == 20
         with pytest.raises(ValueError, match="period 7 cannot be replayed"):

@@ -3,8 +3,8 @@
 Every package ``__init__`` re-exports its public names through
 :func:`repro._lazy.lazy_exports`, numpy is imported (and version-checked) by
 :mod:`repro._numpy` only, and ``repro serve`` over a pipe answers observe,
-predict, expects and stats lines without numpy, ``asyncio``, the simulator,
-the workloads, the tracer or the analysis package.
+predict, expects and stats lines, snapshots and restores without numpy,
+``asyncio``, the simulator, the workloads, the tracer or the analysis package.
 """
 
 import importlib
@@ -76,26 +76,35 @@ def imported(stderr: str) -> set[str]:
 # ----------------------------------------------------------------------
 # The serve path
 # ----------------------------------------------------------------------
+def off_the_serve_path(done: subprocess.CompletedProcess) -> list[str]:
+    """The modules of :data:`NOT_ON_THE_SERVE_PATH` an ``-X importtime`` run loaded."""
+    return sorted(
+        module
+        for module in imported(done.stderr)
+        for banned in NOT_ON_THE_SERVE_PATH
+        if module == banned or module.startswith(banned + ".")
+    )
+
+
 def test_a_served_stream_imports_the_serve_path_only(tmp_path):
     done = serve(stdin=FEED + QUERIES, importtime=True)
     modules = imported(done.stderr)
     assert "repro.serve.service" in modules and "repro.core.dpd" in modules
-    loaded = sorted(
-        module
-        for module in modules
-        for banned in NOT_ON_THE_SERVE_PATH
-        if module == banned or module.startswith(banned + ".")
-    )
-    assert loaded == []
+    assert off_the_serve_path(done) == []
     answers = done.stdout.splitlines()
     assert len(answers) == 1 + 2 * 4 + 1  # flush, predict + expects per receiver, stats
     assert '"known":true' in answers[1] and '"known":false' in answers[-3]
 
-    # The same traffic snapshotted, then restored: the same answers, byte for byte.
+    # The same traffic snapshotted, then restored: the same answers, byte for
+    # byte, and neither writing nor reading the snapshot leaves the serve path.
     snapshot = tmp_path / "snap"
-    again = serve("--snapshot-dir", str(snapshot), stdin=FEED + QUERIES)
+    again = serve("--snapshot-dir", str(snapshot), stdin=FEED + QUERIES, importtime=True)
+    assert "repro.serve.snapshot" in imported(again.stderr)
+    assert off_the_serve_path(again) == []
     assert again.stdout == done.stdout
-    restored = serve("--restore", str(snapshot), stdin=QUERIES)
+    restored = serve("--restore", str(snapshot), stdin=QUERIES, importtime=True)
+    assert "repro.predictive.state" in imported(restored.stderr)
+    assert off_the_serve_path(restored) == []
     assert restored.stdout.splitlines() == answers[1:]
 
 

@@ -12,6 +12,8 @@ import pathlib
 import re
 import subprocess
 import sys
+from array import array
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,19 +86,155 @@ class TestRoundTrip:
         assert rebuilt.observations == predictor.observations
         assert state_nbytes(rebuilt) == state_nbytes(predictor)
 
-    def test_state_is_plain_values(self):
-        predictor = OnlineMessagePredictor(1)
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_state_is_plain_values(self, kind):
+        predictor = OnlineMessagePredictor(1, 5, lambda: create_predictor(kind))
         for value in range(300):
             predictor.observe(0, value % 5, 512)
         state = predictor.get_state()
         assert state.kind == "online" and state.config == (1, 5)
         for stream in state.data[1:]:
-            assert isinstance(stream, PredictorState) and stream.kind == "periodicity"
+            assert isinstance(stream, PredictorState) and stream.kind == kind
             assert all(type(v) is int for v in stream.config)
             assert all(
-                v is None or type(v) is int or (isinstance(v, np.ndarray) and v.dtype == np.int64)
+                v is None or type(v) is int or (type(v) is array and v.typecode == "q")
                 for v in stream.data
             )
+
+
+class TestFormat3:
+    """The encoding, byte for byte: one fixed online predictor per stream kind."""
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_freeze_state_writes_the_recorded_bytes(self, kind):
+        assert freeze_state(golden_predictor(kind)).hex() == FORMAT_3[kind]
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_the_recorded_bytes_thaw_to_the_same_predictor(self, kind):
+        original, thawed = golden_predictor(kind), thaw_state(bytes.fromhex(FORMAT_3[kind]))
+        for step in range(40):
+            receiver = step % 2
+            assert thawed.predict(receiver) == original.predict(receiver)
+            assert thawed.expects_message(receiver, 0) == original.expects_message(receiver, 0)
+            for copy in (original, thawed):
+                copy.observe(receiver, step % 4, 64 * (step % 3))
+        assert freeze_state(thawed) == freeze_state(original)
+
+    @pytest.mark.parametrize(
+        "vector", [[1.5, 2.0], [2**63, 1], np.arange(3, dtype=np.uint64), array("d", [1.0])]
+    )
+    def test_a_vector_that_is_not_int64_is_refused_not_cast(self, vector):
+        state = PredictorState("most-frequent", (3,), (vector,))
+        with pytest.raises(TypeError, match="most-frequent state field 0 is"):
+            freeze_state(SimpleNamespace(get_state=lambda: state))
+
+
+#: Stream predictor parameters of the recorded predictors (the rest default).
+GOLDEN_PARAMS = {
+    "periodicity": {"window_size": 4, "max_period": 6},  # trims at 15 samples
+    "most-frequent": {"window_size": 5},
+    "markov": {"order": 2},
+}
+
+
+def golden_predictor(kind: str) -> OnlineMessagePredictor:
+    """Two receivers, 37 messages: negative senders, sizes past 2**32."""
+    params = GOLDEN_PARAMS.get(kind, {})
+    predictor = OnlineMessagePredictor(2, 3, lambda: create_predictor(kind, **params))
+    for step in range(37):
+        size = 2**40 + step if step % 7 == 0 else 64 << (step % 4)
+        predictor.observe(step % 2, step % 3 - 1, size)
+    return predictor
+
+
+#: ``freeze_state(golden_predictor(kind)).hex()``, recorded when stream vectors
+#: were numpy int64 arrays: the bytes must not depend on what holds them.
+FORMAT_3 = {
+    "cycle": (
+        "066f6e6c696e6502020000000000000003000000000000000501250000000000000003056379636c"
+        "65000201ffffffffffffffff0206000000ffffffffffffffff010000000000000001000000000000"
+        "0000000000000000000000000000000000ffffffffffffffff03056379636c650002010100000000"
+        "00000002060000000000000000000000ffffffffffffffffffffffffffffffff0100000000000000"
+        "0100000000000000000000000000000003056379636c650002014000000000000000020a00000000"
+        "00000000010000000100000000000000010000000000004000000000000000400000000000000000"
+        "010000000000000e0000000001000040000000000000001c00000000010000000100000000000003"
+        "056379636c6500020123000000000100000208000000800000000000000023000000000100000002"
+        "00000000000080000000000000000700000000010000800000000000000015000000000100000002"
+        "000000000000"
+    ),
+    "last-value": (
+        "066f6e6c696e65020200000000000000030000000000000005012500000000000000030a6c617374"
+        "2d76616c7565000101ffffffffffffffff030a6c6173742d76616c75650001010100000000000000"
+        "030a6c6173742d76616c75650001014000000000000000030a6c6173742d76616c75650001012300"
+        "000000010000"
+    ),
+    "markov": (
+        "066f6e6c696e6502020000000000000003000000000000000501250000000000000003066d61726b"
+        "6f760102000000000000000202020000000000000000000000ffffffffffffffff020c000000ffff"
+        "ffffffffffff01000000000000000000000000000000060000000000000001000000000000000000"
+        "000000000000ffffffffffffffff06000000000000000000000000000000ffffffffffffffff0100"
+        "000000000000050000000000000003066d61726b6f76010200000000000000020202000000ffffff"
+        "ffffffffff0100000000000000020c0000000000000000000000ffffffffffffffff010000000000"
+        "00000600000000000000ffffffffffffffff01000000000000000000000000000000050000000000"
+        "000001000000000000000000000000000000ffffffffffffffff050000000000000003066d61726b"
+        "6f760102000000000000000202020000000001000000000000400000000000000002240000000000"
+        "00000001000000010000000000004000000000000000010000000000000000010000000000004000"
+        "00000000000000010000000000000500000000000000000100000000000040000000000000000e00"
+        "00000001000001000000000000004000000000000000000100000000000040000000000000000500"
+        "000000000000400000000000000000010000000000001c0000000001000001000000000000004000"
+        "0000000000000e00000000010000400000000000000001000000000000000e000000000100004000"
+        "0000000000000001000000000000010000000000000000010000000000001c000000000100000001"
+        "00000000000001000000000000001c00000000010000000100000000000040000000000000000100"
+        "00000000000003066d61726b6f760102000000000000000202020000008000000000000000230000"
+        "00000100000224000000800000000000000000020000000000008000000000000000050000000000"
+        "00008000000000000000000200000000000015000000000100000100000000000000000200000000"
+        "00008000000000000000070000000001000001000000000000000002000000000000800000000000"
+        "00000002000000000000040000000000000000020000000000008000000000000000230000000001"
+        "00000100000000000000800000000000000007000000000100008000000000000000010000000000"
+        "00000700000000010000800000000000000000020000000000000100000000000000000200000000"
+        "00001500000000010000000200000000000001000000000000001500000000010000000200000000"
+        "000080000000000000000100000000000000"
+    ),
+    "most-frequent": (
+        "066f6e6c696e65020200000000000000030000000000000005012500000000000000030d6d6f7374"
+        "2d6672657175656e740105000000000000000102050000000000000000000000ffffffffffffffff"
+        "01000000000000000000000000000000ffffffffffffffff030d6d6f73742d6672657175656e7401"
+        "0500000000000000010205000000ffffffffffffffff01000000000000000000000000000000ffff"
+        "ffffffffffff0100000000000000030d6d6f73742d6672657175656e740105000000000000000102"
+        "050000001c0000000001000000010000000000004000000000000000000100000000000040000000"
+        "00000000030d6d6f73742d6672657175656e74010500000000000000010205000000000200000000"
+        "00008000000000000000000200000000000080000000000000002300000000010000"
+    ),
+    "periodicity": (
+        "066f6e6c696e65020200000000000000030000000000000005012500000000000000030b70657269"
+        "6f646963697479040400000000000000060000000000000000000000000000000100000000000000"
+        "05011300000000000000010d00000000000000010100000000000000010300000000000000020e00"
+        "00000000000000000000ffffffffffffffff01000000000000000000000000000000ffffffffffff"
+        "ffff01000000000000000000000000000000ffffffffffffffff0100000000000000000000000000"
+        "0000ffffffffffffffff01000000000000000000000000000000ffffffffffffffff030b70657269"
+        "6f646963697479040400000000000000060000000000000000000000000000000100000000000000"
+        "05011200000000000000010c00000000000000010100000000000000010300000000000000020d00"
+        "000001000000000000000000000000000000ffffffffffffffff0100000000000000000000000000"
+        "0000ffffffffffffffff01000000000000000000000000000000ffffffffffffffff010000000000"
+        "00000000000000000000ffffffffffffffff0100000000000000030b706572696f64696369747904"
+        "04000000000000000600000000000000000000000000000001000000000000000501130000000000"
+        "0000010500000000000000010400000000000000010600000000000000020e000000000100000000"
+        "000040000000000000000e0000000001000040000000000000000001000000000000400000000000"
+        "00000001000000000000400000000000000000010000000000001c00000000010000000100000000"
+        "0000400000000000000000010000000000004000000000000000030b706572696f64696369747904"
+        "04000000000000000600000000000000000000000000000001000000000000000501120000000000"
+        "0000010400000000000000010300000000000000010200000000000000020d000000000200000000"
+        "00008000000000000000000200000000000080000000000000000002000000000000150000000001"
+        "00000002000000000000800000000000000000020000000000008000000000000000000200000000"
+        "000080000000000000002300000000010000"
+    ),
+    "stride": (
+        "066f6e6c696e65020200000000000000030000000000000005012500000000000000030673747269"
+        "6465000201ffffffffffffffff01ffffffffffffffff030673747269646500020101000000000000"
+        "00010200000000000000030673747269646500020140000000000000000140ffffffffffffff0306"
+        "737472696465000201230000000001000001a3ffffffff000000"
+    ),
+}
 
 
 def running(predictor) -> None:
