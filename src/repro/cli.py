@@ -19,7 +19,7 @@ Commands
     Regenerate the full measured-vs-paper report (Table 1, Figures 1-4,
     extensions, ablations) — the content of EXPERIMENTS.md.
 ``serve``
-    Run the online prediction service: an asyncio TCP (or one-shot stdin)
+    Run the online prediction service: a ``selectors`` TCP (or one-shot stdin)
     front end hashing streams onto in-process shards, each a memory-bounded
     LRU table of per-stream predictor state, with snapshot/restore.  See
     :mod:`repro.serve` and ``docs/serving.md``.
@@ -604,41 +604,28 @@ def _cmd_serve(args) -> int:
     except (SnapshotError, KeyError, TypeError, ValueError) as error:
         return _refuse("cannot build the serve service", error)
 
-    def final_snapshot() -> None:
-        if args.snapshot_dir:
-            manifest = service.snapshot(args.snapshot_dir)
-            print(
-                f"snapshotted {manifest['streams']} streams over "
-                f"{manifest['num_shards']} shards to {args.snapshot_dir}",
-                file=sys.stderr,
-            )
-
+    rejected = 0
     if args.stdin:
         rejected = run_stdin(service, sys.stdin, sys.stdout)
         if rejected:
             print(f"rejected {rejected} malformed event lines", file=sys.stderr)
-        final_snapshot()
-        return 1 if rejected else 0
-
-    import asyncio
-
-    async def serve() -> None:
+    else:
         server = ServeServer(service, host=args.host, port=args.port)
-        await server.start()
+        server.start()
         # Parsed by scripts/CI to discover an ephemeral --port 0 binding.
         print(f"serving on {args.host}:{server.port}", flush=True)
         try:
-            await server.serve_until_shutdown()
-        except asyncio.CancelledError:  # pragma: no cover - signal path
-            await server.stop()
-            raise
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        print("interrupted — shutting down", file=sys.stderr)
-    final_snapshot()
-    return 0
+            server.serve_until_shutdown()
+        except KeyboardInterrupt:  # pragma: no cover - interactive path
+            print("interrupted — shutting down", file=sys.stderr)
+    if args.snapshot_dir:
+        manifest = service.snapshot(args.snapshot_dir)
+        print(
+            f"snapshotted {manifest['streams']} streams over "
+            f"{manifest['num_shards']} shards to {args.snapshot_dir}",
+            file=sys.stderr,
+        )
+    return 1 if rejected else 0
 
 
 def _registry_listing() -> dict:

@@ -42,7 +42,6 @@ exactly like the default one, on every path; a pinned seed wins.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -611,6 +610,8 @@ class ScenarioSpec:
         new cell.  Sixteen hex digits (64 bits) keep manifest file names
         short while making accidental collision within one sweep negligible.
         """
+        import hashlib
+
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

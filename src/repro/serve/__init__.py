@@ -23,7 +23,7 @@ Layers (bottom-up, see ``docs/serving.md``):
 * :mod:`repro.serve.service` — the transport-independent synchronous core
   (shard routing, query handling, snapshot/restore of the whole service);
 * :mod:`repro.serve.server` — the ingest core (``LineIngest``) and its two
-  transports, asyncio TCP and the stdin pipe;
+  transports, a one-thread ``selectors`` TCP loop and the stdin pipe;
 * :mod:`repro.serve.client` — a small blocking client for examples, smoke
   tests and scripts.
 

@@ -12,33 +12,26 @@ the reads cut them.  A malformed line never kills a connection: it is
 answered ``{"error": "line N: ...", "line": N}`` and the next one is served.
 
 Both transports are the same loop around it: read what is there, feed, write
-the answers at once.  Over TCP (:class:`ServeServer`) every shard lives on
-the event-loop thread, so the only concurrency is between connections: a
-handler yields to the loop after each chunk, and backpressure is TCP flow
-control — a client that does not read its answers stalls its own handler in
-``drain()``, which stops reading that client's requests and nobody else's.
-:func:`run_stdin` is the one-shot pipe mode; it never imports ``asyncio``,
-which only :class:`ServeServer` needs.  ``docs/serving.md`` has more.
+the answers at once.  Over TCP (:class:`ServeServer`) one ``selectors`` loop
+owns every shard, so the only concurrency is between connections: each ready
+peer gets one read per round, and a peer owed answers is watched for write
+only (TCP flow control: a client that does not read stalls itself, nobody
+else).  ``docs/serving.md`` has more.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, TextIO
+from typing import TextIO
 
 from repro.serve.protocol import ServeProtocolError, encode_response, parse_event_line
 from repro.serve.service import ServeService
 from repro.serve.snapshot import SnapshotError
 
-if TYPE_CHECKING:
-    import asyncio
-
 __all__ = ["LineIngest", "MAX_LINE_BYTES", "ServeServer", "run_stdin"]
 
 #: Bytes asked of one read, and the longest request line served (newline
-#: excluded): the bound ``asyncio.StreamReader.readline`` put on TCP lines
-#: before this core existed (a longer one killed its connection; stdin had no
-#: bound), so no line that was served is rejected now.  As a read size it
-#: spreads the per-read costs (write, drain or flush, yield) over ~1000 lines.
+#: excluded; TCP lines had that bound under ``asyncio``): as a read size it
+#: spreads the per-read costs (select, send or flush) over ~1000 lines.
 MAX_LINE_BYTES = 65536
 
 
@@ -115,70 +108,84 @@ class LineIngest:
 
 
 class ServeServer:
-    """Asyncio TCP front end over a synchronous :class:`ServeService`.
+    """TCP front end: one ``selectors`` loop over a synchronous :class:`ServeService`.
 
     Port 0 binds an ephemeral one: read :attr:`port` after :meth:`start`.
     """
 
     def __init__(self, service: ServeService, host: str = "127.0.0.1", port: int = 0) -> None:
-        import asyncio
-
         self.service = service
         self.host = host
         self.port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._shutdown = asyncio.Event()
+        self._selector = None
 
-    async def start(self) -> None:
+    def start(self) -> None:
         """Bind the listener."""
-        import asyncio
+        import selectors
+        import socket
 
-        self._server = await asyncio.start_server(self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        listener = socket.create_server((self.host, self.port), family=family)
+        listener.setblocking(False)
+        self.port = listener.getsockname()[1]
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
 
-    async def serve_until_shutdown(self) -> None:
-        """Serve until a ``shutdown`` event arrives, then stop."""
-        await self._shutdown.wait()
-        await self.stop()
+    def serve_until_shutdown(self) -> None:
+        """Serve until a ``shutdown`` answer is sent, then stop (also on an interrupt).
 
-    async def stop(self) -> None:
-        """Close the listener (every event received has already been applied)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        A round serves each ready peer once: one that is owed answers is sent
+        what its window takes, any other has one read served.
+        """
+        from selectors import EVENT_READ, EVENT_WRITE
+        from socket import IPPROTO_TCP, TCP_NODELAY
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        import asyncio
-
-        ingest = LineIngest(self.service)
         try:
-            while not ingest.shutdown:
-                chunk = await reader.read(MAX_LINE_BYTES)
-                responses = ingest.feed(chunk)
-                if responses:
-                    writer.write(responses)
-                    await writer.drain()
-                if not chunk:
-                    break
-                # read() and drain() do not suspend while data is buffered and
-                # the peer keeps up: yield, or this connection starves the rest.
-                await asyncio.sleep(0)
-        except OSError:
-            pass  # peer gone: what it sent has been applied, nobody to answer
-        except asyncio.CancelledError:
-            # Loop going down: a graceful close would wait for the peer to read.
-            writer.transport.abort()
-            raise
+            while True:
+                for key, _ in self._selector.select():
+                    if key.data is None:  # the listener: a new peer
+                        try:
+                            sock = key.fileobj.accept()[0]
+                        except OSError:  # pragma: no cover - aborted first, or no fd left
+                            continue
+                        sock.setblocking(False)
+                        sock.setsockopt(IPPROTO_TCP, TCP_NODELAY, 1)  # no Nagle wait for answers
+                        state = (LineIngest(self.service), bytearray())
+                        self._selector.register(sock, EVENT_READ, state)
+                        continue
+                    sock, (ingest, unsent) = key.fileobj, key.data
+                    gone = False
+                    try:
+                        if not unsent:
+                            chunk = sock.recv(MAX_LINE_BYTES)
+                            gone = not chunk  # end of input: close once it is answered
+                            unsent += ingest.feed(chunk)
+                        if unsent:
+                            del unsent[: sock.send(unsent)]
+                    except BlockingIOError:
+                        pass  # the peer's window is full: the rest goes when it is writable
+                    except OSError:
+                        gone = True  # peer gone: what it sent is applied, nobody to answer
+                        unsent.clear()
+                    if unsent:  # stop reading this peer until it takes its answers
+                        self._selector.modify(sock, EVENT_WRITE, key.data)
+                    elif ingest.shutdown:
+                        return
+                    elif gone:
+                        self._selector.unregister(sock)
+                        sock.close()
+                    else:
+                        self._selector.modify(sock, EVENT_READ, key.data)
         finally:
-            if ingest.shutdown:
-                self._shutdown.set()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:  # pragma: no cover - peer gone
-                pass
+            self.stop()
+
+    def stop(self) -> None:
+        """Close every connection and the listener (every event received has been applied)."""
+        if self._selector is not None:
+            for key in self._selector.get_map().values():
+                key.fileobj.close()
+            self._selector.close()
+            self._selector = None
 
 
 def run_stdin(service: ServeService, in_stream: TextIO, out_stream: TextIO) -> int:

@@ -16,7 +16,6 @@ key to the same shard.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import zlib
@@ -186,6 +185,8 @@ class ServeService:
         two shard files leaves a directory that is refused, never one that
         restores as a mix of two snapshots.
         """
+        import hashlib  # OpenSSL's libcrypto: loaded by the first snapshot, not by serving
+
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
         shard_files = []
@@ -217,6 +218,8 @@ class ServeService:
         service's; shard routing is reproduced because the shard count and
         the CRC32 routing are both pinned by the manifest.
         """
+        import hashlib
+
         base = Path(directory)
         spec, shard_files = _read_manifest(base / MANIFEST_NAME)
         service = cls.__new__(cls)

@@ -9,7 +9,6 @@ and every network link gets an independent but deterministic stream.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -38,6 +37,8 @@ def derive_seed(base_seed: int, *keys: object) -> int:
     int
         A 63-bit non-negative integer suitable for seeding NumPy generators.
     """
+    import hashlib  # OpenSSL's libcrypto: not for a process that never derives a seed
+
     digest = hashlib.sha256()
     digest.update(str(int(base_seed)).encode("utf-8"))
     for key in keys:

@@ -2,9 +2,11 @@
 
 Every package ``__init__`` re-exports its public names through
 :func:`repro._lazy.lazy_exports`, numpy is imported (and version-checked) by
-:mod:`repro._numpy` only, and ``repro serve`` over a pipe answers observe,
-predict, expects and stats lines, snapshots and restores without numpy,
-``asyncio``, the simulator, the workloads, the tracer or the analysis package.
+:mod:`repro._numpy` only, and ``repro serve``, over a pipe or over TCP,
+answers observe, predict, expects and stats lines, snapshots and restores
+without numpy, ``asyncio``, ``ssl``, the simulator, the workloads, the tracer
+or the analysis package, and without ``hashlib`` until a snapshot or a
+restore hashes a file.
 """
 
 import importlib
@@ -18,6 +20,7 @@ import numpy
 import pytest
 
 import repro
+from repro.serve.client import ServeClient
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
@@ -29,6 +32,8 @@ PACKAGES = ["repro"] + [
 NOT_ON_THE_SERVE_PATH = (
     "numpy",
     "asyncio",
+    "ssl",
+    "_ssl",
     "repro.sim.engine",
     "repro.runtime.transport",
     "repro.mpi",
@@ -36,6 +41,9 @@ NOT_ON_THE_SERVE_PATH = (
     "repro.trace",
     "repro.analysis",
 )
+
+#: OpenSSL's libcrypto, which a served stream loads only to hash a snapshot.
+NOT_UNTIL_A_SNAPSHOT = ("hashlib", "_hashlib")
 
 FEED = (
     "".join(
@@ -53,15 +61,37 @@ QUERIES = "".join(
 ) + '{"op": "stats"}\n'
 
 
-def serve(*args: str, stdin: str, importtime: bool = False) -> subprocess.CompletedProcess:
+def serve(transport: str, *args: str, lines: str, tmp_path: Path) -> tuple[str, set[str]]:
+    """``lines`` served by ``repro serve`` under ``-X importtime``: its answers and modules.
+
+    ``stdin`` pipes them in; ``tcp`` starts ``--port 0``, sends them through
+    :class:`ServeClient` and stops the server with ``shutdown``.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    command = [sys.executable, *(["-X", "importtime"] if importtime else []), "-m", "repro"]
-    done = subprocess.run(
-        [*command, "serve", "--stdin", *args],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120,
-    )  # fmt: skip
-    assert done.returncode == 0, done.stderr[-2000:]
-    return done
+    command = [sys.executable, "-X", "importtime", "-m", "repro", "serve"]
+    if transport == "stdin":
+        done = subprocess.run(
+            [*command, "--stdin", *args],
+            input=lines, capture_output=True, text=True, env=env, timeout=120,
+        )  # fmt: skip
+        assert done.returncode == 0, done.stderr[-2000:]
+        return done.stdout, imported(done.stderr)
+    log = tmp_path / "importtime.log"
+    with log.open("w") as stderr, subprocess.Popen(
+        [*command, "--port", "0", *args], stdout=subprocess.PIPE, stderr=stderr, text=True, env=env
+    ) as server:
+        try:
+            port = int(server.stdout.readline().rsplit(":", 1)[1])
+            with ServeClient.connect(port=port, timeout=60) as client:
+                for line in lines.splitlines():
+                    client.send_raw(line)
+                client.flush_io()
+                answers = [client._reader.readline() for _ in range(lines.count('"op"'))]
+                assert client.shutdown() == {"op": "shutdown", "ok": True}
+            assert server.wait(timeout=120) == 0, log.read_text()[-2000:]
+        finally:
+            server.kill()
+    return "".join(answers), imported(log.read_text())
 
 
 def imported(stderr: str) -> set[str]:
@@ -76,36 +106,41 @@ def imported(stderr: str) -> set[str]:
 # ----------------------------------------------------------------------
 # The serve path
 # ----------------------------------------------------------------------
-def off_the_serve_path(done: subprocess.CompletedProcess) -> list[str]:
-    """The modules of :data:`NOT_ON_THE_SERVE_PATH` an ``-X importtime`` run loaded."""
+def off_the_serve_path(modules: set[str], *, hashes: bool = False) -> list[str]:
+    """The banned modules an ``-X importtime`` run loaded (``hashes``: a snapshot may hash)."""
+    banned = NOT_ON_THE_SERVE_PATH + (() if hashes else NOT_UNTIL_A_SNAPSHOT)
     return sorted(
         module
-        for module in imported(done.stderr)
-        for banned in NOT_ON_THE_SERVE_PATH
-        if module == banned or module.startswith(banned + ".")
+        for module in modules
+        for name in banned
+        if module == name or module.startswith(name + ".")
     )
 
 
-def test_a_served_stream_imports_the_serve_path_only(tmp_path):
-    done = serve(stdin=FEED + QUERIES, importtime=True)
-    modules = imported(done.stderr)
+@pytest.mark.parametrize("transport", ["stdin", "tcp"])
+def test_a_served_stream_imports_the_serve_path_only(transport, tmp_path):
+    answers, modules = serve(transport, lines=FEED + QUERIES, tmp_path=tmp_path)
     assert "repro.serve.service" in modules and "repro.core.dpd" in modules
-    assert off_the_serve_path(done) == []
-    answers = done.stdout.splitlines()
+    assert off_the_serve_path(modules) == []
+    answers = answers.splitlines()
     assert len(answers) == 1 + 2 * 4 + 1  # flush, predict + expects per receiver, stats
     assert '"known":true' in answers[1] and '"known":false' in answers[-3]
 
     # The same traffic snapshotted, then restored: the same answers, byte for
     # byte, and neither writing nor reading the snapshot leaves the serve path.
     snapshot = tmp_path / "snap"
-    again = serve("--snapshot-dir", str(snapshot), stdin=FEED + QUERIES, importtime=True)
-    assert "repro.serve.snapshot" in imported(again.stderr)
-    assert off_the_serve_path(again) == []
-    assert again.stdout == done.stdout
-    restored = serve("--restore", str(snapshot), stdin=QUERIES, importtime=True)
-    assert "repro.predictive.state" in imported(restored.stderr)
-    assert off_the_serve_path(restored) == []
-    assert restored.stdout.splitlines() == answers[1:]
+    again, modules = serve(
+        transport, "--snapshot-dir", str(snapshot), lines=FEED + QUERIES, tmp_path=tmp_path
+    )
+    assert "repro.serve.snapshot" in modules and "hashlib" in modules
+    assert off_the_serve_path(modules, hashes=True) == []
+    assert again.splitlines() == answers
+    restored, modules = serve(
+        transport, "--restore", str(snapshot), lines=QUERIES, tmp_path=tmp_path
+    )
+    assert "repro.predictive.state" in modules
+    assert off_the_serve_path(modules, hashes=True) == []
+    assert restored.splitlines() == answers[1:]
 
 
 def loaded_by(code: str) -> list[str]:

@@ -1,20 +1,20 @@
 """End-to-end tests for the serve front end (repro.serve.server).
 
-A real TCP server runs on an ephemeral port inside a background event-loop
-thread; the blocking :class:`repro.serve.client.ServeClient` drives it from
-the test thread.  The contract: coalesced, chunked ingestion is invisible in
-the responses (byte-identical to ``ServeService.handle_line`` line by line,
-wherever the reads cut the bytes), responses come back in request order,
-malformed and oversized lines answer with a line-numbered error without
-killing the connection, connections do not wait for each other, and
-snapshot → restart → identical responses works over the wire.
+A real TCP server runs its blocking loop on an ephemeral port inside a
+background thread; the blocking :class:`repro.serve.client.ServeClient`
+drives it from the test thread.  The contract: coalesced, chunked ingestion
+is invisible in the responses (byte-identical to ``ServeService.handle_line``
+line by line, wherever the reads cut the bytes), responses come back in
+request order, malformed and oversized lines answer with a line-numbered
+error without killing the connection, connections do not wait for each
+other, and snapshot → restart → identical responses works over the wire.
 """
 
-import asyncio
 import io
 import json
 import random
 import socket
+import struct
 import threading
 import time
 
@@ -130,34 +130,24 @@ def make_service(num_shards=2, **kwargs):
 
 
 class ServerThread:
-    """A ServeServer running in its own event-loop thread."""
+    """A ServeServer's blocking loop in a thread of its own."""
 
     def __init__(self, service):
-        self.service = service
+        self._server = ServeServer(service, port=0)
         self.port = None
-        self._started = threading.Event()
         self._failure = None
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self):
-        async def main():
-            server = ServeServer(self.service, port=0)
-            await server.start()
-            self.port = server.port
-            self._started.set()
-            await server.serve_until_shutdown()
-
         try:
-            asyncio.run(main())
+            self._server.serve_until_shutdown()
         except BaseException as error:  # surface crashes to the test thread
             self._failure = error
-            self._started.set()
 
     def __enter__(self):
+        self._server.start()
+        self.port = self._server.port
         self._thread.start()
-        assert self._started.wait(timeout=10), "server did not start"
-        if self._failure is not None:
-            raise self._failure
         return self
 
     def __exit__(self, *exc_info):
@@ -341,6 +331,19 @@ class TestTCPServer:
                 assert client.shutdown() == {"op": "shutdown", "ok": True}
             server._thread.join(timeout=10)
             assert not server._thread.is_alive()
+
+    def test_answers_are_not_held_back_for_coalescing(self):
+        # Without TCP_NODELAY a closed-loop client's next answer can wait for
+        # a delayed ACK (~40 ms) behind the previous one.
+        with ServerThread(make_service()) as server:
+            with ServeClient.connect(port=server.port) as client:
+                client.flush()  # accepted and registered by now
+                peers = [
+                    key.fileobj
+                    for key in server._server._selector.get_map().values()
+                    if key.data is not None
+                ]
+                assert [p.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for p in peers] == [1]
 
     def test_two_connections_share_the_service(self):
         with ServerThread(make_service()) as server:
@@ -565,6 +568,28 @@ class TestConnectionsDoNotWaitForEachOther:
                 a.sendall(b'{"op": "stats"}\n')
                 reader = a.makefile("r", encoding="utf-8", newline="\n")
                 assert json.loads(reader.readline())["observations"] == count
+
+    def test_a_peer_reset_drops_that_connection_only(self):
+        # ~1 MB of predict lines, padded so that their answers fit the socket
+        # buffers and the send completes unread; SO_LINGER 0 turns the close
+        # into a reset while the server still holds a's lines and answers.
+        line = b'{"op": "predict", "receiver": "nobody"' + b" " * 4000 + b"}\n"
+        payload = line * (1_000_000 // len(line) + 1)
+        feed = mixed_feed()
+        expected, _ = line_by_line(feed)
+        with ServerThread(make_service()) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as a:
+                a.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                a.sendall(payload)
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as b:
+                b.sendall(feed)
+                b.shutdown(socket.SHUT_WR)
+                served = b"".join(iter(lambda: b.recv(65536), b""))
+            assert served == expected
+            with ServeClient.connect(port=server.port, timeout=10) as client:
+                assert client.shutdown() == {"op": "shutdown", "ok": True}
+            server._thread.join(timeout=10)
+            assert not server._thread.is_alive()
 
     def test_a_client_that_never_reads_stalls_only_itself(self):
         # 1M malformed 2-byte lines ask for ~60 MB of error answers, more than
