@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-The benchmarks regenerate every table and figure of the paper (see
-EXPERIMENTS.md for the mapping).  Simulating all 19 configurations is the
+The benchmarks regenerate every table and figure of the paper (one file
+each in ``benchmarks/results/``).  Simulating all 19 configurations is the
 expensive part, so it happens once per session in the ``paper_context``
 fixture; the benchmarked functions then measure the analysis/prediction work
 on the cached traces.  Rendered outputs are written to

@@ -1,4 +1,4 @@
-"""Benchmarks: ablations around the paper's design choices (DESIGN.md index).
+"""Benchmarks: ablations around the paper's design choices (``benchmarks/results/ablation_*``).
 
 * DPD window size — learning speed vs noise robustness;
 * network jitter — how physical-level accuracy decays with timing noise

@@ -2,7 +2,7 @@
 
 The paper proposes three runtime uses of message prediction but never
 measures them; these benchmarks regenerate the comparison on the simulated
-runtime (see DESIGN.md's per-experiment index):
+runtime (results in ``benchmarks/results/extension_*.json``):
 
 * memory reduction through predicted-sender buffer allocation (Section 2.1),
 * credit-based flow control driven by predictions (Section 2.2),

@@ -1,9 +1,10 @@
 """Benchmark: scalability projection of the Section 2.1 memory argument.
 
-Extension artefact (DESIGN.md index): feed the measured sender working set of
-a BT process into the paper's introduction arithmetic and project per-process
-eager-buffer memory out to Blue Gene scale (10 000 processes), for the
-standard all-peers policy versus predicted-sender buffering.
+Extension artefact (``benchmarks/results/scaling_projection.*``): feed the
+measured sender working set of a BT process into the paper's introduction
+arithmetic and project per-process eager-buffer memory out to Blue Gene scale
+(10 000 processes), for the standard all-peers policy versus predicted-sender
+buffering.
 """
 
 from __future__ import annotations

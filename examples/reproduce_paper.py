@@ -10,11 +10,10 @@ simulated MPI runtime, then reproduces:
 * Figure 3 — logical-level prediction accuracy (+1 … +5),
 * Figure 4 — physical-level prediction accuracy (+1 … +5),
 
-plus the Section 2 extension experiments and the ablations indexed in
-DESIGN.md.  The output is written to stdout and optionally to a Markdown
-report (used to produce EXPERIMENTS.md).  All the heavy lifting lives in
-:func:`repro.analysis.report.build_report`; this script is a thin CLI around
-it (see also ``python -m repro report``).
+plus the Section 2 extension experiments and the ablations.  The output is
+written to stdout and optionally to a Markdown report.  All the heavy lifting
+lives in :func:`repro.analysis.report.build_report`; this script is a thin CLI
+around it (see also ``python -m repro report``).
 
 Run with::
 

@@ -73,7 +73,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "scenario.spec.MachineSpec",
         "scenario.spec.NetworkSpec",
         "scenario.spec.PolicySpec",
-        "scenario.spec.PredictorSpec",
+        "scenario.node.PredictorSpec",
         "scenario.spec.TraceSpec",
         "scenario.sweep.Sweep",
         "scenario.sweep.load_sweep",

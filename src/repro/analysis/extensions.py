@@ -4,8 +4,8 @@ The paper motivates prediction with three scalability problems but only
 evaluates prediction accuracy.  These experiments close the loop on the
 simulated runtime: each runs the same workload under the standard policy and
 under the corresponding predictive policy and reports the memory / protocol /
-latency effects.  They are indexed in DESIGN.md as extensions (not paper
-figures) and are regenerated by ``benchmarks/test_bench_extensions.py``.
+latency effects.  They are extensions, not paper figures, regenerated into
+``benchmarks/results/`` by ``benchmarks/test_bench_extensions.py``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 This module produces, as plain text, the complete measured-vs-paper report:
 Table 1, Figures 1-4, the Section 2 extension experiments and the ablations.
-It is the engine behind ``examples/reproduce_paper.py``, the ``repro report``
-CLI command, and the EXPERIMENTS.md document.
+It is the engine behind ``examples/reproduce_paper.py`` and the ``repro
+report`` CLI command.
 """
 
 from __future__ import annotations

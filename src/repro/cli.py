@@ -17,7 +17,7 @@ Commands
     Regenerate Table 1 (benchmark message-stream characteristics).
 ``report``
     Regenerate the full measured-vs-paper report (Table 1, Figures 1-4,
-    extensions, ablations) — the content of EXPERIMENTS.md.
+    extensions, ablations).
 ``serve``
     Run the online prediction service: a ``selectors`` TCP (or one-shot stdin)
     front end hashing streams onto in-process shards, each a memory-bounded
@@ -45,7 +45,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.sim.registry import ENGINES
+from repro.util.registry import ENGINES
 
 __all__ = ["main", "build_parser"]
 

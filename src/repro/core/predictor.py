@@ -51,6 +51,12 @@ class PredictorState(NamedTuple):
     config: tuple
     data: tuple
 
+    @property
+    def configuration(self) -> tuple:
+        """The kind and constructor arguments, nested states' too: what it was built as."""
+        nested = tuple(s.configuration for s in self.data if isinstance(s, PredictorState))
+        return self.kind, self.config, nested
+
 
 class BasePredictor:
     """Common interface of every stream predictor."""

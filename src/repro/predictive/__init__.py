@@ -14,8 +14,8 @@ prediction inside the MPI runtime:
 This package implements all three as flow-control policies pluggable into the
 runtime transport, driven by an online per-receiver predictor
 (:class:`repro.predictive.online.OnlineMessagePredictor`).  They are the
-"deployment impact" extension experiments indexed in DESIGN.md; the paper's
-own evaluation stops at prediction accuracy.
+"deployment impact" experiments of :mod:`repro.analysis.extensions`; the
+paper's own evaluation stops at prediction accuracy.
 
 Modelling note: in a real implementation the receiver would piggy-back credit
 or buffer grants on other messages.  The simulation consults the receiver's

@@ -20,7 +20,8 @@ and the CLI without touching the scenario layer.
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.baselines import (
     CyclePredictor,
@@ -30,15 +31,10 @@ from repro.core.baselines import (
     StridePredictor,
 )
 from repro.core.predictor import PeriodicityPredictor
-from repro.predictive.buffer_manager import PredictiveBufferPolicy
-from repro.predictive.credit_policy import PredictiveCreditPolicy
-from repro.predictive.rendezvous_bypass import PredictiveRendezvousPolicy
-from repro.runtime.protocol import (
-    AlwaysRendezvousFlowControl,
-    FlowControlPolicy,
-    StandardFlowControl,
-)
 from repro.util.registry import ComponentRegistry
+
+if TYPE_CHECKING:
+    from repro.runtime.protocol import FlowControlPolicy
 
 __all__ = [
     "POLICIES",
@@ -55,36 +51,43 @@ __all__ = [
 POLICIES = ComponentRegistry("policy")
 PREDICTORS = ComponentRegistry("predictor")
 
+
+def _policy(path: str) -> Callable[..., FlowControlPolicy]:
+    """``repro.<path>``, a policy class, imported only when a policy is built."""
+    module, _, name = path.rpartition(".")
+    return lambda **params: getattr(importlib.import_module(f"repro.{module}"), name)(**params)
+
+
 POLICIES.register(
     "standard",
-    StandardFlowControl,
+    _policy("runtime.protocol.StandardFlowControl"),
     description="Classic MPI flow control: eager for small messages, "
     "rendezvous for large ones (the paper's baseline).",
 )
 POLICIES.register(
     "always-rendezvous",
-    AlwaysRendezvousFlowControl,
+    _policy("runtime.protocol.AlwaysRendezvousFlowControl"),
     aliases=("rendezvous",),
     description="Every message pays the rendezvous handshake (fully "
     "flow-controlled extreme).",
 )
 POLICIES.register(
     "predictive-credits",
-    PredictiveCreditPolicy,
+    _policy("predictive.credit_policy.PredictiveCreditPolicy"),
     aliases=("credit", "credits"),
     description="Section 2.2: eager sends consume credits granted from the "
     "receiver's predictions.",
 )
 POLICIES.register(
     "predictive-buffers",
-    PredictiveBufferPolicy,
+    _policy("predictive.buffer_manager.PredictiveBufferPolicy"),
     aliases=("buffers",),
     description="Section 2.1: eager buffers allocated only for predicted "
     "senders instead of every peer.",
 )
 POLICIES.register(
     "predictive-rendezvous",
-    PredictiveRendezvousPolicy,
+    _policy("predictive.rendezvous_bypass.PredictiveRendezvousPolicy"),
     aliases=("bypass",),
     description="Section 2.3: predicted long messages skip the rendezvous "
     "handshake.",

@@ -31,7 +31,7 @@ from repro.core.baselines import STREAM_PREDICTORS
 from repro.core.predictor import PredictorState
 from repro.predictive.online import OnlineMessagePredictor
 
-__all__ = ["KINDS", "SnapshotError", "state_nbytes", "freeze_state", "thaw_state"]
+__all__ = ["KINDS", "SnapshotError", "state_nbytes", "freeze_state", "thaw_state", "thaw_record"]
 
 #: Every kind a frozen state may name.
 KINDS = {**STREAM_PREDICTORS, OnlineMessagePredictor.name: OnlineMessagePredictor}
@@ -111,12 +111,17 @@ def _write(out: bytearray, state: PredictorState) -> None:
 
 def thaw_state(blob: bytes):
     """The predictor :func:`freeze_state` encoded; :class:`SnapshotError` otherwise."""
+    return thaw_record(blob)[1]
+
+
+def thaw_record(blob: bytes) -> tuple[tuple, object]:
+    """The ``configuration`` of the state in ``blob``, and :func:`thaw_state`'s predictor."""
     view = memoryview(blob)
     state, end = _read(view, 0, nested=False)
     if end != len(view):
         raise SnapshotError(None, "bytes after the end of the state", offset=end)
     try:
-        return KINDS[state.kind].from_state(state)
+        return state.configuration, KINDS[state.kind].from_state(state)
     except (ArithmeticError, LookupError, TypeError, ValueError) as error:
         raise SnapshotError(None, f"not a {state.kind} state: {error}") from None
 

@@ -48,7 +48,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "spec.NetworkSpec",
         "spec.FaultSpec",
         "spec.PolicySpec",
-        "spec.PredictorSpec",
+        "node.PredictorSpec",
         "spec.TraceSpec",
         "sweep.Sweep",
         "sweep.SweepAborted",

@@ -21,10 +21,11 @@ import os
 import zlib
 from pathlib import Path
 
-from repro.scenario.spec import PredictorSpec
+from repro.scenario.node import PredictorSpec
 from repro.serve.protocol import ServeEvent, ServeProtocolError, parse_event_line
 from repro.serve.shard import Shard
 from repro.serve.snapshot import SNAPSHOT_VERSION, SnapshotError
+from repro.util.digest import sha256
 
 __all__ = ["ServeService", "MANIFEST_NAME"]
 
@@ -185,8 +186,6 @@ class ServeService:
         two shard files leaves a directory that is refused, never one that
         restores as a mix of two snapshots.
         """
-        import hashlib  # OpenSSL's libcrypto: loaded by the first snapshot, not by serving
-
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
         shard_files = []
@@ -194,7 +193,7 @@ class ServeService:
         for shard in self.shards:
             name = f"shard-{shard.index:02d}.snap"
             streams += shard.snapshot(base / name)["streams"]
-            digest = hashlib.sha256((base / name).read_bytes()).hexdigest()
+            digest = sha256((base / name).read_bytes()).hexdigest()
             shard_files.append({"file": name, "sha256": digest})
         manifest = {
             "format": MANIFEST_FORMAT,
@@ -218,8 +217,6 @@ class ServeService:
         service's; shard routing is reproduced because the shard count and
         the CRC32 routing are both pinned by the manifest.
         """
-        import hashlib
-
         base = Path(directory)
         spec, shard_files = _read_manifest(base / MANIFEST_NAME)
         service = cls.__new__(cls)
@@ -228,12 +225,7 @@ class ServeService:
         service.parse_errors = 0
         for index, entry in enumerate(shard_files):
             path = base / entry["file"]
-            shard = Shard.restore(path)  # refuses another format version by name first
-            if hashlib.sha256(path.read_bytes()).hexdigest() != entry["sha256"]:
-                raise SnapshotError(
-                    path, "sha256 differs from the one the manifest records: the "
-                    "file was replaced, or its snapshot was interrupted",
-                )
+            shard = Shard.restore(path, entry["sha256"])  # another format version is named first
             if shard.index != index or shard.num_shards != len(shard_files):
                 raise SnapshotError(
                     path,

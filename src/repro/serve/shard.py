@@ -19,19 +19,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.predictor import PredictorState
 from repro.predictive.online import OnlineMessagePredictor, PredictedMessage
-from repro.scenario.spec import PredictorSpec
+from repro.scenario.node import PredictorSpec
 from repro.serve.snapshot import SnapshotError, load_snapshot, write_snapshot
 from repro.serve.table import StreamEntry, StreamTable
 
 __all__ = ["Shard"]
-
-
-def _configuration(state: PredictorState) -> tuple:
-    """A state's kind and constructor arguments, nested states included."""
-    nested = tuple(_configuration(s) for s in state.data if isinstance(s, PredictorState))
-    return state.kind, state.config, nested
 
 
 class Shard:
@@ -145,12 +138,13 @@ class Shard:
         )
 
     @classmethod
-    def restore(cls, path) -> "Shard":
+    def restore(cls, path, sha256: str | None = None) -> "Shard":
         """Rebuild a shard from a snapshot file (bit-identical predictions).
 
-        Every stream must be configured as the header's predictor spec builds.
+        Every stream must be configured as the header's predictor spec builds;
+        ``sha256`` is the file's digest as a manifest records it, if one does.
         """
-        header, streams = load_snapshot(path)
+        header, streams = load_snapshot(path, sha256)
         try:
             shard = cls(
                 index=header["shard_index"],
@@ -162,14 +156,14 @@ class Shard:
             shard.observations = int(header.get("observations", 0))
             shard.table.evictions = int(header.get("evictions", 0))
             shard.table.streams_created = int(header.get("streams_created", 0))
-            expected = _configuration(shard._entry_factory().get_state())
+            expected = shard._entry_factory().get_state().configuration
         except (KeyError, TypeError, ValueError) as error:
             raise SnapshotError(
                 path, f"header does not describe a shard: {error!r}",
                 shard=header.get("shard_index"),
             ) from None
-        for key, predictor in streams:
-            if _configuration(predictor.get_state()) != expected:
+        for key, config, predictor in streams:
+            if config != expected:
                 raise SnapshotError(
                     path, f"stream {key!r} is not configured as the header's predictor",
                     shard=shard.index,

@@ -24,7 +24,8 @@ import zlib
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.predictive.state import SnapshotError, freeze_state, thaw_state
+from repro.predictive.state import SnapshotError, freeze_state, thaw_record
+from repro.util.digest import sha256 as digest
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -89,12 +90,13 @@ class _Cursor:
         raise SnapshotError(self.path, message, shard=self.shard, offset=offset)
 
 
-def load_snapshot(path) -> tuple[dict, list[tuple[str, object]]]:
-    """Read a shard snapshot; returns ``(header, [(key, predictor), ...])``.
+def load_snapshot(path, sha256: str | None = None) -> tuple[dict, list[tuple[str, tuple, object]]]:
+    """Read a shard snapshot once; returns ``(header, [(key, configuration, predictor), ...])``.
 
     The stream list preserves the written order (coldest first).  Raises
     :class:`SnapshotError` on any structural damage — wrong magic, another
-    version, truncation, a CRC mismatch, a record that is not a predictor
+    version, a digest other than ``sha256`` (checked before any record is
+    read), truncation, a CRC mismatch, a record that is not a predictor
     state — naming the shard and offset.
     """
     target = Path(path)
@@ -113,6 +115,11 @@ def load_snapshot(path) -> tuple[dict, list[tuple[str, object]]]:
             f"supported version {SNAPSHOT_VERSION}",
             len(_MAGIC),
         )
+    if sha256 is not None and digest(data).hexdigest() != sha256:
+        cursor.fail(
+            "sha256 differs from the one the manifest records: the file was "
+            "replaced, or its snapshot was interrupted", None,
+        )
     header_len = cursor.u32("header length")
     header_offset = cursor.offset
     try:
@@ -126,7 +133,7 @@ def load_snapshot(path) -> tuple[dict, list[tuple[str, object]]]:
     expected = header.get("streams")
     if type(expected) is not int or expected < 0:
         cursor.fail(f"header stream count {expected!r} invalid", header_offset)
-    streams: list[tuple[str, object]] = []
+    streams: list[tuple[str, tuple, object]] = []
     for index in range(expected):
         record_offset = cursor.offset
         key_bytes = cursor.take(cursor.u32(f"record {index} key length"), f"record {index} key")
@@ -144,13 +151,13 @@ def load_snapshot(path) -> tuple[dict, list[tuple[str, object]]]:
         except UnicodeDecodeError:
             cursor.fail(f"stream record {index} key is not valid UTF-8", record_offset)
         try:
-            predictor = thaw_state(blob)
+            config, predictor = thaw_record(blob)
         except SnapshotError as error:
             cursor.fail(
                 f"stream record {index} ({key!r}): {error.reason}",
                 blob_offset + (error.offset or 0),
             )
-        streams.append((key, predictor))
+        streams.append((key, config, predictor))
     trailer_offset = cursor.offset
     trailer = cursor.take(len(_TRAILER), "trailer")
     if trailer != _TRAILER:

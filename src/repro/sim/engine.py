@@ -110,8 +110,8 @@ from repro.sim.events import (
 )
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig, NetworkModel
-from repro.sim.registry import ENGINES
 from repro.trace.tracer import TwoLevelTracer
+from repro.util.registry import ENGINES
 from repro.util.rng import SeededRNG
 
 __all__ = ["Simulator", "SimulationResult", "RankState", "RankStatus"]

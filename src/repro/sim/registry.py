@@ -25,7 +25,6 @@ from repro.sim.network import NetworkConfig
 from repro.util.registry import ComponentRegistry
 
 __all__ = [
-    "ENGINES",
     "FAULT_PRESETS",
     "MACHINE_PRESETS",
     "NETWORK_PRESETS",
@@ -39,10 +38,6 @@ __all__ = [
     "register_machine_preset",
     "register_network_preset",
 ]
-
-#: The drains ``Simulator(engine=...)`` accepts: a constant here, beside the
-#: presets, so that specs and the CLI check a name without importing the engine.
-ENGINES = ("auto", "scalar", "vectorised", "parallel")
 
 MACHINE_PRESETS = ComponentRegistry("machine preset")
 NETWORK_PRESETS = ComponentRegistry("network preset")

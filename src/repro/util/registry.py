@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-__all__ = ["ComponentEntry", "ComponentRegistry"]
+__all__ = ["ENGINES", "ComponentEntry", "ComponentRegistry"]
+
+#: The drains ``Simulator(engine=...)`` accepts (here, so the CLI needs no simulator).
+ENGINES = ("auto", "scalar", "vectorised", "parallel")
 
 
 @dataclass(frozen=True)

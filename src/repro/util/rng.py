@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.util.digest import sha256
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -37,9 +39,7 @@ def derive_seed(base_seed: int, *keys: object) -> int:
     int
         A 63-bit non-negative integer suitable for seeding NumPy generators.
     """
-    import hashlib  # OpenSSL's libcrypto: not for a process that never derives a seed
-
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(str(int(base_seed)).encode("utf-8"))
     for key in keys:
         digest.update(b"\x1f")

@@ -2,8 +2,8 @@
 
 The paper reports its results as one table (Table 1) and four figures (bar
 charts and stream plots).  Since the reproduction environment has no plotting
-stack, the analysis layer renders every table/figure as plain text so the
-benchmark harness and EXPERIMENTS.md can show the regenerated data directly.
+stack, the analysis layer renders every table/figure as plain text, which is
+what the benchmark harness writes to ``benchmarks/results/``.
 """
 
 from __future__ import annotations

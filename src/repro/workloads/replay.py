@@ -41,7 +41,6 @@ at least the trace's — extra ranks simply replay empty programs.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Generator
 
@@ -50,6 +49,7 @@ from repro.mpi.ops import ComputeOp, IrecvOp, IsendOp, Operation, WaitallOp
 from repro.trace.columns import KIND_NAMES
 from repro.trace.import_dumpi import load_dumpi
 from repro.trace.io import load_traces
+from repro.util.digest import sha256
 from repro.workloads.base import Workload
 
 __all__ = ["ReplayWorkload"]
@@ -120,7 +120,7 @@ class ReplayWorkload(Workload):
         self.file = os.fspath(file)
         self.time_scale = float(time_scale)
         with open(self.file, "rb") as handle:
-            self._digest = hashlib.sha256(handle.read()).hexdigest()
+            self._digest = sha256(handle.read()).hexdigest()
         if _sniff_format(self.file) == "v2":
             trace_nprocs, receives = _receives_from_v2(self.file)
         else:

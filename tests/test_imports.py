@@ -4,9 +4,10 @@ Every package ``__init__`` re-exports its public names through
 :func:`repro._lazy.lazy_exports`, numpy is imported (and version-checked) by
 :mod:`repro._numpy` only, and ``repro serve``, over a pipe or over TCP,
 answers observe, predict, expects and stats lines, snapshots and restores
-without numpy, ``asyncio``, ``ssl``, the simulator, the workloads, the tracer
-or the analysis package, and without ``hashlib`` until a snapshot or a
-restore hashes a file.
+without numpy, ``asyncio``, ``ssl``, ``hashlib`` (OpenSSL's libcrypto: its
+digests come from the built-in sha256), the simulator, the runtime, the
+scenario tree, the flow-control policies, the workloads, the tracer or the
+analysis package.
 """
 
 import importlib
@@ -28,22 +29,26 @@ PACKAGES = ["repro"] + [
     f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
 ]
 
-#: Modules a served stream must never load (a prefix covers its submodules).
+#: Modules a served stream must never load, not even to snapshot or restore
+#: (a prefix covers its submodules).
 NOT_ON_THE_SERVE_PATH = (
     "numpy",
     "asyncio",
     "ssl",
     "_ssl",
-    "repro.sim.engine",
-    "repro.runtime.transport",
+    "hashlib",
+    "_hashlib",
+    "repro.sim",
+    "repro.runtime",
+    "repro.scenario.spec",
+    "repro.predictive.credit_policy",
+    "repro.predictive.buffer_manager",
+    "repro.predictive.rendezvous_bypass",
     "repro.mpi",
     "repro.workloads",
     "repro.trace",
     "repro.analysis",
 )
-
-#: OpenSSL's libcrypto, which a served stream loads only to hash a snapshot.
-NOT_UNTIL_A_SNAPSHOT = ("hashlib", "_hashlib")
 
 FEED = (
     "".join(
@@ -106,13 +111,12 @@ def imported(stderr: str) -> set[str]:
 # ----------------------------------------------------------------------
 # The serve path
 # ----------------------------------------------------------------------
-def off_the_serve_path(modules: set[str], *, hashes: bool = False) -> list[str]:
-    """The banned modules an ``-X importtime`` run loaded (``hashes``: a snapshot may hash)."""
-    banned = NOT_ON_THE_SERVE_PATH + (() if hashes else NOT_UNTIL_A_SNAPSHOT)
+def off_the_serve_path(modules: set[str]) -> list[str]:
+    """The banned modules an ``-X importtime`` run loaded."""
     return sorted(
         module
         for module in modules
-        for name in banned
+        for name in NOT_ON_THE_SERVE_PATH
         if module == name or module.startswith(name + ".")
     )
 
@@ -132,14 +136,14 @@ def test_a_served_stream_imports_the_serve_path_only(transport, tmp_path):
     again, modules = serve(
         transport, "--snapshot-dir", str(snapshot), lines=FEED + QUERIES, tmp_path=tmp_path
     )
-    assert "repro.serve.snapshot" in modules and "hashlib" in modules
-    assert off_the_serve_path(modules, hashes=True) == []
+    assert "repro.serve.snapshot" in modules and "repro.util.digest" in modules
+    assert off_the_serve_path(modules) == []
     assert again.splitlines() == answers
     restored, modules = serve(
         transport, "--restore", str(snapshot), lines=QUERIES, tmp_path=tmp_path
     )
     assert "repro.predictive.state" in modules
-    assert off_the_serve_path(modules, hashes=True) == []
+    assert off_the_serve_path(modules) == []
     assert restored.splitlines() == answers[1:]
 
 

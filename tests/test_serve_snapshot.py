@@ -160,7 +160,7 @@ class TestStructuralErrors:
         struct.pack_into("<I", data, 12, 1)  # the layout before the bit-lane detector
         target.write_bytes(data)
         monkeypatch.setattr(
-            "repro.serve.snapshot.thaw_state", lambda blob: pytest.fail("unpickled a v1 record")
+            "repro.serve.snapshot.thaw_record", lambda blob: pytest.fail("unpickled a v1 record")
         )
         with pytest.raises(SnapshotError) as excinfo:
             load_snapshot(target)
@@ -278,7 +278,7 @@ class TestFormatRefusals:
         struct.pack_into("<I", data, 12, 2)  # the pickled-record layout
         target.write_bytes(data)
         monkeypatch.setattr(
-            "repro.serve.snapshot.thaw_state", lambda blob: pytest.fail("decoded a v2 record")
+            "repro.serve.snapshot.thaw_record", lambda blob: pytest.fail("decoded a v2 record")
         )
         with pytest.raises(SnapshotError) as excinfo:
             load_snapshot(target)
