@@ -90,13 +90,6 @@ class PredictiveBufferPolicy(FlowControlPolicy):
         self.eager_misses += 1
         return False
 
-    def on_message_delivered(
-        self, dst: int, src: int, nbytes: int, tag: int, kind: str, now: float
-    ) -> None:
-        self.predictor.observe(dst, src, nbytes)
-        self._note_senders(dst, (src,))
-        self._refresh_buffers(dst)
-
     def on_burst_delivered(
         self, dst: int, messages: list[tuple[int, int, int, str]], now: float
     ) -> None:

@@ -97,25 +97,18 @@ class PredictiveCreditPolicy(FlowControlPolicy):
         self.eager_denied += 1
         return False
 
-    def on_message_delivered(
-        self, dst: int, src: int, nbytes: int, tag: int, kind: str, now: float
-    ) -> None:
-        self.predictor.observe(dst, src, nbytes)
-        self._grant_from_predictions(dst)
-
     def on_burst_delivered(
         self, dst: int, messages: list[tuple[int, int, int, str]], now: float
     ) -> None:
-        """Replay a delivery burst message by message.
+        """Observe and grant message by message.
 
         Credit grants are *cumulative* (each one adds to the account, capped
         at ``credit_cap_bytes``) and each grant is sized by the predictions
         at that point in the stream, so collapsing a burst into one
         post-burst grant would leave a different balance than per-message
         delivery — and whether same-timestamp deliveries coalesce would then
-        change later eager decisions.  This hook therefore interleaves
-        observe and grant exactly like :meth:`on_message_delivered`; the
-        predictor's batch-observe path cannot be used for this policy.
+        change later eager decisions.  The predictor's batch-observe path
+        therefore cannot be used for this policy.
         """
         observe = self.predictor.observe
         grant = self._grant_from_predictions

@@ -76,11 +76,6 @@ class PredictiveRendezvousPolicy(FlowControlPolicy):
         self.fallbacks += 1
         return False
 
-    def on_message_delivered(
-        self, dst: int, src: int, nbytes: int, tag: int, kind: str, now: float
-    ) -> None:
-        self.predictor.observe(dst, src, nbytes)
-
     def on_burst_delivered(
         self, dst: int, messages: list[tuple[int, int, int, str]], now: float
     ) -> None:

@@ -7,9 +7,12 @@ The transport asks its policy two questions:
   small" (classic MPICH behaviour, Section 2.2/2.3 of the paper); the
   predictive policies in :mod:`repro.predictive` answer based on credits
   granted from predictions.
-* :meth:`FlowControlPolicy.on_message_delivered` / :meth:`on_burst_delivered`
-  — notifications the predictive policies use to learn the message stream
-  and refresh grants.
+* :meth:`FlowControlPolicy.on_burst_delivered` — the notification the
+  predictive policies use to learn the message stream and refresh grants.
+  The transport calls it once per consecutive run of deliveries to one rank
+  at one timestamp, a run of one included; the default replays
+  :meth:`FlowControlPolicy.on_message_delivered` per message, so a policy
+  may override either hook.
 
 Policies never touch timing; they only steer protocol selection and buffer
 allocation, so the same transport code exercises both the baseline and the
@@ -62,26 +65,20 @@ class FlowControlPolicy:
     def on_message_delivered(
         self, dst: int, src: int, nbytes: int, tag: int, kind: str, now: float
     ) -> None:
-        """A message was delivered to ``dst``; predictive policies learn here."""
+        """A message was delivered to ``dst`` (called by the default
+        :meth:`on_burst_delivered`, once per message)."""
 
     def on_burst_delivered(
         self, dst: int, messages: list[tuple[int, int, int, str]], now: float
     ) -> None:
-        """A same-timestamp burst of messages was delivered to ``dst``.
+        """Messages were delivered to ``dst`` at ``now``.
 
+        The transport's only delivery hook: one call per consecutive
+        same-timestamp run of deliveries to ``dst``, a run of one included.
         ``messages`` holds ``(src, nbytes, tag, kind)`` tuples in delivery
-        order.  The default simply replays :meth:`on_message_delivered` per
-        message, so policies that only know the per-message hook keep their
-        exact semantics; predictive policies override this to push the whole
-        burst through their predictors' amortised batch-observe path.
-
-        The transport routes *single* deliveries — the overwhelmingly common
-        case on a jittered network — directly to
-        :meth:`on_message_delivered`; this hook only sees bursts of two or
-        more.  A policy overriding this method must therefore also override
-        :meth:`on_message_delivered` (or it will silently miss most
-        deliveries), and the two must agree: a burst must leave the policy
-        in exactly the state a per-message replay would.
+        order.  The default replays :meth:`on_message_delivered` per
+        message; the predictive policies override this to push the whole
+        run through their predictors' amortised batch-observe path.
         """
         for src, nbytes, tag, kind in messages:
             self.on_message_delivered(dst, src, nbytes, tag, kind, now)

@@ -7,14 +7,13 @@ resulting network traffic with :class:`repro.sim.network.NetworkModel`,
 matches messages to posted receives with MPI semantics, accounts eager-buffer
 memory, and drives the two-level tracer.
 
-Postings come in two shapes per direction.  The scalar-argument APIs
-(:meth:`Transport.post_send_values` / :meth:`Transport.post_recv_values`)
-post one message; the engine calls them with an operation object's fields
-(generator protocol) or with lane values (op-array fast lane, where no per-op
-operation object ever exists).  The burst APIs
-(:meth:`Transport.post_send_burst` / :meth:`Transport.post_recv_burst`) post
-one timestamp cohort's worth of messages in a single pass, bit-identically to
-calling the values APIs once per message.
+A receive is posted through :meth:`Transport.post_recv_values` (one
+message, given as field values: an operation object's fields under the
+generator protocol, lane values under the op-array fast lane).  A send is
+posted the same way through :meth:`Transport.post_send_values`, or a whole
+timestamp cohort's sends at once through :meth:`Transport.post_send_burst`,
+bit-identically to calling the values API once per message.  Both send
+paths start a rendezvous through one helper.
 
 Timing model
 ------------
@@ -30,18 +29,17 @@ Timing model
 * Messages between the same (source, destination) pair are delivered in FIFO
   order, as MPI requires.
 
-Burst delivery
---------------
+Delivery
+--------
 Payload arrivals are scheduled as typed delivery events; the engine hands
-every consecutive run of same-timestamp deliveries to
-:meth:`Transport.deliver_cohort`, which gives each run bound for one receiver
-to :meth:`Transport.deliver_burst` in a single call (or, with no tracer and
-no delivery-observing policy, processes the whole run in one flat pass).
-Matching, statistics and tracing stay per-message (in exact event order), but
-the flow-control policy is notified once per burst through
-:meth:`repro.runtime.protocol.FlowControlPolicy.on_burst_delivered`, which
-lets the predictive policies feed whole bursts into their online predictors'
-amortised batch path instead of paying the per-message ``observe`` cost.
+every consecutive run of same-timestamp deliveries, whatever their
+destinations, to :meth:`Transport.deliver_cohort`.  One pass over the run
+traces each arrival, matches and completes it (fault duplicates are traced
+but never matched) and traces the match, in exact event order.  The
+flow-control policy is notified once per consecutive same-destination run
+through :meth:`repro.runtime.protocol.FlowControlPolicy.on_burst_delivered`,
+its only delivery hook, which lets the predictive policies feed whole bursts
+into their online predictors' amortised batch path.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.mpi.request import Request, Status, _request_ids
+from repro.mpi.request import Request, Status
 from repro.runtime.buffers import BufferPoolStats, EagerBufferPool
 from repro.runtime.matching import (
     PostedReceive,
@@ -75,10 +73,6 @@ _FIFO_EPSILON = 1.0e-12
 #: (one of these is built per message on the hot path, and the wrapper alone
 #: costs more than the allocation).
 _tuple_new = tuple.__new__
-
-#: Fresh-request sentinel for ``completion_time`` (see ``Request._reuse``,
-#: whose field resets the burst loops inline).
-_NAN = float("nan")
 
 
 @dataclass
@@ -166,9 +160,9 @@ class Transport:
         self._copy_bandwidth = machine.unexpected_copy_bandwidth
         self.policy = policy or StandardFlowControl()
         self.policy.bind(machine, nprocs)
-        # Skip the per-message notification calls entirely for policies that
-        # keep the base no-op hooks (the standard/baseline policies): a bound
-        # no-op method call per message is measurable on the delivery path.
+        # Skip the delivery notification entirely for policies that keep the
+        # base no-op hooks (the standard/baseline policies): a bound no-op
+        # method call per run is measurable on the delivery path.
         policy_type = type(self.policy)
         self._policy_observes_delivery = (
             policy_type.on_message_delivered is not FlowControlPolicy.on_message_delivered
@@ -238,8 +232,8 @@ class Transport:
         """Schedule the physical arrival of ``message`` at ``time``."""
         local = self._partition_local
         if local is not None and message.dst not in local:
-            # Ghost duplicates and eager fallback arrivals aimed at a remote
-            # partition become exchange records instead of local events.
+            # Eager payloads and ghost duplicates aimed at a remote partition
+            # become exchange records instead of local events.
             self._outbox_data(time, message)
             return
         self._schedule_delivery(time, message, posted)
@@ -294,46 +288,26 @@ class Transport:
         pool = self._request_pool
         request = pool.pop()._reuse("send", rank) if pool else Request("send", rank)
         size_says_eager = nbytes <= self._eager_threshold
-        policy_allows = self.policy.allows_eager(rank, dst, nbytes, kind, now)
-        use_eager = policy_allows
-        forced_rendezvous = size_says_eager and not policy_allows
-        eager_bypass = (not size_says_eager) and policy_allows
-
+        use_eager = self.policy.allows_eager(rank, dst, nbytes, kind, now)
         protocol = "eager" if use_eager else "rendezvous"
         # Positional construction: this runs once per message.
         message = Message(rank, dst, tag, nbytes, kind, protocol)
-        self.stats.record_send(nbytes, kind, protocol, forced_rendezvous, eager_bypass)
-
+        self.stats.record_send(
+            nbytes,
+            kind,
+            protocol,
+            size_says_eager and not use_eager,
+            use_eager and not size_says_eager,
+        )
         inject = now + self._send_overhead
         message.inject_time = inject
-        local = self._partition_local
         if use_eager:
             arrival = self._data_arrival(message, inject)
             message.arrival_time = arrival
-            if local is not None and dst not in local:
-                self._outbox_data(arrival, message)
-            else:
-                self._schedule_delivery(arrival, message, None)
+            self._schedule_data(arrival, message, None)
             request._complete(inject)
         else:
-            state = _Rendezvous(message=message, send_request=request)
-            self.stats.record_control_message()
-            rts_arrival = self.network.arrival_time(
-                rank, dst, self._control_bytes, inject
-            )
-            if local is not None and dst not in local:
-                handshake_id = (rank, self._next_handshake)
-                self._next_handshake += 1
-                state.handshake_id = handshake_id
-                self._pending_rendezvous[handshake_id] = state
-                self._outbox_put(
-                    dst,
-                    rts_arrival,
-                    ("rts", rank, dst, message.tag, nbytes, kind, inject,
-                     handshake_id),
-                )
-            else:
-                self._schedule(rts_arrival, lambda: self._handle_rts(state, rts_arrival))
+            self._post_rendezvous(message, request)
         return request
 
     def post_send_burst(
@@ -464,27 +438,7 @@ class Transport:
                 if pending:
                     self._flush_pending_deliveries(pending, pending_arrival, pending_same)
                     pending = []
-                state = _Rendezvous(message=message, send_request=request)
-                self.stats.record_control_message()
-                rts_arrival = network.arrival_time(
-                    rank, dst, self._control_bytes, inject
-                )
-                if local is not None and dst not in local:
-                    handshake_id = (rank, self._next_handshake)
-                    self._next_handshake += 1
-                    state.handshake_id = handshake_id
-                    self._pending_rendezvous[handshake_id] = state
-                    self._outbox_put(
-                        dst,
-                        rts_arrival,
-                        ("rts", rank, dst, tags[i], nbytes, kind, inject,
-                         handshake_id),
-                    )
-                else:
-                    self._schedule(
-                        rts_arrival,
-                        lambda state=state, t=rts_arrival: self._handle_rts(state, t),
-                    )
+                self._post_rendezvous(message, request)
             append(request)
         if pending:
             self._flush_pending_deliveries(pending, pending_arrival, pending_same)
@@ -515,6 +469,34 @@ class Transport:
         for message in pending:
             schedule_delivery(message.arrival_time, message, None)
 
+    def _post_rendezvous(self, message: Message, request: Request) -> None:
+        """Start a rendezvous send: time the RTS and hand it to the receiver.
+
+        The RTS leaves at the message's injection time.  A receiver in this
+        process gets it as a local callback; one in another partition gets
+        an ``("rts", ...)`` outbox record keyed by a fresh handshake id.
+        """
+        state = _Rendezvous(message=message, send_request=request)
+        self.stats.record_control_message()
+        src = message.src
+        dst = message.dst
+        inject = message.inject_time
+        rts_arrival = self.network.arrival_time(src, dst, self._control_bytes, inject)
+        local = self._partition_local
+        if local is not None and dst not in local:
+            handshake_id = (src, self._next_handshake)
+            self._next_handshake += 1
+            state.handshake_id = handshake_id
+            self._pending_rendezvous[handshake_id] = state
+            self._outbox_put(
+                dst,
+                rts_arrival,
+                ("rts", src, dst, message.tag, message.nbytes, message.kind, inject,
+                 handshake_id),
+            )
+        else:
+            self._schedule(rts_arrival, lambda: self._handle_rts(state, rts_arrival))
+
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
@@ -538,60 +520,6 @@ class Transport:
         else:
             self._complete_from_unexpected(posted, entry, now)
         return request
-
-    def post_recv_burst(
-        self,
-        ranks: list[int],
-        sources: list[int],
-        tags: list[int],
-        kinds: list[str],
-        nows: list[float],
-    ) -> list[Request]:
-        """Execute many receives posted at one timestamp cohort (vectorised lane).
-
-        Bit-identical to calling :meth:`post_recv_values` once per message in
-        list order: receive posting consumes no randomness and no timing, so
-        the burst is purely the per-message loop with the hook lookups and
-        freelist bindings hoisted out of it.  Matching side effects (posted
-        queues, unexpected matches, CTS grants) run in exact message order.
-        """
-        pool = self._request_pool
-        tracer_recv_posted = self._tracer_recv_posted
-        endpoints = self._endpoints
-        handshake_cpu = self._handshake_cpu
-        requests: list[Request] = []
-        append = requests.append
-        for i in range(len(ranks)):
-            rank = ranks[i]
-            source = sources[i]
-            tag = tags[i]
-            kind = kinds[i]
-            now = nows[i]
-            # Inlined Request._reuse: one freelist pop per message.
-            if pool:
-                request = pool.pop()
-                request.req_id = next(_request_ids)
-                request.op_kind = "recv"
-                request.rank = rank
-                request.completed = False
-                request.completion_time = _NAN
-                request.status = None
-                request._callbacks = None
-            else:
-                request = Request("recv", rank)
-            if tracer_recv_posted is not None:
-                tracer_recv_posted(rank, request.req_id, now)
-            posted = _tuple_new(PostedReceive, (request, source, tag, kind, now))
-            endpoint = endpoints[rank]
-            entry = endpoint.unexpected.match(posted)
-            if entry is None:
-                endpoint.posted.post(posted)
-            elif entry.is_rendezvous_announcement:
-                self._send_cts(entry.rendezvous_token, posted, now + handshake_cpu)
-            else:
-                self._complete_from_unexpected(posted, entry, now)
-            append(request)
-        return requests
 
     # ------------------------------------------------------------------
     # Internal protocol steps
@@ -773,115 +701,56 @@ class Transport:
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown exchange record kind: {kind!r}")
 
-    def deliver_burst(
-        self, burst: list[tuple[Message, Optional[PostedReceive]]], arrival: float
-    ) -> None:
-        """Payloads physically arrived at one destination rank at one time.
-
-        ``burst`` holds ``(message, posted_receive_or_None)`` pairs in exact
-        event order; a non-None posted receive means the message is a
-        rendezvous payload matched during the handshake.  Matching, delivery
-        statistics and trace records are processed per message (preserving
-        the one-event-at-a-time semantics bit for bit); the flow-control
-        policy is notified once for the whole burst.
-        """
-        dst = burst[0][0].dst
-        tracer_arrival = self._tracer_arrival
-        if tracer_arrival is not None:
-            for message, _ in burst:
-                tracer_arrival(
-                    dst, message.src, message.nbytes, message.tag, message.kind, arrival
-                )
-        if self._policy_observes_delivery:
-            if len(burst) == 1:
-                message = burst[0][0]
-                self.policy.on_message_delivered(
-                    dst, message.src, message.nbytes, message.tag, message.kind, arrival
-                )
-            else:
-                self.policy.on_burst_delivered(
-                    dst,
-                    [(m.src, m.nbytes, m.tag, m.kind) for m, _ in burst],
-                    arrival,
-                )
-
-        endpoint = self._endpoints[dst]
-        stats = self.stats
-        for message, posted in burst:
-            if message.duplicate:
-                # Fault-injected duplicate copy: already traced and shown to
-                # the policy above; a real receiver deduplicates by sequence
-                # number, so it never reaches MPI matching or statistics.
-                continue
-            if posted is not None:
-                # Rendezvous payload: the receive was matched during the handshake.
-                stats.record_delivery(expected=True)
-                self._complete_receive(posted, message, arrival, copy_penalty=0.0)
-                continue
-            match = endpoint.posted.match(message)
-            if match is not None:
-                stats.record_delivery(expected=True)
-                self._complete_receive(match, message, arrival, copy_penalty=0.0)
-            else:
-                storage = endpoint.buffers.store_unexpected(message.src, message.nbytes)
-                stats.record_delivery(expected=False, storage=storage)
-                endpoint.unexpected.add(
-                    _tuple_new(UnexpectedEntry, (message, arrival, False, None, storage))
-                )
-
     def deliver_cohort(
         self, items: list[tuple[Message, Optional[PostedReceive]]], arrival: float
     ) -> None:
         """Payloads arrived at one timestamp, possibly at *several* ranks.
 
         ``items`` is the full consecutive run of same-time delivery records in
-        exact event order; destinations may interleave.  With a tracer or a
-        delivery-observing policy attached, the run is segmented into
-        consecutive same-destination bursts and forwarded to
-        :meth:`deliver_burst`, preserving its per-burst trace/policy phase
-        order.  Without either hook (the benchmark configuration), matching
-        and completion are inlined in one flat pass — same calls, same order,
-        same outputs, without 50k+ single-message burst calls.
+        exact event order, as ``(message, posted)`` pairs (a posted receive
+        means a rendezvous payload matched during the handshake);
+        destinations may interleave.  One pass, per message in order: trace
+        the arrival; skip a fault duplicate (a real receiver deduplicates by
+        sequence number, so it never reaches matching or statistics); match,
+        complete and trace the match.  The policy hears once per consecutive
+        same-destination run, through
+        :meth:`~repro.runtime.protocol.FlowControlPolicy.on_burst_delivered`,
+        after that run's matches: matching never consults the policy, so
+        nothing can tell.
         """
-        if self._tracer_arrival is not None or self._policy_observes_delivery:
-            deliver_burst = self.deliver_burst
-            if len(items) == 1:
-                deliver_burst(items, arrival)
-                return
-            start = 0
-            dst = items[0][0].dst
-            for j in range(1, len(items)):
-                d = items[j][0].dst
-                if d != dst:
-                    deliver_burst(items[start:j], arrival)
-                    start = j
-                    dst = d
-            deliver_burst(items[start:], arrival)
-            return
         endpoints = self._endpoints
         stats = self.stats
         record_delivery = stats.record_delivery
         latency_accumulator = stats.latency_accumulator
         recv_overhead = self._recv_overhead
+        tracer_arrival = self._tracer_arrival
+        tracer_matched = self._tracer_recv_matched
+        notify = self.policy.on_burst_delivered if self._policy_observes_delivery else None
+        burst = None
         expected_count = 0
-        endpoint = None
-        eager_acc = rendezvous_acc = None
         dst = -1
         for message, posted in items:
-            if message.duplicate:
-                continue
             d = message.dst
             if d != dst:
+                if burst:
+                    notify(dst, burst, arrival)
+                burst = [] if notify is not None else None
                 dst = d
                 endpoint = endpoints[d]
                 eager_acc = latency_accumulator("eager", d)
                 rendezvous_acc = latency_accumulator("rendezvous", d)
+            src = message.src
+            nbytes = message.nbytes
+            if tracer_arrival is not None:
+                tracer_arrival(d, src, nbytes, message.tag, message.kind, arrival)
+            if burst is not None:
+                burst.append((src, nbytes, message.tag, message.kind))
+            if message.duplicate:
+                continue
             if posted is None:
                 posted = endpoint.posted.match(message)
                 if posted is None:
-                    storage = endpoint.buffers.store_unexpected(
-                        message.src, message.nbytes
-                    )
+                    storage = endpoint.buffers.store_unexpected(src, nbytes)
                     record_delivery(expected=False, storage=storage)
                     endpoint.unexpected.add(
                         _tuple_new(
@@ -889,19 +758,23 @@ class Transport:
                         )
                     )
                     continue
-            # Inlined _complete_receive with copy_penalty=0.0 and no tracer
-            # (the arrival hook being None implies the recv-matched hook is
-            # too — both come from the same tracer object).  The latency
-            # accumulator is updated inline, samples in exact message order.
+            # _complete_receive with no copy penalty, inlined: the latency
+            # accumulator is updated in place, samples in message order.
             expected_count += 1
             complete_time = arrival + recv_overhead
+            request = posted.request
+            if tracer_matched is not None:
+                tracer_matched(
+                    d, request.req_id, src, nbytes, message.tag, message.kind,
+                    complete_time,
+                )
             arrival_time = message.arrival_time
             status = _tuple_new(
                 Status,
                 (
-                    message.src,
+                    src,
                     message.tag,
-                    message.nbytes,
+                    nbytes,
                     message.kind,
                     arrival_time if arrival_time == arrival_time else arrival,
                 ),
@@ -912,7 +785,9 @@ class Transport:
             acc.total += latency
             if latency > acc.maximum:
                 acc.maximum = latency
-            posted.request._complete(complete_time, status)
+            request._complete(complete_time, status)
+        if burst:
+            notify(dst, burst, arrival)
         stats.expected_deliveries += expected_count
 
     def _complete_from_unexpected(

@@ -47,8 +47,8 @@ per-event allocation entirely:
 * With *cohorting* on (``engine="vectorised"``, or ``"auto"`` from
   ``_VECTOR_MIN_RANKS`` compiled ranks), a consecutive same-timestamp run of
   compiled-rank steps is collected into a cohort and executed segment by
-  segment through the ``_vec_*`` handlers: one transport burst call and one
-  batch event record per segment.  With cohorting off (``engine="scalar"``)
+  segment through the ``_vec_*`` handlers: one batch event record per
+  segment, and one transport burst call for a segment of isends.  With cohorting off (``engine="scalar"``)
   the same loop hands each step straight to :meth:`Simulator._step_compiled`.
 
 Determinism is unchanged: every event still executes in exact global
@@ -282,10 +282,6 @@ class Simulator:
         Number of worker processes for ``engine="parallel"`` (ignored by the
         other engines).  ``0`` auto-tunes to ``os.cpu_count()``; resolved
         values below 2 fall back to in-process execution.
-    partitioner:
-        Optional callable ``(nprocs, jobs) -> list[list[int]]`` assigning
-        ranks to partitions for ``engine="parallel"``; defaults to
-        contiguous balanced blocks (:func:`repro.sim.partition.contiguous_blocks`).
 
     A ``Simulator`` instance is **single-use**: :meth:`run` consumes the
     event queue, transport matching state and jitter RNG streams, so a second
@@ -307,7 +303,6 @@ class Simulator:
         faults: FaultConfig | FaultInjector | None = None,
         engine: str = "auto",
         engine_jobs: int = 2,
-        partitioner=None,
     ) -> None:
         if nprocs <= 0:
             raise ValueError(f"nprocs must be positive, got {nprocs}")
@@ -323,7 +318,6 @@ class Simulator:
             )
         self.engine = engine
         self.engine_jobs = engine_jobs
-        self.partitioner = partitioner
         #: See :attr:`SimulationResult.parallel_info`.
         self.parallel_info: dict | None = None
         self.nprocs = nprocs
@@ -584,8 +578,8 @@ class Simulator:
         on, a run of *consecutive* same-timestamp step records for compiled
         ranks (and any ``EVENT_STEP_BATCH`` records, which only cohort
         execution creates) is likewise collected into a cohort and handed to
-        :meth:`_exec_cohort`, which executes same-op segments with one
-        transport burst call instead of one call per rank.  Consecutiveness
+        :meth:`_exec_cohort`, which executes same-op segments in one pass
+        and pushes one batch record per segment.  Consecutiveness
         is what preserves global ``(time, seq)`` order: collection stops at
         the first record of any other kind, so nothing is ever reordered
         across a delivery, callback or generator-rank step.  Cohorts below
@@ -859,26 +853,17 @@ class Simulator:
         self._push_segment_steps(seg, times)
 
     def _vec_irecv(self, seg: list[RankState]) -> None:
-        """Post a segment of irecvs through one transport burst call."""
-        ranks = []
-        sources = []
-        tags = []
-        kinds = []
-        nows = []
-        for s in seg:
-            i = s.cp_cursor
-            ranks.append(s.rank)
-            sources.append(s.cp_a[i])
-            tags.append(s.cp_tag[i])
-            kinds.append(s.cp_kind[i])
-            nows.append(s.now)
-        requests = self.transport.post_recv_burst(ranks, sources, tags, kinds, nows)
+        """Post a segment of irecvs and push one batched step record."""
+        post_recv = self.transport.post_recv_values
         sim_time = self.time
         times = []
         append = times.append
-        for j, s in enumerate(seg):
-            s.cp_cursor += 1
-            s.cp_pending.append(requests[j])
+        for s in seg:
+            i = s.cp_cursor
+            s.cp_cursor = i + 1
+            s.cp_pending.append(
+                post_recv(s.rank, s.cp_a[i], s.cp_tag[i], s.cp_kind[i], s.now)
+            )
             t = s.now
             append(t if t > sim_time else sim_time)
         self._push_segment_steps(seg, times)

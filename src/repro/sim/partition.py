@@ -50,16 +50,16 @@ from repro.sim.errors import (
 )
 from repro.sim.faults import merge_fault_partials
 
-__all__ = ["contiguous_blocks", "validate_partition", "run_partitioned"]
+__all__ = ["contiguous_blocks", "run_partitioned"]
 
 
 # ----------------------------------------------------------------------
-# Partitioners
+# Partitioning
 # ----------------------------------------------------------------------
 def contiguous_blocks(nprocs: int, jobs: int) -> list[list[int]]:
     """Split ranks ``0..nprocs-1`` into ``jobs`` balanced contiguous blocks.
 
-    The default partitioner: nearest-neighbour workloads (lockstep halo
+    The partitioning: nearest-neighbour workloads (lockstep halo
     exchanges, ring exchanges) keep almost all traffic inside a block, so
     only the boundary ranks ever cross the barrier.  Blocks differ in size
     by at most one rank; empty blocks are dropped when ``jobs > nprocs``.
@@ -79,35 +79,6 @@ def contiguous_blocks(nprocs: int, jobs: int) -> list[list[int]]:
     return blocks
 
 
-def validate_partition(blocks, nprocs: int) -> list[list[int]]:
-    """Check that ``blocks`` is a disjoint, complete cover of the rank space."""
-    seen: set[int] = set()
-    validated: list[list[int]] = []
-    for i, block in enumerate(blocks):
-        block = list(block)
-        if not block:
-            raise SimulationError(f"partitioner produced an empty partition {i}")
-        for rank in block:
-            if not (0 <= rank < nprocs):
-                raise SimulationError(
-                    f"partition {i} contains out-of-range rank {rank} "
-                    f"(nprocs={nprocs})"
-                )
-            if rank in seen:
-                raise SimulationError(
-                    f"rank {rank} appears in more than one partition"
-                )
-            seen.add(rank)
-        validated.append(block)
-    if len(seen) != nprocs:
-        missing = sorted(set(range(nprocs)) - seen)
-        raise SimulationError(
-            f"partitioner left ranks unassigned: {missing[:8]}"
-            f"{'...' if len(missing) > 8 else ''}"
-        )
-    return validated
-
-
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
@@ -125,8 +96,7 @@ def run_partitioned(sim):
     from repro.sim.engine import SimulationResult  # noqa: F401 (merge below)
 
     nprocs = sim.nprocs
-    partitioner = sim.partitioner if sim.partitioner is not None else contiguous_blocks
-    blocks = validate_partition(partitioner(nprocs, sim.engine_jobs), nprocs)
+    blocks = contiguous_blocks(nprocs, sim.engine_jobs)
     lookahead = sim.network.min_latency()
     if lookahead <= 0.0:
         raise SimulationError(

@@ -402,6 +402,7 @@ class TestParallelPartitionProperty:
     @settings(max_examples=6, deadline=None)
     @given(cuts=st.sets(st.integers(min_value=1, max_value=8), max_size=3))
     def test_random_partition_boundaries(self, cuts):
+        from repro.sim import partition
         from repro.sim.network import NetworkConfig, NetworkModel
 
         nprocs = 9
@@ -412,7 +413,7 @@ class TestParallelPartitionProperty:
         if len(blocks) < 2:
             blocks = [list(range(0, 4)), list(range(4, nprocs))]
 
-        def run(engine, partitioner=None):
+        def run(engine):
             workload = create_workload("bt", nprocs=nprocs, scale=0.03)
             network = NetworkModel(
                 NetworkConfig(latency=25e-6, jitter_sigma=0.0, contention=False),
@@ -425,11 +426,13 @@ class TestParallelPartitionProperty:
                 seed=23,
                 engine=engine,
                 engine_jobs=len(blocks),
-                partitioner=partitioner,
             )
             return sim.run([workload.program_for])
 
-        parallel = run("parallel", partitioner=lambda n, jobs: blocks)
+        # Forked partition workers inherit the patched module attribute.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partition, "contiguous_blocks", lambda n, jobs: blocks)
+            parallel = run("parallel")
         assert parallel.parallel_info == {
             "partitions": len(blocks),
             "windows": parallel.parallel_info["windows"],

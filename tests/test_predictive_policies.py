@@ -97,7 +97,7 @@ class TestPredictiveCreditPolicy:
         policy = PredictiveCreditPolicy(horizon=3, bootstrap_credit_bytes=0)
         policy.bind(MachineConfig(), 4)
         for _ in range(30):
-            policy.on_message_delivered(0, 1, 2048, 0, "p2p", 0.0)
+            policy.on_burst_delivered(0, [(1, 2048, 0, "p2p")], 0.0)
         assert policy.credits.available(0, 1) > 0
         assert policy.allows_eager(1, 0, 2048, "p2p", 0.0) is True
 
@@ -105,7 +105,7 @@ class TestPredictiveCreditPolicy:
         policy = PredictiveCreditPolicy(horizon=5, credit_cap_bytes=4096)
         policy.bind(MachineConfig(), 4)
         for _ in range(100):
-            policy.on_message_delivered(0, 1, 2048, 0, "p2p", 0.0)
+            policy.on_burst_delivered(0, [(1, 2048, 0, "p2p")], 0.0)
         assert policy.credits.available(0, 1) <= 4096
 
     def test_end_to_end_bounds_unexpected_exposure(self):
@@ -140,7 +140,7 @@ class TestPredictiveRendezvousPolicy:
         policy = PredictiveRendezvousPolicy(horizon=3)
         policy.bind(MachineConfig(), 4)
         for _ in range(30):
-            policy.on_message_delivered(0, 1, 1 << 20, 0, "p2p", 0.0)
+            policy.on_burst_delivered(0, [(1, 1 << 20, 0, "p2p")], 0.0)
         assert policy.allows_eager(1, 0, 1 << 20, "p2p", 0.0) is True
         assert policy.bypasses == 1
 
@@ -150,7 +150,7 @@ class TestPredictiveRendezvousPolicy:
         for policy in (strict, loose):
             policy.bind(MachineConfig(), 4)
             for _ in range(30):
-                policy.on_message_delivered(0, 1, 1 << 20, 0, "p2p", 0.0)
+                policy.on_burst_delivered(0, [(1, 1 << 20, 0, "p2p")], 0.0)
         other_size = (1 << 20) + 4096
         assert strict.allows_eager(1, 0, other_size, "p2p", 0.0) is False
         assert loose.allows_eager(1, 0, other_size, "p2p", 0.0) is True
@@ -175,8 +175,8 @@ class TestPredictiveRendezvousPolicy:
 
 
 class TestBurstHooks:
-    """The burst hooks must leave each policy in the same state as a
-    per-message replay of the same delivery sequence."""
+    """One burst must leave each policy in the same state as the same
+    deliveries arriving as runs of one."""
 
     MESSAGES = [
         (1 + i % 3, 1024 * (1 + i % 2), 0, "p2p") for i in range(36)
@@ -188,8 +188,8 @@ class TestBurstHooks:
         if burst:
             policy.on_burst_delivered(0, TestBurstHooks.MESSAGES, 0.0)
         else:
-            for src, nbytes, tag, kind in TestBurstHooks.MESSAGES:
-                policy.on_message_delivered(0, src, nbytes, tag, kind, 0.0)
+            for message in TestBurstHooks.MESSAGES:
+                policy.on_burst_delivered(0, [message], 0.0)
         return policy
 
     def test_buffer_policy_burst_matches_sequential(self):

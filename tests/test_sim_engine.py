@@ -198,8 +198,7 @@ class TestSingleUse:
 class TestBurstDelivery:
     def test_same_time_deliveries_reach_policy_as_burst(self):
         """Deliveries landing at one receiver at one timestamp arrive as a
-        single on_burst_delivered call; lone deliveries keep the per-message
-        hook."""
+        single on_burst_delivered call."""
         from repro.runtime.protocol import StandardFlowControl
 
         class RecordingPolicy(StandardFlowControl):
@@ -233,6 +232,81 @@ class TestBurstDelivery:
         dst, messages = policy.bursts[0]
         assert dst == 2
         assert [(src, nbytes) for src, nbytes, _, _ in messages] == [(0, 64), (1, 64)]
+
+    @staticmethod
+    def _run(policy, network, engine="auto", tracer=True):
+        from repro.workloads.registry import create_workload
+
+        # Its collectives land same-time runs on one receiver when the
+        # network is noiseless, beside plenty of lone deliveries.
+        workload = create_workload("collective-mix", nprocs=8, scale=0.2)
+        return Simulator(
+            8, network=network, policy=policy, seed=5, engine=engine, tracer=tracer
+        ).run([workload.program_for])
+
+    @staticmethod
+    def _arrivals(result):
+        """Every rank's physical records as ``(dst, src, nbytes, tag, kind, time)``."""
+        return sorted(
+            (rank, r.sender, r.nbytes, r.tag, r.kind, r.time)
+            for rank in range(result.nprocs)
+            for r in result.trace_for(rank).physical
+        )
+
+    @pytest.mark.parametrize("network", ["default", "noiseless"])
+    def test_burst_only_policy_sees_every_delivery(self, network):
+        """The burst hook is the transport's one delivery hook: a policy
+        overriding only it hears runs of one too."""
+        from repro.runtime.protocol import StandardFlowControl
+
+        class BurstOnly(StandardFlowControl):
+            seen: list
+
+            def on_burst_delivered(self, dst, messages, now):
+                self.seen.extend((dst, *m, now) for m in messages)
+
+        policy = BurstOnly()
+        policy.seen = []
+        config = NetworkConfig() if network == "default" else NetworkConfig.noiseless()
+        result = self._run(policy, config)
+        assert sorted(policy.seen) == self._arrivals(result)
+
+    def test_message_only_policy_sees_each_delivery_once(self):
+        from repro.runtime.protocol import StandardFlowControl
+
+        class MessageOnly(StandardFlowControl):
+            seen: list
+
+            def on_message_delivered(self, dst, src, nbytes, tag, kind, now):
+                self.seen.append((dst, src, nbytes, tag, kind, now))
+
+        policy = MessageOnly()
+        policy.seen = []
+        result = self._run(policy, NetworkConfig.noiseless())
+        assert sorted(policy.seen) == self._arrivals(result)
+
+    def test_call_sequence_ignores_tracer_and_engine(self):
+        """One ``(dst, messages, now)`` call sequence whether the tracer is
+        on or off and whatever the engine, covering every message sent."""
+        from repro.runtime.protocol import StandardFlowControl
+
+        class Recording(StandardFlowControl):
+            calls: list
+
+            def on_burst_delivered(self, dst, messages, now):
+                self.calls.append((dst, list(messages), now))
+
+        sequences = []
+        for engine in ("scalar", "vectorised"):
+            for tracer in (True, False):
+                policy = Recording()
+                policy.calls = []
+                result = self._run(policy, NetworkConfig.noiseless(), engine, tracer)
+                assert sum(len(m) for _, m, _ in policy.calls) == result.stats.messages_sent
+                sequences.append(policy.calls)
+        assert any(len(m) > 1 for _, m, _ in sequences[0])
+        assert any(len(m) == 1 for _, m, _ in sequences[0])
+        assert all(calls == sequences[0] for calls in sequences)
 
 
 class TestErrors:
