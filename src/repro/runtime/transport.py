@@ -758,7 +758,7 @@ class Transport:
                         )
                     )
                     continue
-            # _complete_receive with no copy penalty, inlined: the latency
+            # The receive completes on arrival (no copy out); the latency
             # accumulator is updated in place, samples in message order.
             expected_count += 1
             complete_time = arrival + recv_overhead
@@ -793,17 +793,17 @@ class Transport:
     def _complete_from_unexpected(
         self, posted: PostedReceive, entry: UnexpectedEntry, now: float
     ) -> None:
-        """A newly posted receive matched a buffered eager message."""
+        """A newly posted receive matched a buffered eager message: release
+        its buffer, then build the status, trace it and fire the request
+        once the copy out is done."""
         message = entry.message
-        endpoint = self._endpoints[posted.request.rank]
-        endpoint.buffers.release_unexpected(message.src, message.nbytes, entry.storage or "heap")
+        request = posted.request
+        rank = request.rank
+        self._endpoints[rank].buffers.release_unexpected(
+            message.src, message.nbytes, entry.storage or "heap"
+        )
+        ready_time = max(now, entry.arrival_time)
         copy_penalty = message.nbytes / self._copy_bandwidth
-        self._complete_receive(posted, message, max(now, entry.arrival_time), copy_penalty)
-
-    def _complete_receive(
-        self, posted: PostedReceive, message: Message, ready_time: float, copy_penalty: float
-    ) -> None:
-        """Finish a receive: build the status, trace it, fire the request."""
         complete_time = ready_time + self._recv_overhead + copy_penalty
         arrival_time = message.arrival_time
         status = _tuple_new(
@@ -816,11 +816,10 @@ class Transport:
                 arrival_time if arrival_time == arrival_time else ready_time,
             ),
         )
-        rank = posted.request.rank
         if self._tracer_recv_matched is not None:
             self._tracer_recv_matched(
                 rank,
-                posted.request.req_id,
+                request.req_id,
                 message.src,
                 message.nbytes,
                 message.tag,
@@ -830,7 +829,7 @@ class Transport:
         self.stats.record_latency(
             message.protocol, rank, complete_time - message.inject_time
         )
-        posted.request._complete(complete_time, status)
+        request._complete(complete_time, status)
 
     # ------------------------------------------------------------------
     def pending_counts(self) -> dict[int, tuple[int, int]]:
