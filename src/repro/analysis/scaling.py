@@ -17,8 +17,10 @@ These projections are an extension (the paper never evaluates them); they are
 exercised by ``benchmarks/test_bench_scaling.py`` and the tests.
 
 The module also hosts :func:`lockstep_scale_configs`, the machine/network
-configuration pair under which the engine scaling benchmarks
-(``BENCH_scale.json``) run thousand-rank simulations.
+configuration pair under which the engine scaling rows
+(``benchmarks/test_bench_scale.py``) run thousand-rank simulations; what
+``engine="auto"`` gains at 256 ranks is read from ``bench/run.py``'s traced
+probe ``sim.auto_vs_scalar`` (see ``repro.sim.engine._VECTOR_MIN_RANKS``).
 """
 
 from __future__ import annotations

@@ -111,14 +111,6 @@ class OnlineMessagePredictor:
             sender for sender, _ in self.predict(receiver, horizon) if sender is not None
         }
 
-    def predicted_bytes_from(self, receiver: int, sender: int, horizon: int | None = None) -> int:
-        """Total predicted bytes arriving at ``receiver`` from ``sender``."""
-        total = 0
-        for predicted_sender, size in self.predict(receiver, horizon):
-            if predicted_sender == sender and size is not None:
-                total += size
-        return total
-
     def expects_message(
         self, receiver: int, sender: int, nbytes: int | None = None, horizon: int | None = None
     ) -> bool:

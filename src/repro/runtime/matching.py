@@ -122,9 +122,3 @@ class UnexpectedQueue:
                 continue
             return entries.pop(index)
         return None
-
-    def pending_bytes(self) -> int:
-        """Total buffered payload bytes currently held (eager entries only)."""
-        return sum(
-            e.message.nbytes for e in self.entries if not e.is_rendezvous_announcement
-        )

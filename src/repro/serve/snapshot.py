@@ -22,7 +22,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.predictive.state import SnapshotError, freeze_state, thaw_record
 from repro.util.digest import sha256 as digest
@@ -165,9 +165,3 @@ def load_snapshot(path, sha256: str | None = None) -> tuple[dict, list[tuple[str
     if cursor.offset != len(data):
         cursor.fail("trailing bytes after the snapshot trailer", cursor.offset)
     return header, streams
-
-
-def iter_snapshot_files(directory) -> Iterator[Path]:
-    """Yield the shard snapshot files of a service snapshot directory."""
-    base = Path(directory)
-    yield from sorted(base.glob("shard-*.snap"))

@@ -120,8 +120,13 @@ __all__ = ["Simulator", "SimulationResult", "RankState", "RankStatus"]
 ProgramFactory = Callable[[RankContext], Generator[Operation, object, None]]
 
 #: ``engine="auto"`` turns cohorting on at this many compiled ranks.  Below
-#: it, cohorts are too small for the collect/dispatch overhead to amortise;
-#: at or above it the batch lane wins (see ``BENCH_scale.json``).
+#: it, cohorts are too small for the collect/dispatch overhead to amortise.
+#: At 256 ranks the traced probe ``sim.auto_vs_scalar`` (scalar run time over
+#: auto run time, ``bench/run.py --workload W --trace 1``) read 2.64 / 2.19 /
+#: 2.86x on ``sim-lockstep-bt`` (wide cohorts) and 0.97 / 1.18 / 1.19x on
+#: ``sim-wavefront-lu`` (narrow wavefront cohorts), three runs each on a
+#: 2-CPU host: the batch lane wins where cohorts are wide, about parity where
+#: they are not.
 _VECTOR_MIN_RANKS = 16
 
 #: Minimum cohort size worth routing through ``_exec_cohort``; smaller

@@ -68,7 +68,3 @@ class MachineConfig:
     def with_overrides(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
-
-    def protocol_for_size(self, nbytes: int) -> str:
-        """Return the default protocol ("eager" or "rendezvous") for a size."""
-        return "eager" if nbytes <= self.eager_threshold else "rendezvous"

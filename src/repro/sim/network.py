@@ -129,12 +129,6 @@ class NetworkModel:
             self._degrade_multiplier = injector.latency_multiplier
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Clear link occupancy state and counters (RNG is *not* reseeded)."""
-        self._link_free_at.clear()
-        self.messages_timed = 0
-        self.total_bytes = 0
-
     def serialization_time(self, nbytes: int) -> float:
         """Time to push ``nbytes`` through the link at full bandwidth."""
         check_non_negative("nbytes", nbytes)

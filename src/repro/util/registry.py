@@ -85,10 +85,6 @@ class ComponentRegistry:
         """Canonical names of all registered components (sorted)."""
         return sorted(self._entries)
 
-    def canonical_name(self, name: str) -> str:
-        """Resolve ``name`` (canonical or alias) to the canonical name."""
-        return self.entry(name).name
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries or name in self._name_aliases
 

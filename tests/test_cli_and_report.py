@@ -1,6 +1,11 @@
 """Tests for the CLI (repro.cli) and the report builder (repro.analysis.report)."""
 
+import importlib.util
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -426,9 +431,6 @@ class TestBenchBaseline:
         # The six artefacts are frozen history: nothing regenerates them, so
         # each must keep parsing, keep the rows README cites and (all but the
         # scale curves, which never had one) its recorded baseline section.
-        import json
-        import pathlib
-
         root = pathlib.Path(__file__).resolve().parents[1]
         for name, rows in self.CITED.items():
             data = json.loads((root / name).read_text(encoding="utf-8"))
@@ -447,3 +449,30 @@ class TestBenchBaseline:
         err = capsys.readouterr().err
         assert "invalid choice: 'bench'" in err
         assert "{run,sweep,predict,table1,report,serve,list}" in err
+
+
+class TestBenchmarksCollection:
+    """A bare ``pytest`` run is the correctness gate; ``benchmarks/`` runs by name."""
+
+    ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+    def test_root_conftest_ignores_benchmarks(self):
+        spec = importlib.util.spec_from_file_location("root_conftest", self.ROOT / "conftest.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert "benchmarks" in module.collect_ignore
+
+    def test_named_benchmark_suites_still_collect(self):
+        files = ["benchmarks/test_bench_table1.py", "benchmarks/test_bench_scale.py"]
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *files],
+            cwd=self.ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        ids = completed.stdout.splitlines()
+        assert "benchmarks/test_bench_table1.py::test_bench_table1" in ids
+        assert (
+            "benchmarks/test_bench_scale.py::TestScaleMicrobenchmarks::"
+            "test_bench_scale_curve[bt-64-scalar]" in ids
+        )

@@ -43,12 +43,6 @@ class TestOnlineMessagePredictor:
         feed_pattern(predictor, 2, [(1, 10), (3, 20)], 20)
         assert predictor.predicted_senders(2) == {1, 3}
 
-    def test_predicted_bytes_from(self):
-        predictor = OnlineMessagePredictor(nprocs=4, horizon=4)
-        feed_pattern(predictor, 0, [(1, 100), (2, 200)], 20)
-        assert predictor.predicted_bytes_from(0, 1) == 200  # appears twice in horizon 4
-        assert predictor.predicted_bytes_from(0, 3) == 0
-
     def test_expects_message_with_and_without_size(self):
         predictor = OnlineMessagePredictor(nprocs=4, horizon=3)
         feed_pattern(predictor, 0, [(1, 100), (2, 200), (3, 300)], 20)

@@ -197,6 +197,7 @@ class TestBurstHooks:
         bursty = self._feed(PredictiveBufferPolicy(), burst=True)
         assert bursty._buffered[0] == sequential._buffered[0]
         assert bursty._recent[0] == sequential._recent[0]
+        assert bursty.buffers_held(0) >= 1
         assert bursty.predictor.predict(0) == sequential.predictor.predict(0)
         # Both policies make identical eager decisions afterwards.
         for src in range(1, 8):

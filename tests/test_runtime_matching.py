@@ -89,18 +89,6 @@ class TestUnexpectedQueue:
         queue.add(UnexpectedEntry(message=message(src=1), arrival_time=1.0))
         assert queue.match(posted(source=2)) is None
 
-    def test_pending_bytes_excludes_rendezvous_announcements(self):
-        queue = UnexpectedQueue()
-        queue.add(UnexpectedEntry(message=message(nbytes=100), arrival_time=1.0))
-        queue.add(
-            UnexpectedEntry(
-                message=message(nbytes=1000),
-                arrival_time=2.0,
-                is_rendezvous_announcement=True,
-            )
-        )
-        assert queue.pending_bytes() == 100
-
 
 class TestMessage:
     def test_envelope(self):

@@ -26,7 +26,6 @@ from repro.serve.shard import Shard
 from repro.serve.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
-    iter_snapshot_files,
     load_snapshot,
     write_snapshot,
 )
@@ -202,11 +201,12 @@ class TestServiceRoundTrip:
         service = self.build_service()
         manifest = service.snapshot(tmp_path)
         assert manifest["streams"] == len(PATTERNS)
-        assert len(list(iter_snapshot_files(tmp_path))) == 3
+        assert len(list(tmp_path.glob("shard-*.snap"))) == 3
         restored = ServeService.restore(tmp_path)
         assert restored.num_shards == 3
         assert self.answers(restored) == self.answers(service)
         assert restored.stats()["observations"] == service.stats()["observations"]
+        assert restored.stats()["streams"] == service.stats()["streams"] == len(PATTERNS)
 
     def test_manifest_written_last(self, tmp_path):
         self.build_service().snapshot(tmp_path)
@@ -234,7 +234,7 @@ class TestServiceRoundTrip:
 
     def test_cli_refuses_a_version_1_directory_in_one_line(self, tmp_path, monkeypatch, capsys):
         self.build_service().snapshot(tmp_path)
-        for shard_file in iter_snapshot_files(tmp_path):
+        for shard_file in tmp_path.glob("shard-*.snap"):
             data = bytearray(shard_file.read_bytes())
             struct.pack_into("<I", data, 12, 1)
             shard_file.write_bytes(data)

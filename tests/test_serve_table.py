@@ -18,6 +18,7 @@ import pytest
 import repro
 from repro.predictive.online import OnlineMessagePredictor
 from repro.predictive.state import state_nbytes
+from repro.serve.service import ServeService
 from repro.serve.table import StreamEntry, StreamTable
 
 
@@ -96,6 +97,21 @@ class TestMaxStreams:
             return victims, list(table.keys()), table.evictions
 
         assert run() == run() == run()
+
+    def test_service_residency_plateaus_at_shards_times_cap(self):
+        # Distinct streams past the per-shard cap: every shard sits at its cap
+        # and the service-wide counters show the eviction, not the traffic.
+        service = ServeService(
+            "periodicity:window=8,max_period=16,horizon=4", num_shards=4, max_streams=4
+        )
+        for sid in range(64):
+            key = f"s{sid}"
+            service.shard_for(key).observe_batch(key, [1, 2, 1, 3], [256, 4096, 256, 65536])
+        stats = service.stats()
+        assert stats["observations"] == 64 * 4
+        assert stats["streams"] == 4 * 4
+        assert stats["evictions"] == 64 - 16
+        assert stats["resident_bytes_per_stream"] > 0
 
 
 class TestResidentBytes:

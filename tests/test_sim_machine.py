@@ -12,11 +12,6 @@ class TestMachineConfig:
         assert config.eager_buffer_bytes == 16 * 1024
         assert config.preallocate_all_peers is True
 
-    def test_protocol_for_size(self):
-        config = MachineConfig(eager_threshold=100)
-        assert config.protocol_for_size(100) == "eager"
-        assert config.protocol_for_size(101) == "rendezvous"
-
     def test_with_overrides(self):
         config = MachineConfig().with_overrides(eager_threshold=1)
         assert config.eager_threshold == 1

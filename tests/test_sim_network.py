@@ -124,13 +124,6 @@ class TestNetworkModel:
         assert model.messages_timed == 2
         assert model.total_bytes == 300
 
-    def test_reset_clears_counters_and_links(self):
-        model = NetworkModel(NetworkConfig(seed=1))
-        model.arrival_time(0, 1, 100, 0.0)
-        model.reset()
-        assert model.messages_timed == 0
-        assert model.total_bytes == 0
-
     def test_negative_bytes_rejected(self):
         model = NetworkModel(NetworkConfig(seed=1))
         with pytest.raises(ValueError):

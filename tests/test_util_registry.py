@@ -24,8 +24,8 @@ class TestComponentRegistry:
         assert registry.create("basic") == {"size": 1}
         assert registry.create("b", sz=4, color="red") == {"size": 4, "color": "red"}
 
-    def test_canonical_name_resolution(self, registry):
-        assert registry.canonical_name("b") == "basic"
+    def test_alias_resolution(self, registry):
+        assert registry.entry("b").name == "basic"
         assert "b" in registry and "basic" in registry
         assert "nope" not in registry
 
