@@ -4,11 +4,13 @@ This ``setup.py`` is the single source of packaging truth for the project
 (there is intentionally no ``pyproject.toml``: the reproduction targets
 environments whose pip/setuptools may predate PEP 660 editable installs).
 
-The only hard runtime dependency is numpy — the typed event queue, the
-vectorised cohort engine, the columnar trace plane and the predictor
-evaluation all operate on numpy arrays.  The minimum version is asserted a
-second time at import (``repro/__init__.py``) so a too-old interpreter
-environment fails with a clear message rather than deep inside a kernel.
+The only hard runtime dependency is numpy — the columnar trace plane, the
+offline predictor evaluation and the simulator's random draws use it.  The
+simulator itself (``repro/sim``) reaches numpy only through
+``repro.util.rng.SeededRNG``, and the serve path starts without it.  The
+minimum version is asserted a second time at import, in ``repro/_numpy.py``
+(the one module that imports numpy), so a too-old environment fails with a
+clear message rather than deep inside a kernel.
 """
 
 from setuptools import find_packages, setup

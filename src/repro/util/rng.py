@@ -9,6 +9,7 @@ and every network link gets an independent but deterministic stream.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Iterable
 
 from repro.util.digest import sha256
@@ -121,13 +122,16 @@ class SeededRNG:
             return 1.0
         return float(self._rng.lognormal(0.0, sigma))
 
-    def lognormal_block(self, sigma: float, n: int) -> list[float]:
+    def lognormal_block(self, sigma: float, n: int) -> array:
         """A block of ``n`` noise factors, sequence-identical to ``n``
         successive :meth:`lognormal_factor` calls (numpy array sampling
-        consumes the underlying bit stream exactly like scalar draws)."""
+        consumes the underlying bit stream exactly like scalar draws).
+
+        An ``array('d')`` holds the block in 8 bytes a factor, where a list
+        holds a boxed float each; a rank keeps one block live per run."""
         if sigma <= 0.0:
-            return [1.0] * n
-        return self._rng.lognormal(0.0, sigma, size=n).tolist()
+            return array("d", [1.0]) * n
+        return array("d", self._rng.lognormal(0.0, sigma, size=n).tobytes())
 
     def exponential(self, mean: float) -> float:
         """Exponential variate with the given mean (0 if mean <= 0)."""

@@ -118,3 +118,17 @@ class TestSeededRNG:
         rng = SeededRNG(3)
         samples = [rng.normal(10.0, 0.1) for _ in range(100)]
         assert 9.5 < sum(samples) / len(samples) < 10.5
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 0.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    def test_lognormal_block_is_successive_factors_bit_for_bit(self, sigma, n):
+        block_rng, scalar_rng = SeededRNG(11, "rank", 3), SeededRNG(11, "rank", 3)
+        block = block_rng.lognormal_block(sigma, n)
+        scalars = [scalar_rng.lognormal_factor(sigma) for _ in range(n)]
+        assert [factor.hex() for factor in block] == [factor.hex() for factor in scalars]
+        # Both generators stand at the same point of the stream afterwards.
+        assert block_rng.random().hex() == scalar_rng.random().hex()
+
+    def test_lognormal_block_is_compact(self):
+        block = SeededRNG(11).lognormal_block(0.05, 128)
+        assert block.typecode == "d" and block.itemsize * len(block) == 1024
