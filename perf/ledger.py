@@ -10,8 +10,10 @@ runs (one ``--detail`` file each, trimmed of response digests), paired by
 each (workload, metric) both sides of the pairs carry, the ledger prints each
 side's median and quartiles over its runs and how many pairs the change won,
 ties counting for neither; for the full runs, each side's median of the
-end-to-end metrics per workload.  Quartiles and which way is better are the
-benchmark's own (``bench/harness/metrics.py``).
+end-to-end metrics per workload; ``probes`` are named readings outside
+``bench/run.py`` (each side's values), printed with each side's median.
+Quartiles and which way is better are the benchmark's own
+(``bench/harness/metrics.py``).
 """
 
 from __future__ import annotations
@@ -66,6 +68,18 @@ def full_rows(full_runs: dict[str, dict]) -> list[str]:
     return rows
 
 
+def probe_rows(probes: dict[str, dict]) -> list[str]:
+    rows = []
+    for name, probe in probes.items():
+        cells = [
+            f"{side} {fmt(metrics.quartiles(probe[side])[1])} "
+            f"({', '.join(fmt(value) for value in probe[side])})"
+            for side in ("parent", "change")
+        ]
+        rows.append(f"probe {name}: {cells[0]}; {cells[1]}")
+    return rows
+
+
 def main(argv: list[str]) -> int:
     paths = [Path(arg) for arg in argv] or sorted((ROOT / "perf").glob("PR-*.json"))
     for path in paths:
@@ -77,6 +91,8 @@ def main(argv: list[str]) -> int:
         if "full_runs" in ledger:
             for row in full_rows(ledger["full_runs"]):
                 print(row)
+        for row in probe_rows(ledger.get("probes", {})):
+            print(row)
     return 0
 
 

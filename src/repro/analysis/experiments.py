@@ -18,12 +18,17 @@ only the wall-clock time changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.scenario.scenario import Scenario, ScenarioResult
 from repro.scenario.spec import NetworkSpec, ScenarioSpec, WorkloadSpec
-from repro.scenario.sweep import Sweep
 from repro.sim.network import NetworkConfig
 from repro.workloads.registry import PaperConfiguration, paper_configurations
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # The sweep runner (and its process pool) is imported only where a sweep
+    # is built: a single simulation never loads it.
+    from repro.scenario.sweep import Sweep
 
 __all__ = [
     "ExperimentContext",
@@ -66,6 +71,8 @@ def paper_sweep(
     ``Sweep.run_all()`` over this is bit-identical to
     :meth:`ExperimentContext.run_all` (which delegates to the same cells).
     """
+    from repro.scenario.sweep import Sweep
+
     return Sweep(
         cells=[
             configuration_spec(configuration, seed=seed, network=network)
@@ -148,6 +155,8 @@ class ExperimentContext:
                 if (configuration.workload, configuration.nprocs) not in self._cache
             ]
             if pending:
+                from repro.scenario.sweep import Sweep
+
                 sweep = Sweep(
                     cells=[self.spec_for(configuration) for configuration in pending],
                     name="paper-table1-pending",

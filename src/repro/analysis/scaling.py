@@ -30,7 +30,6 @@ from typing import Sequence
 
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
-from repro.trace.streams import summarize_stream
 from repro.util.text import ascii_table
 from repro.util.validation import check_non_negative, check_positive
 
@@ -120,6 +119,8 @@ def working_set_from_run(result, rank: int, extra_recent: int = 2) -> int:
     keeps.  This is the quantity that stays (nearly) constant as the job
     grows, which is exactly why predicted-sender buffering scales.
     """
+    from repro.trace.streams import summarize_stream
+
     summary = summarize_stream(result.trace_for(rank).logical)
     return summary.num_distinct_senders + extra_recent
 

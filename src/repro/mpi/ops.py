@@ -189,11 +189,16 @@ class OpArrays:
     change its neighbours' schedules too (``a``, the peer lane, is always
     the rank's own).
 
-    Like the typed event records of :mod:`repro.sim.events`, the lanes are
-    plain Python lists rather than ``array('q')`` buffers: the engine reads
-    a handful of lane slots per simulated op, and list indexing hands back
-    the stored (shared, usually small) int objects directly where a typed
-    buffer would box a fresh int per read.
+    Like the typed event records of :mod:`repro.sim.events`, the compiler
+    builds every lane as a plain Python list: the engine reads a handful of
+    lane slots per simulated op, and list indexing hands back the stored
+    object.  In the cache the five shared lanes stay lists, but each rank's
+    ``a`` lane is an ``array`` of the narrowest signed typecode that holds
+    it (one or two bytes a slot where a list spends an eight-byte pointer).
+    The engine indexes it the same way: a read of a value from -5 to 256 (a
+    peer of a job of up to 257 ranks, ``ANY_SOURCE``, a wait count) returns
+    CPython's cached small int; a larger peer costs one int allocation a
+    read.
     """
 
     __slots__ = ("op", "a", "nbytes", "tag", "seconds", "kind")

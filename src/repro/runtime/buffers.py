@@ -79,10 +79,10 @@ class EagerBufferPool:
         self.rank = rank
         self.nprocs = nprocs
         self.buffer_bytes = int(buffer_bytes)
-        #: Every other rank has a buffer; ``_buffered_peers`` stays empty.
-        self._all_peers = bool(preallocate_all)
-        self._buffered_peers: set[int] = set()
-        self._peers_with_buffer = nprocs - 1 if self._all_peers else 0
+        #: The peers :meth:`preallocate` named, or ``None`` when every other
+        #: rank has a buffer: such a pool holds only the count.
+        self._buffered_peers: set[int] | None = None if preallocate_all else set()
+        self._peers_with_buffer = nprocs - 1 if preallocate_all else 0
         self._preallocated = self._peers_with_buffer * self.buffer_bytes
         self._occupied: dict[int, int] = {}
         self._heap_bytes = 0
@@ -96,17 +96,18 @@ class EagerBufferPool:
         Every peer is validated; on a pool that already buffers every other
         rank nothing else changes.
         """
+        buffered = self._buffered_peers
         for peer in peers:
             check_rank("peer", peer, self.nprocs)
-            if peer != self.rank and not self._all_peers:
-                self._buffered_peers.add(peer)
-        if not self._all_peers:
-            self._peers_with_buffer = len(self._buffered_peers)
+            if peer != self.rank and buffered is not None:
+                buffered.add(peer)
+        if buffered is not None:
+            self._peers_with_buffer = len(buffered)
             self._preallocated = self._peers_with_buffer * self.buffer_bytes
             self._update_peak()
 
     def _has_buffer(self, peer: int) -> bool:
-        if self._all_peers:
+        if self._buffered_peers is None:
             return peer != self.rank and 0 <= peer < self.nprocs
         return peer in self._buffered_peers
 
@@ -129,7 +130,7 @@ class EagerBufferPool:
         # _has_buffer inlined: this runs once per unexpected eager arrival.
         if (
             peer != self.rank and 0 <= peer < self.nprocs
-            if self._all_peers
+            if self._buffered_peers is None
             else peer in self._buffered_peers
         ):
             occupied = self._occupied.get(peer, 0)

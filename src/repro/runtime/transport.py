@@ -799,9 +799,7 @@ class Transport:
         message = entry.message
         request = posted.request
         rank = request.rank
-        self._endpoints[rank].buffers.release_unexpected(
-            message.src, message.nbytes, entry.storage or "heap"
-        )
+        self._endpoints[rank].buffers.release_unexpected(message.src, message.nbytes, entry.storage)
         ready_time = max(now, entry.arrival_time)
         copy_penalty = message.nbytes / self._copy_bandwidth
         complete_time = ready_time + self._recv_overhead + copy_penalty

@@ -22,18 +22,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.evaluation import AccuracyResult, evaluate_stream
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.engine import SimulationResult, Simulator
-from repro.trace.streams import (
-    StreamSummary,
-    sender_stream,
-    size_stream,
-    summarize_stream,
-)
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    # The offline scorer and the stream summaries are imported by the
+    # accessors that use them: running a scenario never loads either.
+    from repro.core.evaluation import AccuracyResult
+    from repro.trace.streams import StreamSummary
     from repro.trace.tracer import ProcessTrace
 
 __all__ = ["Scenario", "ScenarioResult"]
@@ -156,6 +153,8 @@ class ScenarioResult:
         key = ("stream", kind, level, self._resolve_rank(rank))
         cached = self._cache.get(key)
         if cached is None:
+            from repro.trace.streams import sender_stream, size_stream
+
             records = self.records(level, rank)
             if kind == "sender":
                 cached = sender_stream(records)
@@ -168,11 +167,13 @@ class ScenarioResult:
 
     def summary(
         self, level: str = "logical", rank: int | None = None
-    ) -> StreamSummary:
+    ) -> "StreamSummary":
         """Summary statistics of one rank's stream at one level."""
         key = ("summary", level, self._resolve_rank(rank))
         cached = self._cache.get(key)
         if cached is None:
+            from repro.trace.streams import summarize_stream
+
             cached = self._cache[key] = summarize_stream(self.records(level, rank))
         return cached
 
@@ -184,7 +185,7 @@ class ScenarioResult:
         rank: int | None = None,
         horizon: int | None = None,
         warmup: int = 0,
-    ) -> AccuracyResult:
+    ) -> "AccuracyResult":
         """Evaluate the spec's predictor over one stream of this run.
 
         ``horizon`` defaults to the spec's ``predictor.horizon``.
@@ -194,6 +195,8 @@ class ScenarioResult:
         key = ("predict", kind, level, self._resolve_rank(rank), horizon, warmup)
         cached = self._cache.get(key)
         if cached is None:
+            from repro.core.evaluation import evaluate_stream
+
             cached = self._cache[key] = evaluate_stream(
                 self.stream(kind, level, rank),
                 self.spec.predictor.factory(),

@@ -47,8 +47,6 @@ from typing import Generator
 from repro.mpi.communicator import RankContext
 from repro.mpi.ops import ComputeOp, IrecvOp, IsendOp, Operation, WaitallOp
 from repro.trace.columns import KIND_NAMES
-from repro.trace.import_dumpi import load_dumpi
-from repro.trace.io import load_traces
 from repro.util.digest import sha256
 from repro.workloads.base import Workload
 
@@ -69,6 +67,8 @@ def _sniff_format(path: str | os.PathLike) -> str:
 
 def _receives_from_v2(path) -> tuple[int, dict[int, list[tuple]]]:
     """Per-rank logical receive tuples from a native v2 columnar trace."""
+    from repro.trace.io import load_traces
+
     traces, _metadata = load_traces(path)
     receives: dict[int, list[tuple]] = {}
     for trace in traces:
@@ -124,6 +124,8 @@ class ReplayWorkload(Workload):
         if _sniff_format(self.file) == "v2":
             trace_nprocs, receives = _receives_from_v2(self.file)
         else:
+            from repro.trace.import_dumpi import load_dumpi
+
             trace_nprocs, receives = load_dumpi(self.file)
         self.trace_nprocs = trace_nprocs
         self._receives = receives

@@ -7,7 +7,9 @@ answers observe, predict, expects and stats lines, snapshots and restores
 without numpy, ``asyncio``, ``ssl``, ``hashlib`` (OpenSSL's libcrypto: its
 digests come from the built-in sha256), the simulator, the runtime, the
 scenario tree, the flow-control policies, the workloads, the tracer or the
-analysis package.
+analysis package.  A single simulation, set up the way the paper's cells
+are, loads neither the sweep runner nor the offline scorer, the stream
+summaries or the trace readers.
 """
 
 import importlib
@@ -147,14 +149,16 @@ def test_a_served_stream_imports_the_serve_path_only(transport, tmp_path):
     assert restored.splitlines() == answers[1:]
 
 
-def loaded_by(code: str) -> list[str]:
-    """The ``repro`` and numpy modules a fresh interpreter holds after ``code``."""
-    code += "; import sys; print(*sorted(m for m in sys.modules if m[:5] in ('repro', 'numpy')))"
+def loaded_by(code: str, stdlib: bool = False) -> list[str]:
+    """The ``repro`` and numpy modules a fresh interpreter holds after ``code``;
+    with ``stdlib``, every module it holds."""
+    code += "\nimport sys; print(*sorted(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )  # fmt: skip
-    return done.stdout.split()
+    modules = done.stdout.split()
+    return modules if stdlib else [m for m in modules if m[:5] in ("repro", "numpy")]
 
 
 def test_building_the_cli_parser_imports_no_command():
@@ -162,6 +166,44 @@ def test_building_the_cli_parser_imports_no_command():
     assert "repro.cli" in modules
     commands = ("repro.serve", "repro.scenario", "repro.core", "repro.predictive")
     assert [m for m in modules if m.startswith(NOT_ON_THE_SERVE_PATH + commands)] == []
+
+
+# ----------------------------------------------------------------------
+# The simulation path
+# ----------------------------------------------------------------------
+#: Modules a single simulation never loads: the sweep runner with its process
+#: pool and logging, the offline scorer, stream summaries and trace readers.
+NOT_ON_THE_SIMULATION_PATH = (
+    "repro.scenario.sweep",
+    "repro.core.evaluation",
+    "repro.trace.streams",
+    "repro.trace.io",
+    "repro.trace.import_dumpi",
+    "multiprocessing",
+    "concurrent.futures",
+    "logging",
+    "socket",
+    "tomllib",
+)
+
+SIMULATE_A_PAPER_CELL = """
+from repro.analysis.experiments import configuration_spec
+from repro.scenario import Scenario
+from repro.workloads.compile import compile_info
+from repro.workloads.registry import PaperConfiguration
+
+spec = configuration_spec(PaperConfiguration(workload="bt", nprocs=9, scale=0.05))
+workload = spec.workload.build()
+spec.machine.build(), spec.network.build(spec.seed), spec.policy.build()
+assert all(compile_info(workload, rank)["compiled"] for rank in range(9))
+assert Scenario(spec).run().result.events_processed > 0
+"""
+
+
+def test_a_compiled_paper_cell_loads_no_sweep_scorer_or_trace_reader():
+    modules = loaded_by(SIMULATE_A_PAPER_CELL, stdlib=True)
+    assert "repro.sim.engine" in modules and "repro.workloads.compile" in modules
+    assert [m for m in NOT_ON_THE_SIMULATION_PATH if m in modules] == []
 
 
 # ----------------------------------------------------------------------

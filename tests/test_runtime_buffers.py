@@ -6,6 +6,7 @@ import pytest
 
 from repro.predictive.registry import policy_names
 from repro.runtime.buffers import EagerBufferPool
+from repro.runtime.transport import Transport
 from repro.scenario import Scenario, ScenarioSpec
 from repro.sim.registry import fault_preset_names
 
@@ -123,6 +124,12 @@ class TestAllPeersPool:
         assert stats.peers_with_buffer == 4095
         assert stats.preallocated_bytes == pool.peak_total_bytes == 4095 * 16 * 1024
 
+    def test_holds_no_set(self):
+        pool = EagerBufferPool(rank=17, nprocs=4096)
+        assert [v for v in vars(pool).values() if isinstance(v, (set, frozenset))] == []
+        named = EagerBufferPool(rank=17, nprocs=4096, preallocate_all=False)
+        assert [v for v in vars(named).values() if isinstance(v, set)] == [set()]
+
     def test_which_peers_have_a_buffer(self):
         pool = EagerBufferPool(rank=17, nprocs=4096, buffer_bytes=100)
         assert pool.free_bytes_for(0) == pool.free_bytes_for(4095) == 100
@@ -198,10 +205,23 @@ POOL_CELLS = [
 @pytest.mark.parametrize(
     "workload, policy, faults", POOL_CELLS, ids=["-".join(cell) for cell in POOL_CELLS]
 )
-def test_every_pool_is_back_to_zero_after_a_run(workload, policy, faults):
+def test_every_pool_is_back_to_zero_after_a_run(workload, policy, faults, monkeypatch):
+    # A receive that matches a buffered eager message releases the storage
+    # class the pool stored it under, never a stand-in for a missing one.
+    storages = []
+    complete = Transport._complete_from_unexpected
+
+    def recording(self, posted, entry, now):
+        storages.append(entry.storage)
+        complete(self, posted, entry, now)
+
+    monkeypatch.setattr(Transport, "_complete_from_unexpected", recording)
     spec = ScenarioSpec(workload=workload, policy=policy, faults=faults, trace=False, seed=2003)
     stats = Scenario(spec).run().result.buffer_stats
     assert len(stats) == int(workload.split(".")[1].split(":")[0])
     assert [(s.rank, s.occupied_bytes, s.heap_bytes) for s in stats] == [
         (s.rank, 0, 0) for s in stats
     ]
+    assert set(storages) <= {"buffer", "heap"}
+    # Every cell but the one sending nothing eagerly matches some.
+    assert storages or policy == "always-rendezvous"

@@ -8,6 +8,7 @@ cache, and the compile-time noise bookkeeping.
 
 import math
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -679,6 +680,52 @@ class TestLaneSharing:
         # six lanes a rank an unshared cache would hold.
         assert ops < compile_module._cached_slots == recounted_slots() < 3 * ops
         cached_ranks(create_workload("lu", nprocs=4, scale=0.05))
+        assert compile_module._cached_slots == recounted_slots()
+
+
+class TestNarrowPeerLanes:
+    """A cached ``a`` lane is an ``array`` of the narrowest signed typecode."""
+
+    @pytest.mark.parametrize(
+        "values, typecode",
+        [
+            ([ANY_SOURCE, 0, 127], "b"),
+            ([128], "h"),
+            ([-128], "b"),
+            ([-129], "h"),
+            ([32767], "h"),
+            ([32768], "i"),
+            ([-(2**31), 2**31 - 1], "i"),
+            ([2**31], "q"),
+            ([-(2**31) - 1], "q"),
+            ([2**63 - 1, -(2**63)], "q"),
+            ([], "b"),
+        ],
+    )
+    def test_narrowest_typecode_at_every_boundary(self, values, typecode):
+        lane = compile_module._narrowed(list(values))
+        assert type(lane) is array and lane.typecode == typecode
+        assert exact(lane) == exact(values)
+
+    @pytest.mark.parametrize(
+        "values", [[1, True], [1, 2.0], [None], [0, 2**63], [-(2**63) - 1]]
+    )
+    def test_anything_but_an_int_in_range_keeps_the_list(self, values):
+        lane = list(values)
+        assert compile_module._narrowed(lane) is lane
+
+    def test_a_numpy_integer_keeps_the_list(self):
+        np = pytest.importorskip("numpy")
+        lane = [0, np.int64(1)]
+        assert compile_module._narrowed(lane) is lane
+
+    def test_bt16_cached_peer_lanes_equal_the_private_lists(self):
+        workload = create_workload("bt", nprocs=16, scale=0.05)
+        for rank, lanes in enumerate(cached_ranks(workload)):
+            private = compile_rank_lanes(workload, rank)
+            assert type(lanes.a) is array and lanes.a.typecode == "b", rank
+            assert type(private.a) is list, rank
+            assert exact(lanes.a) == exact(private.a), rank
         assert compile_module._cached_slots == recounted_slots()
 
 
