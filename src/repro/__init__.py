@@ -76,7 +76,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "scenario.node.PredictorSpec",
         "scenario.spec.TraceSpec",
         "scenario.sweep.Sweep",
-        "scenario.sweep.load_sweep",
         # predictor (the paper's contribution)
         "core.dpd.DynamicPeriodicityDetector",
         "core.predictor.PeriodicityPredictor",

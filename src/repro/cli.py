@@ -125,20 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --out: save each cell's two-level traces as <cell>.traces.jsonl",
     )
     sweep_cmd.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retry a transiently-failed cell (worker crash, wall-clock "
-        "timeout) up to N times with exponential backoff (default: 2)",
-    )
-    sweep_cmd.add_argument(
         "--timeout",
         type=float,
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock budget; a cell over budget fails with "
-        "TimeLimitExceeded (and is retried, see --max-retries)",
+        "TimeLimitExceeded",
     )
     sweep_cmd.add_argument(
         "--fail-fast",
@@ -362,15 +354,15 @@ def _cmd_sweep(args) -> int:
     from repro.scenario.scenario import ScenarioResult
     from repro.scenario.sweep import (
         CachedCell,
+        Sweep,
         SweepAborted,
         cell_record,
-        load_sweep,
         sweep_accuracy_table,
     )
     from repro.util.text import ascii_table
 
     try:
-        sweep = load_sweep(args.spec)
+        sweep = Sweep.from_toml(args.spec)
         specs = sweep.expand()
     except (OSError, ValueError, KeyError, TypeError) as error:
         return _refuse(f"cannot load sweep spec {args.spec!r}", error)
@@ -391,7 +383,6 @@ def _cmd_sweep(args) -> int:
     try:
         results = sweep.run_all(
             jobs=args.jobs,
-            max_retries=args.max_retries,
             timeout=args.timeout,
             fail_fast=args.fail_fast,
             out=args.out,
@@ -399,7 +390,7 @@ def _cmd_sweep(args) -> int:
             engine=args.engine,
             engine_jobs=args.engine_jobs,
         )
-    except ValueError as error:  # a retry budget or timeout run_all refuses
+    except ValueError as error:  # a timeout run_all refuses
         print(f"cannot run sweep: {error}", file=sys.stderr)
         return 2
     except SweepAborted as aborted:
@@ -462,7 +453,7 @@ def _cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         summary_payload = {
             "format": "repro-sweep-summary",
-            "version": 2,
+            "version": 3,
             "name": sweep.name,
             "spec_file": Path(args.spec).name,
             "cells": cells,

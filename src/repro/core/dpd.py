@@ -36,15 +36,14 @@ vector as one ``M``-bit Python int, *lane* ``j`` standing for delay
   ``x[t] != x[t-m]`` or ``x[t-m]`` predates the stream — is then
   ``~(mask[x[t]] >> (t - M)) & full``: three int operations, whatever ``M``.
   The leaving pair's lane mask is the same expression at ``t = T - N``.
-* **Bit-sliced counters.**  ``ceil(log2(max(N, tol + 1) + 1))`` bit-planes
+* **Bit-sliced counters.**  ``ceil(log2(N + 1))`` bit-planes
   hold the exact ``d(m)`` of every delay at once (plane ``b`` carries bit
   ``b`` of every counter).  Only the lanes that changed are rippled through
   the planes: ``up = enter & ~leave`` as a carry, ``down = leave & ~enter``
   as a borrow, stopping at the first plane where both run out.
 * **Queries.**  The smallest accepted delay is the highest set lane of
-  "``d(m) <= tol``", masked to the delays the history can evaluate: the
-  complement of the OR of the planes for tolerance 0, the borrow of
-  ``d(m) - (tol + 1)`` otherwise — then one ``int.bit_length``.
+  "``d(m) = 0``", masked to the delays the history can evaluate: the
+  complement of the OR of the planes, then one ``int.bit_length``.
 
 The history is an ``array('q')`` trimmed to its last ``N + M`` samples when
 it reaches ``3 (N + M) / 2``; the masks are shifted down by the same amount
@@ -77,10 +76,6 @@ operation                   naive (seed)        bit lanes (this file)
 The full rescan survives as :meth:`~DynamicPeriodicityDetector.distances_naive`
 and is used by the equivalence tests to cross-validate the planes after
 every append.
-
-A tolerance knob allows "almost periodic" windows (useful for the noisy
-physical-level streams): a delay is accepted when at most
-``mismatch_tolerance`` positions differ.
 """
 
 from __future__ import annotations
@@ -173,17 +168,12 @@ class DynamicPeriodicityDetector:
         longer history), which detects long periods — such as a whole
         Sweep3D octant cycle — without paying the noise sensitivity of an
         equally long comparison window.
-    mismatch_tolerance:
-        A delay ``m`` is accepted when ``d(m) <= mismatch_tolerance``.  The
-        paper uses an exact match (tolerance 0), which is the default.
+
+    A delay ``m`` is accepted only on an exact match, ``d(m) = 0``, as in
+    the paper.
     """
 
-    def __init__(
-        self,
-        window_size: int = 64,
-        max_period: int | None = None,
-        mismatch_tolerance: int = 0,
-    ) -> None:
+    def __init__(self, window_size: int = 64, max_period: int | None = None) -> None:
         if window_size <= 0:
             raise ValueError(f"window_size must be positive, got {window_size}")
         if max_period is None:
@@ -191,13 +181,8 @@ class DynamicPeriodicityDetector:
         # A lane mask is one bit per delay: bound it before building one.
         if not 1 <= max_period <= 1 << 16:
             raise ValueError(f"max_period must be in [1, 65536], got {max_period}")
-        if mismatch_tolerance < 0:
-            raise ValueError(
-                f"mismatch_tolerance must be non-negative, got {mismatch_tolerance}"
-            )
         self.window_size = int(window_size)
         self.max_period = int(max_period)
-        self.mismatch_tolerance = int(mismatch_tolerance)
         self._seen = 0
         # The retained samples; _history[p] is bit p of an occurrence mask.
         self._history = array("q")
@@ -205,14 +190,14 @@ class DynamicPeriodicityDetector:
         self._full = (1 << self.max_period) - 1
         # Lanes of the delays the history can evaluate (m <= samples_seen - N).
         self._usable = 0
-        self._planes = [0] * max(self.window_size, self.mismatch_tolerance + 1).bit_length()
+        self._planes = [0] * self.window_size.bit_length()
 
     @classmethod
-    def from_history(cls, window_size, max_period, mismatch_tolerance, samples_seen, history):
+    def from_history(cls, window_size, max_period, samples_seen, history):
         """The detector that has seen ``samples_seen`` samples and stores the
         ``array('q')`` ``history`` (:meth:`stored_history`): equal to the one
         that kept them, masks, planes and usable lanes included."""
-        detector = cls(window_size, max_period, mismatch_tolerance)
+        detector = cls(window_size, max_period)
         keep = detector.window_size + detector.max_period
         trim_at = keep * 3 // 2  # observe cuts the history back to `keep` here
         stored = min(samples_seen, keep + (samples_seen - trim_at) % (trim_at - keep))
@@ -360,18 +345,11 @@ class DynamicPeriodicityDetector:
 
     # ------------------------------------------------------------------
     def _accepted(self) -> int:
-        """Lanes of the evaluable delays whose ``d(m) <= mismatch_tolerance``."""
-        if self.mismatch_tolerance == 0:
-            mismatched = 0
-            for plane in self._planes:
-                mismatched |= plane
-            return self._usable & ~mismatched
-        # The borrow out of d(m) - (tol + 1), plane by plane: set where d(m) <= tol.
-        limit = self.mismatch_tolerance + 1
-        below = 0
-        for b, plane in enumerate(self._planes):
-            below = (~plane | below) if limit >> b & 1 else (~plane & below)
-        return self._usable & below
+        """Lanes of the evaluable delays whose ``d(m) = 0``."""
+        mismatched = 0
+        for plane in self._planes:
+            mismatched |= plane
+        return self._usable & ~mismatched
 
     def current_period(self) -> int | None:
         """Smallest accepted delay right now, without materialising a result."""

@@ -93,8 +93,6 @@ class PeriodicityPredictor(BasePredictor):
         DPD comparison window ``N``.
     max_period:
         Largest periodicity considered (defaults to ``window_size``).
-    mismatch_tolerance:
-        Forwarded to the DPD; 0 reproduces the paper's exact-match detector.
     sticky:
         If True (default), the most recently detected period keeps being used
         for prediction even when the current window momentarily loses exact
@@ -109,14 +107,9 @@ class PeriodicityPredictor(BasePredictor):
         self,
         window_size: int = 64,
         max_period: int | None = None,
-        mismatch_tolerance: int = 0,
         sticky: bool = True,
     ) -> None:
-        self._dpd = DynamicPeriodicityDetector(
-            window_size=window_size,
-            max_period=max_period,
-            mismatch_tolerance=mismatch_tolerance,
-        )
+        self._dpd = DynamicPeriodicityDetector(window_size=window_size, max_period=max_period)
         self.sticky = bool(sticky)
         self._last_period: int | None = None
         self.detections = 0
@@ -185,10 +178,10 @@ class PeriodicityPredictor(BasePredictor):
         return self._dpd.detect()
 
     def get_state(self) -> PredictorState:
-        """``(N, M, tolerance, sticky)``, then ``samples_seen``, ``detections``,
+        """``(N, M, sticky)``, then ``samples_seen``, ``detections``,
         ``period_changes``, the sticky period and the stored history."""
         dpd = self._dpd
-        config = (dpd.window_size, dpd.max_period, dpd.mismatch_tolerance, int(self.sticky))
+        config = (dpd.window_size, dpd.max_period, int(self.sticky))
         counters = (dpd.samples_seen, self.detections, self.period_changes, self._last_period)
         return PredictorState(self.name, config, (*counters, dpd.stored_history()))
 
@@ -196,7 +189,7 @@ class PeriodicityPredictor(BasePredictor):
     def from_state(cls, state: PredictorState) -> "PeriodicityPredictor":
         predictor = cls(*state.config)
         seen, predictor.detections, predictor.period_changes, period, history = state.data
-        predictor._dpd = DynamicPeriodicityDetector.from_history(*state.config[:3], seen, history)
+        predictor._dpd = DynamicPeriodicityDetector.from_history(*state.config[:2], seen, history)
         if period is not None and not 1 <= period <= min(predictor._dpd.max_period, len(history)):
             raise ValueError(f"period {period} cannot be replayed from {len(history)} samples")
         predictor._last_period = period

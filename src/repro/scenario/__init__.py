@@ -55,7 +55,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "sweep.CellFailure",
         "sweep.CachedCell",
         "sweep.cell_record",
-        "sweep.load_sweep",
         "sweep.sweep_accuracy_table",
         "shorthand.coerce_scalar",
         "shorthand.parse_params",

@@ -24,12 +24,13 @@ is an independent seeded simulation, so :meth:`Sweep.run_all` with
 order — and is bit-identical to a sequential run, the same contract the
 paper-sweep runner has had since the sharded experiment context.
 
-Fault tolerance: each cell runs isolated.  A cell that raises produces a
-structured :class:`CellFailure` in the result list (the other cells still
-run and return); transient failures — a worker process dying, a cell blowing
-its wall-clock budget — are retried with exponential backoff, by one rule
-(:meth:`_CellRunner.attempt`) that the in-process loop, the shared pool and
-the single-worker quarantine pools all read outcomes through; with an output
+Fault tolerance: each cell runs isolated and once.  A cell that raises — a
+worker process dying and a cell blowing its wall-clock budget included —
+produces a structured :class:`CellFailure` in the result list (the other
+cells still run and return): every cell is a seeded, deterministic
+simulation, so a rerun would fail the same way.  The in-process loop, the
+shared pool and the single-worker quarantine pools all read an outcome
+through one rule (:meth:`_CellRunner.settle`); with an output
 directory, finished cells are checkpointed on disk (``cells/<hash>.json``,
 keyed by :meth:`ScenarioSpec.content_hash`) so ``resume=True`` re-runs only
 the cells without a well-formed checkpoint.  :func:`cell_record` gives the
@@ -61,7 +62,6 @@ import copy
 import itertools
 import json
 import os
-import time
 import tomllib
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -72,7 +72,6 @@ from typing import Mapping, Sequence
 
 from repro.scenario.scenario import Scenario, ScenarioResult
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.errors import TimeLimitExceeded
 
 __all__ = [
     "CachedCell",
@@ -80,7 +79,6 @@ __all__ = [
     "Sweep",
     "SweepAborted",
     "cell_record",
-    "load_sweep",
     "sweep_accuracy_table",
 ]
 
@@ -122,7 +120,6 @@ class CellFailure:
     spec: ScenarioSpec
     error_type: str
     error_message: str
-    attempts: int = 1
 
     @property
     def label(self) -> str:
@@ -140,7 +137,6 @@ class CellFailure:
             "spec_hash": self.spec_hash,
             "error_type": self.error_type,
             "error_message": self.error_message,
-            "attempts": self.attempts,
         }
 
 
@@ -411,8 +407,6 @@ class Sweep:
         self,
         jobs: int | None = None,
         *,
-        max_retries: int = 2,
-        retry_backoff: float = 0.5,
         timeout: float | None = None,
         fail_fast: bool = False,
         out: str | Path | None = None,
@@ -428,17 +422,14 @@ class Sweep:
         randomness from its own spec, so sharded results are bit-identical
         to sequential ones.
 
-        Cells are isolated: a raising cell yields a :class:`CellFailure` in
-        its slot and every other cell still runs.  *Transient* failures — a
-        worker process dying (:class:`BrokenProcessPool`) or a cell
-        exceeding ``timeout`` seconds of wall clock
-        (:class:`~repro.sim.errors.TimeLimitExceeded`) — are retried up to
-        ``max_retries`` times with exponential backoff
-        (``retry_backoff * 2**(attempts - 1)`` seconds); deterministic exceptions
-        are not retried, the rerun would fail identically.  After a worker
-        death the pool is unusable and cannot name the culprit, so the
-        remaining cells re-run in *quarantine*: one single-worker pool each,
-        where a crash indicts exactly one cell.
+        Cells are isolated and run once: a raising cell — a worker process
+        dying (recorded as ``WorkerCrash``) or a cell exceeding ``timeout``
+        seconds of wall clock (:class:`~repro.sim.errors.TimeLimitExceeded`)
+        included — yields a :class:`CellFailure` in its slot and every other
+        cell still runs.  After a worker death the pool is unusable and
+        cannot name the culprit, so the cells it left unfinished run in
+        *quarantine*: one single-worker pool each, where a crash indicts
+        exactly one cell.
 
         ``out`` checkpoints each successful cell under ``<out>/cells/`` keyed
         by spec content hash; ``resume=True`` (requires ``out``) satisfies
@@ -459,8 +450,6 @@ class Sweep:
         """
         if resume and out is None:
             raise ValueError("run_all(resume=True) needs an output directory (out=)")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         specs = self.expand()
@@ -503,8 +492,6 @@ class Sweep:
             specs=specs,
             results=results,
             manifest=manifest,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
             timeout=timeout,
             fail_fast=fail_fast,
         )
@@ -521,104 +508,62 @@ class _CellRunner:
 
     Every route a cell can run by — in-process, a shared pool, a
     single-worker quarantine pool — reads its outcome through
-    :meth:`attempt`, so the retry rule is written once.
+    :meth:`settle`, so the rule is written once.
     """
 
     specs: list[ScenarioSpec]
     results: list
     manifest: _Manifest | None
-    max_retries: int
-    retry_backoff: float
     timeout: float | None
     fail_fast: bool
 
-    def __post_init__(self) -> None:
-        self.attempts = [0] * len(self.specs)
-
-    def attempt(self, index: int, outcome) -> bool:
-        """Charge cell ``index`` one attempt and read it by calling
-        ``outcome()``; true when the cell is settled (its result or its
-        failure is recorded), false when it is to run again.
-
-        Only a blown wall-clock budget and a dead worker are transient, and
-        only while the cell has retry budget left; any other exception is
-        deterministic, a rerun would fail the same way.
-        """
-        self.attempts[index] += 1
+    def settle(self, index: int, outcome) -> None:
+        """Record cell ``index``'s result, read by calling ``outcome()``, or
+        its :class:`CellFailure`."""
         try:
             result = outcome()
-        except (TimeLimitExceeded, BrokenProcessPool) as exc:
-            if self.attempts[index] <= self.max_retries:
-                return False
-            error = exc
-        except Exception as exc:
-            error = exc
+        except BrokenProcessPool:
+            failure = CellFailure(
+                self.specs[index],
+                "WorkerCrash",
+                "worker process died while running this cell (killed or crashed hard)",
+            )
+        except Exception as error:
+            failure = CellFailure(self.specs[index], type(error).__name__, str(error))
         else:
             self.results[index] = result
             if self.manifest is not None:
                 self.manifest.store(cell_record(result))
-            return True
-        failure = CellFailure(
-            spec=self.specs[index],
-            error_type=type(error).__name__,
-            error_message=str(error),
-            attempts=self.attempts[index],
-        )
-        if isinstance(error, BrokenProcessPool):
-            failure.error_type = "WorkerCrash"
-            failure.error_message = (
-                "worker process died while running this cell (killed or crashed hard)"
-            )
+            return
         if self.fail_fast:
             raise SweepAborted(failure)
         self.results[index] = failure
-        return True
-
-    def _backoff(self, retried: list[int]) -> None:
-        attempt = max(self.attempts[index] for index in retried)
-        time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
 
     def run_sequential(self, pending: list[int]) -> None:
         for index in pending:
-            while not self.attempt(
-                index, lambda: _run_cell(self.specs[index], self.timeout)
-            ):
-                self._backoff([index])
+            self.settle(index, lambda: _run_cell(self.specs[index], self.timeout))
 
     def run_pooled(self, pending: list[int], jobs: int) -> None:
-        """Rounds of one shared pool until a worker dies, then of quarantine.
+        """One shared pool until a worker dies, then quarantine.
 
         A broken pool cannot name the cell that killed its worker, so the
-        cells it left unfinished re-run one single-worker pool each, where a
+        cells it left unfinished run one single-worker pool each, where a
         death indicts exactly one cell.
         """
-        quarantine = False
-        while pending:
-            if quarantine:
-                pending = [index for index in pending if not self._run_solo(index)]
-            else:
-                pending, quarantine = self._pool_round(pending, jobs)
-                if quarantine:
-                    continue  # the death charged nobody: nothing to wait out
-            if pending:
-                self._backoff(pending)
+        for index in self._pool_round(pending, jobs):
+            with ProcessPoolExecutor(max_workers=1) as solo:
+                self.settle(index, solo.submit(_run_cell, self.specs[index], self.timeout).result)
 
-    def _run_solo(self, index: int) -> bool:
-        with ProcessPoolExecutor(max_workers=1) as solo:
-            future = solo.submit(_run_cell, self.specs[index], self.timeout)
-            return self.attempt(index, future.result)
-
-    def _pool_round(self, pending: list[int], jobs: int) -> tuple[list[int], bool]:
+    def _pool_round(self, pending: list[int], jobs: int) -> list[int]:
         """One shared-pool pass over ``pending`` (submitted longest-expected
-        first); returns the cells to run again and whether a worker died.
+        first); returns the cells a worker death left unfinished.
 
-        A death charges nobody: the cells that had finished are kept, and
-        every other one goes to quarantine with its budget untouched.
+        A death charges nobody: the cells that had finished are settled, and
+        every other one goes to quarantine.
         """
         by_cost = sorted(
             pending, key=lambda index: self.specs[index].cost_hint(), reverse=True
         )
-        retry: list[int] = []
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
         try:
             futures = {
@@ -627,25 +572,22 @@ class _CellRunner:
             }
             for position, index in enumerate(pending):
                 if isinstance(futures[index].exception(), BrokenProcessPool):
+                    unfinished = []
                     for survivor in pending[position:]:
                         future = futures[survivor]
-                        if future.done() and future.exception() is None:
-                            self.attempt(survivor, future.result)
+                        if future.done() and not isinstance(
+                            future.exception(), BrokenProcessPool
+                        ):
+                            self.settle(survivor, future.result)
                         else:
-                            retry.append(survivor)
-                    return retry, True
-                if not self.attempt(index, futures[index].result):
-                    retry.append(index)
-            return retry, False
+                            unfinished.append(survivor)
+                    return unfinished
+                self.settle(index, futures[index].result)
+            return []
         finally:
             # Covers the fail-fast SweepAborted path too: futures that never
             # started are cancelled, running workers drain, nothing leaks.
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-def load_sweep(path: str | Path) -> Sweep:
-    """Read ``path`` as a sweep TOML (single-scenario files become one cell)."""
-    return Sweep.from_toml(path)
 
 
 def sweep_accuracy_table(

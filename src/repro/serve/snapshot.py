@@ -12,7 +12,8 @@ atomic (``<path>.tmp``, fsync, ``os.replace``).  Every structural violation
 raises :class:`SnapshotError` naming the file, the shard (once the header is
 readable) and the byte offset of the damage; a version other than
 :data:`SNAPSHOT_VERSION` is refused before any record is decoded (versions 1
-and 2 held pickled predictor objects).
+and 2 held pickled predictor objects, version 3 a periodicity configuration
+with a mismatch tolerance).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-serve-snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 _MAGIC = b"REPROSRVSNAP"
 _TRAILER = b"REPROSRVEND\n"

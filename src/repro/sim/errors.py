@@ -20,8 +20,7 @@ class TimeLimitExceeded(SimulationError):
     """Raised when a run exceeds its ``max_wall_seconds`` safety budget.
 
     Unlike the (deterministic) ``max_events`` guard this depends on host
-    speed, so the sweep engine treats it as *transient* and retries the cell;
-    every other :class:`SimulationError` is deterministic and is not.
+    speed; the sweep engine records it once, like any other failure.
     """
 
 

@@ -203,7 +203,7 @@ class TestCLICommands:
         serve = listing["serve"]
         assert serve["transports"] == ["tcp", "stdin"]
         assert "observe" in serve["ops"] and "snapshot" in serve["ops"]
-        assert serve["snapshot_format"] == {"name": "repro-serve-snapshot", "version": 3}
+        assert serve["snapshot_format"] == {"name": "repro-serve-snapshot", "version": 4}
         assert serve["default_predictor"] == "periodicity"
         assert serve["routing"] == "crc32(key) % shards"
 
@@ -264,6 +264,11 @@ class TestCLIBuildErrorsAreOneLine:
                 ["serve", "--stdin", "--predictor", "nosuch"],
                 "cannot build the serve service: unknown predictor 'nosuch'; available: ",
                 id="unknown-serve-predictor-unquoted",
+            ),
+            pytest.param(
+                ["serve", "--stdin", "--predictor", "periodicity:mismatch_tolerance=1"],
+                "predictor 'periodicity': ",
+                id="retired-serve-predictor-keyword",
             ),
         ],
     )

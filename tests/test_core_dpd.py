@@ -27,10 +27,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="max_period must be in"):
             DynamicPeriodicityDetector(window_size=8, max_period=(1 << 16) + 1)
 
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            DynamicPeriodicityDetector(mismatch_tolerance=-1)
-
     def test_max_period_defaults_to_window(self):
         detector = DynamicPeriodicityDetector(window_size=10)
         assert detector.max_period == 10
@@ -91,15 +87,6 @@ class TestDetection:
         stream[30] = 99
         detector = feed(DynamicPeriodicityDetector(window_size=16, max_period=16), stream)
         assert detector.detect().period is None
-
-    def test_tolerance_recovers_from_perturbation(self):
-        stream = [1, 2, 3, 4] * 10
-        stream[30] = 99
-        detector = feed(
-            DynamicPeriodicityDetector(window_size=16, max_period=16, mismatch_tolerance=2),
-            stream,
-        )
-        assert detector.detect().period == 4
 
 
 class TestDistances:

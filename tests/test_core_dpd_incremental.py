@@ -36,20 +36,17 @@ class TestIncrementalEqualsNaive:
     @given(
         window=st.integers(1, 16),
         max_period=st.integers(1, 32),
-        tolerance=st.integers(0, 3),
         data=st.lists(values, max_size=160),
     )
     @settings(max_examples=80, deadline=None)
-    def test_counters_match_naive_after_every_append(
-        self, window, max_period, tolerance, data
-    ):
-        detector = DynamicPeriodicityDetector(window, max_period, tolerance)
+    def test_counters_match_naive_after_every_append(self, window, max_period, data):
+        detector = DynamicPeriodicityDetector(window, max_period)
         for value in data:
             detector.observe(value)
             assert_counters_match(detector)
             # detect() must agree with the smallest accepted naive delay
             naive = detector.distances_naive()
-            accepted = np.nonzero(naive <= tolerance)[0]
+            accepted = np.nonzero(naive == 0)[0]
             expected = int(accepted[0]) + 1 if accepted.size else None
             assert detector.detect().period == expected
             assert detector.current_period() == expected
@@ -57,22 +54,19 @@ class TestIncrementalEqualsNaive:
     @given(
         window=st.integers(1, 12),
         max_period=st.integers(1, 24),
-        tolerance=st.integers(0, 2),
         data=st.lists(values, max_size=120),
         split=st.integers(0, 120),
     )
     @settings(max_examples=80, deadline=None)
-    def test_batch_observe_equals_sequential(
-        self, window, max_period, tolerance, data, split
-    ):
-        sequential = DynamicPeriodicityDetector(window, max_period, tolerance)
+    def test_batch_observe_equals_sequential(self, window, max_period, data, split):
+        sequential = DynamicPeriodicityDetector(window, max_period)
         step_periods = []
         for value in data:
             sequential.observe(value)
             period = sequential.current_period()
             step_periods.append(0 if period is None else period)
 
-        batched = DynamicPeriodicityDetector(window, max_period, tolerance)
+        batched = DynamicPeriodicityDetector(window, max_period)
         split = min(split, len(data))
         first = batched.batch_observe(data[:split], return_periods=True)
         second = batched.batch_observe(data[split:], return_periods=True)
@@ -136,18 +130,6 @@ class TestEdgeCaseRegressions:
         np.testing.assert_array_equal(chunked.distances(), single.distances())
         np.testing.assert_array_equal(chunked.history(), single.history())
 
-    def test_tolerance_accepted_by_batch_and_incremental(self):
-        stream = [1, 2, 3, 4] * 10
-        stream[17] = 99
-        sequential = DynamicPeriodicityDetector(8, 8, mismatch_tolerance=2)
-        for value in stream:
-            sequential.observe(value)
-            assert_counters_match(sequential)
-        batched = DynamicPeriodicityDetector(8, 8, mismatch_tolerance=2)
-        periods = batched.batch_observe(stream, return_periods=True)
-        assert periods[-1] == 4
-        assert sequential.current_period() == 4
-
 
 def noisy_periodic_stream(length: int, seed: int) -> np.ndarray:
     """Period 6, then 12, then 6 again, with ~3% of the samples perturbed."""
@@ -168,13 +150,10 @@ class TestManyWaySplitAtServedConfiguration:
     """Runs of 1, 2, 8 and 64 (what ``repro serve`` coalesces) == the loop."""
 
     @pytest.mark.parametrize("window, max_period", [(24, 256), (32, 16)])
-    @pytest.mark.parametrize("tolerance", [0, 2])
     @pytest.mark.parametrize("sticky", [True, False])
-    def test_every_run_boundary_matches_the_sequential_loop(
-        self, window, max_period, tolerance, sticky
-    ):
-        stream = noisy_periodic_stream(1200, seed=window + tolerance)
-        sequential = PeriodicityPredictor(window, max_period, tolerance, sticky)
+    def test_every_run_boundary_matches_the_sequential_loop(self, window, max_period, sticky):
+        stream = noisy_periodic_stream(1200, seed=window)
+        sequential = PeriodicityPredictor(window, max_period, sticky)
         reference = []  # after sample j: (step period, detections, changes, current)
         for value in stream:
             sequential.observe(int(value))
@@ -192,8 +171,8 @@ class TestManyWaySplitAtServedConfiguration:
         # One run inside the ring-filling phase, one that straddles the moment
         # the ring fills, then the served run lengths over a full ring.
         lengths = itertools.chain([capacity - 7, 19], itertools.cycle([1, 2, 8, 64]))
-        batched = PeriodicityPredictor(window, max_period, tolerance, sticky)
-        detector = DynamicPeriodicityDetector(window, max_period, tolerance)
+        batched = PeriodicityPredictor(window, max_period, sticky)
+        detector = DynamicPeriodicityDetector(window, max_period)
         position = 0
         while position < len(stream):
             run = stream[position : position + next(lengths)]
@@ -322,18 +301,15 @@ class TestObserveManyEqualsTheLoop:
     """Every run length is the observe loop: one path, no crossover."""
 
     @pytest.mark.parametrize("window, max_period", [(24, 256), (6, 12)])
-    @pytest.mark.parametrize("tolerance", [0, 2])
     @pytest.mark.parametrize("sticky", [True, False])
-    def test_every_run_length_from_full_history_equals_the_loop(
-        self, window, max_period, tolerance, sticky
-    ):
+    def test_every_run_length_from_full_history_equals_the_loop(self, window, max_period, sticky):
         capacity = window + max_period
         length = 3 * (capacity + 120)
-        stream = noisy_periodic_stream(length, seed=max_period + tolerance).tolist()
+        stream = noisy_periodic_stream(length, seed=max_period).tolist()
         # Full-history starting points: steady state, and just before each of
         # the stream's two period changes (so the run carries one).
         for start in (capacity + 20, 2 * (length // 3) - 5, length - 45):
-            base = PeriodicityPredictor(window, max_period, tolerance, sticky)
+            base = PeriodicityPredictor(window, max_period, sticky)
             for value in stream[:start]:
                 base.observe(value)
             assert base._dpd.retained == capacity
@@ -351,17 +327,11 @@ class TestObserveManyEqualsTheLoop:
 #: the ``(M, k)`` matrix kernel the bit lanes replaced.  Run length 1 is the
 #: per-step digest.
 GOLDEN = {
-    (24, 256, 0, True): {
+    (24, 256, True): {
         1: "fc8d76ad653af5e896de99077225c8b4b371ba7385d5de07b3252795ee4e47b4",
         2: "948cd6a3dbec1ed1e8720636d35575969426c006b3f7de30c8325472b37ac388",
         8: "3f4cebbd98b6ac3b4290bda085899f2c8c249f2df487046560dbd515834d4206",
         64: "d7bb3f6cec656b99cefa1481482b36d42ffda8303fa4f7abd9adc3893001e8ae",
-    },
-    (32, 16, 2, False): {
-        1: "2da3ff99504df354fac19ee186cfe327157cd8f47ee8d4bb2c27636f8236e6ef",
-        2: "b57bda764c1bc2122da5afd3de2c1db198d2c5752d686be9b83d82a7bb3ec346",
-        8: "099b0c8d0058fd2aca71a280a81dca6461b279da3aadcadfbd1d4ea612c1579f",
-        64: "20b1cb929c98b91066907d26e0e78850bf04cdc054d8e51ea4cd56e3c63ddef2",
     },
 }
 
@@ -474,14 +444,13 @@ class TestRebuildFromHistory:
         "sizes-400": [64, 512, 4096, 16384, 65536, 2**40 + 64, -1, -(2**63)] * 50,
     }
 
-    @pytest.mark.parametrize("tolerance", [0, 2])
     @pytest.mark.parametrize("name", sorted(STREAMS))
-    def test_rebuilt_detector_equals_the_live_one(self, name, tolerance):
-        live = DynamicPeriodicityDetector(24, 256, tolerance)
+    def test_rebuilt_detector_equals_the_live_one(self, name):
+        live = DynamicPeriodicityDetector(24, 256)
         for value in self.STREAMS[name]:
             live.observe(value)
         rebuilt = DynamicPeriodicityDetector.from_history(
-            24, 256, tolerance, live.samples_seen, live.stored_history()
+            24, 256, live.samples_seen, live.stored_history()
         )
         assert_same_detector(rebuilt, live)
         for value in (7, 7, 1):
@@ -493,19 +462,18 @@ class TestRebuildFromHistory:
     @given(
         window=st.integers(1, 12),
         max_period=st.integers(1, 24),
-        tolerance=st.integers(0, 2),
         data=st.lists(
             st.integers(0, 80) | st.sampled_from([-1, 512, 2**40, 2**63 - 1, -(2**63)]),
             max_size=140,
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_any_prefix_rebuilds(self, window, max_period, tolerance, data):
-        live = DynamicPeriodicityDetector(window, max_period, tolerance)
+    def test_any_prefix_rebuilds(self, window, max_period, data):
+        live = DynamicPeriodicityDetector(window, max_period)
         for value in data:
             live.observe(value)
             rebuilt = DynamicPeriodicityDetector.from_history(
-                window, max_period, tolerance, live.samples_seen, live.stored_history()
+                window, max_period, live.samples_seen, live.stored_history()
             )
             assert_same_detector(rebuilt, live)
             assert_counters_match(rebuilt)
@@ -515,4 +483,4 @@ class TestRebuildFromHistory:
         for value in range(9):
             live.observe(value)
         with pytest.raises(ValueError, match="store 9, got 8"):
-            DynamicPeriodicityDetector.from_history(4, 4, 0, 9, live.stored_history()[1:])
+            DynamicPeriodicityDetector.from_history(4, 4, 9, live.stored_history()[1:])

@@ -89,7 +89,7 @@ class TestBookkeeping:
     def test_state_is_configuration_counters_and_history(self):
         predictor = feed(PeriodicityPredictor(window_size=4, max_period=6), [1, 2] * 10)
         state = predictor.get_state()
-        assert (state.kind, state.config) == ("periodicity", (4, 6, 0, 1))
+        assert (state.kind, state.config) == ("periodicity", (4, 6, 1))
         seen, detections, changes, period, history = state.data
         assert (seen, detections, changes, period) == (20, predictor.detections, 1, 2)
         assert history.typecode == "q" and history == array("q", [1, 2] * 5)  # 10 of 20 samples

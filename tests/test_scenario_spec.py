@@ -323,9 +323,9 @@ class TestFormatsHoldStill:
         assert build().content_hash() == expected
 
     def test_golden_hashes_of_the_shipped_sweep(self):
-        from repro.scenario import load_sweep
+        from repro.scenario import Sweep
 
-        cells = load_sweep(EXAMPLES_DIR / "sweep_paper_subset.toml").expand()
+        cells = Sweep.from_toml(EXAMPLES_DIR / "sweep_paper_subset.toml").expand()
         assert [spec.content_hash() for spec in cells] == [
             "340af2ea7390f546",
             "e0ab8f1b15b7074d",

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenario import ScenarioSpec, Sweep, load_sweep
+from repro.scenario import ScenarioSpec, Sweep
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 
@@ -200,14 +200,14 @@ class TestTomlLoading:
             'workload = "cg:nprocs=4,scale=0.02"\n',
             encoding="utf-8",
         )
-        sweep = load_sweep(path)
+        sweep = Sweep.from_toml(path)
         assert sweep.name == "t"
         assert [spec.label for spec in sweep.expand()] == ["bt.4", "bt.4", "cg.4"]
 
     def test_single_scenario_toml_becomes_one_cell(self, tmp_path):
         path = tmp_path / "one.toml"
         path.write_text('workload = "bt.9:scale=0.05"\nseed = 7\n', encoding="utf-8")
-        sweep = load_sweep(path)
+        sweep = Sweep.from_toml(path)
         (spec,) = sweep.expand()
         assert spec == ScenarioSpec(workload="bt.9:scale=0.05", seed=7)
 
@@ -216,7 +216,7 @@ class TestTomlLoading:
             Sweep.from_dict({"base": {"workload": "bt.4"}, "grd": {}})
 
     def test_shipped_example_expands(self):
-        sweep = load_sweep(EXAMPLES_DIR / "sweep_paper_subset.toml")
+        sweep = Sweep.from_toml(EXAMPLES_DIR / "sweep_paper_subset.toml")
         cells = sweep.expand()
         assert len(cells) == 4
         assert [spec.label for spec in cells] == ["bt.4", "bt.4", "cg.4", "is.4"]
@@ -298,7 +298,7 @@ class TestAccuracyTable:
     def test_paper_subset_rows(self):
         from repro.scenario import sweep_accuracy_table
 
-        sweep = load_sweep(EXAMPLES_DIR / "sweep_paper_subset.toml")
+        sweep = Sweep.from_toml(EXAMPLES_DIR / "sweep_paper_subset.toml")
         results = sweep.run_all()
         rows = sweep_accuracy_table(results)
         assert len(rows) == len(results)

@@ -112,10 +112,10 @@ def test_batched_ingestion_matches_offline(spec_string):
 
 
 #: The served configuration (window 24, max period 256: a 280-sample ring),
-#: plus a non-sticky, tolerant variant whose answers track the live counters.
+#: plus a non-sticky variant whose answers track the live counters.
 FULL_HISTORY_SPECS = [
     "periodicity:window=24,max_period=256,horizon=5",
-    "periodicity:window=24,max_period=256,horizon=5,sticky=false,mismatch_tolerance=1",
+    "periodicity:window=24,max_period=256,horizon=5,sticky=false",
 ]
 
 

@@ -168,6 +168,20 @@ class TestStructuralErrors:
             f"the supported version {SNAPSHOT_VERSION} at offset 12"
         )
 
+    def test_version_3_refused_before_any_record_is_read(self, tmp_path, monkeypatch):
+        target, data = self.snapshot_bytes(tmp_path)
+        struct.pack_into("<I", data, 12, 3)  # periodicity configs with a mismatch tolerance
+        target.write_bytes(data)
+        monkeypatch.setattr(
+            "repro.serve.snapshot.thaw_record", lambda blob: pytest.fail("read a v3 record")
+        )
+        with pytest.raises(SnapshotError) as excinfo:
+            load_snapshot(target)
+        assert str(excinfo.value) == (
+            f"snapshot {target}: format version 3 refused: this build reads only "
+            f"the supported version {SNAPSHOT_VERSION} at offset 12"
+        )
+
     def test_bad_magic_rejected(self, tmp_path):
         target = tmp_path / "s.snap"
         target.write_bytes(b"NOTASNAPSHOT" + b"\x00" * 64)

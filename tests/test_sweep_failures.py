@@ -1,9 +1,9 @@
-"""Tests for fault-tolerant sweep execution: isolation, retries, resume.
+"""Tests for fault-tolerant sweep execution: isolation, one run a cell, resume.
 
 The acceptance bar: a sweep with k failing cells returns the n-k healthy
-results plus k structured failure records; a worker process dying mid-cell
-does not poison the batch; ``resume`` re-runs only the cells that have not
-completed.
+results plus k structured failure records, each cell run once; a worker
+process dying mid-cell does not poison the batch; ``resume`` re-runs only
+the cells that have not completed.
 """
 
 import os
@@ -74,7 +74,6 @@ class TestCellIsolation:
         failure = outcomes[1]
         assert failure.error_type == "KeyError"
         assert "nosuch" in failure.error_message
-        assert failure.attempts == 1  # deterministic errors are not retried
         record = failure.record()
         assert record["spec"]["workload"]["name"] == "nosuch"
         assert record["spec_hash"] == failure.spec.content_hash()
@@ -97,13 +96,12 @@ class TestCellIsolation:
                 {"workload": "cg.4:scale=0.05"},
             ],
         )
-        outcomes = sweep.run_all(jobs=2, max_retries=1, retry_backoff=0.01)
+        outcomes = sweep.run_all(jobs=2)
         assert isinstance(outcomes[0], ScenarioResult)
         assert isinstance(outcomes[2], ScenarioResult)
         failure = outcomes[1]
         assert isinstance(failure, CellFailure)
         assert failure.error_type == "WorkerCrash"
-        assert failure.attempts == 2  # initial + one retry, then charged
 
     def test_fail_fast_raises_sweep_aborted(self):
         with pytest.raises(SweepAborted, match="nosuch"):
@@ -113,12 +111,21 @@ class TestCellIsolation:
 
     def test_timeout_fails_cell_with_time_limit(self):
         sweep = Sweep(cells=[ScenarioSpec(workload="lu.8", seed=1)])
-        (failure,) = sweep.run_all(
-            timeout=1e-9, max_retries=1, retry_backoff=0.01
-        )
+        (failure,) = sweep.run_all(timeout=1e-9)
         assert isinstance(failure, CellFailure)
         assert failure.error_type == "TimeLimitExceeded"
-        assert failure.attempts == 2  # timeouts are transient: retried once
+
+    def test_failure_records_deterministic_across_runs(self):
+        records = []
+        for _ in range(2):
+            outcomes = _mixed_sweep().run_all(jobs=2)
+            records.append([o.record() for o in outcomes if isinstance(o, CellFailure)])
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            _mixed_sweep().run_all(timeout=timeout)
 
     def test_timeout_leaves_fast_cells_alone(self):
         sweep = Sweep(cells=[ScenarioSpec(workload="bt.4:scale=0.02", seed=1)])
@@ -220,26 +227,18 @@ class TestResume:
         assert victim.read_bytes() == intact  # the file is repaired
 
 
-class TestRetryPolicy:
-    def test_negative_max_retries_rejected(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            _mixed_sweep().run_all(max_retries=-1)
-
-    @pytest.mark.parametrize("timeout", [0, -1.0])
-    def test_non_positive_timeout_rejected(self, timeout):
-        with pytest.raises(ValueError, match="timeout must be positive"):
-            _mixed_sweep().run_all(timeout=timeout)
-
+class TestEachCellRunsOnce:
     @pytest.mark.parametrize("route", ["sequential", "pool", "quarantine"])
-    def test_attempts_counted_the_same_on_every_route(self, route):
-        # One ladder: a cell that is always over its wall-clock budget burns
-        # max_retries + 1 attempts and a deterministic failure exactly one,
-        # whether the cell ran in-process, in the shared pool, or (the first
-        # cell killed its worker) in a single-worker quarantine pool.
+    def test_every_outcome_is_recorded_once_on_every_route(self, route, monkeypatch):
+        # One rule: a cell that is always over its wall-clock budget and a
+        # deterministic failure are each recorded once, and a healthy cell
+        # as a clean run records it, whether the cells ran in-process, in the
+        # shared pool, or (the first cell killed its worker) in single-worker
+        # quarantine pools.
         first = (
             {"workload": {"name": "test-suicide", "nprocs": 2}}
             if route == "quarantine"
-            else {"workload": "bt.4:scale=0.02"}
+            else {"workload": "cg.4:scale=0.02"}
         )
         sweep = Sweep(
             base={"workload": "bt.4", "seed": 7},
@@ -247,39 +246,23 @@ class TestRetryPolicy:
                 first,
                 {"workload": "lu.8", "max_wall_seconds": 1e-9},
                 {"workload": {"name": "nosuch", "nprocs": 4}},
+                {"workload": "bt.4:scale=0.02"},
             ],
         )
-        outcomes = sweep.run_all(
-            jobs=None if route == "sequential" else 2,
-            max_retries=2,
-            retry_backoff=0.001,
-        )
-        assert [(o.error_type, o.attempts) for o in outcomes[1:]] == [
-            ("TimeLimitExceeded", 3),
-            ("KeyError", 1),
-        ]
+        settled = []
+        real_settle = sweep_module._CellRunner.settle
+
+        def counting_settle(runner, index, outcome):
+            settled.append(index)
+            return real_settle(runner, index, outcome)
+
+        monkeypatch.setattr(sweep_module._CellRunner, "settle", counting_settle)
+        outcomes = sweep.run_all(jobs=None if route == "sequential" else 2)
+        assert sorted(settled) == [0, 1, 2, 3]
+        assert [o.error_type for o in outcomes[1:3]] == ["TimeLimitExceeded", "KeyError"]
         if route == "quarantine":
-            assert (outcomes[0].error_type, outcomes[0].attempts) == ("WorkerCrash", 3)
+            assert outcomes[0].error_type == "WorkerCrash"
         else:
             assert isinstance(outcomes[0], ScenarioResult)
-
-    def test_deterministic_failure_not_retried_in_pool(self):
-        sweep = Sweep(
-            base={"workload": "bt.4", "seed": 7},
-            cells=[
-                {"workload": "bt.4:scale=0.05"},
-                {"name": "budget", "max_events": 10},
-            ],
-        )
-        outcomes = sweep.run_all(jobs=2, max_retries=3, retry_backoff=0.01)
-        failure = outcomes[1]
-        assert isinstance(failure, CellFailure)
-        assert failure.error_type == "SimulationError"
-        assert failure.attempts == 1
-
-    def test_failure_records_deterministic_across_runs(self):
-        records = []
-        for _ in range(2):
-            outcomes = _mixed_sweep().run_all(jobs=2)
-            records.append([o.record() for o in outcomes if isinstance(o, CellFailure)])
-        assert records[0] == records[1]
+        clean = Sweep(cells=[sweep.expand()[3]]).run_all()[0]
+        assert cell_record(outcomes[3]) == cell_record(clean)

@@ -32,12 +32,12 @@ class TestBT:
 
     def test_three_distinct_p2p_sizes(self, bt9_run):
         _, result = bt9_run
-        sizes = set(size_stream(p2p_records(result, 3)).tolist())
+        sizes = set(size_stream(result.trace_for(3).logical, kinds=["p2p"]).tolist())
         assert sizes == {3240, 10240, 19440}
 
     def test_sender_stream_period_is_18_for_bt9(self, bt9_run):
         _, result = bt9_run
-        stream = sender_stream(p2p_records(result, 3))
+        stream = sender_stream(result.trace_for(3).logical, kinds=["p2p"])
         detector = DynamicPeriodicityDetector(window_size=36, max_period=64)
         for value in stream[:200]:
             detector.observe(int(value))
@@ -45,7 +45,7 @@ class TestBT:
 
     def test_bt4_has_three_senders(self, bt4_run):
         _, result = bt4_run
-        senders = set(sender_stream(p2p_records(result, 3)).tolist())
+        senders = set(sender_stream(result.trace_for(3).logical, kinds=["p2p"]).tolist())
         assert len(senders) == 3
 
     def test_all_ranks_receive_same_count(self, bt9_run):
@@ -95,12 +95,12 @@ class TestLU:
 
     def test_corner_rank_has_two_senders(self, lu4_run):
         _, result = lu4_run
-        senders = set(sender_stream(p2p_records(result, 0)).tolist())
+        senders = set(sender_stream(result.trace_for(0).logical, kinds=["p2p"]).tolist())
         assert len(senders) == 2
 
     def test_sizes_are_sweep_and_halo(self, lu4_run):
         workload, result = lu4_run
-        sizes = set(size_stream(p2p_records(result, 0)).tolist())
+        sizes = set(size_stream(result.trace_for(0).logical, kinds=["p2p"]).tolist())
         assert sizes == {workload.SWEEP_BYTES, workload.HALO_BYTES}
 
     def test_representative_rank_changes_at_32(self):
@@ -149,7 +149,7 @@ class TestSweep3D:
 
     def test_two_distinct_sizes(self, sweep3d6_run):
         workload, result = sweep3d6_run
-        sizes = set(size_stream(p2p_records(result, 0)).tolist())
+        sizes = set(size_stream(result.trace_for(0).logical, kinds=["p2p"]).tolist())
         assert sizes == {workload.EW_BYTES, workload.NS_BYTES}
 
     def test_collectives_once_per_iteration(self, sweep3d6_run):
