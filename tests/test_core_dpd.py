@@ -88,6 +88,17 @@ class TestDetection:
         detector = feed(DynamicPeriodicityDetector(window_size=16, max_period=16), stream)
         assert detector.detect().period is None
 
+    def test_exact_detection_recovers_once_the_perturbation_leaves(self):
+        # Sample 30 sits in the window until step 45 and is the lagged copy
+        # for delay 4 until step 49; from step 50 on d(4) is 0 again.
+        stream = [1, 2, 3, 4] * 10
+        stream[30] = 99
+        detector = feed(DynamicPeriodicityDetector(window_size=16, max_period=16), stream)
+        feed(detector, [1, 2, 3, 4] * 2 + [1, 2])
+        assert detector.detect().period is None
+        feed(detector, [3])
+        assert detector.detect().period == 4
+
 
 class TestDistances:
     def test_distance_values_match_equation(self):

@@ -130,6 +130,24 @@ class TestEdgeCaseRegressions:
         np.testing.assert_array_equal(chunked.distances(), single.distances())
         np.testing.assert_array_equal(chunked.history(), single.history())
 
+    def test_perturbation_withheld_then_recovered_by_batch_and_incremental(self):
+        # Exact match: one wrong sample withholds period 4 until it has left
+        # both the window and its lagged copy; both paths agree on every step.
+        stream = [1, 2, 3, 4] * 10
+        stream[17] = 99
+        sequential = DynamicPeriodicityDetector(8, 8)
+        step_periods = []
+        for value in stream:
+            sequential.observe(value)
+            assert_counters_match(sequential)
+            step_periods.append(sequential.current_period() or 0)
+        batched = DynamicPeriodicityDetector(8, 8)
+        periods = batched.batch_observe(stream, return_periods=True)
+        assert periods.tolist() == step_periods
+        assert step_periods[17 : 17 + 8 + 4] == [0] * 12
+        assert step_periods[17 + 8 + 4 :] == [4] * (len(stream) - 29)
+        assert sequential.current_period() == 4
+
 
 def noisy_periodic_stream(length: int, seed: int) -> np.ndarray:
     """Period 6, then 12, then 6 again, with ~3% of the samples perturbed."""
@@ -149,7 +167,7 @@ def noisy_periodic_stream(length: int, seed: int) -> np.ndarray:
 class TestManyWaySplitAtServedConfiguration:
     """Runs of 1, 2, 8 and 64 (what ``repro serve`` coalesces) == the loop."""
 
-    @pytest.mark.parametrize("window, max_period", [(24, 256), (32, 16)])
+    @pytest.mark.parametrize("window, max_period", [(24, 256), (32, 16), (8, 64)])
     @pytest.mark.parametrize("sticky", [True, False])
     def test_every_run_boundary_matches_the_sequential_loop(self, window, max_period, sticky):
         stream = noisy_periodic_stream(1200, seed=window)
@@ -300,7 +318,7 @@ class TestFirstWindowIsAnAppend:
 class TestObserveManyEqualsTheLoop:
     """Every run length is the observe loop: one path, no crossover."""
 
-    @pytest.mark.parametrize("window, max_period", [(24, 256), (6, 12)])
+    @pytest.mark.parametrize("window, max_period", [(24, 256), (6, 12), (32, 16)])
     @pytest.mark.parametrize("sticky", [True, False])
     def test_every_run_length_from_full_history_equals_the_loop(self, window, max_period, sticky):
         capacity = window + max_period
@@ -332,6 +350,18 @@ GOLDEN = {
         2: "948cd6a3dbec1ed1e8720636d35575969426c006b3f7de30c8325472b37ac388",
         8: "3f4cebbd98b6ac3b4290bda085899f2c8c249f2df487046560dbd515834d4206",
         64: "d7bb3f6cec656b99cefa1481482b36d42ffda8303fa4f7abd9adc3893001e8ae",
+    },
+    (32, 16, False): {
+        1: "4a0baf1b097e4a3fb80a90d88683db2958ccabadac4f53aac271266fd250f595",
+        2: "cd26e8d6e7e80b4bb8e35bc5a83f9cdebbc804b19b5b6fdf6f993cd9b6f5f348",
+        8: "ea9dce015b3e65b3d10810c71da55421722f7fd7207c9382522ee2ffbb58621a",
+        64: "3d5c6a9740a92e6cc2a8796e11a294fcd734fd699e5b5f4830bd8d06253a61ad",
+    },
+    (6, 12, False): {
+        1: "806cb09e721396b00198a3a1ba99582a362028ad99cb8f7ca960b062fee8e0ef",
+        2: "d3bc3484934216ce539eb68a1d12d0469edbfc95e3af1b27bc95cd3b7efc9d2d",
+        8: "edc785c5826586838639458013653e990d75a553aa5449b4ecdc521626012165",
+        64: "165a881d6a960a89e6b135e3cc28c8495d6bd137c6cc0e64c63eeba8b77a9a98",
     },
 }
 
@@ -444,13 +474,14 @@ class TestRebuildFromHistory:
         "sizes-400": [64, 512, 4096, 16384, 65536, 2**40 + 64, -1, -(2**63)] * 50,
     }
 
+    @pytest.mark.parametrize("window, max_period", [(24, 256), (6, 12)])
     @pytest.mark.parametrize("name", sorted(STREAMS))
-    def test_rebuilt_detector_equals_the_live_one(self, name):
-        live = DynamicPeriodicityDetector(24, 256)
+    def test_rebuilt_detector_equals_the_live_one(self, name, window, max_period):
+        live = DynamicPeriodicityDetector(window, max_period)
         for value in self.STREAMS[name]:
             live.observe(value)
         rebuilt = DynamicPeriodicityDetector.from_history(
-            24, 256, live.samples_seen, live.stored_history()
+            window, max_period, live.samples_seen, live.stored_history()
         )
         assert_same_detector(rebuilt, live)
         for value in (7, 7, 1):

@@ -112,10 +112,12 @@ def test_batched_ingestion_matches_offline(spec_string):
 
 
 #: The served configuration (window 24, max period 256: a 280-sample ring),
-#: plus a non-sticky variant whose answers track the live counters.
+#: plus non-sticky variants whose answers track the live counters, one of
+#: them on a 40-sample ring that every stream overruns ten times.
 FULL_HISTORY_SPECS = [
     "periodicity:window=24,max_period=256,horizon=5",
     "periodicity:window=24,max_period=256,horizon=5,sticky=false",
+    "periodicity:window=8,max_period=32,horizon=3,sticky=false",
 ]
 
 

@@ -115,6 +115,21 @@ class TestCellIsolation:
         assert isinstance(failure, CellFailure)
         assert failure.error_type == "TimeLimitExceeded"
 
+    def test_simulation_error_in_pool_is_one_failure_record(self):
+        sweep = Sweep(
+            base={"workload": "bt.4", "seed": 7},
+            cells=[
+                {"workload": "bt.4:scale=0.05"},
+                {"name": "budget", "max_events": 10},
+            ],
+        )
+        outcomes = sweep.run_all(jobs=2)
+        assert isinstance(outcomes[0], ScenarioResult)
+        failure = outcomes[1]
+        assert isinstance(failure, CellFailure)
+        assert failure.error_type == "SimulationError"
+        assert failure.record()["spec_hash"] == failure.spec.content_hash()
+
     def test_failure_records_deterministic_across_runs(self):
         records = []
         for _ in range(2):
