@@ -5,7 +5,9 @@ matching, protocol timing, buffer accounting and traces.  The simulator must
 agree with it bit for bit — per-rank finish times, makespan, every rank's
 canonical logical and physical streams and the integer protocol counters —
 compiled under the vectorised engine, as generators under the scalar engine,
-and on one cell partitioned across two worker processes.
+and on one cell partitioned across two worker processes.  Two wavefront cells
+are checked once more with every blocking send and receive route counted on
+the reference side, so each route is known to be taken.
 """
 
 import subprocess
@@ -14,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.mpi.ops import RecvOp, SendOp
 from repro.predictive.registry import create_policy
 from repro.sim.engine import Simulator
+from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
 from repro.workloads.registry import create_workload, workload_names
 
@@ -53,9 +57,10 @@ def reference(workload, policy, network):
     return max(finish), finish, logical, physical, counters
 
 
-def simulated(workload, policy, network, compiled, engine):
+def simulated(workload, policy, network, compiled, engine, machine=None):
     result = Simulator(
         workload.nprocs,
+        machine=machine,
         network=NETWORKS[network],
         policy=create_policy(policy),
         seed=SEED,
@@ -128,3 +133,81 @@ def test_shares_nothing_with_the_engine_or_transport():
         "repro.trace.tracer",
     }
     assert not loaded & forbidden
+
+
+# -- every route a blocking send or receive can take -----------------------
+#: The four routes of a blocking op, named by what the reference saw when
+#: the op blocked: an eager send is complete as it is posted, a receive is
+#: complete when the unexpected queue already holds its message, and the
+#: other two wait (a later delivery; a rendezvous handshake).
+ROUTES = {
+    (SendOp, True): "eager send complete at posting",
+    (SendOp, False): "rendezvous send",
+    (RecvOp, True): "receive met from the unexpected queue",
+    (RecvOp, False): "receive waiting for a later delivery",
+}
+#: Below lu's 2,560-byte and sweep3d's 5,120/6,400-byte wavefront blocks, so
+#: their blocking wavefront sends take the rendezvous route (the small
+#: collective messages stay eager).
+LOW_EAGER = MachineConfig(eager_threshold=2048)
+#: The routes each machine's cells must take at least once.
+MACHINES = {
+    "default": (MachineConfig(), [
+        "eager send complete at posting",
+        "receive met from the unexpected queue",
+        "receive waiting for a later delivery",
+    ]),
+    "low-eager": (LOW_EAGER, ["rendezvous send", "receive waiting for a later delivery"]),
+}
+ROUTE_CELLS = [("lu", 16, {"scale": 0.01}), ("sweep3d", 16, {"scale": 0.05})]
+ROUTE_ENGINES = [(True, "vectorised"), (True, "scalar"), (False, "scalar")]
+
+
+class RouteCountingReference(ReferenceEngine):
+    """The reference engine, counting the route of each blocking send/recv."""
+
+    def run(self, programs):
+        self.routes = dict.fromkeys(ROUTES.values(), 0)
+        self.last_op = {}
+        if len(programs) == 1:
+            programs = list(programs) * self.nprocs
+        return super().run([self.spied(factory) for factory in programs])
+
+    def spied(self, factory):
+        def program(ctx):
+            inner = factory(ctx)
+            value = None
+            while True:
+                try:
+                    op = inner.send(value)
+                except StopIteration:
+                    return
+                self.last_op[ctx.rank] = op
+                value = yield op
+        return program
+
+    def block(self, rank, requests, result):
+        route = ROUTES.get((type(self.last_op[rank]), requests[0].completed))
+        if route is not None:
+            self.routes[route] += 1
+        return super().block(rank, requests, result)
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("policy", ["standard", "credit"])
+@pytest.mark.parametrize(
+    "name,nprocs,params", ROUTE_CELLS, ids=[c[0] for c in ROUTE_CELLS]
+)
+def test_blocking_op_routes_match_reference(name, nprocs, params, policy, machine):
+    machine_config, required = MACHINES[machine]
+    workload = create_workload(name, nprocs=nprocs, **params)
+    oracle = RouteCountingReference(
+        nprocs, create_policy(policy), network=NETWORKS["default"],
+        machine=machine_config, seed=SEED,
+    )
+    finish, logical, physical, counters = oracle.run([workload.program])
+    expected = (max(finish), finish, logical, physical, counters)
+    assert all(oracle.routes[route] > 0 for route in required), oracle.routes
+    for compiled, engine in ROUTE_ENGINES:
+        got = simulated(workload, policy, "default", compiled, engine, machine_config)
+        assert got == expected, f"{name}.{nprocs} {policy} {machine}: compiled={compiled} {engine}"
