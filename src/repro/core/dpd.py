@@ -422,6 +422,10 @@ class DynamicPeriodicityDetector:
         read the last ``retained``; the rest waits for the next trim)."""
         return array("q", self._history)
 
-    def recent(self, n: int) -> array:
-        """The last ``n`` retained samples (``n >= 1``), oldest first, as a copy."""
-        return self._history[-n:]
+    def recent(self, n: int, count: int | None = None) -> array:
+        """The last ``n`` retained samples (``n >= 1``), oldest first, as a copy;
+        only the first ``count`` of them when ``count`` is given."""
+        if count is None:
+            return self._history[-n:]
+        start = len(self._history) - n
+        return self._history[start : start + count]

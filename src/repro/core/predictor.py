@@ -160,18 +160,18 @@ class PeriodicityPredictor(BasePredictor):
         """Period replay: the value ``k`` steps ahead repeats the value at
         offset ``(k - 1) mod period`` within the most recent period.
 
-        The last period comes off the history as one list, and the next
-        ``horizon`` values are a slice of it (repeated first, past a period).
+        Up to a period ahead the answer is one slice of the history, the
+        first ``horizon`` values of the last period; past a period, that
+        period as one list, repeated and cut to ``horizon``.
         """
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         period = self._last_period
         if period is None:
             return [None] * horizon
-        replay = self._dpd.recent(period).tolist()
-        if horizon > period:
-            replay *= -(-horizon // period)
-        return replay[:horizon]
+        if horizon <= period:
+            return self._dpd.recent(period, horizon).tolist()
+        return (self._dpd.recent(period).tolist() * -(-horizon // period))[:horizon]
 
     def periodicity(self):
         """Expose the raw DPD decision (period, distances, samples)."""
@@ -187,9 +187,12 @@ class PeriodicityPredictor(BasePredictor):
 
     @classmethod
     def from_state(cls, state: PredictorState) -> "PeriodicityPredictor":
-        predictor = cls(*state.config)
+        window_size, max_period, sticky = state.config
+        if sticky not in (0, 1):
+            raise ValueError(f"sticky must be 0 or 1, got {sticky}")
+        predictor = cls(window_size, max_period, sticky)
         seen, predictor.detections, predictor.period_changes, period, history = state.data
-        predictor._dpd = DynamicPeriodicityDetector.from_history(*state.config[:2], seen, history)
+        predictor._dpd = DynamicPeriodicityDetector.from_history(window_size, max_period, seen, history)
         if period is not None and not 1 <= period <= min(predictor._dpd.max_period, len(history)):
             raise ValueError(f"period {period} cannot be replayed from {len(history)} samples")
         predictor._last_period = period

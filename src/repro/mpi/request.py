@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple
 __all__ = ["Status", "Request", "CollectiveRequest"]
 
 _request_ids = itertools.count()
+#: The completion time of a request still in flight (parsed once, not per request).
+_NAN = float("nan")
 
 
 class Status(NamedTuple):
@@ -81,7 +83,7 @@ class Request:
         self.op_kind = op_kind
         self.rank = rank
         self.completed = False
-        self.completion_time = float("nan")
+        self.completion_time = _NAN
         self.status: Status | None = None
         # Lazily allocated: most requests complete before anyone waits on them.
         self._callbacks: list[Callable[["Request"], None]] | None = None
@@ -99,7 +101,7 @@ class Request:
         self.op_kind = op_kind
         self.rank = rank
         self.completed = False
-        self.completion_time = float("nan")
+        self.completion_time = _NAN
         self.status = None
         self._callbacks = None
         return self

@@ -95,7 +95,7 @@ class RuntimeStats:
 
     def latency_accumulator(self, protocol: str, rank: int) -> LatencyAccumulator:
         """The accumulator for ``rank``'s deliveries on ``protocol`` (created
-        on first use) — the transport's hot path caches these per cohort."""
+        on first use) — the transport holds them on the rank's endpoint."""
         by_rank = (
             self.eager_latency_by_rank
             if protocol == "eager"
@@ -132,11 +132,6 @@ class RuntimeStats:
             self.unexpected_deliveries += 1
             if storage == "heap":
                 self.unexpected_heap_stores += 1
-
-    def record_latency(self, protocol: str, rank: int, seconds: float) -> None:
-        """Record one end-to-end message latency (send post to recv complete)
-        observed by receiving ``rank``."""
-        self.latency_accumulator(protocol, rank).add(seconds)
 
     def record_control_message(self) -> None:
         """Record one rendezvous RTS/CTS control message."""

@@ -94,9 +94,10 @@ class _Rendezvous:
 
 
 class _Endpoint:
-    """Per-rank matching state."""
+    """Per-rank matching state, and the rank's two latency accumulators
+    (looked up in :class:`RuntimeStats` at its first delivery)."""
 
-    __slots__ = ("rank", "posted", "unexpected", "buffers")
+    __slots__ = ("rank", "posted", "unexpected", "buffers", "eager_acc", "rendezvous_acc")
 
     def __init__(self, rank: int, nprocs: int, machine: MachineConfig, preallocate: bool) -> None:
         self.rank = rank
@@ -108,6 +109,7 @@ class _Endpoint:
             buffer_bytes=machine.eager_buffer_bytes,
             preallocate_all=preallocate,
         )
+        self.eager_acc = self.rendezvous_acc = None
 
 
 class Transport:
@@ -272,11 +274,14 @@ class Transport:
         tag: int,
         kind: str,
         now: float,
-    ) -> Request:
+        blocking: bool = False,
+    ) -> Request | None:
         """Execute a send posted by ``rank`` at ``now``, given as field values.
 
         Taking scalars keeps the compiled engine lane free of per-op object
-        construction.
+        construction.  A ``blocking`` send that goes eager returns None
+        instead of a request: it completes at injection, ``now +
+        send_overhead``, and its handle would never reach the program.
         """
         if not (0 <= dst < self.nprocs):
             raise ValueError(f"destination rank {dst} out of range [0, {self.nprocs})")
@@ -285,10 +290,13 @@ class Transport:
         if nbytes < 0:
             raise ValueError(f"message size must be non-negative, got {nbytes}")
 
-        pool = self._request_pool
-        request = pool.pop()._reuse("send", rank) if pool else Request("send", rank)
         size_says_eager = nbytes <= self._eager_threshold
         use_eager = self.policy.allows_eager(rank, dst, nbytes, kind, now)
+        pool = self._request_pool
+        if use_eager and blocking:
+            request = None
+        else:
+            request = pool.pop()._reuse("send", rank) if pool else Request("send", rank)
         protocol = "eager" if use_eager else "rendezvous"
         # Positional construction: this runs once per message.
         message = Message(rank, dst, tag, nbytes, kind, protocol)
@@ -305,7 +313,8 @@ class Transport:
             arrival = self._data_arrival(message, inject)
             message.arrival_time = arrival
             self._schedule_data(arrival, message, None)
-            request._complete(inject)
+            if request is not None:
+                request._complete(inject)
         else:
             self._post_rendezvous(message, request)
         return request
@@ -515,8 +524,7 @@ class Transport:
         if entry is None:
             endpoint.posted.post(posted)
         elif entry.is_rendezvous_announcement:
-            state: _Rendezvous = entry.rendezvous_token  # type: ignore[assignment]
-            self._send_cts(state, posted, now + self._handshake_cpu)
+            self._send_cts(entry.rendezvous_token, posted, now + self._handshake_cpu)
         else:
             self._complete_from_unexpected(posted, entry, now)
         return request
@@ -737,8 +745,11 @@ class Transport:
                 burst = [] if notify is not None else None
                 dst = d
                 endpoint = endpoints[d]
-                eager_acc = latency_accumulator("eager", d)
-                rendezvous_acc = latency_accumulator("rendezvous", d)
+                eager_acc = endpoint.eager_acc
+                if eager_acc is None:
+                    eager_acc = endpoint.eager_acc = latency_accumulator("eager", d)
+                    endpoint.rendezvous_acc = latency_accumulator("rendezvous", d)
+                rendezvous_acc = endpoint.rendezvous_acc
             src = message.src
             nbytes = message.nbytes
             if tracer_arrival is not None:
@@ -794,12 +805,15 @@ class Transport:
         self, posted: PostedReceive, entry: UnexpectedEntry, now: float
     ) -> None:
         """A newly posted receive matched a buffered eager message: release
-        its buffer, then build the status, trace it and fire the request
-        once the copy out is done."""
+        its buffer, then build the status, trace it and complete the request
+        at the end of the copy out.  The request was just handed out, so no
+        one waits on it yet: its fields are set without the callback round
+        of ``Request._complete``."""
         message = entry.message
         request = posted.request
         rank = request.rank
-        self._endpoints[rank].buffers.release_unexpected(message.src, message.nbytes, entry.storage)
+        endpoint = self._endpoints[rank]
+        endpoint.buffers.release_unexpected(message.src, message.nbytes, entry.storage)
         ready_time = max(now, entry.arrival_time)
         copy_penalty = message.nbytes / self._copy_bandwidth
         complete_time = ready_time + self._recv_overhead + copy_penalty
@@ -824,10 +838,11 @@ class Transport:
                 message.kind,
                 complete_time,
             )
-        self.stats.record_latency(
-            message.protocol, rank, complete_time - message.inject_time
-        )
-        request._complete(complete_time, status)
+        acc = endpoint.eager_acc if message.protocol == "eager" else endpoint.rendezvous_acc
+        acc.add(complete_time - message.inject_time)
+        request.completed = True
+        request.completion_time = complete_time
+        request.status = status
 
     # ------------------------------------------------------------------
     def pending_counts(self) -> dict[int, tuple[int, int]]:

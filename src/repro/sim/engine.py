@@ -17,7 +17,9 @@ A *rank program* is produced by calling a program factory with a
 
 The engine owns the global event queue and each rank's local virtual clock.
 Blocking operations suspend a rank until the transport completes the
-corresponding request; non-blocking operations resume the rank immediately
+corresponding request, unless it is complete as it is posted (an eager send,
+a receive whose message is already buffered): then the rank just steps on at
+the completion time.  Non-blocking operations resume the rank immediately
 (after the CPU overhead of posting) and hand back a request handle that can
 be waited on later.  If the event queue drains while some ranks are still
 blocked, the simulation is deadlocked and :class:`repro.sim.errors.DeadlockError`
@@ -217,10 +219,6 @@ class SimulationResult:
         return self.tracer.trace_for(rank)
 
 
-def _result_none(requests: list[Request]) -> None:
-    return None
-
-
 def _result_first_status(requests: list[Request]):
     return requests[0].status
 
@@ -367,6 +365,8 @@ class Simulator:
         self.transport.attach(self)
         self._queue = EventQueue()
         self._push_typed = self._queue.push_typed
+        # Returns a finished blocking-op request to the transport freelist.
+        self._release = self.transport._request_pool.append
         self._ranks: list[RankState] = []
         self.time = 0.0
         self._done_count = 0
@@ -404,9 +404,13 @@ class Simulator:
 
     def schedule_delivery(self, time: float, message, posted) -> None:
         """Schedule the physical arrival of ``message`` at its destination."""
-        self._push_typed(
-            time if time > self.time else self.time, EVENT_DELIVER, message, posted
-        )
+        # Inline of EventQueue.push_typed: one call per message, not two.
+        if time < self.time:
+            time = self.time
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        _heappush(queue._heap, [time, seq, EVENT_DELIVER, message, posted])
 
     def schedule_delivery_batch(self, time: float, items) -> None:
         """Schedule ``len(items)`` simultaneous arrivals as one batch record.
@@ -587,10 +591,12 @@ class Simulator:
         and pushes one batch record per segment.  Consecutiveness
         is what preserves global ``(time, seq)`` order: collection stops at
         the first record of any other kind, so nothing is ever reordered
-        across a delivery, callback or generator-rank step.  Cohorts below
-        ``_VECTOR_MIN_COHORT`` — and, with cohorting off, every compiled
-        step, without collecting at all — go to :meth:`_step_compiled` per
-        rank.
+        across a delivery, callback or generator-rank step.  A compiled step
+        starts a cohort only when the record behind it is a same-time
+        compiled step: the loop peeks first, so a lone step (the rule on a
+        wavefront) builds no cohort.  Lone steps, cohorts below
+        ``_VECTOR_MIN_COHORT`` and, with cohorting off, every compiled step
+        go to :meth:`_step_compiled` per rank.
 
         ``until`` bounds one conservative window of the parallel engine: the
         loop returns as soon as the next event lies at or beyond it
@@ -642,7 +648,11 @@ class Simulator:
                 state = record[EV_A]
                 if state.compiled is None:
                     step(state, record[EV_B])
-                elif cohorting:
+                elif cohorting and heap and heap[0][EV_TIME] == time and (
+                    heap[0][EV_KIND] == EVENT_STEP_BATCH
+                    or heap[0][EV_KIND] == EVENT_STEP
+                    and heap[0][EV_A].compiled is not None
+                ):
                     cohort = [state]
                 else:
                     step_compiled(state)
@@ -903,7 +913,7 @@ class Simulator:
                     complete = False
                     break
             if not complete:
-                self._block_on(s, requests, _result_none, "waitall", recycle=True)
+                self._block_on(s, requests, "waitall")
                 continue
             completion = s.now
             for r in requests:
@@ -925,8 +935,8 @@ class Simulator:
         """Resume one rank's generator with ``value`` and dispatch its next op.
 
         ``state.status`` is already READY here: ranks start READY, stay READY
-        across non-blocking resumptions, and :meth:`_resume` restores READY
-        when a blocking operation completes.
+        across non-blocking resumptions, and :meth:`_wake` / :meth:`_resume`
+        restore READY when a blocking operation completes.
 
         Collectives arrive flattened by ``yield from``, so the op is one of
         the seven classes in ``_op_table`` or the program is in error.
@@ -961,8 +971,11 @@ class Simulator:
         therefore all simulation outputs — are bit-identical.  Lane values
         were validated at compile time and are trusted here.
 
-        The inlined event pushes mirror ``EventQueue.push_typed`` exactly,
-        as in the generator-path handlers above.
+        A blocking send or receive that is complete as it is posted (an eager
+        send takes no request at all) advances the clock, releases its
+        request and pushes the next step here; one that must wait suspends
+        through :meth:`_suspend`.  The inlined event pushes mirror
+        ``EventQueue.push_typed`` exactly, as in the generator-path handlers.
         """
         if state.status is _DONE:
             raise SimulationError(f"rank {state.rank} stepped after completion")
@@ -974,8 +987,8 @@ class Simulator:
             return
         state.cp_cursor = i + 1
         code = state.cp_op[i]
-        # The three non-blocking op kinds fall through to one shared
-        # next-step push below; the blocking kinds return out of their
+        # Every op done as it is posted falls through to one shared
+        # next-step push below; an op that must wait returns out of its
         # branch after suspending the rank.
         if code == OP_COMPUTE:
             seconds = state.cp_seconds[i]
@@ -1006,7 +1019,7 @@ class Simulator:
             # the generator path's waitall they can all be recycled.
             requests = state.cp_pending
             state.cp_pending = []
-            self._block_on(state, requests, _result_none, "waitall", recycle=True)
+            self._block_on(state, requests, "waitall")
             return
         elif code == OP_WAIT:
             # Wait for a contiguous slice of the pending list (offset in the
@@ -1017,14 +1030,18 @@ class Simulator:
             pending = state.cp_pending
             requests = pending[offset:stop]
             del pending[offset:stop]
-            self._block_on(state, requests, _result_none, "wait", recycle=True)
+            self._block_on(state, requests, "wait")
             return
         elif code == OP_RECV:
             request = self.transport.post_recv_values(
                 state.rank, state.cp_a[i], state.cp_tag[i], state.cp_kind[i], state.now
             )
-            self._block_on(state, [request], _result_none, "recv", recycle=True)
-            return
+            if not request.completed:
+                self._suspend(state, request, "recv")
+                return
+            # Met from the unexpected queue: done without suspending.
+            state.now = time = max(state.now, request.completion_time)
+            self._release(request)
         else:  # OP_SEND
             request = self.transport.post_send_values(
                 state.rank,
@@ -1033,9 +1050,12 @@ class Simulator:
                 state.cp_tag[i],
                 state.cp_kind[i],
                 state.now,
+                True,
             )
-            self._block_on(state, [request], _result_none, "send", recycle=True)
-            return
+            if request is not None:  # rendezvous: wait for the handshake
+                self._suspend(state, request, "send")
+                return
+            state.now = time = state.now + self.machine.send_overhead
         # Shared next-step push (inline of EventQueue.push_typed, as in the
         # generator-path handlers).
         if time < self.time:
@@ -1070,9 +1090,13 @@ class Simulator:
 
     def _op_send(self, state: RankState, op: SendOp) -> None:
         request = self.transport.post_send_values(
-            state.rank, op.dest, int(op.nbytes), op.tag, op.kind, state.now
+            state.rank, op.dest, int(op.nbytes), op.tag, op.kind, state.now, True
         )
-        self._block_on(state, [request], _result_none, "send", recycle=True)
+        if request is not None:  # rendezvous: wait for the handshake
+            self._suspend(state, request, "send")
+            return
+        state.now += self.machine.send_overhead
+        self.schedule_step(state.now, state, None)
 
     def _op_isend(self, state: RankState, op: IsendOp) -> None:
         request = self.transport.post_send_values(
@@ -1090,7 +1114,10 @@ class Simulator:
         request = self.transport.post_recv_values(
             state.rank, op.source, op.tag, op.kind, state.now
         )
-        self._block_on(state, [request], _result_first_status, "recv", recycle=True)
+        if request.completed:  # met from the unexpected queue
+            self._wake(request)
+        else:
+            self._suspend(state, request, "recv")
 
     def _op_irecv(self, state: RankState, op: IrecvOp) -> None:
         request = self.transport.post_recv_values(
@@ -1105,48 +1132,57 @@ class Simulator:
         _heappush(queue._heap, [time, seq, EVENT_STEP, state, request])
 
     def _op_wait(self, state: RankState, op: WaitOp) -> None:
-        request = op.request
-        result_fn = _result_first_status if request.op_kind == "recv" else _result_none
-        self._block_on(state, [request], result_fn, "wait")
+        # A send's (or a collective's) status is None: the resume value.
+        self._block_on(state, [op.request], "wait", _result_first_status)
 
     def _op_waitall(self, state: RankState, op: WaitallOp) -> None:
         requests = op.requests
         if type(requests) is not list:
             requests = list(requests)
-        self._block_on(state, requests, _result_all_statuses, "waitall")
+        self._block_on(state, requests, "waitall", _result_all_statuses)
 
     # ------------------------------------------------------------------
+    def _suspend(self, state: RankState, request: Request, why: str) -> None:
+        """Block ``state`` in a send or receive until ``request`` completes:
+        the callback is :meth:`_wake`, bound once (the request names its
+        rank), so no closure is built per operation."""
+        state.status = _BLOCKED
+        state.blocked_on = why
+        request.add_callback(self._wake)
+
+    def _wake(self, request: Request) -> None:
+        """Resume the rank of a finished blocking send or receive with the
+        request's status (None for a send) and recycle the request, which no
+        program holds.  A generator receive met from the unexpected queue
+        takes this path directly."""
+        state = self._ranks[request.rank]
+        state.now = max(state.now, request.completion_time)
+        state.status = _READY
+        state.blocked_on = ""
+        self._release(request)
+        self.schedule_step(state.now, state, request.status)
+
     def _block_on(
         self,
         state: RankState,
         requests: list[Request],
-        result_fn: Callable[[list[Request]], object],
         why: str,
-        recycle: bool = False,
+        result_fn: Callable[[list[Request]], object] | None = None,
     ) -> None:
-        """Suspend ``state`` until every request in ``requests`` has completed.
+        """Suspend ``state`` in a wait until every request in ``requests``
+        has completed (a blocking send or receive uses :meth:`_suspend`).
 
-        ``recycle`` is set only for blocking send/recv: those request handles
-        are engine-internal (the program receives ``None`` or a ``Status``,
-        never the request), so they can be returned to the transport freelist
-        once the rank has resumed.  Requests reached through wait/waitall are
-        program-held and must never be recycled.
+        A generator rank's wait passes the ``result_fn`` that shapes its
+        resume value.  A compiled rank's wait passes none: it resumes with
+        None, and its requests, which never reached a program, are recycled.
         """
         state.status = _BLOCKED
         state.blocked_on = why
         pending = [r for r in requests if not r.completed]
-
         if not pending:
-            # Everything already finished (e.g. an eager send completed at
-            # posting, or a wait on long-done requests): resume without
-            # allocating a completion closure.
-            self._resume(state, requests, result_fn, recycle)
-            return
-
-        if len(pending) == 1:
-            pending[0].add_callback(
-                lambda _request: self._resume(state, requests, result_fn, recycle)
-            )
+            # Everything already finished (a wait on long-done requests):
+            # resume without allocating a completion closure.
+            self._resume(state, requests, result_fn)
             return
 
         remaining = [len(pending)]
@@ -1154,7 +1190,7 @@ class Simulator:
         def on_complete(_request: Request) -> None:
             remaining[0] -= 1
             if remaining[0] == 0:
-                self._resume(state, requests, result_fn, recycle)
+                self._resume(state, requests, result_fn)
 
         for request in pending:
             request.add_callback(on_complete)
@@ -1163,27 +1199,21 @@ class Simulator:
         self,
         state: RankState,
         requests: list[Request],
-        result_fn: Callable[[list[Request]], object],
-        recycle: bool = False,
+        result_fn: Callable[[list[Request]], object] | None,
     ) -> None:
         """Unblock ``state``: advance its clock and schedule the next step."""
         completion = state.now
         for request in requests:
-            if request.completed and request.completion_time > completion:
+            if request.completion_time > completion:
                 completion = request.completion_time
         state.now = completion
         state.status = _READY
         state.blocked_on = ""
-        value = result_fn(requests)
-        if recycle:
-            # The result (None/Status) has been extracted; the blocking-op
-            # request handles are dead and go back to the transport freelist.
+        value = None
+        if result_fn is not None:
+            value = result_fn(requests)
+        else:
             release = self.transport.release_request
             for request in requests:
                 release(request)
-        # Inline of EventQueue.push_typed, as in the non-blocking handlers.
-        time = completion if completion > self.time else self.time
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        _heappush(queue._heap, [time, seq, EVENT_STEP, state, value])
+        self.schedule_step(completion, state, value)

@@ -4,6 +4,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.predictor import PeriodicityPredictor
 from repro.predictive.registry import create_predictor, predictor_names
@@ -122,6 +124,32 @@ class TestAnswers:
         assert predictor.predict(40) == list(range(40))
         assert predictor.predict(41) == list(range(40)) + [0]
         assert predictor.predict(95) == (list(range(40)) * 3)[:95]
+
+    @given(
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=40),
+        st.integers(1, 6),
+        st.lists(st.integers(0, 3), max_size=12),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_answers_equal_the_whole_period_replay(self, pattern, repeats, tail, sticky):
+        # The formula before the answer became one slice: copy the whole last
+        # period, repeat it past a period, cut it to the horizon.
+        def whole_period_replay(predictor, horizon):
+            period = predictor.current_period
+            if period is None:
+                return [None] * horizon
+            replay = predictor._dpd.recent(period).tolist()
+            if horizon > period:
+                replay *= -(-horizon // period)
+            return replay[:horizon]
+
+        predictor = PeriodicityPredictor(window_size=8, max_period=40, sticky=sticky)
+        for value in pattern * repeats + tail:
+            predictor.observe(value)
+            period = predictor.current_period or 1
+            for horizon in range(1, 2 * period + 1):
+                assert predictor.predict(horizon) == whole_period_replay(predictor, horizon)
 
     @pytest.mark.parametrize("name", predictor_names())
     @pytest.mark.parametrize("stream", ["periodic", "perturbed", "aperiodic"])

@@ -297,6 +297,29 @@ class TestHostileBytes:
         with pytest.raises(SnapshotError, match="bytes after the end"):
             thaw_state(blob + b"\0")
 
+    @pytest.mark.parametrize("sticky", [0, 1, 5, -7])
+    def test_only_a_sticky_word_of_0_or_1_thaws(self, sticky):
+        predictor = create_predictor("periodicity", window_size=4, max_period=6)
+        for step in range(20):
+            predictor.observe(step % 3)
+        state = predictor.get_state()
+        forged = PredictorState("periodicity", (4, 6, sticky), state.data)
+        blob = freeze_state(SimpleNamespace(get_state=lambda: forged))
+        if sticky in (0, 1):
+            assert freeze_state(thaw_state(blob)) == blob
+        else:
+            with pytest.raises(SnapshotError, match=f"sticky must be 0 or 1, got {sticky}"):
+                thaw_state(blob)
+
+    @given(CONFIGS["periodicity"], samples)
+    @settings(max_examples=100, deadline=None)
+    def test_every_valid_periodicity_state_refreezes_to_its_bytes(self, params, seen):
+        predictor = create_predictor("periodicity", **params)
+        for value in seen:
+            predictor.observe(value)
+        blob = freeze_state(predictor)
+        assert freeze_state(thaw_state(blob)) == blob
+
     def test_a_kind_outside_the_closed_set_is_refused(self):
         blob = freeze_state(create_predictor("stride"))
         forged = blob.replace(b"stride", b"pickle")

@@ -356,6 +356,35 @@ class TestErrors:
         )
         assert engine != "parallel" or sim.parallel_info is None  # it did partition
 
+    @pytest.mark.parametrize("engine", ["scalar", "vectorised"])
+    def test_compiled_blocking_ops_name_their_call(self, engine):
+        """Blocking sends and receives suspend outside ``_block_on``; the
+        deadlock report must still name them."""
+        from repro.workloads.base import Workload
+
+        class Stuck(Workload):
+            name = "stuck-blocking-test"
+
+            def default_iterations(self):
+                return 1
+
+            def program(self, ctx):
+                if ctx.rank < 2:  # both receive first: never satisfied
+                    yield ctx.comm.recv(source=1 - ctx.rank, tag=0)
+                elif ctx.rank == 2:  # rendezvous-sized: rank 3 never receives
+                    yield ctx.comm.send(3, 1 << 20, tag=0)
+                else:
+                    yield ctx.comm.compute(1e-6)
+
+        sim = make_sim(nprocs=4, tracer=False, engine=engine)
+        with pytest.raises(DeadlockError) as excinfo:
+            sim.run([Stuck(nprocs=4).program_for])
+        assert all(state.compiled is not None for state in sim._ranks)
+        assert excinfo.value.blocked_ranks == [0, 1, 2]
+        assert "(rank 0: recv, rank 1: recv, rank 2: send; pending queues: " in str(
+            excinfo.value
+        )
+
     def test_partial_deadlock_lists_blocked_rank(self):
         def program(ctx):
             if ctx.rank == 0:
