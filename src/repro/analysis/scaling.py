@@ -20,7 +20,10 @@ The module also hosts :func:`lockstep_scale_configs`, the machine/network
 configuration pair under which the engine scaling rows
 (``benchmarks/test_bench_scale.py``) run thousand-rank simulations; what
 ``engine="auto"`` gains at 256 ranks is read from ``bench/run.py``'s traced
-probe ``sim.auto_vs_scalar`` (see ``repro.sim.engine._VECTOR_MIN_RANKS``).
+probe ``sim.auto_vs_scalar`` (see ``repro.sim.engine._VECTOR_MIN_RANKS``):
+about 2x under this pair (``sim-lockstep-bt``), about parity under the
+default presets (``sim-wavefront-lu``), where a wavefront's lone steps build
+no cohort.
 """
 
 from __future__ import annotations

@@ -123,12 +123,12 @@ ProgramFactory = Callable[[RankContext], Generator[Operation, object, None]]
 
 #: ``engine="auto"`` turns cohorting on at this many compiled ranks.  Below
 #: it, cohorts are too small for the collect/dispatch overhead to amortise.
-#: At 256 ranks the traced probe ``sim.auto_vs_scalar`` (scalar run time over
-#: auto run time, ``bench/run.py --workload W --trace 1``) read 2.64 / 2.19 /
-#: 2.86x on ``sim-lockstep-bt`` (wide cohorts) and 0.97 / 1.18 / 1.19x on
-#: ``sim-wavefront-lu`` (narrow wavefront cohorts), three runs each on a
-#: 2-CPU host: the batch lane wins where cohorts are wide, about parity where
-#: they are not.
+#: At 256 ranks, with the run loop peeking before it starts a cohort, the
+#: traced probe ``sim.auto_vs_scalar`` (scalar over auto run time, read by
+#: ``bench/run.py --workload W --trace 1``) read 2.42 / 1.71 / 2.64x on
+#: ``sim-lockstep-bt`` (wide cohorts) and 1.02 / 1.07 / 0.95x on
+#: ``sim-wavefront-lu`` (a lone step builds no cohort), three runs each on a
+#: 2-CPU host: the batch lane wins where cohorts are wide, parity elsewhere.
 _VECTOR_MIN_RANKS = 16
 
 #: Minimum cohort size worth routing through ``_exec_cohort``; smaller
@@ -365,7 +365,7 @@ class Simulator:
         self.transport.attach(self)
         self._queue = EventQueue()
         self._push_typed = self._queue.push_typed
-        # Returns a finished blocking-op request to the transport freelist.
+        # Finished blocking-op requests skip release_request's completion check.
         self._release = self.transport._request_pool.append
         self._ranks: list[RankState] = []
         self.time = 0.0
