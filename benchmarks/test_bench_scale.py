@@ -1,12 +1,15 @@
-"""Engine scaling rows: the scalar, vectorised and parallel engines at 64 to
-16,384 ranks.
+"""Engine scaling rows: the ``scalar`` and ``auto`` drains, in-process and
+partitioned, at 64 to 16,384 ranks.
 
-No ``bench/run.py`` workload reaches 1,024 ranks or ``engine="parallel"``, so
-these rows are the one place that times them.  They are not part of the bare
+No ``bench/run.py`` workload reaches 1,024 ranks or partitions its ranks
+(``engine_jobs`` of 2 and up), so these rows are the one place that times
+them.  They are not part of the bare
 ``pytest`` run (the root ``conftest.py`` ignores ``benchmarks/``); run them
 explicitly, e.g. ``python -m pytest benchmarks/test_bench_scale.py -k "not
 4096 and not 16384" --benchmark-json=FILE``.  The frozen ``BENCH_scale.json``
-holds the rows recorded by the retired microbenchmark suite they came from.
+holds the rows recorded by the retired microbenchmark suite they came from,
+under the engine names of the day: ``vectorised`` is today's ``auto``, and
+``parallel`` is ``auto`` with ``engine_jobs=4``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def _scale_run(name: str, nprocs: int, engine: str):
 _SCALE_ITERATIONS = {64: 8, 256: 4, 1024: 1, 4096: 1, 16384: 1}
 
 
-def _partitioned_scale_run(name: str, nprocs: int, engine: str, engine_jobs: int):
+def _partitioned_scale_run(name: str, nprocs: int, engine_jobs: int):
     from repro.analysis.scaling import partitioned_scale_configs
 
     machine, network = partitioned_scale_configs()
@@ -72,7 +75,6 @@ def _partitioned_scale_run(name: str, nprocs: int, engine: str, engine_jobs: int
         machine=machine,
         network=network,
         tracer=False,
-        engine=engine,
         engine_jobs=engine_jobs,
     ).run([workload.program_for])
 
@@ -82,13 +84,13 @@ class TestScaleMicrobenchmarks:
 
     The frozen ``BENCH_scale.json`` holds this suite's recorded history
     (``--benchmark-json=FILE`` times it today): bt/lu/sweep3d under the
-    scalar event loop versus the vectorised cohort engine at 64 to 4096
+    scalar event loop versus the ``auto`` cohort drain at 64 to 4096
     ranks, under :func:`repro.analysis.scaling.lockstep_scale_configs` (an
     ideal network keeps rank clocks in lockstep so timestamp cohorts stay as
-    wide as the job — the regime the vectorised dispatch is built for).
+    wide as the job — the regime the cohort dispatch is built for).
 
     Each benchmark records the processed event count and the events/second
-    rate in ``extra_info``, so the scalar-vs-vectorised throughput ratio per
+    rate in ``extra_info``, so the scalar-vs-auto throughput ratio per
     (workload, nprocs) cell can be read straight out of ``BENCH_scale.json``.
     CI runs only the small-rank rows, untimed (``-k "scale and not 4096 and
     not 16384 and not (curve and 1024)"``); the full curves were produced
@@ -98,7 +100,7 @@ class TestScaleMicrobenchmarks:
     invariant is enforced by ``tests/test_engine_vectorised.py``, not here.
     """
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorised"])
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
     @pytest.mark.parametrize("nprocs", [64, 256, 1024, 4096])
     @pytest.mark.parametrize("workload", ["bt", "lu", "sweep3d"])
     def test_bench_scale_curve(self, benchmark, workload, nprocs, engine):
@@ -106,7 +108,7 @@ class TestScaleMicrobenchmarks:
 
         # Prime the schedule cache so neither engine's round pays the one-off
         # compile cost (the cache is keyed by configuration and shared by the
-        # scalar and vectorised tests of the same cell).
+        # scalar and auto tests of the same cell).
         primed = _scale_workload(workload, nprocs)
         for rank in range(primed.nprocs):
             compile_rank_lanes(primed, rank)
@@ -130,18 +132,18 @@ class TestScaleMicrobenchmarks:
             events_per_sec=result.events_processed,
         )
 
-    @pytest.mark.parametrize("engine", ["vectorised", "parallel"])
+    @pytest.mark.parametrize("engine_jobs", [1, 4])
     @pytest.mark.parametrize("nprocs", [1024, 4096, 16384])
-    def test_bench_scale_parallel(self, benchmark, nprocs, engine):
-        """Conservative parallel engine vs the in-process vectorised drain.
+    def test_bench_scale_parallel(self, benchmark, nprocs, engine_jobs):
+        """Four conservative partitions vs the in-process ``auto`` drain.
 
         Runs under :func:`repro.analysis.scaling.partitioned_scale_configs`
         (noiseless 2 µs latency: near-lockstep cohorts *and* a positive
         lookahead for the conservative windows) on lockstep bt, with
-        ``engine_jobs=4`` worker processes.  Both engines are measured on
-        the same configuration so the throughput ratio of a row pair reads
+        ``engine_jobs=4`` worker processes or in-process.  Both are measured
+        on the same configuration so the throughput ratio of a row pair reads
         straight out of ``BENCH_scale.json``.  On a single-CPU host the
-        workers time-share one core, so the parallel rows measure the
+        workers time-share one core, so the partitioned rows measure the
         window/barrier protocol overhead rather than concurrency — the
         ``note`` field of the committed artefact records the measuring
         host's core count.
@@ -155,17 +157,16 @@ class TestScaleMicrobenchmarks:
         if nprocs >= 16384 and not os.environ.get("REPRO_SCALE_XL"):
             pytest.skip("16384-rank rows need REPRO_SCALE_XL=1 (~5 GB resident)")
 
-        engine_jobs = 4
         primed = _scale_workload("bt", nprocs)
         for rank in range(primed.nprocs):
             compile_rank_lanes(primed, rank)
 
         def simulate():
-            return _partitioned_scale_run("bt", nprocs, engine, engine_jobs)
+            return _partitioned_scale_run("bt", nprocs, engine_jobs)
 
         result = benchmark.pedantic(simulate, rounds=1, iterations=1)
         assert result.events_processed > 0
-        if engine == "parallel":
+        if engine_jobs > 1:
             info = result.parallel_info
             assert info is not None and "fallback" not in info, info
             assert info["partitions"] == engine_jobs
@@ -174,8 +175,8 @@ class TestScaleMicrobenchmarks:
             {
                 "workload": "bt",
                 "nprocs": nprocs,
-                "engine": engine,
-                "engine_jobs": engine_jobs if engine == "parallel" else 1,
+                "engine": "auto",
+                "engine_jobs": engine_jobs,
                 "iterations": _SCALE_ITERATIONS[nprocs],
                 "events": result.events_processed,
             },

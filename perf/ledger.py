@@ -4,7 +4,8 @@
     python3 perf/ledger.py perf/PR-25.json    # one of them
 
 A ``perf/PR-<n>.json`` holds the result of every ``bench/run.py`` run a
-claim rests on, parent and change: ``runs`` are alternating ``--trace 0``
+claim rests on, parent and change (a ``claim`` of null files the pairs of a
+change that claims no gain, only parity): ``runs`` are alternating ``--trace 0``
 runs (one ``--detail`` file each, trimmed of response digests), paired by
 ``(workload, pair)``; ``full_runs`` are the two full-run result files.  For
 each (workload, metric) both sides of the pairs carry, the ledger prints each
@@ -85,7 +86,10 @@ def main(argv: list[str]) -> int:
     for path in paths:
         ledger = json.loads(path.read_text(encoding="utf-8"))
         claim = ledger["claim"]
-        print(f"== {path.name}: claim {claim['metric']} on {claim['workload']}")
+        if claim is None:
+            print(f"== {path.name}: no claim (parity)")
+        else:
+            print(f"== {path.name}: claim {claim['metric']} on {claim['workload']}")
         for row in pair_rows(ledger["runs"]):
             print(row)
         if "full_runs" in ledger:

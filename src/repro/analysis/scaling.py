@@ -20,7 +20,7 @@ The module also hosts :func:`lockstep_scale_configs`, the machine/network
 configuration pair under which the engine scaling rows
 (``benchmarks/test_bench_scale.py``) run thousand-rank simulations; what
 ``engine="auto"`` gains at 256 ranks is read from ``bench/run.py``'s traced
-probe ``sim.auto_vs_scalar`` (see ``repro.sim.engine._VECTOR_MIN_RANKS``):
+probe ``sim.auto_vs_scalar`` (see ``repro.sim.engine._VECTOR_MIN_COHORT``):
 about 2x under this pair (``sim-lockstep-bt``), about parity under the
 default presets (``sim-wavefront-lu``), where a wavefront's lone steps build
 no cohort.
@@ -54,13 +54,13 @@ def lockstep_scale_configs() -> tuple[MachineConfig, NetworkConfig]:
     zero-overhead machine keeps every rank's clock in lockstep: all ranks
     reach iteration boundaries at identical timestamps, so the event queue's
     timestamp cohorts stay as wide as the job (thousands of same-time step
-    events).  Wide cohorts are exactly what the vectorised engine batches
+    events).  Wide cohorts are exactly what ``engine="auto"`` batches
     over — under a realistic positive-latency configuration the stencil
     workloads pipeline into a wavefront and cohorts collapse towards size 1,
     which measures dispatch overhead rather than batch throughput.
 
     The eager threshold and buffer are raised so that stencil halo exchanges
-    stay on the eager path (the vectorised transport's widest lane) instead
+    stay on the eager path (the burst send pass's widest lane) instead
     of falling back to rendezvous control traffic.
     """
     machine = MachineConfig(
@@ -76,16 +76,17 @@ def lockstep_scale_configs() -> tuple[MachineConfig, NetworkConfig]:
 
 
 def partitioned_scale_configs() -> tuple[MachineConfig, NetworkConfig]:
-    """Machine/network pair for the *parallel*-engine scaling benchmarks.
+    """Machine/network pair for the *partitioned* scaling benchmarks.
 
     Identical to :func:`lockstep_scale_configs` except for one thing: the
     network carries a small positive latency (2 µs, still effectively
-    instantaneous next to the workloads' compute phases).  The conservative
-    parallel engine derives its lookahead from the minimum link latency, so
+    instantaneous next to the workloads' compute phases).  A partitioned run
+    (``engine_jobs`` of 2 and up) derives its lookahead from the minimum
+    link latency, so
     the lockstep pair's zero-latency ideal network gives it nothing to
     partition with — while a noiseless positive-latency network keeps the
-    ranks in near-lockstep (wide cohorts for the per-partition vectorised
-    drains) *and* opens a usable conservative window.
+    ranks in near-lockstep (wide cohorts for each partition's ``auto``
+    drain) *and* opens a usable conservative window.
     """
     machine = MachineConfig(
         recv_overhead=0.0,

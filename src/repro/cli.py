@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         run_cmd,
         "simulation engine (results are engine-independent — this only "
         "changes how they are computed)",
-        "worker processes for --engine parallel (default: 2; 0 "
-        "auto-tunes to the machine's CPU count)",
+        "worker processes to partition the ranks over (default: 1, "
+        "in-process; 0 auto-tunes to the machine's CPU count), falling back "
+        "in-process where ineligible",
     )
     run_cmd.add_argument("--save-traces", type=str, default=None, metavar="FILE")
 
@@ -141,12 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(
         sweep_cmd,
         "override the simulation engine for every cell (results are "
-        "engine-independent — this only changes how they are computed); "
-        "'parallel' partitions each cell's ranks over --engine-jobs worker "
-        "processes, falling back in-process where ineligible",
-        "worker processes per cell for --engine parallel (default: 2; "
-        "0 auto-tunes to the machine's CPU count); the cell pool is capped "
-        "so --jobs x --engine-jobs stays within the machine's CPUs",
+        "engine-independent — this only changes how they are computed)",
+        "worker processes to partition each cell's ranks over (default: 1, "
+        "in-process; 0 auto-tunes to the machine's CPU count), falling back "
+        "in-process where ineligible; the cell pool is capped so --jobs x "
+        "--engine-jobs stays within the machine's CPUs",
     )
     sweep_cmd.add_argument(
         "--accuracy-table",
@@ -631,8 +631,10 @@ def _registry_listing() -> dict:
         "engines": [
             {
                 "name": "auto",
-                "description": "scalar drain below 16 compiled ranks, "
-                "vectorised cohort drain at or above (the default)",
+                "description": "batches each same-timestamp run of "
+                "compiled-rank steps wide enough to pay (sim.engine."
+                "_VECTOR_MIN_COHORT), steps the rest record by record "
+                "(the default)",
                 "engages_when": "always",
             },
             {
@@ -640,27 +642,20 @@ def _registry_listing() -> dict:
                 "description": "record-by-record event drain",
                 "engages_when": "always",
             },
-            {
-                "name": "vectorised",
-                "description": "timestamp-cohort batch drain over compiled "
-                "op lanes",
-                "engages_when": "at least one rank program compiles; "
-                "generator ranks still step record-by-record",
-            },
-            {
-                "name": "parallel",
-                "description": "rank partitions over engine_jobs worker "
-                "processes, synchronised in conservative windows of the "
-                "minimum network latency; bit-identical to the in-process "
-                "engines",
-                "engages_when": "engine_jobs >= 2, all rank programs "
-                "compile, the network has a positive minimum latency and "
-                "no jitter/contention/drop state, and the flow-control "
-                "policy decides eager sends without receiver state "
-                "(standard, always-rendezvous); anything else falls back "
-                "in-process and records the reason in parallel_info",
-            },
         ],
+        "engine_jobs": {
+            "description": "1 runs in-process (the default); 0 or 2 and up "
+            "partitions the ranks over that many worker processes (0: the "
+            "CPU count), synchronised in conservative windows of the "
+            "minimum network latency, each draining under the engine; "
+            "bit-identical to the in-process run",
+            "engages_when": "at least 2 resolved workers and ranks, all rank "
+            "programs compile, the network has a positive minimum latency "
+            "and no jitter/contention/drop state, and the flow-control "
+            "policy decides eager sends without receiver state (standard, "
+            "always-rendezvous); anything else runs in-process and records "
+            "the reason in parallel_info",
+        },
         "workloads": workload_names(),
         "paper_configurations": [
             {
@@ -706,6 +701,9 @@ def _cmd_list(args) -> int:
     for entry in listing["engines"]:
         print(f"  {entry['name']}: {entry['description']}")
         print(f"    engages when: {entry['engages_when']}")
+    jobs = listing["engine_jobs"]
+    print(f"  engine_jobs: {jobs['description']}")
+    print(f"    partitions when: {jobs['engages_when']}")
     serve = listing["serve"]
     print("\nserve (online prediction service):")
     print(f"  transports: {', '.join(serve['transports'])}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import check_non_negative, check_positive, check_rank
+from repro.util.validation import check_positive, check_rank
 
 __all__ = ["BufferPoolStats", "EagerBufferPool"]
 
@@ -123,10 +123,9 @@ class EagerBufferPool:
 
         Returns the storage class used: ``"buffer"`` if it fit in the peer's
         eager buffer, ``"heap"`` if heap memory had to be allocated (the
-        out-of-memory risk the paper's Section 2.2 describes).
+        out-of-memory risk the paper's Section 2.2 describes).  ``nbytes`` is
+        not checked here: the transport refused a negative size at the send.
         """
-        check_non_negative("nbytes", nbytes)
-        nbytes = int(nbytes)
         # _has_buffer inlined: this runs once per unexpected eager arrival.
         if (
             peer != self.rank and 0 <= peer < self.nprocs
@@ -150,8 +149,6 @@ class EagerBufferPool:
         Raises ``ValueError`` when more bytes are released than are held:
         every byte stored must come back exactly once.
         """
-        check_non_negative("nbytes", nbytes)
-        nbytes = int(nbytes)
         if storage == "buffer":
             held = self._occupied.get(peer, 0)
         elif storage == "heap":

@@ -162,6 +162,11 @@ class Transport:
         self._copy_bandwidth = machine.unexpected_copy_bandwidth
         self.policy = policy or StandardFlowControl()
         self.policy.bind(machine, nprocs)
+        # StandardFlowControl.allows_eager is a pure size test: both send
+        # paths make it inline against this threshold (None: ask the policy).
+        self._standard_eager = (
+            machine.eager_threshold if type(self.policy) is StandardFlowControl else None
+        )
         # Skip the delivery notification entirely for policies that keep the
         # base no-op hooks (the standard/baseline policies): a bound no-op
         # method call per run is measurable on the delivery path.
@@ -291,7 +296,11 @@ class Transport:
             raise ValueError(f"message size must be non-negative, got {nbytes}")
 
         size_says_eager = nbytes <= self._eager_threshold
-        use_eager = self.policy.allows_eager(rank, dst, nbytes, kind, now)
+        standard_eager = self._standard_eager
+        if standard_eager is None:
+            use_eager = self.policy.allows_eager(rank, dst, nbytes, kind, now)
+        else:
+            use_eager = nbytes <= standard_eager
         pool = self._request_pool
         if use_eager and blocking:
             request = None
@@ -328,10 +337,10 @@ class Transport:
         kinds: list[str],
         nows: list[float],
     ) -> list[Request]:
-        """Execute many sends posted at one timestamp cohort (vectorised lane).
+        """Execute many sends posted at one timestamp cohort (the cohort lane).
 
         Bit-identical to calling :meth:`post_send_values` once per message in
-        list order (which is what the engine does with cohorting off),
+        list order (which is what the engine does under ``engine="scalar"``),
         returning the requests in the same order.
 
         When the network is :attr:`~repro.sim.network.NetworkModel.deterministic`
@@ -369,12 +378,8 @@ class Transport:
         nprocs = self.nprocs
         pool = self._request_pool
         eager_threshold = self._eager_threshold
-        policy = self.policy
-        # StandardFlowControl.allows_eager is a pure size test; inlining it
-        # skips one method call per message without changing the decision.
-        standard = type(policy) is StandardFlowControl
-        standard_threshold = policy.machine.eager_threshold if standard else 0
-        allows_eager = policy.allows_eager
+        standard_eager = self._standard_eager
+        allows_eager = self.policy.allows_eager
         send_overhead = self._send_overhead
         channel_last = self._channel_last_arrival
         latency = network._latency
@@ -405,10 +410,10 @@ class Transport:
             now = nows[i]
             request = pool.pop()._reuse("send", rank) if pool else Request("send", rank)
             size_says_eager = nbytes <= eager_threshold
-            if standard:
-                policy_allows = nbytes <= standard_threshold
-            else:
+            if standard_eager is None:
                 policy_allows = allows_eager(rank, dst, nbytes, kind, now)
+            else:
+                policy_allows = nbytes <= standard_eager
             protocol = "eager" if policy_allows else "rendezvous"
             message = Message(rank, dst, tags[i], nbytes, kind, protocol)
             sent_bytes += nbytes

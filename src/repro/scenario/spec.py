@@ -54,7 +54,7 @@ from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
 from repro.sim.registry import create_faults, create_machine, create_network
 from repro.util.digest import sha256
-from repro.util.registry import ENGINES
+from repro.util.registry import check_engine
 
 if TYPE_CHECKING:
     from repro.workloads.base import Workload
@@ -296,15 +296,15 @@ class ScenarioSpec:
     max_wall_seconds: float | None = None
     compiled: bool = True
     #: Engine drain selection forwarded to :class:`repro.sim.engine.Simulator`
-    #: (``"auto"``/``"scalar"``/``"vectorised"``/``"parallel"``).  Deliberately
-    #: **excluded** from :meth:`to_dict` and :meth:`content_hash`: all drains
-    #: produce bit-identical results, so the knob is an execution detail —
-    #: specs that differ only in it share sweep cache cells and summary output.
+    #: (``"auto"``/``"scalar"``).  Deliberately **excluded** from
+    #: :meth:`to_dict` and :meth:`content_hash`: all drains produce
+    #: bit-identical results, so the knob is an execution detail — specs
+    #: that differ only in it share sweep cache cells and summary output.
     engine: str = "auto"
-    #: Worker-process count for ``engine="parallel"`` (ignored otherwise).
-    #: 0 means auto-tune: the engine resolves it to ``os.cpu_count()``.
-    #: Excluded from identity for the same reason as ``engine``.
-    engine_jobs: int = 2
+    #: Worker-process count: 1 runs in-process, 2 and up partitions the
+    #: ranks, 0 partitions over ``os.cpu_count()`` workers.  Excluded from
+    #: identity for the same reason as ``engine``.
+    engine_jobs: int = 1
 
     def __post_init__(self) -> None:
         coerce = object.__setattr__
@@ -315,14 +315,8 @@ class ScenarioSpec:
             raise ValueError(
                 f"max_wall_seconds must be positive, got {self.max_wall_seconds}"
             )
-        if self.engine not in ENGINES:
-            message = "engine must be {!r}, {!r}, {!r} or {!r}, got {!r}"
-            raise ValueError(message.format(*ENGINES, self.engine))
         coerce(self, "engine_jobs", int(self.engine_jobs))
-        if self.engine_jobs < 0:
-            raise ValueError(
-                f"engine_jobs must be positive (or 0 for auto), got {self.engine_jobs}"
-            )
+        check_engine(self.engine, self.engine_jobs)
 
     # -- identity ----------------------------------------------------------
     @property
@@ -336,15 +330,15 @@ class ScenarioSpec:
 
         LU's per-scale message volume is ~10x the other applications', the
         same weighting :mod:`repro.analysis.experiments` has always used to
-        pack the process pool.  A ``parallel``-engine cell spreads its events
-        over ``engine_jobs`` workers, so its wall-clock share shrinks
+        pack the process pool.  A cell with ``engine_jobs`` above 1 spreads
+        its events over that many workers, so its wall-clock share shrinks
         accordingly — the sweep scheduler should not treat it as the longest
         job just because its rank count is large.
         """
         scale = self.workload.scale if self.workload.scale is not None else 1.0
         weight = 10.0 if self.workload.name == "lu" else 1.0
         cost = self.workload.nprocs * scale * weight
-        if self.engine == "parallel" and self.engine_jobs > 1:
+        if self.engine_jobs > 1:
             cost /= self.engine_jobs
         return cost
 

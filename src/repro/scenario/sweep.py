@@ -438,15 +438,14 @@ class Sweep:
         pool down (no leaked workers), and raises :class:`SweepAborted` on
         the first failure instead of recording it.
 
-        ``engine`` (``"auto"``/``"scalar"``/``"vectorised"``/``"parallel"``)
-        overrides the run-loop drain of *every* cell — the A/B switch for
-        the vectorised and parallel engines — and ``engine_jobs`` overrides
-        the parallel engine's per-cell worker count.  Neither can change
-        results (outputs are bit-identical across drains, and the spec
-        content hash excludes both), so checkpoints and summaries are
-        engine-agnostic.  When parallel cells meet a sharded pool, the pool
-        width is capped so ``jobs x engine_jobs`` does not oversubscribe the
-        machine's CPUs (a ``RuntimeWarning`` reports the applied cap).
+        ``engine`` (``"auto"``/``"scalar"``) overrides the run-loop drain of
+        *every* cell, and ``engine_jobs`` its partition worker count.
+        Neither can change results (outputs are bit-identical across drains
+        and partitions, and the spec content hash excludes both), so
+        checkpoints and summaries are engine-agnostic.  When partitioned
+        cells meet a sharded pool, the pool width is capped so ``jobs x
+        engine_jobs`` does not oversubscribe the machine's CPUs (a
+        ``RuntimeWarning`` reports the applied cap).
         """
         if resume and out is None:
             raise ValueError("run_all(resume=True) needs an output directory (out=)")
@@ -463,10 +462,7 @@ class Sweep:
             cpus = os.cpu_count() or 1
             # engine_jobs == 0 is "auto": the engine resolves it to the CPU
             # count, so the cap must budget for that resolved width.
-            widest = max(
-                (s.engine_jobs or cpus for s in specs if s.engine == "parallel"),
-                default=1,
-            )
+            widest = max(spec.engine_jobs or cpus for spec in specs)
             if widest > 1 and jobs * widest > cpus:
                 capped = max(1, cpus // widest)
                 warnings.warn(

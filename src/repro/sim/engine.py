@@ -46,12 +46,12 @@ per-event allocation entirely:
   :meth:`repro.runtime.transport.Transport.deliver_cohort` call, which feeds
   the online predictive policies one burst per receiver
   (:meth:`repro.runtime.protocol.FlowControlPolicy.on_burst_delivered`).
-* With *cohorting* on (``engine="vectorised"``, or ``"auto"`` from
-  ``_VECTOR_MIN_RANKS`` compiled ranks), a consecutive same-timestamp run of
-  compiled-rank steps is collected into a cohort and executed segment by
-  segment through the ``_vec_*`` handlers: one batch event record per
-  segment, and one transport burst call for a segment of isends.  With cohorting off (``engine="scalar"``)
-  the same loop hands each step straight to :meth:`Simulator._step_compiled`.
+* Under ``engine="auto"`` (the default), a consecutive same-timestamp run of
+  at least ``_VECTOR_MIN_COHORT`` compiled-rank steps is collected into a
+  cohort and executed segment by segment through the ``_vec_*`` handlers:
+  one batch event record per segment, and one transport burst call for a
+  segment of isends.  Under ``engine="scalar"`` the same loop hands each
+  step straight to :meth:`Simulator._step_compiled`.
 
 Determinism is unchanged: every event still executes in exact global
 ``(time, seq)`` order, so simulation outputs are bit-identical with
@@ -113,7 +113,7 @@ from repro.sim.events import (
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig, NetworkModel
 from repro.trace.tracer import TwoLevelTracer
-from repro.util.registry import ENGINES
+from repro.util.registry import check_engine
 from repro.util.rng import SeededRNG
 
 __all__ = ["Simulator", "SimulationResult", "RankState", "RankStatus"]
@@ -121,18 +121,14 @@ __all__ = ["Simulator", "SimulationResult", "RankState", "RankStatus"]
 #: A program factory takes a rank context and returns the rank's generator.
 ProgramFactory = Callable[[RankContext], Generator[Operation, object, None]]
 
-#: ``engine="auto"`` turns cohorting on at this many compiled ranks.  Below
-#: it, cohorts are too small for the collect/dispatch overhead to amortise.
-#: At 256 ranks, with the run loop peeking before it starts a cohort, the
-#: traced probe ``sim.auto_vs_scalar`` (scalar over auto run time, read by
-#: ``bench/run.py --workload W --trace 1``) read 2.42 / 1.71 / 2.64x on
+#: Minimum cohort size worth routing through ``_exec_cohort`` under
+#: ``engine="auto"``; smaller cohorts run the scalar ``_step_compiled`` path
+#: directly.  The width is measured per cohort, so the job size does not
+#: enter: the traced probe ``sim.auto_vs_scalar`` (scalar over auto run
+#: time, ``bench/run.py --workload W --trace 1``) read 2.42 / 1.71 / 2.64x on
 #: ``sim-lockstep-bt`` (wide cohorts) and 1.02 / 1.07 / 0.95x on
 #: ``sim-wavefront-lu`` (a lone step builds no cohort), three runs each on a
-#: 2-CPU host: the batch lane wins where cohorts are wide, parity elsewhere.
-_VECTOR_MIN_RANKS = 16
-
-#: Minimum cohort size worth routing through ``_exec_cohort``; smaller
-#: cohorts run the scalar ``_step_compiled`` path directly.
+#: 2-CPU host.
 _VECTOR_MIN_COHORT = 4
 
 
@@ -203,12 +199,12 @@ class SimulationResult:
     #: Fault-injection accounting (:meth:`FaultInjector.counters`), or None
     #: when the run had no active fault models.
     fault_stats: dict | None = None
-    #: Parallel-engine diagnostics: ``{"partitions": k, "windows": n,
+    #: Partition diagnostics: ``{"partitions": k, "windows": n,
     #: "lookahead": s, "engine_jobs": j}`` when the run was partitioned
     #: across worker processes, ``{"fallback": reason, "engine_jobs": j}``
-    #: when ``engine="parallel"`` was requested but the configuration was
+    #: when ``engine_jobs`` asked for partitions but the configuration was
     #: ineligible (the run then executed in-process, bit-identically), and
-    #: None for non-parallel engines.  ``engine_jobs`` is the *resolved*
+    #: None with ``engine_jobs=1``.  ``engine_jobs`` is the *resolved*
     #: worker count — ``engine_jobs=0`` auto-tunes to ``os.cpu_count()``.
     parallel_info: dict | None = None
 
@@ -263,28 +259,25 @@ class Simulator:
         zero) is ignored entirely, so the run is bit-identical to passing
         ``None``.
     engine:
-        Whether the run loop batches timestamp cohorts: ``"scalar"`` steps
-        every rank on its own, ``"vectorised"`` collects same-timestamp
-        cohorts of compiled ranks and executes them in batches (generator
-        ranks always step on their own), and ``"auto"`` (the default) batches
-        when at least ``_VECTOR_MIN_RANKS`` ranks are compiled.  Either way
-        the simulation is **bit-identical** — traces, stats, event counts and
-        fault counters; the knob only trades constant factors.
-
-        ``"parallel"`` partitions the ranks across ``engine_jobs`` worker
-        processes synchronised in conservative windows of width
-        ``network.min_latency()`` (see :mod:`repro.sim.partition`).  Outputs
-        are bit-identical to the in-process drains.  Configurations the
-        conservative protocol cannot partition safely — zero minimum
-        latency, jittered/contended network models, flow-control
-        policies whose eager decisions read receiver state, generator
-        ranks — transparently fall back to the in-process ``"auto"``
-        selection, recording the reason in
-        :attr:`SimulationResult.parallel_info`.
+        Whether the run loop may batch timestamp cohorts: ``"auto"`` (the
+        default) executes a same-timestamp run of at least
+        ``_VECTOR_MIN_COHORT`` compiled-rank steps in batches (generator
+        ranks always step on their own), ``"scalar"`` steps every rank on
+        its own.  Either way the simulation is **bit-identical** — traces,
+        stats, event counts and fault counters; the knob only trades
+        constant factors.
     engine_jobs:
-        Number of worker processes for ``engine="parallel"`` (ignored by the
-        other engines).  ``0`` auto-tunes to ``os.cpu_count()``; resolved
-        values below 2 fall back to in-process execution.
+        ``1`` (the default) runs in-process.  ``0`` (one partition per CPU,
+        ``os.cpu_count()``) or ``2`` and up partitions the ranks across that
+        many worker processes synchronised in conservative windows of width
+        ``network.min_latency()`` (see :mod:`repro.sim.partition`), each
+        draining under ``engine``.  Outputs are bit-identical to the
+        in-process run.  Configurations the conservative protocol cannot
+        partition safely — zero minimum latency, jittered/contended network
+        models, flow-control policies whose eager decisions read receiver
+        state, generator ranks, fewer than 2 resolved workers — run
+        in-process instead and record the reason in
+        :attr:`SimulationResult.parallel_info`.
 
     A ``Simulator`` instance is **single-use**: :meth:`run` consumes the
     event queue, transport matching state and jitter RNG streams, so a second
@@ -305,22 +298,16 @@ class Simulator:
         max_wall_seconds: float | None = None,
         faults: FaultConfig | FaultInjector | None = None,
         engine: str = "auto",
-        engine_jobs: int = 2,
+        engine_jobs: int = 1,
     ) -> None:
         if nprocs <= 0:
             raise ValueError(f"nprocs must be positive, got {nprocs}")
-        if engine not in ENGINES:
-            message = "engine must be {!r}, {!r}, {!r} or {!r}, got {!r}"
-            raise ValueError(message.format(*ENGINES, engine))
-        if engine_jobs == 0:
-            # Auto-tune: one partition per available core.
-            engine_jobs = os.cpu_count() or 1
-        if engine_jobs < 0:
-            raise ValueError(
-                f"engine_jobs must be positive (or 0 for auto), got {engine_jobs}"
-            )
-        self.engine = engine
-        self.engine_jobs = engine_jobs
+        check_engine(engine, engine_jobs)
+        # Whether the run loop collects compiled-rank step cohorts.
+        self._cohorting = engine == "auto"
+        self._partitioned = engine_jobs != 1
+        # Auto-tune 0 to one partition per available core.
+        self.engine_jobs = engine_jobs or os.cpu_count() or 1
         #: See :attr:`SimulationResult.parallel_info`.
         self.parallel_info: dict | None = None
         self.nprocs = nprocs
@@ -371,11 +358,8 @@ class Simulator:
         self.time = 0.0
         self._done_count = 0
         self._started = False
-        # Whether the run loop collects compiled-rank step cohorts; decided
-        # in run() from ``engine`` and the number of compiled ranks.
-        self._cohorting = False
-        #: Number of cohorts executed through the vectorised lane (0 with
-        #: cohorting off); exposed for tests and benchmarks.
+        #: Number of cohorts executed through the batch lane (0 under
+        #: ``engine="scalar"``); exposed for tests and benchmarks.
         self.vector_cohorts = 0
         self._op_table = {
             ComputeOp: self._op_compute,
@@ -482,14 +466,11 @@ class Simulator:
                 )
             self._ranks.append(state)
 
-        if self.engine == "parallel":
+        if self._partitioned:
             reason = self._parallel_fallback_reason()
             if reason is None:
                 from repro.sim.partition import run_partitioned
 
-                # Eligibility means every rank is compiled; each partition
-                # worker drains its windows with cohorting on.
-                self._cohorting = True
                 return run_partitioned(self)
             # Ineligible configuration: run in-process (bit-identical by
             # construction) and record why the partitioned path disengaged,
@@ -499,15 +480,6 @@ class Simulator:
         self._done_count = 0
         for state in self._ranks:
             self.schedule_step(0.0, state, None)
-
-        compiled_count = sum(1 for s in self._ranks if s.compiled is not None)
-        self._cohorting = compiled_count > 0 and (
-            self.engine == "vectorised"
-            or (
-                self.engine in ("auto", "parallel")
-                and compiled_count >= _VECTOR_MIN_RANKS
-            )
-        )
 
         # The run allocates ~15 short-lived objects per simulated message and
         # creates no reference cycles of its own; pausing the cyclic collector
@@ -542,7 +514,7 @@ class Simulator:
         )
 
     def _parallel_fallback_reason(self) -> str | None:
-        """Why ``engine="parallel"`` cannot partition this run (None = it can).
+        """Why ``engine_jobs`` cannot partition this run (None = it can).
 
         The conservative protocol requires a positive lookahead (the minimum
         network latency), a partition-safe network (no jitter or contention —
@@ -550,7 +522,7 @@ class Simulator:
         sequence, which no partition sees), a partition-safe
         flow-control policy (eager decisions must not read receiver-side
         state across the partition boundary), compiled rank programs (the
-        windowed drain cohorts compiled lanes) and a ``fork`` start method
+        windowed drain steps compiled lanes) and a ``fork`` start method
         (workers inherit the fully-built simulator by address).
         """
         if self.engine_jobs < 2:
@@ -583,8 +555,8 @@ class Simulator:
         event and the method-call overhead alone is measurable.
 
         A consecutive same-timestamp run of deliveries is collected and
-        handed to one :meth:`Transport.deliver_cohort` call.  With cohorting
-        on, a run of *consecutive* same-timestamp step records for compiled
+        handed to one :meth:`Transport.deliver_cohort` call.  Under
+        ``engine="auto"``, a run of *consecutive* same-timestamp step records for compiled
         ranks (and any ``EVENT_STEP_BATCH`` records, which only cohort
         execution creates) is likewise collected into a cohort and handed to
         :meth:`_exec_cohort`, which executes same-op segments in one pass
@@ -595,10 +567,10 @@ class Simulator:
         starts a cohort only when the record behind it is a same-time
         compiled step: the loop peeks first, so a lone step (the rule on a
         wavefront) builds no cohort.  Lone steps, cohorts below
-        ``_VECTOR_MIN_COHORT`` and, with cohorting off, every compiled step
-        go to :meth:`_step_compiled` per rank.
+        ``_VECTOR_MIN_COHORT`` and, under ``engine="scalar"``, every compiled
+        step go to :meth:`_step_compiled` per rank.
 
-        ``until`` bounds one conservative window of the parallel engine: the
+        ``until`` bounds one conservative window of a partitioned run: the
         loop returns as soon as the next event lies at or beyond it
         (leaving that event queued), so a partition drains exactly the
         events with ``time < until``.  ``None`` (every in-process run)
@@ -625,7 +597,7 @@ class Simulator:
         cohort = None
         current = self.time
         while True:
-            # Window bound (parallel engine): stop before popping anything
+            # Window bound (partitioned run): stop before popping anything
             # at/after ``until``.
             if not heap or (until is not None and heap[0][EV_TIME] >= until):
                 return

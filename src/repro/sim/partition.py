@@ -1,9 +1,9 @@
 """Conservative parallel execution: rank partitions over worker processes.
 
-``engine="parallel"`` splits the simulated ranks into disjoint partitions,
-forks one worker process per partition (each inheriting the fully-built
-:class:`~repro.sim.engine.Simulator` copy-on-write) and advances all of them
-in *conservative windows*:
+An ``engine_jobs`` of 0 or 2 and up splits the simulated ranks into
+disjoint partitions, forks one worker process per partition (each
+inheriting the fully-built :class:`~repro.sim.engine.Simulator`
+copy-on-write) and advances all of them in *conservative windows*:
 
 1. Every worker reports the timestamp of its next pending event and hands
    over the cross-partition records its transport buffered (eager payloads,
@@ -16,7 +16,7 @@ in *conservative windows*:
 3. Records are routed to their destination partitions, sorted by
    ``(time, origin_partition, seq)``, injected, and every worker drains its
    queue up to (but excluding) the window end through the engine's run loop
-   with cohorting on (:meth:`Simulator._run_loop` with ``until=``).
+   under the run's ``engine`` (:meth:`Simulator._run_loop` with ``until=``).
 
 Safety is the classic conservative-lookahead argument: any event executed in
 the window happens at ``t < T + lookahead``, and any message it emits toward
@@ -100,7 +100,7 @@ def run_partitioned(sim):
     lookahead = sim.network.min_latency()
     if lookahead <= 0.0:
         raise SimulationError(
-            "parallel engine requires a positive minimum network latency as "
+            "a partitioned run requires a positive minimum network latency as "
             f"its conservative lookahead, got {lookahead!r}"
         )
     rank_part = [0] * nprocs

@@ -18,10 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-__all__ = ["ENGINES", "ComponentEntry", "ComponentRegistry"]
+__all__ = ["ENGINES", "ComponentEntry", "ComponentRegistry", "check_engine"]
 
 #: The drains ``Simulator(engine=...)`` accepts (here, so the CLI needs no simulator).
-ENGINES = ("auto", "scalar", "vectorised", "parallel")
+ENGINES = ("auto", "scalar")
+
+
+def check_engine(engine: str, engine_jobs: int) -> None:
+    """Refuse an ``(engine, engine_jobs)`` pair ``Simulator`` cannot run."""
+    if engine not in ENGINES:
+        raise ValueError("engine must be {!r} or {!r}, got {!r}".format(*ENGINES, engine))
+    if engine_jobs < 0:
+        raise ValueError(f"engine_jobs must be positive (or 0 for auto), got {engine_jobs}")
 
 
 @dataclass(frozen=True)

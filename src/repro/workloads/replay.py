@@ -29,8 +29,8 @@ construction —
 
 Because the program is a pure function of the file content, it compiles
 onto the op-array fast lane (all-upfront irecvs, sends, one
-``OP_WAITALL``) and runs bit-identically on the scalar, vectorised and
-parallel engines.  The file's SHA-256 digest is part of
+``OP_WAITALL``) and runs bit-identically under both drains, in-process or
+partitioned.  The file's SHA-256 digest is part of
 :meth:`ReplayWorkload.parameters`, so the schedule cache can never serve
 stale lanes after the file changes.
 

@@ -206,6 +206,24 @@ class TestCLICommands:
         assert serve["snapshot_format"] == {"name": "repro-serve-snapshot", "version": 4}
         assert serve["default_predictor"] == "periodicity"
         assert serve["routing"] == "crc32(key) % shards"
+        # Two drains; partitioning is engine_jobs, not a third engine.
+        assert [entry["name"] for entry in listing["engines"]] == ["auto", "scalar"]
+        assert "parallel_info" in listing["engine_jobs"]["engages_when"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("engine", ["parallel", "vectorised"])
+    def test_retired_engine_is_one_argparse_line(self, command, engine, capsys):
+        target = "bt.4" if command == "run" else "sweep.toml"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, target, "--engine", engine])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"repro {command}: error: argument --engine: invalid choice: "
+            f"'{engine}' (choose from 'auto', 'scalar')"
+        ]
 
 
 class TestCLIBuildErrorsAreOneLine:

@@ -7,8 +7,8 @@ the same flattened generator), on every engine drain, under every
 flow-control policy, with and without fault injection.
 
 ``tests/test_workloads_compile.py`` pins the lane *encoding*; this module
-pins the *outputs*: the full {generator, compiled} x {scalar, vectorised,
-parallel} x policy x fault matrix over the collective coverage workload,
+pins the *outputs*: the full {generator, compiled} x {scalar, auto,
+auto over two partitions} x policy x fault matrix over the collective coverage workload,
 plus a hypothesis property over random collective/point-to-point
 interleavings.
 """
@@ -30,14 +30,15 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     HAVE_HYPOTHESIS = False
 
-#: Deterministic positive-latency network so the parallel engine engages.
+#: Deterministic positive-latency network so a partitioned run engages.
 NETWORK = create_network("noiseless", latency=25e-6)
 
 POLICIES = ["standard", "predictive-buffers", "predictive-credits", "predictive-rendezvous"]
 
 FAULT_PRESETS = [None, "chaos"]
 
-ENGINES = ["scalar", "vectorised", "parallel"]
+#: (engine, engine_jobs): both drains in-process, and auto over two partitions.
+ENGINES = {"scalar": ("scalar", 1), "auto": ("auto", 1), "partitioned": ("auto", 2)}
 
 
 def fingerprint(result):
@@ -56,7 +57,7 @@ def fingerprint(result):
     )
 
 
-def run_mix(policy, faults, engine, compiled, workload=None):
+def run_mix(policy, faults, engine, compiled, workload=None, engine_jobs=1):
     workload = workload or create_workload("collective-mix", nprocs=4, iterations=3)
     simulator = Simulator(
         nprocs=workload.nprocs,
@@ -65,7 +66,7 @@ def run_mix(policy, faults, engine, compiled, workload=None):
         faults=create_faults(faults or "none"),
         network=NETWORK,
         engine=engine,
-        engine_jobs=2,
+        engine_jobs=engine_jobs,
     )
     return simulator.run([workload.program_for if compiled else workload.program])
 
@@ -84,12 +85,13 @@ def baseline(policy, faults):
 class TestCollectiveEquivalenceMatrix:
     """{generator, compiled} x engines x policies x faults, one fingerprint."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("run", ENGINES)
     @pytest.mark.parametrize("faults", FAULT_PRESETS)
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("compiled", [False, True], ids=["generator", "compiled"])
-    def test_bit_identical_outputs(self, compiled, policy, faults, engine):
-        result = run_mix(policy, faults, engine, compiled)
+    def test_bit_identical_outputs(self, compiled, policy, faults, run):
+        engine, engine_jobs = ENGINES[run]
+        result = run_mix(policy, faults, engine, compiled, engine_jobs=engine_jobs)
         assert fingerprint(result) == baseline(policy, faults)
 
     def test_collective_mix_actually_compiles(self):
@@ -180,7 +182,7 @@ class TestRandomInterleavings:
     @given(steps=_steps, nprocs=st.sampled_from([2, 4]))
     def test_compiled_matches_generator(self, steps, nprocs):
         compiled_run = run_mix(
-            "standard", None, "vectorised", compiled=True,
+            "standard", None, "auto", compiled=True,
             workload=_InterleavedWorkload(nprocs=nprocs, steps=steps),
         )
         generator_run = run_mix(

@@ -1,13 +1,14 @@
-"""Equivalence of the run loop with cohorting on (vectorised) and off (scalar).
+"""Equivalence of the run loop with cohorting on (auto) and off (scalar).
 
 The contract of the engine knob: whether the run loop batches timestamp
 cohorts is an implementation detail.  For every registry workload, under every flow-control
-policy, with and without fault injection, a ``engine="vectorised"`` run must
+policy, with and without fault injection, an ``engine="auto"`` run must
 be **bit-identical** to an ``engine="scalar"`` run — same makespan, same
 per-rank finish times, same processed-event count, same runtime statistics,
 same fault counters, and the same trace records at both levels — and sweeps
 sharded over worker processes must behave identically under an engine
-override.
+override.  The same holds for ranks partitioned over ``engine_jobs`` worker
+processes, under either drain.
 """
 
 from pathlib import Path
@@ -68,7 +69,7 @@ def fingerprint(result):
 
 
 def run_cell(
-    name, nprocs, kwargs, policy, faults, engine, seed=23, network=None, engine_jobs=2
+    name, nprocs, kwargs, policy, faults, engine, seed=23, network=None, engine_jobs=1
 ):
     spec = ScenarioSpec(
         workload={"name": name, "nprocs": nprocs, **kwargs},
@@ -83,22 +84,22 @@ def run_cell(
 
 
 class TestRegistryEquivalence:
-    """Full registry x all four policies x fault presets, scalar vs vectorised."""
+    """Full registry x all four policies x fault presets, scalar vs auto."""
 
     @pytest.mark.parametrize("faults", FAULT_PRESETS)
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("name,nprocs,kwargs", REGISTRY_CELLS)
     def test_bit_identical_outputs(self, name, nprocs, kwargs, policy, faults):
         scalar = run_cell(name, nprocs, kwargs, policy, faults, engine="scalar")
-        vectorised = run_cell(name, nprocs, kwargs, policy, faults, engine="vectorised")
-        assert fingerprint(vectorised) == fingerprint(scalar)
+        auto = run_cell(name, nprocs, kwargs, policy, faults, engine="auto")
+        assert fingerprint(auto) == fingerprint(scalar)
 
     def test_registry_cells_cover_the_registry(self):
         assert sorted(name for name, _, _ in REGISTRY_CELLS) == workload_names()
 
 
-class TestVectorisedPathEngages:
-    """The forced/auto knobs actually reach the batch dispatch."""
+class TestCohortPathEngages:
+    """``engine="auto"`` reaches the batch dispatch; ``"scalar"`` never does."""
 
     def _count_batches(self, monkeypatch):
         # _exec_cohort is the cohort dispatch entry (never reached with
@@ -114,7 +115,7 @@ class TestVectorisedPathEngages:
         monkeypatch.setattr(Simulator, "_exec_cohort", counting)
         return calls
 
-    def test_forced_vectorised_batches_cohorts(self, monkeypatch):
+    def test_auto_batches_cohorts(self, monkeypatch):
         from repro.analysis.scaling import lockstep_scale_configs
 
         calls = self._count_batches(monkeypatch)
@@ -126,27 +127,64 @@ class TestVectorisedPathEngages:
             machine=machine,
             network=network,
             tracer=False,
-            engine="vectorised",
-        ).run([workload.program_for])
-        assert result.events_processed > 0
-        assert calls["step"] > 0, "vectorised engine never batched a step cohort"
-
-    def test_auto_selects_vectorised_at_scale(self, monkeypatch):
-        # 16 compiled ranks is the auto threshold (_VECTOR_MIN_RANKS).
-        from repro.analysis.scaling import lockstep_scale_configs
-
-        calls = self._count_batches(monkeypatch)
-        machine, network = lockstep_scale_configs()
-        workload = create_workload("bt", 16, iterations=2, compute_noise=0.0)
-        Simulator(
-            workload.nprocs,
-            seed=5,
-            machine=machine,
-            network=network,
-            tracer=False,
             engine="auto",
         ).run([workload.program_for])
-        assert calls["step"] > 0
+        assert result.events_processed > 0
+        assert calls["step"] > 0, "engine='auto' never batched a step cohort"
+
+    def test_auto_cohorts_a_four_rank_job(self):
+        # No job-size threshold: a 4-rank lockstep cohort is batched, and
+        # the run equals the scalar one.
+        from repro.analysis.scaling import lockstep_scale_configs
+
+        def run(engine):
+            machine, network = lockstep_scale_configs()
+            workload = create_workload("bt", 4, iterations=2, compute_noise=0.0)
+            simulator = Simulator(
+                workload.nprocs,
+                seed=5,
+                machine=machine,
+                network=network,
+                engine=engine,
+            )
+            return simulator, simulator.run([workload.program_for])
+
+        auto_sim, auto = run("auto")
+        scalar_sim, scalar = run("scalar")
+        assert auto_sim.vector_cohorts > 0
+        assert scalar_sim.vector_cohorts == 0
+        assert fingerprint(auto) == fingerprint(scalar)
+
+    def test_scalar_drain_over_two_partitions(self):
+        # engine_jobs alone partitions; each worker drains under "scalar".
+        from repro.analysis.scaling import partitioned_scale_configs
+
+        def run(engine_jobs):
+            machine, network = partitioned_scale_configs()
+            workload = create_workload("bt", 16, iterations=1, compute_noise=0.0)
+            simulator = Simulator(
+                workload.nprocs,
+                seed=5,
+                machine=machine,
+                network=network,
+                engine="scalar",
+                engine_jobs=engine_jobs,
+            )
+            return simulator, simulator.run([workload.program_for])
+
+        partitioned_sim, partitioned = run(2)
+        in_process_sim, in_process = run(1)
+        info = partitioned.parallel_info
+        assert info == {
+            "partitions": 2,
+            "windows": info["windows"],
+            "lookahead": info["lookahead"],
+            "engine_jobs": 2,
+        }
+        assert info["windows"] > 0
+        assert in_process.parallel_info is None
+        assert partitioned_sim.vector_cohorts == in_process_sim.vector_cohorts == 0
+        assert fingerprint(partitioned) == fingerprint(in_process)
 
     def test_scalar_never_batches(self, monkeypatch):
         calls = self._count_batches(monkeypatch)
@@ -165,7 +203,7 @@ class TestWideCohorts:
     widths the scaling benchmarks drive.
     """
 
-    def _run(self, engine, configs, policy="standard", tracer=False):
+    def _run(self, engine, configs, policy="standard", tracer=False, engine_jobs=1):
         from repro.predictive.registry import create_policy
 
         machine, network = configs()
@@ -178,29 +216,30 @@ class TestWideCohorts:
             policy=create_policy(policy),
             tracer=tracer,
             engine=engine,
+            engine_jobs=engine_jobs,
         ).run([workload.program_for])
 
-    def test_scalar_vectorised_parallel_agree(self):
-        # Zero latency leaves the parallel engine no lookahead, so it runs
+    def test_scalar_auto_partitioned_agree(self):
+        # Zero latency leaves a partitioned run no lookahead, so it runs
         # in-process; the positive-latency cell below partitions for real.
         from repro.analysis.scaling import lockstep_scale_configs
 
         scalar = self._run("scalar", lockstep_scale_configs)
-        vectorised = self._run("vectorised", lockstep_scale_configs)
-        parallel = self._run("parallel", lockstep_scale_configs)
-        assert "fallback" in parallel.parallel_info
-        assert fingerprint(vectorised) == fingerprint(scalar)
-        assert fingerprint(parallel) == fingerprint(scalar)
+        auto = self._run("auto", lockstep_scale_configs)
+        partitioned = self._run("auto", lockstep_scale_configs, engine_jobs=2)
+        assert "fallback" in partitioned.parallel_info
+        assert fingerprint(auto) == fingerprint(scalar)
+        assert fingerprint(partitioned) == fingerprint(scalar)
 
     def test_partitioned_wide_cohorts_agree(self):
         from repro.analysis.scaling import partitioned_scale_configs
 
         scalar = self._run("scalar", partitioned_scale_configs)
-        vectorised = self._run("vectorised", partitioned_scale_configs)
-        parallel = self._run("parallel", partitioned_scale_configs)
-        assert parallel.parallel_info["partitions"] == 2
-        assert fingerprint(vectorised) == fingerprint(scalar)
-        assert fingerprint(parallel) == fingerprint(scalar)
+        auto = self._run("auto", partitioned_scale_configs)
+        partitioned = self._run("auto", partitioned_scale_configs, engine_jobs=2)
+        assert partitioned.parallel_info["partitions"] == 2
+        assert fingerprint(auto) == fingerprint(scalar)
+        assert fingerprint(partitioned) == fingerprint(scalar)
 
     def test_policy_and_tracer_hooks_see_wide_delivery_runs(self):
         # With a tracer and a delivery-observing policy attached, one
@@ -208,19 +247,19 @@ class TestWideCohorts:
         from repro.analysis.scaling import lockstep_scale_configs
 
         runs = [
-            self._run(engine, lockstep_scale_configs, "predictive-credits", True)
-            for engine in ("scalar", "vectorised", "parallel")
+            self._run(engine, lockstep_scale_configs, "predictive-credits", True, jobs)
+            for engine, jobs in (("scalar", 1), ("auto", 1), ("auto", 2))
         ]
         assert fingerprint(runs[1]) == fingerprint(runs[0])
         assert fingerprint(runs[2]) == fingerprint(runs[0])
 
 
-#: Deterministic positive-latency network: the parallel engine's eligibility
+#: Deterministic positive-latency network: the partitioned run's eligibility
 #: gate (it derives its lookahead from the minimum link latency).  The
 #: default jittered/contended network must *fall back* instead.
 PARALLEL_NETWORK = "noiseless:latency=25e-6"
 
-#: Vectorised baselines for the parallel matrix, computed once per cell.
+#: In-process baselines for the partition matrix, computed once per cell.
 _parallel_baselines: dict = {}
 
 
@@ -230,7 +269,7 @@ def _baseline(name, nprocs, kwargs, faults):
         _parallel_baselines[key] = fingerprint(
             run_cell(
                 name, nprocs, kwargs, "standard", faults,
-                engine="vectorised", network=PARALLEL_NETWORK,
+                engine="auto", network=PARALLEL_NETWORK,
             )
         )
     return _parallel_baselines[key]
@@ -253,10 +292,10 @@ IN_STEP_CELLS = [
 
 
 class TestDeterministicNetworkEquivalence:
-    """Scalar vs vectorised where ``Transport.post_send_burst`` runs its own pass.
+    """Scalar vs auto where ``Transport.post_send_burst`` runs its own pass.
 
     The default jittered network makes the burst path fall back to one
-    ``post_send_values`` call per message, and the parallel matrix below
+    ``post_send_values`` call per message, and the partition matrix below
     compares two runs that both take the burst path.  These cells hold the
     pass — inline arrivals, deferred delivery batches, the flush before a
     rendezvous control message — to the per-message reference; IS at 16 ranks
@@ -266,33 +305,33 @@ class TestDeterministicNetworkEquivalence:
 
     @pytest.mark.parametrize("name,nprocs,kwargs", IN_STEP_CELLS)
     def test_bit_identical_outputs(self, name, nprocs, kwargs):
-        scalar, vectorised = (
+        scalar, auto = (
             run_cell(
                 name, nprocs, kwargs, "standard", None,
                 engine=engine, network=PARALLEL_NETWORK,
             )
-            for engine in ("scalar", "vectorised")
+            for engine in ("scalar", "auto")
         )
-        assert fingerprint(vectorised) == fingerprint(scalar)
+        assert fingerprint(auto) == fingerprint(scalar)
 
 
 class TestParallelEquivalence:
-    """Full registry x fault presets x {2, 3} partitions, parallel vs vectorised."""
+    """Full registry x fault presets x {2, 3} partitions, partitioned vs in-process."""
 
     @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("faults", FAULT_PRESETS)
     @pytest.mark.parametrize("name,nprocs,kwargs", REGISTRY_CELLS)
     def test_bit_identical_outputs(self, name, nprocs, kwargs, faults, jobs):
-        parallel = run_cell(
+        partitioned = run_cell(
             name, nprocs, kwargs, "standard", faults,
-            engine="parallel", network=PARALLEL_NETWORK, engine_jobs=jobs,
+            engine="auto", network=PARALLEL_NETWORK, engine_jobs=jobs,
         )
-        assert fingerprint(parallel) == _baseline(name, nprocs, kwargs, faults)
+        assert fingerprint(partitioned) == _baseline(name, nprocs, kwargs, faults)
 
     def test_engaged_run_reports_partition_info(self):
         result = run_cell(
             "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="parallel", network=PARALLEL_NETWORK, engine_jobs=3,
+            engine="auto", network=PARALLEL_NETWORK, engine_jobs=3,
         )
         info = result.parallel_info
         assert info is not None and "fallback" not in info
@@ -305,29 +344,28 @@ class TestParallelEquivalence:
         # Jitter makes arrival computation order-sensitive across partitions,
         # so the default network is ineligible — the run must complete
         # in-process (bit-identically) and say why.
-        parallel = run_cell(
-            "bt", 9, {"scale": 0.03}, "standard", None, engine="parallel"
+        partitioned = run_cell(
+            "bt", 9, {"scale": 0.03}, "standard", None, engine="auto", engine_jobs=2
         )
-        assert parallel.parallel_info is not None
-        assert "fallback" in parallel.parallel_info
-        baseline = run_cell(
-            "bt", 9, {"scale": 0.03}, "standard", None, engine="vectorised"
-        )
-        assert fingerprint(parallel) == fingerprint(baseline)
+        assert partitioned.parallel_info is not None
+        assert "fallback" in partitioned.parallel_info
+        baseline = run_cell("bt", 9, {"scale": 0.03}, "standard", None, engine="auto")
+        assert fingerprint(partitioned) == fingerprint(baseline)
 
     def test_partition_unsafe_policy_falls_back(self):
         result = run_cell(
             "bt", 9, {"scale": 0.03}, "predictive-credits", None,
-            engine="parallel", network=PARALLEL_NETWORK,
+            engine="auto", network=PARALLEL_NETWORK, engine_jobs=2,
         )
         assert "fallback" in result.parallel_info
 
-    def test_single_job_falls_back(self):
+    def test_single_job_runs_in_process(self):
+        # engine_jobs=1 asks for no partitions, so there is nothing to report.
         result = run_cell(
             "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="parallel", network=PARALLEL_NETWORK, engine_jobs=1,
+            engine="auto", network=PARALLEL_NETWORK, engine_jobs=1,
         )
-        assert "fallback" in result.parallel_info
+        assert result.parallel_info is None
 
 
 class TestEngineJobsAuto:
@@ -339,7 +377,7 @@ class TestEngineJobsAuto:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         result = run_cell(
             "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="parallel", network=PARALLEL_NETWORK, engine_jobs=0,
+            engine="auto", network=PARALLEL_NETWORK, engine_jobs=0,
         )
         info = result.parallel_info
         assert "fallback" not in info
@@ -354,7 +392,7 @@ class TestEngineJobsAuto:
         # with the *resolved* count, not the 0 sentinel.
         result = run_cell(
             "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="parallel", network=PARALLEL_NETWORK, engine_jobs=0,
+            engine="auto", network=PARALLEL_NETWORK, engine_jobs=0,
         )
         info = result.parallel_info
         assert "fallback" in info
@@ -366,6 +404,30 @@ class TestEngineJobsAuto:
         with pytest.raises(ValueError, match="engine_jobs"):
             ScenarioSpec(workload="bt.4", engine_jobs=-1)
 
+
+class TestRetiredEngineNames:
+    """The drains are ``auto`` and ``scalar``; partitioning is ``engine_jobs``."""
+
+    REFUSAL = "engine must be 'auto' or 'scalar', got {!r}"
+
+    @pytest.mark.parametrize("engine", ["vectorised", "parallel"])
+    def test_spec_refuses(self, engine):
+        with pytest.raises(ValueError) as raised:
+            ScenarioSpec(workload="bt.4", engine=engine)
+        assert str(raised.value) == self.REFUSAL.format(engine)
+
+    def test_simulator_refuses(self):
+        with pytest.raises(ValueError) as raised:
+            Simulator(nprocs=2, engine="parallel")
+        assert str(raised.value) == self.REFUSAL.format("parallel")
+
+    def test_sweep_toml_refuses(self, tmp_path):
+        path = tmp_path / "sweep.toml"
+        path.write_text('[base]\nworkload = "bt.4"\nengine = "vectorised"\n')
+        with pytest.raises(ValueError) as raised:
+            Sweep.from_toml(path).expand()
+        assert str(raised.value) == self.REFUSAL.format("vectorised")
+
     def test_auto_resolution_is_bit_identical(self, monkeypatch):
         import os
 
@@ -373,7 +435,7 @@ class TestEngineJobsAuto:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         auto = run_cell(
             "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="parallel", network=PARALLEL_NETWORK, engine_jobs=0,
+            engine="auto", network=PARALLEL_NETWORK, engine_jobs=0,
         )
         assert fingerprint(auto) == baseline
 
@@ -390,7 +452,7 @@ class TestEngineJobsAuto:
             cells=[{}, {"seed": 18}],
         )
         with pytest.warns(RuntimeWarning, match="oversubscribe"):
-            outcomes = sweep.run_all(jobs=2, engine="parallel", engine_jobs=0)
+            outcomes = sweep.run_all(jobs=2, engine_jobs=0)
         assert len(outcomes) == 2
         assert all(not isinstance(o, Exception) for o in outcomes)
 
@@ -413,7 +475,7 @@ class TestParallelPartitionProperty:
         if len(blocks) < 2:
             blocks = [list(range(0, 4)), list(range(4, nprocs))]
 
-        def run(engine):
+        def run(engine_jobs):
             workload = create_workload("bt", nprocs=nprocs, scale=0.03)
             network = NetworkModel(
                 NetworkConfig(latency=25e-6, jitter_sigma=0.0, contention=False),
@@ -424,22 +486,21 @@ class TestParallelPartitionProperty:
                 network=network,
                 tracer=True,
                 seed=23,
-                engine=engine,
-                engine_jobs=len(blocks),
+                engine_jobs=engine_jobs,
             )
             return sim.run([workload.program_for])
 
         # Forked partition workers inherit the patched module attribute.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(partition, "contiguous_blocks", lambda n, jobs: blocks)
-            parallel = run("parallel")
-        assert parallel.parallel_info == {
+            partitioned = run(len(blocks))
+        assert partitioned.parallel_info == {
             "partitions": len(blocks),
-            "windows": parallel.parallel_info["windows"],
+            "windows": partitioned.parallel_info["windows"],
             "lookahead": 25e-6,
             "engine_jobs": len(blocks),
         }
-        assert fingerprint(parallel) == fingerprint(run("vectorised"))
+        assert fingerprint(partitioned) == fingerprint(run(1))
 
 
 class TestShardedSweepEquivalence:
@@ -454,21 +515,21 @@ class TestShardedSweepEquivalence:
 
     def test_engine_override_and_sharding(self):
         sequential = self._sweep().run_all(engine="scalar")
-        sharded = self._sweep().run_all(jobs=2, engine="vectorised")
+        sharded = self._sweep().run_all(jobs=2, engine="auto")
         assert [cell.label for cell in sequential] == [cell.label for cell in sharded]
         for seq_cell, par_cell in zip(sequential, sharded):
             assert fingerprint(par_cell.result) == fingerprint(seq_cell.result)
 
     def test_engine_override_reaches_every_spec(self):
         sweep = self._sweep()
-        specs = [spec.with_overrides(engine="vectorised") for spec in sweep.expand()]
-        assert all(spec.engine == "vectorised" for spec in specs)
+        specs = [spec.with_overrides(engine="scalar") for spec in sweep.expand()]
+        assert all(spec.engine == "scalar" for spec in specs)
         # The engine knob cannot change results, so it is deliberately
         # excluded from the spec identity (sweep summaries are byte-identical
         # across engines).
         for spec in specs:
             assert "engine" not in spec.to_dict()
-            assert spec.content_hash() == spec.with_overrides(engine="scalar").content_hash()
+            assert spec.content_hash() == spec.with_overrides(engine="auto").content_hash()
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
@@ -482,5 +543,5 @@ class TestEquivalenceProperty:
     def test_any_seed_any_policy(self, seed, cell, policy):
         name, nprocs, kwargs = cell
         scalar = run_cell(name, nprocs, kwargs, policy, None, engine="scalar", seed=seed)
-        vectorised = run_cell(name, nprocs, kwargs, policy, None, engine="vectorised", seed=seed)
-        assert fingerprint(vectorised) == fingerprint(scalar)
+        auto = run_cell(name, nprocs, kwargs, policy, None, engine="auto", seed=seed)
+        assert fingerprint(auto) == fingerprint(scalar)

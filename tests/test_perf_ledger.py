@@ -16,6 +16,15 @@ from harness import metrics  # noqa: E402  (which way each metric is better)
 LEDGERS = sorted((ROOT / "perf").glob("PR-*.json"))
 
 
+def claim_of(path):
+    return json.loads(path.read_text(encoding="utf-8"))["claim"]
+
+
+#: Ledgers of changes that claim a gain; the others file parity pairs.
+CLAIMS = [path for path in LEDGERS if claim_of(path) is not None]
+PARITY = [path for path in LEDGERS if claim_of(path) is None]
+
+
 def ledger_rows(*paths: str) -> list[str]:
     done = subprocess.run(
         [sys.executable, str(ROOT / "perf" / "ledger.py"), *(str(ROOT / p) for p in paths)],
@@ -24,9 +33,9 @@ def ledger_rows(*paths: str) -> list[str]:
     return done.stdout.splitlines()
 
 
-@pytest.mark.parametrize("path", LEDGERS, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", CLAIMS, ids=lambda path: path.name)
 def test_every_claim_row_matches_its_readme_trajectory_row(path):
-    claim = json.loads(path.read_text(encoding="utf-8"))["claim"]
+    claim = claim_of(path)
     workload, metric = claim["workload"], claim["metric"]
     rows = ledger_rows(f"perf/{path.name}")
     assert rows[0] == f"== {path.name}: claim {metric} on {workload}"
@@ -57,3 +66,16 @@ def test_every_claim_row_matches_its_readme_trajectory_row(path):
 def test_without_arguments_every_committed_ledger_prints():
     headers = [row.split(":")[0] for row in ledger_rows() if row.startswith("== ")]
     assert headers == [f"== {path.name}" for path in LEDGERS]
+
+
+@pytest.mark.parametrize("path", PARITY, ids=lambda path: path.name)
+def test_a_parity_ledger_holds_complete_pairs_of_correct_runs(path):
+    runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    assert all(run["correct"] is True and run["failed"] == 0 for run in runs)
+    sides: dict[tuple[str, int], set[str]] = {}
+    for run in runs:
+        sides.setdefault((run["workload"], run["pair"]), set()).add(run["side"])
+    assert all(found == {"parent", "change"} for found in sides.values())
+    for workload in {workload for workload, _ in sides}:
+        assert sum(name == workload for name, _ in sides) >= 3, workload
+    assert ledger_rows(f"perf/{path.name}")[0] == f"== {path.name}: no claim (parity)"

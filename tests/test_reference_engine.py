@@ -4,8 +4,8 @@ The reference runs the generator protocol one event at a time with its own
 matching, protocol timing, buffer accounting and traces.  The simulator must
 agree with it bit for bit — per-rank finish times, makespan, every rank's
 canonical logical and physical streams and the integer protocol counters —
-compiled under the vectorised engine, as generators under the scalar engine,
-and on one cell partitioned across two worker processes.  Two wavefront cells
+compiled under the ``auto`` drain, as generators under the ``scalar`` drain,
+and on one cell partitioned across two worker processes under each drain.  Two wavefront cells
 are checked once more with every blocking send and receive route counted on
 the reference side, so each route is known to be taken.
 """
@@ -57,7 +57,7 @@ def reference(workload, policy, network):
     return max(finish), finish, logical, physical, counters
 
 
-def simulated(workload, policy, network, compiled, engine, machine=None):
+def simulated(workload, policy, network, compiled, engine, engine_jobs, machine=None):
     result = Simulator(
         workload.nprocs,
         machine=machine,
@@ -65,8 +65,9 @@ def simulated(workload, policy, network, compiled, engine, machine=None):
         policy=create_policy(policy),
         seed=SEED,
         engine=engine,
+        engine_jobs=engine_jobs,
     ).run([workload.program_for if compiled else workload.program])
-    assert engine != "parallel" or "partitions" in result.parallel_info
+    assert engine_jobs == 1 or "partitions" in result.parallel_info
     streams = []
     for level in ("logical", "physical"):
         streams.append([
@@ -82,13 +83,14 @@ def check(name, nprocs, params, policy, network, engines):
     workload = create_workload(name, nprocs=nprocs, **params)
     expected = reference(workload, policy, network)
     assert expected[4]["messages_sent"] > 0
-    for compiled, engine in engines:
-        assert simulated(workload, policy, network, compiled, engine) == expected, (
-            f"{name}.{nprocs} {policy} {network}: compiled={compiled} {engine}"
+    for compiled, engine, jobs in engines:
+        assert simulated(workload, policy, network, compiled, engine, jobs) == expected, (
+            f"{name}.{nprocs} {policy} {network}: compiled={compiled} {engine} jobs={jobs}"
         )
 
 
-BOTH = [(True, "vectorised"), (False, "scalar")]
+#: (compiled, engine, engine_jobs) run modes.
+BOTH = [(True, "auto", 1), (False, "scalar", 1)]
 
 
 @pytest.mark.parametrize("network", sorted(NETWORKS))
@@ -103,8 +105,11 @@ def test_policies_match_reference(name, nprocs, params, policy):
     check(name, nprocs, params, policy, "default", BOTH)
 
 
-def test_parallel_engine_matches_reference():
-    check("bt", 9, {"scale": 0.03}, "standard", "noiseless", [(True, "parallel")])
+def test_partitioned_run_matches_reference():
+    check(
+        "bt", 9, {"scale": 0.03}, "standard", "noiseless",
+        [(True, "auto", 2), (True, "scalar", 2)],
+    )
 
 
 def test_cells_cover_the_registry_but_replay():
@@ -160,7 +165,7 @@ MACHINES = {
     "low-eager": (LOW_EAGER, ["rendezvous send", "receive waiting for a later delivery"]),
 }
 ROUTE_CELLS = [("lu", 16, {"scale": 0.01}), ("sweep3d", 16, {"scale": 0.05})]
-ROUTE_ENGINES = [(True, "vectorised"), (True, "scalar"), (False, "scalar")]
+ROUTE_ENGINES = [(True, "auto", 1), (True, "scalar", 1), (False, "scalar", 1)]
 
 
 class RouteCountingReference(ReferenceEngine):
@@ -208,6 +213,6 @@ def test_blocking_op_routes_match_reference(name, nprocs, params, policy, machin
     finish, logical, physical, counters = oracle.run([workload.program])
     expected = (max(finish), finish, logical, physical, counters)
     assert all(oracle.routes[route] > 0 for route in required), oracle.routes
-    for compiled, engine in ROUTE_ENGINES:
-        got = simulated(workload, policy, "default", compiled, engine, machine_config)
+    for compiled, engine, jobs in ROUTE_ENGINES:
+        got = simulated(workload, policy, "default", compiled, engine, jobs, machine_config)
         assert got == expected, f"{name}.{nprocs} {policy} {machine}: compiled={compiled} {engine}"

@@ -324,3 +324,37 @@ class TestRequestFreelist:
         assert all(req.completed for req in held)
         assert len({id(req) for req in held}) == 2
         assert all(req not in sim.transport._request_pool for req in held)
+
+
+class TestSendRefusals:
+    """The transport checks a send once, at posting, on both send paths."""
+
+    REFUSALS = [
+        pytest.param(1, -1, "message size must be non-negative, got -1", id="negative-size"),
+        pytest.param(2, 8, r"destination rank 2 out of range \[0, 2\)", id="destination"),
+        pytest.param(0, 8, "self-sends are not supported", id="self-send"),
+    ]
+
+    @staticmethod
+    def _transport():
+        from repro.runtime.transport import Transport
+        from repro.sim.network import NetworkModel
+
+        # Noiseless: post_send_burst takes its own pass, not the per-message loop.
+        network = NetworkModel(NetworkConfig.noiseless(seed=1))
+        assert network.deterministic
+        return Transport(nprocs=2, machine=MachineConfig(), network=network)
+
+    @pytest.mark.parametrize("dst,nbytes,refusal", REFUSALS)
+    def test_post_send_values(self, dst, nbytes, refusal):
+        transport = self._transport()
+        with pytest.raises(ValueError, match=refusal):
+            transport.post_send_values(0, dst, nbytes, 0, "p2p", 0.0)
+        assert transport.stats.messages_sent == 0
+
+    @pytest.mark.parametrize("dst,nbytes,refusal", REFUSALS)
+    def test_post_send_burst(self, dst, nbytes, refusal):
+        transport = self._transport()
+        with pytest.raises(ValueError, match=refusal):
+            transport.post_send_burst([0], [dst], [nbytes], [0], ["p2p"], [0.0])
+        assert transport.stats.messages_sent == 0

@@ -261,11 +261,12 @@ class TestRunAll:
 class TestParallelSweepKnobs:
     def test_cost_hint_discounts_parallel_width(self):
         base = ScenarioSpec(workload="bt.9:scale=0.03")
-        par = base.with_overrides(engine="parallel", engine_jobs=4)
-        assert par.cost_hint() == pytest.approx(base.cost_hint() / 4)
-        # Engine width only matters when the parallel engine can use it.
-        vec = base.with_overrides(engine="vectorised", engine_jobs=4)
-        assert vec.cost_hint() == base.cost_hint()
+        for engine in ("auto", "scalar"):
+            par = base.with_overrides(engine=engine, engine_jobs=4)
+            assert par.cost_hint() == pytest.approx(base.cost_hint() / 4)
+        # engine_jobs=1 is in-process, and 0 is not known until the run.
+        for jobs in (0, 1):
+            assert base.with_overrides(engine_jobs=jobs).cost_hint() == base.cost_hint()
 
     def test_pool_capped_when_oversubscribed(self, monkeypatch):
         import repro.scenario.sweep as sweep_mod
@@ -275,7 +276,7 @@ class TestParallelSweepKnobs:
             base={"workload": "bt.4:scale=0.02", "seed": 1}, grid={"seed": [1, 2]}
         )
         with pytest.warns(RuntimeWarning, match="oversubscribe"):
-            results = sweep.run_all(jobs=2, engine="parallel", engine_jobs=4)
+            results = sweep.run_all(jobs=2, engine_jobs=4)
         assert len(results) == 2
         assert all(not isinstance(r, Exception) for r in results)
 
@@ -288,7 +289,7 @@ class TestParallelSweepKnobs:
         sweep = Sweep(base={"workload": "bt.4:scale=0.02", "seed": 1})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = sweep.run_all(jobs=2, engine="parallel", engine_jobs=4)
+            results = sweep.run_all(jobs=2, engine_jobs=4)
         assert len(results) == 1
 
 
@@ -340,7 +341,7 @@ class TestAccuracyTable:
                 str(EXAMPLES_DIR / "sweep_paper_subset.toml"),
                 "--accuracy-table",
                 "--engine",
-                "vectorised",
+                "scalar",
             ]
         )
         assert code == 0

@@ -297,7 +297,7 @@ class TestBurstDelivery:
                 self.calls.append((dst, list(messages), now))
 
         sequences = []
-        for engine in ("scalar", "vectorised"):
+        for engine in ("scalar", "auto"):
             for tracer in (True, False):
                 policy = Recording()
                 policy.calls = []
@@ -328,9 +328,11 @@ class TestErrors:
         ):
             make_sim().run([program])
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorised", "parallel"])
-    def test_compiled_deadlock_names_each_call_on_every_engine(self, engine):
-        """The parallel engine merges the calls across its partitions."""
+    @pytest.mark.parametrize(
+        "engine,engine_jobs", [("scalar", 1), ("auto", 1), ("scalar", 2), ("auto", 2)]
+    )
+    def test_compiled_deadlock_names_each_call_on_every_engine(self, engine, engine_jobs):
+        """A partitioned run merges the calls across its partitions."""
         from repro.workloads.base import Workload
 
         class CrossedReceives(Workload):
@@ -346,7 +348,7 @@ class TestErrors:
                     request = yield ctx.comm.irecv(source=ctx.rank - 1, tag=0)
                     yield ctx.comm.waitall([request])
 
-        sim = make_sim(nprocs=4, tracer=False, engine=engine)
+        sim = make_sim(nprocs=4, tracer=False, engine=engine, engine_jobs=engine_jobs)
         with pytest.raises(DeadlockError) as excinfo:
             sim.run([CrossedReceives(nprocs=4).program_for])
         assert excinfo.value.blocked_ranks == [0, 1, 2, 3]
@@ -354,9 +356,9 @@ class TestErrors:
             "(rank 0: recv, rank 1: waitall, rank 2: recv, rank 3: waitall; pending queues: "
             in str(excinfo.value)
         )
-        assert engine != "parallel" or sim.parallel_info is None  # it did partition
+        assert sim.parallel_info is None  # no fallback: jobs=2 did partition
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorised"])
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
     def test_compiled_blocking_ops_name_their_call(self, engine):
         """Blocking sends and receives suspend outside ``_block_on``; the
         deadlock report must still name them."""

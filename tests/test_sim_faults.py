@@ -219,7 +219,7 @@ class TestFaultSpec:
 
 
 class TestEngineGuards:
-    @pytest.mark.parametrize("engine", ["scalar", "vectorised"])
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
     def test_max_wall_seconds_raises_time_limit(self, engine):
         spec = ScenarioSpec(
             workload="lu.8", seed=1, max_wall_seconds=1e-9, engine=engine
@@ -251,7 +251,7 @@ class TestEngineGuards:
             machine=machine,
             network=network,
             tracer=False,
-            engine="vectorised",
+            engine="auto",
             max_wall_seconds=3600.0,
         )
         result = simulator.run([workload.program_for])

@@ -22,8 +22,8 @@ from repro.workloads.compile import compile_info, compile_rank_lanes
 from repro.workloads.registry import create_workload
 from repro.workloads.replay import ReplayWorkload
 
-#: Deterministic network used everywhere (positive latency so the parallel
-#: engine engages rather than falling back).
+#: Deterministic network used everywhere (positive latency so a partitioned
+#: run engages rather than falling back).
 NETWORK = create_network("noiseless", latency=25e-6)
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -31,7 +31,7 @@ SAMPLE_V2 = EXAMPLES / "sample_trace.jsonl"
 SAMPLE_DUMPI = EXAMPLES / "sample_trace.dumpi"
 
 
-def simulate(workload, *, engine="scalar", compiled=False, seed=7, engine_jobs=2):
+def simulate(workload, *, engine="scalar", compiled=False, seed=7, engine_jobs=1):
     simulator = Simulator(
         nprocs=workload.nprocs,
         seed=seed,
@@ -134,11 +134,11 @@ class TestReplayExecution:
         compiled = simulate(replay, compiled=True)
         assert fingerprint(compiled) == fingerprint(generator)
 
-    @pytest.mark.parametrize("engine", ["vectorised", "parallel"])
-    def test_engines_match_scalar(self, engine):
+    @pytest.mark.parametrize("engine_jobs", [1, 2])
+    def test_engines_match_scalar(self, engine_jobs):
         replay = create_workload("replay", nprocs=0, file=str(SAMPLE_V2))
         baseline = fingerprint(simulate(replay, engine="scalar", compiled=True))
-        result = simulate(replay, engine=engine, compiled=True)
+        result = simulate(replay, engine="auto", compiled=True, engine_jobs=engine_jobs)
         assert fingerprint(result) == baseline
 
     def test_two_runs_are_identical(self):

@@ -637,7 +637,7 @@ class TestLaneSharing:
         assert compile_module._cached_slots == recounted_slots()
 
     @pytest.mark.parametrize(
-        "engine,engine_jobs", [("scalar", 2), ("vectorised", 2), ("parallel", 2)]
+        "engine,engine_jobs", [("scalar", 1), ("auto", 1), ("auto", 2)]
     )
     def test_a_run_never_writes_a_cached_lane(self, engine, engine_jobs):
         spec = ScenarioSpec(
@@ -650,7 +650,7 @@ class TestLaneSharing:
         held = cached_ranks(spec.workload.build())
         before = cached_lane_images()
         result = Scenario(spec).run().result
-        if engine == "parallel":
+        if engine_jobs == 2:
             assert "fallback" not in result.parallel_info
         assert cached_lane_images() == before
         # The run drove the cached lanes themselves, not a recompiled copy.
