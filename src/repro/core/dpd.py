@@ -15,35 +15,46 @@ Incremental update
 ------------------
 The paper stresses that "prediction has to be done at runtime" inside the MPI
 library, so the per-message cost of the detector is the budget that matters.
-Appending sample ``x[T]`` slides the window by one, which changes each
-``d(m)`` by exactly two indicator terms:
-
-.. math::
-
-    d_T(m) = d_{T-1}(m)
-             + \\mathbf{1}[x[T] \\ne x[T-m]]          \\quad\\text{(pair entering)}
-             - \\mathbf{1}[x[T-N] \\ne x[T-N-m]]      \\quad\\text{(pair leaving)}
-
-Equation (1) compares the window with itself at all ``M`` delays at once,
-which is the word-parallel comparison of bit-parallel string matching
-(Baeza-Yates & Gonnet, CACM 1992).  The detector holds every indicator
-vector as one ``M``-bit Python int, *lane* ``j`` standing for delay
-``M - j``:
+What a sample must decide is only which ``d(m)`` are zero: ``d(m) = 0``
+exactly when no sample of the window differs from the sample ``m`` places
+before it.  Equation (1) compares the window with itself at all ``M`` delays
+at once, which is the word-parallel comparison of bit-parallel string
+matching (Baeza-Yates & Gonnet, CACM 1992).  The detector holds every
+indicator vector as one ``M``-bit Python int, *lane* ``j`` standing for
+delay ``M - j``:
 
 * **Occurrence masks.**  Each distinct value in the retained history maps to
   an int with bit ``p`` set when the value occurred at the ``p``-th retained
-  sample.  The lane mask of sample ``x[t]`` — lane set when
-  ``x[t] != x[t-m]`` or ``x[t-m]`` predates the stream — is then
-  ``~(mask[x[t]] >> (t - M)) & full``: three int operations, whatever ``M``.
-  The leaving pair's lane mask is the same expression at ``t = T - N``.
-* **Bit-sliced counters.**  ``ceil(log2(N + 1))`` bit-planes
-  hold the exact ``d(m)`` of every delay at once (plane ``b`` carries bit
-  ``b`` of every counter).  Only the lanes that changed are rippled through
-  the planes: ``up = enter & ~leave`` as a carry, ``down = leave & ~enter``
-  as a borrow, stopping at the first plane where both run out.
+  sample.  The *match mask* of sample ``x[t]`` — lane set when
+  ``x[t] = x[t-m]``, clear when they differ or ``x[t-m]`` predates the
+  stream — is then ``(mask[x[t]] >> (t - M)) & full``: the complement,
+  within ``M`` lanes, of the sample's mismatch lanes.  It depends only on
+  the samples before ``t``, so it can be recomputed at any later time from
+  the same masks; when ``x[t]`` arrives, ``mask[x[t]]`` has no bit from ``t``
+  on and the shift alone is the match mask.
+* **The window's AND.**  ``d(m) = 0`` exactly when the lane of ``m`` is set
+  in the AND of the window's ``N`` match masks — the complement of the OR of
+  their mismatch lanes.  Sliding the window by one adds the newest match
+  mask and drops the oldest, and an AND cannot be undone, so it is kept as a
+  two-stack sliding-window aggregate (Tangwongsan, Hirzel & Schneider,
+  "General Incremental Sliding-Window Aggregation", VLDB 2015): the *back*
+  is the running AND of the newest match masks (the AND alone; how many it
+  covers is ``N`` minus the front's length), the *front* a stack of suffix
+  ANDs over the older ones, its top the AND of them all.  A sample ANDs its
+  match mask into the back and pops one front entry.  When the front runs
+  empty it is rebuilt from the last ``N`` samples, newest to oldest, their
+  match masks recomputed from the history and the masks, and the back
+  starts over; a suffix AND equal to the one before it is the same int
+  object, so a window that stays periodic stores few of them.  One sample
+  in ``N`` pays ``N`` match masks: ``observe`` is O(1) lane operations,
+  amortized.
 * **Queries.**  The smallest accepted delay is the highest set lane of
-  "``d(m) = 0``", masked to the delays the history can evaluate: the
-  complement of the OR of the planes, then one ``int.bit_length``.
+  ``front[-1] & back``: one ``int.bit_length``, which :meth:`observe`
+  returns.  A delay the history cannot evaluate yet (``m > samples_seen -
+  N``) reaches before the stream in the window's oldest sample, so its lane
+  is clear without a mask of its own.  The counts ``d(m)`` themselves are
+  not kept: :meth:`distances` scans the history for them when a
+  :meth:`~DynamicPeriodicityDetector.detect` asks.
 
 The history is an ``array('q')`` trimmed to its last ``N + M`` samples when
 it reaches ``3 (N + M) / 2``; the masks are shifted down by the same amount
@@ -52,13 +63,15 @@ mask per distinct value among at most ``3 (N + M) / 2`` samples (a stream
 whose values never repeat stays under 64 KiB at ``(24, 256)``).  No delay is evaluable
 before sample ``N + 1``, so the stream's first ``N`` samples are only
 appended (by :meth:`~DynamicPeriodicityDetector.observe` and
-:meth:`~DynamicPeriodicityDetector.fill_window` alike) and counted in one
+:meth:`~DynamicPeriodicityDetector.fill_window` alike) and folded in one
 pass when the sample after them arrives.
 
 Everything else is a function of ``samples_seen`` and the stored samples:
-the masks are one pass over them and the planes the lane masks of the last
-``N``, the fold that counts the first window — which is how
-:meth:`~DynamicPeriodicityDetector.from_history` rebuilds a detector.
+the masks are one pass over them, and the front was last rebuilt a multiple
+of ``N`` samples past the first window, so the back covers the last
+``(samples_seen - N) mod N`` samples and the front the rest of the window —
+which is how :meth:`~DynamicPeriodicityDetector.from_history` rebuilds a
+detector, its front and back split as the live one holds them.
 
 Complexity (``N`` = window_size, ``M`` = max_period, ``k`` = batch length,
 ``w`` = bits per machine word; a big-int operation on ``M`` lanes is
@@ -67,15 +80,11 @@ Complexity (``N`` = window_size, ``M`` = max_period, ``k`` = batch length,
 ==========================  ==================  ==========================
 operation                   naive (seed)        bit lanes (this file)
 ==========================  ==================  ==========================
-``observe``                 O(1) append         O(log N) lane ops, O(M/w) each
-``current_period``          O(N * M) scan       O(log N) lane ops
-``distances`` / ``detect``  O(N * M) scan       O(M log N) plane read
+``observe``                 O(1) append         O(1) amortized lane ops, O(M/w) each
+``current_period``          O(N * M) scan       O(1) lane ops
+``distances`` / ``detect``  O(N * M) scan       O(N * M) scan
 ``batch_observe`` of k      k * O(N * M)        k * ``observe``
 ==========================  ==================  ==========================
-
-The full rescan survives as :meth:`~DynamicPeriodicityDetector.distances_naive`
-and is used by the equivalence tests to cross-validate the planes after
-every append.
 """
 
 from __future__ import annotations
@@ -101,30 +110,14 @@ def _as_int64_1d(values) -> np.ndarray:
     return np.fromiter(values, dtype=np.int64)
 
 
-def _lanes(mask: int, shift: int, full: int) -> int:
-    """Lane mask of a sample whose value occurs at the bits of ``mask``.
+def _matches(mask: int, shift: int, full: int) -> int:
+    """Match mask of a sample whose value occurs at the bits of ``mask``.
 
-    ``shift`` is the sample's bit minus ``M``: lane ``j`` is set unless the
+    ``shift`` is the sample's bit minus ``M``: lane ``j`` is set when the
     value also occurred at bit ``shift + j``, i.e. ``M - j`` samples before
     (bits below zero predate the stream, so they never match).
     """
-    return ~(mask >> shift if shift >= 0 else mask << -shift) & full
-
-
-def _ripple(planes: list[int], up: int, down: int) -> None:
-    """Add 1 to the counters of the ``up`` lanes and take 1 from the ``down`` lanes."""
-    b = 0
-    while up:  # carry
-        plane = planes[b]
-        planes[b] = plane ^ up
-        up &= plane
-        b += 1
-    b = 0
-    while down:  # borrow
-        plane = planes[b]
-        planes[b] = plane ^ down
-        down &= ~plane
-        b += 1
+    return (mask >> shift if shift >= 0 else mask << -shift) & full
 
 
 @dataclass(frozen=True)
@@ -188,15 +181,18 @@ class DynamicPeriodicityDetector:
         self._history = array("q")
         self._masks: dict[int, int] = {}
         self._full = (1 << self.max_period) - 1
-        # Lanes of the delays the history can evaluate (m <= samples_seen - N).
-        self._usable = 0
-        self._planes = [0] * self.window_size.bit_length()
+        # The window's AND as two stacks: suffix ANDs of the older match masks
+        # (empty until the first window is folded), how many distinct ints
+        # they are, and the AND of the newer ones.
+        self._front: list[int] = []
+        self._front_ints = 0
+        self._back_and = self._full
 
     @classmethod
     def from_history(cls, window_size, max_period, samples_seen, history):
         """The detector that has seen ``samples_seen`` samples and stores the
         ``array('q')`` ``history`` (:meth:`stored_history`): equal to the one
-        that kept them, masks, planes and usable lanes included."""
+        that kept them, masks and front/back split included."""
         detector = cls(window_size, max_period)
         keep = detector.window_size + detector.max_period
         trim_at = keep * 3 // 2  # observe cuts the history back to `keep` here
@@ -205,23 +201,26 @@ class DynamicPeriodicityDetector:
             raise ValueError(f"{samples_seen} samples seen store {stored}, got {len(history)}")
         detector._history.extend(history)
         detector._seen = samples_seen
-        if samples_seen > detector.window_size:
+        past = samples_seen - detector.window_size
+        if past > 0:
             detector._fold(rebuild=True)
-            full = detector._full
-            detector._usable = full ^ (full >> (samples_seen - detector.window_size))
+            detector._restack(past % detector.window_size)
         return detector
 
     @property
     def nbytes(self) -> int:
         """Resident size estimate (bytes), within 15% of tracemalloc: 8 bytes a
-        sample, then ``M``-bit planes and a dict slot, key and mask per distinct
-        value; ``D`` masks' bit lengths sum to at most ``D * L - D * (D - 1) / 2``.
+        sample, a slot a window sample in the front's list, ``M``-bit ints for
+        the distinct front entries, the back and the full mask, then a dict
+        slot, key and mask per distinct value; ``D`` masks' bit lengths sum to
+        at most ``D * L - D * (D - 1) / 2``.
         """
         length = len(self._history)
         if self._seen <= self.window_size:
             return 560 + 8 * length
         distinct = len(self._masks)
-        lanes = (len(self._planes) + 1) * (24 + 4 * (-(-self.max_period // 30)))
+        ints = self._front_ints + 2
+        lanes = 8 * self.window_size + ints * (24 + 4 * (-(-self.max_period // 30)))
         mask_bits = distinct * (2 * length - distinct + 1) // 2
         return 560 + 8 * length + lanes + 105 * distinct + mask_bits * 2 // 15
 
@@ -236,8 +235,9 @@ class DynamicPeriodicityDetector:
         """Number of history samples a query may read (at most N + M)."""
         return min(len(self._history), self.window_size + self.max_period)
 
-    def observe(self, value: int) -> None:
-        """Feed one stream sample; updates every ``d(m)`` in a few lane ops."""
+    def observe(self, value: int) -> int | None:
+        """Feed one stream sample; returns the smallest accepted delay after it
+        (:meth:`current_period`), in a few lane ops."""
         v = int(value)
         n = self.window_size
         seen = self._seen
@@ -246,27 +246,34 @@ class DynamicPeriodicityDetector:
             if seen < n:  # inside the first window: nothing is evaluable yet
                 history.append(v)
                 self._seen = seen + 1
-                return
+                return None
             self._fold()
+            self._restack(0)
         big_m = self.max_period
-        full = self._full
         masks = self._masks
         t = len(history)  # this sample's bit in the occurrence masks
         mask = masks.get(v, 0)
-        enter = _lanes(mask, t - big_m, full)
-        leave = _lanes(masks[history[t - n]], t - n - big_m, full)
+        matched = mask >> (t - big_m) if t >= big_m else mask << (big_m - t)
         history.append(v)
         masks[v] = mask | (1 << t)
-        _ripple(self._planes, enter & ~leave, leave & ~enter)
-        self._seen = seen = seen + 1
-        if seen - n <= big_m:
-            self._usable = full ^ (full >> (seen - n))
+        self._seen = seen + 1
+        front = self._front
+        gone = front.pop()  # the oldest sample leaves the window
+        if front:
+            top = front[-1]
+            if top is not gone:
+                self._front_ints -= 1
+            self._back_and = back = self._back_and & matched
+            window = top & back
+        else:
+            window = self._restack(0)
         if t + 1 >= (n + big_m) * 3 // 2:
             self._trim(n + big_m)
+        # The highest accepted lane is the smallest accepted delay.
+        return big_m + 1 - window.bit_length() if window else None
 
     def _fold(self, rebuild: bool = False) -> None:
-        """Build the history's masks, then count the window: its last ``N`` lane masks
-        (a mask's bits from a sample's own position on fall above lane ``M - 1``).
+        """Build the history's occurrence masks.
 
         On a rebuild, a history of few distinct values (at most 256, and one
         per 8 samples) is spelled as one code byte a sample, last sample first:
@@ -293,11 +300,31 @@ class DynamicPeriodicityDetector:
             for t, v in enumerate(history):
                 masks[v] |= 1 << t
         self._masks = masks
+
+    def _restack(self, back: int) -> int:
+        """Split the window's last ``N`` match masks: the AND of the newest
+        ``back`` is the back, suffix ANDs of the others, newest to oldest, fill
+        the empty front.  Returns the window's AND."""
+        history = self._history
+        masks = self._masks
         big_m = self.max_period
         full = self._full
-        planes = self._planes
-        for t in range(len(history) - self.window_size, len(history)):
-            _ripple(planes, _lanes(masks[history[t]], t - big_m, full), 0)
+        end = len(history)
+        split = end - back
+        back_and = full
+        for t in range(split, end):
+            back_and &= _matches(masks[history[t]], t - big_m, full)
+        front = self._front
+        suffix, ints = full, 0
+        for t in range(split - 1, end - self.window_size - 1, -1):
+            narrower = suffix & _matches(masks[history[t]], t - big_m, full)
+            if narrower != suffix or not front:  # equal: the same int object again
+                suffix = narrower
+                ints += 1
+            front.append(suffix)
+        self._front_ints = ints
+        self._back_and = back_and
+        return suffix & back_and
 
     def _trim(self, keep: int) -> None:
         """Drop all but the last ``keep`` samples and rebase the masks on them."""
@@ -337,56 +364,32 @@ class DynamicPeriodicityDetector:
 
         values = _as_int64_1d(values).tolist()
         periods = np.zeros(len(values), dtype=np.int64) if return_periods else None
+        observe = self.observe
         for j in range(self.fill_window(values), len(values)):
-            self.observe(values[j])
+            period = observe(values[j])
             if return_periods:
-                periods[j] = self.current_period() or 0
+                periods[j] = period or 0
         return periods
 
     # ------------------------------------------------------------------
-    def _accepted(self) -> int:
-        """Lanes of the evaluable delays whose ``d(m) = 0``."""
-        mismatched = 0
-        for plane in self._planes:
-            mismatched |= plane
-        return self._usable & ~mismatched
-
     def current_period(self) -> int | None:
         """Smallest accepted delay right now, without materialising a result."""
-        accepted = self._accepted()
-        # The highest accepted lane is the smallest accepted delay.
+        front = self._front
+        if not front:  # the first window is not folded yet: nothing is evaluable
+            return None
+        accepted = front[-1] & self._back_and
         return self.max_period + 1 - accepted.bit_length() if accepted else None
 
     def distances(self) -> np.ndarray:
-        """Return ``d(m)`` for every evaluable delay ``m = 1 .. max_period``.
+        """Return ``d(m)`` for every evaluable delay ``m = 1 .. max_period``,
+        counted from the retained history (an O(N * M) scan: the detector
+        keeps only which of them are zero).
 
         Delays for which there is not yet enough history are omitted: with
         ``L`` samples of history, only delays ``m <= L - window_size`` can be
         evaluated (the window always uses the most recent ``window_size``
         samples).  The returned array has one entry per delay starting at
         ``m=1``; it is empty while ``L <= window_size``.
-
-        This reads the counters off the bit-planes; see
-        :meth:`distances_naive` for the from-scratch reference scan.
-        """
-        from repro._numpy import np
-
-        big_m = self.max_period
-        usable = min(big_m, self._seen - self.window_size)
-        if usable <= 0:
-            return np.empty(0, dtype=np.int64)
-        counts = np.zeros(big_m, dtype=np.int64)
-        for b, plane in enumerate(self._planes):
-            lanes = np.frombuffer(plane.to_bytes((big_m + 7) // 8, "little"), dtype=np.uint8)
-            counts += np.unpackbits(lanes, count=big_m, bitorder="little").astype(np.int64) << b
-        return counts[big_m - usable :][::-1].copy()
-
-    def distances_naive(self) -> np.ndarray:
-        """Recompute every ``d(m)`` from scratch (the seed's O(N*M) scan).
-
-        Kept as the independent reference implementation: the equivalence
-        tests assert it stays bit-identical to :meth:`distances` after every
-        append.
         """
         from repro._numpy import np
 

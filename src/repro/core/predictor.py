@@ -9,8 +9,8 @@ which is exactly what distinguishes this predictor from the single-step
 heuristics in the related work.
 
 Runtime cost: one :meth:`PeriodicityPredictor.observe` is one DPD
-``observe`` — a few big-int operations over the detector's bit lanes, see
-:mod:`repro.core.dpd` — plus one period query, and
+``observe`` — a few big-int operations over the detector's bit lanes, O(1)
+amortized, see :mod:`repro.core.dpd` — which also answers the period, and
 :meth:`PeriodicityPredictor.observe_many` is that loop, except that the
 samples inside a stream's first window are appended in one call.  Every run
 length takes the same path, so the bookkeeping (``detections``,
@@ -133,8 +133,7 @@ class PeriodicityPredictor(BasePredictor):
 
     # ------------------------------------------------------------------
     def observe(self, value: int) -> None:
-        self._dpd.observe(value)
-        period = self._dpd.current_period()
+        period = self._dpd.observe(value)
         if period is not None:
             self.detections += 1
             if period != self._last_period:

@@ -321,7 +321,10 @@ class Transport:
         if use_eager:
             arrival = self._data_arrival(message, inject)
             message.arrival_time = arrival
-            self._schedule_data(arrival, message, None)
+            if self._partition_local is None:  # not partitioned: every rank is local
+                self._schedule_delivery(arrival, message, None)
+            else:
+                self._schedule_data(arrival, message, None)
             if request is not None:
                 request._complete(inject)
         else:

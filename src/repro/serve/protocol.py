@@ -36,7 +36,9 @@ Operations
     stops (``ServeService.handle`` itself only acknowledges it).
 
 A line costs one C scan (``json``'s scanner, called directly; ``json.loads``
-only words the error of a line it refused) and one pass of checks.
+only words the error of a line it refused) and one pass of checks
+(:func:`event_from_payload`); ``LineIngest`` scans up to 128 lines in one
+call and checks each object the same way.
 Malformed lines raise :class:`ServeProtocolError` carrying the 1-based line
 number — same shape as :class:`repro.trace.import_dumpi.DumpiParseError`, so
 ingestion rejects garbage with a pointed ``line N: ...`` message instead of
@@ -62,6 +64,7 @@ __all__ = [
     "ServeEvent",
     "ServeProtocolError",
     "parse_event_line",
+    "event_from_payload",
     "encode_event",
     "encode_response",
 ]
@@ -106,6 +109,8 @@ OPS: dict[str, tuple[tuple[str, ...], tuple[str, ...], frozenset, frozenset]] = 
 
 #: The C scanner ``json.loads`` ends in, without the three frames around it.
 _scan_once = json.JSONDecoder().scan_once
+
+_new_tuple = tuple.__new__
 
 
 def _coerce_key(value, line_number: int) -> str:
@@ -164,6 +169,17 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
         raise ServeProtocolError(
             line_number, f"event must be a JSON object, got {type(payload).__name__}"
         )
+    return event_from_payload(payload, line_number)
+
+
+def event_from_payload(payload: dict, line_number: int) -> ServeEvent:
+    """Check one scanned JSON object as an event: what :func:`parse_event_line`
+    does after its scan, and what ``LineIngest`` does for each object of a
+    group of lines scanned at once.  Mutates ``payload``.
+
+    Raises :class:`ServeProtocolError` with the given 1-based line number on
+    any schema violation.
+    """
     op = payload.pop("op", "observe")
     if type(op) is not str or op not in OPS:  # `in` would hash a list or object
         raise ServeProtocolError(
@@ -213,7 +229,8 @@ def parse_event_line(line: str, line_number: int = 1) -> ServeEvent:
             raise ServeProtocolError(
                 line_number, f"dir must be encodable as UTF-8, got {directory!r}"
             ) from None
-    return ServeEvent(op, receiver, sender, nbytes, horizon, directory)
+    # What the named tuple's own ``__new__``, a Python function, ends in.
+    return _new_tuple(ServeEvent, (op, receiver, sender, nbytes, horizon, directory))
 
 
 #: The one wire encoder (``json.dumps`` would build a new one on every call).

@@ -1,9 +1,9 @@
 """Equivalence tests for the incremental DPD engine (repro.core.dpd).
 
-The bit-sliced mismatch counters, the batch path, and the predictor's
-``observe_many`` must all be *bit-identical* to the naive from-scratch scan
-(:meth:`DynamicPeriodicityDetector.distances_naive`) and to a sequential
-``observe`` loop, after every single append — and to the answers the
+The window's AND of match masks, the batch path, and the predictor's
+``observe_many`` must all agree with the counts ``d(m)`` scanned from the
+history (:meth:`DynamicPeriodicityDetector.distances`) and with a sequential
+``observe`` loop, after every single append — and with the answers the
 ``(M, k)`` matrix kernel gave before the counters became bit lanes (the
 golden digests below were recorded from it).
 """
@@ -25,31 +25,44 @@ from repro.predictive.state import freeze_state, state_nbytes
 values = st.integers(min_value=0, max_value=5)
 
 
-def assert_counters_match(detector: DynamicPeriodicityDetector) -> None:
-    incremental = detector.distances()
-    naive = detector.distances_naive()
-    assert incremental.dtype == naive.dtype == np.int64
-    np.testing.assert_array_equal(incremental, naive)
+def assert_window_matches(detector: DynamicPeriodicityDetector) -> None:
+    """The smallest evaluable ``m`` with ``d(m) = 0`` is the detected period, and
+    the window's AND has exactly the lanes of the evaluable delays with ``d(m) = 0``."""
+    distances = detector.distances()
+    assert distances.dtype == np.int64
+    accepted = np.nonzero(distances == 0)[0]
+    assert detector.current_period() == (int(accepted[0]) + 1 if accepted.size else None)
+    assert detector.detect().period == detector.current_period()
+    assert bool(detector._front) == bool(distances.size)
+    if distances.size:
+        window = detector._front[-1] & detector._back_and
+        assert window == sum(1 << (detector.max_period - 1 - int(m)) for m in accepted)
 
 
-class TestIncrementalEqualsNaive:
+class TestWindowMatchesTheDistances:
     @given(
         window=st.integers(1, 16),
         max_period=st.integers(1, 32),
         data=st.lists(values, max_size=160),
     )
     @settings(max_examples=80, deadline=None)
-    def test_counters_match_naive_after_every_append(self, window, max_period, data):
+    def test_window_matches_the_distances_after_every_append(self, window, max_period, data):
         detector = DynamicPeriodicityDetector(window, max_period)
         for value in data:
-            detector.observe(value)
-            assert_counters_match(detector)
-            # detect() must agree with the smallest accepted naive delay
-            naive = detector.distances_naive()
-            accepted = np.nonzero(naive == 0)[0]
-            expected = int(accepted[0]) + 1 if accepted.size else None
-            assert detector.detect().period == expected
-            assert detector.current_period() == expected
+            period = detector.observe(value)
+            assert period == detector.current_period()
+            assert_window_matches(detector)
+
+    @pytest.mark.parametrize(
+        "window, max_period",
+        [(24, 256), (6, 12), (32, 16), (8, 64), (12, 3), (6, 1), (1, 8), (1, 1), (24, 1)],
+    )
+    def test_current_period_is_the_smallest_zero_distance(self, window, max_period):
+        """The served shapes, then N > M, M = 1 and N = 1, across several trims."""
+        detector = DynamicPeriodicityDetector(window, max_period)
+        for value in noisy_periodic_stream(3 * (window + max_period) + 60, seed=window).tolist():
+            assert detector.observe(value) == detector.current_period()
+            assert_window_matches(detector)
 
     @given(
         window=st.integers(1, 12),
@@ -87,7 +100,7 @@ class TestEdgeCaseRegressions:
         detector = DynamicPeriodicityDetector(window_size=8, max_period=16)
         for value in stream:
             detector.observe(int(value))
-            assert_counters_match(detector)
+            assert_window_matches(detector)
 
     def test_wraparound_matches_naive_long_after_buffer_full(self):
         rng = np.random.default_rng(43)
@@ -95,20 +108,20 @@ class TestEdgeCaseRegressions:
         # capacity is 16; run 10x longer so the ring wraps many times
         for value in rng.integers(0, 2, size=160):
             detector.observe(int(value))
-            assert_counters_match(detector)
+            assert_window_matches(detector)
 
     def test_window_larger_than_max_period(self):
         detector = DynamicPeriodicityDetector(window_size=12, max_period=3)
         for value in [1, 2, 3] * 20:
             detector.observe(value)
-            assert_counters_match(detector)
+            assert_window_matches(detector)
         assert detector.detect().period == 3
 
     def test_max_period_larger_than_window(self):
         detector = DynamicPeriodicityDetector(window_size=4, max_period=30)
         for value in list(range(10)) * 8:
             detector.observe(value)
-            assert_counters_match(detector)
+            assert_window_matches(detector)
         assert detector.detect().period == 10
 
     def test_batch_observe_empty_input(self):
@@ -139,7 +152,7 @@ class TestEdgeCaseRegressions:
         step_periods = []
         for value in stream:
             sequential.observe(value)
-            assert_counters_match(sequential)
+            assert_window_matches(sequential)
             step_periods.append(sequential.current_period() or 0)
         batched = DynamicPeriodicityDetector(8, 8)
         periods = batched.batch_observe(stream, return_periods=True)
@@ -200,8 +213,8 @@ class TestManyWaySplitAtServedConfiguration:
             np.testing.assert_array_equal(
                 periods, [step[0] for step in reference[position - len(run) : position]]
             )
-            assert_counters_match(detector)
-            assert_counters_match(batched._dpd)
+            assert_window_matches(detector)
+            assert_window_matches(batched._dpd)
             assert detector.current_period() == (reference[position - 1][0] or None)
             assert (
                 batched.detections,
@@ -247,9 +260,8 @@ def full_state(predictor: PeriodicityPredictor):
 
 
 def young_state(predictor: PeriodicityPredictor):
-    """:func:`full_state`, with the planes checked against the naive scan."""
-    dpd = predictor._dpd
-    np.testing.assert_array_equal(dpd.distances(), dpd.distances_naive())
+    """:func:`full_state`, with the window's AND checked against the distances."""
+    assert_window_matches(predictor._dpd)
     return full_state(predictor)
 
 
@@ -450,17 +462,26 @@ class TestPredictorObserveMany:
         assert batched.predict(6) == sequential.predict(6)
 
 
+def window_stacks(detector: DynamicPeriodicityDetector):
+    """The front's suffix ANDs, which of them share one int object, the count
+    of distinct ints, and the back's AND: the window's front/back split."""
+    front = detector._front
+    shared = [newer is older for newer, older in zip(front, front[1:])]
+    return front, shared, detector._front_ints, detector._back_and
+
+
 def assert_same_detector(rebuilt: DynamicPeriodicityDetector, live: DynamicPeriodicityDetector):
     assert rebuilt._masks == live._masks
-    assert rebuilt._planes == live._planes
-    assert rebuilt._usable == live._usable
+    assert window_stacks(rebuilt) == window_stacks(live)
+    assert len(set(map(id, live._front))) == live._front_ints
+    assert rebuilt.nbytes == live.nbytes
     assert rebuilt.stored_history().tolist() == live.stored_history().tolist()
     assert rebuilt.samples_seen == live.samples_seen
 
 
 class TestRebuildFromHistory:
     """``samples_seen`` and the stored history are the whole detector: the
-    rebuilt masks, planes and usable lanes equal the live ones, and stay equal."""
+    rebuilt masks and window stacks equal the live ones, and stay equal."""
 
     STREAMS = {
         "periodic-30": [3, 1, 4, 1, 5, 9] * 5,
@@ -507,7 +528,7 @@ class TestRebuildFromHistory:
                 window, max_period, live.samples_seen, live.stored_history()
             )
             assert_same_detector(rebuilt, live)
-            assert_counters_match(rebuilt)
+            assert_window_matches(rebuilt)
 
     def test_a_history_of_the_wrong_length_is_refused(self):
         live = DynamicPeriodicityDetector(4, 4)

@@ -17,6 +17,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.cli import main as cli_main
 from repro.predictive.state import freeze_state
 from repro.serve.client import ServeClient, ServeResponseError
 from repro.serve.protocol import ServeProtocolError, encode_event, encode_response
+from repro.serve import server as server_module
 from repro.serve.server import MAX_LINE_BYTES, LineIngest, ServeServer, run_stdin
 from repro.serve.service import ServeService
 
@@ -531,6 +533,153 @@ class TestOversizedLines:
         first, stats = [json.loads(line) for line in out.getvalue().splitlines()]
         assert first == {"error": "line 2: line longer than 65536 bytes", "line": 2}
         assert (stats["observations"], stats["parse_errors"], stats["streams"]) == (1, 1, 1)
+
+
+#: Lines a group scan must either take with the one-line path's answer or hand
+#: back to that path: every shape of event, blank and whitespace lines, bytes
+#: the strict scanner refuses, and lines that could forge element boundaries
+#: if brackets were allowed (the first two would scan as one ``[{"a":[[1]]}]``
+#: spread over two lines, the third as two elements of its own).
+ODD_LINES = [
+    b'{"receiver": "gamma", "sender": 1, "nbytes": 10}',
+    b'{"nbytes":20,"receiver":"gamma","sender":2}',
+    b'{"sender": 3, "nbytes": 30, "receiver": "delta"}',
+    b'{"op": "observe", "receiver": "gamma", "sender": 1, "nbytes": 10}',
+    b'{"op": "predict", "receiver": "gamma"}',
+    b'{"op": "predict", "receiver": "delta", "horizon": 3}',
+    b'{"op": "expects", "receiver": "gamma", "sender": 1}',
+    b'{"op": "stats"}',
+    b'{"op": "flush"}',
+    b'{"receiver": "r[1]", "sender": 1, "nbytes": 10}',
+    b'{"op": "predict", "receiver": "r[1]"}',
+    b'{"receiver": "gamma", "sender": 1, "nbytes": 10} {"op": "flush"}',
+    b'{"receiver": "gamma", "sender": 1, "nbytes": 10},{"op": "flush"}',
+    b'{"receiver": "gam',
+    b"",
+    b"   \t ",
+    b"\x0c",
+    b'\x0c{"op": "flush"}',
+    b'{"receiver": "gamma", "sender": 2, "nbytes": 20}\r',
+    b'{"receiver": "\xff\xfe", "sender": 1, "nbytes": 10}',
+    b'\xff{"op": "flush"}',
+    b'{"receiver": "gamma", "sender": NaN, "nbytes": 10}',
+    b'{"receiver": "gamma", "receiver": "delta", "sender": 1, "nbytes": 10}',
+    b'{"receiver": "delta", "sender": 1, "sender": -1, "nbytes": 10}',
+    b'{"a":' * 5000 + b"1" + b"}" * 5000,
+    b'{"receiver": 1, "nbytes": 1, "sender": ' + b"9" * 5000 + b"}",
+    oversized_observe(MAX_LINE_BYTES + 10),
+    b'{"a":[[1',
+    b'2]]}',
+    b'{"b":1}],[{"c":2}',
+    b'"just a string"',
+    b"7",
+    b"null",
+    b"{}",
+    b'{"op": 5}',
+]
+
+
+def one_line_at_a_time(feed: bytes, monkeypatch=None):
+    """A fresh core fed one line per call; with ``monkeypatch``, the group
+    scan refuses every group, so each line takes the one-line path alone."""
+    service = make_service()
+    ingest = LineIngest(service)
+    if monkeypatch is not None:
+        monkeypatch.setattr(server_module, "_scan_group", lambda group: None)
+    out = [ingest.feed(line) for line in feed.splitlines(keepends=True)]
+    out.append(ingest.feed(b""))
+    if monkeypatch is not None:
+        monkeypatch.undo()
+    return b"".join(out), service
+
+
+class TestGroupScanIsInvisible:
+    """``LineIngest`` scans up to 128 complete lines in one JSON call: the
+    answers, their line numbers and ``parse_errors`` are those of the one-line path."""
+
+    @staticmethod
+    def random_feed(rng, lines):
+        picks = [rng.choice(ODD_LINES) for _ in range(lines)]
+        # Plain observes between the odd lines, so most groups scan whole.
+        for index in range(0, len(picks), 3):
+            picks[index] = ODD_LINES[index % 3]
+        return b"\n".join(picks) + rng.choice([b"", b"\n"])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_mixes_cut_at_random_offsets(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        feed = self.random_feed(rng, rng.choice([40, 300, 700]))
+        expected, reference = one_line_at_a_time(feed, monkeypatch)
+        singles, single_service = one_line_at_a_time(feed)
+        assert singles == expected
+        assert single_service.parse_errors == reference.parse_errors
+        cuts = sorted(rng.sample(range(1, len(feed)), 6))
+        served, service = chunked(feed, cuts)
+        assert served == expected
+        assert service.parse_errors == reference.parse_errors
+        assert service.stats() == reference.stats()
+
+    def test_each_odd_line_between_two_observes(self, monkeypatch):
+        """One group of three lines per odd line: each is scanned with plain
+        neighbours or hands the group back, and line numbers stay right."""
+        for odd in ODD_LINES:
+            feed = b"\n".join([ODD_LINES[0], odd, ODD_LINES[1], ODD_LINES[4]]) + b"\n"
+            expected, reference = one_line_at_a_time(feed, monkeypatch)
+            served, service = chunked(feed, [])
+            assert served == expected, odd[:60]
+            assert service.parse_errors == reference.parse_errors, odd[:60]
+
+    def test_the_scan_takes_plain_groups_and_refuses_forgeries(self):
+        scan = server_module._scan_group
+        assert scan([ODD_LINES[0], ODD_LINES[8], b"  ", ODD_LINES[19]]) == [
+            [{"receiver": "gamma", "sender": 1, "nbytes": 10}],
+            [{"op": "flush"}],
+            [],
+            [{"receiver": "\ufffd\ufffd", "sender": 1, "nbytes": 10}],
+        ]
+        refused = [
+            [b'{"a":[[1', b"2]]}"],
+            [b'{"b":1}],[{"c":2}'],
+            [ODD_LINES[9]],
+            [b'{"receiver": "gam', ODD_LINES[0]],
+            [b"\x0c"],
+            [ODD_LINES[0], oversized_observe(MAX_LINE_BYTES + 1)],
+        ]
+        assert [scan(group) for group in refused] == [None] * len(refused)
+
+    def test_300_lines_are_scanned_as_groups_of_128(self, monkeypatch):
+        scan, sizes = server_module._scan_group, []
+
+        def counting_scan(group):
+            sizes.append(len(group))
+            return scan(group)
+
+        monkeypatch.setattr(server_module, "_scan_group", counting_scan)
+        service = make_service()
+        assert LineIngest(service).feed(b"\n".join([ODD_LINES[0]] * 300) + b"\n") == b""
+        assert sizes == [128, 128, 44]
+        assert (service.stats()["observations"], service.parse_errors) == (300, 0)
+
+    def test_a_64k_read_of_observes_adds_little_beyond_its_lines(self):
+        """The group scan's text and what it scans to are held one group at a
+        time: scanning a whole 64 KiB read at once took about 480 KB."""
+        service = ServeService("last-value", num_shards=2)  # state of a fixed size
+        ingest = LineIngest(service)
+        lines = [
+            b'{"nbytes":%d,"receiver":"r%d","sender":%d}' % (512 * (i % 3), (i // 8) % 16, i % 5)
+            for i in range(1600)
+        ]
+        read = b"\n".join(lines)[:65536]
+        lines = read[: read.rindex(b"\n")].split(b"\n")
+        ingest._serve(list(lines), [])  # every stream exists
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ingest._serve(lines, [])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(lines) > 1400 and peak < 128 * 1024, peak
 
 
 class TestConnectionsDoNotWaitForEachOther:
