@@ -236,11 +236,10 @@ class Transport:
         self._engine.schedule_at(time, callback)
 
     def _schedule_data(self, time: float, message: Message, posted: Optional[PostedReceive]) -> None:
-        """Schedule the physical arrival of ``message`` at ``time``."""
+        """Schedule the physical arrival of ``message`` at ``time``: an exchange record
+        instead of a local event when it is aimed at a remote partition."""
         local = self._partition_local
         if local is not None and message.dst not in local:
-            # Eager payloads and ghost duplicates aimed at a remote partition
-            # become exchange records instead of local events.
             self._outbox_data(time, message)
             return
         self._schedule_delivery(time, message, posted)
@@ -321,10 +320,8 @@ class Transport:
         if use_eager:
             arrival = self._data_arrival(message, inject)
             message.arrival_time = arrival
-            if self._partition_local is None:  # not partitioned: every rank is local
-                self._schedule_delivery(arrival, message, None)
-            else:
-                self._schedule_data(arrival, message, None)
+            push = self._schedule_delivery if self._partition_local is None else self._schedule_data
+            push(arrival, message, None)
             if request is not None:
                 request._complete(inject)
         else:
