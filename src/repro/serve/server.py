@@ -2,14 +2,15 @@
 
 :class:`LineIngest` is a connection's whole data path, request bytes in and
 response bytes out: split what was read on ``\\n``, keep the partial last line
-for the next read, parse each complete line with its 1-based number, coalesce
-consecutive same-stream observes into one ``Shard.observe_batch`` and run
-every other op inline through :meth:`ServeService.handle`.  Nothing is
-queued, so a query sees every event any connection sent before it and
-``flush`` / ``stats`` / ``snapshot`` / ``shutdown`` need no barrier.  The
-outputs depend on the bytes fed, never on how they were coalesced or where
-the reads cut them.  A malformed line never kills a connection: it is
-answered ``{"error": "line N: ...", "line": N}`` and the next one is served.
+for the next read, parse the complete lines (up to 128 in one JSON scan, see
+:func:`_scan_group`) each with its 1-based number, coalesce consecutive
+same-stream observes into one ``Shard.observe_batch`` and run every other op
+inline through :meth:`ServeService.handle`.  Nothing is queued, so a query
+sees every event any connection sent before it and ``flush`` / ``stats`` /
+``snapshot`` / ``shutdown`` need no barrier.  The outputs depend on the bytes
+fed, never on how they were coalesced or scanned or where the reads cut
+them.  A malformed line never kills a connection: it is answered
+``{"error": "line N: ...", "line": N}`` and the next one is served.
 
 Both transports are the same loop around it: read what is there, feed, write
 the answers at once.  Over TCP (:class:`ServeServer`) one ``selectors`` loop
@@ -48,14 +49,14 @@ _SCAN_LINES = 128
 
 
 def _scan_group(group: list[bytes]) -> list | None:
-    """The lines of ``group`` scanned as one JSON array, ``[[line 1]\n,[line 2]…]``:
+    """The lines of ``group`` scanned as one JSON array, ``[[line 1]\\n,[line 2]…]``:
     one list per line, ``[]`` for a blank one, ``[object]`` for an event.
 
     ``None`` when a line is longer than :data:`MAX_LINE_BYTES`, holds a ``[``
     or ``]`` byte, or the scanner refuses the text.  Without brackets in the
     lines the wrappers are the only ones, so no line can forge an element
     boundary (``{"b":1}],[{"c":2}`` would scan as two elements); and the
-    strict scanner refuses the raw ``\n`` of a separator inside a string, so
+    strict scanner refuses the raw ``\\n`` of a separator inside a string, so
     no string spans two lines.  Decoding the joined bytes replaces an invalid
     UTF-8 sequence as decoding its line alone does: ASCII ends one.
     """
