@@ -7,9 +7,11 @@ plateaus once a cap is reached, no matter how many distinct streams pass
 through.
 """
 
+import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -19,6 +21,7 @@ import repro
 from repro.predictive.online import OnlineMessagePredictor
 from repro.predictive.state import state_nbytes
 from repro.serve.service import ServeService
+from repro.serve.shard import Shard
 from repro.serve.table import StreamEntry, StreamTable
 
 
@@ -260,3 +263,57 @@ class TestValidation:
         assert stats["evictions"] == 0
         assert stats["max_streams"] == 8
         assert stats["resident_bytes"] == stats["resident_bytes_per_stream"]
+
+
+def _shard_traffic(shard, rng, steps, directory):
+    """Random traffic through ``shard`` (observes of one and of many, queries,
+    snapshot round trips); yields ``(shard, resident keys in LRU order)``
+    after every operation."""
+    for step in range(steps):
+        key = f"s{rng.randrange(24)}"
+        roll = rng.random()
+        if roll < 0.35:
+            shard.observe(key, rng.randrange(5), 64 << rng.randrange(3))
+        elif roll < 0.7:
+            period = 1 + rng.randrange(6)
+            run = [(step + i) % period for i in range(rng.randrange(2, 14))]
+            shard.observe_batch(key, run, [8 * value for value in run])
+        elif roll < 0.85:
+            shard.predict(key, 1 + rng.randrange(8))
+        elif roll < 0.97:
+            shard.expects(key, rng.randrange(5))
+        else:
+            path = directory / f"step-{step}.snap"
+            shard.snapshot(path)
+            shard = Shard.restore(path)
+        yield shard, list(shard.table.keys())
+
+
+#: Recorded with the table that re-sized an entry on every observe run: the
+#: sha256 of the JSON ``[stats, evicted keys, LRU order]`` after every step.
+ACCOUNTING_GOLDEN = {
+    (None, 60_000): "82be2748164a6f12e9aaeae07a5cf0c0d5b7f9be6e447e52a7f335765912e1e1",
+    (9, 24_000): "aac8252625442253717858ce1b420d4be17d5ad41982c585ce05b07854a52804",
+}
+
+
+class TestAccountingOverRandomTraffic:
+    @pytest.mark.parametrize("max_streams, max_bytes", sorted(ACCOUNTING_GOLDEN, key=str))
+    def test_capped_table_evicts_and_counts_as_recorded(self, tmp_path, max_streams, max_bytes):
+        shard = Shard(predictor="periodicity:window=4,max_period=16",
+                      max_streams=max_streams, max_bytes=max_bytes)  # fmt: skip
+        log, before = [], []
+        for shard, after in _shard_traffic(shard, random.Random(46), 1500, tmp_path):
+            evicted = [key for key in before if key not in after]
+            log.append([shard.stats(), evicted, after])
+            before = after
+        assert sum(len(evicted) for _, evicted, _ in log) > 100
+        digest = hashlib.sha256(json.dumps(log).encode()).hexdigest()
+        assert digest == ACCOUNTING_GOLDEN[max_streams, max_bytes]
+
+    def test_uncapped_table_reads_the_sum_of_fresh_sizes(self, tmp_path):
+        shard = Shard(predictor="periodicity:window=4,max_period=16", max_streams=12)
+        for shard, _ in _shard_traffic(shard, random.Random(7), 1500, tmp_path):
+            fresh = sum(StreamEntry(entry.predictor).nbytes for _, entry in shard.table.items())
+            assert shard.stats()["resident_bytes"] == fresh
+        assert shard.table.evictions > 100
