@@ -12,7 +12,8 @@ each (workload, metric) both sides of the pairs carry, the ledger prints each
 side's median and quartiles over its runs and how many pairs the change won,
 ties counting for neither; for the full runs, each side's median of the
 end-to-end metrics per workload; ``probes`` are named readings outside
-``bench/run.py`` (each side's values), printed with each side's median.
+``bench/run.py`` (each side's values), printed with each side's median, or
+``—`` for a side that has none (a reading the parent cannot take).
 Quartiles and which way is better are the benchmark's own
 (``bench/harness/metrics.py``).
 """
@@ -72,11 +73,14 @@ def full_rows(full_runs: dict[str, dict]) -> list[str]:
 def probe_rows(probes: dict[str, dict]) -> list[str]:
     rows = []
     for name, probe in probes.items():
-        cells = [
-            f"{side} {fmt(metrics.quartiles(probe[side])[1])} "
-            f"({', '.join(fmt(value) for value in probe[side])})"
-            for side in ("parent", "change")
-        ]
+        cells = []
+        for side in ("parent", "change"):
+            values = probe.get(side) or []
+            if not values:
+                cells.append(f"{side} —")
+                continue
+            median = fmt(metrics.quartiles(values)[1])
+            cells.append(f"{side} {median} ({', '.join(fmt(value) for value in values)})")
         rows.append(f"probe {name}: {cells[0]}; {cells[1]}")
     return rows
 

@@ -118,7 +118,7 @@ class PredictiveCreditPolicy(FlowControlPolicy):
 
     def _grant_from_predictions(self, dst: int) -> None:
         """Grant credits to the senders currently predicted at ``dst``."""
-        for sender, nbytes in self.predictor.predict(dst, self.horizon):
+        for sender, nbytes in zip(*self.predictor.forecast(dst, self.horizon)):
             if sender is None:
                 continue
             grant = nbytes if nbytes is not None else self.machine.eager_threshold

@@ -33,6 +33,9 @@ class PredictedMessage(NamedTuple):
 class OnlineMessagePredictor:
     """Tracks and predicts the incoming message stream of every rank.
 
+    :meth:`forecast` is the answer path, the next senders and sizes as two
+    lists; :meth:`predict` pairs them into :class:`PredictedMessage`\ s.
+
     Parameters
     ----------
     nprocs:
@@ -93,29 +96,33 @@ class OnlineMessagePredictor:
         self._size_predictors[receiver].observe_many(sizes)
         self.observations += len(senders)
 
-    def predict(self, receiver: int, horizon: int | None = None) -> list[PredictedMessage]:
-        """Predict the next messages expected at ``receiver``.
+    def forecast(
+        self, receiver: int, horizon: int | None = None
+    ) -> tuple[list[int | None], list[int | None]]:
+        """The next ``horizon`` senders and sizes expected at ``receiver``.
 
         The per-message answer path (a policy hook after every delivery, a
         ``repro serve`` query): the two predictors' ``predict`` lists of
-        plain ints, paired — nothing is converted or copied per element.
+        plain ints or ``None``, as they come — nothing is built per element.
         """
         h = self.horizon if horizon is None else int(horizon)
         senders = self._sender_predictors[receiver].predict(h)
-        sizes = self._size_predictors[receiver].predict(h)
-        return list(map(PredictedMessage, senders, sizes))
+        return senders, self._size_predictors[receiver].predict(h)
+
+    def predict(self, receiver: int, horizon: int | None = None) -> list[PredictedMessage]:
+        """Predict the next messages expected at ``receiver``: :meth:`forecast`, paired."""
+        return list(map(PredictedMessage, *self.forecast(receiver, horizon)))
 
     def predicted_senders(self, receiver: int, horizon: int | None = None) -> set[int]:
         """The set of senders expected among the next messages at ``receiver``."""
-        return {
-            sender for sender, _ in self.predict(receiver, horizon) if sender is not None
-        }
+        senders, _ = self.forecast(receiver, horizon)
+        return {sender for sender in senders if sender is not None}
 
     def expects_message(
         self, receiver: int, sender: int, nbytes: int | None = None, horizon: int | None = None
     ) -> bool:
         """Whether ``receiver`` predicts a message from ``sender`` (of ``nbytes``)."""
-        for predicted_sender, size in self.predict(receiver, horizon):
+        for predicted_sender, size in zip(*self.forecast(receiver, horizon)):
             if predicted_sender != sender:
                 continue
             if nbytes is None or size is None or size == nbytes:

@@ -48,8 +48,9 @@ same way without parsing it (:data:`repro.serve.server.MAX_LINE_BYTES`).
 
 Responses are encoded by :func:`encode_response` with sorted keys and no
 whitespace.  The ``predict`` answer — the one response on the per-message
-path — is formatted directly; it is byte-equal to what the generic encoder
-gives, which every other response goes through.
+path — is written by :func:`encode_predict` straight from the two forecast
+lists, byte-equal to what :func:`encode_response` gives for the answer
+``ServeService.handle`` builds.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "parse_event_line",
     "event_from_payload",
     "encode_event",
+    "encode_predict",
     "encode_response",
 ]
 
@@ -236,8 +238,6 @@ def event_from_payload(payload: dict, line_number: int) -> ServeEvent:
 #: The one wire encoder (``json.dumps`` would build a new one on every call).
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-_PREDICT_KEYS = {"known", "op", "predictions", "receiver"}
-
 
 def encode_event(**fields) -> str:
     """Encode an event as one wire line (keys with ``None`` values dropped)."""
@@ -245,26 +245,27 @@ def encode_event(**fields) -> str:
 
 
 def encode_response(response: dict) -> str:
-    """Encode a response object as one wire line (deterministic key order).
+    """Encode a response object as one wire line (deterministic key order)."""
+    return _encode(response)
 
-    The four-key ``predict`` answer ``ServeService.handle`` builds (string
-    receiver, int-or-``None`` fields) is formatted directly, to the bytes the
-    generic encoder would give; any other dict goes to that encoder.
-    """
-    if response.keys() != _PREDICT_KEYS or response["op"] != "predict":
-        return _encode(response)
+
+def encode_predict(receiver: str, forecast: tuple[list, list] | None) -> str:
+    """The ``predict`` answer for ``receiver`` as one wire line, from
+    ``Shard.forecast``'s ``(senders, sizes)`` lists of ints or ``None``
+    (``None`` for a stream that is not resident): the bytes
+    :func:`encode_response` gives for the answer ``ServeService.handle`` builds."""
+    if forecast is None:
+        return '{"known":false,"op":"predict","predictions":[],"receiver":%s}' % (
+            encode_basestring_ascii(receiver)
+        )
     predictions = ",".join(
         [
             '{"nbytes":%s,"sender":%s}'
-            % (
-                "null" if p["nbytes"] is None else p["nbytes"],
-                "null" if p["sender"] is None else p["sender"],
-            )
-            for p in response["predictions"]
+            % ("null" if nbytes is None else nbytes, "null" if sender is None else sender)
+            for sender, nbytes in zip(*forecast)
         ]
     )
-    return '{"known":%s,"op":"predict","predictions":[%s],"receiver":%s}' % (
-        "true" if response["known"] else "false",
+    return '{"known":true,"op":"predict","predictions":[%s],"receiver":%s}' % (
         predictions,
-        encode_basestring_ascii(response["receiver"]),
+        encode_basestring_ascii(receiver),
     )

@@ -4,8 +4,10 @@
 response bytes out: split what was read on ``\\n``, keep the partial last line
 for the next read, parse the complete lines (up to 128 in one JSON scan, see
 :func:`_scan_group`) each with its 1-based number, coalesce consecutive
-same-stream observes into one ``Shard.observe_batch`` and run every other op
-inline through :meth:`ServeService.handle`.  Nothing is queued, so a query
+same-stream observes into one ``Shard.observe_batch`` (a run of one is one
+``Shard.observe``), answer a ``predict`` from ``Shard.forecast``'s lists
+(:func:`encode_predict`) and run every other op inline through
+:meth:`ServeService.handle`.  Nothing is queued, so a query
 sees every event any connection sent before it and ``flush`` / ``stats`` /
 ``snapshot`` / ``shutdown`` need no barrier.  The outputs depend on the bytes
 fed, never on how they were coalesced or scanned or where the reads cut
@@ -28,6 +30,7 @@ from repro.serve.protocol import (
     ServeEvent,
     ServeProtocolError,
     _scan_once,
+    encode_predict,
     encode_response,
     event_from_payload,
     parse_event_line,
@@ -118,7 +121,10 @@ class LineIngest:
         def end_run() -> None:
             nonlocal run_key
             if run_key is not None:
-                service.shard_for(run_key).observe_batch(run_key, senders, sizes)
+                if len(senders) == 1:
+                    service.shard_for(run_key).observe(run_key, senders[0], sizes[0])
+                else:
+                    service.shard_for(run_key).observe_batch(run_key, senders, sizes)
                 run_key = None
                 senders.clear()
                 sizes.clear()
@@ -149,6 +155,11 @@ class LineIngest:
                     sizes.append(event.nbytes)
                     continue
                 end_run()
+                if event.op == "predict":
+                    receiver = event.receiver
+                    forecast = service.shard_for(receiver).forecast(receiver, event.horizon)
+                    out.append(encode_predict(receiver, forecast) + "\n")
+                    continue
                 try:
                     response = service.handle(event)
                 except (SnapshotError, OSError) as error:

@@ -10,9 +10,12 @@ equivalent shard whose subsequent predictions are bit-identical.
 Each stream's state is one
 :class:`repro.predictive.online.OnlineMessagePredictor` pinned to receiver
 slot 0 (``nprocs=1``), so the serve path drives exactly the
-``observe_batch``/``predict``/``expects_message`` fast paths the simulator
-uses — the serve-vs-offline bit-identity invariant is equality of code
-paths, not a re-implementation.
+``observe``/``observe_batch``/``forecast``/``expects_message`` fast paths the
+simulator uses — the serve-vs-offline bit-identity invariant is equality of
+code paths, not a re-implementation.  The front end feeds a run of one
+message through :meth:`Shard.observe`, a longer run through
+:meth:`Shard.observe_batch`, and answers a ``predict`` line from
+:meth:`Shard.forecast`'s two lists.
 """
 
 from __future__ import annotations
@@ -98,6 +101,15 @@ class Shard:
         if entry is None:
             return None
         return entry.predictor.predict(0, horizon)
+
+    def forecast(
+        self, key: str, horizon: int | None = None
+    ) -> tuple[list[int | None], list[int | None]] | None:
+        """:meth:`predict` as the ``(senders, sizes)`` lists it pairs; None when not resident."""
+        entry = self.table.get(key)
+        if entry is None:
+            return None
+        return entry.predictor.forecast(0, horizon)
 
     def expects(self, key: str, sender: int, nbytes: int | None = None) -> bool | None:
         """Whether stream ``key`` expects a message from ``sender``."""

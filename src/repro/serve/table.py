@@ -12,11 +12,15 @@ summed size estimates.  Over a cap, the **least recently used** streams are
 evicted (``evictions`` counts them, forever); observes *and*
 stream-addressed queries refresh recency.  ``resident_bytes`` is the sum of
 the entries' sizes: each predictor's ``nbytes``, a formula over the lengths
-it keeps (:mod:`repro.predictive.state`), plus the table's own bookkeeping,
-recomputed on every :meth:`StreamTable.note_observations`.  Eviction reads
-no clock or memory address, so it depends only on the sequence of
-operations: a size is a function of predictor state, the same in any
-process and before and after a snapshot round trip.
+it keeps (:mod:`repro.predictive.state`), plus the table's own bookkeeping.
+A size is computed where it is read: without ``max_bytes`` nothing reads it
+on the observe path, so ``entry.nbytes`` and ``resident_bytes`` (``stats``)
+compute it from the current predictor state; under ``max_bytes`` the
+eviction check reads it after every observation, so
+:meth:`StreamTable.note_observations` re-sizes the entry and keeps a running
+total.  Eviction reads no clock or memory address, so it depends only on
+the sequence of operations: a size is a function of predictor state, the
+same in any process and before and after a snapshot round trip.
 """
 
 from __future__ import annotations
@@ -29,22 +33,23 @@ from repro.predictive.online import OnlineMessagePredictor
 __all__ = ["StreamEntry", "StreamTable"]
 
 
-def _entry_nbytes(predictor: OnlineMessagePredictor) -> int:
-    """A resident stream's size: its predictor, plus what the table itself
-    holds for it (the entry, its ordered-dict slot and a short key, ~208 B);
-    :func:`repro.predictive.state.state_nbytes` is the predictor's ``nbytes``."""
-    return 208 + predictor.nbytes
-
-
 class StreamEntry:
     """One resident stream: a single-receiver predictor plus accounting."""
 
-    __slots__ = ("predictor", "observations", "nbytes")
+    __slots__ = ("predictor", "observations", "_charged")
 
     def __init__(self, predictor: OnlineMessagePredictor) -> None:
         self.predictor = predictor
         self.observations = 0
-        self.nbytes = _entry_nbytes(predictor)
+        #: The bytes a ``max_bytes`` table's running total holds for this entry.
+        self._charged = 0
+
+    @property
+    def nbytes(self) -> int:
+        """This stream's size: its predictor, plus what the table itself holds
+        for it (the entry, its ordered-dict slot and a short key, ~208 B);
+        :func:`repro.predictive.state.state_nbytes` is the predictor's ``nbytes``."""
+        return 208 + self.predictor.nbytes
 
 
 class StreamTable:
@@ -59,7 +64,9 @@ class StreamTable:
         Evict down to this many resident streams (None = unbounded).
     max_bytes:
         Evict while the resident-size estimate exceeds this (None =
-        unbounded; at least one stream always stays resident).
+        unbounded; at least one stream always stays resident).  With it,
+        every observation re-sizes its stream into a running total; without
+        it, ``resident_bytes`` and ``entry.nbytes`` are computed when read.
     """
 
     def __init__(
@@ -80,8 +87,7 @@ class StreamTable:
         self.evictions = 0
         #: Total streams ever created (monotone).
         self.streams_created = 0
-        #: Summed resident-size estimate of all resident entries.
-        self.resident_bytes = 0
+        self._charged_bytes = 0  # the entries' ``_charged`` summed (0 without max_bytes)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -97,6 +103,13 @@ class StreamTable:
     def items(self) -> Iterator[tuple[str, StreamEntry]]:
         """Resident ``(key, entry)`` pairs in LRU order (coldest first)."""
         return iter(self._entries.items())
+
+    @property
+    def resident_bytes(self) -> int:
+        """Summed resident-size estimate of all resident entries."""
+        if self.max_bytes is not None:
+            return self._charged_bytes
+        return sum(entry.nbytes for entry in self._entries.values())
 
     # ------------------------------------------------------------------
     def get(self, key: str, create: bool = False) -> StreamEntry | None:
@@ -115,26 +128,24 @@ class StreamTable:
         entry = StreamEntry(self._entry_factory())
         self._entries[key] = entry
         self.streams_created += 1
-        self.resident_bytes += entry.nbytes
+        self._charge(entry)
         self._evict_over_caps()
         return entry
 
     def note_observations(self, entry: StreamEntry, count: int) -> None:
-        """Record ``count`` observations against ``entry``: re-size it, evict over the caps."""
+        """Record ``count`` observations against ``entry``; under ``max_bytes``,
+        re-size it and evict over the caps."""
         entry.observations += count
-        nbytes = _entry_nbytes(entry.predictor)
-        self.resident_bytes += nbytes - entry.nbytes
-        entry.nbytes = nbytes
         if self.max_bytes is not None:  # no stream was added: only bytes can be over
+            self._charge(entry)
             self._evict_over_caps()
 
     def insert_restored(self, key: str, entry: StreamEntry) -> None:
         """Insert a snapshot-restored entry at the hot end (accounted)."""
         if key in self._entries:
-            old = self._entries.pop(key)
-            self.resident_bytes -= old.nbytes
+            self._release(self._entries.pop(key))
         self._entries[key] = entry
-        self.resident_bytes += entry.nbytes
+        self._charge(entry)
         self._evict_over_caps()
 
     def pop_coldest(self) -> tuple[str, StreamEntry] | None:
@@ -142,30 +153,40 @@ class StreamTable:
         if not self._entries:
             return None
         key, entry = self._entries.popitem(last=False)
-        self.resident_bytes -= entry.nbytes
+        self._release(entry)
         self.evictions += 1
         return key, entry
+
+    def _charge(self, entry: StreamEntry) -> None:
+        """Under ``max_bytes``, move ``entry``'s share of the running total to its current size."""
+        if self.max_bytes is not None:
+            nbytes = entry.nbytes
+            self._charged_bytes += nbytes - entry._charged
+            entry._charged = nbytes
+
+    def _release(self, entry: StreamEntry) -> None:
+        self._charged_bytes -= entry._charged
+        entry._charged = 0
 
     def _evict_over_caps(self) -> None:
         if self.max_streams is not None:
             while len(self._entries) > self.max_streams:
                 self.pop_coldest()
         if self.max_bytes is not None:
-            while len(self._entries) > 1 and self.resident_bytes > self.max_bytes:
+            while len(self._entries) > 1 and self._charged_bytes > self.max_bytes:
                 self.pop_coldest()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """JSON-able table counters."""
         streams = len(self._entries)
+        resident = self.resident_bytes
         return {
             "streams": streams,
             "streams_created": self.streams_created,
             "evictions": self.evictions,
-            "resident_bytes": self.resident_bytes,
-            "resident_bytes_per_stream": (
-                self.resident_bytes // streams if streams else 0
-            ),
+            "resident_bytes": resident,
+            "resident_bytes_per_stream": resident // streams if streams else 0,
             "max_streams": self.max_streams,
             "max_bytes": self.max_bytes,
         }

@@ -79,3 +79,14 @@ def test_a_parity_ledger_holds_complete_pairs_of_correct_runs(path):
     for workload in {workload for workload, _ in sides}:
         assert sum(name == workload for name, _ in sides) >= 3, workload
     assert ledger_rows(f"perf/{path.name}")[0] == f"== {path.name}: no claim (parity)"
+
+
+def test_a_probe_read_on_one_side_prints_the_other_as_a_dash():
+    sys.path.insert(0, str(ROOT / "perf"))
+    try:
+        import ledger
+    finally:
+        sys.path.remove(str(ROOT / "perf"))
+    assert ledger.probe_rows(
+        {"x": {"parent": [], "change": [1.0]}, "y": {"parent": [2.0, 4.0, 3.0], "change": []}}
+    ) == ["probe x: parent —; change 1 (1)", "probe y: parent 3 (2, 4, 3); change —"]

@@ -24,7 +24,15 @@ import pytest
 from repro.cli import main as cli_main
 from repro.predictive.state import freeze_state
 from repro.serve.client import ServeClient, ServeResponseError
-from repro.serve.protocol import ServeProtocolError, encode_event, encode_response
+from repro.predictive.registry import predictor_names
+from repro.serve import protocol
+from repro.serve.protocol import (
+    MAX_HORIZON,
+    ServeProtocolError,
+    encode_event,
+    encode_response,
+    parse_event_line,
+)
 from repro.serve import server as server_module
 from repro.serve.server import MAX_LINE_BYTES, LineIngest, ServeServer, run_stdin
 from repro.serve.service import ServeService
@@ -854,6 +862,89 @@ class TestStdinTransport:
         first, second = [json.loads(line) for line in out.getvalue().splitlines()]
         assert set(first) == {"error", "op"} and first["op"] == "snapshot"
         assert second == {"op": "flush", "ok": True}
+
+
+class TestPredictAnswers:
+    """``LineIngest`` writes a ``predict`` answer from the two forecast lists:
+    byte for byte what the generic encoder gives for ``ServeService.handle``'s dict."""
+
+    KEYS = ["plain", 'quo"te', "back\\slash", "ctl\x00\x1f\t\n", "ключ", 7]
+    HORIZONS = [*range(1, 41), *range(41, MAX_HORIZON, 97), MAX_HORIZON]
+
+    @staticmethod
+    def feed_lines(rng, keys, horizons):
+        """Observes (period 3 for most streams, 1 or 2 samples for a young one),
+        each followed now and then by a predict, and predicts of a key never seen."""
+        lines = []
+        for step in range(300):
+            key = keys[step % len(keys)]
+            if key == keys[-1] and step >= len(keys) * 2:  # stays young
+                key = keys[0]
+            lines.append(encode_event(receiver=key, sender=step % 3, nbytes=64 << (step % 3)))
+            if rng.random() < 0.5:
+                key = rng.choice([*keys, "never-seen"])
+                lines.append(encode_event(op="predict", receiver=key, horizon=rng.choice(horizons)))
+        for horizon in horizons:
+            for key in (keys[0], keys[-1], "never-seen"):
+                lines.append(encode_event(op="predict", receiver=key, horizon=horizon))
+        lines.append(encode_event(op="predict", receiver=keys[1]))  # the spec's horizon
+        return lines
+
+    @staticmethod
+    def reference(spec, lines):
+        """The answers of ``ServeService.handle``, one parsed line at a time."""
+        service = ServeService(spec, num_shards=2)
+        answers = []
+        for number, line in enumerate(lines, 1):
+            response = service.handle(parse_event_line(line, number))
+            if response is not None:
+                answers.append(protocol._encode(response).encode() + b"\n")
+        return b"".join(answers), service
+
+    @pytest.mark.parametrize("kind", predictor_names())
+    def test_every_kind_answers_the_generic_bytes(self, kind):
+        assert kind in {"periodicity", "last-value", "most-frequent", "cycle", "markov", "stride"}
+        spec = "periodicity:window=3,max_period=8" if kind == "periodicity" else kind
+        rng = random.Random(kind)
+        lines = self.feed_lines(rng, self.KEYS, self.HORIZONS)
+        expected, reference = self.reference(spec, lines)
+        feed = "".join(line + "\n" for line in lines).encode()
+        service = ServeService(spec, num_shards=2)
+        ingest = LineIngest(service)
+        cuts = sorted(rng.sample(range(1, len(feed)), 25))
+        out = [ingest.feed(feed[a:b]) for a, b in zip([0, *cuts], [*cuts, len(feed)])]
+        assert b"".join(out) + ingest.feed(b"") == expected
+        assert service.stats() == reference.stats()
+        answers = [json.loads(line) for line in expected.splitlines()]
+        assert {answer["known"] for answer in answers} == {True, False}
+        young = [a for a in answers if a["receiver"] == str(self.KEYS[-1])]
+        if kind in ("periodicity", "markov"):
+            assert all(p == {"nbytes": None, "sender": None} for a in young for p in a["predictions"])
+        assert {len(a["predictions"]) for a in answers if a["known"]} >= set(self.HORIZONS)
+
+    def test_the_periodic_stream_is_replayed_past_its_period(self):
+        lines = self.feed_lines(random.Random(3), self.KEYS, self.HORIZONS)
+        expected, _ = self.reference("periodicity:window=3,max_period=8", lines)
+        longest = json.loads(expected.splitlines()[-4])  # the plain key at MAX_HORIZON
+        assert longest["receiver"] == "plain" and len(longest["predictions"]) == MAX_HORIZON
+        predictions = longest["predictions"]
+        assert predictions != predictions[:1] * MAX_HORIZON
+        assert any(predictions[period:] == predictions[:-period] for period in range(2, 9))
+
+    def test_encode_predict_is_the_generic_encoder_on_handles_dict(self):
+        for receiver in ("r", 'a"\\b\x01', "é\u2028"):
+            for forecast in (None, ([], []), ([1, None, 3], [None, 8, 2**63 - 1])):
+                predictions = [
+                    {"sender": s, "nbytes": n} for s, n in zip(*forecast or ((), ()))
+                ]
+                answer = {
+                    "op": "predict",
+                    "receiver": receiver,
+                    "known": forecast is not None,
+                    "predictions": predictions,
+                }
+                assert protocol.encode_predict(receiver, forecast) == protocol._encode(answer)
+                assert encode_response(answer) == protocol._encode(answer)
 
 
 class TestYoungStreams:
