@@ -34,7 +34,7 @@ class OnlineMessagePredictor:
     """Tracks and predicts the incoming message stream of every rank.
 
     :meth:`forecast` is the answer path, the next senders and sizes as two
-    lists; :meth:`predict` pairs them into :class:`PredictedMessage`\ s.
+    lists; :meth:`predict` pairs them into :class:`PredictedMessage` tuples.
 
     Parameters
     ----------
