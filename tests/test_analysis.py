@@ -1,8 +1,9 @@
 """Tests for the analysis layer (Table 1, Figures 1-4, extensions, ablations).
 
-These use a very small run scale: the point is to verify structure and wiring
-(labels, caching, rendering, paper-vs-measured bookkeeping), not the
-full-fidelity numbers, which the benchmark harness regenerates.
+These read the session's ``paper_grid`` (the 19 cells at seed 2003, scale
+0.25): the point is to verify structure and wiring (labels, caching,
+rendering, paper-vs-measured bookkeeping); ``test_paper_claims.py`` checks
+the numbers against the committed artefacts.
 """
 
 import pytest
@@ -25,34 +26,28 @@ from repro.analysis.table1 import PAPER_TABLE1, build_table1, render_table1
 
 
 @pytest.fixture(scope="module")
-def tiny_context():
-    """A context with very small run scale, shared by the analysis tests."""
-    return ExperimentContext(seed=11, scale=0.03)
-
-
-@pytest.fixture(scope="module")
-def bt_configs(tiny_context):
+def bt_configs(paper_grid):
     """Only the BT configurations (cheapest subset that spans process counts)."""
-    return [c for c in tiny_context.configurations() if c.workload == "bt"][:2]
+    return [c for c in paper_grid.configurations() if c.workload == "bt"][:2]
 
 
 class TestExperimentContext:
-    def test_nineteen_configurations(self, tiny_context):
-        assert len(tiny_context.configurations()) == 19
+    def test_nineteen_configurations(self, paper_grid):
+        assert len(paper_grid.configurations()) == 19
 
-    def test_run_caching(self, tiny_context):
-        config = tiny_context.configurations()[0]
-        first = tiny_context.run(config)
-        second = tiny_context.run(config)
+    def test_run_caching(self, paper_grid):
+        config = paper_grid.configurations()[0]
+        first = paper_grid.run(config)
+        second = paper_grid.run(config)
         assert first is second
 
-    def test_run_named_matches_label(self, tiny_context):
-        run = tiny_context.run_named("bt", 4)
+    def test_run_named_matches_label(self, paper_grid):
+        run = paper_grid.run_named("bt", 4)
         assert run.label == "bt.4"
         assert run.representative_rank == 3
 
-    def test_run_named_adhoc_configuration(self, tiny_context):
-        run = tiny_context.run_named("ring-exchange", 4)
+    def test_run_named_adhoc_configuration(self):
+        run = ExperimentContext(seed=11, scale=0.03).run_named("ring-exchange", 4)
         assert run.spec.workload.name == "ring-exchange"
 
     def test_clear(self):
@@ -64,93 +59,93 @@ class TestExperimentContext:
 
 
 class TestTable1:
-    def test_rows_cover_all_configurations(self, tiny_context):
-        rows = build_table1(tiny_context)
+    def test_rows_cover_all_configurations(self, paper_grid):
+        rows = build_table1(paper_grid)
         assert len(rows) == 19
         assert {row.label for row in rows} == set(PAPER_TABLE1)
 
-    def test_paper_reference_attached(self, tiny_context):
-        rows = build_table1(tiny_context)
+    def test_paper_reference_attached(self, paper_grid):
+        rows = build_table1(paper_grid)
         by_label = {row.label: row for row in rows}
         assert by_label["bt.9"].paper_p2p == 3651
         assert by_label["is.32"].paper_senders == 32
 
-    def test_structural_shape_matches_paper(self, tiny_context):
-        rows = {row.label: row for row in build_table1(tiny_context)}
+    def test_structural_shape_matches_paper(self, paper_grid):
+        rows = {row.label: row for row in build_table1(paper_grid)}
         # CG is pure point-to-point; IS is collective-dominated.
         assert rows["cg.8"].collective_messages == 0
         assert rows["is.8"].collective_messages > rows["is.8"].p2p_messages
         # LU produces the most p2p messages of all applications at equal scale.
         assert rows["lu.4"].p2p_messages > rows["bt.4"].p2p_messages
 
-    def test_render(self, tiny_context):
-        text = render_table1(build_table1(tiny_context))
+    def test_render(self, paper_grid):
+        text = render_table1(build_table1(paper_grid))
         assert "bt.9" in text and "paper" in text
 
-    def test_total_messages_property(self, tiny_context):
-        row = build_table1(tiny_context)[0]
+    def test_total_messages_property(self, paper_grid):
+        row = build_table1(paper_grid)[0]
         assert row.total_messages == row.p2p_messages + row.collective_messages
 
 
 class TestFigures12:
-    def test_figure1_periods(self, tiny_context):
-        result = figure1(tiny_context)
+    def test_figure1_periods(self, paper_grid):
+        result = figure1(paper_grid)
         assert result.label == "bt.9"
         assert result.sender_period == 18
         assert result.size_period in (6, 18)
         assert result.distinct_sizes == (3240, 10240, 19440)
 
-    def test_figure1_render(self, tiny_context):
-        assert "Figure 1" in figure1(tiny_context).render()
+    def test_figure1_render(self, paper_grid):
+        assert "Figure 1" in figure1(paper_grid).render()
 
-    def test_figure2_same_multiset(self, tiny_context):
-        result = figure2(tiny_context)
+    def test_figure2_same_multiset(self, paper_grid):
+        result = figure2(paper_grid)
         assert sorted(result.logical_senders.tolist()) == sorted(
             result.physical_senders.tolist()
         )
 
-    def test_figure2_mismatch_fraction_bounded(self, tiny_context):
-        result = figure2(tiny_context)
+    def test_figure2_mismatch_fraction_bounded(self, paper_grid):
+        result = figure2(paper_grid)
         assert 0.0 <= result.mismatch_fraction < 0.5
 
-    def test_figure2_render_marks_positions(self, tiny_context):
-        assert "reordered positions" in figure2(tiny_context).render()
+    def test_figure2_render_marks_positions(self, paper_grid):
+        assert "reordered positions" in figure2(paper_grid).render()
 
 
 class TestFigures34:
-    def test_figure3_structure(self, tiny_context, bt_configs):
-        figure = figure3(tiny_context, configurations=bt_configs)
+    def test_figure3_structure(self, paper_grid, bt_configs):
+        figure = figure3(paper_grid, configurations=bt_configs)
         assert figure.level == "logical"
         assert figure.labels() == [c.label for c in bt_configs]
         config = figure.config("bt.4")
         assert len(config.sender_accuracy) == 5
         assert all(0.0 <= v <= 100.0 for v in config.sender_accuracy)
 
-    def test_figure4_structure(self, tiny_context, bt_configs):
-        figure = figure4(tiny_context, configurations=bt_configs)
+    def test_figure4_structure(self, paper_grid, bt_configs):
+        figure = figure4(paper_grid, configurations=bt_configs)
         assert figure.level == "physical"
         assert len(figure.configs) == len(bt_configs)
 
-    def test_logical_not_worse_than_physical(self, tiny_context, bt_configs):
-        logical = figure3(tiny_context, configurations=bt_configs)
-        physical = figure4(tiny_context, configurations=bt_configs)
+    def test_logical_not_worse_than_physical(self, paper_grid, bt_configs):
+        logical = figure3(paper_grid, configurations=bt_configs)
+        physical = figure4(paper_grid, configurations=bt_configs)
         assert logical.mean_accuracy("sender", 1) >= physical.mean_accuracy("sender", 1) - 1e-9
 
-    def test_unknown_label_raises(self, tiny_context, bt_configs):
-        figure = figure3(tiny_context, configurations=bt_configs)
+    def test_unknown_label_raises(self, paper_grid, bt_configs):
+        figure = figure3(paper_grid, configurations=bt_configs)
         with pytest.raises(KeyError):
             figure.config("nope.3")
 
-    def test_render_contains_bars(self, tiny_context, bt_configs):
-        text = figure3(tiny_context, configurations=bt_configs).render()
+    def test_render_contains_bars(self, paper_grid, bt_configs):
+        text = figure3(paper_grid, configurations=bt_configs).render()
         assert "sender prediction" in text
         assert "#" in text
 
-    def test_custom_predictor_factory(self, tiny_context, bt_configs):
+    def test_custom_predictor_factory(self, paper_grid, bt_configs):
         from repro.core.baselines import LastValuePredictor
 
         figure = figure3(
-            tiny_context, configurations=bt_configs, predictor_factory=LastValuePredictor
+            paper_grid, configurations=bt_configs, predictor_factory=LastValuePredictor
         )
         assert figure.configs  # runs without error
 
@@ -183,8 +178,8 @@ class TestExtensions:
 
 
 class TestAblations:
-    def test_window_size_sweep(self, tiny_context):
-        rows = window_size_sweep(windows=(8, 32), context=tiny_context)
+    def test_window_size_sweep(self, paper_grid):
+        rows = window_size_sweep(windows=(8, 32), context=paper_grid)
         assert [row["window_size"] for row in rows] == [8, 32]
         for row in rows:
             assert 0.0 <= row["logical_accuracy"] <= 100.0
@@ -194,8 +189,8 @@ class TestAblations:
         assert rows[0]["reordered_fraction"] < 0.02
         assert rows[1]["reordered_fraction"] > 2 * rows[0]["reordered_fraction"]
 
-    def test_baseline_comparison_contains_paper_predictor(self, tiny_context):
-        rows = baseline_comparison(context=tiny_context, nprocs=9)
+    def test_baseline_comparison_contains_paper_predictor(self, paper_grid):
+        rows = baseline_comparison(context=paper_grid, nprocs=9)
         names = {row["predictor"] for row in rows}
         assert "periodicity (paper)" in names
         assert "last-value" in names
@@ -203,7 +198,7 @@ class TestAblations:
         last_row = next(r for r in rows if r["predictor"] == "last-value")
         assert paper_row["accuracy_plus5"] >= last_row["accuracy_plus5"]
 
-    def test_unordered_accuracy_study(self, tiny_context):
-        rows = unordered_accuracy_study(configurations=(("bt", 9),), context=tiny_context)
+    def test_unordered_accuracy_study(self, paper_grid):
+        rows = unordered_accuracy_study(configurations=(("bt", 9),), context=paper_grid)
         assert rows[0]["config"] == "bt.9"
         assert rows[0]["unordered_overlap"] >= rows[0]["ordered_accuracy"] - 1e-9

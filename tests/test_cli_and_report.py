@@ -28,10 +28,9 @@ class TestReportHelpers:
     def test_dict_rows_table_empty(self):
         assert "(no data)" in dict_rows_table("t", [])
 
-    def test_accuracy_figure_table(self):
-        context = ExperimentContext(seed=5, scale=0.03)
-        configs = [c for c in context.configurations() if c.label == "bt.4"]
-        figure = figure3(context, configurations=configs)
+    def test_accuracy_figure_table(self, paper_grid):
+        configs = [c for c in paper_grid.configurations() if c.label == "bt.4"]
+        figure = figure3(paper_grid, configurations=configs)
         text = accuracy_figure_table(figure, "note")
         assert "bt.4" in text and "sender +1" in text
 
@@ -48,12 +47,22 @@ class TestReportHelpers:
 
 
 class TestBuildReport:
-    def test_figures_only_report(self):
-        # Small scale, extensions/ablations skipped: fast structural check.
-        context = ExperimentContext(seed=5, scale=0.03)
+    def test_figures_only_report(self, paper_grid, monkeypatch):
+        # The session's grid, extensions/ablations skipped: a structural
+        # check.  ``jobs`` reaches the context's prewarm; the grid is cached,
+        # so it starts no pool.
+        prewarms = []
+        run_all = ExperimentContext.run_all
+
+        def recording(self, jobs=None):
+            prewarms.append(jobs)
+            return run_all(self, jobs=jobs)
+
+        monkeypatch.setattr(ExperimentContext, "run_all", recording)
         report = build_report(
-            context=context, include_extensions=False, include_ablations=False
+            context=paper_grid, include_extensions=False, include_ablations=False, jobs=2
         )
+        assert prewarms[:1] == [2]
         titles = [section.title for section in report.sections]
         assert titles == ["Table 1", "Figure 1", "Figure 2", "Figure 3", "Figure 4"]
         assert "bt.9" in report.section("Table 1").body
@@ -415,25 +424,6 @@ class TestCLISweep:
         captured = capsys.readouterr()
         assert "timeout must be positive" in captured.err
         assert "FAILED" not in captured.out and captured.out == ""
-
-
-class TestBuildReportSharded:
-    def test_report_with_jobs_matches_sequential(self):
-        # The sharded prewarm must be invisible to the report content
-        # (timestamped footer aside, which render() puts outside sections).
-        sequential = build_report(
-            seed=6, scale=0.02, include_extensions=False, include_ablations=False
-        )
-        sharded = build_report(
-            seed=6,
-            scale=0.02,
-            include_extensions=False,
-            include_ablations=False,
-            jobs=2,
-        )
-        for seq_section, par_section in zip(sequential.sections, sharded.sections):
-            assert seq_section.title == par_section.title
-            assert seq_section.body == par_section.body
 
 
 class TestBenchBaseline:

@@ -7,92 +7,60 @@ the same flattened generator), on every engine drain, under every
 flow-control policy, with and without fault injection.
 
 ``tests/test_workloads_compile.py`` pins the lane *encoding*; this module
-pins the *outputs*: the full {generator, compiled} x {scalar, auto,
-auto over two partitions} x policy x fault matrix over the collective coverage workload,
-plus a hypothesis property over random collective/point-to-point
-interleavings.
+pins the *outputs*.  Fault-free, the collective coverage workload is a
+registry cell of the reference matrix (``test_reference_engine.py``), and
+random collective/point-to-point interleavings are checked against the
+reference engine here.  Under the chaos fault preset, which the reference
+does not model, the {generator, compiled} x {scalar, auto, auto over two
+partitions} x policy matrix is checked against one generator-protocol
+scalar run.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.predictive.registry import create_policy
-from repro.sim.engine import Simulator
-from repro.sim.registry import create_faults, create_network
+from cells import POLICIES, check, fingerprint, simulate
 from repro.workloads.base import Workload
 from repro.workloads.compile import compile_info, compile_rank_lanes
 from repro.workloads.registry import create_workload
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is a dev dependency
-    HAVE_HYPOTHESIS = False
-
-#: Deterministic positive-latency network so a partitioned run engages.
-NETWORK = create_network("noiseless", latency=25e-6)
-
-POLICIES = ["standard", "predictive-buffers", "predictive-credits", "predictive-rendezvous"]
-
-FAULT_PRESETS = [None, "chaos"]
-
 #: (engine, engine_jobs): both drains in-process, and auto over two partitions.
 ENGINES = {"scalar": ("scalar", 1), "auto": ("auto", 1), "partitioned": ("auto", 2)}
 
+#: The deterministic network, so a partitioned run engages where it can.
+NETWORK = "noiseless"
+SEED = 31
 
-def fingerprint(result):
-    traces = []
-    if result.tracer is not None:
-        for rank in range(result.nprocs):
-            trace = result.trace_for(rank)
-            traces.append((list(trace.logical), list(trace.physical)))
-    return (
-        result.makespan,
-        result.rank_finish_times,
-        result.events_processed,
-        result.stats.summary(),
-        result.fault_stats,
-        traces,
+
+def run_mix(policy, engine, compiled, engine_jobs=1):
+    workload = create_workload("collective-mix", nprocs=4, iterations=3)
+    return simulate(
+        workload, policy, seed=SEED, network=NETWORK, faults="chaos",
+        compiled=compiled, engine=engine, engine_jobs=engine_jobs,
     )
 
 
-def run_mix(policy, faults, engine, compiled, workload=None, engine_jobs=1):
-    workload = workload or create_workload("collective-mix", nprocs=4, iterations=3)
-    simulator = Simulator(
-        nprocs=workload.nprocs,
-        seed=31,
-        policy=create_policy(policy),
-        faults=create_faults(faults or "none"),
-        network=NETWORK,
-        engine=engine,
-        engine_jobs=engine_jobs,
-    )
-    return simulator.run([workload.program_for if compiled else workload.program])
-
-
-#: Generator-protocol scalar baselines, computed once per (policy, faults).
+#: Generator-protocol scalar baselines, computed once per policy.
 _baselines: dict = {}
 
 
-def baseline(policy, faults):
-    key = (policy, faults)
-    if key not in _baselines:
-        _baselines[key] = fingerprint(run_mix(policy, faults, "scalar", compiled=False))
-    return _baselines[key]
+def baseline(policy):
+    if policy not in _baselines:
+        _baselines[policy] = fingerprint(run_mix(policy, "scalar", compiled=False))
+    return _baselines[policy]
 
 
 class TestCollectiveEquivalenceMatrix:
-    """{generator, compiled} x engines x policies x faults, one fingerprint."""
+    """{generator, compiled} x engines x policies under chaos, one fingerprint."""
 
     @pytest.mark.parametrize("run", ENGINES)
-    @pytest.mark.parametrize("faults", FAULT_PRESETS)
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("compiled", [False, True], ids=["generator", "compiled"])
-    def test_bit_identical_outputs(self, compiled, policy, faults, run):
+    def test_bit_identical_outputs(self, compiled, policy, run):
         engine, engine_jobs = ENGINES[run]
-        result = run_mix(policy, faults, engine, compiled, engine_jobs=engine_jobs)
-        assert fingerprint(result) == baseline(policy, faults)
+        result = run_mix(policy, engine, compiled, engine_jobs=engine_jobs)
+        assert fingerprint(result) == baseline(policy)
 
     def test_collective_mix_actually_compiles(self):
         info = compile_info(create_workload("collective-mix", nprocs=4), 0)
@@ -176,20 +144,12 @@ _steps = st.lists(
 )
 
 
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestRandomInterleavings:
     @settings(max_examples=12, deadline=None)
     @given(steps=_steps, nprocs=st.sampled_from([2, 4]))
-    def test_compiled_matches_generator(self, steps, nprocs):
-        compiled_run = run_mix(
-            "standard", None, "auto", compiled=True,
-            workload=_InterleavedWorkload(nprocs=nprocs, steps=steps),
-        )
-        generator_run = run_mix(
-            "standard", None, "scalar", compiled=False,
-            workload=_InterleavedWorkload(nprocs=nprocs, steps=steps),
-        )
-        assert fingerprint(compiled_run) == fingerprint(generator_run)
+    def test_compiled_and_generator_match_reference(self, steps, nprocs):
+        workload = _InterleavedWorkload(nprocs=nprocs, steps=steps)
+        check(workload, "standard", NETWORK, [(True, "auto", 1), (False, "scalar", 1)], SEED)
 
     @settings(max_examples=6, deadline=None)
     @given(steps=_steps)

@@ -1,101 +1,38 @@
-"""Equivalence of the run loop with cohorting on (auto) and off (scalar).
+"""The engine knobs: cohorting (``auto``/``scalar``) and ``engine_jobs``.
 
-The contract of the engine knob: whether the run loop batches timestamp
-cohorts is an implementation detail.  For every registry workload, under every flow-control
-policy, with and without fault injection, an ``engine="auto"`` run must
-be **bit-identical** to an ``engine="scalar"`` run — same makespan, same
-per-rank finish times, same processed-event count, same runtime statistics,
-same fault counters, and the same trace records at both levels — and sweeps
-sharded over worker processes must behave identically under an engine
-override.  The same holds for ranks partitioned over ``engine_jobs`` worker
-processes, under either drain.
+Whether the run loop batches timestamp cohorts, and over how many worker
+processes it partitions the ranks, is an implementation detail.  Fault-free
+runs of every registry cell, policy and run mode are checked against the
+reference engine in ``test_reference_engine.py``.  This module holds what
+that matrix does not: runs with fault injection (outside the reference's
+model), compared pairwise — ``engine="auto"`` against ``engine="scalar"``,
+partitioned against in-process — on the same fingerprint; that each knob
+engages where it should; cohorts as wide as 64 ranks; and the knob's
+spelling in specs and sweeps.
 """
 
-from pathlib import Path
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.scenario import Scenario, ScenarioSpec, Sweep
+from cells import CELL_IDS, POLICIES, REGISTRY_CELLS, fingerprint, run_cell, simulate
+from repro.scenario import ScenarioSpec, Sweep
 from repro.sim.engine import Simulator
-from repro.workloads.registry import create_workload, workload_names
+from repro.workloads.registry import create_workload
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is a dev dependency
-    HAVE_HYPOTHESIS = False
-
-#: The committed sample trace (also the CLI quickstart's replay input).
-SAMPLE_TRACE = str(Path(__file__).resolve().parent.parent / "examples" / "sample_trace.jsonl")
-
-#: (workload, nprocs, extra kwargs) — the full registry at smoke scales.
-REGISTRY_CELLS = [
-    ("bt", 9, {"scale": 0.03}),
-    ("cg", 8, {"scale": 0.1}),
-    ("lu", 4, {"scale": 0.01}),
-    ("is", 8, {"scale": 0.2}),
-    ("sweep3d", 6, {"scale": 0.1}),
-    ("periodic-pattern", 4, {"scale": 0.2}),
-    ("ring-exchange", 4, {"scale": 0.2}),
-    ("random-sender", 4, {"messages_per_rank": 10}),
-    ("collective-storm", 4, {"scale": 0.2}),
-    ("collective-mix", 4, {"scale": 0.2}),
-    ("replay", 4, {"file": SAMPLE_TRACE}),
-]
-
-#: Policy shorthands (the spec layer builds a fresh instance per run).
-POLICIES = ["standard", "predictive-buffers", "predictive-credits", "predictive-rendezvous"]
-
-FAULT_PRESETS = [None, "chaos"]
-
-
-def fingerprint(result):
-    """Everything a simulation exposes to the analysis layer, comparable."""
-    traces = []
-    if result.tracer is not None:
-        for rank in range(result.nprocs):
-            trace = result.trace_for(rank)
-            traces.append((list(trace.logical), list(trace.physical)))
-    return (
-        result.makespan,
-        result.rank_finish_times,
-        result.events_processed,
-        result.stats.summary(),
-        result.fault_stats,
-        traces,
-    )
-
-
-def run_cell(
-    name, nprocs, kwargs, policy, faults, engine, seed=23, network=None, engine_jobs=1
-):
-    spec = ScenarioSpec(
-        workload={"name": name, "nprocs": nprocs, **kwargs},
-        seed=seed,
-        network=network,
-        policy=policy,
-        faults=faults,
-        engine=engine,
-        engine_jobs=engine_jobs,
-    )
-    return Scenario(spec).run().result
+#: The first registry cell (bt.9), the one the knob checks run.
+BT = REGISTRY_CELLS[0]
 
 
 class TestRegistryEquivalence:
-    """Full registry x all four policies x fault presets, scalar vs auto."""
+    """Full registry x every policy under the chaos fault preset, scalar vs auto."""
 
-    @pytest.mark.parametrize("faults", FAULT_PRESETS)
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("name,nprocs,kwargs", REGISTRY_CELLS)
-    def test_bit_identical_outputs(self, name, nprocs, kwargs, policy, faults):
-        scalar = run_cell(name, nprocs, kwargs, policy, faults, engine="scalar")
-        auto = run_cell(name, nprocs, kwargs, policy, faults, engine="auto")
+    @pytest.mark.parametrize("cell", REGISTRY_CELLS, ids=CELL_IDS)
+    def test_bit_identical_outputs(self, cell, policy):
+        scalar = run_cell(cell, policy, faults="chaos", engine="scalar")
+        auto = run_cell(cell, policy, faults="chaos", engine="auto")
         assert fingerprint(auto) == fingerprint(scalar)
-
-    def test_registry_cells_cover_the_registry(self):
-        assert sorted(name for name, _, _ in REGISTRY_CELLS) == workload_names()
 
 
 class TestCohortPathEngages:
@@ -198,26 +135,18 @@ class TestCohortPathEngages:
 class TestWideCohorts:
     """64-rank lockstep cells: segments and delivery runs as wide as the job.
 
-    Every other cell in this file tops out at 9 ranks; these pin the burst
+    The registry cells top out at 9 ranks; these pin the burst
     send pass, the batch-record flush and the cohort delivery pass at the
     widths the scaling benchmarks drive.
     """
 
     def _run(self, engine, configs, policy="standard", tracer=False, engine_jobs=1):
-        from repro.predictive.registry import create_policy
-
         machine, network = configs()
         workload = create_workload("bt", 64, iterations=1, compute_noise=0.0)
-        return Simulator(
-            workload.nprocs,
-            seed=5,
-            machine=machine,
-            network=network,
-            policy=create_policy(policy),
-            tracer=tracer,
-            engine=engine,
-            engine_jobs=engine_jobs,
-        ).run([workload.program_for])
+        return simulate(
+            workload, policy, seed=5, machine=machine, network=network,
+            tracer=tracer, engine=engine, engine_jobs=engine_jobs,
+        )
 
     def test_scalar_auto_partitioned_agree(self):
         # Zero latency leaves a partitioned run no lookahead, so it runs
@@ -254,85 +183,24 @@ class TestWideCohorts:
         assert fingerprint(runs[2]) == fingerprint(runs[0])
 
 
-#: Deterministic positive-latency network: the partitioned run's eligibility
-#: gate (it derives its lookahead from the minimum link latency).  The
-#: default jittered/contended network must *fall back* instead.
-PARALLEL_NETWORK = "noiseless:latency=25e-6"
+class TestParallelEquivalence:
+    """Full registry x {2, 3} partitions under chaos, partitioned vs in-process.
 
-#: In-process baselines for the partition matrix, computed once per cell.
-_parallel_baselines: dict = {}
-
-
-def _baseline(name, nprocs, kwargs, faults):
-    key = (name, nprocs, tuple(sorted(kwargs.items())), faults)
-    if key not in _parallel_baselines:
-        _parallel_baselines[key] = fingerprint(
-            run_cell(
-                name, nprocs, kwargs, "standard", faults,
-                engine="auto", network=PARALLEL_NETWORK,
-            )
-        )
-    return _parallel_baselines[key]
-
-
-#: Noise-free cells that stay in step on the deterministic network, so that
-#: isend segments really are posted as bursts (under the default compute
-#: noise the ranks drift apart and cohorts collapse to single steps).
-IN_STEP_CELLS = [
-    ("bt", 16, {"iterations": 1, "compute_noise": 0.0}),
-    ("cg", 16, {"scale": 0.1, "compute_noise": 0.0}),
-    ("lu", 16, {"scale": 0.01, "compute_noise": 0.0}),
-    ("is", 8, {"scale": 0.2, "compute_noise": 0.0}),
-    ("is", 16, {"scale": 0.2, "compute_noise": 0.0}),
-    ("sweep3d", 16, {"scale": 0.1, "compute_noise": 0.0}),
-    ("ring-exchange", 8, {"scale": 0.2}),
-    ("collective-mix", 8, {"scale": 0.2}),
-    ("collective-storm", 8, {"scale": 0.2}),
-]
-
-
-class TestDeterministicNetworkEquivalence:
-    """Scalar vs auto where ``Transport.post_send_burst`` runs its own pass.
-
-    The default jittered network makes the burst path fall back to one
-    ``post_send_values`` call per message, and the partition matrix below
-    compares two runs that both take the burst path.  These cells hold the
-    pass — inline arrivals, deferred delivery batches, the flush before a
-    rendezvous control message — to the per-message reference; IS at 16 ranks
-    mixes coinciding and differing arrivals with rendezvous sends in one
-    burst.
+    The deterministic network is the partitioned run's eligibility gate (it
+    derives its lookahead from the minimum link latency); fault injection
+    draws shared state, so these runs fall back and must still be
+    bit-identical.
     """
 
-    @pytest.mark.parametrize("name,nprocs,kwargs", IN_STEP_CELLS)
-    def test_bit_identical_outputs(self, name, nprocs, kwargs):
-        scalar, auto = (
-            run_cell(
-                name, nprocs, kwargs, "standard", None,
-                engine=engine, network=PARALLEL_NETWORK,
-            )
-            for engine in ("scalar", "auto")
-        )
-        assert fingerprint(auto) == fingerprint(scalar)
-
-
-class TestParallelEquivalence:
-    """Full registry x fault presets x {2, 3} partitions, partitioned vs in-process."""
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    @pytest.mark.parametrize("faults", FAULT_PRESETS)
-    @pytest.mark.parametrize("name,nprocs,kwargs", REGISTRY_CELLS)
-    def test_bit_identical_outputs(self, name, nprocs, kwargs, faults, jobs):
-        partitioned = run_cell(
-            name, nprocs, kwargs, "standard", faults,
-            engine="auto", network=PARALLEL_NETWORK, engine_jobs=jobs,
-        )
-        assert fingerprint(partitioned) == _baseline(name, nprocs, kwargs, faults)
+    @pytest.mark.parametrize("cell", REGISTRY_CELLS, ids=CELL_IDS)
+    def test_bit_identical_outputs(self, cell):
+        options = dict(network="noiseless", faults="chaos")
+        baseline = fingerprint(run_cell(cell, **options))
+        for jobs in (2, 3):
+            assert fingerprint(run_cell(cell, engine_jobs=jobs, **options)) == baseline
 
     def test_engaged_run_reports_partition_info(self):
-        result = run_cell(
-            "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="auto", network=PARALLEL_NETWORK, engine_jobs=3,
-        )
+        result = run_cell(BT, network="noiseless", engine_jobs=3)
         info = result.parallel_info
         assert info is not None and "fallback" not in info
         assert info["partitions"] == 3
@@ -344,28 +212,18 @@ class TestParallelEquivalence:
         # Jitter makes arrival computation order-sensitive across partitions,
         # so the default network is ineligible — the run must complete
         # in-process (bit-identically) and say why.
-        partitioned = run_cell(
-            "bt", 9, {"scale": 0.03}, "standard", None, engine="auto", engine_jobs=2
-        )
+        partitioned = run_cell(BT, engine_jobs=2)
         assert partitioned.parallel_info is not None
         assert "fallback" in partitioned.parallel_info
-        baseline = run_cell("bt", 9, {"scale": 0.03}, "standard", None, engine="auto")
-        assert fingerprint(partitioned) == fingerprint(baseline)
+        assert fingerprint(partitioned) == fingerprint(run_cell(BT))
 
     def test_partition_unsafe_policy_falls_back(self):
-        result = run_cell(
-            "bt", 9, {"scale": 0.03}, "predictive-credits", None,
-            engine="auto", network=PARALLEL_NETWORK, engine_jobs=2,
-        )
+        result = run_cell(BT, "predictive-credits", network="noiseless", engine_jobs=2)
         assert "fallback" in result.parallel_info
 
     def test_single_job_runs_in_process(self):
         # engine_jobs=1 asks for no partitions, so there is nothing to report.
-        result = run_cell(
-            "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="auto", network=PARALLEL_NETWORK, engine_jobs=1,
-        )
-        assert result.parallel_info is None
+        assert run_cell(BT, network="noiseless", engine_jobs=1).parallel_info is None
 
 
 class TestEngineJobsAuto:
@@ -375,10 +233,7 @@ class TestEngineJobsAuto:
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        result = run_cell(
-            "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="auto", network=PARALLEL_NETWORK, engine_jobs=0,
-        )
+        result = run_cell(BT, network="noiseless", engine_jobs=0)
         info = result.parallel_info
         assert "fallback" not in info
         assert info["engine_jobs"] == 3
@@ -390,10 +245,7 @@ class TestEngineJobsAuto:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         # One CPU resolves to one worker: ineligible, and the info says so
         # with the *resolved* count, not the 0 sentinel.
-        result = run_cell(
-            "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="auto", network=PARALLEL_NETWORK, engine_jobs=0,
-        )
+        result = run_cell(BT, network="noiseless", engine_jobs=0)
         info = result.parallel_info
         assert "fallback" in info
         assert info["engine_jobs"] == 1
@@ -431,12 +283,9 @@ class TestRetiredEngineNames:
     def test_auto_resolution_is_bit_identical(self, monkeypatch):
         import os
 
-        baseline = _baseline("bt", 9, {"scale": 0.03}, None)
+        baseline = fingerprint(run_cell(BT, network="noiseless"))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        auto = run_cell(
-            "bt", 9, {"scale": 0.03}, "standard", None,
-            engine="auto", network=PARALLEL_NETWORK, engine_jobs=0,
-        )
+        auto = run_cell(BT, network="noiseless", engine_jobs=0)
         assert fingerprint(auto) == baseline
 
     def test_sweep_pool_caps_for_auto_jobs(self, monkeypatch):
@@ -447,7 +296,7 @@ class TestRetiredEngineNames:
             base={
                 "workload": "bt.4:scale=0.03",
                 "seed": 17,
-                "network": PARALLEL_NETWORK,
+                "network": "noiseless",
             },
             cells=[{}, {"seed": 18}],
         )
@@ -457,7 +306,6 @@ class TestRetiredEngineNames:
         assert all(not isinstance(o, Exception) for o in outcomes)
 
 
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestParallelPartitionProperty:
     """Any contiguous cut of the rank space yields bit-identical outputs."""
 
@@ -530,18 +378,3 @@ class TestShardedSweepEquivalence:
         for spec in specs:
             assert "engine" not in spec.to_dict()
             assert spec.content_hash() == spec.with_overrides(engine="auto").content_hash()
-
-
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
-class TestEquivalenceProperty:
-    @settings(max_examples=8, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        cell=st.sampled_from([("bt", 4, {"scale": 0.02}), ("ring-exchange", 4, {"scale": 0.2})]),
-        policy=st.sampled_from(POLICIES),
-    )
-    def test_any_seed_any_policy(self, seed, cell, policy):
-        name, nprocs, kwargs = cell
-        scalar = run_cell(name, nprocs, kwargs, policy, None, engine="scalar", seed=seed)
-        auto = run_cell(name, nprocs, kwargs, policy, None, engine="auto", seed=seed)
-        assert fingerprint(auto) == fingerprint(scalar)

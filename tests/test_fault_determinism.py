@@ -11,23 +11,17 @@ flow-control policies:
   run sequentially or sharded over a process pool.
 """
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cells import POLICIES, SAMPLE_TRACE
 from repro.scenario import Scenario, ScenarioSpec, Sweep, cell_record
 from repro.workloads.registry import workload_names
 
-POLICIES = ["standard", "always-rendezvous", "predictive-credits", "predictive-buffers"]
-
-#: The committed sample trace — trace replay has no generator of its own.
-SAMPLE_TRACE = str(Path(__file__).resolve().parent.parent / "examples" / "sample_trace.jsonl")
-
 
 def _workload_table(name):
-    """A smoke-scale spec table for any registry workload."""
+    """A smoke-scale spec table for any registry workload (replay reads the sample trace)."""
     if name == "replay":
         return {"name": name, "nprocs": 4, "params": {"file": SAMPLE_TRACE}}
     return {"name": name, "nprocs": 4, "scale": 0.02}

@@ -3,9 +3,9 @@
 The artefact suites under ``benchmarks/`` regenerate Table 1 and Figures 3-4
 into ``benchmarks/results/`` and assert the paper's claims over the whole
 table, but they run only when named (``pytest benchmarks``).  This module
-runs the same 19 simulations at the artefacts' settings (seed 2003, scale
-0.25: the defaults of ``benchmarks/conftest.py``) and checks each claim for
-each configuration, so a change that breaks one cell fails by that cell's
+reads the same 19 simulations at the artefacts' settings (the session's
+``paper_grid``: seed 2003, scale 0.25, the defaults of
+``benchmarks/conftest.py``) and checks each claim for each configuration, so a change that breaks one cell fails by that cell's
 name.  It also checks that every cell still renders exactly as its committed
 Table 1 row and Figure 3/4 bars, without writing to ``benchmarks/results/``.
 """
@@ -16,16 +16,15 @@ import pathlib
 
 import pytest
 
-from repro.analysis.experiments import ExperimentContext
+from cells import PAPER_SCALE
 from repro.analysis.figures_accuracy import figure3, figure4
 from repro.analysis.figures_streams import figure2
 from repro.analysis.table1 import build_table1, render_table1
 from repro.workloads.registry import paper_configurations
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-SEED, SCALE = 2003, 0.25
 
-CONFIGURATIONS = {c.label: c for c in paper_configurations(scale=SCALE)}
+CONFIGURATIONS = {c.label: c for c in paper_configurations(scale=PAPER_SCALE)}
 LABELS = list(CONFIGURATIONS)
 NON_IS_LABELS = [label for label in LABELS if not label.startswith("is.")]
 
@@ -36,25 +35,18 @@ LOGICAL_FLOOR = 70.0
 
 
 @pytest.fixture(scope="module")
-def context():
-    context = ExperimentContext(seed=SEED, scale=SCALE)
-    context.run_all(jobs=2)
-    return context
+def table1(paper_grid):
+    return {row.label: row for row in build_table1(paper_grid)}
 
 
 @pytest.fixture(scope="module")
-def table1(context):
-    return {row.label: row for row in build_table1(context)}
+def logical(paper_grid):
+    return figure3(paper_grid)
 
 
 @pytest.fixture(scope="module")
-def logical(context):
-    return figure3(context)
-
-
-@pytest.fixture(scope="module")
-def physical(context):
-    return figure4(context)
+def physical(paper_grid):
+    return figure4(paper_grid)
 
 
 def _lines_for(text: str, label: str) -> list[str]:
@@ -113,11 +105,11 @@ def test_physical_sender_accuracy_not_above_logical(logical, physical, label):
 
 
 @pytest.mark.parametrize("label", LABELS)
-def test_physical_stream_reorders_the_logical_one(context, label):
+def test_physical_stream_reorders_the_logical_one(paper_grid, label):
     """Both levels see the same messages; only their order differs (Figure 2)."""
     configuration = CONFIGURATIONS[label]
     streams = figure2(
-        context, configuration.workload, configuration.nprocs, p2p_only=False
+        paper_grid, configuration.workload, configuration.nprocs, p2p_only=False
     )
     assert len(streams.logical_senders) > 0
     assert sorted(streams.logical_senders.tolist()) == sorted(

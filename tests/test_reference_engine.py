@@ -1,13 +1,20 @@
-"""The simulator against the reference engine (``tests/reference_engine.py``).
+"""Every engine run mode against the reference engine (``tests/reference_engine.py``).
 
 The reference runs the generator protocol one event at a time with its own
 matching, protocol timing, buffer accounting and traces.  The simulator must
 agree with it bit for bit — per-rank finish times, makespan, every rank's
 canonical logical and physical streams and the integer protocol counters —
-compiled under the ``auto`` drain, as generators under the ``scalar`` drain,
-and on one cell partitioned across two worker processes under each drain.  Two wavefront cells
-are checked once more with every blocking send and receive route counted on
-the reference side, so each route is known to be taken.
+in every run mode: compiled or generator ranks, under the ``auto`` or the
+``scalar`` drain, and partitioned across worker processes wherever a
+partition can engage (the deterministic network and a partition-safe
+policy).  The matrix is every registry cell under every policy on both
+networks.  Noise-free cells that post in-step bursts, random seeds, and one
+run that mixes compiled and generator ranks are checked the same way.
+Fault injection is outside the reference's model; the fault presets are
+checked pairwise in ``test_engine_vectorised.py`` and
+``test_compiled_collectives.py``.  Two wavefront cells are checked once more
+with every blocking send and receive route counted on the reference side,
+so each route is known to be taken.
 """
 
 import subprocess
@@ -15,105 +22,120 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cells import (
+    CELL_IDS,
+    MODES,
+    NETWORKS,
+    PARTITION_SAFE,
+    PARTITIONED,
+    POLICIES,
+    REGISTRY_CELLS,
+    SEED,
+    check,
+    reference,
+)
+from repro.mpi.constants import ANY_SOURCE
 from repro.mpi.ops import RecvOp, SendOp
 from repro.predictive.registry import create_policy
-from repro.sim.engine import Simulator
 from repro.sim.machine import MachineConfig
-from repro.sim.network import NetworkConfig
+from repro.workloads.base import Workload
+from repro.workloads.compile import compile_rank_lanes
 from repro.workloads.registry import create_workload, workload_names
 
 from reference_engine import ReferenceEngine
 
-#: (workload, nprocs, parameters): the registry but ``replay``, at small scale.
-CELLS = [
-    ("bt", 9, {"scale": 0.03}),
-    ("cg", 8, {"scale": 0.05}),
-    ("lu", 4, {"scale": 0.01}),
-    ("is", 8, {"scale": 0.1}),
-    ("sweep3d", 6, {"scale": 0.05}),
-    ("periodic-pattern", 4, {"scale": 0.2}),
-    ("ring-exchange", 4, {"scale": 0.2}),
-    ("random-sender", 4, {"messages_per_rank": 10}),
-    ("collective-storm", 4, {"scale": 0.2}),
-    ("collective-mix", 4, {"scale": 0.2}),
-]
-NETWORKS = {"default": NetworkConfig(), "noiseless": NetworkConfig.noiseless()}
-POLICIES = [
-    "standard",
-    "always-rendezvous",
-    "predictive-credits",
-    "predictive-buffers",
-    "predictive-rendezvous",
-]
-SEED = 29
-
-
-def reference(workload, policy, network):
-    engine = ReferenceEngine(
-        workload.nprocs, create_policy(policy), network=NETWORKS[network], seed=SEED
-    )
-    finish, logical, physical, counters = engine.run([workload.program])
-    return max(finish), finish, logical, physical, counters
-
-
-def simulated(workload, policy, network, compiled, engine, engine_jobs, machine=None):
-    result = Simulator(
-        workload.nprocs,
-        machine=machine,
-        network=NETWORKS[network],
-        policy=create_policy(policy),
-        seed=SEED,
-        engine=engine,
-        engine_jobs=engine_jobs,
-    ).run([workload.program_for if compiled else workload.program])
-    assert engine_jobs == 1 or "partitions" in result.parallel_info
-    streams = []
-    for level in ("logical", "physical"):
-        streams.append([
-            [(r.sender, r.nbytes, r.tag, r.kind, r.time)
-             for r in getattr(result.trace_for(rank), level)]
-            for rank in range(result.nprocs)
-        ])
-    counters = {k: v for k, v in result.stats.summary().items() if isinstance(v, int)}
-    return result.makespan, result.rank_finish_times, *streams, counters
-
-
-def check(name, nprocs, params, policy, network, engines):
-    workload = create_workload(name, nprocs=nprocs, **params)
-    expected = reference(workload, policy, network)
-    assert expected[4]["messages_sent"] > 0
-    for compiled, engine, jobs in engines:
-        assert simulated(workload, policy, network, compiled, engine, jobs) == expected, (
-            f"{name}.{nprocs} {policy} {network}: compiled={compiled} {engine} jobs={jobs}"
-        )
-
-
-#: (compiled, engine, engine_jobs) run modes.
-BOTH = [(True, "auto", 1), (False, "scalar", 1)]
-
 
 @pytest.mark.parametrize("network", sorted(NETWORKS))
-@pytest.mark.parametrize("name,nprocs,params", CELLS, ids=[c[0] for c in CELLS])
-def test_registry_matches_reference(name, nprocs, params, network):
-    check(name, nprocs, params, "standard", network, BOTH)
-
-
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("name,nprocs,params", [CELLS[0], CELLS[7]], ids=["bt", "random-sender"])
-def test_policies_match_reference(name, nprocs, params, policy):
-    check(name, nprocs, params, policy, "default", BOTH)
+@pytest.mark.parametrize("cell", REGISTRY_CELLS, ids=CELL_IDS)
+def test_every_run_mode_matches_reference(cell, policy, network):
+    name, nprocs, params = cell
+    workload = create_workload(name, nprocs=nprocs, **params)
+    partitions = network == "noiseless" and policy in PARTITION_SAFE
+    counters = check(workload, policy, network, MODES + PARTITIONED if partitions else MODES)
+    assert counters["messages_sent"] > 0
 
 
-def test_partitioned_run_matches_reference():
-    check(
-        "bt", 9, {"scale": 0.03}, "standard", "noiseless",
-        [(True, "auto", 2), (True, "scalar", 2)],
-    )
+def test_cells_cover_the_registry():
+    assert sorted(c[0] for c in REGISTRY_CELLS) == workload_names()
 
 
-def test_cells_cover_the_registry_but_replay():
-    assert sorted(c[0] for c in CELLS) == sorted(set(workload_names()) - {"replay"})
+def test_partitioned_modes_keep_their_policies():
+    # The policies the matrix partitions under; one losing its flag would
+    # drop partitioned runs from the matrix without a failure.
+    assert PARTITION_SAFE == ["always-rendezvous", "standard"]
+
+
+#: Noise-free cells that stay in step on the deterministic network, so that
+#: isend segments really are posted as bursts (under the default compute
+#: noise the ranks drift apart and cohorts collapse to single steps).  They
+#: hold ``Transport.post_send_burst``'s own pass — inline arrivals, deferred
+#: delivery batches, the flush before a rendezvous control message — to the
+#: reference; IS at 16 ranks mixes coinciding and differing arrivals with
+#: rendezvous sends in one burst.
+IN_STEP_CELLS = [
+    ("bt", 16, {"iterations": 1, "compute_noise": 0.0}),
+    ("cg", 16, {"scale": 0.1, "compute_noise": 0.0}),
+    ("lu", 16, {"scale": 0.01, "compute_noise": 0.0}),
+    ("is", 8, {"scale": 0.2, "compute_noise": 0.0}),
+    ("is", 16, {"scale": 0.2, "compute_noise": 0.0}),
+    ("sweep3d", 16, {"scale": 0.1, "compute_noise": 0.0}),
+    ("ring-exchange", 8, {"scale": 0.2}),
+    ("collective-mix", 8, {"scale": 0.2}),
+    ("collective-storm", 8, {"scale": 0.2}),
+]
+
+
+@pytest.mark.parametrize("name,nprocs,params", IN_STEP_CELLS)
+def test_in_step_bursts_match_reference(name, nprocs, params):
+    workload = create_workload(name, nprocs=nprocs, **params)
+    check(workload, "standard", "noiseless", MODES[:2])
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    cell=st.sampled_from([("bt", 4, {"scale": 0.02}), ("ring-exchange", 4, {"scale": 0.2})]),
+    policy=st.sampled_from(POLICIES),
+)
+def test_any_seed_any_policy(seed, cell, policy):
+    name, nprocs, params = cell
+    workload = create_workload(name, nprocs=nprocs, **params)
+    check(workload, policy, "default", MODES[:2], seed=seed)
+
+
+class MixedModeWorkload(Workload):
+    """Rank 0 compiles (static receiver); the senders stay dynamic.
+
+    The senders size their compute phases from ``ctx.rng`` directly, so the
+    compile replay rejects them and one simulation ends up driving compiled
+    and generator ranks side by side.
+    """
+
+    name = "mixed-mode-test"
+
+    def default_iterations(self):
+        return 6
+
+    def program(self, ctx):
+        comm = ctx.comm
+        if ctx.rank == 0:
+            for _ in range(self.iterations * (self.nprocs - 1)):
+                yield comm.recv(source=ANY_SOURCE, tag=7)
+        else:
+            for _ in range(self.iterations):
+                yield comm.compute(1e-6 * (1 + ctx.rng.integers(0, 3)))
+                yield comm.send(0, 512, tag=7)
+
+
+def test_compiled_and_generator_ranks_mix_in_one_run():
+    workload = MixedModeWorkload(nprocs=4)
+    assert compile_rank_lanes(workload, 0) is not None
+    assert compile_rank_lanes(workload, 1) is None
+    check(workload, "standard", "default", MODES)
 
 
 def test_refuses_faults():
@@ -165,7 +187,7 @@ MACHINES = {
     "low-eager": (LOW_EAGER, ["rendezvous send", "receive waiting for a later delivery"]),
 }
 ROUTE_CELLS = [("lu", 16, {"scale": 0.01}), ("sweep3d", 16, {"scale": 0.05})]
-ROUTE_ENGINES = [(True, "auto", 1), (True, "scalar", 1), (False, "scalar", 1)]
+ROUTE_MODES = [(True, "auto", 1), (True, "scalar", 1), (False, "scalar", 1)]
 
 
 class RouteCountingReference(ReferenceEngine):
@@ -210,9 +232,6 @@ def test_blocking_op_routes_match_reference(name, nprocs, params, policy, machin
         nprocs, create_policy(policy), network=NETWORKS["default"],
         machine=machine_config, seed=SEED,
     )
-    finish, logical, physical, counters = oracle.run([workload.program])
-    expected = (max(finish), finish, logical, physical, counters)
+    expected = reference(workload, policy, "default", oracle=oracle)
     assert all(oracle.routes[route] > 0 for route in required), oracle.routes
-    for compiled, engine, jobs in ROUTE_ENGINES:
-        got = simulated(workload, policy, "default", compiled, engine, jobs, machine_config)
-        assert got == expected, f"{name}.{nprocs} {policy} {machine}: compiled={compiled} {engine}"
+    check(workload, policy, "default", ROUTE_MODES, expected=expected, machine=machine_config)

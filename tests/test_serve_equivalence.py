@@ -10,16 +10,15 @@ re-implementation; these tests pin that down across ≥3 registry specs.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
+from cells import SAMPLE_TRACE
 from repro.predictive.online import OnlineMessagePredictor
 from repro.scenario.spec import PredictorSpec
 from repro.serve.service import ServeService
 from repro.trace.io import load_traces
 
-SAMPLE_TRACE = Path(__file__).resolve().parent.parent / "examples" / "sample_trace.jsonl"
 
 #: Registry predictor specs the equivalence is pinned across (>= 3, per the
 #: serve-vs-offline invariant; horizon varies to catch horizon plumbing too).

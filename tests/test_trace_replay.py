@@ -2,44 +2,27 @@
 
 The replay contract (:mod:`repro.workloads.replay`): running any workload,
 saving its traces, and replaying the file reproduces every receiver's
-logical ``(sender, tag, nbytes)`` sequence exactly — on every engine, on
-both the generator and compiled paths, deterministically.  The DUMPI-style
+logical ``(sender, tag, nbytes)`` sequence exactly, deterministically; the
+sample trace's replay is a registry cell of the reference matrix
+(``test_reference_engine.py``), which runs it in every engine mode, on both
+the generator and compiled paths.  The DUMPI-style
 text importer (:mod:`repro.trace.import_dumpi`) feeds the same pipeline and
 rejects malformed input with pointed, line-numbered errors.
 """
 
-import os
 from pathlib import Path
 
 import pytest
 
+from cells import SAMPLE_TRACE, fingerprint, simulate
 from repro.scenario import WorkloadSpec
-from repro.sim.engine import Simulator
-from repro.sim.registry import create_network
 from repro.trace.io import save_traces
 from repro.trace.import_dumpi import DumpiParseError, load_dumpi, parse_dumpi
 from repro.workloads.compile import compile_info, compile_rank_lanes
 from repro.workloads.registry import create_workload
 from repro.workloads.replay import ReplayWorkload
 
-#: Deterministic network used everywhere (positive latency so a partitioned
-#: run engages rather than falling back).
-NETWORK = create_network("noiseless", latency=25e-6)
-
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
-SAMPLE_V2 = EXAMPLES / "sample_trace.jsonl"
-SAMPLE_DUMPI = EXAMPLES / "sample_trace.dumpi"
-
-
-def simulate(workload, *, engine="scalar", compiled=False, seed=7, engine_jobs=1):
-    simulator = Simulator(
-        nprocs=workload.nprocs,
-        seed=seed,
-        network=NETWORK,
-        engine=engine,
-        engine_jobs=engine_jobs,
-    )
-    return simulator.run([workload.program_for if compiled else workload.program])
+SAMPLE_DUMPI = Path(SAMPLE_TRACE).with_suffix(".dumpi")
 
 
 def logical_streams(result):
@@ -51,20 +34,6 @@ def logical_streams(result):
             (r.sender, r.tag, r.nbytes) for r in logical if r.sender >= 0
         ]
     return streams
-
-
-def fingerprint(result):
-    traces = [
-        (list(result.trace_for(r).logical), list(result.trace_for(r).physical))
-        for r in range(result.nprocs)
-    ]
-    return (
-        result.makespan,
-        result.rank_finish_times,
-        result.events_processed,
-        result.stats.summary(),
-        traces,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -90,8 +59,7 @@ class TestV2RoundTrip:
 
         replay = create_workload("replay", nprocs=0, file=str(path))
         assert replay.nprocs == source.nprocs
-        replayed = logical_streams(simulate(replay))
-        assert replayed == recorded
+        assert logical_streams(simulate(replay)) == recorded
 
     def test_structure_only_replay_keeps_the_streams(self, tmp_path):
         source = create_workload("ring-exchange", nprocs=4, iterations=3)
@@ -118,37 +86,24 @@ class TestV2RoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Replay programs land on the op-array fast lane, on every engine
+# Replay programs land on the op-array fast lane
 # ----------------------------------------------------------------------
 class TestReplayExecution:
     def test_replay_compiles(self):
-        replay = create_workload("replay", nprocs=0, file=str(SAMPLE_V2))
+        replay = create_workload("replay", nprocs=0, file=SAMPLE_TRACE)
         for rank in range(replay.nprocs):
             assert compile_rank_lanes(replay, rank) is not None
         info = compile_info(replay, 0)
         assert info["compiled"] is True and info["ops"] > 0
 
-    def test_compiled_matches_generator(self):
-        replay = create_workload("replay", nprocs=0, file=str(SAMPLE_V2))
-        generator = simulate(replay, compiled=False)
-        compiled = simulate(replay, compiled=True)
-        assert fingerprint(compiled) == fingerprint(generator)
-
-    @pytest.mark.parametrize("engine_jobs", [1, 2])
-    def test_engines_match_scalar(self, engine_jobs):
-        replay = create_workload("replay", nprocs=0, file=str(SAMPLE_V2))
-        baseline = fingerprint(simulate(replay, engine="scalar", compiled=True))
-        result = simulate(replay, engine="auto", compiled=True, engine_jobs=engine_jobs)
-        assert fingerprint(result) == baseline
-
     def test_two_runs_are_identical(self):
-        replay = create_workload("replay", nprocs=0, file=str(SAMPLE_V2))
+        replay = create_workload("replay", nprocs=0, file=SAMPLE_TRACE)
         first = fingerprint(simulate(replay))
         second = fingerprint(simulate(replay))
         assert first == second
 
     def test_shorthand_spec_round_trips(self):
-        spec = WorkloadSpec.from_shorthand(f"replay:file={SAMPLE_V2}")
+        spec = WorkloadSpec.from_shorthand(f"replay:file={SAMPLE_TRACE}")
         assert spec.name == "replay" and spec.nprocs == 0
         workload = spec.build()
         assert isinstance(workload, ReplayWorkload)
@@ -171,11 +126,11 @@ class TestReplayErrors:
 
     def test_nprocs_below_trace_count(self):
         with pytest.raises(ValueError, match="smaller than the trace's process count"):
-            ReplayWorkload(nprocs=2, file=str(SAMPLE_V2))
+            ReplayWorkload(nprocs=2, file=SAMPLE_TRACE)
 
     def test_negative_time_scale(self):
         with pytest.raises(ValueError, match="time_scale must be non-negative"):
-            ReplayWorkload(file=str(SAMPLE_V2), time_scale=-1)
+            ReplayWorkload(file=SAMPLE_TRACE, time_scale=-1)
 
     def test_empty_file_reports_no_events(self, tmp_path):
         path = tmp_path / "empty.dumpi"

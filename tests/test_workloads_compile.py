@@ -1,8 +1,8 @@
 """Unit tests of the op-array compiler (repro.workloads.compile).
 
-The equivalence of compiled and generator execution is covered by
-``tests/test_workloads_oparray_equivalence.py``; this module pins down the
-compiler itself: lane structure, the dynamic-program fallbacks, the schedule
+The equivalence of compiled and generator execution is covered by the
+reference matrix in ``tests/test_reference_engine.py``; this module pins
+down the compiler itself: lane structure, the dynamic-program fallbacks, the schedule
 cache, and the compile-time noise bookkeeping.
 """
 
@@ -12,6 +12,7 @@ from array import array
 
 import pytest
 
+from cells import REGISTRY_CELLS, fingerprint, run_cell
 from repro.mpi.communicator import Communicator, RankContext
 from repro.mpi.constants import ANY_SOURCE, KIND_COLLECTIVE, KIND_P2P
 from repro.mpi.ops import (
@@ -426,6 +427,11 @@ class TestCollectiveLowering:
 
 
 class TestScheduleCache:
+    def test_cold_and_warm_schedule_cache_agree(self):
+        cold = run_cell(REGISTRY_CELLS[0])
+        warm = run_cell(REGISTRY_CELLS[0])
+        assert fingerprint(cold) == fingerprint(warm)
+
     def test_equal_configurations_share_lanes(self):
         first = create_workload("bt", nprocs=4, scale=0.05)
         second = create_workload("bt", nprocs=4, scale=0.05)
