@@ -51,8 +51,9 @@ PARTITION_SAFE = [p for p in POLICIES if getattr(create_policy(p), "partition_sa
 #: deterministic (positive latency, so a partitioned run engages on it).
 NETWORKS = {"default": NetworkConfig(), "noiseless": NetworkConfig.noiseless()}
 
-#: (compiled, engine, engine_jobs): the in-process run modes.
-MODES = [(True, "auto", 1), (True, "scalar", 1), (False, "auto", 1), (False, "scalar", 1)]
+#: (compiled, engine, engine_jobs): the in-process run modes.  The drain
+#: batches compiled-rank steps only, so generator ranks run under one.
+MODES = [(True, "auto", 1), (True, "scalar", 1), (False, "auto", 1)]
 #: Partitioned run modes, two partitions under one drain and three under the other.
 PARTITIONED = [(True, "auto", 2), (True, "scalar", 3)]
 

@@ -36,7 +36,7 @@ class TestRegistryEquivalence:
 
 
 class TestCohortPathEngages:
-    """``engine="auto"`` reaches the batch dispatch; ``"scalar"`` never does."""
+    """``engine="auto"`` batches compiled ranks; ``"scalar"`` and generator ranks never do."""
 
     def _count_batches(self, monkeypatch):
         # _exec_cohort is the cohort dispatch entry (never reached with
@@ -58,16 +58,22 @@ class TestCohortPathEngages:
         calls = self._count_batches(monkeypatch)
         machine, network = lockstep_scale_configs()
         workload = create_workload("bt", 16, iterations=2, compute_noise=0.0)
-        result = Simulator(
-            workload.nprocs,
-            seed=5,
-            machine=machine,
-            network=network,
-            tracer=False,
-            engine="auto",
-        ).run([workload.program_for])
-        assert result.events_processed > 0
-        assert calls["step"] > 0, "engine='auto' never batched a step cohort"
+        batches = []
+        for program in (workload.program_for, workload.program):
+            result = Simulator(
+                workload.nprocs,
+                seed=5,
+                machine=machine,
+                network=network,
+                tracer=False,
+                engine="auto",
+            ).run([program])
+            assert result.events_processed > 0
+            batches.append(calls["step"])
+        assert batches[0] > 0, "engine='auto' never batched a step cohort"
+        # Cohorts hold compiled-rank steps only, so generator ranks run one
+        # way under either drain (the reference matrix runs them once).
+        assert batches[1] == batches[0]
 
     def test_auto_cohorts_a_four_rank_job(self):
         # No job-size threshold: a 4-rank lockstep cohort is batched, and

@@ -5,8 +5,8 @@ into ``benchmarks/results/`` and assert the paper's claims over the whole
 table, but they run only when named (``pytest benchmarks``).  This module
 reads the same 19 simulations at the artefacts' settings (the session's
 ``paper_grid``: seed 2003, scale 0.25, the defaults of
-``benchmarks/conftest.py``) and checks each claim for each configuration, so a change that breaks one cell fails by that cell's
-name.  It also checks that every cell still renders exactly as its committed
+``benchmarks/conftest.py``) and checks each claim for each configuration,
+so a change that breaks one cell fails by that cell's name.  It also checks that every cell still renders exactly as its committed
 Table 1 row and Figure 3/4 bars, without writing to ``benchmarks/results/``.
 """
 

@@ -4,10 +4,10 @@ The reference runs the generator protocol one event at a time with its own
 matching, protocol timing, buffer accounting and traces.  The simulator must
 agree with it bit for bit — per-rank finish times, makespan, every rank's
 canonical logical and physical streams and the integer protocol counters —
-in every run mode: compiled or generator ranks, under the ``auto`` or the
-``scalar`` drain, and partitioned across worker processes wherever a
-partition can engage (the deterministic network and a partition-safe
-policy).  The matrix is every registry cell under every policy on both
+in every run mode: compiled ranks under the ``auto`` and the ``scalar``
+drain, generator ranks (which never cohort, so either drain runs them the
+same way), and partitioned across worker processes wherever a partition can
+engage (the deterministic network and a partition-safe policy).  The matrix is every registry cell under every policy on both
 networks.  Noise-free cells that post in-step bursts, random seeds, and one
 run that mixes compiled and generator ranks are checked the same way.
 Fault injection is outside the reference's model; the fault presets are
@@ -187,7 +187,6 @@ MACHINES = {
     "low-eager": (LOW_EAGER, ["rendezvous send", "receive waiting for a later delivery"]),
 }
 ROUTE_CELLS = [("lu", 16, {"scale": 0.01}), ("sweep3d", 16, {"scale": 0.05})]
-ROUTE_MODES = [(True, "auto", 1), (True, "scalar", 1), (False, "scalar", 1)]
 
 
 class RouteCountingReference(ReferenceEngine):
@@ -234,4 +233,4 @@ def test_blocking_op_routes_match_reference(name, nprocs, params, policy, machin
     )
     expected = reference(workload, policy, "default", oracle=oracle)
     assert all(oracle.routes[route] > 0 for route in required), oracle.routes
-    check(workload, policy, "default", ROUTE_MODES, expected=expected, machine=machine_config)
+    check(workload, policy, "default", MODES, expected=expected, machine=machine_config)

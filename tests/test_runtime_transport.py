@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.protocol import AlwaysRendezvousFlowControl, StandardFlowControl
+from repro.runtime.protocol import AlwaysRendezvousFlowControl
 from repro.runtime.stats import LatencyAccumulator, RuntimeStats
 from repro.sim.engine import Simulator
 from repro.sim.machine import MachineConfig

@@ -5,7 +5,6 @@ import pytest
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.sim.engine import Simulator
 from repro.sim.errors import DeadlockError, ProgramError, SimulationError
-from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkConfig
 
 

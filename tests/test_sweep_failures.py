@@ -13,7 +13,6 @@ import pytest
 from repro.scenario import (
     CachedCell,
     CellFailure,
-    Scenario,
     ScenarioResult,
     ScenarioSpec,
     Sweep,

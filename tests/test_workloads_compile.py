@@ -2,8 +2,8 @@
 
 The equivalence of compiled and generator execution is covered by the
 reference matrix in ``tests/test_reference_engine.py``; this module pins
-down the compiler itself: lane structure, the dynamic-program fallbacks, the schedule
-cache, and the compile-time noise bookkeeping.
+down the compiler itself: lane structure, the dynamic-program fallbacks, the
+schedule cache, and the compile-time noise bookkeeping.
 """
 
 import math
