@@ -17,6 +17,7 @@ with every blocking send and receive route counted on the reference side,
 so each route is known to be taken.
 """
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -48,14 +49,34 @@ from repro.workloads.registry import create_workload, workload_names
 from reference_engine import ReferenceEngine
 
 
-@pytest.mark.parametrize("network", sorted(NETWORKS))
-@pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("cell", REGISTRY_CELLS, ids=CELL_IDS)
-def test_every_run_mode_matches_reference(cell, policy, network):
-    name, nprocs, params = cell
+def mode_id(mode):
+    compiled, engine, jobs = mode
+    return (f"compiled-{engine}" if compiled else "generator") + (f"-{jobs}" if jobs > 1 else "")
+
+
+def matrix():
+    """One case per cell, policy, network and run mode, the modes of a cell adjacent."""
+    for cell, cell_id in zip(REGISTRY_CELLS, CELL_IDS):
+        for policy in POLICIES:
+            for network in sorted(NETWORKS):
+                partitions = network == "noiseless" and policy in PARTITION_SAFE
+                for mode in MODES + PARTITIONED if partitions else MODES:
+                    case_id = f"{cell_id}-{policy}-{network}-{mode_id(mode)}"
+                    yield pytest.param(cell_id, policy, network, mode, id=case_id)
+
+
+@functools.lru_cache(maxsize=1)
+def matrix_reference(cell_id, policy, network):
+    """The cell's workload and the reference's run of it, shared by its run modes."""
+    name, nprocs, params = REGISTRY_CELLS[CELL_IDS.index(cell_id)]
     workload = create_workload(name, nprocs=nprocs, **params)
-    partitions = network == "noiseless" and policy in PARTITION_SAFE
-    counters = check(workload, policy, network, MODES + PARTITIONED if partitions else MODES)
+    return workload, reference(workload, policy, network)
+
+
+@pytest.mark.parametrize("cell_id,policy,network,mode", list(matrix()))
+def test_every_run_mode_matches_reference(cell_id, policy, network, mode):
+    workload, expected = matrix_reference(cell_id, policy, network)
+    counters = check(workload, policy, network, [mode], expected=expected)
     assert counters["messages_sent"] > 0
 
 
