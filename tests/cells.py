@@ -2,9 +2,9 @@
 
 Every module that compares simulator runs reads its cells, policies and
 comparisons from here, so a new workload or policy joins every check at once.
-Fault-free runs are compared with the reference engine (:func:`check`); runs
-with faults, which the reference does not model, with each other
-(:func:`fingerprint`).  The paper grid's settings live here too; the grid
+Fault-free runs are compared with the reference engine, and their run modes
+with each other on the full :func:`fingerprint` (:func:`check`); runs with
+faults, which the reference does not model, with each other only.  The paper grid's settings live here too; the grid
 itself is the session fixture ``paper_grid`` in ``conftest.py``.
 """
 
@@ -16,6 +16,7 @@ from repro.predictive.registry import create_policy, policy_names
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkConfig
 from repro.sim.registry import create_faults
+from repro.workloads.compile import compile_info
 from repro.workloads.registry import create_workload
 
 from reference_engine import ReferenceEngine
@@ -135,23 +136,39 @@ def observed(result):
     return result.makespan, result.rank_finish_times, *streams, counters
 
 
-def check(workload, policy, network, modes, seed=SEED, expected=None, machine=None):
+def assert_partitioned(workload, result):
+    """``result`` ran partitioned, or fell back because a rank of ``workload``
+    does not compile (the windowed drain steps compiled lanes only)."""
+    info = result.parallel_info
+    if all(compile_info(workload, rank)["compiled"] for rank in range(workload.nprocs)):
+        assert "partitions" in info, info
+    else:
+        assert "generator" in info["fallback"], info
+
+
+def check(workload, policy, network, modes, seed=SEED, expected=None, machine=None, first=None):
     """Each ``(compiled, engine, engine_jobs)`` run mode equals the reference.
 
-    A partitioned mode must really partition, unless the workload's ranks
-    are generators, which run in-process.  Returns the reference's counters.
+    The reference leaves out the event count, the float latency statistics
+    and the record sequence numbers, so each mode's full :func:`fingerprint`
+    must also equal the first mode's; ``first`` carries that fingerprint
+    across calls (one dict per cell).  A partitioned mode must really
+    partition (:func:`assert_partitioned`).  Returns the reference's counters.
     """
     expected = expected or reference(workload, policy, network, seed)
+    first = {} if first is None else first
     for compiled, engine, jobs in modes:
         result = simulate(
             workload, policy, seed=seed, network=network, machine=machine,
             compiled=compiled, engine=engine, engine_jobs=jobs,
         )
         if jobs > 1:
-            info = result.parallel_info
-            assert "partitions" in info or "generator" in info["fallback"], info
-        assert observed(result) == expected, (
+            assert_partitioned(workload, result)
+        mode = (
             f"{workload.name}.{workload.nprocs} {policy} {network}: "
             f"compiled={compiled} {engine} jobs={jobs}"
         )
+        assert observed(result) == expected, mode
+        prints = fingerprint(result)
+        assert prints == first.setdefault("fingerprint", prints), mode
     return expected[4]

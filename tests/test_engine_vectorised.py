@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cells import CELL_IDS, POLICIES, REGISTRY_CELLS, fingerprint, run_cell, simulate
+from cells import (
+    CELL_IDS,
+    POLICIES,
+    REGISTRY_CELLS,
+    assert_partitioned,
+    fingerprint,
+    run_cell,
+    simulate,
+)
 from repro.scenario import ScenarioSpec, Sweep
 from repro.sim.engine import Simulator
 from repro.workloads.registry import create_workload
@@ -193,17 +201,22 @@ class TestParallelEquivalence:
     """Full registry x {2, 3} partitions under chaos, partitioned vs in-process.
 
     The deterministic network is the partitioned run's eligibility gate (it
-    derives its lookahead from the minimum link latency); fault injection
-    draws shared state, so these runs fall back and must still be
-    bit-identical.
+    derives its lookahead from the minimum link latency).  Fault injection
+    keeps a run eligible: drops, retransmissions and degraded links are
+    drawn inside the partitions, so every cell whose ranks compile runs
+    partitioned with faults (random-sender's generator ranks fall back).
     """
 
     @pytest.mark.parametrize("cell", REGISTRY_CELLS, ids=CELL_IDS)
     def test_bit_identical_outputs(self, cell):
+        name, nprocs, params = cell
+        workload = create_workload(name, nprocs=nprocs, **params)
         options = dict(network="noiseless", faults="chaos")
-        baseline = fingerprint(run_cell(cell, **options))
+        baseline = fingerprint(simulate(workload, **options))
         for jobs in (2, 3):
-            assert fingerprint(run_cell(cell, engine_jobs=jobs, **options)) == baseline
+            result = simulate(workload, engine_jobs=jobs, **options)
+            assert_partitioned(workload, result)
+            assert fingerprint(result) == baseline
 
     def test_engaged_run_reports_partition_info(self):
         result = run_cell(BT, network="noiseless", engine_jobs=3)

@@ -10,7 +10,8 @@ One small grid, at one seed, goes through three doors:
 
 Everything the analysis layer consumes — traces at both levels, runtime
 statistics, makespans, the stream summaries feeding Table 1 and the Figure
-1-2 streams — must coincide bit for bit.  Both contexts also hold a
+1-2 streams — must coincide bit for bit, and so must the report sections
+built from either context.  Both contexts also hold a
 generator-protocol cell next to the compiled paper cells, which must merge
 the same way.  The sharded context was warmed with one paper cell before
 ``run_all``, so it also pins the cache: warmed cells are not resubmitted and
@@ -22,6 +23,7 @@ import pytest
 from cells import fingerprint
 from repro.analysis.experiments import ExperimentContext, paper_sweep
 from repro.analysis.figures_streams import figure1, figure2
+from repro.analysis.report import build_report
 from repro.analysis.table1 import build_table1, render_table1
 from repro.scenario import ScenarioResult, Sweep
 from repro.sim.engine import Simulator
@@ -150,6 +152,17 @@ class TestDoorsAgree:
         seq_fig2, par_fig2 = figure2(sequential), figure2(context)
         assert seq_fig2.logical_senders.tolist() == par_fig2.logical_senders.tolist()
         assert seq_fig2.physical_senders.tolist() == par_fig2.physical_senders.tolist()
+
+    def test_report_sections_identical(self, sequential, sharded):
+        # The sharded prewarm is invisible to the report's content (the
+        # timestamped footer sits outside the sections).
+        reports = [
+            build_report(context=context, include_extensions=False, include_ablations=False)
+            for context in (sequential, sharded[0])
+        ]
+        assert [(s.title, s.body) for s in reports[0].sections] == [
+            (s.title, s.body) for s in reports[1].sections
+        ]
 
     def test_dynamic_cell_merges(self, sequential, sharded):
         assert fingerprint(sequential.run_named("random-sender", 4).result) == fingerprint(
